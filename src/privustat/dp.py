@@ -28,6 +28,10 @@ _ENVELOPE = (2.0 + math.sqrt(2.0)) / 2.0
 
 SMOOTH_RELEASE_FACTOR = 10.0
 
+# rng.random() returns multiples of 2^-53 in [0, 1).  The Laplace samplers read
+# the draw 0.0 as the middle of its cell, so the inverse CDF never hits log(0).
+_ZERO_DRAW = 2.0**-54
+
 
 # ---------------------------------------------------------------------------
 # budget ledger
@@ -73,8 +77,10 @@ class PrivacyBudget:
     def parallel(self, label: str):
         """Context manager for branches over disjoint data (max-composition)."""
         branches = _ParallelBranches(self.remaining)
-        yield branches
-        self.spend(label, branches.max_spent())
+        try:
+            yield branches
+        finally:  # a branch that released and then raised still spent its budget
+            self.spend(label, branches.max_spent())
 
     def summary(self) -> str:
         lines = [f"privacy ledger: spent {self.spent:.6g} of {self.epsilon_total:.6g}"]
@@ -118,7 +124,7 @@ def laplace(scale: float, seed) -> NoiseSample:
     if scale <= 0:
         raise NonPositiveScale("Laplace scale must be > 0")
     rng = as_generator(seed)
-    u = rng.random() - 0.5
+    u = max(rng.random(), _ZERO_DRAW) - 0.5
     value = -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
     return NoiseSample(value, scale, "laplace")
 
@@ -126,7 +132,7 @@ def laplace(scale: float, seed) -> NoiseSample:
 def laplace_draws(scale: float, size: int, rng) -> np.ndarray:
     if scale <= 0:
         raise NonPositiveScale("Laplace scale must be > 0")
-    u = as_generator(rng).random(size) - 0.5
+    u = np.maximum(as_generator(rng).random(size), _ZERO_DRAW) - 0.5
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 

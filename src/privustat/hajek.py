@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dp import PrivacyBudget, smooth_sensitivity_release
+from .dp import SMOOTH_RELEASE_FACTOR, PrivacyBudget, smooth_sensitivity_release
 from .errors import PreconditionWarning
 from .report import EstimateReport
 from .rng import as_generator
@@ -119,7 +119,9 @@ def reweighted_mean(
     weights = np.asarray(weights, dtype=float)
     if np.all(weights == 1.0):
         return float(np.mean(values))
-    wt_s = weights[family.subsets].min(axis=1)
+    wt_s = np.empty(family.size)
+    for start, rows in family.blocks():
+        wt_s[start : start + rows.shape[0]] = weights[rows].min(axis=1)
     return float(np.mean(values * wt_s + a_n * (1.0 - wt_s)))
 
 
@@ -261,7 +263,7 @@ def release_from_summary(
     label: str = "hajek",
 ) -> EstimateReport:
     state = hajek_state(summary, params)
-    factor = 1.0 if params.strict_scale else 10.0
+    factor = 1.0 if params.strict_scale else SMOOTH_RELEASE_FACTOR
     value = smooth_sensitivity_release(
         state.reweighted,
         state.smooth_bound,

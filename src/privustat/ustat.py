@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -148,45 +148,121 @@ class RegularityCheck(NamedTuple):
     reason: Optional[str]
 
 
-@dataclass
-class SubsetFamily:
-    """An indexed collection of k-subsets of range(n), with incidence counts.
+# Row budget of one generated block of the complete family.  A block's
+# indices, its gathered data and its kernel values then stay in cache.
+_BLOCK_ROWS = 1 << 15
 
-    ``subsets`` has shape (M, k) with 0-based, sorted, distinct indices per
-    row (rows may repeat).  ``counts`` holds M_i, the number of subsets
-    containing each index.  Pairwise counts M_ij are exact rationals for the
-    all-tuples family and are counted explicitly otherwise.
+
+def _with_firsts(n: int, k: int, lo: int, hi: int, tails: np.ndarray) -> np.ndarray:
+    """The k-subsets of range(n) whose first index lies in [lo, hi), in lexicographic order.
+
+    ``tails`` holds every (k-1)-subset of range(t, n), for some t <= lo + 1,
+    in lexicographic order; the rows that start with i end in its last
+    C(n-i-1, k-1) rows.
+    """
+    runs = [math.comb(n - i - 1, k - 1) for i in range(lo, hi)]
+    out = np.empty((sum(runs), k), dtype=np.int64)
+    start = 0
+    for i, run in zip(range(lo, hi), runs):
+        out[start : start + run, 0] = i
+        for c in range(1, k):  # column by column: a (run, k-1) slice copy is ~3x slower
+            out[start : start + run, c] = tails[tails.shape[0] - run :, c - 1]
+        start += run
+    return out
+
+
+def _complete(n: int, k: int, lo: int) -> np.ndarray:
+    """Every k-subset of range(lo, n), in lexicographic order."""
+    if k == 1:
+        return np.arange(lo, n, dtype=np.int64).reshape(-1, 1)
+    return _with_firsts(n, k, lo, n - k + 1, _complete(n, k - 1, lo + 1))
+
+
+def _lex_blocks(n: int, k: int, lo: int = 0) -> Iterator[np.ndarray]:
+    """Every k-subset of range(lo, n) in lexicographic order, as blocks.
+
+    A block is a run of consecutive first indices of at most _BLOCK_ROWS rows;
+    a first index whose rows alone are more is split by its next index.
+    """
+    if k == 1:
+        for start in range(lo, n, _BLOCK_ROWS):
+            yield np.arange(start, min(start + _BLOCK_ROWS, n), dtype=np.int64).reshape(-1, 1)
+        return
+    first, last = lo, n - k
+    while first <= last and math.comb(n - first - 1, k - 1) > _BLOCK_ROWS:
+        for tail in _lex_blocks(n, k - 1, first + 1):
+            block = np.empty((tail.shape[0], k), dtype=np.int64)
+            block[:, 0] = first
+            for c in range(1, k):
+                block[:, c] = tail[:, c - 1]
+            yield block
+        first += 1
+    tails = _complete(n, k - 1, first + 1)  # no longer than one block
+    while first <= last:
+        stop, rows = first, 0
+        while stop <= last and rows + math.comb(n - stop - 1, k - 1) <= _BLOCK_ROWS:
+            rows += math.comb(n - stop - 1, k - 1)
+            stop += 1
+        yield _with_firsts(n, k, first, stop, tails)
+        first = stop
+
+
+class SubsetFamily:
+    """An indexed collection of M k-subsets of range(n), with incidence counts.
+
+    Rows are 0-based, sorted, distinct indices (rows may repeat).  ``counts``
+    holds M_i, the number of subsets containing each index.  Consumers read
+    the rows through ``blocks()``.  ``subsets=None`` stands for every k-subset
+    in lexicographic order: its counts are C(n-1, k-1) and its rows are
+    generated block by block on every pass, unless they fit in one block,
+    which is then kept.
     """
 
-    n: int
-    k: int
-    subsets: np.ndarray
-    kind: str  # "all_tuples" | "subsampled" | "chunks" | "explicit"
-    seed: Optional[int] = None
-    counts: np.ndarray = field(init=False)
-    _pair_counts: Optional[dict] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        self.subsets = np.asarray(self.subsets, dtype=np.int64)
-        if self.subsets.ndim != 2 or self.subsets.shape[1] != self.k:
+    def __init__(self, n: int, k: int, subsets: Optional[np.ndarray], kind: str, seed=None):
+        # kind: "all_tuples" | "subsampled" | "chunks" | "explicit"
+        self.n, self.k, self.kind, self.seed = n, k, kind, seed
+        self._pair_counts: Optional[tuple[np.ndarray, np.ndarray]] = None
+        if subsets is None:
+            self.size = math.comb(n, k)
+            self.counts = np.full(n, math.comb(n - 1, k - 1), dtype=np.int64)
+            self._subsets = _complete(n, k, 0) if self.size <= _BLOCK_ROWS else None
+            return
+        subsets = np.asarray(subsets, dtype=np.int64)
+        if subsets.ndim != 2 or subsets.shape[1] != k:
             raise ValueError("subsets must be an (M, k) array")
-        if self.subsets.size and (self.subsets.min() < 0 or self.subsets.max() >= self.n):
+        if subsets.size and (subsets.min() < 0 or subsets.max() >= n):
             raise ValueError("subset indices out of range")
-        self.counts = np.bincount(self.subsets.ravel(), minlength=self.n)
+        self._subsets = subsets
+        self.size = int(subsets.shape[0])
+        self.counts = np.bincount(subsets.ravel(), minlength=n)
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(first row number, (m, k) rows) for consecutive blocks covering the family."""
+        if self._subsets is not None:
+            yield 0, self._subsets
+            return
+        start = 0
+        for block in _lex_blocks(self.n, self.k):
+            yield start, block
+            start += block.shape[0]
 
     @property
-    def size(self) -> int:
-        return int(self.subsets.shape[0])
+    def subsets(self) -> np.ndarray:
+        """The (M, k) rows; a generated family builds them anew on each access."""
+        if self._subsets is None:
+            return np.concatenate([block for _, block in self.blocks()])
+        return self._subsets
 
-    def pair_counts(self) -> dict:
-        """M_ij for each unordered pair that co-occurs in some subset."""
+    def pair_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pairs, M_ij): the (P, 2) pairs i <= j that co-occur in some subset,
+        in lexicographic order, and the number of subsets containing each."""
         if self._pair_counts is None:
-            counts: dict = {}
-            for row in self.subsets:
-                for a, b in itertools.combinations(row.tolist(), 2):
-                    key = (a, b) if a < b else (b, a)
-                    counts[key] = counts.get(key, 0) + 1
-            self._pair_counts = counts
+            codes = [np.empty(0, dtype=np.int64)]
+            for _, rows in self.blocks():
+                for a, b in itertools.combinations(rows.T, 2):
+                    codes.append(np.minimum(a, b) * self.n + np.maximum(a, b))
+            unique, mij = np.unique(np.concatenate(codes), return_counts=True)
+            self._pair_counts = (np.stack([unique // self.n, unique % self.n], axis=1), mij)
         return self._pair_counts
 
     def dependence_fraction(self) -> float:
@@ -201,6 +277,7 @@ class SubsetFamily:
         ok iff M_i > 0 for all i, M_i/M <= 3k/n for all i, and
         M_ij/M_i <= 3k/n for all pairs i != j.  Ties pass.  Comparisons are
         done by integer cross-multiplication, so boundary cases are exact.
+        A failing pair condition names the lexicographically smallest pair.
         """
         n, k, m = self.n, self.k, self.size
         if self.kind == "all_tuples":
@@ -213,13 +290,17 @@ class SubsetFamily:
         if too_big.size:
             i = int(too_big[0])
             return RegularityCheck(False, f"M_{i}/M = {int(self.counts[i])}/{m} exceeds 3k/n")
-        for (a, b), mij in self.pair_counts().items():
-            for i, j in ((a, b), (b, a)):
-                if mij * n > 3 * k * int(self.counts[i]):
-                    return RegularityCheck(
-                        False,
-                        f"M_{i}{j}/M_{i} = {mij}/{int(self.counts[i])} exceeds 3k/n",
-                    )
+        pairs, mij = self.pair_counts()
+        # column c violates when M_ij/M_i exceeds 3k/n with i = pairs[:, c]
+        over = mij[:, None] * n > 3 * k * self.counts[pairs]
+        hits = np.nonzero(over.any(axis=1))[0]
+        if hits.size:
+            p = int(hits[0])
+            c = 0 if over[p, 0] else 1
+            i, j = int(pairs[p, c]), int(pairs[p, 1 - c])
+            return RegularityCheck(
+                False, f"M_{i}{j}/M_{i} = {int(mij[p])}/{int(self.counts[i])} exceeds 3k/n"
+            )
         return RegularityCheck(True, None)
 
 
@@ -236,13 +317,8 @@ def all_tuples(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> SubsetFami
     """Every k-subset of range(n), in lexicographic order."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    total = _check_enumeration_cap(n, k, cap)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-        dtype=np.int64,
-        count=total * k,
-    )
-    return SubsetFamily(n, k, flat.reshape(total, k), kind="all_tuples")
+    _check_enumeration_cap(n, k, cap)
+    return SubsetFamily(n, k, None, kind="all_tuples")
 
 
 def subsample_family(n: int, k: int, size: int, seed) -> SubsetFamily:
@@ -313,7 +389,10 @@ def kernel_values(h: Kernel, data: Dataset, family: SubsetFamily) -> np.ndarray:
         raise ValueError("family ambient size does not match dataset size")
     if family.k != h.degree:
         raise ValueError("family subset size does not match kernel degree")
-    return h.evaluate(data.points[family.subsets])
+    out = np.empty(family.size)
+    for start, rows in family.blocks():
+        out[start : start + rows.shape[0]] = h.evaluate(data.points[rows])
+    return out
 
 
 def evaluate_ustat(h: Kernel, data: Dataset, family: SubsetFamily) -> float:
@@ -331,12 +410,11 @@ def local_projections(h: Kernel, data: Dataset, family: SubsetFamily) -> np.ndar
 
 
 def projections_from_values(values: np.ndarray, family: SubsetFamily) -> np.ndarray:
-    k = family.k
-    sums = np.bincount(
-        family.subsets.ravel(),
-        weights=np.repeat(values, k),
-        minlength=family.n,
-    )
+    sums = np.zeros(family.n)
+    for start, rows in family.blocks():
+        block_values = values[start : start + rows.shape[0]]
+        for column in rows.T:
+            sums += np.bincount(column, weights=block_values, minlength=family.n)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = sums / family.counts
     return out
@@ -346,7 +424,9 @@ def local_projection(h: Kernel, data: Dataset, family: SubsetFamily, i: int) -> 
     """Mean of h over the subsets containing index i."""
     if family.counts[i] == 0:
         raise EmptyIncidence(f"index {i} appears in no subset")
-    mask = (family.subsets == i).any(axis=1)
+    mask = np.empty(family.size, dtype=bool)
+    for start, rows in family.blocks():
+        mask[start : start + rows.shape[0]] = (rows == i).any(axis=1)
     return float(kernel_values(h, data, family)[mask].mean())
 
 

@@ -38,6 +38,24 @@ def test_laplace_fixed_seed_regression():
     assert pv.laplace(1.0, 20240601).value == pytest.approx(0.8762112869339834, abs=1e-15)
 
 
+class _ZeroGenerator(np.random.Generator):
+    """A generator whose uniform draws are all exactly 0.0 (u = -0.5 in the samplers)."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+def test_laplace_zero_uniform_draw_is_finite():
+    one = pv.laplace(2.0, _ZeroGenerator()).value
+    many = dp.laplace_draws(2.0, 4, _ZeroGenerator())
+    assert math.isfinite(one)
+    assert np.all(np.isfinite(many))
+    assert np.all(many == one)  # both samplers read the draw 0.0 the same way
+
+
 def test_laplace_tail_bound():
     b = 1.0
     draws = np.abs(dp.laplace_draws(b, 10**6, np.random.default_rng(3)))
@@ -144,6 +162,16 @@ def test_ledger_parallel_takes_max():
         for eps in (0.3, 0.7, 0.5):
             branch = branches.branch()
             branch.spend("inner", eps)
+    assert b.spent == pytest.approx(0.7)
+
+
+def test_ledger_parallel_debits_parent_when_a_branch_raises():
+    b = pv.PrivacyBudget(1.0)
+    with pytest.raises(RuntimeError, match="after release"):
+        with b.parallel("chunks") as branches:
+            branches.branch().spend("inner", 0.3)
+            branches.branch().spend("inner", 0.7)
+            raise RuntimeError("failed after release")
     assert b.spent == pytest.approx(0.7)
 
 

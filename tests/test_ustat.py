@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privustat as pv
+from privustat import ustat
 from privustat.errors import CombinatorialOverflow, DegeneracyMismatch, EmptyIncidence
 from privustat.ustat import (
     Dataset,
@@ -59,6 +61,42 @@ def test_all_tuples_overflow_cap():
     # explicit generous cap allows what the default forbids
     fam = pv.all_tuples(25, 2, cap=10**9)
     assert fam.size == 300
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_all_tuples_blocks_are_the_lexicographic_combinations(data):
+    # small row budgets make blocks cross first-index runs and split long runs
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    budget = data.draw(st.sampled_from([1, 2, 3, 5, 8, 13, 40, 10**6]), label="budget")
+    expected = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64).reshape(-1, k)
+    with mock.patch.object(ustat, "_BLOCK_ROWS", budget):
+        fam = pv.all_tuples(n, k)
+        blocks = list(fam.blocks())
+    assert [start for start, _ in blocks] == list(
+        np.cumsum([0] + [rows.shape[0] for _, rows in blocks[:-1]])
+    )
+    assert all(rows.shape[0] <= budget for _, rows in blocks)
+    assert np.array_equal(np.concatenate([rows for _, rows in blocks]), expected)
+    assert fam.size == expected.shape[0]
+    assert np.array_equal(fam.counts, np.bincount(expected.ravel(), minlength=n))
+
+
+def test_all_tuples_blocked_values_and_projections_match_materialized():
+    rng = np.random.default_rng(8)
+    n, k = 40, 3  # 9880 subsets, cut into blocks of at most 500 rows
+    d = Dataset(rng.normal(size=n))
+    h = pv.mean_kernel(k)
+    stored = explicit_family(n, k, list(itertools.combinations(range(n), k)))
+    with mock.patch.object(ustat, "_BLOCK_ROWS", 500):
+        fam = pv.all_tuples(n, k)
+        assert len(list(fam.blocks())) > 1
+        values = kernel_values(h, d, fam)
+        proj = pv.local_projections(h, d, fam)
+        assert np.array_equal(fam.subsets, stored.subsets)
+    assert np.array_equal(values, kernel_values(h, d, stored))
+    assert np.allclose(proj, pv.local_projections(h, d, stored), rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +164,40 @@ def test_boundary_ratio_ties_pass():
     fam = explicit_family(6, 2, [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 2]])
     # M_0/M = 5/6 <= 1, M_01/M_0 = 1/5 <= 1 -> ok
     assert pv.check_family_regularity(fam).ok
+
+
+def brute_force_pair_counts(fam) -> dict:
+    counts: dict = {}
+    for row in fam.subsets.tolist():
+        for a, b in itertools.combinations(row, 2):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_pair_counts_match_brute_force(k, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(k, 15))
+    families = [
+        pv.subsample_family(n, k, int(rng.integers(1, 60)), seed=rng),
+        # explicit rows need not be sorted
+        explicit_family(n, k, [rng.permutation(n)[:k] for _ in range(int(rng.integers(1, 30)))]),
+    ]
+    for fam in families:
+        pairs, mij = fam.pair_counts()
+        assert dict(zip(map(tuple, pairs.tolist()), mij.tolist())) == brute_force_pair_counts(fam)
+        assert np.all(np.diff(pairs[:, 0] * n + pairs[:, 1]) > 0)  # lexicographic order
+
+
+def test_pair_violation_names_smallest_pair():
+    # every index appears, no M_i/M is too large, but M_36/M_3 = 3/3 and
+    # M_47/M_4 = 3/3 exceed 3k/n = 6/8; (3, 6) is the smaller pair
+    rows = [[4, 7]] * 3 + [[3, 6]] * 3 + [[0, 1], [1, 2], [2, 5], [0, 5]]
+    check = pv.check_family_regularity(explicit_family(8, 2, rows))
+    assert not check.ok
+    assert check.reason.startswith("M_36/M_3 = 3/3")
 
 
 def test_subsampled_regularity_holds_at_recommended_size():
