@@ -25,7 +25,6 @@ from .coinpress import (
 from .dp import (
     NoiseSample,
     PrivacyBudget,
-    brute_force_local_sensitivity,
     global_sensitivity_release,
     laplace,
     quartic_noise,
@@ -52,7 +51,6 @@ from .ustat import (
     SubsetFamily,
     VarianceProfile,
     all_tuples,
-    check_family_regularity,
     collision_kernel,
     constant_kernel,
     empirical_zetas,

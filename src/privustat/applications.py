@@ -11,17 +11,17 @@ with the generic enumeration path is covered by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .boosting import BoostPlan, majority_vote
-from .dp import PrivacyBudget, global_sensitivity_release
+from .boosting import BoostPlan, majority_vote, median_of_means, run_chunks
+from .dp import PrivacyBudget, global_sensitivity_release, scratch_budget
 from .errors import InsufficientData
 from .hajek import HajekParams, UStatSummary, release_from_summary
 from .report import EstimateReport
-from .rng import as_generator, child_seeds
+from .rng import as_generator
 from .ustat import Dataset
 
 APPLICATION_CONFIDENCE = 0.01  # fixed per-run failure level; callers boost
@@ -158,7 +158,9 @@ def private_collision_density(
     """Reweighting estimator for the collision probability (C = 1 kernel)."""
     summary = collision_summary(data, m)
     params = HajekParams(eps=eps, c_range=1.0, xi=xi, strict_scale=strict_scale)
-    return release_from_summary(summary, params, seed, budget, label="collision density")
+    return release_from_summary(
+        summary, params, seed, budget or scratch_budget(), label="collision density"
+    )
 
 
 @dataclass(frozen=True)
@@ -210,34 +212,18 @@ def boosted_uniformity_test(
 ) -> UniformityDecision:
     """Majority vote of the tester over disjoint chunks (parallel composition)."""
     plan = BoostPlan.for_dataset(data.n, 2, alpha)
-    rngs = child_seeds(seed, plan.chunks)
-    decisions = []
-    whole: list[UniformityDecision] = []
-
-    def run_chunk(ci, sub_budget):
-        chunk = data.subset(
-            np.arange(ci * plan.chunk_size, (ci + 1) * plan.chunk_size)
-        )
-        d = uniformity_test(chunk, m, delta, eps, rngs[ci], sub_budget)
-        decisions.append(d.reject)
-        whole.append(d)
-
-    if budget is not None:
-        with budget.parallel(f"uniformity majority(q={plan.chunks})") as branches:
-            for ci in range(plan.chunks):
-                run_chunk(ci, branches.branch())
-    else:
-        for ci in range(plan.chunks):
-            run_chunk(ci, None)
-    reject = majority_vote(decisions)
+    decisions, spent = run_chunks(
+        lambda chunk, rng, branch: uniformity_test(chunk, m, delta, eps, rng, branch),
+        data.subset, data.n, plan, seed, budget or scratch_budget(), "uniformity majority",
+    )
+    votes = [d.reject for d in decisions]
+    statistic = float(np.median([d.statistic for d in decisions]))
     return UniformityDecision(
-        reject=reject,
-        statistic=float(np.median([d.statistic for d in whole])),
-        threshold=whole[0].threshold,
+        reject=majority_vote(votes),
+        statistic=statistic,
+        threshold=decisions[0].threshold,
         report=EstimateReport(
-            estimate=float(np.median([d.statistic for d in whole])),
-            eps=eps,
-            diagnostics={"chunks": plan.chunks, "votes": decisions},
+            estimate=statistic, eps=spent, diagnostics={"chunks": plan.chunks, "votes": votes}
         ),
     )
 
@@ -370,10 +356,13 @@ def private_triangle_density(
     First releases the edge density with Laplace noise (sensitivity 2/n under
     one-node substitution) to size the concentration radius; returns bottom if
     that proxy comes out negative.  Then runs the reweighting estimator on the
-    triangle kernel over all triples.  Sequential composition: 2 * eps total.
+    triangle kernel over all triples.  Sequential composition: 2 * eps total
+    (eps when the proxy returns bottom).
     """
     n = graph.n
     rng = as_generator(seed)
+    budget = budget or scratch_budget()
+    mark = len(budget.entries)
     u_edges = graph.edge_density()
     nu = global_sensitivity_release(
         u_edges,
@@ -386,7 +375,7 @@ def private_triangle_density(
     if nu < 0:
         return EstimateReport(
             estimate=None,
-            eps=eps,
+            eps=budget.spent_since(mark),
             bottom_reason=f"edge-density proxy {nu:.4g} < 0",
             diagnostics={"nu": nu, "edge_density": u_edges},
         )
@@ -394,9 +383,8 @@ def private_triangle_density(
     summary = triangle_summary(graph)
     params = HajekParams(eps=eps, c_range=1.0, xi=xi, strict_scale=strict_scale)
     report = release_from_summary(summary, params, rng, budget, label="triangle density")
-    report.eps = 2.0 * eps
     report.diagnostics.update({"nu": nu, "xi": xi, "edge_density": u_edges})
-    return report
+    return replace(report, eps=budget.spent_since(mark))
 
 
 def boosted_triangle_density(
@@ -407,52 +395,10 @@ def boosted_triangle_density(
     budget: Optional[PrivacyBudget] = None,
 ) -> EstimateReport:
     """Median of the triangle estimator over disjoint node chunks."""
-    plan = BoostPlan.for_dataset(graph.n, 3, alpha)
-    rngs = child_seeds(seed, plan.chunks)
-    reports = []
-
-    def run_chunk(ci, sub_budget):
-        idx = np.arange(ci * plan.chunk_size, (ci + 1) * plan.chunk_size)
-        reports.append(private_triangle_density(graph.induced(idx), eps, rngs[ci], sub_budget))
-
-    if budget is not None:
-        with budget.parallel(f"triangle majority(q={plan.chunks})") as branches:
-            for ci in range(plan.chunks):
-                run_chunk(ci, branches.branch())
-    else:
-        for ci in range(plan.chunks):
-            run_chunk(ci, None)
-    good = [r.estimate for r in reports if not r.is_bottom]
-    if len(good) <= plan.chunks // 2:
-        return EstimateReport(
-            estimate=None,
-            eps=2.0 * eps,
-            bottom_reason=f"{plan.chunks - len(good)} of {plan.chunks} chunks returned bottom",
-        )
-    return EstimateReport(
-        estimate=float(np.median(good)),
-        eps=2.0 * eps,
-        diagnostics={"chunks": plan.chunks, "bottoms": plan.chunks - len(good)},
+    return median_of_means(
+        lambda chunk, rng, branch: private_triangle_density(chunk, eps, rng, branch),
+        graph, BoostPlan.for_dataset(graph.n, 3, alpha), seed, budget,
     )
-
-
-def rgg_triangle_theta(radius: float, draws: int, seed) -> float:
-    """Monte Carlo oracle for the expected triangle indicator at a given radius."""
-    rng = as_generator(seed)
-    theta_hat = 0.0
-    threshold = 1.0 - radius**2 / 2.0
-    done = 0
-    batch = 200_000
-    while done < draws:
-        take = min(batch, draws - done)
-        pts = rng.standard_normal((take, 3, 3))
-        pts /= np.linalg.norm(pts, axis=2, keepdims=True)
-        d01 = np.einsum("ij,ij->i", pts[:, 0], pts[:, 1]) >= threshold
-        d02 = np.einsum("ij,ij->i", pts[:, 0], pts[:, 2]) >= threshold
-        d12 = np.einsum("ij,ij->i", pts[:, 1], pts[:, 2]) >= threshold
-        theta_hat += float(np.sum(d01 & d02 & d12))
-        done += take
-    return theta_hat / draws
 
 
 # ---------------------------------------------------------------------------

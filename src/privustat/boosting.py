@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .dp import PrivacyBudget
+from .dp import PrivacyBudget, scratch_budget
 from .errors import InsufficientData
 from .report import EstimateReport
 from .rng import child_seeds
@@ -46,36 +46,56 @@ class BoostPlan:
         return cls(alpha=alpha, chunks=q, chunk_size=size)
 
 
+def run_chunks(
+    run: Callable,
+    take: Callable,
+    n: int,
+    plan: BoostPlan,
+    seed,
+    budget: PrivacyBudget,
+    label: str,
+) -> tuple[list, float]:
+    """``run(chunk, rng, branch)`` on each of the plan's disjoint consecutive chunks.
+
+    ``take`` maps an index array to a chunk (``Dataset.subset`` or
+    ``GeometricGraph.induced``); indices past chunks * chunk_size are dropped.
+    Each chunk gets an independently derived seed stream and its own branch
+    ledger, and the whole block is one parallel-composition entry
+    ``label(q=...)`` on ``budget``.  Returns the chunk results in order and
+    the block's debit (the largest branch total).
+    """
+    q, size = plan.chunks, plan.chunk_size
+    if n < q * size:
+        raise InsufficientData("dataset shorter than the chunk plan")
+    rngs = child_seeds(seed, q)
+    with budget.parallel(f"{label}(q={q})") as branches:
+        results = [
+            run(take(np.arange(ci * size, (ci + 1) * size)), rngs[ci], branches.branch())
+            for ci in range(q)
+        ]
+    return results, branches.max_spent()
+
+
 def median_of_means(
-    estimator: Callable[[Dataset, np.random.Generator, Optional[PrivacyBudget]], EstimateReport],
-    data: Dataset,
+    estimator: Callable[[Any, np.random.Generator, PrivacyBudget], EstimateReport],
+    data,
     plan: BoostPlan,
     seed,
     budget: Optional[PrivacyBudget] = None,
 ) -> EstimateReport:
     """Median of the base estimator over disjoint consecutive chunks.
 
-    Each chunk gets an independently derived seed stream.  Leftover points
-    past chunks * chunk_size are dropped.  Chunk runs that return bottom are
-    excluded from the median; if a majority are bottom the wrapped result is
-    bottom too (a majority of failures leaves the median meaningless).
+    ``data`` is a ``Dataset`` (chunks are subsets) or a graph (chunks are
+    induced subgraphs).  Chunk runs that return bottom are excluded from the
+    median; if a majority are bottom the wrapped result is bottom too (a
+    majority of failures leaves the median meaningless).
     """
+    take = data.subset if isinstance(data, Dataset) else data.induced
+    reports, eps = run_chunks(
+        estimator, take, data.n, plan, seed, budget or scratch_budget(), "median_of_means"
+    )
     q, size = plan.chunks, plan.chunk_size
-    if data.n < q * size:
-        raise InsufficientData("dataset shorter than the chunk plan")
-    rngs = child_seeds(seed, q)
-    reports: list[EstimateReport] = []
-    if budget is not None:
-        with budget.parallel(f"median_of_means(q={q})") as branches:
-            for ci in range(q):
-                chunk = data.subset(np.arange(ci * size, (ci + 1) * size))
-                reports.append(estimator(chunk, rngs[ci], branches.branch()))
-    else:
-        for ci in range(q):
-            chunk = data.subset(np.arange(ci * size, (ci + 1) * size))
-            reports.append(estimator(chunk, rngs[ci], None))
     good = [r for r in reports if not r.is_bottom]
-    eps = max((r.eps for r in reports), default=0.0)
     if len(good) <= q // 2:
         return EstimateReport(
             estimate=None,

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dp import PrivacyBudget, laplace
+from .dp import PrivacyBudget, laplace, scratch_budget
 from .errors import PreconditionWarning
 from .report import EstimateReport
 from .rng import as_generator
@@ -155,7 +155,7 @@ def ustat_mean(
     gamma: float,
     tb: TailBounds,
     seed,
-    budget: Optional[PrivacyBudget] = None,
+    budget: PrivacyBudget,
     label: str = "ustat_mean",
 ) -> EstimateReport:
     """Private mean of the kernel values over the family, assuming |theta| <= R.
@@ -168,6 +168,7 @@ def ustat_mean(
     preconditions produce a warning, not an abort.
     """
     rng = as_generator(seed)
+    mark = len(budget.entries)
     values = kernel_values(h, data, family)
     t = halving_rounds(r, tb.q(gamma))
     problems = check_preconditions(family.dependence_fraction(), eps, gamma, t, tb)
@@ -188,17 +189,15 @@ def ustat_mean(
             lo = hi = min(max(raw.midpoint, interval.lo), interval.hi)
         interval = IntervalState(lo, hi, raw.iteration)
         trace.append(interval)
-        if budget is not None:
-            budget.spend(f"{label}: halving step", eps / (2.0 * t))
+        budget.spend(f"{label}: halving step", eps / (2.0 * t))
     values, final = ustat_one_step(values, family, interval, eps / 2.0, gamma, tb, rng)
     trace.append(final)
-    if budget is not None:
-        budget.spend(f"{label}: release step", eps / 2.0)
+    budget.spend(f"{label}: release step", eps / 2.0)
     dep = family.dependence_fraction()
     delta = dep * (interval.width + 2.0 * tb.q(gamma))
     return EstimateReport(
         estimate=final.midpoint,
-        eps=eps,
+        eps=budget.spent_since(mark),
         radius=0.5 * final.width,
         noise_scale=2.0 * delta / eps,
         diagnostics={"iterations": t + 1, "trace": trace, "dep": dep},
@@ -229,7 +228,8 @@ def naive_estimator(
     family = disjoint_chunks(data.n, h.degree)
     m = family.size
     return ustat_mean(
-        h, data, family, r, eps, gamma, chunk_tail_bounds(tau, m), seed, budget, label="naive"
+        h, data, family, r, eps, gamma, chunk_tail_bounds(tau, m), seed,
+        budget or scratch_budget(), label="naive",
     )
 
 
@@ -246,7 +246,9 @@ def all_tuples_estimator(
     """Private mean over every k-subset (the complete U-statistic)."""
     family = all_tuples(data.n, h.degree)
     tb = all_tuples_tail_bounds(tau, h.degree, data.n)
-    return ustat_mean(h, data, family, r, eps, gamma, tb, seed, budget, label="all_tuples")
+    return ustat_mean(
+        h, data, family, r, eps, gamma, tb, seed, budget or scratch_budget(), label="all_tuples"
+    )
 
 
 def subsampled_estimator(
@@ -275,4 +277,6 @@ def subsampled_estimator(
     rng = as_generator(seed)
     family = subsample_family(n, k, size, rng)
     tb = subsampled_tail_bounds(tau, k, n, size)
-    return ustat_mean(h, data, family, r, eps, gamma, tb, rng, budget, label="subsampled")
+    return ustat_mean(
+        h, data, family, r, eps, gamma, tb, rng, budget or scratch_budget(), label="subsampled"
+    )

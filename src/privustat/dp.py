@@ -1,4 +1,4 @@
-"""Noise mechanisms, sensitivity oracles, and the privacy-budget ledger.
+"""Noise mechanisms and the privacy-budget ledger.
 
 Pure epsilon-DP only.  Two samplers: Laplace (global-sensitivity mechanism)
 and the heavy-tailed law with density proportional to 1/(1+z^4) used by the
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy import integrate
@@ -58,7 +57,11 @@ class PrivacyBudget:
 
     @property
     def spent(self) -> float:
-        return float(sum(eps for _, eps in self.entries))
+        return self.spent_since(0)
+
+    def spent_since(self, mark: int) -> float:
+        """Total of the entries after the first ``mark`` (a past ``len(entries)``)."""
+        return float(sum(eps for _, eps in self.entries[mark:]))
 
     @property
     def remaining(self) -> float:
@@ -196,7 +199,7 @@ def global_sensitivity_release(
     value: float,
     gs: float,
     eps: float,
-    budget: Optional[PrivacyBudget],
+    budget: PrivacyBudget,
     seed,
     label: str = "laplace release",
 ) -> float:
@@ -205,8 +208,7 @@ def global_sensitivity_release(
         raise ValueError("global sensitivity must be >= 0")
     if eps <= 0:
         raise ValueError("epsilon must be > 0")
-    if budget is not None:
-        budget.spend(label, eps)
+    budget.spend(label, eps)
     if gs == 0:
         return float(value)
     return float(value) + laplace(gs / eps, seed).value
@@ -215,7 +217,7 @@ def smooth_sensitivity_release(
     value: float,
     ss: float,
     eps: float,
-    budget: Optional[PrivacyBudget],
+    budget: PrivacyBudget,
     seed,
     label: str = "smooth release",
     scale_factor: float = SMOOTH_RELEASE_FACTOR,
@@ -230,44 +232,7 @@ def smooth_sensitivity_release(
         raise ValueError("smooth sensitivity bound must be >= 0")
     if eps <= 0:
         raise ValueError("epsilon must be > 0")
-    if budget is not None:
-        budget.spend(label, eps)
+    budget.spend(label, eps)
     if ss == 0:
         return float(value)
     return float(value) + (scale_factor * ss / eps) * quartic_noise(seed).value
-
-
-# ---------------------------------------------------------------------------
-# brute-force sensitivity oracles
-# ---------------------------------------------------------------------------
-
-def brute_force_local_sensitivity(
-    f: Callable[[np.ndarray], float], points: np.ndarray, alphabet: Iterable
-) -> float:
-    """max over one-point substitutions of |f(D) - f(D')| at this dataset."""
-    points = np.asarray(points)
-    base = float(f(points))
-    worst = 0.0
-    for i in range(points.shape[0]):
-        original = points[i]
-        for a in alphabet:
-            if a == original:
-                continue
-            mutated = points.copy()
-            mutated[i] = a
-            worst = max(worst, abs(base - float(f(mutated))))
-    return worst
-
-
-def brute_force_global_sensitivity(
-    f: Callable[[np.ndarray], float], n: int, alphabet
-) -> float:
-    """max local sensitivity over every dataset from a finite alphabet (tiny n only)."""
-    import itertools
-
-    alphabet = list(alphabet)
-    worst = 0.0
-    for combo in itertools.product(alphabet, repeat=n):
-        arr = np.asarray(combo)
-        worst = max(worst, brute_force_local_sensitivity(f, arr, alphabet))
-    return worst

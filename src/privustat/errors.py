@@ -25,6 +25,10 @@ class BudgetExhausted(PrivustatError):
     """A spend would push the privacy ledger past its total."""
 
 
+class LedgerMismatch(PrivustatError):
+    """A privacy ledger's total differs from the epsilon its run was given."""
+
+
 class InsufficientData(PrivustatError):
     """Not enough data points for the requested operation."""
 

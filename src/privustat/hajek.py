@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .dp import SMOOTH_RELEASE_FACTOR, PrivacyBudget, smooth_sensitivity_release
+from .dp import SMOOTH_RELEASE_FACTOR, PrivacyBudget, scratch_budget, smooth_sensitivity_release
 from .errors import PreconditionWarning
 from .report import EstimateReport
 from .rng import as_generator
@@ -259,9 +259,10 @@ def release_from_summary(
     summary: UStatSummary,
     params: HajekParams,
     seed,
-    budget: Optional[PrivacyBudget] = None,
+    budget: PrivacyBudget,
     label: str = "hajek",
 ) -> EstimateReport:
+    mark = len(budget.entries)
     state = hajek_state(summary, params)
     factor = 1.0 if params.strict_scale else SMOOTH_RELEASE_FACTOR
     value = smooth_sensitivity_release(
@@ -275,7 +276,7 @@ def release_from_summary(
     )
     return EstimateReport(
         estimate=value,
-        eps=params.eps,
+        eps=budget.spent_since(mark),
         radius=None,
         noise_scale=factor * state.smooth_bound / params.eps,
         diagnostics={
@@ -299,17 +300,17 @@ def private_mean_local_hajek(
 
     Returns bottom (estimate None) when the family fails the incidence
     regularity conditions; that check depends only on the family, never on
-    the data, so refusing costs no privacy.
+    the data, so refusing costs no privacy and the report says eps = 0.
     """
     check = family.check_regularity()
     if not check.ok:
         return EstimateReport(
-            estimate=None, eps=params.eps, bottom_reason=check.reason,
+            estimate=None, eps=0.0, bottom_reason=check.reason,
             diagnostics={"regularity": check.reason},
         )
     values = kernel_values(h, data, family)
     summary = summary_from_values(values, family)
-    return release_from_summary(summary, params, seed, budget)
+    return release_from_summary(summary, params, seed, budget or scratch_budget())
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +361,8 @@ def subgaussian_pipeline(
             stacklevel=2,
         )
     rng = as_generator(seed)
+    budget = budget or scratch_budget()
+    mark = len(budget.entries)
     n_coarse = n // 2
     if n_coarse < k or (n - n_coarse) < k:
         raise ValueError("not enough data to split into two usable halves")
@@ -376,7 +379,6 @@ def subgaussian_pipeline(
     )
     family = all_tuples(fine_half.n, k)
     report = private_mean_local_hajek(clipped, fine_half, family, params, rng, budget)
-    report.eps = eps
     report.diagnostics["coarse_estimate"] = coarse.estimate
     report.diagnostics["clip_halfwidth"] = half_width
-    return report
+    return replace(report, eps=budget.spent_since(mark))

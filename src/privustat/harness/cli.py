@@ -13,20 +13,16 @@ stdout.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional
 
 from .. import applications as apps
-from ..boosting import BoostPlan, median_of_means
-from ..coinpress import all_tuples_estimator, naive_estimator, subsampled_estimator
 from ..dp import scratch_budget
 from ..errors import AuditFailure, PrivustatError
-from ..hajek import HajekParams, degenerate_xi, private_mean_local_hajek, subgaussian_xi
 from ..rng import as_generator
-from ..ustat import all_tuples, collision_kernel, identity_kernel, mean_kernel
+from ..ustat import collision_kernel, identity_kernel, mean_kernel
 from . import audits
-from .experiments import DistributionSpec, ExperimentSpec, rows_to_csv, run_experiment
+from .experiments import DistributionSpec, ExperimentSpec, rows_to_csv, run_experiment, run_single
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -212,37 +208,21 @@ def cmd_estimate(args) -> int:
     else:
         kernel = identity_kernel()
 
-    def single(chunk, chunk_rng, chunk_budget):
-        if args.method == "naive":
-            return naive_estimator(kernel, chunk, args.r, args.tau, args.eps, chunk_rng,
-                                   budget=chunk_budget)
-        if args.method == "all":
-            return all_tuples_estimator(kernel, chunk, args.r, args.tau, args.eps, chunk_rng,
-                                        budget=chunk_budget)
-        if args.method == "subsampled":
-            size = args.m_subsets or max(
-                1, int((chunk.n / kernel.degree) * math.log(max(chunk.n, 2))) + 1
-            )
-            return subsampled_estimator(kernel, chunk, args.r, args.tau, args.eps, size,
-                                        chunk_rng, budget=chunk_budget)
-        if args.xi == "auto-subgaussian":
-            xi = subgaussian_xi(args.tau, chunk.n, 0.01)
-        elif args.xi == "auto-degenerate":
-            xi = degenerate_xi(args.c, kernel.degree, chunk.n, 0.01)
-        else:
-            xi = float(args.xi)
-        if args.kernel == "collision":
-            return apps.private_collision_density(chunk, args.m, args.eps, xi, chunk_rng,
-                                                  chunk_budget)
-        params = HajekParams(eps=args.eps, c_range=args.c, xi=xi)
-        family = all_tuples(chunk.n, kernel.degree)
-        return private_mean_local_hajek(kernel, chunk, family, params, chunk_rng, chunk_budget)
-
-    if args.alpha is None:
-        report = single(data, rng, budget)
-    else:
-        plan = BoostPlan.for_dataset(data.n, kernel.degree, args.alpha)
-        report = median_of_means(single, data, plan, rng, budget)
+    spec = ExperimentSpec(
+        method=args.method,
+        kernel=args.kernel,
+        dist=DistributionSpec("data", {"m": args.m}),  # the collision path reads m
+        n_grid=[data.n],
+        eps_grid=[args.eps],
+        trials=1,
+        seed=args.seed,
+        r_bound=args.r,
+        tau=args.tau,
+        c_range=args.c,
+        xi=str(args.xi),
+    )
+    cell = (data.n, args.eps, args.alpha, args.m_subsets)
+    report = run_single(spec, kernel, data, cell, rng, budget)
     print(budget.summary(), file=sys.stderr)
     if report.is_bottom:
         print(f"bottom: {report.bottom_reason}", file=sys.stderr)
@@ -274,8 +254,13 @@ def cmd_simulate(args) -> int:
         c_range=args.c,
         xi=str(args.xi),
     )
-    text = rows_to_csv(run_experiment(spec), include_timing=args.timing)
-    print("privacy ledger: per-trial ledgers verified inline (scratch budgets)", file=sys.stderr)
+    rows = list(run_experiment(spec))
+    text = rows_to_csv(rows, include_timing=args.timing)
+    print(
+        f"privacy ledger: {len(rows)} trial ledgers checked against their cell's eps "
+        f"(grid {', '.join(map(repr, eps_grid))}); a mismatch is a LedgerMismatch row",
+        file=sys.stderr,
+    )
     emit(text, args.out)
     return EXIT_OK
 

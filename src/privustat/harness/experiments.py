@@ -21,7 +21,7 @@ import numpy as np
 from ..boosting import BoostPlan, median_of_means
 from ..coinpress import all_tuples_estimator, naive_estimator, subsampled_estimator
 from ..dp import PrivacyBudget, scratch_budget
-from ..errors import PrivustatError
+from ..errors import LedgerMismatch, PrivustatError
 from ..hajek import (
     HajekParams,
     degenerate_xi,
@@ -38,6 +38,8 @@ from ..rng import stream
 from ..ustat import Dataset, Kernel, all_tuples, collision_kernel, identity_kernel, mean_kernel
 
 METHODS = ("naive", "all", "subsampled", "hajek")
+
+LEDGER_TOLERANCE = 1e-9  # relative; a ledger sums eps in steps and may round
 
 CSV_COLUMNS = [
     "method", "kernel", "dist", "n", "eps", "alpha", "M", "trial",
@@ -177,11 +179,27 @@ def run_single(
     spec: ExperimentSpec,
     kernel: Kernel,
     data: Dataset,
-    eps: float,
-    subsample_size: Optional[int],
+    cell: tuple,
     rng: np.random.Generator,
-    budget: Optional[PrivacyBudget],
+    budget: PrivacyBudget,
 ) -> EstimateReport:
+    """One ``spec.method`` estimate on ``data`` at an (n, eps, alpha, M) cell.
+
+    With alpha set, the method runs on disjoint chunks under median-of-means
+    boosting.  Without M, the subsampled method draws (n/k) log n subsets.
+    """
+    _, eps, alpha, subsample_size = cell
+    if alpha is not None:
+        plan = BoostPlan.for_dataset(data.n, kernel.degree, float(alpha))
+        return median_of_means(
+            lambda chunk, r, b: run_single(
+                spec, kernel, chunk, (chunk.n, eps, None, subsample_size), r, b
+            ),
+            data,
+            plan,
+            rng,
+            budget,
+        )
     if spec.method == "naive":
         return naive_estimator(kernel, data, spec.r_bound, spec.tau, eps, rng, spec.gamma, budget)
     if spec.method == "all":
@@ -201,6 +219,15 @@ def run_single(
     return private_mean_local_hajek(kernel, data, family, params, rng, budget)
 
 
+def check_trial_ledger(report: EstimateReport, budget: PrivacyBudget, eps: float) -> None:
+    """A release must have spent exactly the cell's eps, a bottom at most that."""
+    spent = budget.spent
+    slack = LEDGER_TOLERANCE * max(1.0, eps)
+    if spent > eps + slack or (not report.is_bottom and spent < eps - slack):
+        outcome = "bottom" if report.is_bottom else "release"
+        raise LedgerMismatch(f"{outcome} spent {spent!r} in a cell at eps {eps!r}")
+
+
 def run_trial(
     spec: ExperimentSpec, cell_index: int, trial: int, kernel: Kernel, cell: tuple
 ) -> ResultRow:
@@ -213,17 +240,8 @@ def run_trial(
     error = ""
     report: Optional[EstimateReport] = None
     try:
-        if alpha is None:
-            report = run_single(spec, kernel, data, eps, subsample_size, rng, budget)
-        else:
-            plan = BoostPlan.for_dataset(n, kernel.degree, float(alpha))
-            report = median_of_means(
-                lambda chunk, r, b: run_single(spec, kernel, chunk, eps, subsample_size, r, b),
-                data,
-                plan,
-                rng,
-                budget,
-            )
+        report = run_single(spec, kernel, data, cell, rng, budget)
+        check_trial_ledger(report, budget, eps)
         if report.is_bottom:
             error = f"bottom: {report.bottom_reason}"
     except PrivustatError as exc:

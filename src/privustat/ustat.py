@@ -351,32 +351,8 @@ def disjoint_chunks(n: int, k: int) -> SubsetFamily:
 
 
 def explicit_family(n: int, k: int, subsets) -> SubsetFamily:
-    """Wrap an explicit list of subsets (test fixtures, file input)."""
+    """Wrap an explicit list of subsets (test fixtures)."""
     return SubsetFamily(n, k, np.asarray(subsets, dtype=np.int64), kind="explicit")
-
-
-def check_family_regularity(family: SubsetFamily) -> RegularityCheck:
-    return family.check_regularity()
-
-
-def write_family(family: SubsetFamily, path) -> None:
-    """One subset per line, space-separated 1-based indices."""
-    with open(path, "w") as fh:
-        for row in family.subsets:
-            fh.write(" ".join(str(int(i) + 1) for i in row) + "\n")
-
-
-def read_family(path, n: int) -> SubsetFamily:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([int(tok) - 1 for tok in line.split()])
-    if not rows:
-        raise ValueError(f"no subsets in {path}")
-    k = len(rows[0])
-    return explicit_family(n, k, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from privustat.errors import AuditFailure
 from privustat.harness import audits
 from privustat.ustat import Dataset, all_tuples
 
+from oracles import rgg_triangle_theta
+
 
 def report(num: int, ok: bool, detail: str):
     print(f"\n[criterion {num:2d}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -274,7 +276,7 @@ def test_criterion_08_rgg_triangle():
     started = time.perf_counter()
     r, eps, trials = 0.3, 1.0, 100
     ns = (300, 600, 1200)
-    theta = apps.rgg_triangle_theta(r, 10**6, seed=999)
+    theta = rgg_triangle_theta(r, 10**6, seed=999)
     meds, bands, bottoms, edge_gaps, edge_limits = [], [], [], [], []
     for n in ns:
         errs, densities = [], []

@@ -10,6 +10,8 @@ from privustat import applications as apps
 from privustat.errors import InsufficientData
 from privustat.ustat import Dataset
 
+from oracles import rgg_triangle_theta
+
 
 # ---------------------------------------------------------------------------
 # perturbed uniform + multinomial sampling
@@ -260,7 +262,7 @@ def test_edge_density_ustat_concentrates():
 def test_triangle_theta_oracle_in_analytic_band():
     # E[triangle] lies between the two conditional-probability bounds
     r = 0.3
-    theta = apps.rgg_triangle_theta(r, 400_000, seed=10)
+    theta = rgg_triangle_theta(r, 400_000, seed=10)
     upper = (r**2 / 4) ** 2
     lower = (math.sqrt(3) / (8 * math.pi)) * r**2 * (r**2 / 4)
     assert lower * 0.9 <= theta <= upper * 1.1

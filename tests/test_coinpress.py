@@ -16,6 +16,7 @@ from privustat.coinpress import (
     halving_rounds,
     subsampled_tail_bounds,
 )
+from privustat.dp import scratch_budget
 from privustat.errors import PreconditionWarning
 from privustat.ustat import Dataset
 
@@ -142,7 +143,7 @@ def test_ustat_mean_constant_kernel_high_budget():
     fam = pv.all_tuples(40, 2)
     rep = coinpress.ustat_mean(
         pv.constant_kernel(0.62, 2), d, fam, r=1.0, eps=10**6, gamma=0.01,
-        tb=flat_bounds(0.05, 0.01), seed=7,
+        tb=flat_bounds(0.05, 0.01), seed=7, budget=scratch_budget(),
     )
     assert rep.estimate == pytest.approx(0.62, abs=1e-3)
 
@@ -170,7 +171,7 @@ def test_ustat_mean_interval_widths_never_grow_before_release():
     fam = pv.all_tuples(50, 2)
     rep = coinpress.ustat_mean(
         pv.mean_kernel(2, 0.5), d, fam, r=50.0, eps=0.5, gamma=0.01,
-        tb=all_tuples_tail_bounds(0.5, 2, 50), seed=10,
+        tb=all_tuples_tail_bounds(0.5, 2, 50), seed=10, budget=scratch_budget(),
     )
     trace = rep.diagnostics["trace"]
     widths = [iv.width for iv in trace[:-1]]  # exclude the stand-alone release
@@ -189,7 +190,8 @@ def test_interval_nesting_coverage():
     trials, hits = 10**4, 0
     for _ in range(trials):
         d = Dataset(rng.normal(theta, math.sqrt(tau), n))
-        rep = coinpress.ustat_mean(h, d, fam, r=4.0, eps=eps, gamma=gamma, tb=tb, seed=rng)
+        rep = coinpress.ustat_mean(h, d, fam, r=4.0, eps=eps, gamma=gamma, tb=tb, seed=rng,
+                                   budget=scratch_budget())
         trace = rep.diagnostics["trace"]
         inside = all(iv.lo - 1e-12 <= theta <= iv.hi + 1e-12 for iv in trace[1:-1])
         final = trace[-1]
@@ -204,7 +206,7 @@ def test_precondition_violation_warns_but_completes():
     with pytest.warns(PreconditionWarning):
         rep = coinpress.ustat_mean(
             pv.mean_kernel(2, 0.5), d, fam, r=100.0, eps=0.05, gamma=0.01,
-            tb=all_tuples_tail_bounds(0.5, 2, 12), seed=12,
+            tb=all_tuples_tail_bounds(0.5, 2, 12), seed=12, budget=scratch_budget(),
         )
     assert rep.estimate is not None
 
@@ -235,7 +237,7 @@ def test_naive_k1_matches_direct_chunk_run():
     fam = disjoint_chunks(64, 1)
     b = coinpress.ustat_mean(
         h, data, fam, r=4.0, eps=1.0, gamma=0.01, tb=chunk_tail_bounds(1.0, 64), seed=14,
-        label="naive",
+        budget=scratch_budget(), label="naive",
     )
     assert a.estimate == b.estimate
 
@@ -251,7 +253,7 @@ def test_gaussian_mean_beats_laplace_on_range():
         d = Dataset(rng.normal(theta, 1.0, n))
         rep = coinpress.naive_estimator(h, d, r=r, tau=tau, eps=eps, seed=rng)
         errs.append(abs(rep.estimate - theta))
-        lap = pv.global_sensitivity_release(float(d.points.mean()), 2 * r / n, eps, None, rng)
+        lap = pv.global_sensitivity_release(float(d.points.mean()), 2 * r / n, eps, scratch_budget(), rng)
         lap_errs.append(abs(lap - theta))
     assert np.quantile(errs, 0.75) < np.quantile(lap_errs, 0.75)
     assert np.quantile(errs, 0.75) < 0.5  # sane absolute accuracy

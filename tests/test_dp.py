@@ -8,8 +8,11 @@ from scipy import integrate
 
 import privustat as pv
 from privustat import dp
+from privustat.dp import scratch_budget
 from privustat.errors import BudgetExhausted, NonPositiveScale
 from privustat.ustat import Dataset, all_tuples, evaluate_ustat
+
+from oracles import brute_force_global_sensitivity, brute_force_local_sensitivity
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +117,8 @@ def test_quartic_deterministic_given_seed():
 # ---------------------------------------------------------------------------
 
 def test_zero_sensitivity_release_is_exact():
-    assert pv.global_sensitivity_release(1.25, 0.0, 1.0, None, 0) == 1.25
-    assert pv.smooth_sensitivity_release(1.25, 0.0, 1.0, None, 0) == 1.25
+    assert pv.global_sensitivity_release(1.25, 0.0, 1.0, scratch_budget(), 0) == 1.25
+    assert pv.smooth_sensitivity_release(1.25, 0.0, 1.0, scratch_budget(), 0) == 1.25
 
 
 def test_laplace_release_debits_budget():
@@ -127,20 +130,20 @@ def test_laplace_release_debits_budget():
 
 
 def test_smooth_release_symmetry():
-    vals = [pv.smooth_sensitivity_release(5.0, 0.3, 1.0, None, s) for s in range(20_000)]
+    vals = [pv.smooth_sensitivity_release(5.0, 0.3, 1.0, scratch_budget(), s) for s in range(20_000)]
     signs = np.sign(np.asarray(vals) - 5.0)
     assert abs(signs.mean()) < 0.03
 
 
 def test_smooth_release_fixed_seed_regression():
-    got = pv.smooth_sensitivity_release(2.0, 0.5, 1.0, None, 99)
+    got = pv.smooth_sensitivity_release(2.0, 0.5, 1.0, scratch_budget(), 99)
     assert got == pytest.approx(1.111853647191886, abs=1e-15)
 
 
 def test_smooth_release_scale_factor():
     # same seed, strict scale: deviation from the value is exactly 10x smaller
-    loose = pv.smooth_sensitivity_release(0.0, 1.0, 1.0, None, 123)
-    strict = pv.smooth_sensitivity_release(0.0, 1.0, 1.0, None, 123, scale_factor=1.0)
+    loose = pv.smooth_sensitivity_release(0.0, 1.0, 1.0, scratch_budget(), 123)
+    strict = pv.smooth_sensitivity_release(0.0, 1.0, 1.0, scratch_budget(), 123, scale_factor=1.0)
     assert loose == pytest.approx(10 * strict, rel=1e-12)
 
 
@@ -191,11 +194,11 @@ def test_mean_sensitivity():
     n = 8
     f = lambda pts: float(np.mean(pts))
     d = np.full(n, 0.5)
-    assert pv.brute_force_local_sensitivity(f, d, [0.0, 1.0]) == pytest.approx(0.5 / n)
+    assert brute_force_local_sensitivity(f, d, [0.0, 1.0]) == pytest.approx(0.5 / n)
 
 
 def test_constant_function_sensitivity_is_zero():
-    assert pv.brute_force_local_sensitivity(lambda pts: 42.0, np.zeros(5), [0, 1]) == 0.0
+    assert brute_force_local_sensitivity(lambda pts: 42.0, np.zeros(5), [0, 1]) == 0.0
 
 
 def test_ustat_local_sensitivity_cross_check():
@@ -204,7 +207,7 @@ def test_ustat_local_sensitivity_cross_check():
     fam = all_tuples(4, 2)
     f = lambda pts: evaluate_ustat(h, Dataset(pts), fam)
     d = np.array([0, 0, 1, 1])
-    got = pv.brute_force_local_sensitivity(f, d, [0, 1])
+    got = brute_force_local_sensitivity(f, d, [0, 1])
 
     def reference(points):
         def u(p):
@@ -229,11 +232,11 @@ def test_local_below_global_sensitivity_exhaustively():
     h = pv.collision_kernel()
     fam = all_tuples(5, 2)
     f = lambda pts: evaluate_ustat(h, Dataset(pts), fam)
-    global_s = dp.brute_force_global_sensitivity(f, 5, [0, 1])
+    global_s = brute_force_global_sensitivity(f, 5, [0, 1])
     rng = np.random.default_rng(0)
     for _ in range(10):
         d = rng.integers(0, 2, size=5)
-        assert pv.brute_force_local_sensitivity(f, d, [0, 1]) <= global_s + 1e-12
+        assert brute_force_local_sensitivity(f, d, [0, 1]) <= global_s + 1e-12
 
 
 def test_laplace_release_satisfies_eps_dp_empirically():

@@ -16,8 +16,9 @@ from privustat.hajek import (
     summary_from_values,
 )
 from privustat.ustat import Dataset, all_tuples, explicit_family, kernel_values
-from privustat.dp import brute_force_local_sensitivity
 from privustat import applications as apps
+
+from oracles import brute_force_local_sensitivity
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 import privustat as pv
 from privustat.errors import AuditFailure
-from privustat.harness import audits
+from privustat.harness import audits, experiments
 from privustat.harness.cli import main as cli_main
 from privustat.harness.experiments import (
     CSV_COLUMNS,
@@ -81,6 +81,30 @@ def test_wrapped_run_uses_median_of_means():
     (row,) = list(run_experiment(spec))
     assert row.error == ""
     assert row.alpha == 0.5
+
+
+@pytest.mark.parametrize(
+    "spends,bottom,error",
+    [
+        ((1.0, 1.0), False, "LedgerMismatch: release spent"),  # 2 eps for a release
+        ((0.5,), False, "LedgerMismatch: release spent"),  # short of eps
+        ((1.0, 1.0), True, "LedgerMismatch: bottom spent"),  # 2 eps before refusing
+        ((0.5,), True, "bottom: refused"),  # a bottom may spend less than eps
+        ((1.0,), False, ""),
+    ],
+)
+def test_trial_ledger_is_checked_against_the_cell_eps(monkeypatch, spends, bottom, error):
+    def dispatch(spec, kernel, data, cell, rng, budget):
+        eps = cell[1]
+        for fraction in spends:
+            budget.spend("stub release", fraction * eps)
+        if bottom:
+            return pv.EstimateReport(None, eps=budget.spent, bottom_reason="refused")
+        return pv.EstimateReport(0.1, eps=budget.spent)
+
+    monkeypatch.setattr(experiments, "run_single", dispatch)
+    (row,) = list(run_experiment(small_spec(n_grid=[40], trials=1, eps_grid=[0.8])))
+    assert row.error.startswith(error) if error else row.error == ""
 
 
 def test_timing_column_optional():
@@ -195,6 +219,59 @@ def test_cli_simulate_csv_round_trip(tmp_path, capsys):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + 4
     capsys.readouterr()
+
+
+def test_cli_simulate_reports_checked_ledgers(capsys):
+    code = cli_main([
+        "simulate", "--method", "naive", "--kernel", "collision", "--dist", "uniform",
+        "--n-grid", "40,60", "--eps-grid", "0.5,1.0", "--trials", "3", "--seed", "2",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 12 and not any("LedgerMismatch" in row for row in rows)
+    assert captured.err.startswith("privacy ledger: 12 trial ledgers checked")
+    assert "0.5, 1.0" in captured.err
+
+
+def user_data_files(tmp_path):
+    rng = np.random.default_rng(21)
+    reals, labels, edges = tmp_path / "reals.txt", tmp_path / "labels.txt", tmp_path / "edges.txt"
+    reals.write_text("".join(f"{v!r}\n" for v in rng.normal(0.3, 1.0, 600).tolist()))
+    labels.write_text("".join(f"{v}\n" for v in rng.integers(0, 10, 900).tolist()))
+    graph = pv.sample_rgg(150, 0.6, rng)
+    rows, cols = np.nonzero(np.triu(graph.adjacency, 1))
+    edges.write_text("".join(f"{i + 1} {j + 1}\n" for i, j in zip(rows, cols)))
+    return str(reals), str(labels), str(edges)
+
+
+RELEASED_KEYS = {"estimate", "radius", "decision", "statistic", "threshold"}
+DEBUG_FIELDS = ("L", "n_bad", "a_n", "smooth_bound", "edge_density", "nu", "xi", "reweighted")
+
+
+@pytest.mark.filterwarnings("ignore::privustat.errors.PreconditionWarning")
+def test_cli_default_output_on_user_data_is_released_only(tmp_path, capsys):
+    reals, labels, edges = user_data_files(tmp_path)
+    runs = []
+    for alpha in ([], ["--alpha", "0.3"]):
+        for method in ("naive", "all", "subsampled", "hajek"):
+            runs.append(["estimate", "--method", method, "--data", reals, "--R", "4", "--tau", "1"] + alpha)
+        runs.append(["estimate", "--method", "hajek", "--kernel", "collision", "--data", labels] + alpha)
+        runs.append(["uniformity-test", "--data", labels, "--m", "10"] + alpha)
+        runs.append(["rgg-triangles", "--graph", edges] + alpha)
+    for argv in runs:
+        for seed in ("1", "2"):
+            code = cli_main(argv + ["--seed", seed])
+            captured = capsys.readouterr()
+            assert code in (0, 3), (argv, captured.err)
+            for line in captured.out.splitlines():
+                key, value = line.split()
+                assert key in RELEASED_KEYS, (argv, line)
+            for line in captured.err.splitlines():
+                ledger = line.startswith("privacy ledger: spent ") or line.startswith("  ")
+                assert ledger or line.startswith("bottom: "), (argv, line)
+                tokens = line.replace(":", " ").replace("=", " ").split()
+                assert not set(DEBUG_FIELDS) & set(tokens), (argv, line)
 
 
 def test_cli_config_file_defaults_and_flag_override(tmp_path, capsys):

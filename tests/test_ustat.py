@@ -17,8 +17,6 @@ from privustat.ustat import (
     disjoint_chunks,
     explicit_family,
     kernel_values,
-    read_family,
-    write_family,
 )
 
 
@@ -140,12 +138,12 @@ def test_subsample_rows_are_valid_subsets():
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (5, 5), (7, 1)])
 def test_all_tuples_always_regular(n, k):
-    assert pv.check_family_regularity(pv.all_tuples(n, k)).ok
+    assert pv.all_tuples(n, k).check_regularity().ok
 
 
 def test_missing_index_is_bottom():
     fam = explicit_family(4, 2, [[0, 1], [0, 1], [0, 2]])
-    check = pv.check_family_regularity(fam)
+    check = fam.check_regularity()
     assert not check.ok
     assert "3" in check.reason  # index 3 (0-based) never appears
 
@@ -153,7 +151,7 @@ def test_missing_index_is_bottom():
 def test_overloaded_index_is_bottom():
     # index 0 in every subset: M_0/M = 1 > 3k/n = 6/8
     fam = explicit_family(8, 2, [[0, i] for i in range(1, 8)])
-    check = pv.check_family_regularity(fam)
+    check = fam.check_regularity()
     assert not check.ok
 
 
@@ -163,7 +161,7 @@ def test_boundary_ratio_ties_pass():
     # use n=6,k=2: 3k/n = 1, so any M_i/M <= 1 passes; pair ratio boundary instead:
     fam = explicit_family(6, 2, [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 2]])
     # M_0/M = 5/6 <= 1, M_01/M_0 = 1/5 <= 1 -> ok
-    assert pv.check_family_regularity(fam).ok
+    assert fam.check_regularity().ok
 
 
 def brute_force_pair_counts(fam) -> dict:
@@ -195,7 +193,7 @@ def test_pair_violation_names_smallest_pair():
     # every index appears, no M_i/M is too large, but M_36/M_3 = 3/3 and
     # M_47/M_4 = 3/3 exceed 3k/n = 6/8; (3, 6) is the smaller pair
     rows = [[4, 7]] * 3 + [[3, 6]] * 3 + [[0, 1], [1, 2], [2, 5], [0, 5]]
-    check = pv.check_family_regularity(explicit_family(8, 2, rows))
+    check = explicit_family(8, 2, rows).check_regularity()
     assert not check.ok
     assert check.reason.startswith("M_36/M_3 = 3/3")
 
@@ -205,7 +203,7 @@ def test_subsampled_regularity_holds_at_recommended_size():
     n, k = 30, 2
     size = int((n / k) ** 2 * math.log(n / 0.05))
     ok = sum(
-        pv.check_family_regularity(pv.subsample_family(n, k, size, seed=s)).ok
+        pv.subsample_family(n, k, size, seed=s).check_regularity().ok
         for s in range(20)
     )
     assert ok >= 19
@@ -288,17 +286,6 @@ def test_disjoint_chunks_shape_and_drop():
     assert fam.subsets.tolist() == [[0, 1], [2, 3], [4, 5]]
     assert fam.counts[6] == 0
     assert fam.dependence_fraction() == pytest.approx(1 / 3)
-
-
-def test_family_round_trip_serialization(tmp_path):
-    fam = pv.subsample_family(9, 3, 20, seed=4)
-    path = tmp_path / "family.txt"
-    write_family(fam, path)
-    back = read_family(path, 9)
-    assert np.array_equal(back.subsets, fam.subsets)
-    first = path.read_text().splitlines()[0].split()
-    assert min(int(tok) for line in path.read_text().splitlines() for tok in line.split()) >= 1
-    assert len(first) == 3
 
 
 # ---------------------------------------------------------------------------
