@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .boosting import BoostPlan, majority_vote, median_of_means, run_chunks
 from .dp import PrivacyBudget, global_sensitivity_release, scratch_budget
@@ -117,13 +118,11 @@ def collision_summary(data: Dataset, m: int) -> UStatSummary:
     projections = (counts[x] - 1) / (n - 1)
 
     def reweight(weights: np.ndarray) -> float:
-        # weights are constant within a category (projections are), so one
-        # representative weight per occupied category suffices
+        # weights are constant within a category (projections are), so any
+        # index of a category gives its weight
         w_cat = np.ones(m)
-        seen = np.unique(x)
-        for c in seen:
-            w_cat[c] = weights[np.argmax(x == c)]
-        occupied = seen
+        w_cat[x] = weights
+        occupied = np.nonzero(counts)[0]
         total = 0.0
         # same-category pairs: h = 1, weight w_c
         wc = w_cat[occupied]
@@ -282,14 +281,27 @@ def sample_rgg(n: int, radius: float, seed) -> GeometricGraph:
     return GeometricGraph(adj, radius, latent)
 
 
+def _add_in_order(total: float, terms: np.ndarray) -> float:
+    """total + terms[0] + terms[1] + ..., rounded left to right.
+
+    Keeps the sum bit-identical to a scalar loop over the same terms, which a
+    pairwise ``np.sum`` would not.
+    """
+    return float(np.add.accumulate(np.concatenate([[total], terms]))[-1])
+
+
 def triangle_summary(graph: GeometricGraph) -> UStatSummary:
-    """Matrix-power summary of the triangle kernel over all node triples."""
-    a = graph.adjacency.astype(np.float64)
+    """Sparse-product summary of the triangle kernel over all node triples.
+
+    Counts come from an int64 CSR copy of the adjacency, so they are exact
+    integers and the work grows with the number of edges, not with n^3.
+    """
     n = graph.n
     if n < 3:
         raise InsufficientData("triangle statistics need at least three nodes")
-    a2 = a @ a
-    per_node = np.einsum("ij,ji->i", a2, a) / 2.0  # triangles through each node
+    c = sparse.csr_array(graph.adjacency, dtype=np.int64)
+    # twice the triangles through each node: closed walks of length 3
+    per_node = (c @ c).multiply(c).sum(axis=1) / 2.0
     total = float(per_node.sum() / 3.0)
     m_total = math.comb(n, 3)
     m_i = math.comb(n - 1, 2)
@@ -304,29 +316,27 @@ def triangle_summary(graph: GeometricGraph) -> UStatSummary:
         # down-weighted node of (wt(S) - 1)(h(S) - a_n); triples of three
         # full-weight nodes contribute nothing
         rest = np.setdiff1d(np.arange(n), low)
-        corr = 0.0
-        ar = a[np.ix_(rest, rest)]
-        # exactly one down-weighted node
-        for b in low:
-            row = a[b, rest]
-            tri_with_b = float(row @ ar @ row) / 2.0
-            pairs = rest.size * (rest.size - 1) // 2
-            corr += (weights[b] - 1.0) * (tri_with_b - a_n * pairs)
-        # exactly two down-weighted nodes
-        for x in range(low.size):
-            for y in range(x + 1, low.size):
-                b1, b2 = low[x], low[y]
-                w = min(weights[b1], weights[b2])
-                tri = float(a[b1, b2] * np.sum(a[b1, rest] * a[b2, rest]))
-                corr += (w - 1.0) * (tri - a_n * rest.size)
-        # all three down-weighted
-        for x in range(low.size):
-            for y in range(x + 1, low.size):
-                for z in range(y + 1, low.size):
-                    b1, b2, b3 = low[x], low[y], low[z]
-                    w = min(weights[b1], weights[b2], weights[b3])
-                    h = float(a[b1, b2] * a[b1, b3] * a[b2, b3])
-                    corr += (w - 1.0) * (h - a_n)
+        w = weights[low]
+        c_low = c[low]
+        to_rest = c_low[:, rest]
+        # exactly one down-weighted node: triangles through it within rest
+        tri_one = (to_rest @ c[rest][:, rest]).multiply(to_rest).sum(axis=1) / 2.0
+        pairs = rest.size * (rest.size - 1) // 2
+        corr = _add_in_order(0.0, (w - 1.0) * (tri_one - a_n * pairs))
+        # exactly two down-weighted nodes: common neighbours within rest
+        low_low = c_low[:, low].toarray()
+        common = (to_rest @ to_rest.T).toarray()
+        x, y = np.triu_indices(low.size, 1)
+        tri_two = low_low[x, y] * common[x, y]
+        corr = _add_in_order(corr, (np.minimum(w[x], w[y]) - 1.0) * (tri_two - a_n * rest.size))
+        # all three down-weighted: per first node, the pairs after it are a
+        # suffix of the lexicographic pair list
+        for first in range(low.size - 2):
+            tail = np.searchsorted(x, first + 1)
+            p, q = x[tail:], y[tail:]
+            w_min = np.minimum(w[first], np.minimum(w[p], w[q]))
+            h = low_low[first, p] * low_low[first, q] * low_low[p, q]
+            corr = _add_in_order(corr, (w_min - 1.0) * (h - a_n))
         return a_n + corr / m_total
 
     return UStatSummary(
@@ -422,8 +432,8 @@ def read_edge_list(path) -> GeometricGraph:
             max_node = max(max_node, i, j)
     n = max_node + 1
     adj = np.zeros((n, n), dtype=np.int8)
-    for i, j in edges:
-        adj[i, j] = adj[j, i] = 1
+    i, j = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    adj[i, j] = adj[j, i] = 1
     return GeometricGraph(adj)
 
 

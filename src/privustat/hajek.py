@@ -53,7 +53,7 @@ class HajekParams:
     strict_scale: bool = False
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:  # also rejects NaN
             raise ValueError("epsilon must be > 0")
         if self.c_range < 0 or self.xi < 0:
             raise ValueError("range and concentration radius must be >= 0")
@@ -166,7 +166,10 @@ def smooth_sensitivity(
     A one-point substitution moves L by at most 1, so this is an eps-smooth
     upper bound on the local sensitivity of the reweighted mean.
     """
-    shifts = np.arange(0, n + 1)
+    # every term of g grows at most like L^3, so once L + l >= 6/eps each
+    # further shift multiplies exp(-eps l) g by at most e^(-eps/2) < 1
+    last = min(n, max(0, math.ceil(6.0 / eps - spread_level)) + 1)
+    shifts = np.arange(0, last + 1)
     g = smooth_bound_g(xi, spread_level + shifts, n, k, c_range, eps, all_tuples_family)
     return float(np.max(np.exp(-eps * shifts) * g))
 

@@ -107,8 +107,8 @@ def build_parser(defaults: dict) -> Parser:
     est.add_argument("--xi", default=defaults.get("xi", "auto-degenerate"),
                      help="auto-subgaussian | auto-degenerate | <value>")
     est.add_argument("--C", type=float, default=defaults.get("c", 1.0), dest="c")
-    est.add_argument("--m", type=int, default=defaults.get("m", 10),
-                     help="atom count for categorical data")
+    est.add_argument("--m", type=int, default=defaults.get("m"),
+                     help="atom count for categorical data (default: the simulate spec's m, else 10)")
 
     sim = sub.add_parser("simulate", help="grid experiment, CSV output")
     add_common(sim)
@@ -190,11 +190,16 @@ def cmd_estimate(args) -> int:
     budget = scratch_budget()
     if (args.data is None) == (args.simulate is None):
         raise CliError("provide exactly one of --data / --simulate")
+    m = args.m
     if args.simulate:
         kv = parse_kv(args.simulate)
         n = int(kv.get("n", 100))
         dist = DistributionSpec(kv.get("kind", "gaussian"),
                                 {k: v for k, v in kv.items() if k not in ("kind", "n")})
+        if "m" in kv:
+            if m is not None and m != kv["m"]:
+                raise CliError(f"--m {m} disagrees with m={kv['m']} in --simulate")
+            m = kv["m"]
         data = dist.sample(rng, n)
     elif args.kernel == "collision":
         data = apps.read_categories(args.data)
@@ -211,7 +216,7 @@ def cmd_estimate(args) -> int:
     spec = ExperimentSpec(
         method=args.method,
         kernel=args.kernel,
-        dist=DistributionSpec("data", {"m": args.m}),  # the collision path reads m
+        dist=DistributionSpec("data", {"m": 10 if m is None else m}),  # the collision path reads m
         n_grid=[data.n],
         eps_grid=[args.eps],
         trials=1,

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import privustat as pv
 from privustat import applications as apps
 from privustat.errors import InsufficientData
 from privustat.ustat import Dataset
 
-from oracles import rgg_triangle_theta
+from oracles import dense_triangles_per_node, rgg_triangle_theta
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +183,45 @@ def test_triangle_summary_complete_graph():
     s = apps.triangle_summary(g)
     assert s.a_n == pytest.approx(1.0)
     np.testing.assert_allclose(s.projections, 1.0)
+
+
+def assert_summary_matches_dense_oracle(adj):
+    s = apps.triangle_summary(apps.GeometricGraph(adj))
+    n = adj.shape[0]
+    per_node = dense_triangles_per_node(adj)
+    assert np.array_equal(s.projections, per_node / math.comb(n - 1, 2))
+    assert s.a_n == float(per_node.sum() / 3.0) / math.comb(n, 3)
+
+
+def star(n):
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[0, 1:] = adj[1:, 0] = 1
+    return adj
+
+
+@pytest.mark.parametrize("adj", [
+    apps.sample_rgg(300, 0.3, 1).adjacency,
+    apps.sample_rgg(120, 0.9, 2).adjacency,
+    np.zeros((12, 12), dtype=np.int8),
+    np.ones((12, 12), dtype=np.int8) - np.eye(12, dtype=np.int8),
+    star(15),
+    np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.int8),
+    np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int8),
+], ids=["rgg300", "rgg120", "empty", "complete", "star", "n3-triangle", "n3-path"])
+def test_triangle_summary_matches_dense_oracle(adj):
+    assert_summary_matches_dense_oracle(adj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 40).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    .map(lambda bits: (n, bits))
+))
+def test_triangle_summary_matches_dense_oracle_on_random_graphs(case):
+    n, bits = case
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[np.triu_indices(n, 1)] = bits
+    assert_summary_matches_dense_oracle(adj + adj.T)
 
 
 def test_triangle_density_complete_graph():

@@ -18,7 +18,11 @@ from privustat.hajek import (
 from privustat.ustat import Dataset, all_tuples, explicit_family, kernel_values
 from privustat import applications as apps
 
-from oracles import brute_force_local_sensitivity
+from oracles import (
+    brute_force_local_sensitivity,
+    full_range_smooth_sensitivity,
+    loop_triangle_reweight,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,24 @@ def test_smooth_sensitivity_large_eps_is_g_at_L():
 def test_smooth_sensitivity_can_exceed_g_at_small_eps():
     s = pv.smooth_sensitivity(0.0, 1, 6, 2, 1.0, 0.5, True)
     assert s > pv.smooth_bound_g(0.0, 1, 6, 2, 1.0, 0.5, True)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0, 2.0, 5.0])
+def test_smooth_sensitivity_equals_full_range_max_bitwise(eps):
+    # the evaluated prefix of shifts must always hold the maximum
+    for n, L, k, xi, complete in itertools.product(
+        [10, 300, 1000, 10**6], [1, 2, 5, 50, 300], [2, 3], [0.0, 0.05, 0.3], [True, False]
+    ):
+        if L > n:
+            continue
+        args = (xi, L, n, k, 1.0, eps, complete)
+        assert pv.smooth_sensitivity(*args) == full_range_smooth_sensitivity(*args), args
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+def test_params_reject_non_positive_eps(eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        HajekParams(eps=eps, c_range=1.0, xi=0.1)
 
 
 def test_smooth_sensitivity_below_closed_form_bound():
@@ -436,6 +458,25 @@ def test_collision_fast_path_with_fractional_weights():
     np.testing.assert_allclose(fast.weights, generic.weights, rtol=1e-12)
 
 
+def test_collision_fast_path_with_many_scattered_categories():
+    # 120 occupied categories whose first occurrences are spread through the
+    # data, with skewed counts so that several categories are down-weighted
+    rng = np.random.default_rng(16)
+    m = 130
+    labels = np.concatenate([np.arange(10, m), np.repeat([3, 7], 25), np.full(40, 11)])
+    data = Dataset(rng.permutation(labels))
+    n = data.n
+    assert np.count_nonzero(np.bincount(data.points, minlength=m)) > 100
+    assert data.points[0] != 0 and data.points[0] != data.points[1]
+    fam = all_tuples(n, 2)
+    params = HajekParams(eps=1.0, c_range=0.02, xi=0.0)
+    vals = kernel_values(pv.collision_kernel(), data, fam)
+    generic = hajek_state(summary_from_values(vals, fam), params)
+    fast = hajek_state(apps.collision_summary(data, m), params)
+    assert 0 < generic.bad.size < n
+    assert fast.reweighted == pytest.approx(generic.reweighted, rel=1e-12)
+
+
 def test_triangle_fast_path_with_many_bad_nodes():
     # push most nodes below weight 1 so the two- and three-low-weight triple
     # corrections fire, then check against the generic enumeration
@@ -458,6 +499,20 @@ def test_triangle_fast_path_with_many_bad_nodes():
     assert generic.bad.size >= 3
     assert generic.weights.min() < 1.0
     assert fast.reweighted == pytest.approx(generic.reweighted, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("n,radius,low_share", [
+    (40, 0.9, 0.1), (40, 1.4, 0.5), (25, 2.0, 1.0), (120, 0.5, 0.4), (3, 2.0, 1.0),
+])
+def test_triangle_reweight_equals_loop_reference_bitwise(n, radius, low_share):
+    rng = np.random.default_rng(n)
+    g = apps.sample_rgg(n, radius, rng)
+    summary = apps.triangle_summary(g)
+    for _ in range(4):
+        weights = np.ones(n)
+        low = rng.choice(n, max(1, int(low_share * n)), replace=False)
+        weights[low] = rng.choice([0.0, 0.25, rng.uniform()], size=low.size)
+        assert summary.reweight(weights) == loop_triangle_reweight(g.adjacency, weights, summary.a_n)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,18 @@ def test_cli_estimate_simulated(capsys):
     assert "privacy ledger" in captured.err
 
 
+def test_cli_estimate_collision_reads_m_from_simulate_spec(capsys):
+    argv = ["estimate", "--method", "hajek", "--kernel", "collision",
+            "--simulate", "uniform,n=500,m=50", "--seed", "3"]
+    assert cli_main(argv) == 0
+    from_spec = capsys.readouterr().out
+    assert from_spec.startswith("estimate ")
+    assert cli_main(argv + ["--m", "50"]) == 0
+    assert capsys.readouterr().out == from_spec
+    assert cli_main(argv + ["--m", "20"]) == 1
+    assert "disagrees" in capsys.readouterr().err
+
+
 def test_cli_uniformity_accept_and_reject(capsys):
     code = cli_main([
         "uniformity-test", "--m", "30", "--delta", "0.5", "--eps", "1",
