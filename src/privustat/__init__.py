@@ -58,7 +58,6 @@ from .ustat import (
     evaluate_ustat,
     hoeffding_deltas,
     identity_kernel,
-    local_projection,
     local_projections,
     mean_kernel,
     subsample_family,

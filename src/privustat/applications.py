@@ -90,12 +90,6 @@ def collision_variance_profile(p: np.ndarray) -> tuple[float, float]:
     return zeta1, zeta2
 
 
-def collision_ustat_variance(p: np.ndarray, n: int) -> float:
-    """Closed-form var(U_n) of the collision kernel on n samples."""
-    zeta1, zeta2 = collision_variance_profile(p)
-    return (2.0 / (n * (n - 1))) * (2.0 * (n - 2) * zeta1 + zeta2)
-
-
 def collision_summary(data: Dataset, m: int) -> UStatSummary:
     """Count-based summary of the collision kernel over all pairs.
 
@@ -435,13 +429,6 @@ def read_edge_list(path) -> GeometricGraph:
     i, j = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     adj[i, j] = adj[j, i] = 1
     return GeometricGraph(adj)
-
-
-def write_edge_list(graph: GeometricGraph, path) -> None:
-    with open(path, "w") as fh:
-        rows, cols = np.nonzero(np.triu(graph.adjacency, k=1))
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            fh.write(f"{i + 1} {j + 1}\n")
 
 
 def read_categories(path) -> Dataset:

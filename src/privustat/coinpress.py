@@ -104,23 +104,37 @@ def ustat_one_step(
 
     Clips each value to [lo - Q(beta), hi + Q(beta)], releases the mean with
     Laplace noise of scale Delta/eps_step where
-    Delta = dep * (hi - lo + 2 Q(beta)), and returns the clipped values plus
-    the interval of half-width Qavg(beta) + (Delta/eps_step) log(1/beta)
-    around the release.  The returned interval is not intersected with the
-    input one; the iteration driver does that.
+    Delta = dep * (hi - lo + 2 Q(beta)), and returns the clipped values (a
+    new array; ``values`` is left as it is) plus the interval of half-width
+    Qavg(beta) + (Delta/eps_step) log(1/beta) around the release.  The
+    returned interval is not intersected with the input one; ``ustat_mean``
+    does that.
     """
+    q = tb.q(beta)
+    clipped = np.clip(values, interval.lo - q, interval.hi + q)
+    return clipped, _release(clipped, family, interval, eps_step, beta, tb, seed)
+
+
+def _release(
+    clipped: np.ndarray,
+    family: SubsetFamily,
+    interval: IntervalState,
+    eps_step: float,
+    beta: float,
+    tb: TailBounds,
+    seed,
+) -> IntervalState:
+    """The release and new interval of ``ustat_one_step``, from its clipped values."""
     if eps_step <= 0:
         raise ValueError("step epsilon must be > 0")
     rng = as_generator(seed)
     q = tb.q(beta)
-    clipped = np.clip(values, interval.lo - q, interval.hi + q)
     dep = family.dependence_fraction()
     delta = dep * (interval.width + 2.0 * q)
     noise = laplace(delta / eps_step, rng).value if delta > 0 else 0.0
     release = float(clipped.mean()) + noise
     half = tb.qavg(beta) + (delta / eps_step) * math.log(1.0 / beta)
-    new = IntervalState(release - half, release + half, interval.iteration + 1)
-    return clipped, new
+    return IntervalState(release - half, release + half, interval.iteration + 1)
 
 
 def halving_rounds(r: float, q_gamma: float) -> int:
@@ -181,8 +195,12 @@ def ustat_mean(
     interval = IntervalState(-r, r)
     trace = [interval]
     beta = gamma / t
+    q = tb.q(beta)
+    # each step clips the previous step's output, so clipping in place gives
+    # what ustat_one_step would, without a new (M,) array per step
     for _ in range(t):
-        values, raw = ustat_one_step(values, family, interval, eps / (2.0 * t), beta, tb, rng)
+        np.clip(values, interval.lo - q, interval.hi + q, out=values)
+        raw = _release(values, family, interval, eps / (2.0 * t), beta, tb, rng)
         lo = max(interval.lo, raw.lo)
         hi = min(interval.hi, raw.hi)
         if lo > hi:  # disjoint: keep the previous endpoint nearest the release
@@ -190,11 +208,13 @@ def ustat_mean(
         interval = IntervalState(lo, hi, raw.iteration)
         trace.append(interval)
         budget.spend(f"{label}: halving step", eps / (2.0 * t))
-    values, final = ustat_one_step(values, family, interval, eps / 2.0, gamma, tb, rng)
+    q = tb.q(gamma)
+    np.clip(values, interval.lo - q, interval.hi + q, out=values)
+    final = _release(values, family, interval, eps / 2.0, gamma, tb, rng)
     trace.append(final)
     budget.spend(f"{label}: release step", eps / 2.0)
     dep = family.dependence_fraction()
-    delta = dep * (interval.width + 2.0 * tb.q(gamma))
+    delta = dep * (interval.width + 2.0 * q)
     return EstimateReport(
         estimate=final.midpoint,
         eps=budget.spent_since(mark),

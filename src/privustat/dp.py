@@ -68,6 +68,8 @@ class PrivacyBudget:
         return self.epsilon_total - self.spent
 
     def spend(self, label: str, eps: float) -> None:
+        if not math.isfinite(eps):
+            raise ValueError(f"cannot spend non-finite budget {eps} on {label!r}")
         if eps < 0:
             raise ValueError("cannot spend negative budget")
         if self.spent + eps > self.epsilon_total + _SLACK:

@@ -174,24 +174,6 @@ def smooth_sensitivity(
     return float(np.max(np.exp(-eps * shifts) * g))
 
 
-def smooth_sensitivity_closed_form_bound(
-    xi: float,
-    spread_level: int,
-    n: int,
-    k: int,
-    c_range: float,
-    eps: float,
-    all_tuples_family: bool,
-) -> float:
-    """Closed-form upper bound on the maximized smooth sensitivity."""
-    L, c = spread_level, c_range
-    first = (k / n) * (xi + k * c * (1.0 / eps + L) / n) * (1.0 + eps * (1.0 + L))
-    overcount = 1.0 if all_tuples_family else min(float(k), 2.0 / eps + L)
-    second = (k**2 * c * (2.0 / eps + L) ** 2 * overcount / n**2) * (eps + k / n)
-    third = k**2 * c / (n**2 * eps)
-    return first + second + third
-
-
 # ---------------------------------------------------------------------------
 # the estimator
 # ---------------------------------------------------------------------------

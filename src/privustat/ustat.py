@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     CombinatorialOverflow,
     DegeneracyMismatch,
-    EmptyIncidence,
     NegativeDeltaWarning,
 )
 from .rng import as_generator
@@ -52,8 +51,10 @@ class Kernel:
     """A symmetric k-ary real-valued function.
 
     ``fn`` is evaluated in batch: it receives an (M, k) array whose rows are
-    the k-tuples of data values, and returns an (M,) array.  Symmetry in the
-    k arguments is the caller's responsibility (and is property-tested).
+    the k-tuples of data values, and returns an (M,) array.  The array may be
+    column-major (complete families are generated that way), so ``fn`` must
+    not assume C order and must not write into it.  Symmetry in the k
+    arguments is the caller's responsibility (and is property-tested).
     """
 
     degree: int
@@ -156,45 +157,45 @@ _BLOCK_ROWS = 1 << 15
 def _with_firsts(n: int, k: int, lo: int, hi: int, tails: np.ndarray) -> np.ndarray:
     """The k-subsets of range(n) whose first index lies in [lo, hi), in lexicographic order.
 
+    The result is a (k, m) array: row c holds column c of the m subsets.
     ``tails`` holds every (k-1)-subset of range(t, n), for some t <= lo + 1,
-    in lexicographic order; the rows that start with i end in its last
-    C(n-i-1, k-1) rows.
+    in lexicographic order and in the same layout; the subsets that start
+    with i end in its last C(n-i-1, k-1) columns.
     """
     runs = [math.comb(n - i - 1, k - 1) for i in range(lo, hi)]
-    out = np.empty((sum(runs), k), dtype=np.int64)
+    out = np.empty((k, sum(runs)), dtype=np.int64)
     start = 0
     for i, run in zip(range(lo, hi), runs):
-        out[start : start + run, 0] = i
-        for c in range(1, k):  # column by column: a (run, k-1) slice copy is ~3x slower
-            out[start : start + run, c] = tails[tails.shape[0] - run :, c - 1]
+        out[0, start : start + run] = i
+        out[1:, start : start + run] = tails[:, tails.shape[1] - run :]
         start += run
     return out
 
 
 def _complete(n: int, k: int, lo: int) -> np.ndarray:
-    """Every k-subset of range(lo, n), in lexicographic order."""
+    """Every k-subset of range(lo, n), in lexicographic order, as a (k, m) array."""
     if k == 1:
-        return np.arange(lo, n, dtype=np.int64).reshape(-1, 1)
+        return np.arange(lo, n, dtype=np.int64).reshape(1, -1)
     return _with_firsts(n, k, lo, n - k + 1, _complete(n, k - 1, lo + 1))
 
 
 def _lex_blocks(n: int, k: int, lo: int = 0) -> Iterator[np.ndarray]:
-    """Every k-subset of range(lo, n) in lexicographic order, as blocks.
+    """Every k-subset of range(lo, n) in lexicographic order, as (k, m) blocks.
 
-    A block is a run of consecutive first indices of at most _BLOCK_ROWS rows;
-    a first index whose rows alone are more is split by its next index.
+    A block is a run of consecutive first indices of at most _BLOCK_ROWS
+    subsets; a first index whose subsets alone are more is split by its next
+    index.
     """
     if k == 1:
         for start in range(lo, n, _BLOCK_ROWS):
-            yield np.arange(start, min(start + _BLOCK_ROWS, n), dtype=np.int64).reshape(-1, 1)
+            yield np.arange(start, min(start + _BLOCK_ROWS, n), dtype=np.int64).reshape(1, -1)
         return
     first, last = lo, n - k
     while first <= last and math.comb(n - first - 1, k - 1) > _BLOCK_ROWS:
         for tail in _lex_blocks(n, k - 1, first + 1):
-            block = np.empty((tail.shape[0], k), dtype=np.int64)
-            block[:, 0] = first
-            for c in range(1, k):
-                block[:, c] = tail[:, c - 1]
+            block = np.empty((k, tail.shape[1]), dtype=np.int64)
+            block[0] = first
+            block[1:] = tail
             yield block
         first += 1
     tails = _complete(n, k - 1, first + 1)  # no longer than one block
@@ -215,7 +216,8 @@ class SubsetFamily:
     the rows through ``blocks()``.  ``subsets=None`` stands for every k-subset
     in lexicographic order: its counts are C(n-1, k-1) and its rows are
     generated block by block on every pass, unless they fit in one block,
-    which is then kept.
+    which is then kept.  Generated rows are column-major, so each column of
+    a block is contiguous.
     """
 
     def __init__(self, n: int, k: int, subsets: Optional[np.ndarray], kind: str, seed=None):
@@ -225,7 +227,7 @@ class SubsetFamily:
         if subsets is None:
             self.size = math.comb(n, k)
             self.counts = np.full(n, math.comb(n - 1, k - 1), dtype=np.int64)
-            self._subsets = _complete(n, k, 0) if self.size <= _BLOCK_ROWS else None
+            self._subsets = _complete(n, k, 0).T if self.size <= _BLOCK_ROWS else None
             return
         subsets = np.asarray(subsets, dtype=np.int64)
         if subsets.ndim != 2 or subsets.shape[1] != k:
@@ -237,14 +239,18 @@ class SubsetFamily:
         self.counts = np.bincount(subsets.ravel(), minlength=n)
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(first row number, (m, k) rows) for consecutive blocks covering the family."""
+        """(first row number, (m, k) rows) for consecutive blocks covering the family.
+
+        Rows of a complete family are F-ordered (m, k) views, rows of a stored
+        family are the array it was given.  Consumers must not write into them.
+        """
         if self._subsets is not None:
             yield 0, self._subsets
             return
         start = 0
         for block in _lex_blocks(self.n, self.k):
-            yield start, block
-            start += block.shape[0]
+            yield start, block.T
+            start += block.shape[1]
 
     @property
     def subsets(self) -> np.ndarray:
@@ -350,11 +356,6 @@ def disjoint_chunks(n: int, k: int) -> SubsetFamily:
     return SubsetFamily(n, k, rows, kind="chunks")
 
 
-def explicit_family(n: int, k: int, subsets) -> SubsetFamily:
-    """Wrap an explicit list of subsets (test fixtures)."""
-    return SubsetFamily(n, k, np.asarray(subsets, dtype=np.int64), kind="explicit")
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -394,16 +395,6 @@ def projections_from_values(values: np.ndarray, family: SubsetFamily) -> np.ndar
     with np.errstate(invalid="ignore", divide="ignore"):
         out = sums / family.counts
     return out
-
-
-def local_projection(h: Kernel, data: Dataset, family: SubsetFamily, i: int) -> float:
-    """Mean of h over the subsets containing index i."""
-    if family.counts[i] == 0:
-        raise EmptyIncidence(f"index {i} appears in no subset")
-    mask = np.empty(family.size, dtype=bool)
-    for start, rows in family.blocks():
-        mask[start : start + rows.shape[0]] = (rows == i).any(axis=1)
-    return float(kernel_values(h, data, family)[mask].mean())
 
 
 # ---------------------------------------------------------------------------

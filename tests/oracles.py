@@ -1,12 +1,17 @@
-"""Oracles that only the tests use: brute-force sensitivities and a Monte Carlo θ."""
+"""Oracles and fixtures that only the tests use: brute-force sensitivities,
+a Monte Carlo θ, closed forms and explicit families."""
 
 import math
 from typing import Callable, Iterable
 
 import numpy as np
 
+from privustat.applications import GeometricGraph, collision_variance_profile
+from privustat.coinpress import IntervalState, halving_rounds, ustat_one_step
+from privustat.errors import EmptyIncidence
 from privustat.hajek import smooth_bound_g
 from privustat.rng import as_generator
+from privustat.ustat import Dataset, Kernel, SubsetFamily, kernel_values
 
 
 def brute_force_local_sensitivity(
@@ -99,3 +104,69 @@ def loop_triangle_reweight(adjacency: np.ndarray, weights: np.ndarray, a_n: floa
                 h = float(a[b1, b2] * a[b1, b3] * a[b2, b3])
                 corr += (min(weights[b1], weights[b2], weights[b3]) - 1.0) * (h - a_n)
     return a_n + corr / math.comb(n, 3)
+
+
+def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:
+    """The interval trace of ``ustat_mean``'s loop, each step through the
+    copying ``ustat_one_step``; its last interval is the release interval."""
+    rng = as_generator(seed)
+    values = kernel_values(h, data, family)
+    t = halving_rounds(r, tb.q(gamma))
+    interval = IntervalState(-r, r)
+    trace = [interval]
+    for _ in range(t):
+        values, raw = ustat_one_step(values, family, interval, eps / (2.0 * t), gamma / t, tb, rng)
+        lo, hi = max(interval.lo, raw.lo), min(interval.hi, raw.hi)
+        if lo > hi:
+            lo = hi = min(max(raw.midpoint, interval.lo), interval.hi)
+        interval = IntervalState(lo, hi, raw.iteration)
+        trace.append(interval)
+    values, final = ustat_one_step(values, family, interval, eps / 2.0, gamma, tb, rng)
+    return trace + [final]
+
+
+def explicit_family(n: int, k: int, subsets) -> SubsetFamily:
+    """Wrap an explicit list of subsets."""
+    return SubsetFamily(n, k, np.asarray(subsets, dtype=np.int64), kind="explicit")
+
+
+def local_projection(h: Kernel, data: Dataset, family: SubsetFamily, i: int) -> float:
+    """Mean of h over the subsets containing index i."""
+    if family.counts[i] == 0:
+        raise EmptyIncidence(f"index {i} appears in no subset")
+    mask = np.empty(family.size, dtype=bool)
+    for start, rows in family.blocks():
+        mask[start : start + rows.shape[0]] = (rows == i).any(axis=1)
+    return float(kernel_values(h, data, family)[mask].mean())
+
+
+def collision_ustat_variance(p: np.ndarray, n: int) -> float:
+    """Closed-form var(U_n) of the collision kernel on n samples."""
+    zeta1, zeta2 = collision_variance_profile(p)
+    return (2.0 / (n * (n - 1))) * (2.0 * (n - 2) * zeta1 + zeta2)
+
+
+def smooth_sensitivity_closed_form_bound(
+    xi: float,
+    spread_level: int,
+    n: int,
+    k: int,
+    c_range: float,
+    eps: float,
+    all_tuples_family: bool,
+) -> float:
+    """Closed-form upper bound on the maximized smooth sensitivity."""
+    L, c = spread_level, c_range
+    first = (k / n) * (xi + k * c * (1.0 / eps + L) / n) * (1.0 + eps * (1.0 + L))
+    overcount = 1.0 if all_tuples_family else min(float(k), 2.0 / eps + L)
+    second = (k**2 * c * (2.0 / eps + L) ** 2 * overcount / n**2) * (eps + k / n)
+    third = k**2 * c / (n**2 * eps)
+    return first + second + third
+
+
+def write_edge_list(graph: GeometricGraph, path) -> None:
+    """One "i j" line (1-based) per edge i < j."""
+    with open(path, "w") as fh:
+        rows, cols = np.nonzero(np.triu(graph.adjacency, k=1))
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            fh.write(f"{i + 1} {j + 1}\n")

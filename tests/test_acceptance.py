@@ -19,7 +19,7 @@ from privustat.errors import AuditFailure
 from privustat.harness import audits
 from privustat.ustat import Dataset, all_tuples
 
-from oracles import rgg_triangle_theta
+from oracles import collision_ustat_variance, rgg_triangle_theta
 
 
 def report(num: int, ok: bool, detail: str):
@@ -98,7 +98,7 @@ def test_criterion_02_variance_formula():
     w2 = 1 / math.comb(n, 2)
     se_formula = math.hypot(w1 * z1.stderr, w2 * z2.stderr)
 
-    closed = apps.collision_ustat_variance(np.full(m, 1 / m), n)
+    closed = collision_ustat_variance(np.full(m, 1 / m), n)
     gap_formula = abs(mc - formula)
     gap_closed = abs(mc - closed)
     tol_formula = 3 * math.hypot(se_mc, se_formula)

@@ -12,7 +12,12 @@ from privustat import applications as apps
 from privustat.errors import InsufficientData
 from privustat.ustat import Dataset
 
-from oracles import dense_triangles_per_node, rgg_triangle_theta
+from oracles import (
+    collision_ustat_variance,
+    dense_triangles_per_node,
+    rgg_triangle_theta,
+    write_edge_list,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +74,7 @@ def test_collision_variance_profile_matches_closed_form():
     assert z2 == pytest.approx(s2 - s2**2, rel=1e-12)
     n = 40
     direct = pv.variance_of_ustat(pv.VarianceProfile([z1, z2]), n, 2)
-    assert apps.collision_ustat_variance(p, n) == pytest.approx(direct, rel=1e-12)
+    assert collision_ustat_variance(p, n) == pytest.approx(direct, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +162,7 @@ def test_rgg_edge_density_expectation():
 def test_graph_file_round_trip(tmp_path):
     g = apps.sample_rgg(15, 0.8, seed=3)
     path = tmp_path / "graph.txt"
-    apps.write_edge_list(g, path)
+    write_edge_list(g, path)
     back = apps.read_edge_list(path)
     assert np.array_equal(back.adjacency, g.adjacency)
     first = path.read_text().splitlines()[0].split()

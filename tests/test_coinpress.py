@@ -18,7 +18,9 @@ from privustat.coinpress import (
 )
 from privustat.dp import scratch_budget
 from privustat.errors import PreconditionWarning
-from privustat.ustat import Dataset
+from privustat.ustat import Dataset, disjoint_chunks
+
+from oracles import copy_clipping_ustat_mean
 
 warnings.simplefilter("ignore", PreconditionWarning)
 
@@ -146,6 +148,45 @@ def test_ustat_mean_constant_kernel_high_budget():
         tb=flat_bounds(0.05, 0.01), seed=7, budget=scratch_budget(),
     )
     assert rep.estimate == pytest.approx(0.62, abs=1e-3)
+
+
+def test_one_step_leaves_its_input_unchanged():
+    values = np.linspace(-3.0, 3.0, 41)
+    before = values.copy()
+    fam = disjoint_chunks(41, 1)
+    clipped, _ = coinpress.ustat_one_step(
+        values, fam, IntervalState(-1.0, 1.0), 1.0, 0.05, flat_bounds(0.5, 0.1), 3
+    )
+    assert np.array_equal(values, before)
+    assert clipped is not values and clipped.min() == -1.5 and clipped.max() == 1.5
+
+
+@pytest.mark.parametrize("case", ["mean3", "tight", "collision", "chunks", "subsampled"])
+def test_ustat_mean_in_place_clip_equals_copy_clipping_reference(case):
+    rng = np.random.default_rng(31)
+    eps = 1.0
+    if case == "tight":  # intervals shrink at the first step, so every later step clips
+        h, d, r, eps = pv.mean_kernel(2), Dataset(rng.normal(0.5, 1.0, 200)), 4.0, 20.0
+        fam, tb = pv.all_tuples(200, 2), flat_bounds(0.3, 0.02)
+    elif case == "collision":
+        h, d, r, tau = pv.collision_kernel(), Dataset(rng.integers(0, 8, 120)), 1.0, 0.25
+        fam, tb = pv.all_tuples(120, 2), all_tuples_tail_bounds(tau, 2, 120)
+    elif case == "chunks":
+        h, d, r, tau = pv.mean_kernel(2), Dataset(rng.normal(0.5, 1.0, 301)), 8.0, 0.5
+        fam = disjoint_chunks(301, 2)
+        tb = chunk_tail_bounds(tau, fam.size)
+    elif case == "subsampled":
+        h, d, r, tau = pv.mean_kernel(3), Dataset(rng.normal(0.5, 1.0, 90)), 4.0, 1 / 3
+        fam, tb = pv.subsample_family(90, 3, 2000, 5), subsampled_tail_bounds(tau, 3, 90, 2000)
+    else:
+        h, d, r, tau = pv.mean_kernel(3), Dataset(rng.normal(0.5, 1.0, 60)), 2.0, 1 / 3
+        fam, tb = pv.all_tuples(60, 3), all_tuples_tail_bounds(tau, 3, 60)
+    for seed in range(5):
+        rep = coinpress.ustat_mean(h, d, fam, r, eps, 0.01, tb, seed, scratch_budget())
+        reference = copy_clipping_ustat_mean(h, d, fam, r, eps, 0.01, tb, seed)
+        assert rep.diagnostics["trace"] == reference
+        assert rep.estimate == reference[-1].midpoint
+        assert rep.radius == 0.5 * reference[-1].width
 
 
 def test_ustat_mean_budget_schedule():
@@ -362,7 +403,7 @@ def test_subsampled_warns_below_recommended_size():
 def test_one_step_uses_realized_dependence_of_subsampled_family():
     # a lopsided explicit family must scale its noise band by max_i M_i / M,
     # not by k/n
-    from privustat.ustat import explicit_family
+    from oracles import explicit_family
 
     fam = explicit_family(6, 2, [[0, 1], [0, 2], [0, 3], [0, 4], [4, 5], [3, 5]])
     assert fam.dependence_fraction() == pytest.approx(4 / 6)

@@ -178,6 +178,15 @@ def test_ledger_parallel_debits_parent_when_a_branch_raises():
     assert b.spent == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_ledger_rejects_non_finite_spend(eps):
+    b = pv.PrivacyBudget(1.0)
+    b.spend("x", 0.1)
+    with pytest.raises(ValueError, match="non-finite"):
+        b.spend("bad", eps)
+    assert b.entries == [("x", 0.1)]
+
+
 def test_ledger_is_append_only_record():
     b = pv.PrivacyBudget(1.0)
     b.spend("x", 0.1)

@@ -11,17 +11,18 @@ from privustat import hajek
 from privustat.hajek import (
     HajekParams,
     hajek_state,
-    smooth_sensitivity_closed_form_bound,
     subgaussian_xi,
     summary_from_values,
 )
-from privustat.ustat import Dataset, all_tuples, explicit_family, kernel_values
+from privustat.ustat import Dataset, all_tuples, kernel_values
 from privustat import applications as apps
 
 from oracles import (
     brute_force_local_sensitivity,
+    explicit_family,
     full_range_smooth_sensitivity,
     loop_triangle_reweight,
+    smooth_sensitivity_closed_form_bound,
 )
 
 

@@ -166,6 +166,14 @@ def test_cli_estimate_simulated(capsys):
     assert "privacy ledger" in captured.err
 
 
+def test_cli_estimate_nan_eps_is_a_usage_error(capsys):
+    code = cli_main(["estimate", "--method", "naive", "--simulate", "gaussian,n=50", "--eps", "nan"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "non-finite" in captured.err
+    assert "estimate" not in captured.out
+
+
 def test_cli_estimate_collision_reads_m_from_simulate_spec(capsys):
     argv = ["estimate", "--method", "hajek", "--kernel", "collision",
             "--simulate", "uniform,n=500,m=50", "--seed", "3"]

@@ -8,7 +8,9 @@ from privustat import applications as apps
 from privustat.boosting import BoostPlan, median_of_means
 from privustat.dp import PrivacyBudget
 from privustat.report import EstimateReport
-from privustat.ustat import Dataset, explicit_family
+from privustat.ustat import Dataset
+
+from oracles import explicit_family
 
 EPS = 0.7
 

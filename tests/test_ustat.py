@@ -15,9 +15,10 @@ from privustat.errors import CombinatorialOverflow, DegeneracyMismatch, EmptyInc
 from privustat.ustat import (
     Dataset,
     disjoint_chunks,
-    explicit_family,
     kernel_values,
 )
+
+from oracles import explicit_family, local_projection
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,37 @@ def test_all_tuples_blocked_values_and_projections_match_materialized():
         assert np.array_equal(fam.subsets, stored.subsets)
     assert np.array_equal(values, kernel_values(h, d, stored))
     assert np.allclose(proj, pv.local_projections(h, d, stored), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "n, k, budget",
+    [(9, 1, 4), (12, 2, 5), (12, 3, 7), (11, 4, 30), (10, 3, 10**6), (14, 5, 100)],
+)
+def test_generated_blocks_are_column_major_views(n, k, budget):
+    # budgets below C(n-1, k-1) split a first index's run by its next index
+    expected = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    with mock.patch.object(ustat, "_BLOCK_ROWS", budget):
+        blocks = [rows for _, rows in pv.all_tuples(n, k).blocks()]
+    assert budget >= math.comb(n - 1, k - 1) or len(blocks) > n - k + 1
+    for rows in blocks:
+        assert rows.ndim == 2 and rows.shape[1] == k
+        assert rows.flags.f_contiguous and rows.base is not None
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+def test_mean_kernel_on_column_major_blocks_is_bitwise_c_order(k):
+    rng = np.random.default_rng(k)
+    n = 16
+    d = Dataset(rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n))
+    h = pv.mean_kernel(k)
+    with mock.patch.object(ustat, "_BLOCK_ROWS", 100):
+        fam = pv.all_tuples(n, k)
+        blocks = [rows for _, rows in fam.blocks()]
+        values = kernel_values(h, d, fam)
+    assert len(blocks) > 1
+    reference = np.concatenate([h.evaluate(d.points[np.ascontiguousarray(rows)]) for rows in blocks])
+    assert np.array_equal(values, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +260,20 @@ def test_collision_example():
     d = Dataset(np.array([1, 1, 2, 3]))
     fam = pv.all_tuples(4, 2)
     assert pv.evaluate_ustat(pv.collision_kernel(), d, fam) == pytest.approx(1 / 6)
-    assert pv.local_projection(pv.collision_kernel(), d, fam, 0) == pytest.approx(1 / 3)
+    assert local_projection(pv.collision_kernel(), d, fam, 0) == pytest.approx(1 / 3)
 
 
 def test_local_projection_constant_kernel():
     fam = pv.all_tuples(6, 3)
     d = Dataset(np.arange(6.0))
     for i in range(6):
-        assert pv.local_projection(pv.constant_kernel(2.5, 3), d, fam, i) == 2.5
+        assert local_projection(pv.constant_kernel(2.5, 3), d, fam, i) == 2.5
 
 
 def test_local_projection_empty_incidence():
     fam = explicit_family(4, 2, [[0, 1], [0, 1], [0, 2]])
     with pytest.raises(EmptyIncidence):
-        pv.local_projection(pv.collision_kernel(), Dataset(np.zeros(4)), fam, 3)
+        local_projection(pv.collision_kernel(), Dataset(np.zeros(4)), fam, 3)
 
 
 @given(st.integers(0, 10**6))
