@@ -81,15 +81,6 @@ def collision_theta(dist: PerturbedUniform) -> float:
     return float(np.sum(p * p))
 
 
-def collision_variance_profile(p: np.ndarray) -> tuple[float, float]:
-    """Exact (zeta_1, zeta_2) of the collision kernel under category law p."""
-    p = np.asarray(p, dtype=float)
-    s2 = float(np.sum(p**2))
-    zeta1 = float(np.sum(p**3)) - s2**2
-    zeta2 = s2 - s2**2
-    return zeta1, zeta2
-
-
 def collision_summary(data: Dataset, m: int) -> UStatSummary:
     """Count-based summary of the collision kernel over all pairs.
 

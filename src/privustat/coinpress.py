@@ -178,8 +178,9 @@ def ustat_mean(
     then one release step at eps/2; total budget is exactly eps.  Interval
     widths never grow across the halving steps (each new interval is
     intersected with the previous one); the final release interval stands
-    alone, and its midpoint is the returned estimate.  Violated sample-size
-    preconditions produce a warning, not an abort.
+    alone, and its midpoint, clamped to [-R, R], is the returned estimate (free
+    post-processing that never moves it away from a theta in that range).
+    Violated sample-size preconditions produce a warning, not an abort.
     """
     rng = as_generator(seed)
     mark = len(budget.entries)
@@ -216,7 +217,7 @@ def ustat_mean(
     dep = family.dependence_fraction()
     delta = dep * (interval.width + 2.0 * q)
     return EstimateReport(
-        estimate=final.midpoint,
+        estimate=min(max(final.midpoint, -r), r),
         eps=budget.spent_since(mark),
         radius=0.5 * final.width,
         noise_scale=2.0 * delta / eps,

@@ -25,6 +25,10 @@ QUARTIC_NORMALIZER = math.pi / math.sqrt(2.0)
 # sup_z sqrt(2) (1+z^2) / (1+z^4): rejection envelope vs the standard Cauchy
 _ENVELOPE = (2.0 + math.sqrt(2.0)) / 2.0
 
+# proposals per block of the quartic acceptance ratio: 256 KB of float64,
+# so the ratio's passes stay in L2
+_RATIO_BLOCK = 2**15
+
 SMOOTH_RELEASE_FACTOR = 10.0
 
 # rng.random() returns multiples of 2^-53 in [0, 1).  The Laplace samplers read
@@ -152,6 +156,12 @@ def quartic_draws(size: int, seed) -> np.ndarray:
     The acceptance ratio sqrt(2)(1+z^2) / ((1+z^4) * envelope) is exact, so the
     output law matches the quadrature CDF oracle to sampling error only.
     Mean acceptance rate is 1/envelope (about 0.586).
+
+    z^4 is formed as (z^2)^2, because ``z**4`` goes through libm ``pow`` at
+    several times the cost.  The ratio may then differ in its last bit, which
+    moves an acceptance only if a uniform draw lands on that bit (odds 2^-53
+    per proposal).  The ratio is built in place over cache-sized blocks, so no
+    proposal-sized temporary sits beside the proposals (peak RSS).
     """
     rng = as_generator(seed)
     out = np.empty(size)
@@ -161,8 +171,18 @@ def quartic_draws(size: int, seed) -> np.ndarray:
         batch = max(64, int(want / 0.5))
         z = rng.standard_cauchy(batch)
         u = rng.random(batch)
-        ratio = math.sqrt(2.0) * (1.0 + z * z) / ((1.0 + z**4) * _ENVELOPE)
-        accepted = z[u <= ratio]
+        keep = np.empty(batch, dtype=bool)
+        for start in range(0, batch, _RATIO_BLOCK):
+            block = slice(start, start + _RATIO_BLOCK)
+            den = z[block] * z[block]
+            ratio = den + 1.0
+            ratio *= math.sqrt(2.0)
+            np.square(den, out=den)
+            den += 1.0
+            den *= _ENVELOPE
+            ratio /= den
+            np.less_equal(u[block], ratio, out=keep[block])
+        accepted = z[keep]
         take = min(accepted.size, want)
         out[have : have + take] = accepted[:take]
         have += take

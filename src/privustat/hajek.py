@@ -55,8 +55,8 @@ class HajekParams:
     def __post_init__(self):
         if not self.eps > 0:  # also rejects NaN
             raise ValueError("epsilon must be > 0")
-        if self.c_range < 0 or self.xi < 0:
-            raise ValueError("range and concentration radius must be >= 0")
+        if not (0.0 <= self.c_range < math.inf and 0.0 <= self.xi < math.inf):  # NaN too
+            raise ValueError("range and concentration radius must be finite and >= 0")
 
 
 @dataclass

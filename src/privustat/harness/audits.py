@@ -155,48 +155,56 @@ def smoothness_audit(
     """
     if n > 12:
         raise ValueError("exhaustive audit is limited to small n")
+    if not 0.0 <= fault_scale < math.inf:  # also rejects NaN
+        raise ValueError("fault scale must be finite and >= 0")
     if kernel is None:
         kernel = collision_kernel() if k == 2 else equality_kernel(k)
     family = all_tuples(n, k)
     params = HajekParams(eps=eps, c_range=c_range, xi=xi)
     alphabet = tuple(alphabet)
+    r = len(alphabet)
 
-    values_cache: dict[tuple, tuple[float, float]] = {}
+    # dataset c is the c-th config in itertools.product order, so its
+    # position i holds alphabet[c // r^(n-1-i) % r]
+    configs = list(itertools.product(alphabet, repeat=n))
+    reweighted = np.empty(len(configs))
+    bound = np.empty(len(configs))
+    for c, config in enumerate(configs):
+        values = kernel_values(kernel, Dataset(np.asarray(config, dtype=float)), family)
+        state = hajek_state(summary_from_values(values, family), params)
+        reweighted[c] = state.reweighted
+        bound[c] = fault_scale * state.smooth_bound
+    grown = math.exp(eps) * bound
 
-    def analyze(config: tuple) -> tuple[float, float]:
-        if config not in values_cache:
-            values = kernel_values(kernel, Dataset(np.asarray(config, dtype=float)), family)
-            state = hajek_state(summary_from_values(values, family), params)
-            values_cache[config] = (state.reweighted, fault_scale * state.smooth_bound)
-        return values_cache[config]
-
+    codes = np.arange(len(configs))
+    symbols = np.arange(r)
+    symbol_values = np.asarray(alphabet)
+    pairs, worst = 0, [math.inf, math.inf]
+    found = []  # ((dataset, position, symbol, check), violation)
+    for i in range(n):
+        # (dataset, symbol) arrays of every substitution at position i
+        place = r ** (n - 1 - i)
+        digit = (codes // place % r)[:, None]
+        neighbor = codes[:, None] + (symbols - digit) * place
+        differ = symbol_values[digit] != symbol_values[symbols]
+        pairs += int(differ.sum())
+        checks = (  # (check, realized, allowed): margin is allowed - realized
+            ("dominance", np.abs(reweighted[:, None] - reweighted[neighbor]), bound[:, None]),
+            ("smoothness", bound[neighbor], grown[:, None]),
+        )
+        for j, (kind, got, allowed) in enumerate(checks):
+            margin = allowed - got
+            worst[j] = min(worst[j], float(np.min(margin[differ], initial=math.inf)))
+            for c, a in zip(*np.nonzero(differ & (margin < 0))):
+                d, d2 = configs[c], configs[neighbor[c, a]]
+                found.append(((c, i, a, j), (kind, d, d2, float(got[c, a]), float(allowed[c, 0]))))
+    found.sort(key=lambda f: f[0])
     report = SmoothnessReport(
         n=n, k=k, eps=eps, xi=xi, c_range=c_range,
-        datasets=len(alphabet) ** n, pairs_checked=0,
-        worst_dominance_margin=math.inf, worst_smoothness_margin=math.inf,
+        datasets=len(configs), pairs_checked=pairs,
+        worst_dominance_margin=worst[0], worst_smoothness_margin=worst[1],
+        violations=[v for _, v in found],
     )
-    grow = math.exp(eps)
-    for config in itertools.product(alphabet, repeat=n):
-        reweighted, bound = analyze(config)
-        for i in range(n):
-            for a in alphabet:
-                if a == config[i]:
-                    continue
-                neighbor = config[:i] + (a,) + config[i + 1 :]
-                nbr_reweighted, nbr_bound = analyze(neighbor)
-                report.pairs_checked += 1
-                dom = bound - abs(reweighted - nbr_reweighted)
-                smooth = grow * bound - nbr_bound
-                report.worst_dominance_margin = min(report.worst_dominance_margin, dom)
-                report.worst_smoothness_margin = min(report.worst_smoothness_margin, smooth)
-                if dom < 0:
-                    report.violations.append(
-                        ("dominance", config, neighbor, abs(reweighted - nbr_reweighted), bound)
-                    )
-                if smooth < 0:
-                    report.violations.append(
-                        ("smoothness", config, neighbor, nbr_bound, grow * bound)
-                    )
     if report.violations:
         kind, d, d2, got, allowed = report.violations[0]
         raise AuditFailure(
@@ -225,8 +233,13 @@ class GofReport:
 def _ks_gap(samples: np.ndarray, cdf_values: np.ndarray) -> float:
     n = samples.size
     grid = np.arange(n, dtype=float)
-    upper = np.max(np.abs(cdf_values - grid / n))
-    lower = np.max(np.abs((grid + 1.0) / n - cdf_values))
+    buf = np.divide(grid, n)  # empirical CDF just below each sample
+    np.subtract(cdf_values, buf, out=buf)
+    upper = np.max(np.abs(buf, out=buf))
+    grid += 1.0
+    np.divide(grid, n, out=buf)  # ... and at it
+    np.subtract(buf, cdf_values, out=buf)
+    lower = np.max(np.abs(buf, out=buf))
     return float(max(upper, lower))
 
 
@@ -242,11 +255,15 @@ def noise_gof(law: str, draws: int, seed, scale: float = 1.0) -> GofReport:
         raise ValueError("goodness-of-fit needs at least 1e5 draws")
     rng = as_generator(seed)
     if law == "laplace":
-        samples = np.sort(laplace_draws(scale, draws, rng))
+        samples = laplace_draws(scale, draws, rng)
+        samples.sort()
         z = samples / scale
-        cdf = np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+        neg = int(np.searchsorted(z, 0.0))  # sorted: one exp per sample, not two
+        cdf = np.concatenate((0.5 * np.exp(z[:neg]), 1.0 - 0.5 * np.exp(-z[neg:])))
     elif law == "quartic":
-        samples = np.sort(quartic_draws(draws, rng) * scale)
+        samples = quartic_draws(draws, rng)
+        samples *= scale
+        samples.sort()
         cdf = quartic_cdf(samples / scale)
     else:
         raise ValueError(f"unknown law {law!r}")

@@ -1,17 +1,29 @@
 """Oracles and fixtures that only the tests use: brute-force sensitivities,
-a Monte Carlo θ, closed forms and explicit families."""
+a Monte Carlo θ, closed forms, explicit families, and the loop forms of the
+audits and the quartic sampler."""
 
+import itertools
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from privustat.applications import GeometricGraph, collision_variance_profile
+from privustat.applications import GeometricGraph
 from privustat.coinpress import IntervalState, halving_rounds, ustat_one_step
-from privustat.errors import EmptyIncidence
-from privustat.hajek import smooth_bound_g
+from privustat.dp import _ENVELOPE, laplace_draws, quartic_cdf
+from privustat.errors import AuditFailure, EmptyIncidence
+from privustat.hajek import HajekParams, hajek_state, smooth_bound_g, summary_from_values
+from privustat.harness.audits import SmoothnessReport
 from privustat.rng import as_generator
-from privustat.ustat import Dataset, Kernel, SubsetFamily, kernel_values
+from privustat.ustat import (
+    Dataset,
+    Kernel,
+    SubsetFamily,
+    all_tuples,
+    collision_kernel,
+    equality_kernel,
+    kernel_values,
+)
 
 
 def brute_force_local_sensitivity(
@@ -140,6 +152,15 @@ def local_projection(h: Kernel, data: Dataset, family: SubsetFamily, i: int) -> 
     return float(kernel_values(h, data, family)[mask].mean())
 
 
+def collision_variance_profile(p: np.ndarray) -> tuple[float, float]:
+    """Exact (zeta_1, zeta_2) of the collision kernel under category law p."""
+    p = np.asarray(p, dtype=float)
+    s2 = float(np.sum(p**2))
+    zeta1 = float(np.sum(p**3)) - s2**2
+    zeta2 = s2 - s2**2
+    return zeta1, zeta2
+
+
 def collision_ustat_variance(p: np.ndarray, n: int) -> float:
     """Closed-form var(U_n) of the collision kernel on n samples."""
     zeta1, zeta2 = collision_variance_profile(p)
@@ -170,3 +191,109 @@ def write_edge_list(graph: GeometricGraph, path) -> None:
         rows, cols = np.nonzero(np.triu(graph.adjacency, k=1))
         for i, j in zip(rows.tolist(), cols.tolist()):
             fh.write(f"{i + 1} {j + 1}\n")
+
+
+# ---------------------------------------------------------------------------
+# loop forms of the audits and the quartic sampler
+# ---------------------------------------------------------------------------
+
+def pow_quartic_draws(size: int, seed) -> np.ndarray:
+    """``dp.quartic_draws`` with the acceptance ratio written through ``z**4``."""
+    rng = as_generator(seed)
+    out = np.empty(size)
+    have = 0
+    while have < size:
+        want = size - have
+        batch = max(64, int(want / 0.5))
+        z = rng.standard_cauchy(batch)
+        u = rng.random(batch)
+        ratio = math.sqrt(2.0) * (1.0 + z * z) / ((1.0 + z**4) * _ENVELOPE)
+        accepted = z[u <= ratio]
+        take = min(accepted.size, want)
+        out[have : have + take] = accepted[:take]
+        have += take
+    return out
+
+
+def fresh_array_ks_gap(samples: np.ndarray, cdf_values: np.ndarray) -> float:
+    """Kolmogorov-Smirnov gap of sorted samples, one new array per step."""
+    n = samples.size
+    grid = np.arange(n, dtype=float)
+    upper = np.max(np.abs(cdf_values - grid / n))
+    lower = np.max(np.abs((grid + 1.0) / n - cdf_values))
+    return float(max(upper, lower))
+
+
+def reference_noise_gap(law: str, draws: int, seed, scale: float = 1.0) -> float:
+    """``audits.noise_gof``'s KS gap through the pow sampler, ``np.where`` and
+    the fresh-array gap."""
+    rng = as_generator(seed)
+    if law == "laplace":
+        samples = np.sort(laplace_draws(scale, draws, rng))
+        z = samples / scale
+        cdf = np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+    else:
+        samples = np.sort(pow_quartic_draws(draws, rng) * scale)
+        cdf = quartic_cdf(samples / scale)
+    return fresh_array_ks_gap(samples, cdf)
+
+
+def loop_smoothness_audit(
+    n: int,
+    eps: float,
+    xi: float,
+    c_range: float = 1.0,
+    k: int = 2,
+    alphabet=(0, 1),
+    kernel: Optional[Kernel] = None,
+    fault_scale: float = 1.0,
+) -> SmoothnessReport:
+    """``audits.smoothness_audit`` as one Python iteration per neighbour pair."""
+    if kernel is None:
+        kernel = collision_kernel() if k == 2 else equality_kernel(k)
+    family = all_tuples(n, k)
+    params = HajekParams(eps=eps, c_range=c_range, xi=xi)
+    alphabet = tuple(alphabet)
+    cache: dict = {}
+
+    def analyze(config: tuple) -> tuple:
+        if config not in cache:
+            values = kernel_values(kernel, Dataset(np.asarray(config, dtype=float)), family)
+            state = hajek_state(summary_from_values(values, family), params)
+            cache[config] = (state.reweighted, fault_scale * state.smooth_bound)
+        return cache[config]
+
+    report = SmoothnessReport(
+        n=n, k=k, eps=eps, xi=xi, c_range=c_range,
+        datasets=len(alphabet) ** n, pairs_checked=0,
+        worst_dominance_margin=math.inf, worst_smoothness_margin=math.inf,
+    )
+    grow = math.exp(eps)
+    for config in itertools.product(alphabet, repeat=n):
+        reweighted, bound = analyze(config)
+        for i in range(n):
+            for a in alphabet:
+                if a == config[i]:
+                    continue
+                neighbor = config[:i] + (a,) + config[i + 1 :]
+                nbr_reweighted, nbr_bound = analyze(neighbor)
+                report.pairs_checked += 1
+                dom = bound - abs(reweighted - nbr_reweighted)
+                smooth = grow * bound - nbr_bound
+                report.worst_dominance_margin = min(report.worst_dominance_margin, dom)
+                report.worst_smoothness_margin = min(report.worst_smoothness_margin, smooth)
+                if dom < 0:
+                    report.violations.append(
+                        ("dominance", config, neighbor, abs(reweighted - nbr_reweighted), bound)
+                    )
+                if smooth < 0:
+                    report.violations.append(
+                        ("smoothness", config, neighbor, nbr_bound, grow * bound)
+                    )
+    if report.violations:
+        kind, d, d2, got, allowed = report.violations[0]
+        raise AuditFailure(
+            f"{kind} violated for {d} -> {d2}: {got:.6g} vs allowed {allowed:.6g} "
+            f"({len(report.violations)} violations total)"
+        )
+    return report

@@ -14,6 +14,7 @@ from privustat.ustat import Dataset
 
 from oracles import (
     collision_ustat_variance,
+    collision_variance_profile,
     dense_triangles_per_node,
     rgg_triangle_theta,
     write_edge_list,
@@ -65,7 +66,7 @@ def test_collision_theta_values():
 
 def test_collision_variance_profile_matches_closed_form():
     p = apps.PerturbedUniform.half_split(6, 0.4).probabilities
-    z1, z2 = apps.collision_variance_profile(p)
+    z1, z2 = collision_variance_profile(p)
     pairwise = sum(
         p[i] * p[j] * (p[i] - p[j]) ** 2 for i in range(6) for j in range(i + 1, 6)
     )

@@ -150,6 +150,21 @@ def test_ustat_mean_constant_kernel_high_budget():
     assert rep.estimate == pytest.approx(0.62, abs=1e-3)
 
 
+def test_ustat_mean_clamps_its_estimate_to_r():
+    # at eps = 0.2 most release midpoints land outside [-1, 1]
+    d = Dataset(np.random.default_rng(31).normal(0.5, 1.0, 60))
+    fam, tb = pv.all_tuples(60, 3), all_tuples_tail_bounds(1 / 3, 3, 60)
+    outside = 0
+    for seed in range(10):
+        rep = coinpress.ustat_mean(
+            pv.mean_kernel(3), d, fam, 1.0, 0.2, 0.01, tb, seed, scratch_budget()
+        )
+        midpoint = rep.diagnostics["trace"][-1].midpoint
+        outside += abs(midpoint) > 1.0
+        assert rep.estimate == min(max(midpoint, -1.0), 1.0)
+    assert outside >= 5
+
+
 def test_one_step_leaves_its_input_unchanged():
     values = np.linspace(-3.0, 3.0, 41)
     before = values.copy()
@@ -185,7 +200,7 @@ def test_ustat_mean_in_place_clip_equals_copy_clipping_reference(case):
         rep = coinpress.ustat_mean(h, d, fam, r, eps, 0.01, tb, seed, scratch_budget())
         reference = copy_clipping_ustat_mean(h, d, fam, r, eps, 0.01, tb, seed)
         assert rep.diagnostics["trace"] == reference
-        assert rep.estimate == reference[-1].midpoint
+        assert rep.estimate == min(max(reference[-1].midpoint, -r), r)
         assert rep.radius == 0.5 * reference[-1].width
 
 

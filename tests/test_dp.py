@@ -12,7 +12,11 @@ from privustat.dp import scratch_budget
 from privustat.errors import BudgetExhausted, NonPositiveScale
 from privustat.ustat import Dataset, all_tuples, evaluate_ustat
 
-from oracles import brute_force_global_sensitivity, brute_force_local_sensitivity
+from oracles import (
+    brute_force_global_sensitivity,
+    brute_force_local_sensitivity,
+    pow_quartic_draws,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +114,13 @@ def test_quartic_fixed_seed_regression():
 
 def test_quartic_deterministic_given_seed():
     assert np.array_equal(dp.quartic_draws(100, 9), dp.quartic_draws(100, 9))
+
+
+@pytest.mark.parametrize("size, seeds", [(1, 400), (3, 400), (64, 400), (5000, 100), (10**6, 3)])
+def test_quartic_draws_equal_the_pow_sampler(size, seeds):
+    # (z^2)^2 may differ from z**4 in the last bit; the draws may not
+    for seed in range(seeds):
+        assert np.array_equal(dp.quartic_draws(size, seed), pow_quartic_draws(size, seed)), seed
 
 
 # ---------------------------------------------------------------------------

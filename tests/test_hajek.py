@@ -202,6 +202,14 @@ def test_params_reject_non_positive_eps(eps):
         HajekParams(eps=eps, c_range=1.0, xi=0.1)
 
 
+@pytest.mark.parametrize("field", ["c_range", "xi"])
+@pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+def test_params_reject_negative_or_non_finite_range_and_radius(field, value):
+    kwargs = {"eps": 1.0, "c_range": 1.0, "xi": 0.1, field: value}
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        HajekParams(**kwargs)
+
+
 def test_smooth_sensitivity_below_closed_form_bound():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -8,6 +8,7 @@ import pytest
 
 import privustat as pv
 from privustat.errors import AuditFailure
+from privustat.hajek import hajek_state
 from privustat.harness import audits, experiments
 from privustat.harness.cli import main as cli_main
 from privustat.harness.experiments import (
@@ -17,6 +18,9 @@ from privustat.harness.experiments import (
     rows_to_csv,
     run_experiment,
 )
+
+import oracles
+from oracles import fresh_array_ks_gap, loop_smoothness_audit, reference_noise_gap
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +231,27 @@ def test_cli_audit_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--xi", "--C"])
+def test_cli_estimate_hajek_non_finite_radius_is_a_usage_error(flag, capsys):
+    code = cli_main(["estimate", "--method", "hajek", "--kernel", "collision",
+                     "--simulate", "uniform,n=200", flag, "nan"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "finite" in captured.err
+    assert "estimate" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--fault-scale", "nan"), ("--xi", "nan"), ("--C", "nan"), ("--fault-scale", "-1")]
+)
+def test_cli_audit_smoothness_bad_parameter_is_a_usage_error(flag, value, capsys):
+    code = cli_main(["audit-smoothness", "--n", "6", flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "finite" in captured.err
+    assert "audit ok" not in captured.out
+
+
 def test_cli_simulate_csv_round_trip(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code = cli_main([
@@ -357,6 +382,66 @@ def test_smoothness_audit_equality_kernel_positive_margins():
 def test_smoothness_audit_fault_injection_fails():
     with pytest.raises(AuditFailure):
         audits.smoothness_audit(n=5, eps=1.0, xi=0.0, c_range=1.0, fault_scale=0.5)
+
+
+def audit_outcome(audit, **kwargs):
+    try:
+        report = audit(**kwargs)
+    except AuditFailure as exc:
+        return "failure", str(exc)
+    return "report", report, repr(vars(report))
+
+
+def smoothness_cases(n):
+    yield dict(n=n, eps=1.0, xi=0.0)  # at n = 10 this is the known dominance miss
+    yield dict(n=n, eps=1.0, xi=0.1)
+    yield dict(n=n, eps=0.5, xi=0.3)
+    yield dict(n=n, eps=1.0, xi=0.0, fault_scale=0.5)
+    yield dict(n=n, eps=1.0, xi=0.1, c_range=0.0)
+    if n <= 8:
+        yield dict(n=n, eps=1.0, xi=0.0, k=3)
+    if n <= 6:
+        yield dict(n=n, eps=1.0, xi=0.1, alphabet=(0, 1, 2))
+        yield dict(n=n, eps=0.5, xi=0.0, alphabet=(0, 1, 2), k=3)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_smoothness_audit_equals_the_loop_audit(n):
+    for kwargs in smoothness_cases(n):
+        got = audit_outcome(audits.smoothness_audit, **kwargs)
+        assert got == audit_outcome(loop_smoothness_audit, **kwargs), kwargs
+
+
+def test_smoothness_audit_orders_violations_like_the_loop_audit(monkeypatch):
+    # a bound that falls as a_n rises breaks dominance and smoothness on the
+    # first pair, so the report must name dominance first
+    def skewed(summary, params):
+        state = hajek_state(summary, params)
+        state.smooth_bound *= 0.1 * (1.0 + 30.0 * (1.0 - state.a_n))
+        return state
+
+    monkeypatch.setattr(audits, "hajek_state", skewed)
+    monkeypatch.setattr(oracles, "hajek_state", skewed)
+    for n in (4, 5, 6):
+        got = audit_outcome(audits.smoothness_audit, n=n, eps=1.0, xi=0.0)
+        assert got[0] == "failure" and got[1].startswith("dominance"), got
+        assert got == audit_outcome(loop_smoothness_audit, n=n, eps=1.0, xi=0.0)
+
+
+def test_ks_gap_equals_the_fresh_array_gap():
+    rng = np.random.default_rng(8)
+    for size in (1, 7, 1000, 10**5):
+        samples = np.sort(rng.standard_normal(size))
+        cdf = np.clip(samples * 0.3 + 0.5 + rng.normal(0, 1e-3, size), 0, 1)
+        assert audits._ks_gap(samples, cdf) == fresh_array_ks_gap(samples, cdf)
+
+
+@pytest.mark.parametrize("law", ["laplace", "quartic"])
+def test_noise_gof_gap_equals_the_reference_gap(law):
+    for seed, scale in ((1, 1.0), (2, 2.5), (3, 0.3)):
+        got = audits.noise_gof(law, 10**5, seed, scale).ks_gap
+        assert got == reference_noise_gap(law, 10**5, seed, scale), (seed, scale)
+    assert audits.noise_gof(law, 10**6, 4).ks_gap == reference_noise_gap(law, 10**6, 4)
 
 
 def test_noise_gof_both_laws():
