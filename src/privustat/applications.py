@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .boosting import BoostPlan, majority_vote, median_of_means, run_chunks
+from .boosting import boosted
 from .dp import PrivacyBudget, global_sensitivity_release, scratch_budget
 from .errors import InsufficientData
 from .hajek import HajekParams, UStatSummary, release_from_summary
@@ -168,21 +168,7 @@ def uniformity_test(
     The private estimate replaces the raw collision statistic; the decision
     threshold (1 + 3 delta^2 / 4)/m splits the two hypothesis classes.
     """
-    if m < 2:
-        raise ValueError("need at least two atoms")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    if data.n < 2:
-        raise InsufficientData("uniformity testing needs at least two samples")
-    xi = collision_xi(m, data.n)
-    report = private_collision_density(data, m, eps, xi, seed, budget)
-    threshold = (1.0 + 0.75 * delta**2) / m
-    return UniformityDecision(
-        reject=report.estimate >= threshold,
-        statistic=report.estimate,
-        threshold=threshold,
-        report=report,
-    )
+    return boosted_uniformity_test(data, m, delta, eps, None, seed, budget)
 
 
 def boosted_uniformity_test(
@@ -190,25 +176,34 @@ def boosted_uniformity_test(
     m: int,
     delta: float,
     eps: float,
-    alpha: float,
+    alpha: Optional[float],
     seed,
     budget: Optional[PrivacyBudget] = None,
 ) -> UniformityDecision:
-    """Majority vote of the tester over disjoint chunks (parallel composition)."""
-    plan = BoostPlan.for_dataset(data.n, 2, alpha)
-    decisions, spent = run_chunks(
-        lambda chunk, rng, branch: uniformity_test(chunk, m, delta, eps, rng, branch),
-        data.subset, data.n, plan, seed, budget or scratch_budget(), "uniformity majority",
-    )
-    votes = [d.reject for d in decisions]
-    statistic = float(np.median([d.statistic for d in decisions]))
-    return UniformityDecision(
-        reject=majority_vote(votes),
-        statistic=statistic,
-        threshold=decisions[0].threshold,
-        report=EstimateReport(
-            estimate=statistic, eps=spent, diagnostics={"chunks": plan.chunks, "votes": votes}
+    """The uniformity test on the median of the chunks' collision densities.
+
+    The chunks are disjoint (parallel composition) and their number is odd,
+    so the median clears the threshold exactly when a strict majority of the
+    chunk estimates do.  With ``alpha`` None this is ``uniformity_test``.
+    """
+    if m < 2:
+        raise ValueError("need at least two atoms")
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    if data.n < 2:
+        raise InsufficientData("uniformity testing needs at least two samples")
+    report = boosted(
+        lambda chunk, rng, branch: private_collision_density(
+            chunk, m, eps, collision_xi(m, chunk.n), rng, branch
         ),
+        data, 2, alpha, seed, budget,
+    )
+    threshold = (1.0 + 0.75 * delta**2) / m
+    return UniformityDecision(
+        reject=report.estimate >= threshold,
+        statistic=report.estimate,
+        threshold=threshold,
+        report=report,
     )
 
 
@@ -385,14 +380,17 @@ def private_triangle_density(
 def boosted_triangle_density(
     graph: GeometricGraph,
     eps: float,
-    alpha: float,
+    alpha: Optional[float],
     seed,
     budget: Optional[PrivacyBudget] = None,
 ) -> EstimateReport:
-    """Median of the triangle estimator over disjoint node chunks."""
-    return median_of_means(
+    """Median of the triangle estimator over disjoint node chunks.
+
+    With ``alpha`` None this is one ``private_triangle_density`` run.
+    """
+    return boosted(
         lambda chunk, rng, branch: private_triangle_density(chunk, eps, rng, branch),
-        graph, BoostPlan.for_dataset(graph.n, 3, alpha), seed, budget,
+        graph, 3, alpha, seed, budget,
     )
 
 
@@ -403,21 +401,28 @@ def boosted_triangle_density(
 def read_edge_list(path) -> GeometricGraph:
     """Edge list, one '1-based i j' pair per line, each undirected edge once."""
     edges = []
-    max_node = 0
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            i_s, j_s = line.split()
-            i, j = int(i_s) - 1, int(j_s) - 1
+            try:
+                i_s, j_s = line.split()
+                i, j = int(i_s), int(j_s)
+            except ValueError:
+                raise ValueError(
+                    f"{path} line {lineno}: expected two node labels, got {line!r}"
+                ) from None
+            if i < 1 or j < 1:
+                raise ValueError(f"{path} line {lineno}: node labels start at 1, got {line!r}")
             if i == j:
-                raise ValueError("self-loops are not allowed")
-            edges.append((i, j))
-            max_node = max(max_node, i, j)
-    n = max_node + 1
+                raise ValueError(f"{path} line {lineno}: self-loops are not allowed")
+            edges.append((i - 1, j - 1))
+    if not edges:
+        raise ValueError(f"no edges in {path}")
+    i, j = np.array(edges, dtype=np.intp).T
+    n = int(max(i.max(), j.max())) + 1
     adj = np.zeros((n, n), dtype=np.int8)
-    i, j = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     adj[i, j] = adj[j, i] = 1
     return GeometricGraph(adj)
 

@@ -3,7 +3,8 @@
 The data is split into q disjoint consecutive chunks (q odd), the base
 estimator runs independently on each, and the median of the chunk estimates
 is returned.  Because the chunks are disjoint, the whole procedure costs the
-same privacy budget as a single run (parallel composition).
+same privacy budget as a single run (parallel composition).  ``boosted`` is
+the one place that chooses between a plain run and a boosted one.
 """
 
 from __future__ import annotations
@@ -46,36 +47,6 @@ class BoostPlan:
         return cls(alpha=alpha, chunks=q, chunk_size=size)
 
 
-def run_chunks(
-    run: Callable,
-    take: Callable,
-    n: int,
-    plan: BoostPlan,
-    seed,
-    budget: PrivacyBudget,
-    label: str,
-) -> tuple[list, float]:
-    """``run(chunk, rng, branch)`` on each of the plan's disjoint consecutive chunks.
-
-    ``take`` maps an index array to a chunk (``Dataset.subset`` or
-    ``GeometricGraph.induced``); indices past chunks * chunk_size are dropped.
-    Each chunk gets an independently derived seed stream and its own branch
-    ledger, and the whole block is one parallel-composition entry
-    ``label(q=...)`` on ``budget``.  Returns the chunk results in order and
-    the block's debit (the largest branch total).
-    """
-    q, size = plan.chunks, plan.chunk_size
-    if n < q * size:
-        raise InsufficientData("dataset shorter than the chunk plan")
-    rngs = child_seeds(seed, q)
-    with budget.parallel(f"{label}(q={q})") as branches:
-        results = [
-            run(take(np.arange(ci * size, (ci + 1) * size)), rngs[ci], branches.branch())
-            for ci in range(q)
-        ]
-    return results, branches.max_spent()
-
-
 def median_of_means(
     estimator: Callable[[Any, np.random.Generator, PrivacyBudget], EstimateReport],
     data,
@@ -86,15 +57,25 @@ def median_of_means(
     """Median of the base estimator over disjoint consecutive chunks.
 
     ``data`` is a ``Dataset`` (chunks are subsets) or a graph (chunks are
-    induced subgraphs).  Chunk runs that return bottom are excluded from the
-    median; if a majority are bottom the wrapped result is bottom too (a
-    majority of failures leaves the median meaningless).
+    induced subgraphs); indices past chunks * chunk_size are dropped.  Each
+    chunk gets an independently derived seed stream and its own branch ledger,
+    and the whole block is one parallel-composition entry
+    ``median_of_means(q=...)`` whose debit is the largest branch total.  Chunk
+    runs that return bottom are excluded from the median; if a majority are
+    bottom the wrapped result is bottom too (a majority of failures leaves the
+    median meaningless).
     """
-    take = data.subset if isinstance(data, Dataset) else data.induced
-    reports, eps = run_chunks(
-        estimator, take, data.n, plan, seed, budget or scratch_budget(), "median_of_means"
-    )
     q, size = plan.chunks, plan.chunk_size
+    if data.n < q * size:
+        raise InsufficientData("dataset shorter than the chunk plan")
+    take = data.subset if isinstance(data, Dataset) else data.induced
+    rngs = child_seeds(seed, q)
+    with (budget or scratch_budget()).parallel(f"median_of_means(q={q})") as branches:
+        reports = [
+            estimator(take(np.arange(ci * size, (ci + 1) * size)), rngs[ci], branches.branch())
+            for ci in range(q)
+        ]
+    eps = branches.max_spent()
     good = [r for r in reports if not r.is_bottom]
     if len(good) <= q // 2:
         return EstimateReport(
@@ -119,7 +100,22 @@ def median_of_means(
     )
 
 
-def majority_vote(decisions) -> bool:
-    """Median of 0/1 decisions: True iff a strict majority is True."""
-    votes = [bool(d) for d in decisions]
-    return sum(votes) * 2 > len(votes)
+def boosted(
+    estimator: Callable[[Any, np.random.Generator, Optional[PrivacyBudget]], EstimateReport],
+    data,
+    k: int,
+    alpha: Optional[float],
+    seed,
+    budget: Optional[PrivacyBudget] = None,
+) -> EstimateReport:
+    """``estimator(data, seed, budget)`` at confidence 1 - alpha.
+
+    With ``alpha`` None the estimator runs once on the whole data.  Otherwise
+    it runs under ``median_of_means`` with the chunk plan for degree-``k``
+    statistics at that alpha.
+    """
+    if alpha is None:
+        return estimator(data, seed, budget)
+    return median_of_means(
+        estimator, data, BoostPlan.for_dataset(data.n, k, float(alpha)), seed, budget
+    )

@@ -151,7 +151,7 @@ def smoothness_audit(
     change of the reweighted mean to every neighbor, (ii) the bound moves by
     at most e^eps between neighbors.  ``fault_scale`` scales the bound before
     checking; anything below 1 is a deliberate fault.  Raises AuditFailure on
-    any violation.
+    any violation; a NaN reweighted mean or bound counts as one.
     """
     if n > 12:
         raise ValueError("exhaustive audit is limited to small n")
@@ -195,7 +195,8 @@ def smoothness_audit(
         for j, (kind, got, allowed) in enumerate(checks):
             margin = allowed - got
             worst[j] = min(worst[j], float(np.min(margin[differ], initial=math.inf)))
-            for c, a in zip(*np.nonzero(differ & (margin < 0))):
+            # a NaN margin (NaN reweighted mean or bound) is a violation too
+            for c, a in zip(*np.nonzero(differ & ~(margin >= 0))):
                 d, d2 = configs[c], configs[neighbor[c, a]]
                 found.append(((c, i, a, j), (kind, d, d2, float(got[c, a]), float(allowed[c, 0]))))
     found.sort(key=lambda f: f[0])

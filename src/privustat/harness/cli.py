@@ -20,9 +20,15 @@ from .. import applications as apps
 from ..dp import scratch_budget
 from ..errors import AuditFailure, PrivustatError
 from ..rng import as_generator
-from ..ustat import collision_kernel, identity_kernel, mean_kernel
 from . import audits
-from .experiments import DistributionSpec, ExperimentSpec, rows_to_csv, run_experiment, run_single
+from .experiments import (
+    DistributionSpec,
+    ExperimentSpec,
+    build_kernel,
+    rows_to_csv,
+    run_experiment,
+    run_single,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,13 +191,27 @@ def emit(text: str, out_path: Optional[str]):
         sys.stdout.write(text)
 
 
+def simulated(args, flag: str) -> bool:
+    """Whether the data comes from --simulate; exactly one of it and ``--flag`` must be set."""
+    if (getattr(args, flag) is None) == (args.simulate is None):
+        raise CliError(f"provide exactly one of --{flag} / --simulate")
+    return args.simulate is not None
+
+
+def finish(args, budget, report, lines: list[str]) -> int:
+    """Print the ledger; on bottom say why and exit 3, else emit the released lines."""
+    print(budget.summary(), file=sys.stderr)
+    if report.is_bottom:
+        print(f"bottom: {report.bottom_reason}", file=sys.stderr)
+        return EXIT_BOTTOM
+    emit("".join(f"{line}\n" for line in lines), args.out)
+    return EXIT_OK
+
+
 def cmd_estimate(args) -> int:
     rng = as_generator(args.seed)
-    budget = scratch_budget()
-    if (args.data is None) == (args.simulate is None):
-        raise CliError("provide exactly one of --data / --simulate")
     m = args.m
-    if args.simulate:
+    if simulated(args, "data"):
         kv = parse_kv(args.simulate)
         n = int(kv.get("n", 100))
         dist = DistributionSpec(kv.get("kind", "gaussian"),
@@ -205,13 +225,6 @@ def cmd_estimate(args) -> int:
         data = apps.read_categories(args.data)
     else:
         data = apps.read_reals(args.data)
-
-    if args.kernel == "collision":
-        kernel = collision_kernel()
-    elif args.kernel == "pair_mean":
-        kernel = mean_kernel(2, tau=args.tau)
-    else:
-        kernel = identity_kernel()
 
     spec = ExperimentSpec(
         method=args.method,
@@ -227,16 +240,12 @@ def cmd_estimate(args) -> int:
         xi=str(args.xi),
     )
     cell = (data.n, args.eps, args.alpha, args.m_subsets)
-    report = run_single(spec, kernel, data, cell, rng, budget)
-    print(budget.summary(), file=sys.stderr)
-    if report.is_bottom:
-        print(f"bottom: {report.bottom_reason}", file=sys.stderr)
-        return EXIT_BOTTOM
+    budget = scratch_budget()
+    report = run_single(spec, build_kernel(spec.kernel, spec.dist), data, cell, rng, budget)
     lines = [f"estimate {report.estimate!r}"]
     if report.radius is not None:
         lines.append(f"radius {report.radius!r}")
-    emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return finish(args, budget, report, lines)
 
 
 def cmd_simulate(args) -> int:
@@ -270,59 +279,44 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+SIMULATED_UNIFORMITY = {"uniform": "uniform", "split": "half_split"}
+
+
 def cmd_uniformity(args) -> int:
     rng = as_generator(args.seed)
-    budget = scratch_budget()
-    if (args.data is None) == (args.simulate is None):
-        raise CliError("provide exactly one of --data / --simulate")
-    if args.simulate:
+    if simulated(args, "data"):
         kv = parse_kv(args.simulate)
-        n = int(kv.get("n", 1000))
         kind = kv.get("kind", "uniform")
-        if kind == "uniform":
-            dist = apps.PerturbedUniform.uniform(args.m)
-        elif kind == "split":
-            dist = apps.PerturbedUniform.half_split(args.m, float(kv.get("a", args.delta)))
-        else:
+        if kind not in SIMULATED_UNIFORMITY:
             raise CliError(f"unknown simulation kind {kind!r}")
-        data = apps.sample_multinomial(dist, n, rng)
+        dist = DistributionSpec(
+            SIMULATED_UNIFORMITY[kind], {"m": args.m, "amplitude": float(kv.get("a", args.delta))}
+        )
+        data = dist.sample(rng, int(kv.get("n", 1000)))
     else:
         data = apps.read_categories(args.data)
-    if args.alpha is None:
-        decision = apps.uniformity_test(data, args.m, args.delta, args.eps, rng, budget)
-    else:
-        decision = apps.boosted_uniformity_test(
-            data, args.m, args.delta, args.eps, args.alpha, rng, budget
-        )
-    print(budget.summary(), file=sys.stderr)
-    verdict = "reject" if decision.reject else "accept"
-    emit(
-        f"decision {verdict}\nstatistic {decision.statistic!r}\nthreshold {decision.threshold!r}\n",
-        args.out,
+    budget = scratch_budget()
+    decision = apps.boosted_uniformity_test(
+        data, args.m, args.delta, args.eps, args.alpha, rng, budget
     )
-    return EXIT_OK
+    verdict = "reject" if decision.reject else "accept"
+    return finish(args, budget, decision.report, [
+        f"decision {verdict}",
+        f"statistic {decision.statistic!r}",
+        f"threshold {decision.threshold!r}",
+    ])
 
 
 def cmd_rgg(args) -> int:
     rng = as_generator(args.seed)
-    budget = scratch_budget()
-    if (args.graph is None) == (args.simulate is None):
-        raise CliError("provide exactly one of --graph / --simulate")
-    if args.simulate:
+    if simulated(args, "graph"):
         kv = parse_kv(args.simulate)
         graph = apps.sample_rgg(int(kv.get("n", 300)), float(kv.get("r", 0.3)), rng)
     else:
         graph = apps.read_edge_list(args.graph)
-    if args.alpha is None:
-        report = apps.private_triangle_density(graph, args.eps, rng, budget)
-    else:
-        report = apps.boosted_triangle_density(graph, args.eps, args.alpha, rng, budget)
-    print(budget.summary(), file=sys.stderr)
-    if report.is_bottom:
-        print(f"bottom: {report.bottom_reason}", file=sys.stderr)
-        return EXIT_BOTTOM
-    emit(f"estimate {report.estimate!r}\n", args.out)
-    return EXIT_OK
+    budget = scratch_budget()
+    report = apps.boosted_triangle_density(graph, args.eps, args.alpha, rng, budget)
+    return finish(args, budget, report, [f"estimate {report.estimate!r}"])
 
 
 def cmd_audit_smoothness(args) -> int:

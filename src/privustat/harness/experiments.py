@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ..boosting import BoostPlan, median_of_means
+from ..boosting import boosted
 from ..coinpress import all_tuples_estimator, naive_estimator, subsampled_estimator
 from ..dp import PrivacyBudget, scratch_budget
 from ..errors import LedgerMismatch, PrivustatError
@@ -32,6 +32,7 @@ from ..applications import (
     PerturbedUniform,
     collision_theta,
     private_collision_density,
+    sample_multinomial,
 )
 from ..report import EstimateReport
 from ..rng import stream
@@ -64,8 +65,7 @@ class DistributionSpec:
 
     def sample(self, rng: np.random.Generator, n: int) -> Dataset:
         if self.name in ("uniform", "half_split"):
-            dist = self.perturbed()
-            return Dataset(rng.choice(dist.m, size=n, p=dist.probabilities))
+            return sample_multinomial(self.perturbed(), n, rng)
         if self.name == "gaussian":
             mu = float(self.params.get("mu", 0.0))
             sigma = float(self.params.get("sigma", 1.0))
@@ -189,34 +189,27 @@ def run_single(
     boosting.  Without M, the subsampled method draws (n/k) log n subsets.
     """
     _, eps, alpha, subsample_size = cell
-    if alpha is not None:
-        plan = BoostPlan.for_dataset(data.n, kernel.degree, float(alpha))
-        return median_of_means(
-            lambda chunk, r, b: run_single(
-                spec, kernel, chunk, (chunk.n, eps, None, subsample_size), r, b
-            ),
-            data,
-            plan,
-            rng,
-            budget,
-        )
-    if spec.method == "naive":
-        return naive_estimator(kernel, data, spec.r_bound, spec.tau, eps, rng, spec.gamma, budget)
-    if spec.method == "all":
-        return all_tuples_estimator(kernel, data, spec.r_bound, spec.tau, eps, rng, spec.gamma, budget)
-    if spec.method == "subsampled":
-        size = subsample_size or max(1, int((data.n / kernel.degree) * math.log(max(data.n, 2))))
-        return subsampled_estimator(
-            kernel, data, spec.r_bound, spec.tau, eps, size, rng, spec.gamma, budget
-        )
-    # reweighting estimator; the collision kernel gets the count-based path
-    xi = resolve_xi(spec, kernel, data.n)
-    if spec.kernel == "collision":
-        m = int(spec.dist.params.get("m", 10))
-        return private_collision_density(data, m, eps, xi, rng, budget)
-    params = HajekParams(eps=eps, c_range=spec.c_range, xi=xi)
-    family = all_tuples(data.n, kernel.degree)
-    return private_mean_local_hajek(kernel, data, family, params, rng, budget)
+
+    def run(data: Dataset, rng, budget: PrivacyBudget) -> EstimateReport:
+        r, tau, gamma = spec.r_bound, spec.tau, spec.gamma
+        if spec.method == "naive":
+            return naive_estimator(kernel, data, r, tau, eps, rng, gamma, budget)
+        if spec.method == "all":
+            return all_tuples_estimator(kernel, data, r, tau, eps, rng, gamma, budget)
+        if spec.method == "subsampled":
+            k, n = kernel.degree, data.n
+            size = subsample_size or max(1, int((n / k) * math.log(max(n, 2))))
+            return subsampled_estimator(kernel, data, r, tau, eps, size, rng, gamma, budget)
+        # reweighting estimator; the collision kernel gets the count-based path
+        xi = resolve_xi(spec, kernel, data.n)
+        if spec.kernel == "collision":
+            m = int(spec.dist.params.get("m", 10))
+            return private_collision_density(data, m, eps, xi, rng, budget)
+        params = HajekParams(eps=eps, c_range=spec.c_range, xi=xi)
+        family = all_tuples(data.n, kernel.degree)
+        return private_mean_local_hajek(kernel, data, family, params, rng, budget)
+
+    return boosted(run, data, kernel.degree, alpha, rng, budget)
 
 
 def check_trial_ledger(report: EstimateReport, budget: PrivacyBudget, eps: float) -> None:

@@ -18,8 +18,6 @@ def as_generator(seed) -> np.random.Generator:
     """Coerce an int / SeedSequence / Generator / None into a Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     return np.random.default_rng(seed)
 
 

@@ -220,9 +220,9 @@ class SubsetFamily:
     a block is contiguous.
     """
 
-    def __init__(self, n: int, k: int, subsets: Optional[np.ndarray], kind: str, seed=None):
+    def __init__(self, n: int, k: int, subsets: Optional[np.ndarray], kind: str):
         # kind: "all_tuples" | "subsampled" | "chunks" | "explicit"
-        self.n, self.k, self.kind, self.seed = n, k, kind, seed
+        self.n, self.k, self.kind = n, k, kind
         self._pair_counts: Optional[tuple[np.ndarray, np.ndarray]] = None
         if subsets is None:
             self.size = math.comb(n, k)
@@ -343,8 +343,7 @@ def subsample_family(n: int, k: int, size: int, seed) -> SubsetFamily:
         for row in range(size):
             picks[row] = rng.choice(n, size=k, replace=False)
     picks.sort(axis=1)
-    stored_seed = None if isinstance(seed, np.random.Generator) else seed
-    return SubsetFamily(n, k, picks, kind="subsampled", seed=stored_seed)
+    return SubsetFamily(n, k, picks, kind="subsampled")
 
 
 def disjoint_chunks(n: int, k: int) -> SubsetFamily:

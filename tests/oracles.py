@@ -1,6 +1,7 @@
 """Oracles and fixtures that only the tests use: brute-force sensitivities,
-a Monte Carlo θ, closed forms, explicit families, and the loop forms of the
-audits and the quartic sampler."""
+a Monte Carlo θ, closed forms, explicit families, the majority-vote form of
+the boosted uniformity test, and the loop forms of the audits and the
+quartic sampler."""
 
 import itertools
 import math
@@ -8,13 +9,14 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from privustat.applications import GeometricGraph
+from privustat.applications import GeometricGraph, uniformity_test
+from privustat.boosting import BoostPlan
 from privustat.coinpress import IntervalState, halving_rounds, ustat_one_step
-from privustat.dp import _ENVELOPE, laplace_draws, quartic_cdf
+from privustat.dp import _ENVELOPE, PrivacyBudget, laplace_draws, quartic_cdf
 from privustat.errors import AuditFailure, EmptyIncidence
 from privustat.hajek import HajekParams, hajek_state, smooth_bound_g, summary_from_values
 from privustat.harness.audits import SmoothnessReport
-from privustat.rng import as_generator
+from privustat.rng import as_generator, child_seeds
 from privustat.ustat import (
     Dataset,
     Kernel,
@@ -135,6 +137,32 @@ def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:
         trace.append(interval)
     values, final = ustat_one_step(values, family, interval, eps / 2.0, gamma, tb, rng)
     return trace + [final]
+
+
+def majority_vote(decisions) -> bool:
+    """Median of 0/1 decisions: True iff a strict majority is True."""
+    votes = [bool(d) for d in decisions]
+    return sum(votes) * 2 > len(votes)
+
+
+def majority_uniformity_test(data: Dataset, m, delta, eps, alpha, seed, budget: PrivacyBudget):
+    """The boosted uniformity test as a majority vote of per-chunk tests.
+
+    Each chunk runs ``uniformity_test`` on its own child seed and branch
+    ledger.  Returns (reject, median statistic, threshold, block debit).
+    """
+    plan = BoostPlan.for_dataset(data.n, 2, alpha)
+    q, size = plan.chunks, plan.chunk_size
+    rngs = child_seeds(seed, q)
+    with budget.parallel(f"uniformity majority(q={q})") as branches:
+        decisions = [
+            uniformity_test(data.subset(np.arange(c * size, (c + 1) * size)), m, delta, eps,
+                            rngs[c], branches.branch())
+            for c in range(q)
+        ]
+    statistic = float(np.median([d.statistic for d in decisions]))
+    reject = majority_vote(d.reject for d in decisions)
+    return reject, statistic, decisions[0].threshold, branches.max_spent()
 
 
 def explicit_family(n: int, k: int, subsets) -> SubsetFamily:
@@ -282,11 +310,11 @@ def loop_smoothness_audit(
                 smooth = grow * bound - nbr_bound
                 report.worst_dominance_margin = min(report.worst_dominance_margin, dom)
                 report.worst_smoothness_margin = min(report.worst_smoothness_margin, smooth)
-                if dom < 0:
+                if not dom >= 0:  # NaN fails too
                     report.violations.append(
                         ("dominance", config, neighbor, abs(reweighted - nbr_reweighted), bound)
                     )
-                if smooth < 0:
+                if not smooth >= 0:
                     report.violations.append(
                         ("smoothness", config, neighbor, nbr_bound, grow * bound)
                     )

@@ -16,6 +16,7 @@ from oracles import (
     collision_ustat_variance,
     collision_variance_profile,
     dense_triangles_per_node,
+    majority_uniformity_test,
     rgg_triangle_theta,
     write_edge_list,
 )
@@ -123,6 +124,39 @@ def test_boosted_uniformity_budget_is_parallel():
     assert budget.spent == pytest.approx(1.0)
 
 
+def uniformity_cases():
+    """120 seeded (data, m, delta, eps, alpha, seed) cases around the threshold."""
+    rng = np.random.default_rng(31)
+    for case in range(120):
+        m = int(rng.choice([4, 10, 20]))
+        amplitude = float(rng.uniform(0.0, 0.9))
+        dist = apps.PerturbedUniform.half_split(m, amplitude)
+        n = int(rng.integers(400, 3000))
+        yield (apps.sample_multinomial(dist, n, rng), m, float(rng.uniform(0.3, 0.9)),
+               float(rng.choice([0.5, 1.0, 4.0])), float(rng.choice([0.05, 0.2, 0.4])), case)
+
+
+def test_boosted_uniformity_equals_the_chunk_majority_vote():
+    outcomes = []
+    for data, m, delta, eps, alpha, seed in uniformity_cases():
+        budget, reference = pv.PrivacyBudget(eps), pv.PrivacyBudget(eps)
+        got = apps.boosted_uniformity_test(data, m, delta, eps, alpha, seed, budget)
+        want = majority_uniformity_test(data, m, delta, eps, alpha, seed, reference)
+        assert (got.reject, got.statistic, got.threshold, got.report.eps) == want, seed
+        assert budget.spent == reference.spent == eps
+        outcomes.append(got.reject)
+    assert 20 <= sum(outcomes) <= len(outcomes) - 20  # both decisions are well covered
+
+
+def test_boosted_uniformity_ledger_is_one_median_of_means_entry():
+    budget = pv.PrivacyBudget(2.0)
+    data = apps.sample_multinomial(apps.PerturbedUniform.uniform(20), 5000, seed=5)
+    decision = apps.boosted_uniformity_test(data, 20, 0.5, 1.0, alpha=0.1, seed=6, budget=budget)
+    q = decision.report.diagnostics["chunks"]
+    assert budget.entries == [(f"median_of_means(q={q})", 1.0)]
+    assert len(decision.report.diagnostics["chunk_estimates"]) == q
+
+
 # ---------------------------------------------------------------------------
 # geometric graphs
 # ---------------------------------------------------------------------------
@@ -168,6 +202,23 @@ def test_graph_file_round_trip(tmp_path):
     assert np.array_equal(back.adjacency, g.adjacency)
     first = path.read_text().splitlines()[0].split()
     assert len(first) == 2 and int(first[0]) >= 1
+
+
+@pytest.mark.parametrize("text, where", [
+    ("0 2\n3 5\n", "line 1"),  # a 0 label would wrap round to node n
+    ("1 2\n# comment\n4 -1\n", "line 3"),
+    ("1 2\n2 3 4\n", "line 2"),
+    ("1 x\n", "line 1"),
+    ("3 3\n", "line 1"),
+    ("", "no edges"),
+    ("# only a comment\n\n", "no edges"),
+], ids=["zero-label", "negative-label", "three-labels", "not-a-number", "self-loop", "empty",
+        "comments-only"])
+def test_read_edge_list_rejects_bad_labels_and_empty_files(tmp_path, text, where):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=where):
+        apps.read_edge_list(path)
 
 
 def test_categorical_file_round_trip(tmp_path):

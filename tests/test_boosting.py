@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import privustat as pv
-from privustat.boosting import BoostPlan, majority_vote, median_of_means
+from privustat.boosting import BoostPlan, boosted, median_of_means
 from privustat.errors import InsufficientData
 from privustat.report import EstimateReport
 from privustat.ustat import Dataset
+
+from oracles import majority_vote
 
 
 def make_estimator(fn):
@@ -119,3 +121,26 @@ def test_insufficient_data_raises():
 def test_majority_vote():
     assert majority_vote([True, True, False])
     assert not majority_vote([True, False, False])
+
+
+def test_boosted_without_alpha_runs_the_estimator_once_on_all_data():
+    seen = []
+    est = make_estimator(
+        lambda chunk, rng: EstimateReport(float(seen.append(chunk.n) or 0.5), eps=1.0)
+    )
+    budget = pv.PrivacyBudget(2.0)
+    rep = boosted(est, Dataset(np.arange(40.0)), 2, None, seed=0, budget=budget)
+    assert rep.estimate == 0.5 and seen == [40]
+    assert [label for label, _ in budget.entries] == ["inner"]
+
+
+def test_boosted_with_alpha_is_median_of_means_at_the_plan():
+    est = make_estimator(
+        lambda chunk, rng: EstimateReport(float(chunk.points.mean() + rng.normal()), eps=1.0)
+    )
+    d = Dataset(np.arange(500.0))
+    plan = BoostPlan.for_dataset(500, 2, 0.1)
+    budget = pv.PrivacyBudget(2.0)
+    rep = boosted(est, d, 2, 0.1, seed=9, budget=budget)
+    assert rep.estimate == median_of_means(est, d, plan, seed=9).estimate
+    assert [label for label, _ in budget.entries] == [f"median_of_means(q={plan.chunks})"]

@@ -222,6 +222,17 @@ def test_cli_rgg_bottom_exit_code(tmp_path, capsys):
     assert codes <= {0, 3}
 
 
+@pytest.mark.parametrize("text", ["0 2\n3 5\n", ""], ids=["zero-label", "empty"])
+def test_cli_rgg_bad_edge_list_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code = cli_main(["rgg-triangles", "--graph", str(path), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert str(path) in captured.err and "privacy ledger" not in captured.err
+    assert captured.out == ""
+
+
 def test_cli_audit_exit_codes(capsys):
     ok = cli_main(["audit-smoothness", "--n", "4", "--eps", "1.0", "--xi", "0.0"])
     assert ok == 0
@@ -371,6 +382,26 @@ def test_smoothness_audit_constant_kernel_trivially_passes():
     assert rep.worst_dominance_margin >= 0.0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_smoothness_audit_fails_on_a_non_finite_kernel(value):
+    # an inf reweighted mean moves to its neighbour's by inf - inf = NaN
+    kernel = pv.constant_kernel(value, 2)
+    with np.errstate(invalid="ignore"), pytest.raises(AuditFailure, match="dominance violated .* nan"):
+        audits.smoothness_audit(n=4, eps=1.0, xi=0.0, c_range=0.0, kernel=kernel)
+
+
+def test_smoothness_audit_fails_on_a_nan_bound(monkeypatch):
+    def nan_bound(summary, params):
+        state = hajek_state(summary, params)
+        state.smooth_bound = float("nan")
+        return state
+
+    monkeypatch.setattr(audits, "hajek_state", nan_bound)
+    with pytest.raises(AuditFailure, match="dominance violated") as exc:
+        audits.smoothness_audit(n=4, eps=1.0, xi=0.0)
+    assert f"({2 * 2**4 * 4} violations total)" in str(exc.value)  # both checks on every pair
+
+
 def test_smoothness_audit_equality_kernel_positive_margins():
     rep = audits.smoothness_audit(n=5, eps=1.0, xi=0.0, c_range=1.0)
     assert rep.ok
@@ -401,6 +432,7 @@ def smoothness_cases(n):
     if n <= 8:
         yield dict(n=n, eps=1.0, xi=0.0, k=3)
     if n <= 6:
+        yield dict(n=n, eps=1.0, xi=0.1, kernel=pv.constant_kernel(float("nan"), 2))
         yield dict(n=n, eps=1.0, xi=0.1, alphabet=(0, 1, 2))
         yield dict(n=n, eps=0.5, xi=0.0, alphabet=(0, 1, 2), k=3)
 
