@@ -100,7 +100,7 @@ def collision_summary(data: Dataset, m: int) -> UStatSummary:
     pairs_total = n * (n - 1) // 2
     same_pairs = counts * (counts - 1) // 2
     a_n = float(same_pairs.sum() / pairs_total)
-    projections = (counts[x] - 1) / (n - 1)
+    projections = ((counts - 1) / (n - 1))[x]
 
     def reweight(weights: np.ndarray) -> float:
         # weights are constant within a category (projections are), so any
@@ -227,7 +227,7 @@ class GeometricGraph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0):
             raise ValueError("adjacency must have a zero diagonal")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("adjacency entries must be 0/1")
         self.adjacency = a.astype(np.int8)
 
@@ -427,29 +427,32 @@ def read_edge_list(path) -> GeometricGraph:
     return GeometricGraph(adj)
 
 
+def _read_column(path, parse, valid, expected: str) -> np.ndarray:
+    """One ``parse``d value per non-blank line, each passing ``valid``; the
+    first bad line is looked for only after the whole-file parse fails."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    try:
+        arr = np.asarray([parse(line) for line in lines if not line.isspace()])
+        if arr.size and valid(arr).all():
+            return arr
+    except ValueError:
+        pass
+    for lineno, line in enumerate(lines, 1):
+        try:
+            ok = line.isspace() or bool(valid(np.asarray(parse(line))))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{path} line {lineno}: expected {expected}, got {line.strip()!r}")
+    raise ValueError(f"no data in {path}")
+
+
 def read_categories(path) -> Dataset:
     """Newline-delimited non-negative integer labels."""
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                values.append(int(line))
-    if not values:
-        raise ValueError(f"no data in {path}")
-    arr = np.asarray(values)
-    if arr.min() < 0:
-        raise ValueError("category labels must be non-negative")
-    return Dataset(arr)
+    return Dataset(_read_column(path, int, lambda a: a >= 0, "a non-negative integer label"))
 
 
 def read_reals(path) -> Dataset:
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                values.append(float(line))
-    if not values:
-        raise ValueError(f"no data in {path}")
-    return Dataset(np.asarray(values))
+    """Newline-delimited finite real numbers."""
+    return Dataset(_read_column(path, float, np.isfinite, "a finite real number"))

@@ -76,17 +76,22 @@ class HajekState:
 def compute_L(deviations: np.ndarray, xi: float, c_range: float, k: int, n: int) -> int:
     """Smallest t >= 1 such that at most t deviations exceed xi + 6kCt/n.
 
-    Violation is strict (> the threshold); t = n always qualifies.
+    Violation is strict (> the threshold); t = n always qualifies.  The
+    thresholds grow with t, so only deviations over the t = 1 threshold can
+    ever violate, and t = (their number) always qualifies.
     """
     deviations = np.asarray(deviations, dtype=float)
     if deviations.size != n:
         raise ValueError("need one deviation per index")
-    ts = np.arange(1, n + 1)
+    if c_range < 0:
+        raise ValueError("range must be >= 0, or the thresholds would shrink with t")
+    over = deviations[deviations > xi + 6.0 * k * c_range * 1 / n]
+    if over.size <= 1:
+        return 1
+    ts = np.arange(1, over.size + 1)
     thresholds = xi + 6.0 * k * c_range * ts / n
-    ordered = np.sort(deviations)
-    exceed = n - np.searchsorted(ordered, thresholds, side="right")
-    qualifying = np.nonzero(exceed <= ts)[0]
-    return int(qualifying[0] + 1)
+    exceed = over.size - np.searchsorted(np.sort(over), thresholds, side="right")
+    return int(np.nonzero(exceed <= ts)[0][0] + 1)
 
 
 def compute_weights(
@@ -211,26 +216,31 @@ def summary_from_values(values: np.ndarray, family: SubsetFamily) -> UStatSummar
 def hajek_state(summary: UStatSummary, params: HajekParams) -> HajekState:
     """All deterministic quantities of the estimator (everything but the noise)."""
     n, k = summary.n, summary.k
-    signed = summary.projections - summary.a_n
+    proj, a_n = summary.projections, summary.a_n
+    top, bottom = float(proj.max(initial=0.0)), float(proj.min(initial=0.0))
+    if not (math.isfinite(a_n) and math.isfinite(top) and math.isfinite(bottom)):
+        raise ValueError("kernel values must be finite")
+    devs = proj - a_n
+    np.abs(devs, out=devs)
     # dead-band at the rounding floor so an identically-constant kernel does
     # not manufacture spurious outliers out of 1-ulp projection jitter
-    tol = 32.0 * np.finfo(float).eps * max(
-        1.0, abs(summary.a_n), float(np.max(np.abs(summary.projections), initial=0.0))
-    )
-    signed = np.where(np.abs(signed) <= tol, 0.0, signed)
-    devs = np.abs(signed)
+    tol = 32.0 * np.finfo(float).eps * max(1.0, abs(a_n), top, -bottom)
+    devs[devs <= tol] = 0.0
     level = compute_L(devs, params.xi, params.c_range, k, n)
     edge = params.xi + 6.0 * k * params.c_range * level / n
-    good = np.nonzero(devs <= edge)[0]
-    bad = np.nonzero(devs > edge)[0]
-    weights = compute_weights(signed, params.xi, params.c_range, k, n, level, params.eps)
-    reweighted = summary.reweight(weights) if bad.size else summary.a_n
+    over = devs > edge
+    good = np.flatnonzero(~over)
+    bad = np.flatnonzero(over)
+    # the ramp is exactly 1 inside the edge, so only the bad indices need it
+    weights = np.ones(n)
+    weights[bad] = compute_weights(devs[bad], params.xi, params.c_range, k, n, level, params.eps)
+    reweighted = summary.reweight(weights) if bad.size else a_n
     bound = smooth_sensitivity(
         params.xi, level, n, k, params.c_range, params.eps, summary.all_tuples_family
     )
     return HajekState(
-        a_n=summary.a_n,
-        projections=summary.projections,
+        a_n=a_n,
+        projections=proj,
         spread_level=level,
         good=good,
         bad=bad,

@@ -151,7 +151,8 @@ def smoothness_audit(
     change of the reweighted mean to every neighbor, (ii) the bound moves by
     at most e^eps between neighbors.  ``fault_scale`` scales the bound before
     checking; anything below 1 is a deliberate fault.  Raises AuditFailure on
-    any violation; a NaN reweighted mean or bound counts as one.
+    any violation; a NaN reweighted mean or bound counts as one, and so does
+    a dataset whose kernel values are not finite (its release refuses).
     """
     if n > 12:
         raise ValueError("exhaustive audit is limited to small n")
@@ -171,7 +172,11 @@ def smoothness_audit(
     bound = np.empty(len(configs))
     for c, config in enumerate(configs):
         values = kernel_values(kernel, Dataset(np.asarray(config, dtype=float)), family)
-        state = hajek_state(summary_from_values(values, family), params)
+        try:
+            state = hajek_state(summary_from_values(values, family), params)
+        except ValueError:  # non-finite kernel values: nothing is released
+            reweighted[c] = bound[c] = math.nan
+            continue
         reweighted[c] = state.reweighted
         bound[c] = fault_scale * state.smooth_bound
     grown = math.exp(eps) * bound

@@ -1,7 +1,7 @@
 """Oracles and fixtures that only the tests use: brute-force sensitivities,
 a Monte Carlo θ, closed forms, explicit families, the majority-vote form of
-the boosted uniformity test, and the loop forms of the audits and the
-quartic sampler."""
+the boosted uniformity test, the full-scan forms of the spread level and the
+Hájek state, and the loop forms of the audits and the quartic sampler."""
 
 import itertools
 import math
@@ -14,7 +14,16 @@ from privustat.boosting import BoostPlan
 from privustat.coinpress import IntervalState, halving_rounds, ustat_one_step
 from privustat.dp import _ENVELOPE, PrivacyBudget, laplace_draws, quartic_cdf
 from privustat.errors import AuditFailure, EmptyIncidence
-from privustat.hajek import HajekParams, hajek_state, smooth_bound_g, summary_from_values
+from privustat.hajek import (
+    HajekParams,
+    HajekState,
+    UStatSummary,
+    compute_weights,
+    hajek_state,
+    smooth_bound_g,
+    smooth_sensitivity,
+    summary_from_values,
+)
 from privustat.harness.audits import SmoothnessReport
 from privustat.rng import as_generator, child_seeds
 from privustat.ustat import (
@@ -90,6 +99,42 @@ def full_range_smooth_sensitivity(xi, spread_level, n, k, c_range, eps, all_tupl
     shifts = np.arange(0, n + 1)
     g = smooth_bound_g(xi, spread_level + shifts, n, k, c_range, eps, all_tuples_family)
     return float(np.max(np.exp(-eps * shifts) * g))
+
+
+def full_scan_compute_L(deviations, xi: float, c_range: float, k: int, n: int) -> int:
+    """``compute_L`` over all n deviations: one threshold per t = 1..n."""
+    deviations = np.asarray(deviations, dtype=float)
+    ts = np.arange(1, n + 1)
+    thresholds = xi + 6.0 * k * c_range * ts / n
+    exceed = n - np.searchsorted(np.sort(deviations), thresholds, side="right")
+    return int(np.nonzero(exceed <= ts)[0][0] + 1)
+
+
+def full_scan_hajek_state(summary: UStatSummary, params: HajekParams) -> HajekState:
+    """``hajek_state`` with the full-scan spread level and the ramp over all n."""
+    n, k = summary.n, summary.k
+    signed = summary.projections - summary.a_n
+    tol = 32.0 * np.finfo(float).eps * max(
+        1.0, abs(summary.a_n), float(np.max(np.abs(summary.projections), initial=0.0))
+    )
+    signed = np.where(np.abs(signed) <= tol, 0.0, signed)
+    devs = np.abs(signed)
+    level = full_scan_compute_L(devs, params.xi, params.c_range, k, n)
+    edge = params.xi + 6.0 * k * params.c_range * level / n
+    bad = np.nonzero(devs > edge)[0]
+    weights = compute_weights(signed, params.xi, params.c_range, k, n, level, params.eps)
+    return HajekState(
+        a_n=summary.a_n,
+        projections=summary.projections,
+        spread_level=level,
+        good=np.nonzero(devs <= edge)[0],
+        bad=bad,
+        weights=weights,
+        reweighted=summary.reweight(weights) if bad.size else summary.a_n,
+        smooth_bound=smooth_sensitivity(
+            params.xi, level, n, k, params.c_range, params.eps, summary.all_tuples_family
+        ),
+    )
 
 
 def loop_triangle_reweight(adjacency: np.ndarray, weights: np.ndarray, a_n: float) -> float:
@@ -287,8 +332,12 @@ def loop_smoothness_audit(
     def analyze(config: tuple) -> tuple:
         if config not in cache:
             values = kernel_values(kernel, Dataset(np.asarray(config, dtype=float)), family)
-            state = hajek_state(summary_from_values(values, family), params)
-            cache[config] = (state.reweighted, fault_scale * state.smooth_bound)
+            try:
+                state = hajek_state(summary_from_values(values, family), params)
+            except ValueError:  # non-finite kernel values: nothing is released
+                cache[config] = (math.nan, math.nan)
+            else:
+                cache[config] = (state.reweighted, fault_scale * state.smooth_bound)
         return cache[config]
 
     report = SmoothnessReport(

@@ -229,6 +229,57 @@ def test_categorical_file_round_trip(tmp_path):
     assert np.array_equal(back.points, data.points)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("1\n2\n\nx\n", "line 4: .* got 'x'"),
+    ("0\n1.5\n", "line 2: .* got '1.5'"),
+    ("3\n  -2  \n4\n", "line 2: .* got '-2'"),
+    ("\n\n", "no data"),
+], ids=["not-a-number", "fraction", "negative", "blank"])
+def test_read_categories_names_the_bad_line(tmp_path, text, where):
+    path = tmp_path / "cats.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=where) as exc:
+        apps.read_categories(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("0.5\nnan\n", "line 2: .* got 'nan'"),
+    ("0.5\n\n-inf\n", "line 3: .* got '-inf'"),
+    ("foo\n", "line 1: .* got 'foo'"),
+], ids=["nan", "inf", "not-a-number"])
+def test_read_reals_names_the_bad_line(tmp_path, text, where):
+    path = tmp_path / "reals.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=where):
+        apps.read_reals(path)
+
+
+def test_value_files_keep_blank_lines_out(tmp_path):
+    path = tmp_path / "values.txt"
+    path.write_text("\n3\n \n  1\n2")
+    assert apps.read_categories(path).points.tolist() == [3, 1, 2]
+    assert apps.read_reals(path).points.tolist() == [3.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (0.5, "0/1"), (2.0, "0/1"), (-1.0, "0/1"), (np.nan, "symmetric"),  # NaN != NaN
+])
+def test_graph_rejects_non_binary_float_adjacency(bad, reason):
+    adj = np.zeros((4, 4))
+    adj[0, 1] = adj[1, 0] = bad
+    with pytest.raises(ValueError, match=reason):
+        apps.GeometricGraph(adj)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+def test_graph_accepts_binary_adjacency_of_any_dtype(dtype):
+    adj = np.zeros((4, 4), dtype=dtype)
+    adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = 1
+    g = apps.GeometricGraph(adj)
+    assert g.adjacency.dtype == np.int8 and int(g.adjacency.sum()) == 4
+
+
 # ---------------------------------------------------------------------------
 # triangle density
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Spread level, weight ramp, reweighted mean, smooth bound, full estimator."""
 
+import dataclasses
 import itertools
 import math
 
@@ -21,6 +22,8 @@ from oracles import (
     brute_force_local_sensitivity,
     explicit_family,
     full_range_smooth_sensitivity,
+    full_scan_compute_L,
+    full_scan_hajek_state,
     loop_triangle_reweight,
     smooth_sensitivity_closed_form_bound,
 )
@@ -71,6 +74,42 @@ def test_L_neighboring_datasets_move_by_at_most_one():
             devs = np.abs(proj - vals.mean())
             levels.append(pv.compute_L(devs, params["xi"], c, k, n))
         assert abs(levels[0] - levels[1]) <= 1
+
+
+@pytest.mark.parametrize("devs, xi, c_range, k, expect", [
+    ([0.0], 0.0, 1.0, 1, 1),  # n = 1
+    ([50.0], 0.0, 1.0, 1, 1),  # n = 1, its deviation over every threshold
+    ([0.5, 1.0, 0.0, 0.0], 0.0, 4.0 / 6.0, 1, 1),  # nothing over the t = 1 threshold
+    ([0.0, 0.0, 10.0, 0.0], 0.0, 4.0 / 6.0, 1, 1),  # one over
+    ([0.0, 10.0, 10.0, 0.0], 0.0, 4.0 / 6.0, 1, 2),  # two over
+    ([0.0, 2.0, 1.5, 0.0], 0.0, 4.0 / 6.0, 1, 2),  # two over, one tied at t = 2
+    ([10.0] * 6, 0.0, 1.0, 1, 6),  # every deviation over: L = n
+    ([0.6, 0.7, 0.8, 0.1], 0.5, 0.0, 2, 3),  # C = 0: constant thresholds
+    ([0.5, 0.5, 0.6, 0.1], 0.5, 0.0, 2, 1),  # C = 0, ties at the threshold
+], ids=["n1", "n1-over", "over0", "over1", "over2", "over2-tie", "all-over", "C0", "C0-ties"])
+def test_L_tail_cases_equal_the_full_scan(devs, xi, c_range, k, expect):
+    n = len(devs)
+    assert pv.compute_L(np.array(devs), xi, c_range, k, n) == expect
+    assert full_scan_compute_L(np.array(devs), xi, c_range, k, n) == expect
+
+
+@pytest.mark.parametrize("c_range", [0.0, 0.01, 0.3, 2.0])
+def test_L_equals_the_full_scan_with_ties_at_thresholds(c_range):
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        n, k = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+        xi = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        devs = np.abs(rng.standard_normal(n)) * rng.uniform(0.0, 3.0)
+        # put some deviations exactly on a threshold xi + 6kCt/n
+        ts = rng.integers(1, n + 1, n)
+        tie = rng.random(n) < 0.4
+        devs[tie] = (xi + 6.0 * k * c_range * ts / n)[tie]
+        assert pv.compute_L(devs, xi, c_range, k, n) == full_scan_compute_L(devs, xi, c_range, k, n)
+
+
+def test_L_rejects_a_negative_range():
+    with pytest.raises(ValueError, match="range"):
+        pv.compute_L(np.zeros(3), 0.0, -1.0, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +358,102 @@ def test_budget_debit_is_eps():
         pv.collision_kernel(), data, fam, HajekParams(1.5, 1.0, 0.2), seed=11, budget=budget
     )
     assert budget.spent == pytest.approx(1.5)
+
+
+def assert_states_equal(got, want):
+    for field in dataclasses.fields(hajek.HajekState):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
+        assert np.array_equal(a, b), field.name
+
+
+def test_state_equals_the_full_scan_reference_on_random_cases():
+    rng = np.random.default_rng(22)
+    with_bad = 0
+    for _ in range(300):
+        n, m = int(rng.integers(2, 200)), int(rng.integers(1, 30))
+        p = rng.dirichlet(np.full(m, rng.uniform(0.1, 3.0)))
+        summary = apps.collision_summary(Dataset(rng.choice(m, size=n, p=p)), m)
+        params = HajekParams(eps=float(rng.uniform(0.05, 3.0)),
+                             c_range=float(rng.choice([0.0, rng.uniform(0.0, 0.1), 1.0])),
+                             xi=float(rng.choice([0.0, rng.uniform(0.0, 0.3)])))
+        want = full_scan_hajek_state(summary, params)
+        assert_states_equal(hajek_state(summary, params), want)
+        with_bad += want.bad.size > 0
+    assert with_bad > 50
+    for _ in range(40):
+        n, k = int(rng.integers(3, 25)), int(rng.integers(1, 4))
+        fam = all_tuples(n, k)
+        x = rng.standard_t(2, size=n)
+        summary = summary_from_values(kernel_values(pv.mean_kernel(k), Dataset(x), fam), fam)
+        params = HajekParams(eps=float(rng.uniform(0.1, 2.0)), c_range=float(rng.uniform(0.0, 3.0)),
+                             xi=float(rng.uniform(0.0, 1.0)))
+        assert_states_equal(hajek_state(summary, params), full_scan_hajek_state(summary, params))
+
+
+def large_collision_summary(skewed: bool, n: int, m: int, seed: int):
+    rng = np.random.default_rng(seed)
+    if skewed:  # one heavy category and n/200 scattered rare ones
+        x = np.zeros(n, dtype=np.int64)
+        x[: n // 200] = rng.integers(1, m, n // 200)
+        x = rng.permutation(x)
+    else:
+        x = rng.integers(0, m, n)
+    return apps.collision_summary(Dataset(x), m), HajekParams(1.0, 1.0, apps.collision_xi(m, n))
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+def test_state_equals_the_full_scan_reference_at_scale(skewed):
+    summary, params = large_collision_summary(skewed, 2 * 10**5, 1000, 24)
+    got = hajek_state(summary, params)
+    assert_states_equal(got, full_scan_hajek_state(summary, params))
+    assert (got.bad.size > 0) == skewed
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+def test_state_sorts_only_the_over_threshold_tail(skewed, monkeypatch):
+    n, m = 10**5, 100
+    summary, params = large_collision_summary(skewed, n, m, 25)
+    first = params.xi + 6.0 * 2 * params.c_range * 1 / n  # the t = 1 threshold
+    over = int(np.count_nonzero(np.abs(summary.projections - summary.a_n) > first))
+    sizes = []
+    sort = np.sort
+
+    def recording_sort(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(hajek.np, "sort", recording_sort)
+    state = hajek_state(summary, params)
+    monkeypatch.undo()
+    if skewed:
+        assert 2 <= over < n and state.spread_level > 1
+        assert sizes == [over]
+    else:
+        assert state.spread_level == 1 and over <= 1
+        assert sizes == []
+
+
+def test_state_rejects_non_finite_projections():
+    summary = hajek.UStatSummary(
+        n=3, k=1, a_n=0.0, projections=np.array([0.0, math.nan, 0.0]),
+        reweight=lambda w: 0.0, all_tuples_family=True,
+    )
+    with pytest.raises(ValueError, match="finite"):
+        hajek_state(summary, HajekParams(1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_release_on_non_finite_data_raises_before_any_spend(bad):
+    # NaN deviations never pass the tail filter, so without the check this
+    # NaN dataset would get L = 1 where the full scan gives L = 8
+    x = np.arange(8, dtype=float)
+    x[3] = bad
+    budget = pv.PrivacyBudget(1.0)
+    with pytest.raises(ValueError, match="finite"):
+        hajek.private_mean_local_hajek(pv.mean_kernel(2), Dataset(x), all_tuples(8, 2),
+                                       HajekParams(1.0, 1.0, 0.0), seed=1, budget=budget)
+    assert budget.entries == []
 
 
 # ---------------------------------------------------------------------------

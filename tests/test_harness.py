@@ -233,6 +233,27 @@ def test_cli_rgg_bad_edge_list_is_a_usage_error(tmp_path, capsys, text):
     assert captured.out == ""
 
 
+def test_cli_estimate_on_a_nan_line_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "reals.txt"
+    path.write_text("0.1\n0.5\nnan\n0.3\n")
+    code = cli_main(["estimate", "--method", "hajek", "--data", str(path), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"{path} line 3" in captured.err and "finite" in captured.err
+    assert "privacy ledger" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["1\n2\nx\n", "1\n\n-2\n"], ids=["not-a-number", "negative"])
+def test_cli_uniformity_bad_label_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    code = cli_main(["uniformity-test", "--data", str(path), "--m", "5", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"{path} line 3" in captured.err and "non-negative integer label" in captured.err
+    assert "privacy ledger" not in captured.err and captured.out == ""
+
+
 def test_cli_audit_exit_codes(capsys):
     ok = cli_main(["audit-smoothness", "--n", "4", "--eps", "1.0", "--xi", "0.0"])
     assert ok == 0
