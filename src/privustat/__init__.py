@@ -20,7 +20,6 @@ from .coinpress import (
     naive_estimator,
     subsampled_estimator,
     ustat_mean,
-    ustat_one_step,
 )
 from .dp import (
     NoiseSample,

@@ -11,14 +11,14 @@ with the generic enumeration path is covered by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
 from .boosting import boosted
-from .dp import PrivacyBudget, global_sensitivity_release, scratch_budget
+from .dp import PrivacyBudget, global_sensitivity_release
 from .errors import InsufficientData
 from .hajek import HajekParams, UStatSummary, release_from_summary
 from .report import EstimateReport
@@ -136,15 +136,12 @@ def private_collision_density(
     eps: float,
     xi: float,
     seed,
-    budget: Optional[PrivacyBudget] = None,
-    strict_scale: bool = False,
+    budget: PrivacyBudget,
 ) -> EstimateReport:
     """Reweighting estimator for the collision probability (C = 1 kernel)."""
     summary = collision_summary(data, m)
-    params = HajekParams(eps=eps, c_range=1.0, xi=xi, strict_scale=strict_scale)
-    return release_from_summary(
-        summary, params, seed, budget or scratch_budget(), label="collision density"
-    )
+    params = HajekParams(eps=eps, c_range=1.0, xi=xi)
+    return release_from_summary(summary, params, seed, budget, label="collision density")
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,7 @@ def uniformity_test(
     delta: float,
     eps: float,
     seed,
-    budget: Optional[PrivacyBudget] = None,
+    budget: PrivacyBudget,
 ) -> UniformityDecision:
     """Reject approximate uniformity iff the private collision estimate is large.
 
@@ -178,7 +175,7 @@ def boosted_uniformity_test(
     eps: float,
     alpha: Optional[float],
     seed,
-    budget: Optional[PrivacyBudget] = None,
+    budget: PrivacyBudget,
 ) -> UniformityDecision:
     """The uniformity test on the median of the chunks' collision densities.
 
@@ -338,8 +335,7 @@ def private_triangle_density(
     graph: GeometricGraph,
     eps: float,
     seed,
-    budget: Optional[PrivacyBudget] = None,
-    strict_scale: bool = False,
+    budget: PrivacyBudget,
 ) -> EstimateReport:
     """Private triangle density of a geometric graph.
 
@@ -351,8 +347,6 @@ def private_triangle_density(
     """
     n = graph.n
     rng = as_generator(seed)
-    budget = budget or scratch_budget()
-    mark = len(budget.entries)
     u_edges = graph.edge_density()
     nu = global_sensitivity_release(
         u_edges,
@@ -365,16 +359,15 @@ def private_triangle_density(
     if nu < 0:
         return EstimateReport(
             estimate=None,
-            eps=budget.spent_since(mark),
             bottom_reason=f"edge-density proxy {nu:.4g} < 0",
             diagnostics={"nu": nu, "edge_density": u_edges},
         )
     xi = triangle_xi(nu, n)
     summary = triangle_summary(graph)
-    params = HajekParams(eps=eps, c_range=1.0, xi=xi, strict_scale=strict_scale)
+    params = HajekParams(eps=eps, c_range=1.0, xi=xi)
     report = release_from_summary(summary, params, rng, budget, label="triangle density")
     report.diagnostics.update({"nu": nu, "xi": xi, "edge_density": u_edges})
-    return replace(report, eps=budget.spent_since(mark))
+    return report
 
 
 def boosted_triangle_density(
@@ -382,7 +375,7 @@ def boosted_triangle_density(
     eps: float,
     alpha: Optional[float],
     seed,
-    budget: Optional[PrivacyBudget] = None,
+    budget: PrivacyBudget,
 ) -> EstimateReport:
     """Median of the triangle estimator over disjoint node chunks.
 

@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .dp import PrivacyBudget, scratch_budget
+from .dp import PrivacyBudget
 from .errors import InsufficientData
 from .report import EstimateReport
 from .rng import child_seeds
@@ -52,7 +52,7 @@ def median_of_means(
     data,
     plan: BoostPlan,
     seed,
-    budget: Optional[PrivacyBudget] = None,
+    budget: PrivacyBudget,
 ) -> EstimateReport:
     """Median of the base estimator over disjoint consecutive chunks.
 
@@ -70,17 +70,15 @@ def median_of_means(
         raise InsufficientData("dataset shorter than the chunk plan")
     take = data.subset if isinstance(data, Dataset) else data.induced
     rngs = child_seeds(seed, q)
-    with (budget or scratch_budget()).parallel(f"median_of_means(q={q})") as branches:
+    with budget.parallel(f"median_of_means(q={q})") as branches:
         reports = [
             estimator(take(np.arange(ci * size, (ci + 1) * size)), rngs[ci], branches.branch())
             for ci in range(q)
         ]
-    eps = branches.max_spent()
     good = [r for r in reports if not r.is_bottom]
     if len(good) <= q // 2:
         return EstimateReport(
             estimate=None,
-            eps=eps,
             bottom_reason=f"{q - len(good)} of {q} chunk runs returned bottom",
             diagnostics={"chunks": q, "chunk_size": size},
         )
@@ -88,7 +86,6 @@ def median_of_means(
     radii = [r.radius for r in good if r.radius is not None]
     return EstimateReport(
         estimate=float(median(estimates)),
-        eps=eps,
         radius=max(radii) if len(radii) == len(good) else None,
         noise_scale=None,
         diagnostics={
@@ -101,12 +98,12 @@ def median_of_means(
 
 
 def boosted(
-    estimator: Callable[[Any, np.random.Generator, Optional[PrivacyBudget]], EstimateReport],
+    estimator: Callable[[Any, np.random.Generator, PrivacyBudget], EstimateReport],
     data,
     k: int,
     alpha: Optional[float],
     seed,
-    budget: Optional[PrivacyBudget] = None,
+    budget: PrivacyBudget,
 ) -> EstimateReport:
     """``estimator(data, seed, budget)`` at confidence 1 - alpha.
 

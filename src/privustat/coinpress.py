@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .dp import PrivacyBudget, laplace, scratch_budget
+from .dp import PrivacyBudget, laplace
 from .errors import PreconditionWarning
 from .report import EstimateReport
 from .rng import as_generator
@@ -32,7 +32,6 @@ from .ustat import (
 )
 
 DEFAULT_CONFIDENCE = 0.01  # per-run failure budget before median-of-means boosting
-HALVING_ROUNDS_SCALE = 1.0  # multiplier on ceil(log2(R / Q)) when choosing rounds
 
 
 @dataclass(frozen=True)
@@ -91,30 +90,6 @@ class IntervalState:
         return 0.5 * (self.lo + self.hi)
 
 
-def ustat_one_step(
-    values: np.ndarray,
-    family: SubsetFamily,
-    interval: IntervalState,
-    eps_step: float,
-    beta: float,
-    tb: TailBounds,
-    seed,
-) -> tuple[np.ndarray, IntervalState]:
-    """One clip-release-recenter refinement.
-
-    Clips each value to [lo - Q(beta), hi + Q(beta)], releases the mean with
-    Laplace noise of scale Delta/eps_step where
-    Delta = dep * (hi - lo + 2 Q(beta)), and returns the clipped values (a
-    new array; ``values`` is left as it is) plus the interval of half-width
-    Qavg(beta) + (Delta/eps_step) log(1/beta) around the release.  The
-    returned interval is not intersected with the input one; ``ustat_mean``
-    does that.
-    """
-    q = tb.q(beta)
-    clipped = np.clip(values, interval.lo - q, interval.hi + q)
-    return clipped, _release(clipped, family, interval, eps_step, beta, tb, seed)
-
-
 def _release(
     clipped: np.ndarray,
     family: SubsetFamily,
@@ -124,7 +99,14 @@ def _release(
     tb: TailBounds,
     seed,
 ) -> IntervalState:
-    """The release and new interval of ``ustat_one_step``, from its clipped values."""
+    """One release of the clipped values' mean, and the interval around it.
+
+    The values must already be clipped to [lo - Q(beta), hi + Q(beta)].  The
+    mean is released with Laplace noise of scale Delta/eps_step where
+    Delta = dep * (hi - lo + 2 Q(beta)); the returned interval has half-width
+    Qavg(beta) + (Delta/eps_step) log(1/beta) around the release and is not
+    intersected with the input one (``ustat_mean`` does that).
+    """
     if eps_step <= 0:
         raise ValueError("step epsilon must be > 0")
     rng = as_generator(seed)
@@ -143,7 +125,7 @@ def halving_rounds(r: float, q_gamma: float) -> int:
         raise ValueError("range bound must be > 0")
     if q_gamma <= 0:
         raise ValueError("deviation bound must be > 0")
-    return max(1, math.ceil(HALVING_ROUNDS_SCALE * math.log2(r / q_gamma)))
+    return max(1, math.ceil(math.log2(r / q_gamma)))
 
 
 def check_preconditions(
@@ -180,11 +162,13 @@ def ustat_mean(
     intersected with the previous one); the final release interval stands
     alone, and its midpoint, clamped to [-R, R], is the returned estimate (free
     post-processing that never moves it away from a theta in that range).
-    Violated sample-size preconditions produce a warning, not an abort.
+    Violated sample-size preconditions produce a warning, not an abort;
+    non-finite kernel values raise ``ValueError`` before any spend.
     """
     rng = as_generator(seed)
-    mark = len(budget.entries)
     values = kernel_values(h, data, family)
+    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        raise ValueError("kernel values must be finite")
     t = halving_rounds(r, tb.q(gamma))
     problems = check_preconditions(family.dependence_fraction(), eps, gamma, t, tb)
     if problems:
@@ -197,8 +181,8 @@ def ustat_mean(
     trace = [interval]
     beta = gamma / t
     q = tb.q(beta)
-    # each step clips the previous step's output, so clipping in place gives
-    # what ustat_one_step would, without a new (M,) array per step
+    # each step clips the previous step's output, so the values are clipped
+    # in place rather than copied into a new (M,) array per step
     for _ in range(t):
         np.clip(values, interval.lo - q, interval.hi + q, out=values)
         raw = _release(values, family, interval, eps / (2.0 * t), beta, tb, rng)
@@ -218,7 +202,6 @@ def ustat_mean(
     delta = dep * (interval.width + 2.0 * q)
     return EstimateReport(
         estimate=min(max(final.midpoint, -r), r),
-        eps=budget.spent_since(mark),
         radius=0.5 * final.width,
         noise_scale=2.0 * delta / eps,
         diagnostics={"iterations": t + 1, "trace": trace, "dep": dep},
@@ -236,8 +219,7 @@ def naive_estimator(
     tau: float,
     eps: float,
     seed,
-    gamma: float = DEFAULT_CONFIDENCE,
-    budget: Optional[PrivacyBudget] = None,
+    budget: PrivacyBudget,
 ) -> EstimateReport:
     """Kernel on floor(n/k) disjoint consecutive chunks, then private mean.
 
@@ -249,8 +231,8 @@ def naive_estimator(
     family = disjoint_chunks(data.n, h.degree)
     m = family.size
     return ustat_mean(
-        h, data, family, r, eps, gamma, chunk_tail_bounds(tau, m), seed,
-        budget or scratch_budget(), label="naive",
+        h, data, family, r, eps, DEFAULT_CONFIDENCE, chunk_tail_bounds(tau, m), seed, budget,
+        label="naive",
     )
 
 
@@ -261,14 +243,13 @@ def all_tuples_estimator(
     tau: float,
     eps: float,
     seed,
-    gamma: float = DEFAULT_CONFIDENCE,
-    budget: Optional[PrivacyBudget] = None,
+    budget: PrivacyBudget,
 ) -> EstimateReport:
     """Private mean over every k-subset (the complete U-statistic)."""
     family = all_tuples(data.n, h.degree)
     tb = all_tuples_tail_bounds(tau, h.degree, data.n)
     return ustat_mean(
-        h, data, family, r, eps, gamma, tb, seed, budget or scratch_budget(), label="all_tuples"
+        h, data, family, r, eps, DEFAULT_CONFIDENCE, tb, seed, budget, label="all_tuples"
     )
 
 
@@ -280,8 +261,7 @@ def subsampled_estimator(
     eps: float,
     size: int,
     seed,
-    gamma: float = DEFAULT_CONFIDENCE,
-    budget: Optional[PrivacyBudget] = None,
+    budget: PrivacyBudget,
 ) -> EstimateReport:
     """Private mean over ``size`` subsets sampled with replacement.
 
@@ -299,5 +279,5 @@ def subsampled_estimator(
     family = subsample_family(n, k, size, rng)
     tb = subsampled_tail_bounds(tau, k, n, size)
     return ustat_mean(
-        h, data, family, r, eps, gamma, tb, rng, budget or scratch_budget(), label="subsampled"
+        h, data, family, r, eps, DEFAULT_CONFIDENCE, tb, rng, budget, label="subsampled"
     )

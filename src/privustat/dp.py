@@ -31,6 +31,9 @@ _RATIO_BLOCK = 2**15
 
 SMOOTH_RELEASE_FACTOR = 10.0
 
+# points of the u-grid on which quartic_cdf integrates the density
+_CDF_GRID = 200_001
+
 # rng.random() returns multiples of 2^-53 in [0, 1).  The Laplace samplers read
 # the draw 0.0 as the middle of its cell, so the inverse CDF never hits log(0).
 _ZERO_DRAW = 2.0**-54
@@ -61,11 +64,7 @@ class PrivacyBudget:
 
     @property
     def spent(self) -> float:
-        return self.spent_since(0)
-
-    def spent_since(self, mark: int) -> float:
-        """Total of the entries after the first ``mark`` (a past ``len(entries)``)."""
-        return float(sum(eps for _, eps in self.entries[mark:]))
+        return float(sum(eps for _, eps in self.entries))
 
     @property
     def remaining(self) -> float:
@@ -112,9 +111,9 @@ class _ParallelBranches:
         return max((b.spent for b in self._branches), default=0.0)
 
 
-def scratch_budget(eps: float = math.inf) -> PrivacyBudget:
+def scratch_budget() -> PrivacyBudget:
     """Ledger with effectively no cap, for callers that only want the record."""
-    return PrivacyBudget(eps if math.isfinite(eps) else 1e30)
+    return PrivacyBudget(1e30)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,7 @@ def quartic_density(z) -> np.ndarray:
     return (1.0 / QUARTIC_NORMALIZER) / (1.0 + z**4)
 
 
-def quartic_cdf(z, grid_size: int = 200_001) -> np.ndarray:
+def quartic_cdf(z) -> np.ndarray:
     """CDF of the quartic-tail law by quadrature (no closed form used).
 
     Integrates the density under the substitution z = tan(u), which maps the
@@ -202,7 +201,7 @@ def quartic_cdf(z, grid_size: int = 200_001) -> np.ndarray:
     then accurate to ~1e-10 and is interpolated at the query points.
     """
     z = np.asarray(z, dtype=float)
-    u_grid = np.linspace(-math.pi / 2, math.pi / 2, grid_size)
+    u_grid = np.linspace(-math.pi / 2, math.pi / 2, _CDF_GRID)
     t = np.tan(u_grid[1:-1])
     integrand = np.empty_like(u_grid)
     # integrand g(u) = f(tan u) * sec^2 u -> 0 at the endpoints
@@ -242,13 +241,11 @@ def smooth_sensitivity_release(
     budget: PrivacyBudget,
     seed,
     label: str = "smooth release",
-    scale_factor: float = SMOOTH_RELEASE_FACTOR,
 ) -> float:
-    """value + (scale_factor * ss / eps) * Z with Z quartic-tail noise.
+    """value + (SMOOTH_RELEASE_FACTOR * ss / eps) * Z with Z quartic-tail noise.
 
     ``ss`` must be an eps-smooth upper bound on the local sensitivity at this
-    dataset; the default factor is the one the mechanism's privacy argument
-    requires.
+    dataset.
     """
     if ss < 0:
         raise ValueError("smooth sensitivity bound must be >= 0")
@@ -257,4 +254,4 @@ def smooth_sensitivity_release(
     budget.spend(label, eps)
     if ss == 0:
         return float(value)
-    return float(value) + (scale_factor * ss / eps) * quartic_noise(seed).value
+    return float(value) + (SMOOTH_RELEASE_FACTOR * ss / eps) * quartic_noise(seed).value

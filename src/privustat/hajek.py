@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dp import SMOOTH_RELEASE_FACTOR, PrivacyBudget, scratch_budget, smooth_sensitivity_release
+from .dp import SMOOTH_RELEASE_FACTOR, PrivacyBudget, smooth_sensitivity_release
 from .errors import PreconditionWarning
 from .report import EstimateReport
 from .rng import as_generator
@@ -41,16 +41,12 @@ class HajekParams:
     """Knobs of the reweighting estimator.
 
     ``c_range`` is the additive range of the kernel; ``xi`` the concentration
-    radius the projections are expected to respect.  ``strict_scale`` drops
-    the release mechanism's calibration factor of 10 and adds noise at
-    exactly S/eps (kept behind a flag; the default follows the mechanism's
-    privacy proof).
+    radius the projections are expected to respect.
     """
 
     eps: float
     c_range: float
     xi: float
-    strict_scale: bool = False
 
     def __post_init__(self):
         if not self.eps > 0:  # also rejects NaN
@@ -257,9 +253,7 @@ def release_from_summary(
     budget: PrivacyBudget,
     label: str = "hajek",
 ) -> EstimateReport:
-    mark = len(budget.entries)
     state = hajek_state(summary, params)
-    factor = 1.0 if params.strict_scale else SMOOTH_RELEASE_FACTOR
     value = smooth_sensitivity_release(
         state.reweighted,
         state.smooth_bound,
@@ -267,13 +261,11 @@ def release_from_summary(
         budget,
         seed,
         label=f"{label}: smooth release",
-        scale_factor=factor,
     )
     return EstimateReport(
         estimate=value,
-        eps=budget.spent_since(mark),
         radius=None,
-        noise_scale=factor * state.smooth_bound / params.eps,
+        noise_scale=SMOOTH_RELEASE_FACTOR * state.smooth_bound / params.eps,
         diagnostics={
             "L": state.spread_level,
             "n_bad": int(state.bad.size),
@@ -289,28 +281,31 @@ def private_mean_local_hajek(
     family: SubsetFamily,
     params: HajekParams,
     seed,
-    budget: Optional[PrivacyBudget] = None,
+    budget: PrivacyBudget,
 ) -> EstimateReport:
     """Run the reweighting estimator on a kernel/dataset/family triple.
 
     Returns bottom (estimate None) when the family fails the incidence
     regularity conditions; that check depends only on the family, never on
-    the data, so refusing costs no privacy and the report says eps = 0.
+    the data, so refusing costs no privacy and spends nothing.
     """
     check = family.check_regularity()
     if not check.ok:
         return EstimateReport(
-            estimate=None, eps=0.0, bottom_reason=check.reason,
-            diagnostics={"regularity": check.reason},
+            estimate=None, bottom_reason=check.reason, diagnostics={"regularity": check.reason},
         )
     values = kernel_values(h, data, family)
     summary = summary_from_values(values, family)
-    return release_from_summary(summary, params, seed, budget or scratch_budget())
+    return release_from_summary(summary, params, seed, budget)
 
 
 # ---------------------------------------------------------------------------
 # parameter selection for the two kernel classes
 # ---------------------------------------------------------------------------
+
+# half-width of the pipeline's clipping band, in units of sqrt(k tau log(n/alpha))
+PIPELINE_CLIP_FACTOR = 4.0
+
 
 def subgaussian_xi(tau: float, n: int, alpha: float) -> float:
     """Concentration radius for sub-Gaussian kernels: sqrt(2 tau log(2n/alpha))."""
@@ -337,16 +332,15 @@ def subgaussian_pipeline(
     eps: float,
     alpha: float,
     seed,
-    budget: Optional[PrivacyBudget] = None,
-    clip_factor: float = 4.0,
-    strict_scale: bool = False,
+    budget: PrivacyBudget,
 ) -> EstimateReport:
     """Two-stage estimator for unbounded sub-Gaussian kernels.
 
     Half the data buys a coarse private mean at eps/2; the kernel is clipped
-    to a band of half-width clip_factor * sqrt(k tau log(n/alpha)) around it,
-    which makes the reweighting estimator applicable on the other half at
-    eps/2.  Total budget: exactly eps.
+    to a band of half-width PIPELINE_CLIP_FACTOR * sqrt(k tau log(n/alpha))
+    around it, which makes the reweighting estimator applicable on the other
+    half at eps/2.  Total budget: exactly eps.  Non-finite data points raise
+    ``ValueError`` before any spend.
     """
     n, k = data.n, h.degree
     if eps < math.sqrt(k) / n:
@@ -356,24 +350,23 @@ def subgaussian_pipeline(
             stacklevel=2,
         )
     rng = as_generator(seed)
-    budget = budget or scratch_budget()
-    mark = len(budget.entries)
     n_coarse = n // 2
     if n_coarse < k or (n - n_coarse) < k:
         raise ValueError("not enough data to split into two usable halves")
+    if not np.isfinite(data.points).all():
+        raise ValueError("data points must be finite")
     coarse_half = data.subset(np.arange(n_coarse))
     fine_half = data.subset(np.arange(n_coarse, n))
-    coarse = naive_estimator(h, coarse_half, r, tau, eps / 2.0, rng, budget=budget)
-    half_width = clip_factor * math.sqrt(k * tau * math.log(n / alpha))
+    coarse = naive_estimator(h, coarse_half, r, tau, eps / 2.0, rng, budget)
+    half_width = PIPELINE_CLIP_FACTOR * math.sqrt(k * tau * math.log(n / alpha))
     clipped = clipped_kernel(h, coarse.estimate - half_width, coarse.estimate + half_width)
     params = HajekParams(
         eps=eps / 2.0,
         c_range=2.0 * half_width,
         xi=subgaussian_xi(tau, fine_half.n, alpha),
-        strict_scale=strict_scale,
     )
     family = all_tuples(fine_half.n, k)
     report = private_mean_local_hajek(clipped, fine_half, family, params, rng, budget)
     report.diagnostics["coarse_estimate"] = coarse.estimate
     report.diagnostics["clip_halfwidth"] = half_width
-    return replace(report, eps=budget.spent_since(mark))
+    return report

@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ..boosting import boosted
-from ..coinpress import all_tuples_estimator, naive_estimator, subsampled_estimator
+from ..coinpress import DEFAULT_CONFIDENCE, all_tuples_estimator, naive_estimator, subsampled_estimator
 from ..dp import PrivacyBudget, scratch_budget
 from ..errors import LedgerMismatch, PrivustatError
 from ..hajek import (
@@ -110,7 +110,6 @@ class ExperimentSpec:
     tau: float = 0.25
     c_range: float = 1.0
     xi: str = "auto-degenerate"
-    gamma: float = 0.01
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -169,9 +168,9 @@ class ResultRow:
 
 def resolve_xi(spec: ExperimentSpec, kernel: Kernel, n: int) -> float:
     if spec.xi == "auto-degenerate":
-        return degenerate_xi(spec.c_range, kernel.degree, n, spec.gamma)
+        return degenerate_xi(spec.c_range, kernel.degree, n, DEFAULT_CONFIDENCE)
     if spec.xi == "auto-subgaussian":
-        return subgaussian_xi(spec.tau, n, spec.gamma)
+        return subgaussian_xi(spec.tau, n, DEFAULT_CONFIDENCE)
     return float(spec.xi)
 
 
@@ -191,15 +190,15 @@ def run_single(
     _, eps, alpha, subsample_size = cell
 
     def run(data: Dataset, rng, budget: PrivacyBudget) -> EstimateReport:
-        r, tau, gamma = spec.r_bound, spec.tau, spec.gamma
+        r, tau = spec.r_bound, spec.tau
         if spec.method == "naive":
-            return naive_estimator(kernel, data, r, tau, eps, rng, gamma, budget)
+            return naive_estimator(kernel, data, r, tau, eps, rng, budget)
         if spec.method == "all":
-            return all_tuples_estimator(kernel, data, r, tau, eps, rng, gamma, budget)
+            return all_tuples_estimator(kernel, data, r, tau, eps, rng, budget)
         if spec.method == "subsampled":
             k, n = kernel.degree, data.n
             size = subsample_size or max(1, int((n / k) * math.log(max(n, 2))))
-            return subsampled_estimator(kernel, data, r, tau, eps, size, rng, gamma, budget)
+            return subsampled_estimator(kernel, data, r, tau, eps, size, rng, budget)
         # reweighting estimator; the collision kernel gets the count-based path
         xi = resolve_xi(spec, kernel, data.n)
         if spec.kernel == "collision":

@@ -13,11 +13,11 @@ class EstimateReport:
     ``estimate`` is None when the run returned bottom (refused to release);
     ``bottom_reason`` then says why.  ``radius`` is a calibrated confidence
     radius where the method provides one, else None.  ``noise_scale`` is the
-    scale actually used in the final release.
+    scale actually used in the final release.  The epsilon a run spent is
+    recorded only in the ``PrivacyBudget`` it was given.
     """
 
     estimate: Optional[float]
-    eps: float
     radius: Optional[float] = None
     noise_scale: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)

@@ -272,9 +272,11 @@ class SubsetFamily:
         return self._pair_counts
 
     def dependence_fraction(self) -> float:
-        """max_i M_i / M, the maximal fraction of subsets sharing one index."""
-        if self.kind == "all_tuples":
-            return float(Fraction(self.k, self.n))
+        """max_i M_i / M, the maximal fraction of subsets sharing one index.
+
+        For the complete family this is C(n-1, k-1)/C(n, k), exactly k/n as a
+        rational; int/int division rounds it correctly, so it is float(k/n).
+        """
         return int(self.counts.max()) / self.size
 
     def check_regularity(self) -> RegularityCheck:

@@ -1,7 +1,8 @@
 """Oracles and fixtures that only the tests use: brute-force sensitivities,
 a Monte Carlo θ, closed forms, explicit families, the majority-vote form of
 the boosted uniformity test, the full-scan forms of the spread level and the
-Hájek state, and the loop forms of the audits and the quartic sampler."""
+Hájek state, the copying clip step of ``ustat_mean``, and the loop forms of
+the audits and the quartic sampler."""
 
 import itertools
 import math
@@ -11,7 +12,7 @@ import numpy as np
 
 from privustat.applications import GeometricGraph, uniformity_test
 from privustat.boosting import BoostPlan
-from privustat.coinpress import IntervalState, halving_rounds, ustat_one_step
+from privustat.coinpress import IntervalState, TailBounds, _release, halving_rounds
 from privustat.dp import _ENVELOPE, PrivacyBudget, laplace_draws, quartic_cdf
 from privustat.errors import AuditFailure, EmptyIncidence
 from privustat.hajek import (
@@ -163,6 +164,26 @@ def loop_triangle_reweight(adjacency: np.ndarray, weights: np.ndarray, a_n: floa
                 h = float(a[b1, b2] * a[b1, b3] * a[b2, b3])
                 corr += (min(weights[b1], weights[b2], weights[b3]) - 1.0) * (h - a_n)
     return a_n + corr / math.comb(n, 3)
+
+
+def ustat_one_step(
+    values: np.ndarray,
+    family: SubsetFamily,
+    interval: IntervalState,
+    eps_step: float,
+    beta: float,
+    tb: TailBounds,
+    seed,
+) -> tuple[np.ndarray, IntervalState]:
+    """One clip-release-recenter refinement that copies its input.
+
+    Clips each value to [lo - Q(beta), hi + Q(beta)] into a new array
+    (``values`` is left as it is) and releases its mean through the library's
+    ``_release``; returns the clipped values and the unintersected interval.
+    """
+    q = tb.q(beta)
+    clipped = np.clip(values, interval.lo - q, interval.hi + q)
+    return clipped, _release(clipped, family, interval, eps_step, beta, tb, seed)
 
 
 def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:

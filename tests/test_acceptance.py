@@ -14,7 +14,7 @@ import pytest
 import privustat as pv
 from privustat import applications as apps
 from privustat import boosting, coinpress, hajek
-from privustat.dp import PrivacyBudget
+from privustat.dp import PrivacyBudget, scratch_budget
 from privustat.errors import AuditFailure
 from privustat.harness import audits
 from privustat.ustat import Dataset, all_tuples
@@ -175,6 +175,7 @@ def test_criterion_05_boosted_coverage():
             data,
             plan,
             rng,
+            scratch_budget(),
         )
         hits += int(abs(rep.estimate - theta) <= rep.radius)
     coverage = hits / trials
@@ -205,9 +206,10 @@ def test_criterion_06_degenerate_ordering_and_slopes():
         for trial in range(trials):
             rng = np.random.default_rng((123, n, trial))
             data = apps.sample_multinomial(dist, n, rng)
-            rh = apps.private_collision_density(data, m, eps, xi, rng)
+            rh = apps.private_collision_density(data, m, eps, xi, rng, scratch_budget())
             ra = coinpress.all_tuples_estimator(
-                pv.collision_kernel(), data, r=1.0, tau=0.25, eps=eps, seed=rng
+                pv.collision_kernel(), data, r=1.0, tau=0.25, eps=eps, seed=rng,
+                budget=scratch_budget(),
             )
             errs_h.append(abs(rh.estimate - theta))
             errs_a.append(abs(ra.estimate - theta))
@@ -243,11 +245,11 @@ def test_criterion_07_uniformity_power():
         for trial in range(trials):
             rng = np.random.default_rng((31, n, trial))
             if apps.boosted_uniformity_test(
-                apps.sample_multinomial(null, n, rng), m, delta, eps, alpha, rng
+                apps.sample_multinomial(null, n, rng), m, delta, eps, alpha, rng, scratch_budget()
             ).reject:
                 r1 += 1
             if not apps.boosted_uniformity_test(
-                apps.sample_multinomial(alt, n, rng), m, delta, eps, alpha, rng
+                apps.sample_multinomial(alt, n, rng), m, delta, eps, alpha, rng, scratch_budget()
             ).reject:
                 r2 += 1
         type1.append(r1 / trials)
@@ -285,7 +287,7 @@ def test_criterion_08_rgg_triangle():
             rng = np.random.default_rng((5, n, trial))
             g = apps.sample_rgg(n, r, rng)
             densities.append(g.edge_density())
-            rep = apps.private_triangle_density(g, eps, rng)
+            rep = apps.private_triangle_density(g, eps, rng, scratch_budget())
             if rep.is_bottom:
                 refused += 1
             else:

@@ -20,7 +20,7 @@ from privustat.dp import scratch_budget
 from privustat.errors import PreconditionWarning
 from privustat.ustat import Dataset, disjoint_chunks
 
-from oracles import copy_clipping_ustat_mean
+from oracles import copy_clipping_ustat_mean, ustat_one_step
 
 warnings.simplefilter("ignore", PreconditionWarning)
 
@@ -62,7 +62,7 @@ def test_one_step_vanishing_noise_recovers_mean():
     values = rng.uniform(-0.5, 0.5, size=200)
     fam = pv.all_tuples(200, 1)
     interval = IntervalState(-1.0, 1.0)
-    _, new = coinpress.ustat_one_step(
+    _, new = ustat_one_step(
         values, fam, interval, eps_step=10**6, beta=0.01, tb=flat_bounds(0.0, 0.1), seed=1
     )
     assert new.midpoint == pytest.approx(values.mean(), abs=1e-3)
@@ -74,7 +74,7 @@ def test_one_step_delta_plug_in():
     fam = pv.all_tuples(10, 2)  # dep = 0.2
     values = np.zeros(fam.size)
     beta, eps_step, qavg = 0.05, 2.0, 0.3
-    _, new = coinpress.ustat_one_step(
+    _, new = ustat_one_step(
         values, fam, IntervalState(-1.0, 1.0), eps_step, beta, flat_bounds(1.0, qavg), seed=3
     )
     half = 0.5 * new.width
@@ -86,7 +86,7 @@ def test_one_step_clipping_is_noop_inside():
     rng = np.random.default_rng(2)
     values = rng.uniform(-1, 1, size=50)
     fam = pv.all_tuples(50, 1)
-    clipped, _ = coinpress.ustat_one_step(
+    clipped, _ = ustat_one_step(
         values, fam, IntervalState(-1.0, 1.0), 1.0, 0.1, flat_bounds(0.5, 0.1), seed=4
     )
     assert np.array_equal(clipped, values)
@@ -95,7 +95,7 @@ def test_one_step_clipping_is_noop_inside():
 def test_one_step_clips_outside_values():
     values = np.array([-5.0, 0.0, 5.0])
     fam = pv.all_tuples(3, 1)
-    clipped, _ = coinpress.ustat_one_step(
+    clipped, _ = ustat_one_step(
         values, fam, IntervalState(-1.0, 1.0), 1.0, 0.1, flat_bounds(0.5, 0.1), seed=5
     )
     assert clipped.tolist() == [-1.5, 0.0, 1.5]
@@ -114,7 +114,7 @@ def test_one_step_coverage():
     master = np.random.default_rng(123)
     for _ in range(trials):
         values = master.normal(theta, math.sqrt(tau), size=n)
-        _, new = coinpress.ustat_one_step(
+        _, new = ustat_one_step(
             values, fam, IntervalState(-1.0, 1.0), 1.0, beta, tb, master
         )
         hits += int(new.lo <= theta <= new.hi)
@@ -129,7 +129,7 @@ def test_one_step_width_identity():
     beta, eps_step = 0.01, 0.7
     tb = flat_bounds(0.9, 0.2)
     interval = IntervalState(-2.0, 2.0)
-    _, new = coinpress.ustat_one_step(values, fam, interval, eps_step, beta, tb, seed=6)
+    _, new = ustat_one_step(values, fam, interval, eps_step, beta, tb, seed=6)
     delta = fam.dependence_fraction() * (interval.width + 2 * tb.q(beta))
     additive = 2 * (tb.qavg(beta) + delta / eps_step * math.log(1 / beta))
     assert new.width == pytest.approx(additive, rel=1e-12)
@@ -169,7 +169,7 @@ def test_one_step_leaves_its_input_unchanged():
     values = np.linspace(-3.0, 3.0, 41)
     before = values.copy()
     fam = disjoint_chunks(41, 1)
-    clipped, _ = coinpress.ustat_one_step(
+    clipped, _ = ustat_one_step(
         values, fam, IntervalState(-1.0, 1.0), 1.0, 0.05, flat_bounds(0.5, 0.1), 3
     )
     assert np.array_equal(values, before)
@@ -278,8 +278,8 @@ def test_naive_drops_remainder_points():
     base = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
     other = base.copy()
     other[6] = -50.0
-    a = coinpress.naive_estimator(h, Dataset(base), r=10.0, tau=0.5, eps=1.0, seed=13)
-    b = coinpress.naive_estimator(h, Dataset(other), r=10.0, tau=0.5, eps=1.0, seed=13)
+    a = coinpress.naive_estimator(h, Dataset(base), 10.0, 0.5, 1.0, 13, scratch_budget())
+    b = coinpress.naive_estimator(h, Dataset(other), 10.0, 0.5, 1.0, 13, scratch_budget())
     assert a.estimate == b.estimate
 
 
@@ -287,7 +287,7 @@ def test_naive_k1_matches_direct_chunk_run():
     rng = np.random.default_rng(3)
     data = Dataset(rng.normal(1.0, 1.0, 64))
     h = pv.identity_kernel()
-    a = coinpress.naive_estimator(h, data, r=4.0, tau=1.0, eps=1.0, seed=14)
+    a = coinpress.naive_estimator(h, data, 4.0, 1.0, 1.0, 14, scratch_budget())
     from privustat.ustat import disjoint_chunks
 
     fam = disjoint_chunks(64, 1)
@@ -307,7 +307,7 @@ def test_gaussian_mean_beats_laplace_on_range():
     h = pv.identity_kernel()
     for _ in range(200):
         d = Dataset(rng.normal(theta, 1.0, n))
-        rep = coinpress.naive_estimator(h, d, r=r, tau=tau, eps=eps, seed=rng)
+        rep = coinpress.naive_estimator(h, d, r, tau, eps, rng, scratch_budget())
         errs.append(abs(rep.estimate - theta))
         lap = pv.global_sensitivity_release(float(d.points.mean()), 2 * r / n, eps, scratch_budget(), rng)
         lap_errs.append(abs(lap - theta))
@@ -328,9 +328,9 @@ def test_naive_loses_to_reweighting_on_degenerate_kernel():
     for trial in range(trials):
         rng = np.random.default_rng((21, trial))
         data = apps.sample_multinomial(dist, n, rng)
-        naive = coinpress.naive_estimator(h, data, r=1.0, tau=0.25, eps=eps, seed=rng)
+        naive = coinpress.naive_estimator(h, data, 1.0, 0.25, eps, rng, scratch_budget())
         xi = apps.collision_xi(m, n)
-        hj = apps.private_collision_density(data, m, eps, xi, rng)
+        hj = apps.private_collision_density(data, m, eps, xi, rng, scratch_budget())
         wins += int(abs(naive.estimate - theta) > abs(hj.estimate - theta))
     assert wins >= 80
 
@@ -348,7 +348,7 @@ def test_all_tuples_nonprivate_error_tracks_ustat_variance():
     sq = []
     for _ in range(trials):
         d = Dataset(rng.normal(theta, 1.0, n))
-        rep = coinpress.all_tuples_estimator(h, d, r=2.0, tau=0.5, eps=10**6, seed=rng)
+        rep = coinpress.all_tuples_estimator(h, d, 2.0, 0.5, 10**6, rng, scratch_budget())
         sq.append((rep.estimate - theta) ** 2)
     rmse = math.sqrt(float(np.mean(sq)))
     assert rmse <= 2.0 * math.sqrt(var_un)
@@ -372,8 +372,8 @@ def test_subsampled_large_m_approaches_all_tuples():
     big = 4 * math.comb(n, 2)
     for _ in range(trials):
         d = Dataset(rng.normal(theta, 1.0, n))
-        rep_a = coinpress.all_tuples_estimator(h, d, r=2.0, tau=0.5, eps=10**6, seed=rng)
-        rep_s = coinpress.subsampled_estimator(h, d, r=2.0, tau=0.5, eps=10**6, size=big, seed=rng)
+        rep_a = coinpress.all_tuples_estimator(h, d, 2.0, 0.5, 10**6, rng, scratch_budget())
+        rep_s = coinpress.subsampled_estimator(h, d, 2.0, 0.5, 10**6, big, rng, scratch_budget())
         sq_all.append((rep_a.estimate - theta) ** 2)
         sq_ss.append((rep_s.estimate - theta) ** 2)
     ratio = math.sqrt(np.mean(sq_ss) / np.mean(sq_all))
@@ -390,7 +390,7 @@ def test_subsampled_extra_variance_term():
     sq = np.empty(trials)
     for i in range(trials):
         d = Dataset(rng.normal(0.0, 1.0, n))
-        rep = coinpress.subsampled_estimator(h, d, r=2.0, tau=0.5, eps=10**6, size=size, seed=rng)
+        rep = coinpress.subsampled_estimator(h, d, 2.0, 0.5, 10**6, size, rng, scratch_budget())
         sq[i] = rep.estimate**2
     mse = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(trials))
@@ -411,7 +411,8 @@ def test_subsampled_warns_below_recommended_size():
     d = Dataset(np.random.default_rng(8).normal(0, 1, 50))
     with pytest.warns(PreconditionWarning):
         coinpress.subsampled_estimator(
-            pv.mean_kernel(2, 0.5), d, r=2.0, tau=0.5, eps=1.0, size=10, seed=15
+            pv.mean_kernel(2, 0.5), d, r=2.0, tau=0.5, eps=1.0, size=10, seed=15,
+            budget=scratch_budget(),
         )
 
 
@@ -424,7 +425,7 @@ def test_one_step_uses_realized_dependence_of_subsampled_family():
     assert fam.dependence_fraction() == pytest.approx(4 / 6)
     values = np.zeros(fam.size)
     beta, eps_step, qavg = 0.05, 1.0, 0.1
-    _, new = coinpress.ustat_one_step(
+    _, new = ustat_one_step(
         values, fam, IntervalState(-1.0, 1.0), eps_step, beta, flat_bounds(1.0, qavg), seed=30
     )
     delta = (0.5 * new.width - qavg) / math.log(1 / beta) * eps_step

@@ -151,13 +151,6 @@ def test_smooth_release_fixed_seed_regression():
     assert got == pytest.approx(1.111853647191886, abs=1e-15)
 
 
-def test_smooth_release_scale_factor():
-    # same seed, strict scale: deviation from the value is exactly 10x smaller
-    loose = pv.smooth_sensitivity_release(0.0, 1.0, 1.0, scratch_budget(), 123)
-    strict = pv.smooth_sensitivity_release(0.0, 1.0, 1.0, scratch_budget(), 123, scale_factor=1.0)
-    assert loose == pytest.approx(10 * strict, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # ledger
 # ---------------------------------------------------------------------------

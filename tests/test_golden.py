@@ -12,6 +12,7 @@ import pytest
 
 import privustat as pv
 from privustat import ustat
+from privustat.dp import scratch_budget
 from privustat.ustat import clipped_kernel
 
 
@@ -20,33 +21,35 @@ def estimates() -> dict:
     out = {}
     labels = rng.integers(0, 30, 300)
     out["all_tuples.collision"] = pv.all_tuples_estimator(
-        pv.collision_kernel(), pv.Dataset(labels), r=1.0, tau=0.25, eps=1.0, seed=11
+        pv.collision_kernel(), pv.Dataset(labels), r=1.0, tau=0.25, eps=1.0, seed=11,
+        budget=scratch_budget(),
     )
     normal = rng.normal(0.5, 1.0, 60)
     out["all_tuples.mean3"] = pv.all_tuples_estimator(
-        pv.mean_kernel(3, tau=1 / 3), pv.Dataset(normal), r=2.0, tau=1 / 3, eps=1.0, seed=12
+        pv.mean_kernel(3, tau=1 / 3), pv.Dataset(normal), r=2.0, tau=1 / 3, eps=1.0, seed=12,
+        budget=scratch_budget(),
     )
     labels = rng.integers(0, 20, 400)
     out["hajek.collision"] = pv.private_mean_local_hajek(
         pv.collision_kernel(), pv.Dataset(labels), pv.all_tuples(400, 2),
-        pv.HajekParams(eps=1.0, c_range=1.0, xi=0.01), seed=13,
+        pv.HajekParams(eps=1.0, c_range=1.0, xi=0.01), seed=13, budget=scratch_budget(),
     )
     # ten singleton labels among 390 zeros: ten down-weighted indices
     concentrated = np.zeros(400, dtype=np.int64)
     concentrated[:10] = np.arange(1, 11)
     out["hajek.collision.outliers"] = pv.private_mean_local_hajek(
         pv.collision_kernel(), pv.Dataset(concentrated), pv.all_tuples(400, 2),
-        pv.HajekParams(eps=1.0, c_range=1.0, xi=0.0), seed=14,
+        pv.HajekParams(eps=1.0, c_range=1.0, xi=0.0), seed=14, budget=scratch_budget(),
     )
     heavy = rng.normal(0.5, 0.05, 70)
     heavy[0] = 5.0
     out["hajek.mean3"] = pv.private_mean_local_hajek(
         clipped_kernel(pv.mean_kernel(3), 0.4, 0.6), pv.Dataset(heavy), pv.all_tuples(70, 3),
-        pv.HajekParams(eps=1.0, c_range=0.2, xi=0.0), seed=15,
+        pv.HajekParams(eps=1.0, c_range=0.2, xi=0.0), seed=15, budget=scratch_budget(),
     )
     out["pipeline"] = pv.subgaussian_pipeline(
         pv.mean_kernel(2, tau=0.5), pv.Dataset(rng.normal(0.5, 1.0, 700)),
-        r=2.0, tau=0.5, eps=1.0, alpha=0.1, seed=16,
+        r=2.0, tau=0.5, eps=1.0, alpha=0.1, seed=16, budget=scratch_budget(),
     )
     return out
 

@@ -103,8 +103,8 @@ def test_trial_ledger_is_checked_against_the_cell_eps(monkeypatch, spends, botto
         for fraction in spends:
             budget.spend("stub release", fraction * eps)
         if bottom:
-            return pv.EstimateReport(None, eps=budget.spent, bottom_reason="refused")
-        return pv.EstimateReport(0.1, eps=budget.spent)
+            return pv.EstimateReport(None, bottom_reason="refused")
+        return pv.EstimateReport(0.1)
 
     monkeypatch.setattr(experiments, "run_single", dispatch)
     (row,) = list(run_experiment(small_spec(n_grid=[40], trials=1, eps_grid=[0.8])))

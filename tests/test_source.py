@@ -1,8 +1,10 @@
-"""Static checks on the package source: no unused imports.
+"""Static checks on the package source: no unused imports, one ledger rule.
 
 No linter ships with the test toolchain, so this walks the syntax tree with
 the standard-library ``ast`` module.  Package ``__init__`` modules are
-skipped: their imports are the public re-exports.
+skipped by the import check: their imports are the public re-exports.  Every
+release takes the caller's ledger, so no ``budget`` parameter has a default,
+and the release noise has one calibration, so no parameter rescales it.
 """
 
 import ast
@@ -12,6 +14,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "privustat"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.rglob("*.py"))
+RESCALING_PARAMETERS = {"strict_scale", "scale_factor"}
 
 
 def used_names(tree: ast.AST) -> set:
@@ -54,3 +58,52 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def ledger_rule_violations(source: str) -> list[str]:
+    """A ``budget`` parameter with a default, or a noise-rescaling parameter
+    (a dataclass field counts: it is a parameter of the generated __init__),
+    in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, f"{node.name}.{item.target.id}")
+                      for item in node.body if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)
+                      and item.target.id in RESCALING_PARAMETERS]
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+        defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        name = getattr(node, "name", "<lambda>")
+        found += [(node.lineno, f"{name}({arg.arg}=...)")
+                  for arg in defaulted if arg.arg == "budget"]
+        found += [(node.lineno, f"{name}({arg.arg})")
+                  for arg in positional + a.kwonlyargs if arg.arg in RESCALING_PARAMETERS]
+    return [f"line {line}: {what}" for line, what in sorted(found, key=lambda f: f[0])]
+
+
+def test_checker_finds_ledger_rule_violations():
+    source = (
+        "def ok(x, seed, budget):\n    return x\n"
+        "def optional(x, seed, budget=None):\n    return x\n"
+        "def keyword(x, *, budget=None, strict_scale=False):\n    return x\n"
+        "def release(value, ss, scale_factor):\n    return value\n"
+        "f = lambda x, budget=None: x\n"
+        "class Params:\n    eps: float\n    strict_scale: bool = False\n"
+    )
+    assert ledger_rule_violations(source) == [
+        "line 3: optional(budget=...)",
+        "line 5: keyword(budget=...)",
+        "line 5: keyword(strict_scale)",
+        "line 7: release(scale_factor)",
+        "line 9: <lambda>(budget=...)",
+        "line 12: Params.strict_scale",
+    ]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_ledger_is_required_and_release_scale_is_fixed(path):
+    assert ledger_rule_violations(path.read_text()) == []

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,16 @@ def test_all_tuples_4_2_full_enumeration():
 def test_all_tuples_dependence_is_k_over_n():
     fam = pv.all_tuples(6, 2)
     assert fam.dependence_fraction() == pytest.approx(2 / 6)
+
+
+@pytest.mark.parametrize(
+    "n, k", [(4, 2), (6, 2), (25, 3), (7, 7), (397, 5), (399, 6), (2000, 6), (100_000, 4)]
+)
+def test_complete_family_dependence_is_k_over_n_exactly(n, k):
+    # C(n-1, k-1) / C(n, k) is k/n as a rational, and int/int division rounds
+    # it correctly; the last two cases have C(n, k) > 2^53, past exact floats
+    fam = pv.SubsetFamily(n, k, None, kind="all_tuples")
+    assert fam.dependence_fraction() == float(Fraction(k, n))
 
 
 def test_all_tuples_k_equals_n():
