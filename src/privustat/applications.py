@@ -11,6 +11,7 @@ with the generic enumeration path is covered by tests.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,7 +87,7 @@ def collision_summary(data: Dataset, m: int) -> UStatSummary:
 
     The overall mean, the per-index projections, and the reweighted mean all
     depend on the data only through category counts, so everything is
-    O(n + m^2) instead of O(n^2).
+    O(n + m log m) instead of O(n^2).
     """
     x = np.asarray(data.points)
     if x.dtype.kind not in "iu":
@@ -104,20 +105,22 @@ def collision_summary(data: Dataset, m: int) -> UStatSummary:
 
     def reweight(weights: np.ndarray) -> float:
         # weights are constant within a category (projections are), so any
-        # index of a category gives its weight
+        # index of a category gives its weight; unchanged ones stay 1
+        changed = np.flatnonzero(weights != 1.0)
         w_cat = np.ones(m)
-        w_cat[x] = weights
-        occupied = np.nonzero(counts)[0]
-        total = 0.0
-        # same-category pairs: h = 1, weight w_c
+        w_cat[x[changed]] = weights[changed]
+        occupied = np.flatnonzero(counts)
         wc = w_cat[occupied]
+        # same-category pairs: h = 1, weight w_c
         sp = same_pairs[occupied]
-        total += float(np.sum(sp * (wc + a_n * (1.0 - wc))))
-        # cross-category pairs: h = 0, weight min(w_c, w_d)
-        cnt = counts[occupied].astype(float)
-        for idx in range(occupied.size - 1):
-            w_pair = np.minimum(wc[idx], wc[idx + 1 :])
-            total += float(np.sum(cnt[idx] * cnt[idx + 1 :] * a_n * (1.0 - w_pair)))
+        total = float(np.sum(sp * (wc + a_n * (1.0 - wc))))
+        # cross-category pairs: h = 0, weight min(w_c, w_d).  In increasing
+        # weight order the minimum of a pair is its earlier category's
+        # weight, which meets every count after it: a suffix sum.
+        order = np.argsort(wc, kind="stable")
+        cnt = counts[occupied][order]
+        after = n - np.cumsum(cnt)
+        total += a_n * float(np.sum(cnt * after * (1.0 - wc[order])))
         return total / pairs_total
 
     return UStatSummary(
@@ -208,11 +211,22 @@ def boosted_uniformity_test(
 # random geometric graphs and triangle density
 # ---------------------------------------------------------------------------
 
+def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int) -> sparse.csr_array:
+    """n x n CSR array from entries sorted by row, then by column, no repeats."""
+    return sparse.csr_array((values, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+
+
 @dataclass
 class GeometricGraph:
-    """Undirected graph, optionally carrying latent unit-sphere positions."""
+    """Undirected graph, optionally carrying latent unit-sphere positions.
 
-    adjacency: np.ndarray
+    The adjacency is kept only as a CSR array of int8 ones with sorted
+    indices.  The constructor takes a dense 0/1 array of any dtype: one scan
+    of its n^2 entries finds the edges, and every check after it is linear
+    in their number.
+    """
+
+    adjacency: sparse.csr_array
     radius: Optional[float] = None
     latent: Optional[np.ndarray] = None
 
@@ -220,13 +234,30 @@ class GeometricGraph:
         a = np.asarray(self.adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be square")
-        if not np.array_equal(a, a.T):
+        n = a.shape[0]
+        byte_sized = a.dtype.itemsize == 1 and a.dtype.kind in "biu"
+        flat = np.flatnonzero(a.view(np.bool_) if byte_sized else a != 0)
+        c = _csr(*np.divmod(flat, n), a.reshape(-1)[flat], n)
+        t = c.T.tocsr()
+        if not (
+            np.array_equal(t.indptr, c.indptr)
+            and np.array_equal(t.indices, c.indices)
+            and np.array_equal(t.data, c.data)
+        ):
             raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
+        if c.diagonal().any():
             raise ValueError("adjacency must have a zero diagonal")
-        if not ((a == 0) | (a == 1)).all():
+        if not (c.data == 1).all():
             raise ValueError("adjacency entries must be 0/1")
-        self.adjacency = a.astype(np.int8)
+        c.data = np.ones(c.nnz, dtype=np.int8)
+        self.adjacency = c
+
+    @classmethod
+    def _of_csr(cls, adjacency: sparse.csr_array, radius=None, latent=None) -> "GeometricGraph":
+        """A graph around a CSR adjacency that is valid by construction; no checks."""
+        graph = object.__new__(cls)
+        graph.adjacency, graph.radius, graph.latent = adjacency, radius, latent
+        return graph
 
     @property
     def n(self) -> int:
@@ -234,12 +265,14 @@ class GeometricGraph:
 
     def edge_density(self) -> float:
         n = self.n
-        return float(self.adjacency.sum() / (n * (n - 1)))
+        return self.adjacency.nnz / (n * (n - 1))
 
     def induced(self, indices) -> "GeometricGraph":
         idx = np.asarray(indices)
         lat = self.latent[idx] if self.latent is not None else None
-        return GeometricGraph(self.adjacency[np.ix_(idx, idx)], self.radius, lat)
+        sub = self.adjacency[np.ix_(idx, idx)]
+        sub.sort_indices()  # unsorted only when idx is not increasing
+        return GeometricGraph._of_csr(sub, self.radius, lat)
 
 
 def sample_rgg(n: int, radius: float, seed) -> GeometricGraph:
@@ -252,9 +285,8 @@ def sample_rgg(n: int, radius: float, seed) -> GeometricGraph:
     raw = rng.standard_normal((n, 3))
     latent = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     # |x - y| <= r on the unit sphere <=> <x, y> >= 1 - r^2/2
-    gram = latent @ latent.T
-    adj = (gram >= 1.0 - radius**2 / 2.0).astype(np.int8)
-    np.fill_diagonal(adj, 0)
+    adj = latent @ latent.T >= 1.0 - radius**2 / 2.0
+    np.fill_diagonal(adj, False)
     return GeometricGraph(adj, radius, latent)
 
 
@@ -267,18 +299,37 @@ def _add_in_order(total: float, terms: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate([[total], terms]))[-1])
 
 
+def _lower_triangle(c: sparse.csr_array) -> sparse.csr_array:
+    """The entries of c below its diagonal (``sparse.tril`` without the COO
+    round trip, which dominates on small graphs)."""
+    n = c.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(c.indptr))
+    keep = c.indices < rows
+    return _csr(rows[keep], c.indices[keep], c.data[keep], n)
+
+
+def _triangles_per_row(rows: sparse.csr_array, square: sparse.csr_array) -> np.ndarray:
+    """Triangles closed by each row's node: for every row v, the number of
+    edges {u, w} of ``square`` with both ends among v's neighbours.
+
+    One masked product with the lower triangle counts each edge once, for
+    u > w (Azad, Buluc & Gilbert, IPDPSW 2015).  int64 data keeps the counts
+    exact; int8 products would overflow past 127 common neighbours.
+    """
+    return (rows @ _lower_triangle(square)).multiply(rows).sum(axis=1)
+
+
 def triangle_summary(graph: GeometricGraph) -> UStatSummary:
     """Sparse-product summary of the triangle kernel over all node triples.
 
-    Counts come from an int64 CSR copy of the adjacency, so they are exact
-    integers and the work grows with the number of edges, not with n^3.
+    Counts are exact integers from int64 sparse products, so the work grows
+    with the number of edges, not with n^3.
     """
     n = graph.n
     if n < 3:
         raise InsufficientData("triangle statistics need at least three nodes")
-    c = sparse.csr_array(graph.adjacency, dtype=np.int64)
-    # twice the triangles through each node: closed walks of length 3
-    per_node = (c @ c).multiply(c).sum(axis=1) / 2.0
+    c = graph.adjacency.astype(np.int64, copy=False)
+    per_node = _triangles_per_row(c, c)
     total = float(per_node.sum() / 3.0)
     m_total = math.comb(n, 3)
     m_i = math.comb(n - 1, 2)
@@ -297,7 +348,7 @@ def triangle_summary(graph: GeometricGraph) -> UStatSummary:
         c_low = c[low]
         to_rest = c_low[:, rest]
         # exactly one down-weighted node: triangles through it within rest
-        tri_one = (to_rest @ c[rest][:, rest]).multiply(to_rest).sum(axis=1) / 2.0
+        tri_one = _triangles_per_row(to_rest, c[rest][:, rest])
         pairs = rest.size * (rest.size - 1) // 2
         corr = _add_in_order(0.0, (w - 1.0) * (tri_one - a_n * pairs))
         # exactly two down-weighted nodes: common neighbours within rest
@@ -346,6 +397,8 @@ def private_triangle_density(
     (eps when the proxy returns bottom).
     """
     n = graph.n
+    if n < 3:
+        raise InsufficientData("triangle statistics need at least three nodes")
     rng = as_generator(seed)
     u_edges = graph.edge_density()
     nu = global_sensitivity_release(
@@ -391,8 +444,27 @@ def boosted_triangle_density(
 # graph / categorical file formats
 # ---------------------------------------------------------------------------
 
-def read_edge_list(path) -> GeometricGraph:
-    """Edge list, one '1-based i j' pair per line, each undirected edge once."""
+def _loadtxt(path, parse, columns: int) -> Optional[np.ndarray]:
+    """The whole file in one ``np.loadtxt`` parse: an array of rows with
+    exactly ``columns`` whitespace-separated values, or None when the
+    per-line parse has to decide.
+
+    ``comments=None`` and ``ndmin=2`` keep this path from accepting what the
+    per-line parse rejects: a '#' anywhere fails it, and a one-line file of
+    two values stays one row of two.
+    """
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            arr = np.loadtxt(fh, dtype=parse, comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return arr if arr.size and arr.shape[1] == columns else None
+
+
+def _edge_lines(path) -> np.ndarray:
+    """The (edges, 2) array of 1-based labels, one line at a time; names the
+    first bad line."""
     edges = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -410,35 +482,53 @@ def read_edge_list(path) -> GeometricGraph:
                 raise ValueError(f"{path} line {lineno}: node labels start at 1, got {line!r}")
             if i == j:
                 raise ValueError(f"{path} line {lineno}: self-loops are not allowed")
-            edges.append((i - 1, j - 1))
+            edges.append((i, j))
     if not edges:
         raise ValueError(f"no edges in {path}")
-    i, j = np.array(edges, dtype=np.intp).T
-    n = int(max(i.max(), j.max())) + 1
-    adj = np.zeros((n, n), dtype=np.int8)
-    adj[i, j] = adj[j, i] = 1
-    return GeometricGraph(adj)
+    return np.array(edges, dtype=np.intp)
+
+
+def read_edge_list(path) -> GeometricGraph:
+    """Edge list, one '1-based i j' pair per line, each undirected edge once.
+
+    Lines starting with '#' are comments; a file that has them, or any bad
+    line, is read by the per-line parse.
+    """
+    pairs = _loadtxt(path, int, 2)
+    if pairs is None or pairs.min() < 1 or (pairs[:, 0] == pairs[:, 1]).any():
+        pairs = _edge_lines(path)
+    n = int(pairs.max())
+    i, j = (pairs - 1).T
+    # both directions of every edge, once each, in row-major order
+    flat = np.unique(np.concatenate([i * n + j, j * n + i]))
+    return GeometricGraph._of_csr(_csr(*np.divmod(flat, n), np.ones(flat.size, dtype=np.int8), n))
 
 
 def _read_column(path, parse, valid, expected: str) -> np.ndarray:
-    """One ``parse``d value per non-blank line, each passing ``valid``; the
-    first bad line is looked for only after the whole-file parse fails."""
+    """One ``parse``d value per non-blank line, each passing ``valid``.
+
+    Lines are parsed one at a time only when the whole-file parse fails or
+    holds an invalid value; that pass names the first bad line.
+    """
+    arr = _loadtxt(path, parse, 1)
+    if arr is not None and valid(arr).all():
+        return arr[:, 0]
+    values = []
     with open(path) as fh:
-        lines = fh.readlines()
-    try:
-        arr = np.asarray([parse(line) for line in lines if not line.isspace()])
-        if arr.size and valid(arr).all():
-            return arr
-    except ValueError:
-        pass
-    for lineno, line in enumerate(lines, 1):
-        try:
-            ok = line.isspace() or bool(valid(np.asarray(parse(line))))
-        except ValueError:
-            ok = False
-        if not ok:
-            raise ValueError(f"{path} line {lineno}: expected {expected}, got {line.strip()!r}")
-    raise ValueError(f"no data in {path}")
+        for lineno, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                value = parse(line)
+                ok = bool(valid(np.asarray(value)))
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{path} line {lineno}: expected {expected}, got {line.strip()!r}")
+            values.append(value)
+    if not values:
+        raise ValueError(f"no data in {path}")
+    return np.asarray(values)
 
 
 def read_categories(path) -> Dataset:

@@ -11,6 +11,7 @@ plug in.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -142,6 +143,17 @@ def check_preconditions(
     return problems
 
 
+def _caller_stacklevel() -> int:
+    """``warnings.warn`` stacklevel, counted from the calling function, of the
+    first frame outside this module: the line that called the public
+    estimator, however many of this module's functions lie in between (what
+    ``skip_file_prefixes`` does from Python 3.12)."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def ustat_mean(
     h: Kernel,
     data: Dataset,
@@ -175,7 +187,7 @@ def ustat_mean(
         warnings.warn(
             "halving guarantees not in force: " + "; ".join(problems),
             PreconditionWarning,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     interval = IntervalState(-r, r)
     trace = [interval]

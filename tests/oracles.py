@@ -1,8 +1,9 @@
 """Oracles and fixtures that only the tests use: brute-force sensitivities,
 a Monte Carlo θ, closed forms, explicit families, the majority-vote form of
 the boosted uniformity test, the full-scan forms of the spread level and the
-Hájek state, the copying clip step of ``ustat_mean``, and the loop forms of
-the audits and the quartic sampler."""
+Hájek state, the copying clip step of ``ustat_mean``, the loop form of the
+collision reweight, the per-line file readers, and the loop forms of the
+audits and the quartic sampler."""
 
 import itertools
 import math
@@ -136,6 +137,27 @@ def full_scan_hajek_state(summary: UStatSummary, params: HajekParams) -> HajekSt
             params.xi, level, n, k, params.c_range, params.eps, summary.all_tuples_family
         ),
     )
+
+
+def loop_collision_reweight(x: np.ndarray, m: int, weights: np.ndarray) -> float:
+    """Collision reweighted mean by a loop over the occupied categories, each
+    against every later one (quadratic in their number)."""
+    n = x.size
+    counts = np.bincount(x, minlength=m)
+    pairs_total = n * (n - 1) // 2
+    same_pairs = counts * (counts - 1) // 2
+    a_n = float(same_pairs.sum() / pairs_total)
+    w_cat = np.ones(m)
+    w_cat[x] = weights
+    occupied = np.nonzero(counts)[0]
+    wc = w_cat[occupied]
+    sp = same_pairs[occupied]
+    total = float(np.sum(sp * (wc + a_n * (1.0 - wc))))
+    cnt = counts[occupied].astype(float)
+    for idx in range(occupied.size - 1):
+        w_pair = np.minimum(wc[idx], wc[idx + 1 :])
+        total += float(np.sum(cnt[idx] * cnt[idx + 1 :] * a_n * (1.0 - w_pair)))
+    return total / pairs_total
 
 
 def loop_triangle_reweight(adjacency: np.ndarray, weights: np.ndarray, a_n: float) -> float:
@@ -279,10 +301,66 @@ def smooth_sensitivity_closed_form_bound(
     return first + second + third
 
 
+def dense_edge_density(adjacency: np.ndarray) -> float:
+    """Edge density from the sum of the dense adjacency."""
+    n = adjacency.shape[0]
+    return float(adjacency.sum() / (n * (n - 1)))
+
+
+def line_read_edge_list(path) -> np.ndarray:
+    """Dense int8 adjacency of an edge-list file, read one line at a time."""
+    edges = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                i_s, j_s = line.split()
+                i, j = int(i_s), int(j_s)
+            except ValueError:
+                raise ValueError(
+                    f"{path} line {lineno}: expected two node labels, got {line!r}"
+                ) from None
+            if i < 1 or j < 1:
+                raise ValueError(f"{path} line {lineno}: node labels start at 1, got {line!r}")
+            if i == j:
+                raise ValueError(f"{path} line {lineno}: self-loops are not allowed")
+            edges.append((i - 1, j - 1))
+    if not edges:
+        raise ValueError(f"no edges in {path}")
+    i, j = np.array(edges, dtype=np.intp).T
+    n = int(max(i.max(), j.max())) + 1
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[i, j] = adj[j, i] = 1
+    return adj
+
+
+def line_read_column(path, parse, valid, expected: str) -> np.ndarray:
+    """One ``parse``d value per non-blank line, each passing ``valid``, read
+    one line at a time; names the first bad line."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    try:
+        arr = np.asarray([parse(line) for line in lines if not line.isspace()])
+        if arr.size and valid(arr).all():
+            return arr
+    except ValueError:
+        pass
+    for lineno, line in enumerate(lines, 1):
+        try:
+            ok = line.isspace() or bool(valid(np.asarray(parse(line))))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{path} line {lineno}: expected {expected}, got {line.strip()!r}")
+    raise ValueError(f"no data in {path}")
+
+
 def write_edge_list(graph: GeometricGraph, path) -> None:
     """One "i j" line (1-based) per edge i < j."""
     with open(path, "w") as fh:
-        rows, cols = np.nonzero(np.triu(graph.adjacency, k=1))
+        rows, cols = np.nonzero(np.triu(graph.adjacency.toarray(), k=1))
         for i, j in zip(rows.tolist(), cols.tolist()):
             fh.write(f"{i + 1} {j + 1}\n")
 

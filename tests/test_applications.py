@@ -1,6 +1,8 @@
 """Uniformity testing, geometric graphs, and triangle density."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,12 @@ from privustat.ustat import Dataset
 from oracles import (
     collision_ustat_variance,
     collision_variance_profile,
+    dense_edge_density,
     dense_triangles_per_node,
+    line_read_column,
+    line_read_edge_list,
+    loop_collision_reweight,
+    loop_triangle_reweight,
     majority_uniformity_test,
     rgg_triangle_theta,
     write_edge_list,
@@ -158,6 +165,23 @@ def test_boosted_uniformity_ledger_is_one_median_of_means_entry():
     assert len(decision.report.diagnostics["chunk_estimates"]) == q
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 400), st.integers(1, 60), st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0), st.booleans(),
+)
+def test_collision_reweight_matches_loop_reference(n, m, seed, low_share, skewed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, m, n)
+    if skewed:  # one heavy category, as in the skewed benchmark input
+        x[rng.random(n) < 0.8] = 0
+    # weights are a function of the category, as projections are
+    w_cat = np.where(rng.random(m) < low_share, rng.choice([0.0, 0.25, rng.uniform()], m), 1.0)
+    weights = w_cat[x]
+    got = apps.collision_summary(Dataset(x), m).reweight(weights)
+    assert got == pytest.approx(loop_collision_reweight(x, m, weights), rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # geometric graphs
 # ---------------------------------------------------------------------------
@@ -165,14 +189,14 @@ def test_boosted_uniformity_ledger_is_one_median_of_means_entry():
 def test_rgg_shape_and_symmetry():
     g = apps.sample_rgg(50, 0.5, seed=0)
     assert g.n == 50
-    assert np.array_equal(g.adjacency, g.adjacency.T)
-    assert np.all(np.diag(g.adjacency) == 0)
+    assert np.array_equal(g.adjacency.toarray(), g.adjacency.toarray().T)
+    assert np.all(np.diag(g.adjacency.toarray()) == 0)
     assert np.allclose(np.linalg.norm(g.latent, axis=1), 1.0)
 
 
 def test_rgg_radius_two_is_complete():
     g = apps.sample_rgg(20, 2.0, seed=1)
-    off_diag = g.adjacency[~np.eye(20, dtype=bool)]
+    off_diag = g.adjacency.toarray()[~np.eye(20, dtype=bool)]
     assert np.all(off_diag == 1)
 
 
@@ -181,7 +205,7 @@ def test_rgg_adjacency_matches_latent_rule():
     diffs = np.linalg.norm(g.latent[:, None, :] - g.latent[None, :, :], axis=2)
     expected = (diffs <= 0.7).astype(int)
     np.fill_diagonal(expected, 0)
-    assert np.array_equal(g.adjacency, expected)
+    assert np.array_equal(g.adjacency.toarray(), expected)
 
 
 def test_rgg_edge_density_expectation():
@@ -200,7 +224,7 @@ def test_graph_file_round_trip(tmp_path):
     path = tmp_path / "graph.txt"
     write_edge_list(g, path)
     back = apps.read_edge_list(path)
-    assert np.array_equal(back.adjacency, g.adjacency)
+    assert np.array_equal(back.adjacency.toarray(), g.adjacency.toarray())
     first = path.read_text().splitlines()[0].split()
     assert len(first) == 2 and int(first[0]) >= 1
 
@@ -263,6 +287,98 @@ def test_value_files_keep_blank_lines_out(tmp_path):
     assert apps.read_reals(path).points.tolist() == [3.0, 1.0, 2.0]
 
 
+READERS = {
+    "categories": (
+        lambda p: apps.read_categories(p).points,
+        lambda p: line_read_column(p, int, lambda a: a >= 0, "a non-negative integer label"),
+    ),
+    "reals": (
+        lambda p: apps.read_reals(p).points,
+        lambda p: line_read_column(p, float, np.isfinite, "a finite real number"),
+    ),
+    "edges": (lambda p: apps.read_edge_list(p).adjacency.toarray(), line_read_edge_list),
+}
+
+
+def assert_reads_like_the_line_oracle(kind, path):
+    """The reader returns what the per-line oracle returns, or raises the
+    same error."""
+    read, oracle = READERS[kind]
+    try:
+        want = oracle(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read(path)
+        assert str(got.value) == str(exc)
+        return
+    got = read(path)
+    assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("categories", "1_000\n\u0663\n+4\n"),  # loadtxt refuses both, int() takes them
+    ("categories", "9223372036854775808\n1\n"),  # past int64: the oracle's uint64
+    ("reals", "1_000.5\n\u0663\n"),
+    ("edges", "1_000 2\n\u0663 1\n"),
+    ("edges", "# header\n1 2\n2 3\n"),
+], ids=["underscore-int", "past-int64", "underscore-real", "edge-digits", "edge-comment"])
+def test_readers_fall_back_to_the_line_parse(tmp_path, kind, text):
+    path = tmp_path / "values.txt"
+    path.write_text(text, encoding="utf-8")
+    assert_reads_like_the_line_oracle(kind, path)
+
+
+@pytest.mark.parametrize("kind, text, where", [
+    ("categories", "3 4\n", "line 1"),  # one line of two values, not two labels
+    ("reals", "3 4\n", "line 1"),
+    ("edges", "1 2 # x\n", "line 1"),  # no trailing comments on an edge line
+    ("edges", "1 2\n2 2\n", "line 2: self-loops"),
+    ("categories", "", "no data"),
+    ("reals", "\n \n", "no data"),
+    ("edges", "", "no edges"),
+])
+def test_readers_refuse_what_the_line_parse_refuses(tmp_path, kind, text, where):
+    path = tmp_path / "values.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt's "input contained no data" stays inside
+        with pytest.raises(ValueError, match=where):
+            READERS[kind][0](path)
+    assert_reads_like_the_line_oracle(kind, path)
+
+
+TOKENS = ["0", "1", "2", "3", "12", "+4", "-1", "007", "1_000", "\u0663", "2.5", "1e3", ".5",
+          "inf", "nan", "x", "#", "#1", ""]
+LINE = st.builds(
+    lambda lead, tokens, sep, end: lead + sep.join(tokens) + end,
+    st.sampled_from(["", " ", "\t"]),
+    st.lists(st.sampled_from(TOKENS), max_size=3),
+    st.sampled_from([" ", "\t ", "\xa0", "\x0c", "\x1c"]),
+    st.sampled_from(["\n", "\r\n", " \n", "\x85\n"]),
+)
+WELL_FORMED = {
+    "categories": st.integers(0, 9).map(str),
+    "reals": st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    "edges": st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda e: f"{e[0]} {e[1]}"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(READERS)).flatmap(lambda kind: st.tuples(
+    st.just(kind),
+    st.lists(st.one_of(LINE, WELL_FORMED[kind].map(lambda v: v + "\n")), max_size=8),
+    st.booleans(),
+)))
+def test_readers_equal_the_line_oracle_on_generated_files(tmp_path_factory, case):
+    kind, lines, cut_last_newline = case
+    text = "".join(lines)
+    if cut_last_newline:
+        text = text.removesuffix("\n")
+    path = tmp_path_factory.mktemp("files") / "values.txt"
+    path.write_text(text, encoding="utf-8")
+    assert_reads_like_the_line_oracle(kind, path)
+
+
 @pytest.mark.parametrize("bad, reason", [
     (0.5, "0/1"), (2.0, "0/1"), (-1.0, "0/1"), (np.nan, "symmetric"),  # NaN != NaN
 ])
@@ -279,6 +395,35 @@ def test_graph_accepts_binary_adjacency_of_any_dtype(dtype):
     adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = 1
     g = apps.GeometricGraph(adj)
     assert g.adjacency.dtype == np.int8 and int(g.adjacency.sum()) == 4
+
+
+def test_triangle_counts_are_exact_past_int8_common_neighbours():
+    # 300 common neighbours per pair would wrap round in int8 products
+    n = 302
+    adj = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
+    s = apps.triangle_summary(apps.GeometricGraph(adj))
+    assert s.a_n == 1.0 and np.all(s.projections == 1.0)
+
+
+def test_triangle_density_refuses_small_graphs_before_any_spend():
+    budget = pv.PrivacyBudget(2.0)
+    for n in (0, 1, 2):
+        with pytest.raises(InsufficientData):
+            apps.private_triangle_density(apps.GeometricGraph(np.zeros((n, n))), 1.0, 1, budget)
+    assert budget.entries == []
+
+
+def test_read_edge_list_builds_no_dense_adjacency(tmp_path):
+    path = tmp_path / "far.txt"
+    path.write_text("1 2\n2 3\n4999 5000\n")
+    tracemalloc.start()
+    try:
+        g = apps.read_edge_list(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == 5000 and g.adjacency.nnz == 6
+    assert peak < 2 * 10**6  # a dense int8 adjacency alone takes 25 MB
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +454,8 @@ def star(n):
 
 
 @pytest.mark.parametrize("adj", [
-    apps.sample_rgg(300, 0.3, 1).adjacency,
-    apps.sample_rgg(120, 0.9, 2).adjacency,
+    apps.sample_rgg(300, 0.3, 1).adjacency.toarray(),
+    apps.sample_rgg(120, 0.9, 2).adjacency.toarray(),
     np.zeros((12, 12), dtype=np.int8),
     np.ones((12, 12), dtype=np.int8) - np.eye(12, dtype=np.int8),
     star(15),
@@ -322,15 +467,29 @@ def test_triangle_summary_matches_dense_oracle(adj):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(3, 40).flatmap(
-    lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
-    .map(lambda bits: (n, bits))
-))
-def test_triangle_summary_matches_dense_oracle_on_random_graphs(case):
-    n, bits = case
+@given(st.integers(3, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+    st.permutations(range(n)).flatmap(lambda p: st.integers(0, n).map(lambda k: p[:k])),
+    st.lists(st.sampled_from([0.0, 0.25, 0.6, 1.0, 1.0]), min_size=n, max_size=n),
+)))
+def test_csr_graph_equals_the_dense_oracles(case):
+    n, bits, order, weights = case
     adj = np.zeros((n, n), dtype=np.int8)
     adj[np.triu_indices(n, 1)] = bits
-    assert_summary_matches_dense_oracle(adj + adj.T)
+    adj += adj.T
+    assert_summary_matches_dense_oracle(adj)
+    g = apps.GeometricGraph(adj)
+    assert g.adjacency.has_sorted_indices
+    assert np.array_equal(g.adjacency.toarray(), adj)
+    assert g.edge_density() == dense_edge_density(adj)
+    idx = np.array(order, dtype=np.intp)
+    sub = g.induced(idx)
+    assert sub.adjacency.has_sorted_indices
+    assert np.array_equal(sub.adjacency.toarray(), adj[np.ix_(idx, idx)])
+    s = apps.triangle_summary(g)
+    w = np.array(weights)
+    assert s.reweight(w) == loop_triangle_reweight(adj, w, s.a_n)
 
 
 def test_triangle_density_complete_graph():

@@ -267,6 +267,22 @@ def test_precondition_violation_warns_but_completes():
     assert rep.estimate is not None
 
 
+@pytest.mark.parametrize("release", [
+    lambda h, d: coinpress.ustat_mean(
+        h, d, pv.all_tuples(12, 2), r=100.0, eps=0.05, gamma=0.01,
+        tb=all_tuples_tail_bounds(0.5, 2, 12), seed=12, budget=scratch_budget(),
+    ),
+    lambda h, d: coinpress.naive_estimator(h, d, 100.0, 0.5, 0.05, 12, scratch_budget()),
+    lambda h, d: coinpress.all_tuples_estimator(h, d, 100.0, 0.5, 0.05, 12, scratch_budget()),
+    lambda h, d: coinpress.subsampled_estimator(h, d, 100.0, 0.5, 0.05, 10, 12, scratch_budget()),
+], ids=["ustat_mean", "naive", "all_tuples", "subsampled"])
+def test_precondition_warnings_name_the_calling_line(release):
+    d = Dataset(np.random.default_rng(2).normal(0, 1, 12))
+    with pytest.warns(PreconditionWarning) as record:
+        release(pv.mean_kernel(2, 0.5), d)
+    assert {w.filename for w in record} == {__file__}
+
+
 # ---------------------------------------------------------------------------
 # naive estimator
 # ---------------------------------------------------------------------------

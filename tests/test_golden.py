@@ -87,7 +87,7 @@ def cli_cases(tmp_path) -> dict:
     sparse.write_text("1 2\n3 4\n")  # near-empty graph: the edge-density proxy often goes negative
     labels.write_text("".join(f"{v}\n" for v in rng.integers(0, 12, 3000).tolist()))
     graph = pv.sample_rgg(400, 0.5, rng)
-    rows, cols = np.nonzero(np.triu(graph.adjacency, 1))
+    rows, cols = np.nonzero(np.triu(graph.adjacency.toarray(), 1))
     edges.write_text("".join(f"{i + 1} {j + 1}\n" for i, j in zip(rows, cols)))
     alpha = ["--alpha", "0.2"]
     uni = ["uniformity-test", "--m", "12", "--delta", "0.5", "--eps", "1"]

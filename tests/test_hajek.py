@@ -556,9 +556,9 @@ def test_triangle_fast_path_matches_generic(xi, c_range, expect_bad):
     tri = pv.Kernel(
         3,
         lambda t: (
-            g.adjacency[t[:, 0].astype(int), t[:, 1].astype(int)]
-            * g.adjacency[t[:, 0].astype(int), t[:, 2].astype(int)]
-            * g.adjacency[t[:, 1].astype(int), t[:, 2].astype(int)]
+            g.adjacency.toarray()[t[:, 0].astype(int), t[:, 1].astype(int)]
+            * g.adjacency.toarray()[t[:, 0].astype(int), t[:, 2].astype(int)]
+            * g.adjacency.toarray()[t[:, 1].astype(int), t[:, 2].astype(int)]
         ).astype(float),
         pv.Bounded(1.0),
     )
@@ -618,9 +618,9 @@ def test_triangle_fast_path_with_many_bad_nodes():
     tri = pv.Kernel(
         3,
         lambda t: (
-            g.adjacency[t[:, 0].astype(int), t[:, 1].astype(int)]
-            * g.adjacency[t[:, 0].astype(int), t[:, 2].astype(int)]
-            * g.adjacency[t[:, 1].astype(int), t[:, 2].astype(int)]
+            g.adjacency.toarray()[t[:, 0].astype(int), t[:, 1].astype(int)]
+            * g.adjacency.toarray()[t[:, 0].astype(int), t[:, 2].astype(int)]
+            * g.adjacency.toarray()[t[:, 1].astype(int), t[:, 2].astype(int)]
         ).astype(float),
         pv.Bounded(1.0),
     )
@@ -644,7 +644,7 @@ def test_triangle_reweight_equals_loop_reference_bitwise(n, radius, low_share):
         weights = np.ones(n)
         low = rng.choice(n, max(1, int(low_share * n)), replace=False)
         weights[low] = rng.choice([0.0, 0.25, rng.uniform()], size=low.size)
-        assert summary.reweight(weights) == loop_triangle_reweight(g.adjacency, weights, summary.a_n)
+        assert summary.reweight(weights) == loop_triangle_reweight(g.adjacency.toarray(), weights, summary.a_n)
 
 
 # ---------------------------------------------------------------------------

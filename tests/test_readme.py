@@ -1,9 +1,12 @@
 """The README's library example runs as written against the package."""
 
 import re
+import warnings
 from pathlib import Path
 
 import pytest
+
+from privustat.errors import PreconditionWarning
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,7 +18,10 @@ def python_blocks() -> list[str]:
 def test_readme_example_runs_and_debits_its_ledger(capsys):
     (block,) = python_blocks()
     namespace: dict = {}
-    exec(compile(block, str(README), "exec"), namespace)
+    with warnings.catch_warnings():
+        # the example picks sizes at which every guarantee it uses holds
+        warnings.simplefilter("error", PreconditionWarning)
+        exec(compile(block, str(README), "exec"), namespace)
     budget = namespace["budget"]
     # one collision release at eps 1 and one boosted block at eps 1
     assert budget.spent == pytest.approx(2.0, rel=0, abs=1e-12)
