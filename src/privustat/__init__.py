@@ -21,14 +21,7 @@ from .coinpress import (
     subsampled_estimator,
     ustat_mean,
 )
-from .dp import (
-    NoiseSample,
-    PrivacyBudget,
-    global_sensitivity_release,
-    laplace,
-    quartic_noise,
-    smooth_sensitivity_release,
-)
+from .dp import PrivacyBudget, global_sensitivity_release, smooth_sensitivity_release
 from .hajek import (
     HajekParams,
     HajekState,
@@ -48,21 +41,14 @@ from .ustat import (
     Kernel,
     SubGaussian,
     SubsetFamily,
-    VarianceProfile,
     all_tuples,
     collision_kernel,
-    constant_kernel,
-    empirical_zetas,
     equality_kernel,
     evaluate_ustat,
-    hoeffding_deltas,
     identity_kernel,
     local_projections,
     mean_kernel,
     subsample_family,
-    variance_leading_term,
-    variance_of_ustat,
-    zetas_from_deltas,
 )
 
 __version__ = "0.1.0"

@@ -338,8 +338,6 @@ def triangle_summary(graph: GeometricGraph) -> UStatSummary:
 
     def reweight(weights: np.ndarray) -> float:
         low = np.nonzero(weights < 1.0)[0]
-        if low.size == 0:
-            return a_n
         # reweighted mean = a_n + (1/M) sum over triples meeting a
         # down-weighted node of (wt(S) - 1)(h(S) - a_n); triples of three
         # full-weight nodes contribute nothing

@@ -2,8 +2,9 @@
 
 One engine drives three estimators.  Each refinement step clips the kernel
 values to the current interval widened by a uniform deviation bound, releases
-the clipped mean with Laplace noise scaled to the family's dependence
-fraction, and re-centers the interval.  The naive, all-tuples, and subsampled
+the clipped mean through ``dp.global_sensitivity_release`` (Laplace noise
+scaled to the family's dependence fraction; the ledger is debited before the
+draw), and re-centers the interval.  The naive, all-tuples, and subsampled
 estimators differ only in the subset family and the pair of tail bounds they
 plug in.
 """
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dp import PrivacyBudget, laplace
+from .dp import PrivacyBudget, global_sensitivity_release
 from .errors import PreconditionWarning
 from .report import EstimateReport
 from .rng import as_generator
@@ -99,8 +100,11 @@ def _release(
     beta: float,
     tb: TailBounds,
     seed,
-) -> IntervalState:
-    """One release of the clipped values' mean, and the interval around it.
+    budget: PrivacyBudget,
+    label: str,
+) -> tuple[IntervalState, float]:
+    """One release of the clipped values' mean, the interval around it, and
+    the scale of its noise.
 
     The values must already be clipped to [lo - Q(beta), hi + Q(beta)].  The
     mean is released with Laplace noise of scale Delta/eps_step where
@@ -108,16 +112,11 @@ def _release(
     Qavg(beta) + (Delta/eps_step) log(1/beta) around the release and is not
     intersected with the input one (``ustat_mean`` does that).
     """
-    if eps_step <= 0:
-        raise ValueError("step epsilon must be > 0")
-    rng = as_generator(seed)
-    q = tb.q(beta)
-    dep = family.dependence_fraction()
-    delta = dep * (interval.width + 2.0 * q)
-    noise = laplace(delta / eps_step, rng).value if delta > 0 else 0.0
-    release = float(clipped.mean()) + noise
-    half = tb.qavg(beta) + (delta / eps_step) * math.log(1.0 / beta)
-    return IntervalState(release - half, release + half, interval.iteration + 1)
+    delta = family.dependence_fraction() * (interval.width + 2.0 * tb.q(beta))
+    release = global_sensitivity_release(float(clipped.mean()), delta, eps_step, budget, seed, label)
+    scale = delta / eps_step
+    half = tb.qavg(beta) + scale * math.log(1.0 / beta)
+    return IntervalState(release - half, release + half, interval.iteration + 1), scale
 
 
 def halving_rounds(r: float, q_gamma: float) -> int:
@@ -182,7 +181,8 @@ def ustat_mean(
     if not (math.isfinite(values.min()) and math.isfinite(values.max())):
         raise ValueError("kernel values must be finite")
     t = halving_rounds(r, tb.q(gamma))
-    problems = check_preconditions(family.dependence_fraction(), eps, gamma, t, tb)
+    dep = family.dependence_fraction()
+    problems = check_preconditions(dep, eps, gamma, t, tb)
     if problems:
         warnings.warn(
             "halving guarantees not in force: " + "; ".join(problems),
@@ -197,25 +197,26 @@ def ustat_mean(
     # in place rather than copied into a new (M,) array per step
     for _ in range(t):
         np.clip(values, interval.lo - q, interval.hi + q, out=values)
-        raw = _release(values, family, interval, eps / (2.0 * t), beta, tb, rng)
+        raw, _ = _release(
+            values, family, interval, eps / (2.0 * t), beta, tb, rng, budget,
+            f"{label}: halving step",
+        )
         lo = max(interval.lo, raw.lo)
         hi = min(interval.hi, raw.hi)
         if lo > hi:  # disjoint: keep the previous endpoint nearest the release
             lo = hi = min(max(raw.midpoint, interval.lo), interval.hi)
         interval = IntervalState(lo, hi, raw.iteration)
         trace.append(interval)
-        budget.spend(f"{label}: halving step", eps / (2.0 * t))
     q = tb.q(gamma)
     np.clip(values, interval.lo - q, interval.hi + q, out=values)
-    final = _release(values, family, interval, eps / 2.0, gamma, tb, rng)
+    final, scale = _release(
+        values, family, interval, eps / 2.0, gamma, tb, rng, budget, f"{label}: release step"
+    )
     trace.append(final)
-    budget.spend(f"{label}: release step", eps / 2.0)
-    dep = family.dependence_fraction()
-    delta = dep * (interval.width + 2.0 * q)
     return EstimateReport(
         estimate=min(max(final.midpoint, -r), r),
         radius=0.5 * final.width,
-        noise_scale=2.0 * delta / eps,
+        noise_scale=scale,
         diagnostics={"iterations": t + 1, "trace": trace, "dep": dep},
     )
 

@@ -2,9 +2,13 @@
 
 Pure epsilon-DP only.  Two samplers: Laplace (global-sensitivity mechanism)
 and the heavy-tailed law with density proportional to 1/(1+z^4) used by the
-smooth-sensitivity mechanism.  The ledger is advisory: it records and enforces
-totals under sequential and parallel composition but does not itself certify
-that a mechanism was calibrated correctly.
+smooth-sensitivity mechanism.  This is the only module that draws release
+noise or debits a ledger: every release goes through
+``global_sensitivity_release`` or ``smooth_sensitivity_release``, which debit
+the ledger before they draw, and each draws from the same vector sampler that
+``harness.audits.noise_gof`` checks.  The ledger is advisory: it records and
+enforces totals under sequential and parallel composition but does not itself
+certify that a mechanism was calibrated correctly.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ SMOOTH_RELEASE_FACTOR = 10.0
 # points of the u-grid on which quartic_cdf integrates the density
 _CDF_GRID = 200_001
 
-# rng.random() returns multiples of 2^-53 in [0, 1).  The Laplace samplers read
+# rng.random() returns multiples of 2^-53 in [0, 1).  The Laplace sampler reads
 # the draw 0.0 as the middle of its cell, so the inverse CDF never hits log(0).
 _ZERO_DRAW = 2.0**-54
 
@@ -120,33 +124,12 @@ def scratch_budget() -> PrivacyBudget:
 # samplers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoiseSample:
-    value: float
-    scale: float
-    law: str  # "laplace" | "quartic_tail"
-
-
-def laplace(scale: float, seed) -> NoiseSample:
-    """One draw with density exp(-|z|/b) / (2b), via the inverse CDF."""
-    if scale <= 0:
-        raise NonPositiveScale("Laplace scale must be > 0")
-    rng = as_generator(seed)
-    u = max(rng.random(), _ZERO_DRAW) - 0.5
-    value = -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
-    return NoiseSample(value, scale, "laplace")
-
-
 def laplace_draws(scale: float, size: int, rng) -> np.ndarray:
+    """``size`` draws with density exp(-|z|/b) / (2b), via the inverse CDF."""
     if scale <= 0:
         raise NonPositiveScale("Laplace scale must be > 0")
     u = np.maximum(as_generator(rng).random(size), _ZERO_DRAW) - 0.5
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-
-def quartic_noise(seed) -> NoiseSample:
-    """One draw from the density sqrt(2)/pi / (1 + z^4)."""
-    return NoiseSample(float(quartic_draws(1, seed)[0]), 1.0, "quartic_tail")
 
 
 def quartic_draws(size: int, seed) -> np.ndarray:
@@ -232,7 +215,7 @@ def global_sensitivity_release(
     budget.spend(label, eps)
     if gs == 0:
         return float(value)
-    return float(value) + laplace(gs / eps, seed).value
+    return float(value) + float(laplace_draws(gs / eps, 1, seed)[0])
 
 def smooth_sensitivity_release(
     value: float,
@@ -254,4 +237,4 @@ def smooth_sensitivity_release(
     budget.spend(label, eps)
     if ss == 0:
         return float(value)
-    return float(value) + (SMOOTH_RELEASE_FACTOR * ss / eps) * quartic_noise(seed).value
+    return float(value) + (SMOOTH_RELEASE_FACTOR * ss / eps) * float(quartic_draws(1, seed)[0])

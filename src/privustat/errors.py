@@ -9,14 +9,6 @@ class CombinatorialOverflow(PrivustatError):
     """Requested an enumeration larger than the configured cap."""
 
 
-class EmptyIncidence(PrivustatError):
-    """An index appears in no subset of the family."""
-
-
-class DegeneracyMismatch(PrivustatError):
-    """Degenerate variance formula requested but the first conditional variance is nonzero."""
-
-
 class NonPositiveScale(PrivustatError):
     """Noise scale must be strictly positive."""
 
@@ -35,10 +27,6 @@ class InsufficientData(PrivustatError):
 
 class AuditFailure(PrivustatError):
     """A verification audit found a violating instance."""
-
-
-class NegativeDeltaWarning(UserWarning):
-    """A Hoeffding component variance computed from empirical inputs is negative."""
 
 
 class PreconditionWarning(UserWarning):

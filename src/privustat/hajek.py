@@ -62,7 +62,6 @@ class HajekState:
     a_n: float
     projections: np.ndarray
     spread_level: int  # the integer L
-    good: np.ndarray
     bad: np.ndarray
     weights: np.ndarray
     reweighted: float
@@ -118,8 +117,6 @@ def reweighted_mean(
 ) -> float:
     """Mean of h(X_S) * wt(S) + a_n * (1 - wt(S)), wt(S) = min weight in S."""
     weights = np.asarray(weights, dtype=float)
-    if np.all(weights == 1.0):
-        return float(np.mean(values))
     wt_s = np.empty(family.size)
     for start, rows in family.blocks():
         wt_s[start : start + rows.shape[0]] = weights[rows].min(axis=1)
@@ -224,9 +221,7 @@ def hajek_state(summary: UStatSummary, params: HajekParams) -> HajekState:
     devs[devs <= tol] = 0.0
     level = compute_L(devs, params.xi, params.c_range, k, n)
     edge = params.xi + 6.0 * k * params.c_range * level / n
-    over = devs > edge
-    good = np.flatnonzero(~over)
-    bad = np.flatnonzero(over)
+    bad = np.flatnonzero(devs > edge)
     # the ramp is exactly 1 inside the edge, so only the bad indices need it
     weights = np.ones(n)
     weights[bad] = compute_weights(devs[bad], params.xi, params.c_range, k, n, level, params.eps)
@@ -238,7 +233,6 @@ def hajek_state(summary: UStatSummary, params: HajekParams) -> HajekState:
         a_n=a_n,
         projections=proj,
         spread_level=level,
-        good=good,
         bad=bad,
         weights=weights,
         reweighted=reweighted,

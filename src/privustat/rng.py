@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.SeedSequence | np.random.Generator | None"
-
 
 def as_generator(seed) -> np.random.Generator:
     """Coerce an int / SeedSequence / Generator / None into a Generator."""

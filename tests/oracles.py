@@ -2,20 +2,24 @@
 a Monte Carlo θ, closed forms, explicit families, the majority-vote form of
 the boosted uniformity test, the full-scan forms of the spread level and the
 Hájek state, the copying clip step of ``ustat_mean``, the loop form of the
-collision reweight, the per-line file readers, and the loop forms of the
-audits and the quartic sampler."""
+collision reweight, the per-line file readers, the loop forms of the audits
+and the quartic sampler, a constant kernel, and the U-statistic variance
+calculus (conditional variances, Hoeffding components, exact variance)."""
 
 import itertools
 import math
-from typing import Callable, Iterable, Optional
+import warnings
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from privustat.applications import GeometricGraph, uniformity_test
 from privustat.boosting import BoostPlan
 from privustat.coinpress import IntervalState, TailBounds, _release, halving_rounds
-from privustat.dp import _ENVELOPE, PrivacyBudget, laplace_draws, quartic_cdf
-from privustat.errors import AuditFailure, EmptyIncidence
+from privustat.dp import _ENVELOPE, PrivacyBudget, laplace_draws, quartic_cdf, scratch_budget
+from privustat.errors import AuditFailure, PrivustatError
 from privustat.hajek import (
     HajekParams,
     HajekState,
@@ -29,14 +33,29 @@ from privustat.hajek import (
 from privustat.harness.audits import SmoothnessReport
 from privustat.rng import as_generator, child_seeds
 from privustat.ustat import (
+    DEFAULT_ENUMERATION_CAP,
+    Bounded,
     Dataset,
     Kernel,
     SubsetFamily,
+    _check_enumeration_cap,
     all_tuples,
     collision_kernel,
     equality_kernel,
     kernel_values,
 )
+
+
+class EmptyIncidence(PrivustatError):
+    """An index appears in no subset of the family."""
+
+
+class DegeneracyMismatch(PrivustatError):
+    """Degenerate variance formula requested but the first conditional variance is nonzero."""
+
+
+class NegativeDeltaWarning(UserWarning):
+    """A Hoeffding component variance computed from empirical inputs is negative."""
 
 
 def brute_force_local_sensitivity(
@@ -129,7 +148,6 @@ def full_scan_hajek_state(summary: UStatSummary, params: HajekParams) -> HajekSt
         a_n=summary.a_n,
         projections=summary.projections,
         spread_level=level,
-        good=np.nonzero(devs <= edge)[0],
         bad=bad,
         weights=weights,
         reweighted=summary.reweight(weights) if bad.size else summary.a_n,
@@ -201,11 +219,15 @@ def ustat_one_step(
 
     Clips each value to [lo - Q(beta), hi + Q(beta)] into a new array
     (``values`` is left as it is) and releases its mean through the library's
-    ``_release``; returns the clipped values and the unintersected interval.
+    ``_release`` on a scratch ledger; returns the clipped values and the
+    unintersected interval.
     """
     q = tb.q(beta)
     clipped = np.clip(values, interval.lo - q, interval.hi + q)
-    return clipped, _release(clipped, family, interval, eps_step, beta, tb, seed)
+    interval, _ = _release(
+        clipped, family, interval, eps_step, beta, tb, seed, scratch_budget(), "one step"
+    )
+    return clipped, interval
 
 
 def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:
@@ -473,3 +495,147 @@ def loop_smoothness_audit(
             f"({len(report.violations)} violations total)"
         )
     return report
+
+
+# ---------------------------------------------------------------------------
+# a constant kernel and the variance calculus
+# ---------------------------------------------------------------------------
+
+def constant_kernel(value: float, degree: int = 1) -> Kernel:
+    return Kernel(degree, lambda t: np.full(t.shape[0], float(value)), Bounded(0.0), name=f"const({value})")
+
+
+def evaluate_one(h: Kernel, *args) -> float:
+    """h at one tuple of arguments."""
+    return float(h.evaluate(np.asarray(args).reshape(1, -1))[0])
+
+
+@dataclass(frozen=True)
+class VarianceProfile:
+    """Conditional variances (index c = 1..k) of a degree-k kernel."""
+
+    zetas: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "zetas", np.asarray(self.zetas, dtype=float))
+        if self.zetas.ndim != 1 or self.zetas.size < 1:
+            raise ValueError("need at least one conditional variance")
+        if not np.all(np.isfinite(self.zetas)):
+            raise ValueError("conditional variances must be finite")
+
+    @property
+    def k(self) -> int:
+        return int(self.zetas.size)
+
+    def deltas(self) -> np.ndarray:
+        return hoeffding_deltas(self.zetas)
+
+    def chain_violation(self) -> float:
+        """Largest violation of zeta_c / c <= zeta_d / d (0 when the chain holds)."""
+        ratios = self.zetas / np.arange(1, self.k + 1)
+        worst = 0.0
+        for c in range(self.k - 1):
+            worst = max(worst, float(np.max(ratios[c] - ratios[c + 1 :], initial=0.0)))
+        return worst
+
+
+def hoeffding_deltas(zetas) -> np.ndarray:
+    """Component variances of the orthogonal decomposition, from the zetas.
+
+    delta_c^2 = sum_{i<=c} (-1)^(c-i) C(c,i) zeta_i.  Warns (diagnostic only)
+    if an empirical profile yields a materially negative component.
+    """
+    zetas = np.asarray(zetas, dtype=float)
+    k = zetas.size
+    deltas = np.empty(k)
+    for c in range(1, k + 1):
+        deltas[c - 1] = sum(
+            (-1) ** (c - i) * math.comb(c, i) * zetas[i - 1] for i in range(1, c + 1)
+        )
+    scale = max(1.0, float(np.max(np.abs(zetas), initial=0.0)))
+    if np.any(deltas < -1e-9 * scale):
+        warnings.warn(
+            "negative Hoeffding component variance from empirical inputs",
+            NegativeDeltaWarning,
+            stacklevel=2,
+        )
+    return deltas
+
+
+def zetas_from_deltas(deltas) -> np.ndarray:
+    """Inverse transform: zeta_c = sum_{i<=c} C(c,i) delta_i^2."""
+    deltas = np.asarray(deltas, dtype=float)
+    k = deltas.size
+    return np.array(
+        [sum(math.comb(c, i) * deltas[i - 1] for i in range(1, c + 1)) for c in range(1, k + 1)]
+    )
+
+
+def variance_of_ustat(profile: VarianceProfile, n: int, k: int) -> float:
+    """Exact variance of the complete U-statistic from its conditional variances.
+
+    var(U_n) = C(n,k)^{-1} sum_c C(k,c) C(n-k,k-c) zeta_c.  Coefficients are
+    computed as exact rationals before the float combination.
+    """
+    if profile.k != k:
+        raise ValueError("profile length must equal the kernel degree")
+    if n < k:
+        raise ValueError("need n >= k")
+    _check_enumeration_cap(n, k, DEFAULT_ENUMERATION_CAP)
+    total = math.comb(n, k)
+    out = 0.0
+    for c in range(1, k + 1):
+        weight = Fraction(math.comb(k, c) * math.comb(n - k, k - c), total)
+        out += float(weight) * float(profile.zetas[c - 1])
+    return out
+
+
+def variance_leading_term(
+    profile: VarianceProfile, n: int, k: int, degenerate: bool, tol: float = 1e-9
+) -> float:
+    """First-order variance: k^2 zeta_1 / n, or the zeta_2 term when zeta_1 = 0."""
+    if k > n / 2:
+        raise ValueError("leading-term approximation needs k <= n/2")
+    z1 = float(profile.zetas[0])
+    if degenerate:
+        if z1 > tol:
+            raise DegeneracyMismatch(f"zeta_1 = {z1} is not 0")
+        if profile.k < 2:
+            raise ValueError("degenerate leading term needs k >= 2")
+        return k**2 * (k - 1) ** 2 * float(profile.zetas[1]) / (2 * n * (n - 1))
+    return k**2 * z1 / n
+
+
+class ZetaEstimate(NamedTuple):
+    value: float
+    stderr: float
+    trials: int
+
+
+def empirical_zetas(
+    h: Kernel,
+    sampler: Callable[[np.random.Generator, int], np.ndarray],
+    c: int,
+    trials: int,
+    seed,
+) -> ZetaEstimate:
+    """Monte Carlo estimate of the c-th conditional variance.
+
+    Uses the covariance characterization: draw 2k-c i.i.d. points, evaluate the
+    kernel on two subsets sharing exactly c points, and average the product of
+    the two values minus the squared mean estimate.  The standard error comes
+    from the first-order influence function of that plug-in.
+    """
+    k = h.degree
+    if not 1 <= c <= k:
+        raise ValueError("need 1 <= c <= k (the c = 0 covariance is undefined)")
+    rng = as_generator(seed)
+    pts = sampler(rng, trials * (2 * k - c)).reshape(trials, 2 * k - c)
+    first = h.evaluate(pts[:, :k])
+    second = h.evaluate(pts[:, k - c :])
+    prods = first * second
+    theta_hat = 0.5 * (first.mean() + second.mean())
+    value = float(prods.mean() - theta_hat**2)
+    influence = (prods - prods.mean()) - 2.0 * theta_hat * (0.5 * (first + second) - theta_hat)
+    stderr = float(influence.std(ddof=1) / math.sqrt(trials))
+    return ZetaEstimate(value, stderr, trials)

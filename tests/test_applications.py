@@ -16,6 +16,7 @@ from privustat.errors import InsufficientData
 from privustat.ustat import Dataset
 
 from oracles import (
+    VarianceProfile,
     collision_ustat_variance,
     collision_variance_profile,
     dense_edge_density,
@@ -26,6 +27,7 @@ from oracles import (
     loop_triangle_reweight,
     majority_uniformity_test,
     rgg_triangle_theta,
+    variance_of_ustat,
     write_edge_list,
 )
 
@@ -83,7 +85,7 @@ def test_collision_variance_profile_matches_closed_form():
     s2 = float(np.sum(p**2))
     assert z2 == pytest.approx(s2 - s2**2, rel=1e-12)
     n = 40
-    direct = pv.variance_of_ustat(pv.VarianceProfile([z1, z2]), n, 2)
+    direct = variance_of_ustat(VarianceProfile([z1, z2]), n, 2)
     assert collision_ustat_variance(p, n) == pytest.approx(direct, rel=1e-12)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import privustat as pv
-from privustat import coinpress
+from privustat import coinpress, dp
 from privustat.coinpress import (
     IntervalState,
     TailBounds,
@@ -17,10 +17,16 @@ from privustat.coinpress import (
     subsampled_tail_bounds,
 )
 from privustat.dp import scratch_budget
-from privustat.errors import PreconditionWarning
+from privustat.errors import BudgetExhausted, PreconditionWarning
 from privustat.ustat import Dataset, disjoint_chunks
 
-from oracles import copy_clipping_ustat_mean, ustat_one_step
+from oracles import (
+    VarianceProfile,
+    constant_kernel,
+    copy_clipping_ustat_mean,
+    ustat_one_step,
+    variance_of_ustat,
+)
 
 warnings.simplefilter("ignore", PreconditionWarning)
 
@@ -144,7 +150,7 @@ def test_ustat_mean_constant_kernel_high_budget():
     d = Dataset(np.full(40, 0.62))
     fam = pv.all_tuples(40, 2)
     rep = coinpress.ustat_mean(
-        pv.constant_kernel(0.62, 2), d, fam, r=1.0, eps=10**6, gamma=0.01,
+        constant_kernel(0.62, 2), d, fam, r=1.0, eps=10**6, gamma=0.01,
         tb=flat_bounds(0.05, 0.01), seed=7, budget=scratch_budget(),
     )
     assert rep.estimate == pytest.approx(0.62, abs=1e-3)
@@ -219,6 +225,22 @@ def test_ustat_mean_budget_schedule():
     assert eps_schedule[:-1] == pytest.approx([1.0 / (2 * t)] * t)
     assert eps_schedule[-1] == pytest.approx(0.5)
     assert budget.spent == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ustat_mean_refuses_the_release_step_before_it_draws():
+    # the ledger holds the halving steps but not the release step, which must
+    # be refused before its Laplace draw: the generator has not advanced
+    d = Dataset(np.random.default_rng(3).normal(0.5, 1.0, 60))
+    fam, tb = pv.all_tuples(60, 2), all_tuples_tail_bounds(0.5, 2, 60)
+    t = halving_rounds(4.0, tb.q(0.01))
+    rng, budget = np.random.default_rng(5), pv.PrivacyBudget(0.5)
+    with pytest.raises(BudgetExhausted):
+        coinpress.ustat_mean(pv.mean_kernel(2, 0.5), d, fam, 4.0, 1.0, 0.01, tb, rng, budget, "short")
+    assert [label for label, _ in budget.entries] == ["short: halving step"] * t
+    halving_only = np.random.default_rng(5)
+    for _ in range(t):
+        dp.laplace_draws(1.0, 1, halving_only)
+    assert rng.bit_generator.state == halving_only.bit_generator.state
 
 
 def test_ustat_mean_interval_widths_never_grow_before_release():
@@ -359,7 +381,7 @@ def test_all_tuples_nonprivate_error_tracks_ustat_variance():
     # at essentially infinite budget the error is the U-statistic's own noise
     theta, n, trials = 0.0, 40, 500
     h = pv.mean_kernel(2, 0.5)
-    var_un = pv.variance_of_ustat(pv.VarianceProfile([0.25, 0.5]), n, 2)
+    var_un = variance_of_ustat(VarianceProfile([0.25, 0.5]), n, 2)
     rng = np.random.default_rng(5)
     sq = []
     for _ in range(trials):
@@ -400,7 +422,7 @@ def test_subsampled_extra_variance_term():
     # RMSE^2 at huge eps matches var(U_n) + zeta_k / M within 3 SEs
     n, size, trials = 20, 40, 4000
     h = pv.mean_kernel(2, 0.5)
-    var_un = pv.variance_of_ustat(pv.VarianceProfile([0.25, 0.5]), n, 2)
+    var_un = variance_of_ustat(VarianceProfile([0.25, 0.5]), n, 2)
     expected = var_un + 0.5 / size  # the with-replacement variance inflation
     rng = np.random.default_rng(7)
     sq = np.empty(trials)

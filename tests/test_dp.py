@@ -25,9 +25,9 @@ from oracles import (
 
 def test_laplace_rejects_bad_scale():
     with pytest.raises(NonPositiveScale):
-        pv.laplace(0.0, 0)
+        dp.laplace_draws(0.0, 1, 0)
     with pytest.raises(NonPositiveScale):
-        pv.laplace(-1.0, 0)
+        dp.laplace_draws(-1.0, 1, 0)
 
 
 def test_laplace_median_of_abs_is_log2():
@@ -42,7 +42,7 @@ def test_laplace_mean_near_zero():
 
 
 def test_laplace_fixed_seed_regression():
-    assert pv.laplace(1.0, 20240601).value == pytest.approx(0.8762112869339834, abs=1e-15)
+    assert dp.laplace_draws(1.0, 1, 20240601)[0] == pytest.approx(0.8762112869339834, abs=1e-15)
 
 
 class _ZeroGenerator(np.random.Generator):
@@ -56,11 +56,11 @@ class _ZeroGenerator(np.random.Generator):
 
 
 def test_laplace_zero_uniform_draw_is_finite():
-    one = pv.laplace(2.0, _ZeroGenerator()).value
+    one = dp.laplace_draws(2.0, 1, _ZeroGenerator())[0]
     many = dp.laplace_draws(2.0, 4, _ZeroGenerator())
     assert math.isfinite(one)
     assert np.all(np.isfinite(many))
-    assert np.all(many == one)  # both samplers read the draw 0.0 the same way
+    assert np.all(many == one)  # one draw and a batch read the draw 0.0 the same way
 
 
 def test_laplace_tail_bound():
@@ -109,7 +109,7 @@ def test_quartic_empirical_cdf_at_grid():
 
 
 def test_quartic_fixed_seed_regression():
-    assert pv.quartic_noise(20240601).value == pytest.approx(0.5457380784402894, abs=1e-15)
+    assert dp.quartic_draws(1, 20240601)[0] == pytest.approx(0.5457380784402894, abs=1e-15)
 
 
 def test_quartic_deterministic_given_seed():
@@ -130,6 +130,19 @@ def test_quartic_draws_equal_the_pow_sampler(size, seeds):
 def test_zero_sensitivity_release_is_exact():
     assert pv.global_sensitivity_release(1.25, 0.0, 1.0, scratch_budget(), 0) == 1.25
     assert pv.smooth_sensitivity_release(1.25, 0.0, 1.0, scratch_budget(), 0) == 1.25
+
+
+def test_releases_add_exactly_the_audited_samplers_draw():
+    # noise_gof checks laplace_draws and quartic_draws; a release adds one of
+    # their draws and nothing else
+    rng = np.random.default_rng(12)
+    for seed in range(200):
+        value, sens, eps = rng.normal(0.0, 10.0), rng.uniform(0.01, 5.0), rng.uniform(0.05, 4.0)
+        laplace = pv.global_sensitivity_release(value, sens, eps, scratch_budget(), seed)
+        assert laplace == value + dp.laplace_draws(sens / eps, 1, seed)[0], seed
+        smooth = pv.smooth_sensitivity_release(value, sens, eps, scratch_budget(), seed)
+        scale = dp.SMOOTH_RELEASE_FACTOR * sens / eps
+        assert smooth == value + scale * dp.quartic_draws(1, seed)[0], seed
 
 
 def test_laplace_release_debits_budget():

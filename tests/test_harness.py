@@ -20,7 +20,12 @@ from privustat.harness.experiments import (
 )
 
 import oracles
-from oracles import fresh_array_ks_gap, loop_smoothness_audit, reference_noise_gap
+from oracles import (
+    constant_kernel,
+    fresh_array_ks_gap,
+    loop_smoothness_audit,
+    reference_noise_gap,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +402,7 @@ def test_fixture_differs_in_exactly_flip_count_positions():
 
 def test_smoothness_audit_constant_kernel_trivially_passes():
     rep = audits.smoothness_audit(
-        n=4, eps=1.0, xi=0.0, c_range=0.0, kernel=pv.constant_kernel(1.0, 2)
+        n=4, eps=1.0, xi=0.0, c_range=0.0, kernel=constant_kernel(1.0, 2)
     )
     assert rep.ok
     assert rep.worst_dominance_margin >= 0.0
@@ -406,7 +411,7 @@ def test_smoothness_audit_constant_kernel_trivially_passes():
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_smoothness_audit_fails_on_a_non_finite_kernel(value):
     # an inf reweighted mean moves to its neighbour's by inf - inf = NaN
-    kernel = pv.constant_kernel(value, 2)
+    kernel = constant_kernel(value, 2)
     with np.errstate(invalid="ignore"), pytest.raises(AuditFailure, match="dominance violated .* nan"):
         audits.smoothness_audit(n=4, eps=1.0, xi=0.0, c_range=0.0, kernel=kernel)
 
@@ -453,7 +458,7 @@ def smoothness_cases(n):
     if n <= 8:
         yield dict(n=n, eps=1.0, xi=0.0, k=3)
     if n <= 6:
-        yield dict(n=n, eps=1.0, xi=0.1, kernel=pv.constant_kernel(float("nan"), 2))
+        yield dict(n=n, eps=1.0, xi=0.1, kernel=constant_kernel(float("nan"), 2))
         yield dict(n=n, eps=1.0, xi=0.1, alphabet=(0, 1, 2))
         yield dict(n=n, eps=0.5, xi=0.0, alphabet=(0, 1, 2), k=3)
 

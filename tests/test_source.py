@@ -1,10 +1,13 @@
-"""Static checks on the package source: no unused imports, one ledger rule.
+"""Static checks on the package source: no unused imports, the ledger rules.
 
 No linter ships with the test toolchain, so this walks the syntax tree with
 the standard-library ``ast`` module.  Package ``__init__`` modules are
 skipped by the import check: their imports are the public re-exports.  Every
 release takes the caller's ledger, so no ``budget`` parameter has a default,
 and the release noise has one calibration, so no parameter rescales it.
+Only ``dp`` debits a ledger or draws release noise, so a release is drawn
+and debited one way; ``noise_gof`` may call the samplers, because it audits
+them.
 """
 
 import ast
@@ -107,3 +110,51 @@ def test_checker_finds_ledger_rule_violations():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_ledger_is_required_and_release_scale_is_fixed(path):
     assert ledger_rule_violations(path.read_text()) == []
+
+
+SAMPLERS = {"laplace_draws", "quartic_draws"}
+SAMPLER_AUDIT = ("harness/audits.py", "noise_gof")
+
+
+def debits_and_draws(source: str) -> list[tuple[int, str, str]]:
+    """(line, enclosing top-level definition, callee) of every call of
+    ``spend`` or of a release sampler, by plain name or as an attribute."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if callee == "spend" or callee in SAMPLERS:
+                    found.append((node.lineno, owner, callee))
+    return sorted(found)
+
+
+def test_checker_finds_debits_and_draws():
+    source = (
+        "from .dp import laplace_draws\n"
+        "def release(x, budget, rng):\n"
+        "    budget.spend('x', 1.0)\n"
+        "    return x + laplace_draws(1.0, 1, rng)[0]\n"
+        "class Audit:\n    def run(self, rng):\n        return dp.quartic_draws(10, rng)\n"
+        "spend('top', 0.5)\n"
+    )
+    assert debits_and_draws(source) == [
+        (3, "release", "spend"),
+        (4, "release", "laplace_draws"),
+        (7, "Audit", "quartic_draws"),
+        (8, "<module>", "spend"),
+    ]
+
+
+def test_only_dp_debits_the_ledger_and_draws_release_noise():
+    found = []
+    for path in ALL_MODULES:
+        module = str(path.relative_to(SRC))
+        if module == "dp.py":
+            continue
+        for line, owner, callee in debits_and_draws(path.read_text()):
+            if callee in SAMPLERS and (module, owner) == SAMPLER_AUDIT:
+                continue
+            found.append(f"{module} line {line}: {callee} in {owner}")
+    assert found == []

@@ -12,14 +12,28 @@ from hypothesis import strategies as st
 
 import privustat as pv
 from privustat import ustat
-from privustat.errors import CombinatorialOverflow, DegeneracyMismatch, EmptyIncidence
+from privustat.errors import CombinatorialOverflow
 from privustat.ustat import (
     Dataset,
     disjoint_chunks,
     kernel_values,
 )
 
-from oracles import explicit_family, local_projection
+from oracles import (
+    DegeneracyMismatch,
+    EmptyIncidence,
+    NegativeDeltaWarning,
+    VarianceProfile,
+    constant_kernel,
+    empirical_zetas,
+    evaluate_one,
+    explicit_family,
+    hoeffding_deltas,
+    local_projection,
+    variance_leading_term,
+    variance_of_ustat,
+    zetas_from_deltas,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +273,7 @@ def test_subsampled_regularity_holds_at_recommended_size():
 def test_constant_kernel_evaluates_to_constant():
     fam = pv.all_tuples(5, 2)
     d = Dataset(np.arange(5.0))
-    assert pv.evaluate_ustat(pv.constant_kernel(1.0, 2), d, fam) == 1.0
+    assert pv.evaluate_ustat(constant_kernel(1.0, 2), d, fam) == 1.0
 
 
 def test_degree_one_is_sample_mean():
@@ -278,7 +292,7 @@ def test_local_projection_constant_kernel():
     fam = pv.all_tuples(6, 3)
     d = Dataset(np.arange(6.0))
     for i in range(6):
-        assert local_projection(pv.constant_kernel(2.5, 3), d, fam, i) == 2.5
+        assert local_projection(constant_kernel(2.5, 3), d, fam, i) == 2.5
 
 
 def test_local_projection_empty_incidence():
@@ -320,7 +334,7 @@ def test_kernel_symmetry_by_sampled_permutations():
     rng = np.random.default_rng(3)
     for h in (pv.mean_kernel(3), pv.equality_kernel(3)):
         args = rng.integers(0, 3, size=3).astype(float)
-        vals = {h.evaluate_one(*args[list(p)]) for p in itertools.permutations(range(3))}
+        vals = {evaluate_one(h, *args[list(p)]) for p in itertools.permutations(range(3))}
         assert len(vals) == 1
 
 
@@ -336,12 +350,12 @@ def test_disjoint_chunks_shape_and_drop():
 # ---------------------------------------------------------------------------
 
 def test_variance_zero_profile():
-    assert pv.variance_of_ustat(pv.VarianceProfile([0.0, 0.0]), 10, 2) == 0.0
+    assert variance_of_ustat(VarianceProfile([0.0, 0.0]), 10, 2) == 0.0
 
 
 def test_variance_hand_example():
     # k=2, n=3: weights (C(2,1)C(1,1), C(2,2)C(1,0)) / C(3,2) = (2, 1)/3
-    v = pv.variance_of_ustat(pv.VarianceProfile([0.0, 3.0]), 3, 2)
+    v = variance_of_ustat(VarianceProfile([0.0, 3.0]), 3, 2)
     assert v == pytest.approx(1.0)
 
 
@@ -352,23 +366,23 @@ def test_variance_matches_pair_closed_form():
         z1 = rng.uniform(0, 0.3)
         z2 = rng.uniform(2 * z1, 1.0)  # respect the monotone chain
         n = int(rng.integers(5, 60))
-        lhs = pv.variance_of_ustat(pv.VarianceProfile([z1, z2]), n, 2)
+        lhs = variance_of_ustat(VarianceProfile([z1, z2]), n, 2)
         rhs = 2.0 / (n * (n - 1)) * (2 * (n - 2) * z1 + z2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_leading_term_plugin_values():
-    prof = pv.VarianceProfile([1.0, 2.5])
-    assert pv.variance_leading_term(prof, 100, 2, degenerate=False) == pytest.approx(0.04)
-    degen = pv.VarianceProfile([0.0, 1.0])
-    assert pv.variance_leading_term(degen, 100, 2, degenerate=True) == pytest.approx(
+    prof = VarianceProfile([1.0, 2.5])
+    assert variance_leading_term(prof, 100, 2, degenerate=False) == pytest.approx(0.04)
+    degen = VarianceProfile([0.0, 1.0])
+    assert variance_leading_term(degen, 100, 2, degenerate=True) == pytest.approx(
         4 / (2 * 100 * 99)
     )
 
 
 def test_leading_term_degeneracy_mismatch():
     with pytest.raises(DegeneracyMismatch):
-        pv.variance_leading_term(pv.VarianceProfile([0.5, 1.0]), 100, 2, degenerate=True)
+        variance_leading_term(VarianceProfile([0.5, 1.0]), 100, 2, degenerate=True)
 
 
 def test_leading_term_close_to_exact_variance():
@@ -376,19 +390,19 @@ def test_leading_term_close_to_exact_variance():
     for _ in range(30):
         k = int(rng.integers(1, 5))
         deltas = rng.uniform(0.0, 1.0, size=k)
-        zetas = pv.zetas_from_deltas(deltas)  # a valid profile by construction
+        zetas = zetas_from_deltas(deltas)  # a valid profile by construction
         n = int(rng.integers(2 * k, 200))
-        exact = pv.variance_of_ustat(pv.VarianceProfile(zetas), n, k)
-        lead = pv.variance_leading_term(pv.VarianceProfile(zetas), n, k, degenerate=False)
+        exact = variance_of_ustat(VarianceProfile(zetas), n, k)
+        lead = variance_leading_term(VarianceProfile(zetas), n, k, degenerate=False)
         slack = 2.0 * zetas[-1] * k**2 / n**2
         assert lead <= exact + 1e-12
         assert exact <= lead + slack + 1e-12
 
 
 def test_hoeffding_deltas_examples():
-    assert pv.hoeffding_deltas([0.0, 0.0]).tolist() == [0.0, 0.0]
+    assert hoeffding_deltas([0.0, 0.0]).tolist() == [0.0, 0.0]
     a, b = 0.3, 1.1
-    deltas = pv.hoeffding_deltas([a, b])
+    deltas = hoeffding_deltas([a, b])
     assert deltas[0] == pytest.approx(a)
     assert deltas[1] == pytest.approx(b - 2 * a)
 
@@ -398,23 +412,21 @@ def test_zeta_delta_round_trip():
     for _ in range(100):
         k = int(rng.integers(1, 7))
         deltas = rng.uniform(0.0, 2.0, size=k)  # any nonnegative component profile
-        zetas = pv.zetas_from_deltas(deltas)
-        back = pv.zetas_from_deltas(pv.hoeffding_deltas(zetas))
+        zetas = zetas_from_deltas(deltas)
+        back = zetas_from_deltas(hoeffding_deltas(zetas))
         np.testing.assert_allclose(back, zetas, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(pv.hoeffding_deltas(zetas), deltas, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(hoeffding_deltas(zetas), deltas, rtol=1e-9, atol=1e-9)
 
 
 def test_negative_delta_warns():
-    from privustat.errors import NegativeDeltaWarning
-
     with pytest.warns(NegativeDeltaWarning):
-        pv.hoeffding_deltas([1.0, 0.5])  # zeta_2 < 2 zeta_1 is infeasible
+        hoeffding_deltas([1.0, 0.5])  # zeta_2 < 2 zeta_1 is infeasible
 
 
 def test_variance_profile_chain_checker():
-    good = pv.VarianceProfile([0.5, 1.0, 1.5])
+    good = VarianceProfile([0.5, 1.0, 1.5])
     assert good.chain_violation() == 0.0
-    bad = pv.VarianceProfile([1.0, 1.0])
+    bad = VarianceProfile([1.0, 1.0])
     assert bad.chain_violation() > 0.0
 
 
@@ -427,19 +439,19 @@ def uniform_sampler(m):
 
 
 def test_empirical_zeta_constant_kernel_is_zero():
-    est = pv.empirical_zetas(pv.constant_kernel(3.0, 2), uniform_sampler(5), 1, 20_000, 0)
+    est = empirical_zetas(constant_kernel(3.0, 2), uniform_sampler(5), 1, 20_000, 0)
     assert abs(est.value) <= max(3 * est.stderr, 1e-12)
 
 
 def test_empirical_zeta_rejects_c_zero():
     with pytest.raises(ValueError):
-        pv.empirical_zetas(pv.collision_kernel(), uniform_sampler(5), 0, 100, 0)
+        empirical_zetas(pv.collision_kernel(), uniform_sampler(5), 0, 100, 0)
 
 
 def test_empirical_zetas_uniform_collision():
     m = 8
-    z1 = pv.empirical_zetas(pv.collision_kernel(), uniform_sampler(m), 1, 300_000, 1)
-    z2 = pv.empirical_zetas(pv.collision_kernel(), uniform_sampler(m), 2, 300_000, 2)
+    z1 = empirical_zetas(pv.collision_kernel(), uniform_sampler(m), 1, 300_000, 1)
+    z2 = empirical_zetas(pv.collision_kernel(), uniform_sampler(m), 2, 300_000, 2)
     assert abs(z1.value - 0.0) <= 3 * z1.stderr + 1e-9
     assert abs(z2.value - (1 / m - 1 / m**2)) <= 3 * z2.stderr
 
@@ -451,7 +463,7 @@ def test_empirical_zeta1_perturbed_matches_pairwise_formula():
         p[i] * p[j] * (p[i] - p[j]) ** 2 for i in range(m) for j in range(i + 1, m)
     )
     sampler = lambda rng, size: rng.choice(m, size=size, p=p)
-    est = pv.empirical_zetas(pv.collision_kernel(), sampler, 1, 400_000, 3)
+    est = empirical_zetas(pv.collision_kernel(), sampler, 1, 400_000, 3)
     assert abs(est.value - expected) <= 3 * est.stderr
 
 
@@ -459,8 +471,8 @@ def test_monotone_zeta_chain_empirically():
     m = 6
     p = (1 + np.concatenate([np.full(3, 0.4), np.full(3, -0.4)])) / m
     sampler = lambda rng, size: rng.choice(m, size=size, p=p)
-    z1 = pv.empirical_zetas(pv.collision_kernel(), sampler, 1, 200_000, 4)
-    z2 = pv.empirical_zetas(pv.collision_kernel(), sampler, 2, 200_000, 5)
+    z1 = empirical_zetas(pv.collision_kernel(), sampler, 1, 200_000, 4)
+    z2 = empirical_zetas(pv.collision_kernel(), sampler, 2, 200_000, 5)
     combined = math.hypot(z1.stderr, z2.stderr / 2)
     assert z1.value <= z2.value / 2 + 3 * combined
 
@@ -478,9 +490,9 @@ def test_eq3_matches_monte_carlo_small():
         mc = us.var(ddof=1)
         dev = us - us.mean()
         se_mc = math.sqrt(((dev**4).mean() - (reps - 3) / (reps - 1) * (dev**2).mean() ** 2) / reps)
-        z1 = pv.empirical_zetas(pv.collision_kernel(), uniform_sampler(m), 1, 400_000, n + 1)
-        z2 = pv.empirical_zetas(pv.collision_kernel(), uniform_sampler(m), 2, 400_000, n + 2)
-        formula = pv.variance_of_ustat(pv.VarianceProfile([z1.value, z2.value]), n, 2)
+        z1 = empirical_zetas(pv.collision_kernel(), uniform_sampler(m), 1, 400_000, n + 1)
+        z2 = empirical_zetas(pv.collision_kernel(), uniform_sampler(m), 2, 400_000, n + 2)
+        formula = variance_of_ustat(VarianceProfile([z1.value, z2.value]), n, 2)
         w1 = math.comb(2, 1) * math.comb(n - 2, 1) / math.comb(n, 2)
         w2 = 1 / math.comb(n, 2)
         se_formula = math.hypot(w1 * z1.stderr, w2 * z2.stderr)
@@ -492,7 +504,7 @@ def test_incomplete_ustat_variance_formula():
     m_atoms, n, size, reps = 5, 12, 20, 2 * 10**4
     p = np.full(m_atoms, 1 / m_atoms)
     z1, z2 = 0.0, 1 / m_atoms - 1 / m_atoms**2
-    var_un = pv.variance_of_ustat(pv.VarianceProfile([z1, z2]), n, 2)
+    var_un = variance_of_ustat(VarianceProfile([z1, z2]), n, 2)
     expected = (1 - 1 / size) * var_un + z2 / size
     rng = np.random.default_rng(8)
     vals = np.empty(reps)
@@ -515,8 +527,8 @@ def test_variance_formula_dual_route_through_components():
         k = int(rng.integers(1, 5))
         n = int(rng.integers(k, 40))
         deltas = rng.uniform(0.0, 1.5, size=k)
-        zetas = pv.zetas_from_deltas(deltas)
-        via_overlap = pv.variance_of_ustat(pv.VarianceProfile(zetas), n, k)
+        zetas = zetas_from_deltas(deltas)
+        via_overlap = variance_of_ustat(VarianceProfile(zetas), n, k)
         via_components = sum(
             math.comb(k, c) ** 2 / math.comb(n, c) * deltas[c - 1] for c in range(1, k + 1)
         )
