@@ -227,7 +227,6 @@ class GeometricGraph:
     """
 
     adjacency: sparse.csr_array
-    radius: Optional[float] = None
     latent: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -253,10 +252,10 @@ class GeometricGraph:
         self.adjacency = c
 
     @classmethod
-    def _of_csr(cls, adjacency: sparse.csr_array, radius=None, latent=None) -> "GeometricGraph":
+    def _of_csr(cls, adjacency: sparse.csr_array, latent=None) -> "GeometricGraph":
         """A graph around a CSR adjacency that is valid by construction; no checks."""
         graph = object.__new__(cls)
-        graph.adjacency, graph.radius, graph.latent = adjacency, radius, latent
+        graph.adjacency, graph.latent = adjacency, latent
         return graph
 
     @property
@@ -272,7 +271,7 @@ class GeometricGraph:
         lat = self.latent[idx] if self.latent is not None else None
         sub = self.adjacency[np.ix_(idx, idx)]
         sub.sort_indices()  # unsorted only when idx is not increasing
-        return GeometricGraph._of_csr(sub, self.radius, lat)
+        return GeometricGraph._of_csr(sub, lat)
 
 
 def sample_rgg(n: int, radius: float, seed) -> GeometricGraph:
@@ -287,7 +286,7 @@ def sample_rgg(n: int, radius: float, seed) -> GeometricGraph:
     # |x - y| <= r on the unit sphere <=> <x, y> >= 1 - r^2/2
     adj = latent @ latent.T >= 1.0 - radius**2 / 2.0
     np.fill_diagonal(adj, False)
-    return GeometricGraph(adj, radius, latent)
+    return GeometricGraph(adj, latent)
 
 
 def _add_in_order(total: float, terms: np.ndarray) -> float:

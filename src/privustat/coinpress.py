@@ -77,7 +77,6 @@ def subsampled_tail_bounds(tau: float, k: int, n: int, size: int) -> TailBounds:
 class IntervalState:
     lo: float
     hi: float
-    iteration: int = 0
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -116,7 +115,7 @@ def _release(
     release = global_sensitivity_release(float(clipped.mean()), delta, eps_step, budget, seed, label)
     scale = delta / eps_step
     half = tb.qavg(beta) + scale * math.log(1.0 / beta)
-    return IntervalState(release - half, release + half, interval.iteration + 1), scale
+    return IntervalState(release - half, release + half), scale
 
 
 def halving_rounds(r: float, q_gamma: float) -> int:
@@ -205,7 +204,7 @@ def ustat_mean(
         hi = min(interval.hi, raw.hi)
         if lo > hi:  # disjoint: keep the previous endpoint nearest the release
             lo = hi = min(max(raw.midpoint, interval.lo), interval.hi)
-        interval = IntervalState(lo, hi, raw.iteration)
+        interval = IntervalState(lo, hi)
         trace.append(interval)
     q = tb.q(gamma)
     np.clip(values, interval.lo - q, interval.hi + q, out=values)

@@ -3,9 +3,9 @@
 These are the checks that justify trusting the mechanisms: a deterministic
 dataset pair whose U-statistic gap is combinatorially certified, an exhaustive
 neighbor enumeration that validates the smooth sensitivity bound at desk
-scale, and goodness-of-fit of both noise samplers against analytic or
-quadrature CDFs.  Each audit has a fault-injection mode so tests can confirm
-the audit itself is not vacuous.
+scale, and goodness-of-fit of both noise samplers against their analytic
+CDFs.  Each audit has a fault-injection mode so tests can confirm the audit
+itself is not vacuous.
 """
 
 from __future__ import annotations
@@ -252,10 +252,10 @@ def _ks_gap(samples: np.ndarray, cdf_values: np.ndarray) -> float:
 def noise_gof(law: str, draws: int, seed, scale: float = 1.0) -> GofReport:
     """Kolmogorov-Smirnov check of a sampler against its reference CDF.
 
-    Laplace is compared to the analytic CDF; the quartic-tail law is compared
-    to a quadrature CDF that never uses the sampler's own math.  The pass
-    threshold 1.5 * 1.63/sqrt(draws) sits far above the expected gap of a
-    correct sampler and far below that of a mis-scaled one.
+    Laplace is compared to its analytic CDF, the quartic-tail law to the
+    closed form ``quartic_cdf``, which shares no math with the sampler.  The
+    pass threshold 1.5 * 1.63/sqrt(draws) sits far above the expected gap of
+    a correct sampler and far below that of a mis-scaled one.
     """
     if draws < 10**5:
         raise ValueError("goodness-of-fit needs at least 1e5 draws")

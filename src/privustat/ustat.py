@@ -96,7 +96,7 @@ def equality_kernel(degree: int) -> Kernel:
     return Kernel(degree, fn, Bounded(1.0), name=f"equal{degree}")
 
 
-def clipped_kernel(base: Kernel, lo: float, hi: float, name: Optional[str] = None) -> Kernel:
+def clipped_kernel(base: Kernel, lo: float, hi: float) -> Kernel:
     """Project the values of ``base`` onto [lo, hi]."""
     if hi < lo:
         raise ValueError("empty clipping interval")
@@ -104,7 +104,7 @@ def clipped_kernel(base: Kernel, lo: float, hi: float, name: Optional[str] = Non
         base.degree,
         lambda t: np.clip(base.fn(t), lo, hi),
         Bounded(hi - lo),
-        name=name or f"clip({base.name})",
+        name=f"clip({base.name})",
     )
 
 
@@ -324,11 +324,14 @@ def subsample_family(n: int, k: int, size: int, seed) -> SubsetFamily:
         raise ValueError("need at least one subset")
     rng = as_generator(seed)
     # The k smallest of n i.i.d. uniforms mark a uniformly random k-subset.
+    # Rows fill in order, so drawing them in blocks changes no pick.
+    picks = np.empty((size, k), dtype=np.int64)
     if size * n <= 5 * 10**7:
-        noise = rng.random((size, n))
-        picks = np.argpartition(noise, k - 1, axis=1)[:, :k].astype(np.int64)
+        step = max(1, _BLOCK_ROWS // n)
+        for start in range(0, size, step):
+            noise = rng.random((min(step, size - start), n))
+            picks[start : start + noise.shape[0]] = np.argpartition(noise, k - 1, axis=1)[:, :k]
     else:
-        picks = np.empty((size, k), dtype=np.int64)
         for row in range(size):
             picks[row] = rng.choice(n, size=k, replace=False)
     picks.sort(axis=1)

@@ -1,10 +1,11 @@
 """Oracles and fixtures that only the tests use: brute-force sensitivities,
 a Monte Carlo θ, closed forms, explicit families, the majority-vote form of
 the boosted uniformity test, the full-scan forms of the spread level and the
-Hájek state, the copying clip step of ``ustat_mean``, the loop form of the
-collision reweight, the per-line file readers, the loop forms of the audits
-and the quartic sampler, a constant kernel, and the U-statistic variance
-calculus (conditional variances, Hoeffding components, exact variance)."""
+Hájek state, the copying clip step of ``ustat_mean``, the one-array draw of
+``subsample_family``, the loop form of the collision reweight, the per-line
+file readers, the loop forms of the audits and the quartic sampler, a
+constant kernel, and the U-statistic variance calculus (conditional
+variances, Hoeffding components, exact variance)."""
 
 import itertools
 import math
@@ -243,7 +244,7 @@ def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:
         lo, hi = max(interval.lo, raw.lo), min(interval.hi, raw.hi)
         if lo > hi:
             lo = hi = min(max(raw.midpoint, interval.lo), interval.hi)
-        interval = IntervalState(lo, hi, raw.iteration)
+        interval = IntervalState(lo, hi)
         trace.append(interval)
     values, final = ustat_one_step(values, family, interval, eps / 2.0, gamma, tb, rng)
     return trace + [final]
@@ -273,6 +274,15 @@ def majority_uniformity_test(data: Dataset, m, delta, eps, alpha, seed, budget: 
     statistic = float(np.median([d.statistic for d in decisions]))
     reject = majority_vote(d.reject for d in decisions)
     return reject, statistic, decisions[0].threshold, branches.max_spent()
+
+
+def unblocked_subsample_picks(n: int, k: int, size: int, seed) -> np.ndarray:
+    """``subsample_family``'s sorted (size, k) rows from one (size, n) array
+    of uniforms, drawn and partitioned at once."""
+    noise = as_generator(seed).random((size, n))
+    picks = np.argpartition(noise, k - 1, axis=1)[:, :k].astype(np.int64)
+    picks.sort(axis=1)
+    return picks
 
 
 def explicit_family(n: int, k: int, subsets) -> SubsetFamily:

@@ -93,11 +93,23 @@ def test_quartic_tail_probability_matches_quadrature():
 
 
 def test_quartic_cdf_matches_quad_at_grid():
-    grid = np.linspace(-5, 5, 21)
+    tails = [10.0, 31.9, 32.0, 100.0, 1e4]
+    grid = np.concatenate([np.linspace(-5, 5, 21), tails, np.negative(tails)])
     ours = dp.quartic_cdf(grid)
     for z, c in zip(grid, ours):
-        ref, _ = integrate.quad(lambda t: 1 / (1 + t**4), -np.inf, z)
-        assert c == pytest.approx(ref / dp.QUARTIC_NORMALIZER, abs=1e-8)
+        # the mass beyond |z|, integrated where it is small, is accurate for
+        # both halves
+        beyond, _ = integrate.quad(lambda t: 1 / (1 + t**4), abs(z), np.inf, epsabs=0, epsrel=1e-13)
+        beyond /= dp.QUARTIC_NORMALIZER
+        assert c == pytest.approx(beyond if z < 0 else 1 - beyond, abs=1e-12)
+
+
+def test_quartic_cdf_is_monotone_out_to_the_extremes():
+    half = np.logspace(-3, 300, 20001)
+    grid = np.concatenate([-half[::-1], [0.0], half])
+    assert np.all(np.diff(dp.quartic_cdf(grid)) >= 0)
+    ends = dp.quartic_cdf([-np.inf, -1e300, 1e300, np.inf])
+    assert ends.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_quartic_empirical_cdf_at_grid():

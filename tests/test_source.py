@@ -7,10 +7,14 @@ release takes the caller's ledger, so no ``budget`` parameter has a default,
 and the release noise has one calibration, so no parameter rescales it.
 Only ``dp`` debits a ledger or draws release noise, so a release is drawn
 and debited one way; ``noise_gof`` may call the samplers, because it audits
-them.
+them.  Importing the package loads a fixed set of scipy subpackages.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,3 +162,26 @@ def test_only_dp_debits_the_ledger_and_draws_release_noise():
                 continue
             found.append(f"{module} line {line}: {callee} in {owner}")
     assert found == []
+
+
+SCIPY_SUBPACKAGES = {"scipy.sparse"}
+
+
+def test_import_loads_only_the_listed_scipy_subpackages():
+    """Each scipy subpackage costs every process import time and RSS, and
+    some pull in many others (``scipy.integrate`` loads optimize, special,
+    linalg, spatial, fft and constants), so adding one is a decision this
+    list makes visible."""
+    probe = (
+        "import json, sys\n"
+        "import privustat, privustat.harness.cli, privustat.harness.audits\n"
+        "import privustat.harness.experiments\n"
+        "print(json.dumps(sorted(m for m, mod in sys.modules.items()\n"
+        "    if m.count('.') == 1 and m.startswith('scipy.')\n"
+        "    and not m.split('.')[1].startswith('_') and hasattr(mod, '__path__'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+    ).stdout
+    assert set(json.loads(out)) == SCIPY_SUBPACKAGES

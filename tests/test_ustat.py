@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -30,6 +31,7 @@ from oracles import (
     explicit_family,
     hoeffding_deltas,
     local_projection,
+    unblocked_subsample_picks,
     variance_leading_term,
     variance_of_ustat,
     zetas_from_deltas,
@@ -187,6 +189,30 @@ def test_subsample_incidence_concentration():
 def test_subsample_rows_are_valid_subsets():
     fam = pv.subsample_family(12, 3, 500, seed=1)
     assert np.all(np.diff(fam.subsets, axis=1) > 0)  # sorted, distinct
+
+
+@pytest.mark.parametrize(
+    "n, k, size", [(4, 4, 7), (10, 2, 1000), (7, 3, 20000), (1000, 2, 3453), (40000, 3, 5)]
+)
+def test_subsample_blocks_draw_the_rows_of_one_array(n, k, size):
+    # below the 5e7 switch, rows come from blocks of uniforms; the last case
+    # has n above the block budget, so each block is a single row
+    assert np.array_equal(
+        pv.subsample_family(n, k, size, seed=21).subsets,
+        unblocked_subsample_picks(n, k, size, seed=21),
+    )
+
+
+def test_subsample_holds_one_block_of_uniforms():
+    # one (size, n) array of uniforms and its argpartition would take 55 MB
+    pv.subsample_family(1000, 2, 3453, seed=3)
+    tracemalloc.start()
+    try:
+        pv.subsample_family(1000, 2, 3453, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
