@@ -5,11 +5,17 @@ and the heavy-tailed law with density proportional to 1/(1+z^4) used by the
 smooth-sensitivity mechanism, whose CDF ``quartic_cdf`` computes in closed
 form as the audit's reference.  This is the only module that draws release
 noise or debits a ledger: every release goes through
-``global_sensitivity_release`` or ``smooth_sensitivity_release``, which debit
-the ledger before they draw, and each draws from the same vector sampler that
-``harness.audits.noise_gof`` checks.  The ledger is advisory: it records and
-enforces totals under sequential and parallel composition but does not itself
-certify that a mechanism was calibrated correctly.
+``global_sensitivity_release`` or ``smooth_sensitivity_release``, which refuse
+a non-finite value or sensitivity and then debit the ledger before they draw,
+and each draws from the same vector sampler that ``harness.audits.noise_gof``
+checks.  Bulk draws stream over cache-sized blocks of ``_RATIO_BLOCK`` points,
+so nothing the size of a draw is held beside the output.  Seeded single draws,
+and so every release, equal those of unblocked samplers; a quartic draw of
+more than 2^14 points takes its proposals block by block, so it differs from
+an unblocked draw of the same seed but follows the same law.  The ledger is
+advisory: it records and enforces totals under sequential and parallel
+composition but does not itself certify that a mechanism was calibrated
+correctly.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ QUARTIC_NORMALIZER = math.pi / math.sqrt(2.0)
 # sup_z sqrt(2) (1+z^2) / (1+z^4): rejection envelope vs the standard Cauchy
 _ENVELOPE = (2.0 + math.sqrt(2.0)) / 2.0
 
-# points per block of the quartic acceptance ratio and of quartic_cdf: 256 KB
-# of float64, so each block's passes stay in L2
+# points per block of both samplers, of quartic_cdf and of the KS gap in
+# harness.audits.noise_gof: 256 KB of float64, so each block's passes stay in L2
 _RATIO_BLOCK = 2**15
 
 SMOOTH_RELEASE_FACTOR = 10.0
@@ -125,11 +131,20 @@ def scratch_budget() -> PrivacyBudget:
 # ---------------------------------------------------------------------------
 
 def laplace_draws(scale: float, size: int, rng) -> np.ndarray:
-    """``size`` draws with density exp(-|z|/b) / (2b), via the inverse CDF."""
-    if scale <= 0:
-        raise NonPositiveScale("Laplace scale must be > 0")
-    u = np.maximum(as_generator(rng).random(size), _ZERO_DRAW) - 0.5
-    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    """``size`` draws with density exp(-|z|/b) / (2b), via the inverse CDF.
+
+    The uniforms are drawn and transformed one cache-sized block at a time,
+    straight into the output.  ``rng.random`` fills in order, so the draws
+    do not depend on the block size: they equal one unblocked pass.
+    """
+    if not 0 < scale < math.inf:  # also rejects NaN
+        raise NonPositiveScale(f"Laplace scale must be finite and > 0, got {scale}")
+    gen = as_generator(rng)
+    out = np.empty(size)
+    for start in range(0, size, _RATIO_BLOCK):
+        u = np.maximum(gen.random(min(size - start, _RATIO_BLOCK)), _ZERO_DRAW) - 0.5
+        out[start : start + u.size] = -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    return out
 
 
 def quartic_draws(size: int, seed) -> np.ndarray:
@@ -139,32 +154,35 @@ def quartic_draws(size: int, seed) -> np.ndarray:
     output law matches ``quartic_cdf`` to sampling error only.
     Mean acceptance rate is 1/envelope (about 0.586).
 
+    Each pass draws ``2 * want`` proposals (at least 64, at most one
+    cache-sized block of ``_RATIO_BLOCK``), then as many uniforms, and writes
+    its accepted proposals straight into the output, so a bulk draw holds no
+    proposal-sized temporary beside it (peak RSS) and wastes only the last
+    pass's surplus.  A draw of at most 2^14 points, every release's
+    ``quartic_draws(1, seed)`` among them, never reaches the cap, so its
+    proposals and output are those of one unblocked batch per pass.
+
     z^4 is formed as (z^2)^2, because ``z**4`` goes through libm ``pow`` at
     several times the cost.  The ratio may then differ in its last bit, which
     moves an acceptance only if a uniform draw lands on that bit (odds 2^-53
-    per proposal).  The ratio is built in place over cache-sized blocks, so no
-    proposal-sized temporary sits beside the proposals (peak RSS).
+    per proposal).
     """
     rng = as_generator(seed)
     out = np.empty(size)
     have = 0
     while have < size:
         want = size - have
-        batch = max(64, int(want / 0.5))
+        batch = max(64, min(_RATIO_BLOCK, int(want / 0.5)))
         z = rng.standard_cauchy(batch)
         u = rng.random(batch)
-        keep = np.empty(batch, dtype=bool)
-        for start in range(0, batch, _RATIO_BLOCK):
-            block = slice(start, start + _RATIO_BLOCK)
-            den = z[block] * z[block]
-            ratio = den + 1.0
-            ratio *= math.sqrt(2.0)
-            np.square(den, out=den)
-            den += 1.0
-            den *= _ENVELOPE
-            ratio /= den
-            np.less_equal(u[block], ratio, out=keep[block])
-        accepted = z[keep]
+        den = z * z
+        ratio = den + 1.0
+        ratio *= math.sqrt(2.0)
+        np.square(den, out=den)
+        den += 1.0
+        den *= _ENVELOPE
+        ratio /= den
+        accepted = z[u <= ratio]
         take = min(accepted.size, want)
         out[have : have + take] = accepted[:take]
         have += take
@@ -206,6 +224,21 @@ def quartic_cdf(z) -> np.ndarray:
 # release mechanisms
 # ---------------------------------------------------------------------------
 
+def _noise_scale(value: float, sensitivity: float, eps: float, factor: float) -> float:
+    """factor * sensitivity / eps, refusing (before any spend) every input
+    that would release a non-finite value."""
+    if not math.isfinite(value):
+        raise ValueError(f"cannot release the non-finite value {value}")
+    if not 0 <= sensitivity < math.inf:  # also rejects NaN
+        raise ValueError(f"sensitivity must be finite and >= 0, got {sensitivity}")
+    if eps <= 0:
+        raise ValueError("epsilon must be > 0")
+    scale = factor * sensitivity / eps
+    if not scale < math.inf:  # NaN eps, or an overflowing ratio
+        raise ValueError(f"non-finite noise scale {factor} * {sensitivity} / {eps}")
+    return scale
+
+
 def global_sensitivity_release(
     value: float,
     gs: float,
@@ -215,14 +248,12 @@ def global_sensitivity_release(
     label: str = "laplace release",
 ) -> float:
     """value + Laplace(gs/eps); a zero-sensitivity function is released exactly."""
-    if gs < 0:
-        raise ValueError("global sensitivity must be >= 0")
-    if eps <= 0:
-        raise ValueError("epsilon must be > 0")
+    scale = _noise_scale(value, gs, eps, 1.0)
     budget.spend(label, eps)
     if gs == 0:
         return float(value)
-    return float(value) + float(laplace_draws(gs / eps, 1, seed)[0])
+    return float(value) + float(laplace_draws(scale, 1, seed)[0])
+
 
 def smooth_sensitivity_release(
     value: float,
@@ -237,11 +268,8 @@ def smooth_sensitivity_release(
     ``ss`` must be an eps-smooth upper bound on the local sensitivity at this
     dataset.
     """
-    if ss < 0:
-        raise ValueError("smooth sensitivity bound must be >= 0")
-    if eps <= 0:
-        raise ValueError("epsilon must be > 0")
+    scale = _noise_scale(value, ss, eps, SMOOTH_RELEASE_FACTOR)
     budget.spend(label, eps)
     if ss == 0:
         return float(value)
-    return float(value) + (SMOOTH_RELEASE_FACTOR * ss / eps) * float(quartic_draws(1, seed)[0])
+    return float(value) + scale * float(quartic_draws(1, seed)[0])

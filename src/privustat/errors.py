@@ -10,7 +10,7 @@ class CombinatorialOverflow(PrivustatError):
 
 
 class NonPositiveScale(PrivustatError):
-    """Noise scale must be strictly positive."""
+    """Noise scale must be finite and strictly positive."""
 
 
 class BudgetExhausted(PrivustatError):

@@ -18,18 +18,18 @@ from typing import Optional
 
 import numpy as np
 
-from ..dp import laplace_draws, quartic_cdf, quartic_draws
+from ..dp import _RATIO_BLOCK, laplace_draws, quartic_cdf, quartic_draws
 from ..errors import AuditFailure, PreconditionWarning
 from ..hajek import HajekParams, hajek_state, summary_from_values
 from ..rng import as_generator
 from ..ustat import (
+    _BLOCK_ROWS,
     Dataset,
     Kernel,
     all_tuples,
     collision_kernel,
     equality_kernel,
     evaluate_ustat,
-    kernel_values,
     local_projections,
 )
 
@@ -168,17 +168,24 @@ def smoothness_audit(
     # dataset c is the c-th config in itertools.product order, so its
     # position i holds alphabet[c // r^(n-1-i) % r]
     configs = list(itertools.product(alphabet, repeat=n))
+    points = np.asarray(configs, dtype=float)
     reweighted = np.empty(len(configs))
     bound = np.empty(len(configs))
-    for c, config in enumerate(configs):
-        values = kernel_values(kernel, Dataset(np.asarray(config, dtype=float)), family)
-        try:
-            state = hajek_state(summary_from_values(values, family), params)
-        except ValueError:  # non-finite kernel values: nothing is released
-            reweighted[c] = bound[c] = math.nan
-            continue
-        reweighted[c] = state.reweighted
-        bound[c] = fault_scale * state.smooth_bound
+    # at n <= 12 the family is one stored block; the kernel runs once per
+    # chunk of datasets, on at most _BLOCK_ROWS rows
+    rows = family.subsets
+    per_chunk = max(1, _BLOCK_ROWS // family.size)
+    for lo in range(0, len(configs), per_chunk):
+        chunk = points[lo : lo + per_chunk]
+        values = kernel.evaluate(chunk[:, rows].reshape(-1, k)).reshape(len(chunk), -1)
+        for c, dataset_values in enumerate(values, start=lo):
+            try:
+                state = hajek_state(summary_from_values(dataset_values, family), params)
+            except ValueError:  # non-finite kernel values: nothing is released
+                reweighted[c] = bound[c] = math.nan
+                continue
+            reweighted[c] = state.reweighted
+            bound[c] = fault_scale * state.smooth_bound
     grown = math.exp(eps) * bound
 
     codes = np.arange(len(configs))
@@ -236,17 +243,34 @@ class GofReport:
         return self.ks_gap <= self.threshold
 
 
-def _ks_gap(samples: np.ndarray, cdf_values: np.ndarray) -> float:
+def _ks_gap(samples: np.ndarray, cdf_of_block) -> float:
+    """Kolmogorov-Smirnov gap of sorted ``samples`` against a CDF.
+
+    ``cdf_of_block(block)`` returns the CDF at a block of consecutive sorted
+    samples.  Blocks of ``_RATIO_BLOCK`` points are compared with the
+    empirical CDF just below and at each sample, so no temporary is the size
+    of ``samples`` (peak RSS).
+    """
     n = samples.size
-    grid = np.arange(n, dtype=float)
-    buf = np.divide(grid, n)  # empirical CDF just below each sample
-    np.subtract(cdf_values, buf, out=buf)
-    upper = np.max(np.abs(buf, out=buf))
-    grid += 1.0
-    np.divide(grid, n, out=buf)  # ... and at it
-    np.subtract(buf, cdf_values, out=buf)
-    lower = np.max(np.abs(buf, out=buf))
-    return float(max(upper, lower))
+    gaps = []
+    for start in range(0, n, _RATIO_BLOCK):
+        stop = min(start + _RATIO_BLOCK, n)
+        cdf = cdf_of_block(samples[start:stop])
+        grid = np.arange(start, stop, dtype=float)
+        buf = np.divide(grid, n)  # empirical CDF just below each sample
+        np.subtract(cdf, buf, out=buf)
+        gaps.append(np.max(np.abs(buf, out=buf)))
+        grid += 1.0
+        np.divide(grid, n, out=buf)  # ... and at it
+        np.subtract(buf, cdf, out=buf)
+        gaps.append(np.max(np.abs(buf, out=buf)))
+    return float(np.max(gaps))
+
+
+def _laplace_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard Laplace CDF at sorted ``z``: one exp per point, not two."""
+    neg = int(np.searchsorted(z, 0.0))
+    return np.concatenate((0.5 * np.exp(z[:neg]), 1.0 - 0.5 * np.exp(-z[neg:])))
 
 
 def noise_gof(law: str, draws: int, seed, scale: float = 1.0) -> GofReport:
@@ -255,24 +279,25 @@ def noise_gof(law: str, draws: int, seed, scale: float = 1.0) -> GofReport:
     Laplace is compared to its analytic CDF, the quartic-tail law to the
     closed form ``quartic_cdf``, which shares no math with the sampler.  The
     pass threshold 1.5 * 1.63/sqrt(draws) sits far above the expected gap of
-    a correct sampler and far below that of a mis-scaled one.
+    a correct sampler and far below that of a mis-scaled one.  The draws are
+    sorted once and then compared block by block: besides them the audit
+    holds only block-sized temporaries, as the samplers do.
     """
     if draws < 10**5:
         raise ValueError("goodness-of-fit needs at least 1e5 draws")
+    if not 0 < scale < math.inf:  # also rejects NaN
+        raise ValueError(f"goodness-of-fit scale must be finite and > 0, got {scale}")
     rng = as_generator(seed)
     if law == "laplace":
         samples = laplace_draws(scale, draws, rng)
-        samples.sort()
-        z = samples / scale
-        neg = int(np.searchsorted(z, 0.0))  # sorted: one exp per sample, not two
-        cdf = np.concatenate((0.5 * np.exp(z[:neg]), 1.0 - 0.5 * np.exp(-z[neg:])))
+        cdf = _laplace_cdf
     elif law == "quartic":
         samples = quartic_draws(draws, rng)
         samples *= scale
-        samples.sort()
-        cdf = quartic_cdf(samples / scale)
+        cdf = quartic_cdf
     else:
         raise ValueError(f"unknown law {law!r}")
-    gap = _ks_gap(samples, cdf)
+    samples.sort()
+    gap = _ks_gap(samples, lambda block: cdf(block / scale))
     threshold = 1.5 * 1.63 / math.sqrt(draws)
     return GofReport(law=law, draws=draws, ks_gap=gap, threshold=threshold)

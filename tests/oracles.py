@@ -19,7 +19,7 @@ import numpy as np
 from privustat.applications import GeometricGraph, uniformity_test
 from privustat.boosting import BoostPlan
 from privustat.coinpress import IntervalState, TailBounds, _release, halving_rounds
-from privustat.dp import _ENVELOPE, PrivacyBudget, laplace_draws, quartic_cdf, scratch_budget
+from privustat.dp import _ENVELOPE, _RATIO_BLOCK, PrivacyBudget, laplace_draws, quartic_cdf, scratch_budget
 from privustat.errors import AuditFailure, PrivustatError
 from privustat.hajek import (
     HajekParams,
@@ -401,6 +401,26 @@ def write_edge_list(graph: GeometricGraph, path) -> None:
 # loop forms of the audits and the quartic sampler
 # ---------------------------------------------------------------------------
 
+def whole_batch_quartic_draws(size: int, seed) -> np.ndarray:
+    """``dp.quartic_draws`` without the block cap: each pass draws all of its
+    ``2 * want`` proposals, then all of its uniforms, at once."""
+    rng = as_generator(seed)
+    out = np.empty(size)
+    have = 0
+    while have < size:
+        want = size - have
+        batch = max(64, int(want / 0.5))
+        z = rng.standard_cauchy(batch)
+        u = rng.random(batch)
+        den = z * z
+        ratio = (den + 1.0) * math.sqrt(2.0) / ((den * den + 1.0) * _ENVELOPE)
+        accepted = z[u <= ratio]
+        take = min(accepted.size, want)
+        out[have : have + take] = accepted[:take]
+        have += take
+    return out
+
+
 def pow_quartic_draws(size: int, seed) -> np.ndarray:
     """``dp.quartic_draws`` with the acceptance ratio written through ``z**4``."""
     rng = as_generator(seed)
@@ -408,7 +428,7 @@ def pow_quartic_draws(size: int, seed) -> np.ndarray:
     have = 0
     while have < size:
         want = size - have
-        batch = max(64, int(want / 0.5))
+        batch = max(64, min(_RATIO_BLOCK, int(want / 0.5)))
         z = rng.standard_cauchy(batch)
         u = rng.random(batch)
         ratio = math.sqrt(2.0) * (1.0 + z * z) / ((1.0 + z**4) * _ENVELOPE)

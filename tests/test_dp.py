@@ -16,7 +16,11 @@ from oracles import (
     brute_force_global_sensitivity,
     brute_force_local_sensitivity,
     pow_quartic_draws,
+    whole_batch_quartic_draws,
 )
+
+# a NaN or inf reaching a sampler shows as a RuntimeWarning: fail on it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +32,22 @@ def test_laplace_rejects_bad_scale():
         dp.laplace_draws(0.0, 1, 0)
     with pytest.raises(NonPositiveScale):
         dp.laplace_draws(-1.0, 1, 0)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+def test_laplace_rejects_a_non_finite_scale(scale):
+    for size in (1, 10**5):
+        with pytest.raises(NonPositiveScale, match="finite"):
+            dp.laplace_draws(scale, size, 0)
+
+
+def test_laplace_draws_are_block_size_free():
+    # blocks of _RATIO_BLOCK uniforms, drawn in order: a bulk draw is the
+    # same generator's single draws in sequence, across a block boundary
+    size = dp._RATIO_BLOCK + 3
+    rng = np.random.default_rng(7)
+    singles = [dp.laplace_draws(1.5, 1, rng)[0] for _ in range(size)]
+    assert np.array_equal(dp.laplace_draws(1.5, size, 7), singles)
 
 
 def test_laplace_median_of_abs_is_log2():
@@ -128,9 +148,20 @@ def test_quartic_deterministic_given_seed():
     assert np.array_equal(dp.quartic_draws(100, 9), dp.quartic_draws(100, 9))
 
 
-@pytest.mark.parametrize("size, seeds", [(1, 400), (3, 400), (64, 400), (5000, 100), (10**6, 3)])
+@pytest.mark.parametrize("size, seeds", [(1, 400), (3, 400), (64, 400), (5000, 100), (2**14, 20)])
+def test_small_quartic_draws_equal_the_whole_batch_sampler(size, seeds):
+    # up to 2^14 draws no pass reaches the block cap, so every release's
+    # quartic_draws(1, seed) is the whole-batch sampler's draw
+    for seed in range(seeds):
+        assert np.array_equal(dp.quartic_draws(size, seed), whole_batch_quartic_draws(size, seed)), seed
+
+
+@pytest.mark.parametrize(
+    "size, seeds", [(1, 400), (3, 400), (64, 400), (5000, 100), (2**14 + 1, 10), (10**6, 3)]
+)
 def test_quartic_draws_equal_the_pow_sampler(size, seeds):
-    # (z^2)^2 may differ from z**4 in the last bit; the draws may not
+    # (z^2)^2 may differ from z**4 in the last bit; the draws may not.  From
+    # 2^14 + 1 draws on, passes are capped at one block of proposals
     for seed in range(seeds):
         assert np.array_equal(dp.quartic_draws(size, seed), pow_quartic_draws(size, seed)), seed
 
@@ -155,6 +186,23 @@ def test_releases_add_exactly_the_audited_samplers_draw():
         smooth = pv.smooth_sensitivity_release(value, sens, eps, scratch_budget(), seed)
         scale = dp.SMOOTH_RELEASE_FACTOR * sens / eps
         assert smooth == value + scale * dp.quartic_draws(1, seed)[0], seed
+
+
+BAD_RELEASE_INPUTS = [  # (value, sensitivity, eps)
+    (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (-math.inf, 1.0, 1.0),
+    (0.0, math.nan, 1.0), (0.0, math.inf, 1.0), (0.0, -1.0, 1.0),
+    (0.0, 1.0, math.nan), (0.0, 1e300, 1e-300),  # a noise scale that overflows
+]
+
+
+@pytest.mark.parametrize("release", [pv.global_sensitivity_release, pv.smooth_sensitivity_release])
+@pytest.mark.parametrize("value, sens, eps", BAD_RELEASE_INPUTS)
+def test_release_refuses_a_non_finite_result_before_spending(release, value, sens, eps):
+    budget = pv.PrivacyBudget(1.0)
+    budget.spend("earlier", 0.25)
+    with pytest.raises(ValueError):
+        release(value, sens, eps, budget, 0)
+    assert budget.entries == [("earlier", 0.25)]
 
 
 def test_laplace_release_debits_budget():

@@ -1,7 +1,9 @@
 """Experiment runner determinism, CLI behavior, audits with negative controls."""
 
+import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,9 @@ from oracles import (
     loop_smoothness_audit,
     reference_noise_gap,
 )
+
+# a NaN or inf reaching a sampler or an audit shows as a RuntimeWarning: fail on it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +492,14 @@ def test_smoothness_audit_orders_violations_like_the_loop_audit(monkeypatch):
 
 
 def test_ks_gap_equals_the_fresh_array_gap():
+    def cdf_of(z):  # bent, so the largest gap is not at either end
+        return np.clip(z * 0.3 + 0.5 - 0.02 * z * z * z, 0, 1)
+
     rng = np.random.default_rng(8)
-    for size in (1, 7, 1000, 10**5):
+    block = audits._RATIO_BLOCK
+    for size in (1, 7, 1000, block, block + 1, 10**5):
         samples = np.sort(rng.standard_normal(size))
-        cdf = np.clip(samples * 0.3 + 0.5 + rng.normal(0, 1e-3, size), 0, 1)
-        assert audits._ks_gap(samples, cdf) == fresh_array_ks_gap(samples, cdf)
+        assert audits._ks_gap(samples, cdf_of) == fresh_array_ks_gap(samples, cdf_of(samples))
 
 
 @pytest.mark.parametrize("law", ["laplace", "quartic"])
@@ -500,6 +508,26 @@ def test_noise_gof_gap_equals_the_reference_gap(law):
         got = audits.noise_gof(law, 10**5, seed, scale).ks_gap
         assert got == reference_noise_gap(law, 10**5, seed, scale), (seed, scale)
     assert audits.noise_gof(law, 10**6, 4).ks_gap == reference_noise_gap(law, 10**6, 4)
+
+
+@pytest.mark.parametrize("law", ["laplace", "quartic"])
+def test_noise_gof_holds_only_block_sized_temporaries(law):
+    # 8 MB of sorted draws plus blocks of _RATIO_BLOCK points; an unblocked
+    # sampler and KS gap hold 38 MB (laplace) and 49 MB (quartic)
+    tracemalloc.start()
+    try:
+        audits.noise_gof(law, 10**6, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("law", ["laplace", "quartic"])
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_noise_gof_rejects_a_bad_scale(law, scale):
+    with pytest.raises(ValueError, match="scale"):
+        audits.noise_gof(law, 10**5, 1, scale)
 
 
 def test_noise_gof_both_laws():
@@ -513,8 +541,7 @@ def test_noise_gof_wrong_scale_fails():
     rng = np.random.default_rng(3)
     draws = 10**5
     samples = np.sort(dp.laplace_draws(2.0, draws, rng))
-    cdf = np.where(samples < 0, 0.5 * np.exp(samples), 1 - 0.5 * np.exp(-samples))
-    gap = audits._ks_gap(samples, cdf)
+    gap = audits._ks_gap(samples, lambda z: np.where(z < 0, 0.5 * np.exp(z), 1 - 0.5 * np.exp(-z)))
     assert gap > 1.5 * 1.63 / draws**0.5
 
 
