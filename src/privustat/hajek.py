@@ -30,8 +30,7 @@ from .ustat import (
     SubsetFamily,
     all_tuples,
     clipped_kernel,
-    kernel_values,
-    projections_from_values,
+    kernel_values_and_projections,
 )
 from .coinpress import naive_estimator
 
@@ -193,14 +192,16 @@ class UStatSummary:
     all_tuples_family: bool
 
 
-def summary_from_values(values: np.ndarray, family: SubsetFamily) -> UStatSummary:
+def summary_from_values(
+    values: np.ndarray, family: SubsetFamily, projections: np.ndarray
+) -> UStatSummary:
+    """The summary of a family's (M,) kernel values and their local projections."""
     a_n = float(values.mean())
-    proj = projections_from_values(values, family)
     return UStatSummary(
         n=family.n,
         k=family.k,
         a_n=a_n,
-        projections=proj,
+        projections=projections,
         reweight=lambda w: reweighted_mean(values, family, w, a_n),
         all_tuples_family=family.kind == "all_tuples",
     )
@@ -288,8 +289,8 @@ def private_mean_local_hajek(
         return EstimateReport(
             estimate=None, bottom_reason=check.reason, diagnostics={"regularity": check.reason},
         )
-    values = kernel_values(h, data, family)
-    summary = summary_from_values(values, family)
+    values, projections = kernel_values_and_projections(h, data, family)
+    summary = summary_from_values(values, family, projections)
     return release_from_summary(summary, params, seed, budget)
 
 

@@ -29,8 +29,8 @@ from ..ustat import (
     all_tuples,
     collision_kernel,
     equality_kernel,
-    evaluate_ustat,
-    local_projections,
+    kernel_values_and_projections,
+    projections_from_values,
 )
 
 
@@ -102,8 +102,8 @@ def fixture_projection_margins(fix: AdversarialFixture) -> dict:
     family = all_tuples(fix.n, fix.k)
     out = {}
     for name, d in (("base", fix.base), ("shifted", fix.shifted)):
-        u = evaluate_ustat(h, d, family)
-        proj = local_projections(h, d, family)
+        values, proj = kernel_values_and_projections(h, d, family)
+        u = float(values.mean())
         out[name] = {
             "ustat": u,
             "max_abs_projection_deviation": float(np.max(np.abs(proj - u))),
@@ -180,7 +180,8 @@ def smoothness_audit(
         values = kernel.evaluate(chunk[:, rows].reshape(-1, k)).reshape(len(chunk), -1)
         for c, dataset_values in enumerate(values, start=lo):
             try:
-                state = hajek_state(summary_from_values(dataset_values, family), params)
+                proj = projections_from_values(dataset_values, family)
+                state = hajek_state(summary_from_values(dataset_values, family, proj), params)
             except ValueError:  # non-finite kernel values: nothing is released
                 reweighted[c] = bound[c] = math.nan
                 continue

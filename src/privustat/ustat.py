@@ -195,6 +195,22 @@ def _lex_blocks(n: int, k: int, lo: int = 0) -> Iterator[np.ndarray]:
         first = stop
 
 
+def _prefix_runs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, heads) of the prefix runs of a block of lexicographic k-subsets.
+
+    A run is a maximal stretch of rows that share their first k-1 indices;
+    in lexicographic order it ends at a row whose last index is n-1, or where
+    the block ends.  ``starts`` holds the first row of each run, ``heads``
+    its first k-1 indices as a (k-1, runs) array.
+    """
+    last = rows[:, -1]
+    first = np.empty(last.size, dtype=bool)
+    first[0] = True
+    np.equal(last[:-1], n - 1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return starts, rows.T[:-1, starts]
+
+
 class SubsetFamily:
     """An indexed collection of M k-subsets of range(n), with incidence counts.
 
@@ -204,13 +220,20 @@ class SubsetFamily:
     in lexicographic order: its counts are C(n-1, k-1) and its rows are
     generated block by block on every pass, unless they fit in one block,
     which is then kept.  Generated rows are column-major, so each column of
-    a block is contiguous.
+    a block is contiguous.  ``kind="all_tuples"`` is exactly that generated
+    family; stored rows take any other kind.
     """
 
     def __init__(self, n: int, k: int, subsets: Optional[np.ndarray], kind: str):
         # kind: "all_tuples" | "subsampled" | "chunks" | "explicit"
+        if (subsets is None) != (kind == "all_tuples"):
+            # the label buys the complete family's regularity, its tighter
+            # smooth bound and its prefix-run projections, so it is never
+            # taken on trust
+            raise ValueError('kind "all_tuples" is exactly the generated family (subsets=None)')
         self.n, self.k, self.kind = n, k, kind
         self._pair_counts: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._kept_runs: Optional[tuple[np.ndarray, np.ndarray]] = None
         if subsets is None:
             self.size = math.comb(n, k)
             self.counts = np.full(n, math.comb(n - 1, k - 1), dtype=np.int64)
@@ -238,6 +261,22 @@ class SubsetFamily:
         for block in _lex_blocks(self.n, self.k):
             yield start, block.T
             start += block.shape[1]
+
+    def _run_blocks(self) -> Iterator[tuple[int, np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]]:
+        """``blocks()`` with the prefix runs of each complete-family block.
+
+        A stored family has no runs (None).  The runs of a kept block are
+        built on the first pass and reused.
+        """
+        for start, rows in self.blocks():
+            if self.kind != "all_tuples":
+                yield start, rows, None
+            elif self._subsets is None:
+                yield start, rows, _prefix_runs(rows, self.n)
+            else:
+                if self._kept_runs is None:
+                    self._kept_runs = _prefix_runs(rows, self.n)
+                yield start, rows, self._kept_runs
 
     @property
     def subsets(self) -> np.ndarray:
@@ -351,12 +390,16 @@ def disjoint_chunks(n: int, k: int) -> SubsetFamily:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def kernel_values(h: Kernel, data: Dataset, family: SubsetFamily) -> np.ndarray:
-    """h(X_S) for every subset S of the family, as an (M,) array."""
+def _check_pair(h: Kernel, data: Dataset, family: SubsetFamily) -> None:
     if family.n != data.n:
         raise ValueError("family ambient size does not match dataset size")
     if family.k != h.degree:
         raise ValueError("family subset size does not match kernel degree")
+
+
+def kernel_values(h: Kernel, data: Dataset, family: SubsetFamily) -> np.ndarray:
+    """h(X_S) for every subset S of the family, as an (M,) array."""
+    _check_pair(h, data, family)
     out = np.empty(family.size)
     for start, rows in family.blocks():
         out[start : start + rows.shape[0]] = h.evaluate(data.points[rows])
@@ -368,21 +411,64 @@ def evaluate_ustat(h: Kernel, data: Dataset, family: SubsetFamily) -> float:
     return float(kernel_values(h, data, family).mean())
 
 
+def _add_projection_sums(
+    sums: np.ndarray,
+    rows: np.ndarray,
+    values: np.ndarray,
+    runs: Optional[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Add the value of every row to the sums of its k indices.
+
+    With the block's prefix runs, each of the first k-1 columns is constant
+    on a run, so it adds one sum per run; only the last column scatters every
+    value.
+    """
+    n = sums.size
+    if runs is None:
+        for column in rows.T:
+            sums += np.bincount(column, weights=values, minlength=n)
+        return
+    starts, heads = runs
+    run_sums = np.add.reduceat(values, starts)
+    for column in heads:
+        sums += np.bincount(column, weights=run_sums, minlength=n)
+    sums += np.bincount(rows[:, -1], weights=values, minlength=n)
+
+
+def _per_index_means(sums: np.ndarray, family: SubsetFamily) -> np.ndarray:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return sums / family.counts
+
+
+def kernel_values_and_projections(
+    h: Kernel, data: Dataset, family: SubsetFamily
+) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel_values`` and ``local_projections`` in one pass over the family.
+
+    Each block's values are added to the projection sums while the block is
+    still in cache.  The values are those of ``kernel_values``, bit for bit.
+    """
+    _check_pair(h, data, family)
+    values = np.empty(family.size)
+    sums = np.zeros(family.n)
+    for start, rows, runs in family._run_blocks():
+        block_values = values[start : start + rows.shape[0]]
+        block_values[:] = h.evaluate(data.points[rows])
+        _add_projection_sums(sums, rows, block_values, runs)
+    return values, _per_index_means(sums, family)
+
+
 def local_projections(h: Kernel, data: Dataset, family: SubsetFamily) -> np.ndarray:
     """Per-index means over the subsets containing each index.
 
     Entry i is (1/M_i) sum_{S : i in S} h(X_S).  Indices with M_i = 0 get NaN.
     """
-    values = kernel_values(h, data, family)
-    return projections_from_values(values, family)
+    return kernel_values_and_projections(h, data, family)[1]
 
 
 def projections_from_values(values: np.ndarray, family: SubsetFamily) -> np.ndarray:
+    """``local_projections`` from the family's (M,) kernel values."""
     sums = np.zeros(family.n)
-    for start, rows in family.blocks():
-        block_values = values[start : start + rows.shape[0]]
-        for column in rows.T:
-            sums += np.bincount(column, weights=block_values, minlength=family.n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = sums / family.counts
-    return out
+    for start, rows, runs in family._run_blocks():
+        _add_projection_sums(sums, rows, values[start : start + rows.shape[0]], runs)
+    return _per_index_means(sums, family)

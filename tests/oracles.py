@@ -2,7 +2,8 @@
 a Monte Carlo θ, closed forms, explicit families, the majority-vote form of
 the boosted uniformity test, the full-scan forms of the spread level and the
 Hájek state, the copying clip step of ``ustat_mean``, the one-array draw of
-``subsample_family``, the loop form of the collision reweight, the per-line
+``subsample_family``, the per-column bincount and exact fsum forms of the
+projections, the loop form of the collision reweight, the per-line
 file readers, the loop forms of the audits and the quartic sampler, a
 constant kernel, and the U-statistic variance calculus (conditional
 variances, Hoeffding components, exact variance)."""
@@ -44,6 +45,7 @@ from privustat.ustat import (
     collision_kernel,
     equality_kernel,
     kernel_values,
+    projections_from_values,
 )
 
 
@@ -290,6 +292,34 @@ def explicit_family(n: int, k: int, subsets) -> SubsetFamily:
     return SubsetFamily(n, k, np.asarray(subsets, dtype=np.int64), kind="explicit")
 
 
+def bincount_projections(values: np.ndarray, family: SubsetFamily) -> np.ndarray:
+    """``projections_from_values`` as one weighted bincount of all M values per column."""
+    sums = np.zeros(family.n)
+    for start, rows in family.blocks():
+        block_values = values[start : start + rows.shape[0]]
+        for column in rows.T:
+            sums += np.bincount(column, weights=block_values, minlength=family.n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return sums / family.counts
+
+
+# Absolute tolerance of library projections against ``fsum_projections`` for
+# kernels with values in [-4, 4]: 16 float64 rounding units at 4.  The
+# library's sums round in some order, the oracle's not at all; at n = 40,
+# k = 3 both summation orders stay within 6.7e-16.
+PROJECTION_ATOL = 16 * 4.0 * np.finfo(float).eps
+
+
+def fsum_projections(values: np.ndarray, family: SubsetFamily) -> np.ndarray:
+    """Local projections with each index's sum taken exactly by ``math.fsum``."""
+    terms: list[list[float]] = [[] for _ in range(family.n)]
+    for start, rows in family.blocks():
+        for row, value in zip(rows.tolist(), values[start : start + rows.shape[0]].tolist()):
+            for i in row:
+                terms[i].append(value)
+    return np.array([math.fsum(t) / len(t) if t else math.nan for t in terms])
+
+
 def local_projection(h: Kernel, data: Dataset, family: SubsetFamily, i: int) -> float:
     """Mean of h over the subsets containing index i."""
     if family.counts[i] == 0:
@@ -484,7 +514,8 @@ def loop_smoothness_audit(
         if config not in cache:
             values = kernel_values(kernel, Dataset(np.asarray(config, dtype=float)), family)
             try:
-                state = hajek_state(summary_from_values(values, family), params)
+                proj = projections_from_values(values, family)
+                state = hajek_state(summary_from_values(values, family, proj), params)
             except ValueError:  # non-finite kernel values: nothing is released
                 cache[config] = (math.nan, math.nan)
             else:

@@ -16,7 +16,7 @@ from privustat.hajek import (
     subgaussian_xi,
     summary_from_values,
 )
-from privustat.ustat import Dataset, all_tuples, kernel_values
+from privustat.ustat import Dataset, all_tuples, kernel_values, projections_from_values
 from privustat import applications as apps
 
 from oracles import (
@@ -29,6 +29,10 @@ from oracles import (
     loop_triangle_reweight,
     smooth_sensitivity_closed_form_bound,
 )
+
+
+def summarize(vals, fam):
+    return summary_from_values(vals, fam, projections_from_values(vals, fam))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +185,6 @@ def test_double_counting_on_reweighted_values():
     wt_s = weights[fam.subsets].min(axis=1)
     gvals = vals * wt_s + a_n * (1 - wt_s)
     a_tilde = pv.reweighted_mean(vals, fam, weights, a_n)
-    from privustat.ustat import projections_from_values
-
     ghat = projections_from_values(gvals, fam)
     assert float(np.sum(fam.counts * ghat)) == pytest.approx(k * fam.size * a_tilde, rel=1e-12)
 
@@ -301,7 +303,7 @@ def test_well_concentrated_white_box():
     fam = all_tuples(150, 2)
     params = HajekParams(eps=2.0, c_range=1.0, xi=0.5)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    state = hajek_state(summary_from_values(vals, fam), params)
+    state = hajek_state(summarize(vals, fam), params)
     assert state.spread_level == 1
     assert state.bad.size == 0
     assert state.reweighted == pytest.approx(float(vals.mean()))
@@ -321,7 +323,7 @@ def test_state_invariants_on_adversarial_data():
     fam = all_tuples(n, 2)
     params = HajekParams(eps=1.0, c_range=1.0, xi=0.01)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    state = hajek_state(summary_from_values(vals, fam), params)
+    state = hajek_state(summarize(vals, fam), params)
     assert state.bad.size <= state.spread_level
     assert np.all(np.delete(state.weights, state.bad) == 1.0)
     low = np.nonzero(state.weights < 1.0)[0]
@@ -333,7 +335,7 @@ def test_bad_empty_means_reweighted_equals_mean_bitwise():
     data = Dataset(rng.integers(0, 40, size=100))
     fam = all_tuples(100, 2)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    state = hajek_state(summary_from_values(vals, fam), HajekParams(1.0, 1.0, 0.5))
+    state = hajek_state(summarize(vals, fam), HajekParams(1.0, 1.0, 0.5))
     assert state.bad.size == 0
     assert state.reweighted == float(vals.mean())
 
@@ -373,7 +375,8 @@ def test_state_equals_the_full_scan_reference_on_random_cases():
         n, k = int(rng.integers(3, 25)), int(rng.integers(1, 4))
         fam = all_tuples(n, k)
         x = rng.standard_t(2, size=n)
-        summary = summary_from_values(kernel_values(pv.mean_kernel(k), Dataset(x), fam), fam)
+        vals = kernel_values(pv.mean_kernel(k), Dataset(x), fam)
+        summary = summarize(vals, fam)
         params = HajekParams(eps=float(rng.uniform(0.1, 2.0)), c_range=float(rng.uniform(0.0, 3.0)),
                              xi=float(rng.uniform(0.0, 1.0)))
         assert_states_equal(hajek_state(summary, params), full_scan_hajek_state(summary, params))
@@ -454,7 +457,7 @@ def enumerate_states(n, params):
     out = {}
     for config in itertools.product((0, 1), repeat=n):
         vals = kernel_values(h, Dataset(np.array(config, dtype=float)), fam)
-        out[config] = hajek_state(summary_from_values(vals, fam), params)
+        out[config] = hajek_state(summarize(vals, fam), params)
     return out
 
 
@@ -480,14 +483,14 @@ def test_smooth_bound_dominates_brute_force_local_sensitivity():
 
     def reweighted_of(pts):
         vals = kernel_values(h, Dataset(np.asarray(pts, dtype=float)), fam)
-        return hajek_state(summary_from_values(vals, fam), params).reweighted
+        return hajek_state(summarize(vals, fam), params).reweighted
 
     rng = np.random.default_rng(11)
     for _ in range(12):
         pts = rng.integers(0, 2, size=n)
         ls = brute_force_local_sensitivity(reweighted_of, pts.astype(float), [0.0, 1.0])
         vals = kernel_values(h, Dataset(pts.astype(float)), fam)
-        s = hajek_state(summary_from_values(vals, fam), params).smooth_bound
+        s = hajek_state(summarize(vals, fam), params).smooth_bound
         assert ls <= s + 1e-12
 
 
@@ -499,7 +502,7 @@ def test_sensitivity_reduction_on_adversarial_fixture():
     fam = all_tuples(60, 2)
     params = HajekParams(eps=0.5, c_range=1.0, xi=fix.xi)
     vals = kernel_values(h, fix.base, fam)
-    state = hajek_state(summary_from_values(vals, fam), params)
+    state = hajek_state(summarize(vals, fam), params)
     closed = smooth_sensitivity_closed_form_bound(fix.xi, state.spread_level, 60, 2, 1.0, 0.5, True)
     assert state.smooth_bound <= closed * (1 + 1e-9)
     # far below the worst-case range-based Laplace scale C * dep = C * k/n... the
@@ -530,7 +533,7 @@ def test_collision_fast_path_matches_generic(xi, c_range, expect_bad):
     fam = all_tuples(35, 2)
     params = HajekParams(eps=1.0, c_range=c_range, xi=xi)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    generic = hajek_state(summary_from_values(vals, fam), params)
+    generic = hajek_state(summarize(vals, fam), params)
     fast = hajek_state(apps.collision_summary(data, m), params)
     if expect_bad:
         assert generic.bad.size > 0  # otherwise this case checks nothing new
@@ -564,7 +567,7 @@ def test_triangle_fast_path_matches_generic(xi, c_range, expect_bad):
     )
     params = HajekParams(eps=1.0, c_range=c_range, xi=xi)
     vals = kernel_values(tri, Dataset(np.arange(18)), fam)
-    generic = hajek_state(summary_from_values(vals, fam), params)
+    generic = hajek_state(summarize(vals, fam), params)
     fast = hajek_state(apps.triangle_summary(g), params)
     if expect_bad:
         assert generic.bad.size > 0
@@ -582,7 +585,7 @@ def test_collision_fast_path_with_fractional_weights():
     fam = all_tuples(40, 2)
     params = HajekParams(eps=0.05, c_range=0.02, xi=0.0)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    generic = hajek_state(summary_from_values(vals, fam), params)
+    generic = hajek_state(summarize(vals, fam), params)
     fast = hajek_state(apps.collision_summary(data, m), params)
     fractional = (generic.weights > 0.0) & (generic.weights < 1.0)
     assert fractional.any()
@@ -603,7 +606,7 @@ def test_collision_fast_path_with_many_scattered_categories():
     fam = all_tuples(n, 2)
     params = HajekParams(eps=1.0, c_range=0.02, xi=0.0)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    generic = hajek_state(summary_from_values(vals, fam), params)
+    generic = hajek_state(summarize(vals, fam), params)
     fast = hajek_state(apps.collision_summary(data, m), params)
     assert 0 < generic.bad.size < n
     assert fast.reweighted == pytest.approx(generic.reweighted, rel=1e-12)
@@ -626,7 +629,7 @@ def test_triangle_fast_path_with_many_bad_nodes():
     )
     params = HajekParams(eps=0.2, c_range=0.001, xi=0.0)
     vals = kernel_values(tri, Dataset(np.arange(14)), fam)
-    generic = hajek_state(summary_from_values(vals, fam), params)
+    generic = hajek_state(summarize(vals, fam), params)
     fast = hajek_state(apps.triangle_summary(g), params)
     assert generic.bad.size >= 3
     assert generic.weights.min() < 1.0

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import privustat as pv
 from privustat import ustat
 from privustat.errors import CombinatorialOverflow
+from privustat.harness import audits
 from privustat.ustat import (
     Dataset,
     disjoint_chunks,
@@ -21,14 +22,17 @@ from privustat.ustat import (
 )
 
 from oracles import (
+    PROJECTION_ATOL,
     DegeneracyMismatch,
     EmptyIncidence,
     NegativeDeltaWarning,
     VarianceProfile,
+    bincount_projections,
     constant_kernel,
     empirical_zetas,
     evaluate_one,
     explicit_family,
+    fsum_projections,
     hoeffding_deltas,
     local_projection,
     unblocked_subsample_picks,
@@ -122,7 +126,64 @@ def test_all_tuples_blocked_values_and_projections_match_materialized():
         proj = pv.local_projections(h, d, fam)
         assert np.array_equal(fam.subsets, stored.subsets)
     assert np.array_equal(values, kernel_values(h, d, stored))
-    assert np.allclose(proj, pv.local_projections(h, d, stored), rtol=1e-13, atol=0)
+    # the two families sum in different orders; both must stay near the exact sums
+    exact = fsum_projections(values, stored)
+    assert np.max(np.abs(values)) <= 4.0
+    assert np.max(np.abs(proj - exact)) <= PROJECTION_ATOL
+    assert np.max(np.abs(pv.local_projections(h, d, stored) - exact)) <= PROJECTION_ATOL
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_pass_values_and_projections_across_block_budgets(data):
+    # small budgets split prefix runs across blocks
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    budget = data.draw(st.sampled_from([1, 2, 3, 5, 8, 13, 40, 10**6]), label="budget")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cases = [
+        (pv.equality_kernel(k), Dataset(rng.integers(0, 2, size=n))),
+        (pv.mean_kernel(k), Dataset(rng.uniform(-4.0, 4.0, size=n))),
+    ]
+    with mock.patch.object(ustat, "_BLOCK_ROWS", budget):
+        fam = pv.all_tuples(n, k)
+        for h, d in cases:
+            values, proj = ustat.kernel_values_and_projections(h, d, fam)
+            reference = kernel_values(h, d, fam)
+            assert np.array_equal(values, reference)
+            assert float(values.mean()) == float(reference.mean())
+            assert np.array_equal(ustat.projections_from_values(values, fam), proj)
+            if h.name.startswith("equal"):  # 0/1 values: every sum is an exact integer
+                assert np.array_equal(proj, bincount_projections(values, fam))
+            else:
+                assert np.max(np.abs(proj - fsum_projections(values, fam))) <= PROJECTION_ATOL
+
+
+def test_prefix_runs_of_the_kept_block_are_built_once():
+    fam = pv.all_tuples(6, 3)
+    rng = np.random.default_rng(3)
+    with mock.patch.object(ustat, "_prefix_runs", wraps=ustat._prefix_runs) as runs:
+        for _ in range(3):
+            values = rng.normal(size=fam.size)
+            ustat.projections_from_values(values, fam)
+        ustat.local_projections(pv.mean_kernel(3), Dataset(rng.normal(size=6)), fam)
+    assert runs.call_count == 1
+    # the smoothness audit projects every one of its 2^n datasets on one family
+    with mock.patch.object(ustat, "_prefix_runs", wraps=ustat._prefix_runs) as runs:
+        report = audits.smoothness_audit(4, 1.0, 0.1)
+    assert report.datasets == 16 and runs.call_count == 1
+
+
+@pytest.mark.parametrize("kind", ["explicit", "subsampled", "chunks"])
+def test_only_the_generated_family_is_complete(kind):
+    # five disjoint pairs fail regularity; labelled complete they would pass
+    # it unchecked and be released with the complete family's bound
+    pairs = np.arange(10).reshape(5, 2)
+    with pytest.raises(ValueError):
+        pv.SubsetFamily(10, 2, pairs, kind="all_tuples")
+    with pytest.raises(ValueError):
+        pv.SubsetFamily(10, 2, None, kind=kind)
+    assert not pv.SubsetFamily(10, 2, pairs, kind=kind).check_regularity().ok
 
 
 @pytest.mark.parametrize(
