@@ -185,7 +185,8 @@ def run_single(
     """One ``spec.method`` estimate on ``data`` at an (n, eps, alpha, M) cell.
 
     With alpha set, the method runs on disjoint chunks under median-of-means
-    boosting.  Without M, the subsampled method draws (n/k) log n subsets.
+    boosting.  Without M, the subsampled method draws ⌈(n/k) log n⌉ subsets, the
+    fewest that meet ``subsampled_estimator``'s recommended size.
     """
     _, eps, alpha, subsample_size = cell
 
@@ -197,7 +198,7 @@ def run_single(
             return all_tuples_estimator(kernel, data, r, tau, eps, rng, budget)
         if spec.method == "subsampled":
             k, n = kernel.degree, data.n
-            size = subsample_size or max(1, int((n / k) * math.log(max(n, 2))))
+            size = subsample_size or max(1, math.ceil((n / k) * math.log(max(n, 2))))
             return subsampled_estimator(kernel, data, r, tau, eps, size, rng, budget)
         # reweighting estimator; the collision kernel gets the count-based path
         xi = resolve_xi(spec, kernel, data.n)

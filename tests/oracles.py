@@ -1,7 +1,7 @@
 """Oracles and fixtures that only the tests use: brute-force sensitivities,
 a Monte Carlo θ, closed forms, explicit families, the majority-vote form of
 the boosted uniformity test, the full-scan forms of the spread level and the
-Hájek state, the copying clip step of ``ustat_mean``, the one-array draw of
+Hájek state, the copying clip step of ``ustat_mean``, the per-row Floyd draw of
 ``subsample_family``, the per-column bincount and exact fsum forms of the
 projections, the loop form of the collision reweight, the per-line
 file readers, the loop forms of the audits and the quartic sampler, a
@@ -278,12 +278,18 @@ def majority_uniformity_test(data: Dataset, m, delta, eps, alpha, seed, budget: 
     return reject, statistic, decisions[0].threshold, branches.max_spent()
 
 
-def unblocked_subsample_picks(n: int, k: int, size: int, seed) -> np.ndarray:
-    """``subsample_family``'s sorted (size, k) rows from one (size, n) array
-    of uniforms, drawn and partitioned at once."""
-    noise = as_generator(seed).random((size, n))
-    picks = np.argpartition(noise, k - 1, axis=1)[:, :k].astype(np.int64)
-    picks.sort(axis=1)
+def floyd_subsample_picks(n: int, k: int, size: int, seed) -> np.ndarray:
+    """``subsample_family``'s sorted (size, k) rows, Floyd's sampler run one
+    row at a time over a set, from the same k columns of integer draws."""
+    rng = as_generator(seed)
+    columns = [rng.integers(0, j + 1, size) for j in range(n - k, n)]
+    picks = np.empty((size, k), dtype=np.int64)
+    for row in range(size):
+        chosen: set = set()
+        for j, draws in zip(range(n - k, n), columns):
+            t = int(draws[row])
+            chosen.add(j if t in chosen else t)
+        picks[row] = sorted(chosen)
     return picks
 
 

@@ -129,7 +129,7 @@ CLI_GOLDEN = {
     'estimate.pair_mean.all': (0, 'estimate 0.34506518387850627\nradius 0.6603207765030902\n'),
     'estimate.pair_mean.hajek': (0, 'estimate 1.3068057662180075\n'),
     'estimate.pair_mean.naive.alpha': (0, 'estimate 0.1741339492784082\nradius 7.171672469754931\n'),
-    'estimate.pair_mean.subsampled.alpha': (0, 'estimate 0.3390288727149411\nradius 28.40450986369501\n'),
+    'estimate.pair_mean.subsampled.alpha': (0, 'estimate 1.0973285011654497\nradius 23.864552897655837\n'),
 }
 
 

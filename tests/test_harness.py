@@ -4,12 +4,13 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import privustat as pv
-from privustat.errors import AuditFailure
+from privustat.errors import AuditFailure, PreconditionWarning
 from privustat.hajek import hajek_state
 from privustat.harness import audits, experiments
 from privustat.harness.cli import main as cli_main
@@ -88,6 +89,20 @@ def test_all_methods_produce_rows():
         rows = list(run_experiment(spec))
         assert len(rows) == 2
         assert all(r.error == "" for r in rows), rows[0].error
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5])
+def test_default_subsample_size_meets_the_recommended_size(alpha):
+    # without M the runner draws ceil((n/k) log n) subsets; int() fell short
+    # of (n/k) log n, so every default trial warned, chunk runs included
+    spec = small_spec(method="subsampled", kernel="pair_mean", dist=DistributionSpec("gaussian", {}),
+                      n_grid=[60, 500], trials=1, alpha_grid=[alpha])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PreconditionWarning)
+        rows = list(run_experiment(spec))
+    assert all(r.error == "" for r in rows), rows[0].error
+    assert not [w for w in caught if issubclass(w.category, PreconditionWarning)
+                and str(w.message).startswith("subsample size below")]
 
 
 def test_wrapped_run_uses_median_of_means():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -32,10 +33,10 @@ from oracles import (
     empirical_zetas,
     evaluate_one,
     explicit_family,
+    floyd_subsample_picks,
     fsum_projections,
     hoeffding_deltas,
     local_projection,
-    unblocked_subsample_picks,
     variance_leading_term,
     variance_of_ustat,
     zetas_from_deltas,
@@ -253,27 +254,77 @@ def test_subsample_rows_are_valid_subsets():
 
 
 @pytest.mark.parametrize(
-    "n, k, size", [(4, 4, 7), (10, 2, 1000), (7, 3, 20000), (1000, 2, 3453), (40000, 3, 5)]
+    "n, k, size",
+    [(4, 4, 7), (10, 2, 1000), (7, 3, 20000), (1000, 2, 3453), (40000, 3, 5), (9, 1, 50)],
 )
-def test_subsample_blocks_draw_the_rows_of_one_array(n, k, size):
-    # below the 5e7 switch, rows come from blocks of uniforms; the last case
-    # has n above the block budget, so each block is a single row
+def test_subsample_matches_the_per_row_floyd_oracle(n, k, size):
     assert np.array_equal(
         pv.subsample_family(n, k, size, seed=21).subsets,
-        unblocked_subsample_picks(n, k, size, seed=21),
+        floyd_subsample_picks(n, k, size, seed=21),
     )
 
 
-def test_subsample_holds_one_block_of_uniforms():
-    # one (size, n) array of uniforms and its argpartition would take 55 MB
-    pv.subsample_family(1000, 2, 3453, seed=3)
+def test_subsample_holds_size_k_integers_not_size_n():
+    # (size, n) uniforms would take 8 GB here; beyond the family's own (n,)
+    # counts the draw holds a few (size, k) arrays
+    pv.subsample_family(10**6, 3, 1000, seed=3)
     tracemalloc.start()
     try:
-        pv.subsample_family(1000, 2, 3453, seed=3)
+        fam = pv.subsample_family(10**6, 3, 1000, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak - fam.counts.nbytes < 2**20
+
+
+class EnumeratingGenerator(np.random.Generator):
+    """Answers the c-th ``integers(0, j + 1, size)`` call with the c-th
+    coordinate of every draw sequence in product(range(n-k+1), ..., range(n))."""
+
+    def __init__(self, n: int, k: int):
+        super().__init__(np.random.PCG64(0))
+        self.highs = list(range(n - k + 1, n + 1))
+        self.sequences = np.array(list(itertools.product(*map(range, self.highs))))
+        self.calls = 0
+
+    def integers(self, low, high, size):
+        c = self.calls
+        assert (low, high, size) == (0, self.highs[c], len(self.sequences))
+        self.calls += 1
+        return self.sequences[:, c].copy()
+
+
+@pytest.mark.parametrize("n, k", [(5, 3), (6, 2), (6, 1), (4, 4)])
+def test_subsample_law_is_exactly_uniform_over_k_subsets(n, k):
+    # every draw sequence is equally likely, so uniformity is a count
+    rng = EnumeratingGenerator(n, k)
+    size = math.perm(n, k)
+    fam = pv.subsample_family(n, k, size, seed=rng)
+    assert rng.calls == k
+    tally = Counter(map(tuple, fam.subsets.tolist()))
+    assert set(tally) == set(itertools.combinations(range(n), k))
+    assert set(tally.values()) == {math.factorial(k)}
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_subsample_rows_counts_and_stream(data):
+    n = data.draw(st.integers(1, 60))
+    k = data.draw(st.integers(1, n))
+    size = data.draw(st.integers(1, 200))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    fam = pv.subsample_family(n, k, size, seed=rng)
+    rows = fam.subsets
+    assert rows.shape == (size, k)
+    assert rows.min() >= 0 and rows.max() < n
+    assert np.all(np.diff(rows, axis=1) > 0)
+    assert np.array_equal(fam.counts, np.bincount(rows.ravel(), minlength=n))
+    assert np.array_equal(pv.subsample_family(n, k, size, seed=seed).subsets, rows)
+    by_hand = np.random.default_rng(seed)
+    for j in range(n - k, n):
+        by_hand.integers(0, j + 1, size)
+    assert rng.bit_generator.state == by_hand.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
