@@ -46,7 +46,6 @@ from .ustat import (
     equality_kernel,
     evaluate_ustat,
     identity_kernel,
-    local_projections,
     mean_kernel,
     subsample_family,
 )

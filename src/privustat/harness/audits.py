@@ -23,14 +23,12 @@ from ..errors import AuditFailure, PreconditionWarning
 from ..hajek import HajekParams, hajek_state, summary_from_values
 from ..rng import as_generator
 from ..ustat import (
-    _BLOCK_ROWS,
     Dataset,
     Kernel,
     all_tuples,
     collision_kernel,
     equality_kernel,
     kernel_values_and_projections,
-    projections_from_values,
 )
 
 
@@ -123,8 +121,8 @@ class SmoothnessReport:
     eps: float
     xi: float
     c_range: float
-    datasets: int
-    pairs_checked: int
+    datasets: int  # multisets, each run through the engine once
+    pairs_checked: int  # ordered multiset pairs one substitution apart
     worst_dominance_margin: float  # min over D of S(D) - max_nbr |A~ (D) - A~(D')|
     worst_smoothness_margin: float  # min over pairs of e^eps S(D) - S(D')
     violations: list = field(default_factory=list)
@@ -146,13 +144,27 @@ def smoothness_audit(
 ) -> SmoothnessReport:
     """Check the smooth bound against every adjacent dataset pair.
 
-    Enumerates all |alphabet|^n datasets, computes the reweighted mean and the
-    smooth bound for each, and asserts (i) the bound dominates the realized
-    change of the reweighted mean to every neighbor, (ii) the bound moves by
-    at most e^eps between neighbors.  ``fault_scale`` scales the bound before
-    checking; anything below 1 is a deliberate fault.  Raises AuditFailure on
-    any violation; a NaN reweighted mean or bound counts as one, and so does
-    a dataset whose kernel values are not finite (its release refuses).
+    Asserts (i) the bound dominates the realized change of the reweighted
+    mean to every neighbor, (ii) the bound moves by at most e^eps between
+    neighbors (Nissim, Raskhodnikova & Smith, STOC 2007).  ``fault_scale``
+    scales the bound before checking; anything below 1 is a deliberate fault.
+    Raises AuditFailure on any violation; a NaN reweighted mean or bound
+    counts as one, and so does a dataset whose kernel values are not finite
+    (its release refuses).
+
+    The audit runs over multisets, not sequences.  On the complete family a
+    symmetric kernel's values are permuted with the data and each index's
+    projection moves with its index, so a_n, L, the weights, the reweighted
+    mean and the bound depend on a dataset only through its multiset of
+    values.  A substitution at one position moves one count of that multiset
+    from one letter to another, so every pair of neighbouring sequences has
+    the reweighted means and bounds of a pair of multisets one substitution
+    apart, and every such pair arises.  The audit therefore runs the release
+    engine once on each of the C(n + r - 1, r - 1) multisets over the r
+    letters (as its sorted dataset) and checks every ordered pair of them
+    one substitution apart, in place of the r^n sequences.  Violations name
+    the two sorted datasets, in (dataset, letter moved out, letter moved in,
+    check) order.
     """
     if n > 12:
         raise ValueError("exhaustive audit is limited to small n")
@@ -163,61 +175,48 @@ def smoothness_audit(
     family = all_tuples(n, k)
     params = HajekParams(eps=eps, c_range=c_range, xi=xi)
     alphabet = tuple(alphabet)
-    r = len(alphabet)
+    letters = np.asarray(alphabet, dtype=float)
 
-    # dataset c is the c-th config in itertools.product order, so its
-    # position i holds alphabet[c // r^(n-1-i) % r]
-    configs = list(itertools.product(alphabet, repeat=n))
-    points = np.asarray(configs, dtype=float)
-    reweighted = np.empty(len(configs))
-    bound = np.empty(len(configs))
-    # at n <= 12 the family is one stored block; the kernel runs once per
-    # chunk of datasets, on at most _BLOCK_ROWS rows
-    rows = family.subsets
-    per_chunk = max(1, _BLOCK_ROWS // family.size)
-    for lo in range(0, len(configs), per_chunk):
-        chunk = points[lo : lo + per_chunk]
-        values = kernel.evaluate(chunk[:, rows].reshape(-1, k)).reshape(len(chunk), -1)
-        for c, dataset_values in enumerate(values, start=lo):
-            try:
-                proj = projections_from_values(dataset_values, family)
-                state = hajek_state(summary_from_values(dataset_values, family, proj), params)
-            except ValueError:  # non-finite kernel values: nothing is released
-                reweighted[c] = bound[c] = math.nan
-                continue
-            reweighted[c] = state.reweighted
-            bound[c] = fault_scale * state.smooth_bound
-    grown = math.exp(eps) * bound
+    multisets = list(itertools.combinations_with_replacement(range(len(alphabet)), n))
+    reweighted = np.empty(len(multisets))
+    bound = np.empty(len(multisets))
+    for c, multiset in enumerate(multisets):
+        values, proj = kernel_values_and_projections(kernel, Dataset(letters[list(multiset)]), family)
+        try:
+            state = hajek_state(summary_from_values(values, family, proj), params)
+        except ValueError:  # non-finite kernel values: nothing is released
+            reweighted[c] = bound[c] = math.nan
+            continue
+        reweighted[c] = state.reweighted
+        bound[c] = fault_scale * state.smooth_bound
 
-    codes = np.arange(len(configs))
-    symbols = np.arange(r)
-    symbol_values = np.asarray(alphabet)
-    pairs, worst = 0, [math.inf, math.inf]
-    found = []  # ((dataset, position, symbol, check), violation)
-    for i in range(n):
-        # (dataset, symbol) arrays of every substitution at position i
-        place = r ** (n - 1 - i)
-        digit = (codes // place % r)[:, None]
-        neighbor = codes[:, None] + (symbols - digit) * place
-        differ = symbol_values[digit] != symbol_values[symbols]
-        pairs += int(differ.sum())
-        checks = (  # (check, realized, allowed): margin is allowed - realized
-            ("dominance", np.abs(reweighted[:, None] - reweighted[neighbor]), bound[:, None]),
-            ("smoothness", bound[neighbor], grown[:, None]),
-        )
-        for j, (kind, got, allowed) in enumerate(checks):
-            margin = allowed - got
-            worst[j] = min(worst[j], float(np.min(margin[differ], initial=math.inf)))
-            # a NaN margin (NaN reweighted mean or bound) is a violation too
-            for c, a in zip(*np.nonzero(differ & ~(margin >= 0))):
-                d, d2 = configs[c], configs[neighbor[c, a]]
-                found.append(((c, i, a, j), (kind, d, d2, float(got[c, a]), float(allowed[c, 0]))))
-    found.sort(key=lambda f: f[0])
+    # (D, D') index pairs of every substitution that changes a value
+    index = {multiset: c for c, multiset in enumerate(multisets)}
+    pairs = []
+    for c, multiset in enumerate(multisets):
+        for out in sorted(set(multiset)):
+            rest = list(multiset)
+            rest.remove(out)
+            pairs += [(c, index[tuple(sorted(rest + [into]))])
+                      for into in range(len(alphabet)) if letters[out] != letters[into]]
+    source, target = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    checks = (  # (check, realized, allowed): margin is allowed - realized
+        ("dominance", np.abs(reweighted[source] - reweighted[target]), bound[source]),
+        ("smoothness", bound[target], math.exp(eps) * bound[source]),
+    )
+    margins = np.stack([allowed - got for _, got, allowed in checks], axis=1)
+    worst = np.min(margins, axis=0, initial=math.inf)
+    violations = []
+    # a NaN margin (NaN reweighted mean or bound) is a violation too
+    for p, j in zip(*np.nonzero(~(margins >= 0))):
+        kind, got, allowed = checks[j]
+        d, d2 = (tuple(alphabet[a] for a in multisets[c]) for c in (source[p], target[p]))
+        violations.append((kind, d, d2, float(got[p]), float(allowed[p])))
     report = SmoothnessReport(
         n=n, k=k, eps=eps, xi=xi, c_range=c_range,
-        datasets=len(configs), pairs_checked=pairs,
-        worst_dominance_margin=worst[0], worst_smoothness_margin=worst[1],
-        violations=[v for _, v in found],
+        datasets=len(multisets), pairs_checked=len(pairs),
+        worst_dominance_margin=float(worst[0]), worst_smoothness_margin=float(worst[1]),
+        violations=violations,
     )
     if report.violations:
         kind, d, d2, got, allowed = report.violations[0]

@@ -231,7 +231,7 @@ def run_trial(
     budget = scratch_budget()
     started = time.perf_counter()
     error = ""
-    report: Optional[EstimateReport] = None
+    report = EstimateReport(None)  # a run that raised released nothing
     try:
         report = run_single(spec, kernel, data, cell, rng, budget)
         check_trial_ledger(report, budget, eps)
@@ -240,7 +240,7 @@ def run_trial(
     except PrivustatError as exc:
         error = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - started
-    estimate = report.estimate if report is not None else None
+    estimate = report.estimate
     return ResultRow(
         method=spec.method,
         kernel=spec.kernel,
@@ -253,10 +253,10 @@ def run_trial(
         theta=theta,
         estimate=estimate,
         abs_error=abs(estimate - theta) if estimate is not None else None,
-        radius=report.radius if report is not None else None,
-        noise_scale=report.noise_scale if report is not None else None,
-        spread_level=(report.diagnostics.get("L") if report is not None else None),
-        n_bad=(report.diagnostics.get("n_bad") if report is not None else None),
+        radius=report.radius,
+        noise_scale=report.noise_scale,
+        spread_level=report.diagnostics.get("L"),
+        n_bad=report.diagnostics.get("n_bad"),
         error=error,
         wall_time=elapsed,
     )

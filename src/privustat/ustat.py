@@ -233,7 +233,6 @@ class SubsetFamily:
             raise ValueError('kind "all_tuples" is exactly the generated family (subsets=None)')
         self.n, self.k, self.kind = n, k, kind
         self._pair_counts: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._kept_runs: Optional[tuple[np.ndarray, np.ndarray]] = None
         if subsets is None:
             self.size = math.comb(n, k)
             self.counts = np.full(n, math.comb(n - 1, k - 1), dtype=np.int64)
@@ -261,22 +260,6 @@ class SubsetFamily:
         for block in _lex_blocks(self.n, self.k):
             yield start, block.T
             start += block.shape[1]
-
-    def _run_blocks(self) -> Iterator[tuple[int, np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]]:
-        """``blocks()`` with the prefix runs of each complete-family block.
-
-        A stored family has no runs (None).  The runs of a kept block are
-        built on the first pass and reused.
-        """
-        for start, rows in self.blocks():
-            if self.kind != "all_tuples":
-                yield start, rows, None
-            elif self._subsets is None:
-                yield start, rows, _prefix_runs(rows, self.n)
-            else:
-                if self._kept_runs is None:
-                    self._kept_runs = _prefix_runs(rows, self.n)
-                yield start, rows, self._kept_runs
 
     @property
     def subsets(self) -> np.ndarray:
@@ -439,40 +422,23 @@ def _add_projection_sums(
     sums += np.bincount(rows[:, -1], weights=values, minlength=n)
 
 
-def _per_index_means(sums: np.ndarray, family: SubsetFamily) -> np.ndarray:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return sums / family.counts
-
-
 def kernel_values_and_projections(
     h: Kernel, data: Dataset, family: SubsetFamily
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``kernel_values`` and ``local_projections`` in one pass over the family.
+    """``kernel_values`` and the local projections, in one pass over the family.
 
-    Each block's values are added to the projection sums while the block is
-    still in cache.  The values are those of ``kernel_values``, bit for bit.
+    Entry i of the projections is (1/M_i) sum_{S : i in S} h(X_S); indices
+    with M_i = 0 get NaN.  Each block's values are added to the projection
+    sums while the block is still in cache.  The values are those of
+    ``kernel_values``, bit for bit.
     """
     _check_pair(h, data, family)
     values = np.empty(family.size)
     sums = np.zeros(family.n)
-    for start, rows, runs in family._run_blocks():
+    for start, rows in family.blocks():
         block_values = values[start : start + rows.shape[0]]
         block_values[:] = h.evaluate(data.points[rows])
+        runs = _prefix_runs(rows, family.n) if family.kind == "all_tuples" else None
         _add_projection_sums(sums, rows, block_values, runs)
-    return values, _per_index_means(sums, family)
-
-
-def local_projections(h: Kernel, data: Dataset, family: SubsetFamily) -> np.ndarray:
-    """Per-index means over the subsets containing each index.
-
-    Entry i is (1/M_i) sum_{S : i in S} h(X_S).  Indices with M_i = 0 get NaN.
-    """
-    return kernel_values_and_projections(h, data, family)[1]
-
-
-def projections_from_values(values: np.ndarray, family: SubsetFamily) -> np.ndarray:
-    """``local_projections`` from the family's (M,) kernel values."""
-    sums = np.zeros(family.n)
-    for start, rows, runs in family._run_blocks():
-        _add_projection_sums(sums, rows, values[start : start + rows.shape[0]], runs)
-    return _per_index_means(sums, family)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return values, sums / family.counts

@@ -45,7 +45,7 @@ from privustat.ustat import (
     collision_kernel,
     equality_kernel,
     kernel_values,
-    projections_from_values,
+    kernel_values_and_projections,
 )
 
 
@@ -299,7 +299,8 @@ def explicit_family(n: int, k: int, subsets) -> SubsetFamily:
 
 
 def bincount_projections(values: np.ndarray, family: SubsetFamily) -> np.ndarray:
-    """``projections_from_values`` as one weighted bincount of all M values per column."""
+    """Local projections of a family's (M,) kernel values, as one weighted
+    bincount of all M values per column."""
     sums = np.zeros(family.n)
     for start, rows in family.blocks():
         block_values = values[start : start + rows.shape[0]]
@@ -518,9 +519,9 @@ def loop_smoothness_audit(
 
     def analyze(config: tuple) -> tuple:
         if config not in cache:
-            values = kernel_values(kernel, Dataset(np.asarray(config, dtype=float)), family)
+            data = Dataset(np.asarray(config, dtype=float))
+            values, proj = kernel_values_and_projections(kernel, data, family)
             try:
-                proj = projections_from_values(values, family)
                 state = hajek_state(summary_from_values(values, family, proj), params)
             except ValueError:  # non-finite kernel values: nothing is released
                 cache[config] = (math.nan, math.nan)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import privustat as pv
 from privustat import hajek
@@ -16,10 +18,17 @@ from privustat.hajek import (
     subgaussian_xi,
     summary_from_values,
 )
-from privustat.ustat import Dataset, all_tuples, kernel_values, projections_from_values
+from privustat.ustat import (
+    Dataset,
+    all_tuples,
+    clipped_kernel,
+    kernel_values,
+    kernel_values_and_projections,
+)
 from privustat import applications as apps
 
 from oracles import (
+    bincount_projections,
     brute_force_local_sensitivity,
     constant_kernel,
     explicit_family,
@@ -32,7 +41,7 @@ from oracles import (
 
 
 def summarize(vals, fam):
-    return summary_from_values(vals, fam, projections_from_values(vals, fam))
+    return summary_from_values(vals, fam, bincount_projections(vals, fam))
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +85,7 @@ def test_L_neighboring_datasets_move_by_at_most_one():
         levels = []
         for pts in (x, y):
             vals = kernel_values(h, Dataset(pts), fam)
-            proj = pv.local_projections(h, Dataset(pts), fam)
+            proj = kernel_values_and_projections(h, Dataset(pts), fam)[1]
             devs = np.abs(proj - vals.mean())
             levels.append(pv.compute_L(devs, params["xi"], c, k, n))
         assert abs(levels[0] - levels[1]) <= 1
@@ -185,7 +194,7 @@ def test_double_counting_on_reweighted_values():
     wt_s = weights[fam.subsets].min(axis=1)
     gvals = vals * wt_s + a_n * (1 - wt_s)
     a_tilde = pv.reweighted_mean(vals, fam, weights, a_n)
-    ghat = projections_from_values(gvals, fam)
+    ghat = bincount_projections(gvals, fam)
     assert float(np.sum(fam.counts * ghat)) == pytest.approx(k * fam.size * a_tilde, rel=1e-12)
 
 
@@ -313,6 +322,42 @@ def test_well_concentrated_white_box():
     h = pv.collision_kernel()
     rep = pv.private_mean_local_hajek(h, data, fam, params, 6, scratch_budget())
     assert rep.diagnostics["L"] == 1
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_state_depends_on_the_multiset_only(data):
+    # smoothness_audit checks one sorted dataset per multiset: on the
+    # complete family, permuting the data must permute the projections and
+    # leave everything the release uses unchanged
+    n = data.draw(st.integers(3, 9), label="n")
+    name = data.draw(st.sampled_from(["collision", "equal3", "clipped mean2"]), label="kernel")
+    r = data.draw(st.integers(1, 4), label="alphabet size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if name == "clipped mean2":
+        kernel = clipped_kernel(pv.mean_kernel(2), 0.0, 1.0)
+        letters = rng.uniform(0.0, 1.5, size=r)
+    else:
+        kernel = pv.collision_kernel() if name == "collision" else pv.equality_kernel(3)
+        letters = np.arange(r, dtype=float)
+    params = HajekParams(
+        eps=data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="eps"),
+        c_range=1.0,
+        xi=data.draw(st.sampled_from([0.0, 0.05, 0.2]), label="xi"),
+    )
+    x = letters[rng.integers(0, r, size=n)]
+    perm = rng.permutation(n)
+    fam = all_tuples(n, kernel.degree)
+    (proj, state), (perm_proj, perm_state) = [
+        (proj, hajek_state(summary_from_values(vals, fam, proj), params))
+        for vals, proj in (kernel_values_and_projections(kernel, Dataset(pts), fam) for pts in (x, x[perm]))
+    ]
+    assert perm_state.spread_level == state.spread_level
+    assert perm_state.bad.size == state.bad.size
+    assert perm_state.smooth_bound == state.smooth_bound
+    assert perm_state.a_n == pytest.approx(state.a_n, rel=1e-12, abs=0)
+    assert perm_state.reweighted == pytest.approx(state.reweighted, rel=1e-12, abs=0)
+    np.testing.assert_allclose(perm_proj, proj[perm], rtol=1e-12, atol=0)
 
 
 def test_state_invariants_on_adversarial_data():
@@ -688,7 +733,7 @@ def test_subgaussian_xi_covers_projections():
     hits = 0
     for _ in range(trials):
         d = Dataset(rng.normal(theta, 1.0, n))
-        proj = pv.local_projections(h, d, fam)
+        proj = kernel_values_and_projections(h, d, fam)[1]
         hits += int(np.max(np.abs(proj - theta)) <= xi)
     assert hits / trials >= 1 - alpha
 

@@ -1,18 +1,21 @@
 """Experiment runner determinism, CLI behavior, audits with negative controls."""
 
+import itertools
 import math
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import privustat as pv
-from privustat.errors import AuditFailure, PreconditionWarning
+from privustat.errors import AuditFailure, LedgerMismatch, PreconditionWarning
 from privustat.hajek import hajek_state
 from privustat.harness import audits, experiments
+from privustat.harness.audits import SmoothnessReport
 from privustat.harness.cli import main as cli_main
 from privustat.harness.experiments import (
     CSV_COLUMNS,
@@ -134,6 +137,24 @@ def test_trial_ledger_is_checked_against_the_cell_eps(monkeypatch, spends, botto
     monkeypatch.setattr(experiments, "run_single", dispatch)
     (row,) = list(run_experiment(small_spec(n_grid=[40], trials=1, eps_grid=[0.8])))
     assert row.error.startswith(error) if error else row.error == ""
+
+
+@pytest.mark.parametrize("fails_in", ["run_single", "check_trial_ledger"])
+def test_a_raising_trial_keeps_what_it_released(monkeypatch, fails_in):
+    # a run that raised released nothing; a release whose ledger fails the
+    # check keeps its outputs beside the error
+    def fail(*args):
+        raise LedgerMismatch("stub")
+
+    def dispatch(spec, kernel, data, cell, rng, budget):
+        return pv.EstimateReport(0.1, radius=0.2, noise_scale=0.3, diagnostics={"L": 2, "n_bad": 1})
+
+    monkeypatch.setattr(experiments, "run_single", dispatch)
+    monkeypatch.setattr(experiments, fails_in, fail)
+    (row,) = list(run_experiment(small_spec(n_grid=[40], trials=1)))
+    assert row.error == "LedgerMismatch: stub"
+    released = (row.estimate, row.radius, row.noise_scale, row.spread_level, row.n_bad)
+    assert released == ((None,) * 5 if fails_in == "run_single" else (0.1, 0.2, 0.3, 2, 1))
 
 
 def test_timing_column_optional():
@@ -282,6 +303,8 @@ def test_cli_uniformity_bad_label_is_a_usage_error(tmp_path, capsys, text):
 def test_cli_audit_exit_codes(capsys):
     ok = cli_main(["audit-smoothness", "--n", "4", "--eps", "1.0", "--xi", "0.0"])
     assert ok == 0
+    # the 5 binary multisets of size 4 and their 8 ordered neighbour pairs
+    assert "smoothness audit ok\ndatasets 5\npairs 8\n" in capsys.readouterr().out
     bad = cli_main(["audit-smoothness", "--n", "5", "--eps", "1.0", "--xi", "0.0",
                     "--fault-scale", "0.5"])
     assert bad == 2
@@ -445,7 +468,8 @@ def test_smoothness_audit_fails_on_a_nan_bound(monkeypatch):
     monkeypatch.setattr(audits, "hajek_state", nan_bound)
     with pytest.raises(AuditFailure, match="dominance violated") as exc:
         audits.smoothness_audit(n=4, eps=1.0, xi=0.0)
-    assert f"({2 * 2**4 * 4} violations total)" in str(exc.value)  # both checks on every pair
+    # both checks on every ordered pair of the 5 binary multisets of size 4
+    assert f"({2 * 8} violations total)" in str(exc.value)
 
 
 def test_smoothness_audit_equality_kernel_positive_margins():
@@ -453,7 +477,20 @@ def test_smoothness_audit_equality_kernel_positive_margins():
     assert rep.ok
     assert rep.worst_dominance_margin > 0
     assert rep.worst_smoothness_margin > 0
-    assert rep.pairs_checked == 2**5 * 5
+    # j ones go to j - 1 or j + 1 ones
+    assert (rep.datasets, rep.pairs_checked) == (6, 2 * 5)
+
+
+@pytest.mark.parametrize("n, alphabet", [(10, (0, 1)), (6, (0, 1, 2)), (4, (0, 1, 2, 3))])
+def test_smoothness_audit_runs_the_engine_once_per_multiset(monkeypatch, n, alphabet):
+    calls = mock.Mock(wraps=hajek_state)
+    monkeypatch.setattr(audits, "hajek_state", calls)
+    rep = audits.smoothness_audit(n=n, eps=1.0, xi=0.1, alphabet=alphabet)
+    r = len(alphabet)
+    assert calls.call_count == rep.datasets == math.comb(n + r - 1, r - 1)
+    # an ordered pair per letter present and letter it can become
+    present = sum(len(set(m)) for m in itertools.combinations_with_replacement(range(r), n))
+    assert rep.pairs_checked == present * (r - 1)
 
 
 def test_smoothness_audit_fault_injection_fails():
@@ -461,12 +498,65 @@ def test_smoothness_audit_fault_injection_fails():
         audits.smoothness_audit(n=5, eps=1.0, xi=0.0, c_range=1.0, fault_scale=0.5)
 
 
-def audit_outcome(audit, **kwargs):
-    try:
-        report = audit(**kwargs)
-    except AuditFailure as exc:
-        return "failure", str(exc)
-    return "report", report, repr(vars(report))
+def audit_run(monkeypatch, audit, **kwargs):
+    """(report, failure message or None) of an audit, raising or not."""
+    reports = []
+
+    def record(**fields):
+        reports.append(SmoothnessReport(**fields))
+        return reports[-1]
+
+    with monkeypatch.context() as patched:
+        for module in (audits, oracles):
+            patched.setattr(module, "SmoothnessReport", record)
+        try:
+            audit(**kwargs)
+        except AuditFailure as exc:
+            return reports[-1], str(exc)
+    return reports[-1], None
+
+
+def close(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+def assert_audit_equals_the_loop_audit_modulo_permutation(monkeypatch, **kwargs):
+    """The multiset audit against the sequence oracle: the same verdict and
+    first violation, the same worst margins, and as violations the oracle's
+    mapped to sorted datasets."""
+    got, failure = audit_run(monkeypatch, audits.smoothness_audit, **kwargs)
+    ref, ref_failure = audit_run(monkeypatch, loop_smoothness_audit, **kwargs)
+    alphabet = tuple(kwargs.get("alphabet", (0, 1)))
+
+    def by_letter(dataset):
+        return tuple(sorted(dataset, key=alphabet.index))
+
+    expected = {}
+    for kind, d, d2, realized, allowed in ref.violations:
+        expected.setdefault((kind, by_letter(d), by_letter(d2)), []).append((realized, allowed))
+    assert got.ok == ref.ok and (failure is None) == (ref_failure is None), kwargs
+    if failure is not None:
+        kind, d, d2 = ref.violations[0][:3]
+        assert got.violations[0][:3] == (kind, by_letter(d), by_letter(d2)), kwargs
+        assert failure.startswith(f"{kind} violated for {by_letter(d)} -> {by_letter(d2)}: ")
+    found = {v[:3]: [v[3:]] for v in got.violations}
+    assert len(found) == len(got.violations), kwargs
+    # a permuted sequence rounds its reweighted mean differently, so the two
+    # sets may differ on a pair that one audit flags only by rounding: its
+    # realized change equals its allowance within 1e-12 relative
+    for name in set(found) ^ set(expected):
+        assert all(close(*numbers) for numbers in found.get(name, expected.get(name))), (kwargs, name)
+    for name in set(found) & set(expected):
+        for ref_realized, ref_allowed in expected[name]:
+            (realized, allowed), = found[name]
+            assert close(realized, ref_realized) and close(allowed, ref_allowed), (kwargs, name)
+    # the oracle's Python min skips NaN margins where NumPy's keeps them; a
+    # NaN margin is a violation, compared above
+    for margin, ref_margin in (
+        (got.worst_dominance_margin, ref.worst_dominance_margin),
+        (got.worst_smoothness_margin, ref.worst_smoothness_margin),
+    ):
+        assert math.isnan(margin) or close(margin, ref_margin), kwargs
 
 
 def smoothness_cases(n):
@@ -484,10 +574,9 @@ def smoothness_cases(n):
 
 
 @pytest.mark.parametrize("n", range(3, 11))
-def test_smoothness_audit_equals_the_loop_audit(n):
+def test_smoothness_audit_equals_the_loop_audit(monkeypatch, n):
     for kwargs in smoothness_cases(n):
-        got = audit_outcome(audits.smoothness_audit, **kwargs)
-        assert got == audit_outcome(loop_smoothness_audit, **kwargs), kwargs
+        assert_audit_equals_the_loop_audit_modulo_permutation(monkeypatch, **kwargs)
 
 
 def test_smoothness_audit_orders_violations_like_the_loop_audit(monkeypatch):
@@ -501,9 +590,9 @@ def test_smoothness_audit_orders_violations_like_the_loop_audit(monkeypatch):
     monkeypatch.setattr(audits, "hajek_state", skewed)
     monkeypatch.setattr(oracles, "hajek_state", skewed)
     for n in (4, 5, 6):
-        got = audit_outcome(audits.smoothness_audit, n=n, eps=1.0, xi=0.0)
-        assert got[0] == "failure" and got[1].startswith("dominance"), got
-        assert got == audit_outcome(loop_smoothness_audit, n=n, eps=1.0, xi=0.0)
+        with pytest.raises(AuditFailure, match="^dominance"):
+            audits.smoothness_audit(n=n, eps=1.0, xi=0.0)
+        assert_audit_equals_the_loop_audit_modulo_permutation(monkeypatch, n=n, eps=1.0, xi=0.0)
 
 
 def test_ks_gap_equals_the_fresh_array_gap():

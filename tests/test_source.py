@@ -7,7 +7,8 @@ release takes the caller's ledger, so no ``budget`` parameter has a default,
 and the release noise has one calibration, so no parameter rescales it.
 Only ``dp`` debits a ledger or draws release noise, so a release is drawn
 and debited one way; ``noise_gof`` may call the samplers, because it audits
-them.  Importing the package loads a fixed set of scipy subpackages.
+them.  No module but ``ustat`` uses ``ustat``'s private names.  Importing
+the package loads a fixed set of scipy subpackages.
 """
 
 import ast
@@ -114,6 +115,41 @@ def test_checker_finds_ledger_rule_violations():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_ledger_is_required_and_release_scale_is_fixed(path):
     assert ledger_rule_violations(path.read_text()) == []
+
+
+def private_ustat_names(source: str) -> list[str]:
+    """Every ``_``-prefixed name taken from ``ustat``: imported from it, or
+    read as an attribute of a name ``ustat``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "ustat":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "ustat" and node.attr.startswith("_")):
+            found.append((node.lineno, node.attr))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_checker_finds_private_ustat_names():
+    source = (
+        "from ..ustat import _BLOCK_ROWS, Dataset\n"
+        "from privustat.ustat import _prefix_runs\n"
+        "from .dp import _RATIO_BLOCK\n"
+        "from .. import ustat\n"
+        "rows = ustat._BLOCK_ROWS + ustat.DEFAULT_ENUMERATION_CAP\n"
+    )
+    assert private_ustat_names(source) == [
+        "line 1: _BLOCK_ROWS", "line 2: _prefix_runs", "line 5: _BLOCK_ROWS",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "ustat.py"], ids=lambda p: str(p.relative_to(SRC))
+)
+def test_only_ustat_uses_its_private_names(path):
+    # the engine's block size and helpers may change without notice; a
+    # module that needs one needs a public entry point instead
+    assert private_ustat_names(path.read_text()) == []
 
 
 SAMPLERS = {"laplace_draws", "quartic_draws"}

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import privustat as pv
 from privustat import ustat
 from privustat.errors import CombinatorialOverflow
-from privustat.harness import audits
 from privustat.ustat import (
     Dataset,
     disjoint_chunks,
@@ -124,14 +123,14 @@ def test_all_tuples_blocked_values_and_projections_match_materialized():
         fam = pv.all_tuples(n, k)
         assert len(list(fam.blocks())) > 1
         values = kernel_values(h, d, fam)
-        proj = pv.local_projections(h, d, fam)
+        proj = ustat.kernel_values_and_projections(h, d, fam)[1]
         assert np.array_equal(fam.subsets, stored.subsets)
     assert np.array_equal(values, kernel_values(h, d, stored))
     # the two families sum in different orders; both must stay near the exact sums
     exact = fsum_projections(values, stored)
     assert np.max(np.abs(values)) <= 4.0
     assert np.max(np.abs(proj - exact)) <= PROJECTION_ATOL
-    assert np.max(np.abs(pv.local_projections(h, d, stored) - exact)) <= PROJECTION_ATOL
+    assert np.max(np.abs(ustat.kernel_values_and_projections(h, d, stored)[1] - exact)) <= PROJECTION_ATOL
 
 
 @given(st.data())
@@ -153,26 +152,10 @@ def test_one_pass_values_and_projections_across_block_budgets(data):
             reference = kernel_values(h, d, fam)
             assert np.array_equal(values, reference)
             assert float(values.mean()) == float(reference.mean())
-            assert np.array_equal(ustat.projections_from_values(values, fam), proj)
             if h.name.startswith("equal"):  # 0/1 values: every sum is an exact integer
                 assert np.array_equal(proj, bincount_projections(values, fam))
             else:
                 assert np.max(np.abs(proj - fsum_projections(values, fam))) <= PROJECTION_ATOL
-
-
-def test_prefix_runs_of_the_kept_block_are_built_once():
-    fam = pv.all_tuples(6, 3)
-    rng = np.random.default_rng(3)
-    with mock.patch.object(ustat, "_prefix_runs", wraps=ustat._prefix_runs) as runs:
-        for _ in range(3):
-            values = rng.normal(size=fam.size)
-            ustat.projections_from_values(values, fam)
-        ustat.local_projections(pv.mean_kernel(3), Dataset(rng.normal(size=6)), fam)
-    assert runs.call_count == 1
-    # the smoothness audit projects every one of its 2^n datasets on one family
-    with mock.patch.object(ustat, "_prefix_runs", wraps=ustat._prefix_runs) as runs:
-        report = audits.smoothness_audit(4, 1.0, 0.1)
-    assert report.datasets == 16 and runs.call_count == 1
 
 
 @pytest.mark.parametrize("kind", ["explicit", "subsampled", "chunks"])
@@ -449,7 +432,7 @@ def test_double_counting_identity(seed):
     d = Dataset(rng.normal(size=n))
     h = pv.mean_kernel(k)
     vals = kernel_values(h, d, fam)
-    proj = pv.local_projections(h, d, fam)
+    proj = ustat.kernel_values_and_projections(h, d, fam)[1]
     lhs = float(np.nansum(fam.counts * proj))
     rhs = k * fam.size * float(vals.mean())
     assert lhs == pytest.approx(rhs, rel=1e-12)
