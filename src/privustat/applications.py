@@ -128,9 +128,10 @@ def collision_summary(data: Dataset, m: int) -> UStatSummary:
     )
 
 
-def collision_xi(m: int, n: int, gamma: float = APPLICATION_CONFIDENCE) -> float:
-    """Concentration radius for collision projections: 6/m + 8 log(4n/gamma)/n."""
-    return 6.0 / m + 8.0 * math.log(4.0 * n / gamma) / n
+def collision_xi(m: int, n: int) -> float:
+    """Concentration radius for collision projections: 6/m + 8 log(4n/gamma)/n,
+    at gamma = APPLICATION_CONFIDENCE."""
+    return 6.0 / m + 8.0 * math.log(4.0 * n / APPLICATION_CONFIDENCE) / n
 
 
 def private_collision_density(
@@ -369,8 +370,10 @@ def triangle_summary(graph: GeometricGraph) -> UStatSummary:
     )
 
 
-def triangle_xi(nu: float, n: int, gamma: float = APPLICATION_CONFIDENCE) -> float:
-    """Concentration radius for triangle projections, from the edge proxy nu."""
+def triangle_xi(nu: float, n: int) -> float:
+    """Concentration radius for triangle projections, from the edge proxy nu,
+    at confidence gamma = APPLICATION_CONFIDENCE."""
+    gamma = APPLICATION_CONFIDENCE
     log_term = math.log(2.0 * n / gamma)
     return (
         18.0 * nu * math.sqrt((2.0 / n) * log_term)

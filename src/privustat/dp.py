@@ -66,7 +66,7 @@ class PrivacyBudget:
     """
 
     epsilon_total: float
-    entries: list = field(default_factory=list)
+    entries: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if self.epsilon_total <= 0:

@@ -4,8 +4,10 @@ These are the checks that justify trusting the mechanisms: a deterministic
 dataset pair whose U-statistic gap is combinatorially certified, an exhaustive
 neighbor enumeration that validates the smooth sensitivity bound at desk
 scale, and goodness-of-fit of both noise samplers against their analytic
-CDFs.  Each audit has a fault-injection mode so tests can confirm the audit
-itself is not vacuous.
+CDFs.  The audits take no fault-injection option.  Tests show that an audit
+is not vacuous by injecting the fault themselves and watching it fail: they
+patch ``hajek_state`` here to halve the smooth bound, and hand the KS gap
+draws at the wrong scale.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -116,11 +117,6 @@ def fixture_projection_margins(fix: AdversarialFixture) -> dict:
 
 @dataclass
 class SmoothnessReport:
-    n: int
-    k: int
-    eps: float
-    xi: float
-    c_range: float
     datasets: int  # multisets, each run through the engine once
     pairs_checked: int  # ordered multiset pairs one substitution apart
     worst_dominance_margin: float  # min over D of S(D) - max_nbr |A~ (D) - A~(D')|
@@ -137,20 +133,17 @@ def smoothness_audit(
     eps: float,
     xi: float,
     c_range: float = 1.0,
-    k: int = 2,
     alphabet=(0, 1),
-    kernel: Optional[Kernel] = None,
-    fault_scale: float = 1.0,
+    kernel: Kernel = collision_kernel(),
 ) -> SmoothnessReport:
     """Check the smooth bound against every adjacent dataset pair.
 
     Asserts (i) the bound dominates the realized change of the reweighted
     mean to every neighbor, (ii) the bound moves by at most e^eps between
-    neighbors (Nissim, Raskhodnikova & Smith, STOC 2007).  ``fault_scale``
-    scales the bound before checking; anything below 1 is a deliberate fault.
-    Raises AuditFailure on any violation; a NaN reweighted mean or bound
-    counts as one, and so does a dataset whose kernel values are not finite
-    (its release refuses).
+    neighbors (Nissim, Raskhodnikova & Smith, STOC 2007).  The release runs
+    on the complete family of ``kernel.degree``-subsets.  Raises AuditFailure
+    on any violation; a NaN reweighted mean or bound counts as one, and so
+    does a dataset whose kernel values are not finite (its release refuses).
 
     The audit runs over multisets, not sequences.  On the complete family a
     symmetric kernel's values are permuted with the data and each index's
@@ -168,11 +161,7 @@ def smoothness_audit(
     """
     if n > 12:
         raise ValueError("exhaustive audit is limited to small n")
-    if not 0.0 <= fault_scale < math.inf:  # also rejects NaN
-        raise ValueError("fault scale must be finite and >= 0")
-    if kernel is None:
-        kernel = collision_kernel() if k == 2 else equality_kernel(k)
-    family = all_tuples(n, k)
+    family = all_tuples(n, kernel.degree)
     params = HajekParams(eps=eps, c_range=c_range, xi=xi)
     alphabet = tuple(alphabet)
     letters = np.asarray(alphabet, dtype=float)
@@ -188,7 +177,7 @@ def smoothness_audit(
             reweighted[c] = bound[c] = math.nan
             continue
         reweighted[c] = state.reweighted
-        bound[c] = fault_scale * state.smooth_bound
+        bound[c] = state.smooth_bound
 
     # (D, D') index pairs of every substitution that changes a value
     index = {multiset: c for c, multiset in enumerate(multisets)}
@@ -213,7 +202,6 @@ def smoothness_audit(
         d, d2 = (tuple(alphabet[a] for a in multisets[c]) for c in (source[p], target[p]))
         violations.append((kind, d, d2, float(got[p]), float(allowed[p])))
     report = SmoothnessReport(
-        n=n, k=k, eps=eps, xi=xi, c_range=c_range,
         datasets=len(multisets), pairs_checked=len(pairs),
         worst_dominance_margin=float(worst[0]), worst_smoothness_margin=float(worst[1]),
         violations=violations,

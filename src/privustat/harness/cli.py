@@ -1,10 +1,25 @@
 """Command-line interface.
 
-Subcommands: estimate, simulate, uniformity-test, rgg-triangles,
-audit-smoothness, audit-noise, fixture-adversarial.  A config file of
-``key = value`` lines (keys match flag names, dashes or underscores) supplies
-defaults; explicit flags win.  Exit codes: 0 success, 1 usage error, 2 audit
-failure, 3 estimator bottom.
+Each subcommand takes only the flags its handler reads; every one takes --out:
+
+  estimate             --seed --eps --alpha --method --kernel --data --simulate
+                       --R --tau --M --xi --C --m
+  simulate             --seed --alpha --method --kernel --dist --m --amplitude
+                       --mu --sigma --n-grid --eps-grid --M-grid --trials --R
+                       --tau --xi --C --timing
+  uniformity-test      --seed --eps --alpha --m --delta --data --simulate
+  rgg-triangles        --seed --eps --alpha --graph --simulate
+  audit-smoothness     --eps --n --xi --C
+  audit-noise          --seed --law --draws
+  fixture-adversarial  --eps --n --k
+
+``--config FILE`` reads ``key = value`` lines whose keys are these flag names
+without the dashes (``M-grid`` or ``M_grid``, ``R``); ``true`` sets a switch
+and ``false`` leaves it off.  They are parsed as flags given right after the
+command, so explicit flags win, and a key that is not a flag of the command
+is a usage error.  argparse accepts a unique prefix of a flag, so
+``simulate --eps 0.5`` is ``--eps-grid 0.5``.  Exit codes: 0 success, 1
+usage error, 2 audit failure, 3 estimator bottom.
 
 Every run prints the privacy-ledger summary to stderr; CSV goes to --out or
 stdout.
@@ -22,6 +37,7 @@ from ..errors import AuditFailure, PrivustatError
 from ..rng import as_generator
 from . import audits
 from .experiments import (
+    METHODS,
     DistributionSpec,
     ExperimentSpec,
     build_kernel,
@@ -48,9 +64,6 @@ class Parser(argparse.ArgumentParser):
 
 
 def _coerce(text: str):
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
     for cast in (int, float):
         try:
             return cast(text)
@@ -59,112 +72,118 @@ def _coerce(text: str):
     return text
 
 
-def load_config(path: str) -> dict:
-    """key = value lines; '#' starts a comment; keys may use - or _."""
-    out = {}
+def config_tokens(path: str) -> list[str]:
+    """The flags a config file stands for: ``key = value`` is ``--key=value``.
+
+    '#' starts a comment; ``_`` in a key reads as ``-``.  A ``true`` value
+    gives the bare switch ``--key`` and a ``false`` one nothing.
+    """
+    tokens = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, value = line.split("=", 1)
-            elif ":" in line:
-                key, value = line.split(":", 1)
-            else:
+            if "=" not in line:
                 raise CliError(f"bad config line: {raw.rstrip()}")
-            out[key.strip().replace("-", "_")] = _coerce(value.strip())
-    return out
+            key, value = (part.strip() for part in line.split("=", 1))
+            flag = "--" + key.replace("_", "-")
+            if value.lower() == "true":
+                tokens.append(flag)
+            elif value.lower() != "false":
+                tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def pop_config(argv: list[str]) -> tuple[dict, list[str]]:
+def expand_config(argv: list[str]) -> list[str]:
+    """``argv`` with ``--config FILE`` replaced by the file's flags, placed
+    right after the command name so that explicit flags, parsed later, win."""
     if "--config" not in argv:
-        return {}, argv
+        return argv
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise CliError("--config needs a path")
-    path = argv[i + 1]
     rest = argv[:i] + argv[i + 2 :]
-    return load_config(path), rest
+    return rest[:1] + config_tokens(argv[i + 1]) + rest[1:]
 
 
-def build_parser(defaults: dict) -> Parser:
+COMMON_FLAGS = {
+    "seed": dict(type=int, default=0),
+    "eps": dict(type=float, default=1.0),
+    "alpha": dict(type=float, default=None),
+}
+
+
+def build_parser() -> Parser:
     parser = Parser(prog="privustat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=defaults.get("seed", 0))
-        p.add_argument("--eps", type=float, default=defaults.get("eps", 1.0))
-        p.add_argument("--alpha", type=float, default=defaults.get("alpha"))
-        p.add_argument("--out", default=defaults.get("out"))
+    def add_common(p, *names):
+        """--out, and those of --seed, --eps and --alpha that the command reads."""
+        for name in names:
+            p.add_argument(f"--{name}", **COMMON_FLAGS[name])
+        p.add_argument("--out")
 
     est = sub.add_parser("estimate", help="one private estimate from a data file or simulation")
-    add_common(est)
-    est.add_argument("--method", choices=("naive", "all", "subsampled", "hajek"),
-                     default=defaults.get("method", "all"))
-    est.add_argument("--kernel", choices=("identity", "pair_mean", "collision"),
-                     default=defaults.get("kernel", "identity"))
-    est.add_argument("--data", default=defaults.get("data"))
-    est.add_argument("--simulate", default=defaults.get("simulate"),
-                     help="dist spec like 'gaussian,n=500,mu=1' or 'uniform,n=1000,m=50'")
-    est.add_argument("--R", type=float, default=defaults.get("r", 1.0), dest="r")
-    est.add_argument("--tau", type=float, default=defaults.get("tau", 0.25))
-    est.add_argument("--M", type=int, default=defaults.get("m_subsets"), dest="m_subsets")
-    est.add_argument("--xi", default=defaults.get("xi", "auto-degenerate"),
-                     help="auto-subgaussian | auto-degenerate | <value>")
-    est.add_argument("--C", type=float, default=defaults.get("c", 1.0), dest="c")
-    est.add_argument("--m", type=int, default=defaults.get("m"),
+    add_common(est, "seed", "eps", "alpha")
+    est.add_argument("--method", choices=METHODS, default="all")
+    est.add_argument("--kernel", choices=("identity", "pair_mean", "collision"), default="identity")
+    est.add_argument("--data")
+    est.add_argument("--simulate", help="dist spec like 'gaussian,n=500,mu=1' or 'uniform,n=1000,m=50'")
+    est.add_argument("--R", type=float, default=1.0, dest="r")
+    est.add_argument("--tau", type=float, default=0.25)
+    est.add_argument("--M", type=int, dest="m_subsets")
+    est.add_argument("--xi", default="auto-degenerate", help="auto-subgaussian | auto-degenerate | <value>")
+    est.add_argument("--C", type=float, default=1.0, dest="c")
+    est.add_argument("--m", type=int,
                      help="atom count for categorical data (default: the simulate spec's m, else 10)")
 
     sim = sub.add_parser("simulate", help="grid experiment, CSV output")
-    add_common(sim)
-    sim.add_argument("--method", choices=("naive", "all", "subsampled", "hajek"),
-                     default=defaults.get("method", "all"))
-    sim.add_argument("--kernel", default=defaults.get("kernel", "collision"))
-    sim.add_argument("--dist", default=defaults.get("dist", "uniform"))
-    sim.add_argument("--m", type=int, default=defaults.get("m", 10))
-    sim.add_argument("--amplitude", type=float, default=defaults.get("amplitude", 0.5))
-    sim.add_argument("--mu", type=float, default=defaults.get("mu", 0.0))
-    sim.add_argument("--sigma", type=float, default=defaults.get("sigma", 1.0))
-    sim.add_argument("--n-grid", default=str(defaults.get("n_grid", "100")))
-    sim.add_argument("--eps-grid", default=str(defaults.get("eps_grid", "1.0")))
-    sim.add_argument("--M-grid", default=str(defaults.get("m_grid", "")), dest="m_grid")
-    sim.add_argument("--trials", type=int, default=defaults.get("trials", 10))
-    sim.add_argument("--R", type=float, default=defaults.get("r", 1.0), dest="r")
-    sim.add_argument("--tau", type=float, default=defaults.get("tau", 0.25))
-    sim.add_argument("--xi", default=defaults.get("xi", "auto-degenerate"))
-    sim.add_argument("--C", type=float, default=defaults.get("c", 1.0), dest="c")
-    sim.add_argument("--timing", action="store_true", default=bool(defaults.get("timing", False)))
+    add_common(sim, "seed", "alpha")
+    sim.add_argument("--method", choices=METHODS, default="all")
+    sim.add_argument("--kernel", default="collision")
+    sim.add_argument("--dist", default="uniform")
+    sim.add_argument("--m", type=int, default=10)
+    sim.add_argument("--amplitude", type=float, default=0.5)
+    sim.add_argument("--mu", type=float, default=0.0)
+    sim.add_argument("--sigma", type=float, default=1.0)
+    sim.add_argument("--n-grid", default="100")
+    sim.add_argument("--eps-grid", default="1.0")
+    sim.add_argument("--M-grid", default="", dest="m_grid")
+    sim.add_argument("--trials", type=int, default=10)
+    sim.add_argument("--R", type=float, default=1.0, dest="r")
+    sim.add_argument("--tau", type=float, default=0.25)
+    sim.add_argument("--xi", default="auto-degenerate")
+    sim.add_argument("--C", type=float, default=1.0, dest="c")
+    sim.add_argument("--timing", action="store_true")
 
     uni = sub.add_parser("uniformity-test", help="private collision-based uniformity test")
-    add_common(uni)
-    uni.add_argument("--m", type=int, required="m" not in defaults, default=defaults.get("m"))
-    uni.add_argument("--delta", type=float, default=defaults.get("delta", 0.5))
-    uni.add_argument("--data", default=defaults.get("data"))
-    uni.add_argument("--simulate", default=defaults.get("simulate"),
-                     help="'n=2000,kind=uniform' or 'n=2000,kind=split,a=0.5'")
+    add_common(uni, "seed", "eps", "alpha")
+    uni.add_argument("--m", type=int, required=True)
+    uni.add_argument("--delta", type=float, default=0.5)
+    uni.add_argument("--data")
+    uni.add_argument("--simulate", help="'n=2000,kind=uniform' or 'n=2000,kind=split,a=0.5'")
 
     rgg = sub.add_parser("rgg-triangles", help="private triangle density of a graph")
-    add_common(rgg)
-    rgg.add_argument("--graph", default=defaults.get("graph"))
-    rgg.add_argument("--simulate", default=defaults.get("simulate"), help="'n=300,r=0.3'")
+    add_common(rgg, "seed", "eps", "alpha")
+    rgg.add_argument("--graph")
+    rgg.add_argument("--simulate", help="'n=300,r=0.3'")
 
     smo = sub.add_parser("audit-smoothness", help="exhaustive smooth-bound audit")
-    add_common(smo)
-    smo.add_argument("--n", type=int, default=defaults.get("n", 5))
-    smo.add_argument("--xi", type=float, default=defaults.get("xi", 0.0))
-    smo.add_argument("--C", type=float, default=defaults.get("c", 1.0), dest="c")
-    smo.add_argument("--fault-scale", type=float, default=defaults.get("fault_scale", 1.0))
+    add_common(smo, "eps")
+    smo.add_argument("--n", type=int, default=5)
+    smo.add_argument("--xi", type=float, default=0.0)
+    smo.add_argument("--C", type=float, default=1.0, dest="c")
 
     noi = sub.add_parser("audit-noise", help="sampler goodness of fit")
-    add_common(noi)
-    noi.add_argument("--law", choices=("laplace", "quartic"), default=defaults.get("law", "laplace"))
-    noi.add_argument("--draws", type=int, default=defaults.get("draws", 10**6))
+    add_common(noi, "seed")
+    noi.add_argument("--law", choices=("laplace", "quartic"), default="laplace")
+    noi.add_argument("--draws", type=int, default=10**6)
 
     fix = sub.add_parser("fixture-adversarial", help="deterministic worst-case dataset pair")
-    add_common(fix)
-    fix.add_argument("--n", type=int, default=defaults.get("n", 60))
-    fix.add_argument("--k", type=int, default=defaults.get("k", 2))
+    add_common(fix, "eps")
+    fix.add_argument("--n", type=int, default=60)
+    fix.add_argument("--k", type=int, default=2)
 
     return parser
 
@@ -241,7 +260,7 @@ def cmd_estimate(args) -> int:
     )
     cell = (data.n, args.eps, args.alpha, args.m_subsets)
     budget = scratch_budget()
-    report = run_single(spec, build_kernel(spec.kernel, spec.dist), data, cell, rng, budget)
+    report = run_single(spec, build_kernel(spec.kernel), data, cell, rng, budget)
     lines = [f"estimate {report.estimate!r}"]
     if report.radius is not None:
         lines.append(f"radius {report.radius!r}")
@@ -322,9 +341,7 @@ def cmd_rgg(args) -> int:
 def cmd_audit_smoothness(args) -> int:
     print("privacy ledger: audits spend no budget", file=sys.stderr)
     try:
-        report = audits.smoothness_audit(
-            n=args.n, eps=args.eps, xi=args.xi, c_range=args.c, fault_scale=args.fault_scale
-        )
+        report = audits.smoothness_audit(n=args.n, eps=args.eps, xi=args.xi, c_range=args.c)
     except AuditFailure as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT
@@ -370,26 +387,27 @@ def cmd_fixture(args) -> int:
     return EXIT_OK if ok else EXIT_AUDIT
 
 
+HANDLERS = {
+    "estimate": cmd_estimate,
+    "simulate": cmd_simulate,
+    "uniformity-test": cmd_uniformity,
+    "rgg-triangles": cmd_rgg,
+    "audit-smoothness": cmd_audit_smoothness,
+    "audit-noise": cmd_audit_noise,
+    "fixture-adversarial": cmd_fixture,
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config, argv = pop_config(argv)
+        argv = expand_config(argv)
     except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser = build_parser(config)
-    args = parser.parse_args(argv)
-    handlers = {
-        "estimate": cmd_estimate,
-        "simulate": cmd_simulate,
-        "uniformity-test": cmd_uniformity,
-        "rgg-triangles": cmd_rgg,
-        "audit-smoothness": cmd_audit_smoothness,
-        "audit-noise": cmd_audit_noise,
-        "fixture-adversarial": cmd_fixture,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return HANDLERS[args.command](args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -84,14 +84,13 @@ class DistributionSpec:
         raise ValueError(f"unknown distribution {self.name!r}")
 
 
-def build_kernel(name: str, dist: DistributionSpec) -> Kernel:
+def build_kernel(name: str) -> Kernel:
     if name == "collision":
         return collision_kernel()
     if name == "identity":
         return identity_kernel()
     if name == "pair_mean":
-        sigma = float(dist.params.get("sigma", 1.0))
-        return mean_kernel(2, tau=sigma**2 / 2.0)
+        return mean_kernel(2)
     raise ValueError(f"unknown kernel {name!r}")
 
 
@@ -264,7 +263,7 @@ def run_trial(
 
 def run_experiment(spec: ExperimentSpec) -> Iterator[ResultRow]:
     """Rows in deterministic (cell, trial) order."""
-    kernel = build_kernel(spec.kernel, spec.dist)
+    kernel = build_kernel(spec.kernel)
     for cell_index, cell in enumerate(spec.cells()):
         for trial in range(spec.trials):
             yield run_trial(spec, cell_index, trial, kernel, cell)

@@ -218,10 +218,9 @@ class SubsetFamily:
     holds M_i, the number of subsets containing each index.  Consumers read
     the rows through ``blocks()``.  ``subsets=None`` stands for every k-subset
     in lexicographic order: its counts are C(n-1, k-1) and its rows are
-    generated block by block on every pass, unless they fit in one block,
-    which is then kept.  Generated rows are column-major, so each column of
-    a block is contiguous.  ``kind="all_tuples"`` is exactly that generated
-    family; stored rows take any other kind.
+    generated block by block on every pass.  Generated rows are column-major,
+    so each column of a block is contiguous.  ``kind="all_tuples"`` is
+    exactly that generated family; stored rows take any other kind.
     """
 
     def __init__(self, n: int, k: int, subsets: Optional[np.ndarray], kind: str):
@@ -232,11 +231,10 @@ class SubsetFamily:
             # taken on trust
             raise ValueError('kind "all_tuples" is exactly the generated family (subsets=None)')
         self.n, self.k, self.kind = n, k, kind
-        self._pair_counts: Optional[tuple[np.ndarray, np.ndarray]] = None
         if subsets is None:
+            self._subsets = None
             self.size = math.comb(n, k)
             self.counts = np.full(n, math.comb(n - 1, k - 1), dtype=np.int64)
-            self._subsets = _complete(n, k, 0).T if self.size <= _BLOCK_ROWS else None
             return
         subsets = np.asarray(subsets, dtype=np.int64)
         if subsets.ndim != 2 or subsets.shape[1] != k:
@@ -271,14 +269,12 @@ class SubsetFamily:
     def pair_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """(pairs, M_ij): the (P, 2) pairs i <= j that co-occur in some subset,
         in lexicographic order, and the number of subsets containing each."""
-        if self._pair_counts is None:
-            codes = [np.empty(0, dtype=np.int64)]
-            for _, rows in self.blocks():
-                for a, b in itertools.combinations(rows.T, 2):
-                    codes.append(np.minimum(a, b) * self.n + np.maximum(a, b))
-            unique, mij = np.unique(np.concatenate(codes), return_counts=True)
-            self._pair_counts = (np.stack([unique // self.n, unique % self.n], axis=1), mij)
-        return self._pair_counts
+        codes = [np.empty(0, dtype=np.int64)]
+        for _, rows in self.blocks():
+            for a, b in itertools.combinations(rows.T, 2):
+                codes.append(np.minimum(a, b) * self.n + np.maximum(a, b))
+        unique, mij = np.unique(np.concatenate(codes), return_counts=True)
+        return np.stack([unique // self.n, unique % self.n], axis=1), mij
 
     def dependence_fraction(self) -> float:
         """max_i M_i / M, the maximal fraction of subsets sharing one index.
@@ -330,11 +326,12 @@ def _check_enumeration_cap(n: int, k: int, cap: int) -> int:
     return total
 
 
-def all_tuples(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> SubsetFamily:
-    """Every k-subset of range(n), in lexicographic order."""
+def all_tuples(n: int, k: int) -> SubsetFamily:
+    """Every k-subset of range(n), in lexicographic order; at most
+    ``DEFAULT_ENUMERATION_CAP`` of them."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    _check_enumeration_cap(n, k, cap)
+    _check_enumeration_cap(n, k, DEFAULT_ENUMERATION_CAP)
     return SubsetFamily(n, k, None, kind="all_tuples")
 
 

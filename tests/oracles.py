@@ -13,10 +13,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+import privustat.hajek
 from privustat.applications import GeometricGraph, uniformity_test
 from privustat.boosting import BoostPlan
 from privustat.coinpress import IntervalState, TailBounds, _release, halving_rounds
@@ -43,7 +44,6 @@ from privustat.ustat import (
     _check_enumeration_cap,
     all_tuples,
     collision_kernel,
-    equality_kernel,
     kernel_values,
     kernel_values_and_projections,
 )
@@ -499,20 +499,26 @@ def reference_noise_gap(law: str, draws: int, seed, scale: float = 1.0) -> float
     return fresh_array_ks_gap(samples, cdf)
 
 
+def halved_bound_state(summary: UStatSummary, params: HajekParams) -> HajekState:
+    """``hajek_state`` with its smooth bound halved: a fault the smoothness
+    audits must catch.  Tests patch it in for ``hajek_state`` in ``audits``
+    and in this module; it calls the library's function by its module, so
+    the patch does not reach it."""
+    state = privustat.hajek.hajek_state(summary, params)
+    state.smooth_bound *= 0.5
+    return state
+
+
 def loop_smoothness_audit(
     n: int,
     eps: float,
     xi: float,
     c_range: float = 1.0,
-    k: int = 2,
     alphabet=(0, 1),
-    kernel: Optional[Kernel] = None,
-    fault_scale: float = 1.0,
+    kernel: Kernel = collision_kernel(),
 ) -> SmoothnessReport:
     """``audits.smoothness_audit`` as one Python iteration per neighbour pair."""
-    if kernel is None:
-        kernel = collision_kernel() if k == 2 else equality_kernel(k)
-    family = all_tuples(n, k)
+    family = all_tuples(n, kernel.degree)
     params = HajekParams(eps=eps, c_range=c_range, xi=xi)
     alphabet = tuple(alphabet)
     cache: dict = {}
@@ -526,11 +532,10 @@ def loop_smoothness_audit(
             except ValueError:  # non-finite kernel values: nothing is released
                 cache[config] = (math.nan, math.nan)
             else:
-                cache[config] = (state.reweighted, fault_scale * state.smooth_bound)
+                cache[config] = (state.reweighted, state.smooth_bound)
         return cache[config]
 
     report = SmoothnessReport(
-        n=n, k=k, eps=eps, xi=xi, c_range=c_range,
         datasets=len(alphabet) ** n, pairs_checked=0,
         worst_dominance_margin=math.inf, worst_smoothness_margin=math.inf,
     )

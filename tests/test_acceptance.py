@@ -23,6 +23,7 @@ from oracles import (
     VarianceProfile,
     collision_ustat_variance,
     empirical_zetas,
+    halved_bound_state,
     rgg_triangle_theta,
     variance_of_ustat,
 )
@@ -123,7 +124,7 @@ def test_criterion_02_variance_formula():
 # 3. smoothness audit
 # ---------------------------------------------------------------------------
 
-def test_criterion_03_smoothness_audit():
+def test_criterion_03_smoothness_audit(monkeypatch):
     started = time.perf_counter()
     margins = []
     for n in (4, 5, 6):
@@ -132,8 +133,9 @@ def test_criterion_03_smoothness_audit():
             margins.append((n, eps, rep.worst_dominance_margin, rep.worst_smoothness_margin))
             assert rep.ok
     fault_tripped = False
+    monkeypatch.setattr(audits, "hajek_state", halved_bound_state)
     try:
-        audits.smoothness_audit(n=6, eps=1.0, xi=0.0, c_range=1.0, fault_scale=0.5)
+        audits.smoothness_audit(n=6, eps=1.0, xi=0.0, c_range=1.0)
     except AuditFailure:
         fault_tripped = True
     elapsed = time.perf_counter() - started

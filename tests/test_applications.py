@@ -114,8 +114,8 @@ def test_uniformity_accepts_uniform_at_scale():
 def test_uniformity_xi_covers_projection_spread():
     # with uniform data and n >= 16/gamma the projections stay within xi of
     # the collision statistic in at least 1 - gamma of trials
-    m, n, gamma, trials = 20, 1600, 0.01, 1000
-    xi = apps.collision_xi(m, n, gamma)
+    m, n, gamma, trials = 20, 1600, apps.APPLICATION_CONFIDENCE, 1000
+    xi = apps.collision_xi(m, n)
     rng = np.random.default_rng(4)
     hits = 0
     for _ in range(trials):

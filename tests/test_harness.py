@@ -1,5 +1,6 @@
 """Experiment runner determinism, CLI behavior, audits with negative controls."""
 
+import argparse
 import itertools
 import math
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import privustat as pv
 from privustat.errors import AuditFailure, LedgerMismatch, PreconditionWarning
 from privustat.hajek import hajek_state
-from privustat.harness import audits, experiments
+from privustat.harness import audits, cli, experiments
 from privustat.harness.audits import SmoothnessReport
 from privustat.harness.cli import main as cli_main
 from privustat.harness.experiments import (
@@ -29,6 +30,7 @@ import oracles
 from oracles import (
     constant_kernel,
     fresh_array_ks_gap,
+    halved_bound_state,
     loop_smoothness_audit,
     reference_noise_gap,
 )
@@ -300,13 +302,13 @@ def test_cli_uniformity_bad_label_is_a_usage_error(tmp_path, capsys, text):
     assert "privacy ledger" not in captured.err and captured.out == ""
 
 
-def test_cli_audit_exit_codes(capsys):
+def test_cli_audit_exit_codes(monkeypatch, capsys):
     ok = cli_main(["audit-smoothness", "--n", "4", "--eps", "1.0", "--xi", "0.0"])
     assert ok == 0
     # the 5 binary multisets of size 4 and their 8 ordered neighbour pairs
     assert "smoothness audit ok\ndatasets 5\npairs 8\n" in capsys.readouterr().out
-    bad = cli_main(["audit-smoothness", "--n", "5", "--eps", "1.0", "--xi", "0.0",
-                    "--fault-scale", "0.5"])
+    monkeypatch.setattr(audits, "hajek_state", halved_bound_state)
+    bad = cli_main(["audit-smoothness", "--n", "5", "--eps", "1.0", "--xi", "0.0"])
     assert bad == 2
     capsys.readouterr()
 
@@ -321,9 +323,7 @@ def test_cli_estimate_hajek_non_finite_radius_is_a_usage_error(flag, capsys):
     assert "estimate" not in captured.out
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--fault-scale", "nan"), ("--xi", "nan"), ("--C", "nan"), ("--fault-scale", "-1")]
-)
+@pytest.mark.parametrize("flag, value", [("--xi", "nan"), ("--C", "nan")])
 def test_cli_audit_smoothness_bad_parameter_is_a_usage_error(flag, value, capsys):
     code = cli_main(["audit-smoothness", "--n", "6", flag, value])
     captured = capsys.readouterr()
@@ -412,6 +412,92 @@ def test_cli_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert first != second
 
 
+def cli_code(argv) -> int:
+    """The exit code of a CLI run, argparse's usage exits included."""
+    try:
+        return cli_main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("line", ["sede = 5", "seed = 5.5", "R = 4", "r = 4", "m: 10"])
+def test_cli_config_line_that_is_not_a_flag_is_a_usage_error(tmp_path, capsys, line):
+    # uniformity-test has no --R; "r" is the dest of another command's --R
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"m = 10\nsimulate = n=2000,kind=uniform\n{line}\n")
+    assert cli_code(["uniformity-test", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, line, flags", [
+    (["estimate", "--method", "all", "--simulate", "gaussian,n=200,mu=0.5", "--seed", "3"],
+     "R = 4", ["--R", "4"]),
+    (["simulate", "--method", "subsampled", "--kernel", "pair_mean", "--dist", "gaussian",
+      "--n-grid", "60", "--trials", "1"], "M-grid = 40", ["--M-grid", "40"]),
+    (["simulate", "--method", "subsampled", "--kernel", "pair_mean", "--dist", "gaussian",
+      "--n-grid", "60", "--trials", "1"], "M_grid = 40", ["--M-grid", "40"]),
+])
+def test_cli_config_flag_name_key_takes_effect(tmp_path, capsys, argv, line, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert cli_main(argv + ["--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert cli_main(argv + flags) == 0
+    assert capsys.readouterr().out == from_config
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out != from_config
+
+
+def test_cli_config_true_sets_a_switch_and_false_leaves_it_off(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    argv = ["simulate", "--method", "naive", "--n-grid", "40", "--trials", "1", "--config", str(cfg)]
+    for value, timed in (("true", True), ("false", False)):
+        cfg.write_text(f"timing = {value}\n")
+        assert cli_main(argv) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.endswith(",wall_time") == timed
+
+
+def test_cli_simulate_eps_is_the_eps_grid(capsys):
+    # simulate has no --eps of its own; argparse reads the prefix as --eps-grid
+    code = cli_main(["simulate", "--method", "naive", "--n-grid", "40", "--trials", "2",
+                     "--eps", "0.5"])
+    rows = capsys.readouterr().out.splitlines()
+    assert code == 0
+    column = CSV_COLUMNS.index("eps")
+    assert [row.split(",")[column] for row in rows[1:]] == ["0.5", "0.5"]
+
+
+SMALL_RUNS = {
+    "estimate": ["--method", "all", "--simulate", "gaussian,n=100,mu=0.5"],
+    "simulate": ["--method", "naive", "--n-grid", "40", "--trials", "1"],
+    "uniformity-test": ["--m", "10", "--simulate", "n=2000,kind=uniform"],
+    "rgg-triangles": ["--simulate", "n=150,r=0.6"],
+    "audit-smoothness": ["--n", "3"],
+    "audit-noise": ["--draws", "100000"],
+    "fixture-adversarial": [],
+}
+
+
+@pytest.mark.filterwarnings("ignore::privustat.errors.PreconditionWarning")
+@pytest.mark.parametrize("command", cli.HANDLERS)
+def test_cli_command_reads_every_flag_it_takes(command, capsys):
+    # a command added without a small run fails here on the lookup
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = cli.build_parser().parse_args([command] + SMALL_RUNS[command], namespace=Recording())
+    read.clear()  # what argparse itself looked at
+    assert cli.HANDLERS[command](args) == 0
+    capsys.readouterr()
+    assert set(vars(args)) - {"command"} - read == set()
+
+
 def test_cli_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "privustat.harness.cli", "audit-noise", "--law", "laplace",
@@ -493,9 +579,10 @@ def test_smoothness_audit_runs_the_engine_once_per_multiset(monkeypatch, n, alph
     assert rep.pairs_checked == present * (r - 1)
 
 
-def test_smoothness_audit_fault_injection_fails():
+def test_smoothness_audit_fault_injection_fails(monkeypatch):
+    monkeypatch.setattr(audits, "hajek_state", halved_bound_state)
     with pytest.raises(AuditFailure):
-        audits.smoothness_audit(n=5, eps=1.0, xi=0.0, c_range=1.0, fault_scale=0.5)
+        audits.smoothness_audit(n=5, eps=1.0, xi=0.0, c_range=1.0)
 
 
 def audit_run(monkeypatch, audit, **kwargs):
@@ -560,23 +647,28 @@ def assert_audit_equals_the_loop_audit_modulo_permutation(monkeypatch, **kwargs)
 
 
 def smoothness_cases(n):
-    yield dict(n=n, eps=1.0, xi=0.0)  # at n = 10 this is the known dominance miss
-    yield dict(n=n, eps=1.0, xi=0.1)
-    yield dict(n=n, eps=0.5, xi=0.3)
-    yield dict(n=n, eps=1.0, xi=0.0, fault_scale=0.5)
-    yield dict(n=n, eps=1.0, xi=0.1, c_range=0.0)
+    """(audit keywords, whether both audits run on a halved smooth bound)."""
+    yield dict(n=n, eps=1.0, xi=0.0), False  # at n = 10 this is the known dominance miss
+    yield dict(n=n, eps=1.0, xi=0.1), False
+    yield dict(n=n, eps=0.5, xi=0.3), False
+    yield dict(n=n, eps=1.0, xi=0.0), True
+    yield dict(n=n, eps=1.0, xi=0.1, c_range=0.0), False
     if n <= 8:
-        yield dict(n=n, eps=1.0, xi=0.0, k=3)
+        yield dict(n=n, eps=1.0, xi=0.0, kernel=pv.equality_kernel(3)), False
     if n <= 6:
-        yield dict(n=n, eps=1.0, xi=0.1, kernel=constant_kernel(float("nan"), 2))
-        yield dict(n=n, eps=1.0, xi=0.1, alphabet=(0, 1, 2))
-        yield dict(n=n, eps=0.5, xi=0.0, alphabet=(0, 1, 2), k=3)
+        yield dict(n=n, eps=1.0, xi=0.1, kernel=constant_kernel(float("nan"), 2)), False
+        yield dict(n=n, eps=1.0, xi=0.1, alphabet=(0, 1, 2)), False
+        yield dict(n=n, eps=0.5, xi=0.0, alphabet=(0, 1, 2), kernel=pv.equality_kernel(3)), False
 
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_smoothness_audit_equals_the_loop_audit(monkeypatch, n):
-    for kwargs in smoothness_cases(n):
-        assert_audit_equals_the_loop_audit_modulo_permutation(monkeypatch, **kwargs)
+    for kwargs, halved in smoothness_cases(n):
+        with monkeypatch.context() as patched:
+            if halved:
+                for module in (audits, oracles):
+                    patched.setattr(module, "hajek_state", halved_bound_state)
+            assert_audit_equals_the_loop_audit_modulo_permutation(patched, **kwargs)
 
 
 def test_smoothness_audit_orders_violations_like_the_loop_audit(monkeypatch):

@@ -7,7 +7,9 @@ release takes the caller's ledger, so no ``budget`` parameter has a default,
 and the release noise has one calibration, so no parameter rescales it.
 Only ``dp`` debits a ledger or draws release noise, so a release is drawn
 and debited one way; ``noise_gof`` may call the samplers, because it audits
-them.  No module but ``ustat`` uses ``ustat``'s private names.  Importing
+them.  No module but ``ustat`` uses ``ustat``'s private names.  No function,
+parameter or dataclass field is named ``fault_*``: tests inject faults by
+patching, not through a library option.  Importing
 the package loads a fixed set of scipy subpackages.
 """
 
@@ -115,6 +117,47 @@ def test_checker_finds_ledger_rule_violations():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_ledger_is_required_and_release_scale_is_fixed(path):
     assert ledger_rule_violations(path.read_text()) == []
+
+
+def fault_knobs(source: str) -> list[str]:
+    """Every function, parameter or dataclass field named ``fault_*``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, f"{node.name}.{item.target.id}")
+                      for item in node.body if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name) and item.target.id.startswith("fault_")]
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        a = node.args
+        arguments = a.posonlyargs + a.args + a.kwonlyargs + [arg for arg in (a.vararg, a.kwarg) if arg]
+        found += [(node.lineno, name)] if name.startswith("fault_") else []
+        found += [(node.lineno, f"{name}({arg.arg})") for arg in arguments if arg.arg.startswith("fault_")]
+    return [f"line {line}: {what}" for line, what in sorted(found, key=lambda f: f[0])]
+
+
+def test_checker_finds_fault_knobs():
+    source = (
+        "def audit(n, eps, fault_scale=1.0):\n    return n\n"
+        "def fault_inject(x):\n    return x\n"
+        "def run(*, fault_seed):\n    return fault_seed\n"
+        "class Report:\n    ok: bool\n    fault_mode: str = 'none'\n"
+        "def faulty(x, default_scale=1.0):\n    return x\n"
+    )
+    assert fault_knobs(source) == [
+        "line 1: audit(fault_scale)",
+        "line 3: fault_inject",
+        "line 5: run(fault_seed)",
+        "line 9: Report.fault_mode",
+    ]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_fault_injection_knobs(path):
+    # faults are injected by patching in the tests, never through a library
+    # option that a caller could leave set
+    assert fault_knobs(path.read_text()) == []
 
 
 def private_ustat_names(source: str) -> list[str]:

@@ -88,9 +88,7 @@ def test_all_tuples_lexicographic_and_recount():
 def test_all_tuples_overflow_cap():
     with pytest.raises(CombinatorialOverflow):
         pv.all_tuples(100, 20)
-    # explicit generous cap allows what the default forbids
-    fam = pv.all_tuples(25, 2, cap=10**9)
-    assert fam.size == 300
+    assert pv.all_tuples(25, 2).size == 300
 
 
 @given(st.data())
