@@ -6,18 +6,22 @@ from .applications import (
     boosted_triangle_density,
     boosted_uniformity_test,
     collision_theta,
+    private_collision_densities,
     private_collision_density,
     private_triangle_density,
     sample_multinomial,
     sample_rgg,
     uniformity_test,
 )
-from .boosting import BoostPlan, median_of_means
+from .boosting import BoostPlan, each_chunk, median_of_means
 from .coinpress import (
     IntervalState,
     TailBounds,
+    all_tuples_estimates,
     all_tuples_estimator,
+    naive_estimates,
     naive_estimator,
+    subsampled_estimates,
     subsampled_estimator,
     ustat_mean,
 )

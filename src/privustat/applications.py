@@ -18,10 +18,10 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .boosting import boosted
+from .boosting import boosted, each_chunk
 from .dp import PrivacyBudget, global_sensitivity_release
 from .errors import InsufficientData
-from .hajek import HajekParams, UStatSummary, release_from_summary
+from .hajek import HajekParams, SummaryRows, UStatSummary, release_from_summary, release_rows
 from .report import EstimateReport
 from .rng import as_generator
 from .ustat import Dataset
@@ -82,49 +82,68 @@ def collision_theta(dist: PerturbedUniform) -> float:
     return float(np.sum(p * p))
 
 
-def collision_summary(data: Dataset, m: int) -> UStatSummary:
-    """Count-based summary of the collision kernel over all pairs.
+def collision_rows(chunks: np.ndarray, m: int) -> SummaryRows:
+    """Count-based summaries of the collision kernel over all pairs of each
+    row of a (q, n) array of category labels.
 
     The overall mean, the per-index projections, and the reweighted mean all
-    depend on the data only through category counts, so everything is
-    O(n + m log m) instead of O(n^2).
+    depend on a row only through its category counts, so everything is
+    O(n + m log m) per row instead of O(n^2).  One ``bincount`` of
+    x + m * row counts every row at once.  Every row is checked before any
+    is summarised.
     """
-    x = np.asarray(data.points)
+    x = np.asarray(chunks)
     if x.dtype.kind not in "iu":
         raise ValueError("categorical data must be integer")
-    if x.size < 2:
+    q, n = x.shape
+    if n < 2:
         raise InsufficientData("need at least two samples for pair statistics")
     if x.min() < 0 or x.max() >= m:
         raise ValueError(f"category labels must lie in [0, {m})")
-    n = x.size
-    counts = np.bincount(x, minlength=m)
+    # row i's labels shifted to [i m, (i + 1) m); row 0 needs no shift
+    codes = x + m * np.arange(q)[:, None] if q > 1 else x
+    counts = np.bincount(codes.ravel(), minlength=q * m).reshape(q, m)
     pairs_total = n * (n - 1) // 2
     same_pairs = counts * (counts - 1) // 2
-    a_n = float(same_pairs.sum() / pairs_total)
-    projections = ((counts - 1) / (n - 1))[x]
+    a_n = same_pairs.sum(axis=1) / pairs_total
+    projections = ((counts - 1) / (n - 1)).reshape(-1)[codes]
 
-    def reweight(weights: np.ndarray) -> float:
+    def reweight(i: int, weights: np.ndarray) -> float:
         # weights are constant within a category (projections are), so any
         # index of a category gives its weight; unchanged ones stay 1
         changed = np.flatnonzero(weights != 1.0)
         w_cat = np.ones(m)
-        w_cat[x[changed]] = weights[changed]
-        occupied = np.flatnonzero(counts)
+        w_cat[x[i, changed]] = weights[changed]
+        occupied = np.flatnonzero(counts[i])
         wc = w_cat[occupied]
         # same-category pairs: h = 1, weight w_c
-        sp = same_pairs[occupied]
-        total = float(np.sum(sp * (wc + a_n * (1.0 - wc))))
+        sp = same_pairs[i, occupied]
+        total = float(np.sum(sp * (wc + a_n[i] * (1.0 - wc))))
         # cross-category pairs: h = 0, weight min(w_c, w_d).  In increasing
         # weight order the minimum of a pair is its earlier category's
         # weight, which meets every count after it: a suffix sum.
         order = np.argsort(wc, kind="stable")
-        cnt = counts[occupied][order]
+        cnt = counts[i, occupied][order]
         after = n - np.cumsum(cnt)
-        total += a_n * float(np.sum(cnt * after * (1.0 - wc[order])))
+        total += a_n[i] * float(np.sum(cnt * after * (1.0 - wc[order])))
         return total / pairs_total
 
-    return UStatSummary(
+    return SummaryRows(
         n=n, k=2, a_n=a_n, projections=projections, reweight=reweight, all_tuples_family=True
+    )
+
+
+def collision_summary(data: Dataset, m: int) -> UStatSummary:
+    """Count-based summary of the collision kernel over all pairs: the one
+    row of ``collision_rows``."""
+    rows = collision_rows(np.asarray(data.points).reshape(1, -1), m)
+    return UStatSummary(
+        n=rows.n,
+        k=2,
+        a_n=float(rows.a_n[0]),
+        projections=rows.projections[0],
+        reweight=lambda weights: rows.reweight(0, weights),
+        all_tuples_family=True,
     )
 
 
@@ -146,6 +165,22 @@ def private_collision_density(
     summary = collision_summary(data, m)
     params = HajekParams(eps=eps, c_range=1.0, xi=xi)
     return release_from_summary(summary, params, seed, budget, label="collision density")
+
+
+def private_collision_densities(
+    chunks: np.ndarray,
+    m: int,
+    eps: float,
+    xi: float,
+    seeds: list,
+    budgets: list[PrivacyBudget],
+) -> list[EstimateReport]:
+    """``private_collision_density`` on each row of a (q, n) array of labels,
+    row i drawing from seeds[i] and debiting budgets[i]."""
+    params = HajekParams(eps=eps, c_range=1.0, xi=xi)
+    return release_rows(
+        collision_rows(chunks, m), params, seeds, budgets, label="collision density"
+    )
 
 
 @dataclass(frozen=True)
@@ -194,8 +229,8 @@ def boosted_uniformity_test(
     if data.n < 2:
         raise InsufficientData("uniformity testing needs at least two samples")
     report = boosted(
-        lambda chunk, rng, branch: private_collision_density(
-            chunk, m, eps, collision_xi(m, chunk.n), rng, branch
+        lambda chunks, rngs, branches: private_collision_densities(
+            chunks, m, eps, collision_xi(m, chunks.shape[1]), rngs, branches
         ),
         data, 2, alpha, seed, budget,
     )
@@ -435,7 +470,7 @@ def boosted_triangle_density(
     With ``alpha`` None this is one ``private_triangle_density`` run.
     """
     return boosted(
-        lambda chunk, rng, branch: private_triangle_density(chunk, eps, rng, branch),
+        each_chunk(lambda chunk, rng, branch: private_triangle_density(chunk, eps, rng, branch)),
         graph, 3, alpha, seed, budget,
     )
 

@@ -5,6 +5,14 @@ estimator runs independently on each, and the median of the chunk estimates
 is returned.  Because the chunks are disjoint, the whole procedure costs the
 same privacy budget as a single run (parallel composition).  ``boosted`` is
 the one place that chooses between a plain run and a boosted one.
+
+Every estimator here takes all of its chunks in one call,
+``estimator(chunks, seeds, budgets) -> list[EstimateReport]``: chunk i
+draws from seeds[i] and debits budgets[i].  The chunks of a ``Dataset`` are
+the rows of a (q, size) array, so the clip-and-release and collision
+estimators run them as one stacked pass; the chunks of a graph are induced
+subgraphs.  A plain run is the q = 1 call.  ``each_chunk`` turns an
+estimator of one chunk into this form by calling it on each chunk in turn.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from .errors import InsufficientData
 from .report import EstimateReport
 from .rng import child_seeds
 from .ustat import Dataset
+
+ChunkEstimator = Callable[[Any, list, list[PrivacyBudget]], list[EstimateReport]]
 
 
 @dataclass(frozen=True)
@@ -47,34 +57,56 @@ class BoostPlan:
         return cls(alpha=alpha, chunks=q, chunk_size=size)
 
 
+def each_chunk(
+    estimator: Callable[[Any, Any, PrivacyBudget], EstimateReport],
+) -> ChunkEstimator:
+    """The chunk estimator that runs ``estimator(chunk, seed, budget)`` on
+    each chunk in turn; a row of a dataset's chunk array is passed as a
+    ``Dataset``."""
+
+    def run(chunks, seeds, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
+        if isinstance(chunks, np.ndarray):
+            chunks = [Dataset(row) for row in chunks]
+        return [estimator(c, s, b) for c, s, b in zip(chunks, seeds, budgets)]
+
+    return run
+
+
+def _chunks(data, q: int, size: int):
+    """The first q * size points of ``data`` as q consecutive chunks: the
+    rows of a (q, size) array for a ``Dataset``, induced subgraphs for a
+    graph (the graph itself when one chunk holds all of it)."""
+    if isinstance(data, Dataset):
+        return data.points[: q * size].reshape(q, size)
+    if q == 1 and size == data.n:
+        return [data]
+    return [data.induced(np.arange(ci * size, (ci + 1) * size)) for ci in range(q)]
+
+
 def median_of_means(
-    estimator: Callable[[Any, np.random.Generator, PrivacyBudget], EstimateReport],
+    estimator: ChunkEstimator,
     data,
     plan: BoostPlan,
     seed,
     budget: PrivacyBudget,
 ) -> EstimateReport:
-    """Median of the base estimator over disjoint consecutive chunks.
+    """Median of the chunk estimator over disjoint consecutive chunks.
 
-    ``data`` is a ``Dataset`` (chunks are subsets) or a graph (chunks are
-    induced subgraphs); indices past chunks * chunk_size are dropped.  Each
-    chunk gets an independently derived seed stream and its own branch ledger,
-    and the whole block is one parallel-composition entry
-    ``median_of_means(q=...)`` whose debit is the largest branch total.  Chunk
-    runs that return bottom are excluded from the median; if a majority are
-    bottom the wrapped result is bottom too (a majority of failures leaves the
-    median meaningless).
+    ``data`` is a ``Dataset`` (chunks are rows of its points) or a graph
+    (chunks are induced subgraphs); indices past chunks * chunk_size are
+    dropped.  Each chunk gets an independently derived seed stream and its
+    own branch ledger, and the whole block is one parallel-composition entry
+    ``median_of_means(q=...)`` whose debit is the largest branch total.
+    Chunk runs that return bottom are excluded from the median; if a
+    majority are bottom the wrapped result is bottom too (a majority of
+    failures leaves the median meaningless).
     """
     q, size = plan.chunks, plan.chunk_size
     if data.n < q * size:
         raise InsufficientData("dataset shorter than the chunk plan")
-    take = data.subset if isinstance(data, Dataset) else data.induced
     rngs = child_seeds(seed, q)
     with budget.parallel(f"median_of_means(q={q})") as branches:
-        reports = [
-            estimator(take(np.arange(ci * size, (ci + 1) * size)), rngs[ci], branches.branch())
-            for ci in range(q)
-        ]
+        reports = estimator(_chunks(data, q, size), rngs, [branches.branch() for _ in range(q)])
     good = [r for r in reports if not r.is_bottom]
     if len(good) <= q // 2:
         return EstimateReport(
@@ -98,21 +130,23 @@ def median_of_means(
 
 
 def boosted(
-    estimator: Callable[[Any, np.random.Generator, PrivacyBudget], EstimateReport],
+    estimator: ChunkEstimator,
     data,
     k: int,
     alpha: Optional[float],
     seed,
     budget: PrivacyBudget,
 ) -> EstimateReport:
-    """``estimator(data, seed, budget)`` at confidence 1 - alpha.
+    """The chunk estimator's report on ``data`` at confidence 1 - alpha.
 
-    With ``alpha`` None the estimator runs once on the whole data.  Otherwise
-    it runs under ``median_of_means`` with the chunk plan for degree-``k``
-    statistics at that alpha.
+    With ``alpha`` None the estimator runs once on the whole data, as one
+    chunk with ``seed`` and ``budget`` themselves.  Otherwise it runs under
+    ``median_of_means`` with the chunk plan for degree-``k`` statistics at
+    that alpha.
     """
     if alpha is None:
-        return estimator(data, seed, budget)
+        (report,) = estimator(_chunks(data, 1, data.n), [seed], [budget])
+        return report
     return median_of_means(
         estimator, data, BoostPlan.for_dataset(data.n, k, float(alpha)), seed, budget
     )

@@ -7,6 +7,12 @@ scaled to the family's dependence fraction; the ledger is debited before the
 draw), and re-centers the interval.  The naive, all-tuples, and subsampled
 estimators differ only in the subset family and the pair of tail bounds they
 plug in.
+
+The engine runs many datasets of one size at once, as the rows of a (q, M)
+array of kernel values: the q chunks of a boosted estimate make one pass,
+with (q,) interval endpoints and one stacked release per step.  The
+``*_estimates`` functions take the chunks as a (q, n) array; the estimators
+of one dataset are their q = 1 case.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dp import PrivacyBudget, global_sensitivity_release
+from .dp import PrivacyBudget, global_sensitivity_releases
 from .errors import PreconditionWarning
 from .report import EstimateReport
 from .rng import as_generator
@@ -28,6 +34,7 @@ from .ustat import (
     Kernel,
     SubsetFamily,
     all_tuples,
+    chunk_kernel_values,
     disjoint_chunks,
     kernel_values,
     subsample_family,
@@ -92,30 +99,33 @@ class IntervalState:
 
 
 def _release(
-    clipped: np.ndarray,
-    family: SubsetFamily,
-    interval: IntervalState,
+    values: np.ndarray,
+    deps: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
     eps_step: float,
     beta: float,
     tb: TailBounds,
-    seed,
-    budget: PrivacyBudget,
+    rngs: list,
+    budgets: list[PrivacyBudget],
     label: str,
-) -> tuple[IntervalState, float]:
-    """One release of the clipped values' mean, the interval around it, and
-    the scale of its noise.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One release of each row's mean of the (q, M) ``values``: the (lo, hi)
+    endpoints of the interval around each release, and its noise scale.
 
-    The values must already be clipped to [lo - Q(beta), hi + Q(beta)].  The
-    mean is released with Laplace noise of scale Delta/eps_step where
-    Delta = dep * (hi - lo + 2 Q(beta)); the returned interval has half-width
-    Qavg(beta) + (Delta/eps_step) log(1/beta) around the release and is not
-    intersected with the input one (``ustat_mean`` does that).
+    Row i must already be clipped to [lo[i] - Q(beta), hi[i] + Q(beta)].  Its
+    mean is released with Laplace noise of scale Delta_i/eps_step, where
+    Delta_i = deps[i] * (hi[i] - lo[i] + 2 Q(beta)), debited to budgets[i]
+    and drawn from rngs[i]; the returned interval has half-width
+    Qavg(beta) + (Delta_i/eps_step) log(1/beta) around the release and is
+    not intersected with the input one (``_clip_and_release`` does that).
     """
-    delta = family.dependence_fraction() * (interval.width + 2.0 * tb.q(beta))
-    release = global_sensitivity_release(float(clipped.mean()), delta, eps_step, budget, seed, label)
+    delta = deps * ((hi - lo) + 2.0 * tb.q(beta))
+    means = np.add.reduce(values, axis=1) / values.shape[1]
+    release = global_sensitivity_releases(means, delta, eps_step, budgets, rngs, label)
     scale = delta / eps_step
     half = tb.qavg(beta) + scale * math.log(1.0 / beta)
-    return IntervalState(release - half, release + half), scale
+    return release - half, release + half, scale
 
 
 def halving_rounds(r: float, q_gamma: float) -> int:
@@ -152,6 +162,107 @@ def _caller_stacklevel() -> int:
     return level
 
 
+def _clip_and_release(
+    values: np.ndarray,
+    deps: np.ndarray,
+    r: float,
+    eps: float,
+    gamma: float,
+    tb: TailBounds,
+    rngs: list,
+    budgets: list[PrivacyBudget],
+    label: str,
+) -> list[EstimateReport]:
+    """The halving and release steps of ``ustat_mean`` on every row of the
+    (q, M) finite ``values`` at once; row i has dependence fraction deps[i],
+    draws from rngs[i] and debits budgets[i].
+
+    Interval endpoints are (q,) arrays, the values are clipped in place to
+    per-row bounds, and each step releases the q row means together.  Row
+    i's report equals that of a run on row i alone: the same arithmetic and
+    the same draws from its generator.  Each distinct precondition warning
+    is issued once.
+    """
+    t = halving_rounds(r, tb.q(gamma))
+    problems = {}
+    for dep in dict.fromkeys(deps.tolist()):
+        found = check_preconditions(dep, eps, gamma, t, tb)
+        if found:
+            problems["halving guarantees not in force: " + "; ".join(found)] = None
+    for message in problems:
+        warnings.warn(message, PreconditionWarning, stacklevel=_caller_stacklevel())
+    lo, hi = np.full(len(values), -r), np.full(len(values), r)
+    los, his = [lo.tolist()], [hi.tolist()]  # the trace, one list of rows per step
+    beta = gamma / t
+    q = tb.q(beta)
+    # each step clips the previous step's output, so the values are clipped
+    # in place rather than copied into a new (q, M) array per step
+    for _ in range(t):
+        np.clip(values, (lo - q)[:, None], (hi + q)[:, None], out=values)
+        raw_lo, raw_hi, _ = _release(
+            values, deps, lo, hi, eps / (2.0 * t), beta, tb, rngs, budgets,
+            f"{label}: halving step",
+        )
+        new_lo, new_hi = np.maximum(lo, raw_lo), np.minimum(hi, raw_hi)
+        disjoint = new_lo > new_hi
+        if any(disjoint.tolist()):  # keep the previous endpoint nearest the release
+            nearest = np.minimum(np.maximum(0.5 * (raw_lo + raw_hi), lo), hi)
+            new_lo = np.where(disjoint, nearest, new_lo)
+            new_hi = np.where(disjoint, nearest, new_hi)
+        lo, hi = new_lo, new_hi
+        los.append(lo.tolist())
+        his.append(hi.tolist())
+    q = tb.q(gamma)
+    np.clip(values, (lo - q)[:, None], (hi + q)[:, None], out=values)
+    lo, hi, scale = _release(
+        values, deps, lo, hi, eps / 2.0, gamma, tb, rngs, budgets, f"{label}: release step"
+    )
+    los.append(lo.tolist())
+    his.append(hi.tolist())
+    estimate = np.minimum(np.maximum(0.5 * (lo + hi), -r), r)
+    return [
+        EstimateReport(
+            estimate=est,
+            radius=radius,
+            noise_scale=sc,
+            diagnostics={
+                "iterations": t + 1,
+                "trace": [IntervalState(a, b) for a, b in zip(row_lo, row_hi)],
+                "dep": dep,
+            },
+        )
+        for est, radius, sc, row_lo, row_hi, dep in zip(
+            estimate.tolist(), (0.5 * (hi - lo)).tolist(), scale.tolist(),
+            zip(*los), zip(*his), deps.tolist(),
+        )
+    ]
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        raise ValueError("kernel values must be finite")
+    return values
+
+
+def _family_means(
+    h: Kernel,
+    chunks: np.ndarray,
+    family: SubsetFamily,
+    r: float,
+    eps: float,
+    gamma: float,
+    tb: TailBounds,
+    seeds: list,
+    budgets: list[PrivacyBudget],
+    label: str,
+) -> list[EstimateReport]:
+    """``ustat_mean`` of one family on each row of the (q, n) ``chunks``."""
+    rngs = [as_generator(seed) for seed in seeds]
+    values = _finite(chunk_kernel_values(h, chunks, family))
+    deps = np.full(len(chunks), family.dependence_fraction())
+    return _clip_and_release(values, deps, r, eps, gamma, tb, rngs, budgets, label)
+
+
 def ustat_mean(
     h: Kernel,
     data: Dataset,
@@ -175,54 +286,36 @@ def ustat_mean(
     Violated sample-size preconditions produce a warning, not an abort;
     non-finite kernel values raise ``ValueError`` before any spend.
     """
-    rng = as_generator(seed)
-    values = kernel_values(h, data, family)
-    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
-        raise ValueError("kernel values must be finite")
-    t = halving_rounds(r, tb.q(gamma))
-    dep = family.dependence_fraction()
-    problems = check_preconditions(dep, eps, gamma, t, tb)
-    if problems:
-        warnings.warn(
-            "halving guarantees not in force: " + "; ".join(problems),
-            PreconditionWarning,
-            stacklevel=_caller_stacklevel(),
-        )
-    interval = IntervalState(-r, r)
-    trace = [interval]
-    beta = gamma / t
-    q = tb.q(beta)
-    # each step clips the previous step's output, so the values are clipped
-    # in place rather than copied into a new (M,) array per step
-    for _ in range(t):
-        np.clip(values, interval.lo - q, interval.hi + q, out=values)
-        raw, _ = _release(
-            values, family, interval, eps / (2.0 * t), beta, tb, rng, budget,
-            f"{label}: halving step",
-        )
-        lo = max(interval.lo, raw.lo)
-        hi = min(interval.hi, raw.hi)
-        if lo > hi:  # disjoint: keep the previous endpoint nearest the release
-            lo = hi = min(max(raw.midpoint, interval.lo), interval.hi)
-        interval = IntervalState(lo, hi)
-        trace.append(interval)
-    q = tb.q(gamma)
-    np.clip(values, interval.lo - q, interval.hi + q, out=values)
-    final, scale = _release(
-        values, family, interval, eps / 2.0, gamma, tb, rng, budget, f"{label}: release step"
+    (report,) = _family_means(
+        h, data.points[None], family, r, eps, gamma, tb, [seed], [budget], label
     )
-    trace.append(final)
-    return EstimateReport(
-        estimate=min(max(final.midpoint, -r), r),
-        radius=0.5 * final.width,
-        noise_scale=scale,
-        diagnostics={"iterations": t + 1, "trace": trace, "dep": dep},
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------
 # the three off-the-shelf estimators
 # ---------------------------------------------------------------------------
+
+def naive_estimates(
+    h: Kernel,
+    chunks: np.ndarray,
+    r: float,
+    tau: float,
+    eps: float,
+    seeds: list,
+    budgets: list[PrivacyBudget],
+) -> list[EstimateReport]:
+    """``naive_estimator`` on each row of a (q, n) array of chunks, chunk i
+    drawing from seeds[i] and debiting budgets[i]."""
+    n = chunks.shape[1]
+    if n < h.degree:
+        raise ValueError("need n >= k")
+    family = disjoint_chunks(n, h.degree)
+    tb = chunk_tail_bounds(tau, family.size)
+    return _family_means(
+        h, chunks, family, r, eps, DEFAULT_CONFIDENCE, tb, seeds, budgets, "naive"
+    )
+
 
 def naive_estimator(
     h: Kernel,
@@ -238,13 +331,25 @@ def naive_estimator(
     Remainder points are dropped.  For k = 1 this is plain private mean
     estimation on the raw data.
     """
-    if data.n < h.degree:
-        raise ValueError("need n >= k")
-    family = disjoint_chunks(data.n, h.degree)
-    m = family.size
-    return ustat_mean(
-        h, data, family, r, eps, DEFAULT_CONFIDENCE, chunk_tail_bounds(tau, m), seed, budget,
-        label="naive",
+    (report,) = naive_estimates(h, data.points[None], r, tau, eps, [seed], [budget])
+    return report
+
+
+def all_tuples_estimates(
+    h: Kernel,
+    chunks: np.ndarray,
+    r: float,
+    tau: float,
+    eps: float,
+    seeds: list,
+    budgets: list[PrivacyBudget],
+) -> list[EstimateReport]:
+    """``all_tuples_estimator`` on each row of a (q, n) array of chunks."""
+    n = chunks.shape[1]
+    family = all_tuples(n, h.degree)
+    tb = all_tuples_tail_bounds(tau, h.degree, n)
+    return _family_means(
+        h, chunks, family, r, eps, DEFAULT_CONFIDENCE, tb, seeds, budgets, "all_tuples"
     )
 
 
@@ -258,10 +363,42 @@ def all_tuples_estimator(
     budget: PrivacyBudget,
 ) -> EstimateReport:
     """Private mean over every k-subset (the complete U-statistic)."""
-    family = all_tuples(data.n, h.degree)
-    tb = all_tuples_tail_bounds(tau, h.degree, data.n)
-    return ustat_mean(
-        h, data, family, r, eps, DEFAULT_CONFIDENCE, tb, seed, budget, label="all_tuples"
+    (report,) = all_tuples_estimates(h, data.points[None], r, tau, eps, [seed], [budget])
+    return report
+
+
+def subsampled_estimates(
+    h: Kernel,
+    chunks: np.ndarray,
+    r: float,
+    tau: float,
+    eps: float,
+    size: int,
+    seeds: list,
+    budgets: list[PrivacyBudget],
+) -> list[EstimateReport]:
+    """``subsampled_estimator`` on each row of a (q, n) array of chunks.
+
+    Chunk i draws its own family from seeds[i] before its noise, so the
+    dependence fraction is per chunk.  The q families are evaluated as one
+    family over the concatenated chunks.
+    """
+    (q, n), k = chunks.shape, h.degree
+    if size < (n / k) * math.log(n):
+        warnings.warn(
+            "subsample size below (n/k) log n; dependence fraction may be large",
+            PreconditionWarning,
+            stacklevel=_caller_stacklevel(),
+        )
+    rngs = [as_generator(seed) for seed in seeds]
+    families = [subsample_family(n, k, size, rng) for rng in rngs]
+    rows = np.concatenate([f.subsets + i * n for i, f in enumerate(families)])
+    joint = SubsetFamily(q * n, k, rows, kind="explicit")
+    values = _finite(kernel_values(h, Dataset(chunks.reshape(-1)), joint).reshape(q, size))
+    deps = np.array([f.dependence_fraction() for f in families])
+    tb = subsampled_tail_bounds(tau, k, n, size)
+    return _clip_and_release(
+        values, deps, r, eps, DEFAULT_CONFIDENCE, tb, rngs, budgets, "subsampled"
     )
 
 
@@ -280,16 +417,5 @@ def subsampled_estimator(
     The dependence fraction is computed from the realized counts.  Sampling
     the family is data-independent, so it costs no privacy.
     """
-    n, k = data.n, h.degree
-    if size < (n / k) * math.log(n):
-        warnings.warn(
-            "subsample size below (n/k) log n; dependence fraction may be large",
-            PreconditionWarning,
-            stacklevel=2,
-        )
-    rng = as_generator(seed)
-    family = subsample_family(n, k, size, rng)
-    tb = subsampled_tail_bounds(tau, k, n, size)
-    return ustat_mean(
-        h, data, family, r, eps, DEFAULT_CONFIDENCE, tb, rng, budget, label="subsampled"
-    )
+    (report,) = subsampled_estimates(h, data.points[None], r, tau, eps, size, [seed], [budget])
+    return report

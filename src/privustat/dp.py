@@ -5,11 +5,14 @@ and the heavy-tailed law with density proportional to 1/(1+z^4) used by the
 smooth-sensitivity mechanism, whose CDF ``quartic_cdf`` computes in closed
 form as the audit's reference.  This is the only module that draws release
 noise or debits a ledger: every release goes through
-``global_sensitivity_release`` or ``smooth_sensitivity_release``, which refuse
-a non-finite value or sensitivity and then debit the ledger before they draw,
-and each draws from the same vector sampler that ``harness.audits.noise_gof``
-checks.  Bulk draws stream over cache-sized blocks of ``_RATIO_BLOCK`` points,
-so nothing the size of a draw is held beside the output.  Seeded single draws,
+``global_sensitivity_releases`` or ``smooth_sensitivity_releases``.  They
+release q values over disjoint data at once (a single release is the q = 1
+case): they refuse every non-finite value or sensitivity, then debit every
+ledger, then draw, value i from generator i with the draws of a single
+release.  Those draws go through the inverse CDF and the acceptance step of
+the vector samplers that ``harness.audits.noise_gof`` checks.  Bulk draws
+stream over cache-sized blocks of ``_RATIO_BLOCK`` points, so nothing the
+size of a draw is held beside the output.  Seeded single draws,
 and so every release, equal those of unblocked samplers; a quartic draw of
 more than 2^14 points takes its proposals block by block, so it differs from
 an unblocked draw of the same seed but follows the same law.  The ledger is
@@ -40,6 +43,9 @@ _ENVELOPE = (2.0 + math.sqrt(2.0)) / 2.0
 _RATIO_BLOCK = 2**15
 
 SMOOTH_RELEASE_FACTOR = 10.0
+
+# proposals in the smallest pass of the quartic sampler (every single draw's)
+_QUARTIC_PASS = 64
 
 # |z| from which quartic_cdf sums the tail series instead of the closed form
 _CDF_SERIES_FROM = 32.0
@@ -142,9 +148,22 @@ def laplace_draws(scale: float, size: int, rng) -> np.ndarray:
     gen = as_generator(rng)
     out = np.empty(size)
     for start in range(0, size, _RATIO_BLOCK):
-        u = np.maximum(gen.random(min(size - start, _RATIO_BLOCK)), _ZERO_DRAW) - 0.5
-        out[start : start + u.size] = -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+        stop = min(size, start + _RATIO_BLOCK)
+        out[start:stop] = _laplace_inverse_cdf(gen.random(stop - start), scale)
     return out
+
+
+def _laplace_inverse_cdf(u: np.ndarray, scale) -> np.ndarray:
+    """Laplace draws of scale ``scale`` (a scalar, or one per point) from
+    uniforms ``u`` on [0, 1); the uniform 0.0 is read as 2^-54."""
+    u = np.maximum(u, _ZERO_DRAW) - 0.5
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+def _laplace_each(scales: np.ndarray, rngs) -> np.ndarray:
+    """One Laplace draw of scale ``scales[i]`` from each generator ``rngs[i]``:
+    the one uniform that ``laplace_draws(scales[i], 1, rngs[i])`` draws."""
+    return _laplace_inverse_cdf(np.array([rng.random() for rng in rngs]), scales)
 
 
 def quartic_draws(size: int, seed) -> np.ndarray:
@@ -172,20 +191,45 @@ def quartic_draws(size: int, seed) -> np.ndarray:
     have = 0
     while have < size:
         want = size - have
-        batch = max(64, min(_RATIO_BLOCK, int(want / 0.5)))
+        batch = max(_QUARTIC_PASS, min(_RATIO_BLOCK, int(want / 0.5)))
         z = rng.standard_cauchy(batch)
-        u = rng.random(batch)
-        den = z * z
-        ratio = den + 1.0
-        ratio *= math.sqrt(2.0)
-        np.square(den, out=den)
-        den += 1.0
-        den *= _ENVELOPE
-        ratio /= den
-        accepted = z[u <= ratio]
+        accepted = z[_quartic_accepts(z, rng.random(batch))]
         take = min(accepted.size, want)
         out[have : have + take] = accepted[:take]
         have += take
+    return out
+
+
+def _quartic_accepts(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Which Cauchy proposals ``z`` the rejection step keeps, given their
+    uniforms ``u``: u <= sqrt(2)(1+z^2) / ((1+z^4) * envelope)."""
+    den = z * z
+    ratio = den + 1.0
+    ratio *= math.sqrt(2.0)
+    np.square(den, out=den)
+    den += 1.0
+    den *= _ENVELOPE
+    ratio /= den
+    return u <= ratio
+
+
+def _quartic_each(rngs) -> np.ndarray:
+    """One quartic-tail draw from each generator, with the passes that
+    ``quartic_draws(1, rng)`` makes: _QUARTIC_PASS proposals, then as many
+    uniforms, until one is accepted.  The first pass of every generator is
+    tested as one (q, _QUARTIC_PASS) batch."""
+    out = np.empty(len(rngs))
+    todo = np.arange(len(rngs))
+    while todo.size:
+        z = np.empty((todo.size, _QUARTIC_PASS))
+        u = np.empty((todo.size, _QUARTIC_PASS))
+        for row, i in enumerate(todo):
+            z[row] = rngs[i].standard_cauchy(_QUARTIC_PASS)
+            u[row] = rngs[i].random(_QUARTIC_PASS)
+        keep = _quartic_accepts(z, u)
+        hit = keep.any(axis=1)
+        out[todo[hit]] = z[hit, keep[hit].argmax(axis=1)]
+        todo = todo[~hit]
     return out
 
 
@@ -224,19 +268,81 @@ def quartic_cdf(z) -> np.ndarray:
 # release mechanisms
 # ---------------------------------------------------------------------------
 
-def _noise_scale(value: float, sensitivity: float, eps: float, factor: float) -> float:
-    """factor * sensitivity / eps, refusing (before any spend) every input
-    that would release a non-finite value."""
-    if not math.isfinite(value):
-        raise ValueError(f"cannot release the non-finite value {value}")
-    if not 0 <= sensitivity < math.inf:  # also rejects NaN
-        raise ValueError(f"sensitivity must be finite and >= 0, got {sensitivity}")
+def _releases(values, sensitivities, eps: float, factor: float, budgets, seeds, label, draw):
+    """values[i] + draw(scales, generators)[i] with scale_i = factor *
+    sensitivities[i] / eps: the body of both releases.
+
+    Every input that would release a non-finite value is refused before any
+    ledger is debited, and every ledger is debited before any draw.  A value
+    whose scale is zero is released exactly and draws nothing.  The checks
+    and scales run on Python floats: a release holds one value per chunk,
+    and for so few, list scans cost less than array operations.
+    """
+    out = np.array(values, dtype=float)
+    for value in out.tolist():
+        if not math.isfinite(value):
+            raise ValueError(f"cannot release the non-finite value {value}")
+    listed = np.asarray(sensitivities, dtype=float).tolist()
+    for sensitivity in listed:
+        if not 0 <= sensitivity < math.inf:  # also rejects NaN
+            raise ValueError(f"sensitivity must be finite and >= 0, got {sensitivity}")
     if eps <= 0:
         raise ValueError("epsilon must be > 0")
-    scale = factor * sensitivity / eps
-    if not scale < math.inf:  # NaN eps, or an overflowing ratio
-        raise ValueError(f"non-finite noise scale {factor} * {sensitivity} / {eps}")
-    return scale
+    scales = [factor * sensitivity / eps for sensitivity in listed]
+    for sensitivity, scale in zip(listed, scales):
+        if not scale < math.inf:  # NaN eps, or an overflowing ratio
+            raise ValueError(f"non-finite noise scale {factor} * {sensitivity} / {eps}")
+    for budget in budgets:
+        budget.spend(label, eps)
+    live = [i for i, scale in enumerate(scales) if scale]
+    if live:
+        noise = draw(np.array([scales[i] for i in live]), [as_generator(seeds[i]) for i in live])
+        if len(live) == out.size:
+            out += noise
+        else:
+            out[live] += noise
+    return out
+
+
+def global_sensitivity_releases(
+    values,
+    gs,
+    eps: float,
+    budgets: list[PrivacyBudget],
+    seeds: list,
+    label: str = "laplace release",
+) -> np.ndarray:
+    """values[i] + Laplace(gs[i]/eps), debited to budgets[i] and drawn from
+    seeds[i], for q releases over disjoint data.
+
+    Every input is checked before any ledger is debited, and every ledger is
+    debited before any draw.  A zero-sensitivity value is released exactly
+    and draws nothing; the others draw what ``laplace_draws(gs[i]/eps, 1,
+    seeds[i])`` draws.
+    """
+    return _releases(values, gs, eps, 1.0, budgets, seeds, label, _laplace_each)
+
+
+def smooth_sensitivity_releases(
+    values,
+    ss,
+    eps: float,
+    budgets: list[PrivacyBudget],
+    seeds: list,
+    label: str = "smooth release",
+) -> np.ndarray:
+    """values[i] + (SMOOTH_RELEASE_FACTOR * ss[i] / eps) * Z_i with Z_i
+    quartic-tail noise from seeds[i], debited to budgets[i].
+
+    ``ss[i]`` must be an eps-smooth upper bound on the local sensitivity at
+    dataset i.  Checks, debits and draws are ordered as in
+    ``global_sensitivity_releases``; each nonzero-sensitivity value draws
+    what ``quartic_draws(1, seeds[i])`` draws.
+    """
+    return _releases(
+        values, ss, eps, SMOOTH_RELEASE_FACTOR, budgets, seeds, label,
+        lambda scales, rngs: scales * _quartic_each(rngs),
+    )
 
 
 def global_sensitivity_release(
@@ -248,11 +354,7 @@ def global_sensitivity_release(
     label: str = "laplace release",
 ) -> float:
     """value + Laplace(gs/eps); a zero-sensitivity function is released exactly."""
-    scale = _noise_scale(value, gs, eps, 1.0)
-    budget.spend(label, eps)
-    if gs == 0:
-        return float(value)
-    return float(value) + float(laplace_draws(scale, 1, seed)[0])
+    return float(global_sensitivity_releases([value], [gs], eps, [budget], [seed], label)[0])
 
 
 def smooth_sensitivity_release(
@@ -268,8 +370,4 @@ def smooth_sensitivity_release(
     ``ss`` must be an eps-smooth upper bound on the local sensitivity at this
     dataset.
     """
-    scale = _noise_scale(value, ss, eps, SMOOTH_RELEASE_FACTOR)
-    budget.spend(label, eps)
-    if ss == 0:
-        return float(value)
-    return float(value) + scale * float(quartic_draws(1, seed)[0])
+    return float(smooth_sensitivity_releases([value], [ss], eps, [budget], [seed], label)[0])

@@ -9,6 +9,10 @@ projections enters that bound only through one integer (the smallest t such
 that at most t indices deviate beyond a threshold growing linearly in t),
 which moves by at most 1 under a one-point substitution; that is what makes
 the bound smooth.
+
+The state is computed for a stack of q summaries of one shape at once
+(``SummaryRows``, ``hajek_rows``), as the count-based collision summaries of
+the chunks of a boosted estimate are; a single summary is the one-row stack.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dp import SMOOTH_RELEASE_FACTOR, PrivacyBudget, smooth_sensitivity_release
+from .dp import SMOOTH_RELEASE_FACTOR, PrivacyBudget, smooth_sensitivity_releases
 from .errors import PreconditionWarning
 from .report import EstimateReport
 from .rng import as_generator
@@ -33,6 +37,9 @@ from .ustat import (
     kernel_values_and_projections,
 )
 from .coinpress import naive_estimator
+
+# dead band of the deviations, relative to the largest magnitude in play
+_DEAD_BAND = 32.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -79,13 +86,27 @@ def compute_L(deviations: np.ndarray, xi: float, c_range: float, k: int, n: int)
         raise ValueError("need one deviation per index")
     if c_range < 0:
         raise ValueError("range must be >= 0, or the thresholds would shrink with t")
-    over = deviations[deviations > xi + 6.0 * k * c_range * 1 / n]
-    if over.size <= 1:
-        return 1
-    ts = np.arange(1, over.size + 1)
-    thresholds = xi + 6.0 * k * c_range * ts / n
-    exceed = over.size - np.searchsorted(np.sort(over), thresholds, side="right")
-    return int(np.nonzero(exceed <= ts)[0][0] + 1)
+    return _spread_levels(deviations.reshape(1, n), xi, c_range, k, n)[0]
+
+
+def _spread_levels(devs: np.ndarray, xi: float, c_range: float, k: int, n: int) -> list[int]:
+    """``compute_L`` of each row of a (q, n) array of deviations.
+
+    Only the rows with two or more deviations over the t = 1 threshold are
+    sorted, and only those deviations.
+    """
+    over = devs > xi + 6.0 * k * c_range * 1 / n
+    levels = []
+    for i, count in enumerate(over.sum(axis=1).tolist()):
+        if count <= 1:
+            levels.append(1)
+            continue
+        tail = np.sort(devs[i][over[i]])
+        ts = np.arange(1, count + 1)
+        thresholds = xi + 6.0 * k * c_range * ts / n
+        exceed = count - np.searchsorted(tail, thresholds, side="right")
+        levels.append(int(np.nonzero(exceed <= ts)[0][0] + 1))
+    return levels
 
 
 def compute_weights(
@@ -176,6 +197,22 @@ def smooth_sensitivity(
 # ---------------------------------------------------------------------------
 
 @dataclass
+class SummaryRows:
+    """q summaries of one kernel/family shape, stacked as rows.
+
+    ``a_n`` is (q,) and ``projections`` is (q, n); ``reweight(i, weights)``
+    is row i's reweighted mean for its (n,) weight vector.
+    """
+
+    n: int
+    k: int
+    a_n: np.ndarray
+    projections: np.ndarray
+    reweight: Callable[[int, np.ndarray], float]
+    all_tuples_family: bool
+
+
+@dataclass
 class UStatSummary:
     """What the release engine needs to know about one kernel/family pair.
 
@@ -190,6 +227,17 @@ class UStatSummary:
     projections: np.ndarray
     reweight: Callable[[np.ndarray], float]
     all_tuples_family: bool
+
+    def rows(self) -> SummaryRows:
+        """This summary as the one row of a stack."""
+        return SummaryRows(
+            n=self.n,
+            k=self.k,
+            a_n=np.array([self.a_n], dtype=float),
+            projections=np.asarray(self.projections, dtype=float).reshape(1, self.n),
+            reweight=lambda i, weights: self.reweight(weights),
+            all_tuples_family=self.all_tuples_family,
+        )
 
 
 def summary_from_values(
@@ -207,38 +255,129 @@ def summary_from_values(
     )
 
 
-def hajek_state(summary: UStatSummary, params: HajekParams) -> HajekState:
-    """All deterministic quantities of the estimator (everything but the noise)."""
-    n, k = summary.n, summary.k
-    proj, a_n = summary.projections, summary.a_n
-    top, bottom = float(proj.max(initial=0.0)), float(proj.min(initial=0.0))
-    if not (math.isfinite(a_n) and math.isfinite(top) and math.isfinite(bottom)):
+@dataclass
+class HajekRows:
+    """The ``HajekState`` of every row of a ``SummaryRows``, stacked.
+
+    ``bad`` holds flat indices into the (q, n) ``weights``: row i's bad
+    indices, offset by i * n, in increasing order.
+    """
+
+    a_n: np.ndarray
+    projections: np.ndarray
+    spread_level: np.ndarray
+    bad: np.ndarray
+    weights: np.ndarray
+    reweighted: np.ndarray
+    smooth_bound: np.ndarray
+
+    def row(self, i: int) -> HajekState:
+        n = self.weights.shape[1]
+        lo, hi = np.searchsorted(self.bad, [i * n, (i + 1) * n])
+        return HajekState(
+            a_n=float(self.a_n[i]),
+            projections=self.projections[i],
+            spread_level=int(self.spread_level[i]),
+            bad=self.bad[lo:hi] - i * n,
+            weights=self.weights[i],
+            reweighted=float(self.reweighted[i]),
+            smooth_bound=float(self.smooth_bound[i]),
+        )
+
+
+def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
+    """All deterministic quantities of the estimator (everything but the
+    noise) for every row of the stack.
+
+    Each row's dead band, spread level, edge and bad indices are its own;
+    only rows with bad indices are reweighted, and the smooth bound is
+    evaluated once per distinct spread level.  The per-row scalars are
+    Python floats, computed as for a single summary.
+    """
+    n, k, xi, c_range, eps = rows.n, rows.k, params.xi, params.c_range, params.eps
+    proj, a_n = rows.projections, rows.a_n
+    means = a_n.tolist()
+    tops = proj.max(axis=1, initial=0.0).tolist()
+    bottoms = proj.min(axis=1, initial=0.0).tolist()
+    if not all(map(math.isfinite, means + tops + bottoms)):
         raise ValueError("kernel values must be finite")
-    devs = proj - a_n
+    devs = proj - a_n[:, None]
     np.abs(devs, out=devs)
     # dead-band at the rounding floor so an identically-constant kernel does
     # not manufacture spurious outliers out of 1-ulp projection jitter
-    tol = 32.0 * np.finfo(float).eps * max(1.0, abs(a_n), top, -bottom)
-    devs[devs <= tol] = 0.0
-    level = compute_L(devs, params.xi, params.c_range, k, n)
-    edge = params.xi + 6.0 * k * params.c_range * level / n
-    bad = np.flatnonzero(devs > edge)
+    tol = [
+        _DEAD_BAND * max(1.0, abs(a), top, -bottom) for a, top, bottom in zip(means, tops, bottoms)
+    ]
+    devs[devs <= np.array(tol)[:, None]] = 0.0
+    level = _spread_levels(devs, xi, c_range, k, n)
+    edge = [xi + 6.0 * k * c_range * L / n for L in level]
+    bad = np.flatnonzero(devs > np.array(edge)[:, None])
     # the ramp is exactly 1 inside the edge, so only the bad indices need it
-    weights = np.ones(n)
-    weights[bad] = compute_weights(devs[bad], params.xi, params.c_range, k, n, level, params.eps)
-    reweighted = summary.reweight(weights) if bad.size else a_n
-    bound = smooth_sensitivity(
-        params.xi, level, n, k, params.c_range, params.eps, summary.all_tuples_family
-    )
-    return HajekState(
+    weights = np.ones(devs.shape)
+    reweighted = a_n.copy()
+    if bad.size:
+        owner = bad // n
+        weights.reshape(-1)[bad] = compute_weights(
+            devs.reshape(-1)[bad], xi, c_range, k, n, np.array(level)[owner], eps
+        )
+        for i in sorted(set(owner.tolist())):
+            reweighted[i] = rows.reweight(i, weights[i])
+    bound = {
+        L: smooth_sensitivity(xi, L, n, k, c_range, eps, rows.all_tuples_family) for L in set(level)
+    }
+    return HajekRows(
         a_n=a_n,
         projections=proj,
-        spread_level=level,
+        spread_level=np.array(level),
         bad=bad,
         weights=weights,
         reweighted=reweighted,
-        smooth_bound=bound,
+        smooth_bound=np.array([bound[L] for L in level]),
     )
+
+
+def hajek_state(summary: UStatSummary, params: HajekParams) -> HajekState:
+    """All deterministic quantities of the estimator (everything but the noise)."""
+    return hajek_rows(summary.rows(), params).row(0)
+
+
+def _release_states(
+    states: HajekRows,
+    params: HajekParams,
+    seeds: list,
+    budgets: list[PrivacyBudget],
+    label: str,
+) -> list[EstimateReport]:
+    values = smooth_sensitivity_releases(
+        states.reweighted, states.smooth_bound, params.eps, budgets, seeds,
+        label=f"{label}: smooth release",
+    )
+    scales = SMOOTH_RELEASE_FACTOR * states.smooth_bound / params.eps
+    n_bad = np.bincount(states.bad // states.weights.shape[1], minlength=len(values))
+    return [
+        EstimateReport(
+            estimate=value,
+            radius=None,
+            noise_scale=scale,
+            diagnostics={"L": level, "n_bad": count, "smooth_bound": bound},
+        )
+        for value, scale, level, count, bound in zip(
+            values.tolist(), scales.tolist(), states.spread_level.tolist(), n_bad.tolist(),
+            states.smooth_bound.tolist(),
+        )
+    ]
+
+
+def release_rows(
+    rows: SummaryRows,
+    params: HajekParams,
+    seeds: list,
+    budgets: list[PrivacyBudget],
+    label: str = "hajek",
+) -> list[EstimateReport]:
+    """The release of every row of the stack: row i draws from seeds[i] and
+    debits budgets[i], exactly as ``release_from_summary`` on that row alone."""
+    return _release_states(hajek_rows(rows, params), params, seeds, budgets, label)
 
 
 def release_from_summary(
@@ -248,26 +387,10 @@ def release_from_summary(
     budget: PrivacyBudget,
     label: str = "hajek",
 ) -> EstimateReport:
-    state = hajek_state(summary, params)
-    value = smooth_sensitivity_release(
-        state.reweighted,
-        state.smooth_bound,
-        params.eps,
-        budget,
-        seed,
-        label=f"{label}: smooth release",
-    )
-    return EstimateReport(
-        estimate=value,
-        radius=None,
-        noise_scale=SMOOTH_RELEASE_FACTOR * state.smooth_bound / params.eps,
-        diagnostics={
-            "L": state.spread_level,
-            "n_bad": int(state.bad.size),
-            "smooth_bound": state.smooth_bound,
-            "state": state,
-        },
-    )
+    states = hajek_rows(summary.rows(), params)
+    (report,) = _release_states(states, params, [seed], [budget], label)
+    report.diagnostics["state"] = states.row(0)
+    return report
 
 
 def private_mean_local_hajek(

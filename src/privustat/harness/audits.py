@@ -261,8 +261,8 @@ def _laplace_cdf(z: np.ndarray) -> np.ndarray:
     return np.concatenate((0.5 * np.exp(z[:neg]), 1.0 - 0.5 * np.exp(-z[neg:])))
 
 
-def noise_gof(law: str, draws: int, seed, scale: float = 1.0) -> GofReport:
-    """Kolmogorov-Smirnov check of a sampler against its reference CDF.
+def noise_gof(law: str, draws: int, seed) -> GofReport:
+    """Kolmogorov-Smirnov check of a unit-scale sampler against its reference CDF.
 
     Laplace is compared to its analytic CDF, the quartic-tail law to the
     closed form ``quartic_cdf``, which shares no math with the sampler.  The
@@ -273,19 +273,16 @@ def noise_gof(law: str, draws: int, seed, scale: float = 1.0) -> GofReport:
     """
     if draws < 10**5:
         raise ValueError("goodness-of-fit needs at least 1e5 draws")
-    if not 0 < scale < math.inf:  # also rejects NaN
-        raise ValueError(f"goodness-of-fit scale must be finite and > 0, got {scale}")
     rng = as_generator(seed)
     if law == "laplace":
-        samples = laplace_draws(scale, draws, rng)
+        samples = laplace_draws(1.0, draws, rng)
         cdf = _laplace_cdf
     elif law == "quartic":
         samples = quartic_draws(draws, rng)
-        samples *= scale
         cdf = quartic_cdf
     else:
         raise ValueError(f"unknown law {law!r}")
     samples.sort()
-    gap = _ks_gap(samples, lambda block: cdf(block / scale))
+    gap = _ks_gap(samples, cdf)
     threshold = 1.5 * 1.63 / math.sqrt(draws)
     return GofReport(law=law, draws=draws, ks_gap=gap, threshold=threshold)

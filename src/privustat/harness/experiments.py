@@ -18,8 +18,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ..boosting import boosted
-from ..coinpress import DEFAULT_CONFIDENCE, all_tuples_estimator, naive_estimator, subsampled_estimator
+from ..boosting import boosted, each_chunk
+from ..coinpress import DEFAULT_CONFIDENCE, all_tuples_estimates, naive_estimates, subsampled_estimates
 from ..dp import PrivacyBudget, scratch_budget
 from ..errors import LedgerMismatch, PrivustatError
 from ..hajek import (
@@ -31,7 +31,7 @@ from ..hajek import (
 from ..applications import (
     PerturbedUniform,
     collision_theta,
-    private_collision_density,
+    private_collision_densities,
     sample_multinomial,
 )
 from ..report import EstimateReport
@@ -188,27 +188,30 @@ def run_single(
     fewest that meet ``subsampled_estimator``'s recommended size.
     """
     _, eps, alpha, subsample_size = cell
+    r, tau, k = spec.r_bound, spec.tau, kernel.degree
 
-    def run(data: Dataset, rng, budget: PrivacyBudget) -> EstimateReport:
-        r, tau = spec.r_bound, spec.tau
+    def run(chunks: np.ndarray, rngs: list, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
+        n = chunks.shape[1]
         if spec.method == "naive":
-            return naive_estimator(kernel, data, r, tau, eps, rng, budget)
+            return naive_estimates(kernel, chunks, r, tau, eps, rngs, budgets)
         if spec.method == "all":
-            return all_tuples_estimator(kernel, data, r, tau, eps, rng, budget)
+            return all_tuples_estimates(kernel, chunks, r, tau, eps, rngs, budgets)
         if spec.method == "subsampled":
-            k, n = kernel.degree, data.n
             size = subsample_size or max(1, math.ceil((n / k) * math.log(max(n, 2))))
-            return subsampled_estimator(kernel, data, r, tau, eps, size, rng, budget)
+            return subsampled_estimates(kernel, chunks, r, tau, eps, size, rngs, budgets)
         # reweighting estimator; the collision kernel gets the count-based path
-        xi = resolve_xi(spec, kernel, data.n)
+        xi = resolve_xi(spec, kernel, n)
         if spec.kernel == "collision":
             m = int(spec.dist.params.get("m", 10))
-            return private_collision_density(data, m, eps, xi, rng, budget)
+            return private_collision_densities(chunks, m, eps, xi, rngs, budgets)
         params = HajekParams(eps=eps, c_range=spec.c_range, xi=xi)
-        family = all_tuples(data.n, kernel.degree)
-        return private_mean_local_hajek(kernel, data, family, params, rng, budget)
+        return each_chunk(
+            lambda chunk, rng, budget: private_mean_local_hajek(
+                kernel, chunk, all_tuples(n, k), params, rng, budget
+            )
+        )(chunks, rngs, budgets)
 
-    return boosted(run, data, kernel.degree, alpha, rng, budget)
+    return boosted(run, data, k, alpha, rng, budget)
 
 
 def check_trial_ledger(report: EstimateReport, budget: PrivacyBudget, eps: float) -> None:

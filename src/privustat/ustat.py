@@ -374,8 +374,8 @@ def disjoint_chunks(n: int, k: int) -> SubsetFamily:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _check_pair(h: Kernel, data: Dataset, family: SubsetFamily) -> None:
-    if family.n != data.n:
+def _check_pair(h: Kernel, n: int, family: SubsetFamily) -> None:
+    if family.n != n:
         raise ValueError("family ambient size does not match dataset size")
     if family.k != h.degree:
         raise ValueError("family subset size does not match kernel degree")
@@ -383,10 +383,30 @@ def _check_pair(h: Kernel, data: Dataset, family: SubsetFamily) -> None:
 
 def kernel_values(h: Kernel, data: Dataset, family: SubsetFamily) -> np.ndarray:
     """h(X_S) for every subset S of the family, as an (M,) array."""
-    _check_pair(h, data, family)
-    out = np.empty(family.size)
+    return chunk_kernel_values(h, data.points[None], family)[0]
+
+
+def chunk_kernel_values(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> np.ndarray:
+    """``kernel_values`` of one family on each row of a (q, n) array of
+    chunks, as a (q, M) array.
+
+    Each block of the family's rows is gathered from every chunk at once and
+    evaluated in one kernel call.  The gathered tuples keep the memory order
+    of the rows (column-major for a complete family), so every row's values
+    are those of ``kernel_values`` on that chunk alone, bit for bit.
+    """
+    q = chunks.shape[0]
+    _check_pair(h, chunks.shape[1], family)
+    out = np.empty((q, family.size))
     for start, rows in family.blocks():
-        out[start : start + rows.shape[0]] = h.evaluate(data.points[rows])
+        m, k = rows.shape
+        # ``take`` walks its index in C order, so a column-major block is
+        # gathered through its transpose, one contiguous column at a time
+        if rows.flags.c_contiguous:
+            tuples = np.take(chunks, rows, axis=1).reshape(q * m, k)
+        else:  # column c of the (q * m, k) result is chunks[:, rows[:, c]]
+            tuples = np.take(chunks, rows.T, axis=1).transpose(1, 0, 2).reshape(k, q * m).T
+        out[:, start : start + m] = h.evaluate(tuples).reshape(q, m)
     return out
 
 
@@ -429,7 +449,7 @@ def kernel_values_and_projections(
     sums while the block is still in cache.  The values are those of
     ``kernel_values``, bit for bit.
     """
-    _check_pair(h, data, family)
+    _check_pair(h, data.n, family)
     values = np.empty(family.size)
     sums = np.zeros(family.n)
     for start, rows in family.blocks():

@@ -1,7 +1,8 @@
 """Oracles and fixtures that only the tests use: brute-force sensitivities,
-a Monte Carlo θ, closed forms, explicit families, the majority-vote form of
-the boosted uniformity test, the full-scan forms of the spread level and the
-Hájek state, the copying clip step of ``ustat_mean``, the per-row Floyd draw of
+a Monte Carlo θ, closed forms, explicit families, the per-chunk loop form
+of ``median_of_means``, the majority-vote form of the boosted uniformity
+test, the full-scan forms of the spread level and the Hájek state, the
+copying clip step of ``ustat_mean``, the per-row Floyd draw of
 ``subsample_family``, the per-column bincount and exact fsum forms of the
 projections, the loop form of the collision reweight, the per-line
 file readers, the loop forms of the audits and the quartic sampler, a
@@ -10,6 +11,7 @@ variances, Hoeffding components, exact variance)."""
 
 import itertools
 import math
+import statistics
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +22,7 @@ import numpy as np
 import privustat.hajek
 from privustat.applications import GeometricGraph, uniformity_test
 from privustat.boosting import BoostPlan
+from privustat.report import EstimateReport
 from privustat.coinpress import IntervalState, TailBounds, _release, halving_rounds
 from privustat.dp import _ENVELOPE, _RATIO_BLOCK, PrivacyBudget, laplace_draws, quartic_cdf, scratch_budget
 from privustat.errors import AuditFailure, PrivustatError
@@ -222,15 +225,16 @@ def ustat_one_step(
 
     Clips each value to [lo - Q(beta), hi + Q(beta)] into a new array
     (``values`` is left as it is) and releases its mean through the library's
-    ``_release`` on a scratch ledger; returns the clipped values and the
-    unintersected interval.
+    row release ``_release``, as a single row, on a scratch ledger; returns
+    the clipped values and the unintersected interval.
     """
     q = tb.q(beta)
     clipped = np.clip(values, interval.lo - q, interval.hi + q)
-    interval, _ = _release(
-        clipped, family, interval, eps_step, beta, tb, seed, scratch_budget(), "one step"
+    lo, hi, _ = _release(
+        clipped[None], np.array([family.dependence_fraction()]), np.array([interval.lo]),
+        np.array([interval.hi]), eps_step, beta, tb, [seed], [scratch_budget()], "one step",
     )
-    return clipped, interval
+    return clipped, IntervalState(float(lo[0]), float(hi[0]))
 
 
 def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:
@@ -250,6 +254,41 @@ def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:
         trace.append(interval)
     values, final = ustat_one_step(values, family, interval, eps / 2.0, gamma, tb, rng)
     return trace + [final]
+
+
+def loop_median_of_means(estimator, data, plan: BoostPlan, seed, budget: PrivacyBudget) -> EstimateReport:
+    """``median_of_means`` as one call of ``estimator(chunk, seed, branch)``
+    per chunk, in chunk order: chunk i is a copy of its points (a
+    ``Dataset``, or an induced subgraph), runs on child seed i and gets its
+    branch ledger just before it runs."""
+    q, size = plan.chunks, plan.chunk_size
+    take = data.subset if isinstance(data, Dataset) else data.induced
+    rngs = child_seeds(seed, q)
+    with budget.parallel(f"median_of_means(q={q})") as branches:
+        reports = [
+            estimator(take(np.arange(ci * size, (ci + 1) * size)), rngs[ci], branches.branch())
+            for ci in range(q)
+        ]
+    good = [r for r in reports if not r.is_bottom]
+    if len(good) <= q // 2:
+        return EstimateReport(
+            estimate=None,
+            bottom_reason=f"{q - len(good)} of {q} chunk runs returned bottom",
+            diagnostics={"chunks": q, "chunk_size": size},
+        )
+    estimates = [r.estimate for r in good]
+    radii = [r.radius for r in good if r.radius is not None]
+    return EstimateReport(
+        estimate=float(statistics.median(estimates)),
+        radius=max(radii) if len(radii) == len(good) else None,
+        noise_scale=None,
+        diagnostics={
+            "chunks": q,
+            "chunk_size": size,
+            "chunk_estimates": estimates,
+            "bottoms": q - len(good),
+        },
+    )
 
 
 def majority_vote(decisions) -> bool:
@@ -485,17 +524,16 @@ def fresh_array_ks_gap(samples: np.ndarray, cdf_values: np.ndarray) -> float:
     return float(max(upper, lower))
 
 
-def reference_noise_gap(law: str, draws: int, seed, scale: float = 1.0) -> float:
+def reference_noise_gap(law: str, draws: int, seed) -> float:
     """``audits.noise_gof``'s KS gap through the pow sampler, ``np.where`` and
     the fresh-array gap."""
     rng = as_generator(seed)
     if law == "laplace":
-        samples = np.sort(laplace_draws(scale, draws, rng))
-        z = samples / scale
-        cdf = np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+        samples = np.sort(laplace_draws(1.0, draws, rng))
+        cdf = np.where(samples < 0, 0.5 * np.exp(samples), 1.0 - 0.5 * np.exp(-samples))
     else:
-        samples = np.sort(pow_quartic_draws(draws, rng) * scale)
-        cdf = quartic_cdf(samples / scale)
+        samples = np.sort(pow_quartic_draws(draws, rng))
+        cdf = quartic_cdf(samples)
     return fresh_array_ks_gap(samples, cdf)
 
 

@@ -177,8 +177,8 @@ def test_criterion_05_boosted_coverage():
         rng = np.random.default_rng((50, trial))
         data = Dataset(rng.normal(theta, 1.0, n))
         rep = boosting.median_of_means(
-            lambda chunk, r, b: coinpress.all_tuples_estimator(
-                kernel, chunk, r=5.0, tau=0.5, eps=eps, seed=r, budget=b
+            lambda chunks, rngs, branches: coinpress.all_tuples_estimates(
+                kernel, chunks, r=5.0, tau=0.5, eps=eps, seeds=rngs, budgets=branches
             ),
             data,
             plan,

@@ -1,18 +1,23 @@
-"""Median-of-means wrapper behavior, coverage boosting, budget semantics."""
+"""Median-of-means wrapper behavior, coverage boosting, budget semantics, and
+the stacked chunk runs against the per-chunk loop."""
 
+import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import privustat as pv
-from privustat.boosting import BoostPlan, boosted, median_of_means
+from privustat import applications as apps
+from privustat import coinpress
+from privustat.boosting import BoostPlan, boosted, each_chunk, median_of_means
 from privustat.dp import scratch_budget
-from privustat.errors import InsufficientData
+from privustat.errors import InsufficientData, PreconditionWarning
 from privustat.report import EstimateReport
 from privustat.ustat import Dataset
 
-from oracles import majority_vote
+from oracles import loop_median_of_means, majority_vote
 
 
 def make_estimator(fn):
@@ -20,7 +25,7 @@ def make_estimator(fn):
         budget.spend("inner", 1.0)
         return fn(chunk, rng)
 
-    return estimator
+    return each_chunk(estimator)
 
 
 def test_plan_chunk_count_is_odd_and_matches_log():
@@ -88,12 +93,19 @@ def test_coverage_boost():
     alpha, radius = 0.05, 1.0
     plan = BoostPlan.for_dataset(2500, 1, alpha)
 
-    def base(chunk, rng):
-        if rng.random() < 0.75:
-            return EstimateReport(float(rng.uniform(-radius, radius)))
-        return EstimateReport(float(rng.choice([-50.0, 50.0])))
+    def est(chunks, rngs, budgets):
+        # per chunk: with probability 0.75 uniform on [-radius, radius]
+        # (``uniform``'s one double), else -50 or 50 (``choice``'s integer)
+        reports = []
+        for rng, budget in zip(rngs, budgets):
+            budget.spend("inner", 1.0)
+            if rng.random() < 0.75:
+                value = -radius + 2.0 * radius * rng.random()
+            else:
+                value = (-50.0, 50.0)[rng.integers(0, 2)]
+            reports.append(EstimateReport(value))
+        return reports
 
-    est = make_estimator(base)
     d = Dataset(np.zeros(2500))
     hits = 0
     trials = 10**4
@@ -144,3 +156,194 @@ def test_boosted_with_alpha_is_median_of_means_at_the_plan():
     rep = boosted(est, d, 2, 0.1, seed=9, budget=budget)
     assert rep.estimate == median_of_means(est, d, plan, seed=9, budget=scratch_budget()).estimate
     assert [label for label, _ in budget.entries] == [f"median_of_means(q={plan.chunks})"]
+
+
+# ---------------------------------------------------------------------------
+# stacked chunk runs against the per-chunk loop
+# ---------------------------------------------------------------------------
+
+def _recording_stacked(estimator, branches, reports):
+    def run(chunks, rngs, budgets):
+        branches.extend(budgets)
+        out = estimator(chunks, rngs, budgets)
+        reports.extend(out)
+        return out
+
+    return run
+
+
+def _recording_chunk(estimator, branches, reports):
+    def run(chunk, rng, budget):
+        branches.append(budget)
+        reports.append(estimator(chunk, rng, budget))
+        return reports[-1]
+
+    return run
+
+
+def assert_stacked_equals_loop(stacked, per_chunk, data, plan, seed):
+    """The stacked block and the per-chunk loop agree bit for bit: the
+    wrapped report, every branch ledger and the parent ledger.  Returns the
+    stacked path's chunk reports."""
+    got_branches, got_reports, want_branches, want_reports = [], [], [], []
+    got_budget, want_budget = pv.PrivacyBudget(10.0), pv.PrivacyBudget(10.0)
+    # a SeedSequence counts the children it spawned, so each run gets a copy
+    got = median_of_means(
+        _recording_stacked(stacked, got_branches, got_reports), data, plan, copy.deepcopy(seed),
+        got_budget,
+    )
+    want = loop_median_of_means(
+        _recording_chunk(per_chunk, want_branches, want_reports), data, plan, copy.deepcopy(seed),
+        want_budget,
+    )
+    assert (got.estimate, got.radius, got.noise_scale, got.bottom_reason) == (
+        want.estimate, want.radius, want.noise_scale, want.bottom_reason
+    )
+    assert got.diagnostics == want.diagnostics  # chunk estimates and bottoms among them
+    assert [b.entries for b in got_branches] == [b.entries for b in want_branches]
+    assert got_budget.entries == want_budget.entries
+    assert [(r.estimate, r.radius, r.noise_scale) for r in got_reports] == [
+        (r.estimate, r.radius, r.noise_scale) for r in want_reports
+    ]
+    return got_reports
+
+
+def _gauss(n, seed):
+    return Dataset(np.random.default_rng(seed).normal(0.5, 1.0, n))
+
+
+def _labels(n, m, seed):
+    return Dataset(np.random.default_rng(seed).integers(0, m, n))
+
+
+STACKED_CASES = {
+    "naive": (
+        lambda c, r, b: coinpress.naive_estimates(pv.mean_kernel(2, 0.5), c, 2.0, 0.5, 1.0, r, b),
+        lambda d, r, b: coinpress.naive_estimator(pv.mean_kernel(2, 0.5), d, 2.0, 0.5, 1.0, r, b),
+        _gauss,
+    ),
+    "all": (
+        lambda c, r, b: coinpress.all_tuples_estimates(pv.collision_kernel(), c, 1.0, 0.25, 0.5, r, b),
+        lambda d, r, b: coinpress.all_tuples_estimator(pv.collision_kernel(), d, 1.0, 0.25, 0.5, r, b),
+        lambda n, seed: _labels(n, 20, seed),
+    ),
+    "subsampled": (
+        lambda c, r, b: coinpress.subsampled_estimates(
+            pv.mean_kernel(2, 0.5), c, 2.0, 0.5, 1.0, 3 * c.shape[1], r, b),
+        lambda d, r, b: coinpress.subsampled_estimator(
+            pv.mean_kernel(2, 0.5), d, 2.0, 0.5, 1.0, 3 * d.n, r, b),
+        _gauss,
+    ),
+    "collision": (
+        lambda c, r, b: apps.private_collision_densities(
+            c, 20, 1.0, apps.collision_xi(20, c.shape[1]), r, b),
+        lambda d, r, b: apps.private_collision_density(d, 20, 1.0, apps.collision_xi(20, d.n), r, b),
+        lambda n, seed: _labels(n, 20, seed),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::privustat.errors.PreconditionWarning")
+@pytest.mark.parametrize("name", sorted(STACKED_CASES))
+@pytest.mark.parametrize("n, alpha", [(200, 0.3), (500, 0.1), (1000, 0.05)])
+def test_stacked_chunks_equal_the_per_chunk_loop(name, n, alpha):
+    stacked, per_chunk, make = STACKED_CASES[name]
+    plan = BoostPlan.for_dataset(n, 2, alpha)
+    for seed in (0, 7, 19):
+        data = make(n, seed)
+        assert_stacked_equals_loop(stacked, per_chunk, data, plan, seed)
+        assert_stacked_equals_loop(stacked, per_chunk, data, plan, np.random.SeedSequence(seed))
+
+
+@pytest.mark.filterwarnings("ignore::privustat.errors.PreconditionWarning")
+def test_stacked_chunks_equal_the_loop_when_an_interval_goes_disjoint():
+    # with tau far below the data's spread and a mean outside [-r, r], the
+    # release interval misses the previous one in the first 7 chunks only
+    x = np.random.default_rng(3).normal(0.0, 1.0, 1000)
+    x[:364] += 5.0
+    h = pv.mean_kernel(2, 0.01)
+    plan = BoostPlan.for_dataset(1000, 2, 0.1)
+    reports = assert_stacked_equals_loop(
+        lambda c, r, b: coinpress.naive_estimates(h, c, 1.0, 0.01, 10.0, r, b),
+        lambda d, r, b: coinpress.naive_estimator(h, d, 1.0, 0.01, 10.0, r, b),
+        Dataset(x), plan, 4,
+    )
+    disjoint = [any(iv.lo == iv.hi for iv in r.diagnostics["trace"][1:-1]) for r in reports]
+    assert any(disjoint) and not all(disjoint)
+
+
+def test_stacked_collision_rows_with_spread_levels_and_bad_indices():
+    # six chunks of one heavy label with three rare ones (L = 3, three bad
+    # indices reweighted), five uniform chunks (L = 1, none bad)
+    rng = np.random.default_rng(5)
+    plan = BoostPlan.for_dataset(4000, 2, 0.3)
+    size = plan.chunk_size
+    x = rng.integers(0, 20, 4000)
+    for c in range(6):
+        chunk = np.zeros(size, dtype=np.int64)
+        chunk[rng.choice(size, 3, replace=False)] = rng.integers(1, 20, 3)
+        x[c * size : (c + 1) * size] = chunk
+    for seed in range(4):
+        reports = assert_stacked_equals_loop(*STACKED_CASES["collision"][:2], Dataset(x), plan, seed)
+        assert [r.diagnostics["L"] for r in reports] == [3] * 6 + [1] * (plan.chunks - 6)
+        assert [r.diagnostics["n_bad"] for r in reports] == [3] * 6 + [0] * (plan.chunks - 6)
+
+
+def test_stacked_majority_bottom_block_equals_the_loop():
+    def refuse_small(chunk, rng, budget):
+        budget.spend("inner", 0.5)
+        if chunk.points.mean() < 300:
+            return EstimateReport(None, bottom_reason="small")
+        return EstimateReport(float(chunk.points.mean() + rng.normal()))
+
+    plan = BoostPlan.for_dataset(500, 2, 0.1)
+    for data in (Dataset(np.arange(500.0)), Dataset(np.arange(500.0)[::-1].copy())):
+        assert_stacked_equals_loop(each_chunk(refuse_small), refuse_small, data, plan, 11)
+    rep = median_of_means(each_chunk(refuse_small), Dataset(np.arange(500.0)), plan, 11, scratch_budget())
+    assert rep.is_bottom
+
+
+BAD_CHUNK_CASES = {
+    "naive": lambda c, r, b: coinpress.naive_estimates(pv.mean_kernel(2), c, 2.0, 0.5, 1.0, r, b),
+    "all": lambda c, r, b: coinpress.all_tuples_estimates(pv.mean_kernel(2), c, 2.0, 0.5, 1.0, r, b),
+    "subsampled": lambda c, r, b: coinpress.subsampled_estimates(
+        pv.mean_kernel(2), c, 2.0, 0.5, 1.0, 200, r, b),
+    "collision": STACKED_CASES["collision"][0],
+}
+
+
+@pytest.mark.filterwarnings("ignore::privustat.errors.PreconditionWarning")
+@pytest.mark.parametrize("name", sorted(BAD_CHUNK_CASES))
+def test_a_bad_chunk_raises_before_any_branch_is_debited(name):
+    # the bad value sits in the fourth chunk; the per-chunk loop had spent
+    # the first three chunks' budget before it reached it
+    plan = BoostPlan.for_dataset(500, 2, 0.1)
+    if name == "collision":
+        x = _labels(500, 20, 2).points.copy()
+        x[3 * plan.chunk_size + 1] = 20  # label out of range
+    else:
+        x = _gauss(500, 2).points
+        x[3 * plan.chunk_size + 1] = np.nan
+    branches = []
+    budget = pv.PrivacyBudget(10.0)
+    with pytest.raises(ValueError):
+        median_of_means(
+            _recording_stacked(BAD_CHUNK_CASES[name], branches, []), Dataset(x), plan, 1, budget
+        )
+    assert len(branches) == plan.chunks
+    assert all(b.entries == [] for b in branches)
+    assert budget.spent == 0.0
+
+
+def test_stacked_warnings_appear_once_at_the_calling_line():
+    # every chunk violates the same halving precondition: one warning
+    plan = BoostPlan.for_dataset(500, 2, 0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        median_of_means(
+            lambda c, r, b: coinpress.naive_estimates(pv.mean_kernel(2, 0.5), c, 100.0, 0.5, 0.05, r, b),
+            _gauss(500, 1), plan, 3, scratch_budget(),
+        )
+    messages = [str(w.message) for w in caught if issubclass(w.category, PreconditionWarning)]
+    assert len(messages) == 1 and messages[0].startswith("halving guarantees not in force")
+    assert {w.filename for w in caught} == {__file__}

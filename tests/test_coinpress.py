@@ -468,3 +468,14 @@ def test_one_step_uses_realized_dependence_of_subsampled_family():
     )
     delta = (0.5 * new.width - qavg) / math.log(1 / beta) * eps_step
     assert delta == pytest.approx((4 / 6) * (2 + 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 16, 127, 128, 129, 1000, 4097, 10**5 + 3, 2**20 + 5])
+def test_stacked_row_means_equal_each_rows_mean(m):
+    # the stacked engine releases np.add.reduce(values, axis=1) / M where a
+    # single run released values.mean(); they must agree bit for bit
+    rng = np.random.default_rng(m)
+    for q in (1, 3, 19) if m < 10**6 else (1, 2):
+        values = rng.normal(0.3, 2.0, (q, m)) ** 3
+        got = np.add.reduce(values, axis=1) / m
+        assert got.tolist() == [float(row.mean()) for row in values], q

@@ -8,7 +8,7 @@ import pytest
 
 import privustat as pv
 from privustat import applications as apps
-from privustat.boosting import BoostPlan, median_of_means
+from privustat.boosting import BoostPlan, each_chunk, median_of_means
 from privustat.dp import PrivacyBudget
 from privustat.report import EstimateReport
 from privustat.ustat import Dataset
@@ -86,7 +86,9 @@ def test_median_of_means_majority_bottom_reports_the_block_debit():
 
     budget = PrivacyBudget(10.0)
     plan = BoostPlan(alpha=0.5, chunks=3, chunk_size=4)
-    report = median_of_means(bottom_after_spending, Dataset(np.arange(12.0)), plan, 1, budget)
+    report = median_of_means(
+        each_chunk(bottom_after_spending), Dataset(np.arange(12.0)), plan, 1, budget
+    )
     assert report.is_bottom
     assert budget.spent == pytest.approx(EPS, rel=0, abs=1e-12)
 

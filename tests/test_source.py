@@ -195,7 +195,8 @@ def test_only_ustat_uses_its_private_names(path):
     assert private_ustat_names(path.read_text()) == []
 
 
-SAMPLERS = {"laplace_draws", "quartic_draws"}
+# the bulk samplers, and the one-draw-per-generator samplers of the stacked releases
+SAMPLERS = {"laplace_draws", "quartic_draws", "_laplace_each", "_quartic_each"}
 SAMPLER_AUDIT = ("harness/audits.py", "noise_gof")
 
 
