@@ -29,11 +29,13 @@ from .errors import PreconditionWarning
 from .report import EstimateReport
 from .rng import as_generator
 from .ustat import (
+    Bounded,
     Dataset,
     Kernel,
     SubsetFamily,
     all_tuples,
     clipped_kernel,
+    kernel_values,
     kernel_values_and_projections,
 )
 from .coinpress import naive_estimator
@@ -136,10 +138,8 @@ def reweighted_mean(
     values: np.ndarray, family: SubsetFamily, weights: np.ndarray, a_n: float
 ) -> float:
     """Mean of h(X_S) * wt(S) + a_n * (1 - wt(S)), wt(S) = min weight in S."""
-    weights = np.asarray(weights, dtype=float)
-    wt_s = np.empty(family.size)
-    for start, rows in family.blocks():
-        wt_s[start : start + rows.shape[0]] = weights[rows].min(axis=1)
+    smallest = Kernel(family.k, lambda t: t.min(axis=1), Bounded(1.0), name="min")
+    wt_s = kernel_values(smallest, Dataset(np.asarray(weights, dtype=float)), family)
     return float(np.mean(values * wt_s + a_n * (1.0 - wt_s)))
 
 

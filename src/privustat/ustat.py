@@ -5,6 +5,12 @@ data.  The "all-tuples" family enumerates every subset; the "subsampled"
 family draws M subsets uniformly with replacement (an incomplete U-statistic).
 Per-index incidence counts of a family drive both the noise calibration of the
 private estimators and the regularity check used by the reweighting algorithm.
+
+The complete family is never stored.  One generator writes its subsets in
+lexicographic blocks, copying from any array of shape (..., n): from the
+indices range(n) it gives the rows of ``SubsetFamily.blocks()``, from the
+data, a stack of chunks or a weight vector it gives the kernel's inputs
+directly, with no index array and no gather in between.
 """
 
 from __future__ import annotations
@@ -46,9 +52,11 @@ class Kernel:
 
     ``fn`` is evaluated in batch: it receives an (M, k) array whose rows are
     the k-tuples of data values, and returns an (M,) array.  The array may be
-    column-major (complete families are generated that way), so ``fn`` must
-    not assume C order and must not write into it.  Symmetry in the k
-    arguments is the caller's responsibility (and is property-tested).
+    column-major or strided (complete families are generated column-major),
+    so ``fn`` must not assume C order.  It is read-only, because it may be a
+    view of the dataset itself: a ``fn`` that writes into it raises.
+    Symmetry in the k arguments is the caller's responsibility (and is
+    property-tested).
     """
 
     degree: int
@@ -61,7 +69,9 @@ class Kernel:
             raise ValueError("kernel degree must be >= 1")
 
     def evaluate(self, tuples: np.ndarray) -> np.ndarray:
-        tuples = np.asarray(tuples)
+        # a read-only view: the tuples may be a view of the dataset itself
+        tuples = np.asarray(tuples).view()
+        tuples.flags.writeable = False
         if tuples.ndim == 1:
             tuples = tuples.reshape(1, -1)
         if tuples.shape[1] != self.degree:
@@ -137,78 +147,139 @@ class RegularityCheck(NamedTuple):
 
 
 # Row budget of one generated block of the complete family.  A block's
-# indices, its gathered data and its kernel values then stay in cache.
+# values and its kernel values then stay in cache.
 _BLOCK_ROWS = 1 << 15
 
 
-def _with_firsts(n: int, k: int, lo: int, hi: int, tails: np.ndarray) -> np.ndarray:
-    """The k-subsets of range(n) whose first index lies in [lo, hi), in lexicographic order.
+def _with_firsts(base: np.ndarray, k: int, lo: int, hi: int, tails: np.ndarray) -> np.ndarray:
+    """The k-subsets of range(n) whose first index lies in [lo, hi), in
+    lexicographic order, drawn from ``base`` of shape (..., n).
 
-    The result is a (k, m) array: row c holds column c of the m subsets.
-    ``tails`` holds every (k-1)-subset of range(t, n), for some t <= lo + 1,
-    in lexicographic order and in the same layout; the subsets that start
-    with i end in its last C(n-i-1, k-1) columns.
+    The result is a (k, ..., m) array: row c holds base[..., S_c] for the m
+    subsets S.  ``tails`` holds every (k-1)-subset of range(t, n), for some
+    t <= lo + 1, in lexicographic order and in the same layout; the subsets
+    that start with i end in its last C(n-i-1, k-1) columns.  So each first
+    index costs two slice copies, whatever base is.
     """
+    n = base.shape[-1]
     runs = [math.comb(n - i - 1, k - 1) for i in range(lo, hi)]
-    out = np.empty((k, sum(runs)), dtype=np.int64)
+    out = np.empty((k, *base.shape[:-1], sum(runs)), dtype=base.dtype)
+    firsts, rest, width = out[0], out[1:], tails.shape[-1]
     start = 0
     for i, run in zip(range(lo, hi), runs):
-        out[0, start : start + run] = i
-        out[1:, start : start + run] = tails[:, tails.shape[1] - run :]
-        start += run
+        stop = start + run
+        firsts[..., start:stop] = base[..., i, None]
+        rest[..., start:stop] = tails[..., width - run :]
+        start = stop
     return out
 
 
-def _complete(n: int, k: int, lo: int) -> np.ndarray:
-    """Every k-subset of range(lo, n), in lexicographic order, as a (k, m) array."""
+def _complete(base: np.ndarray, k: int, lo: int) -> np.ndarray:
+    """Every k-subset of range(lo, n), in lexicographic order, drawn from ``base`` as (k, ..., m)."""
     if k == 1:
-        return np.arange(lo, n, dtype=np.int64).reshape(1, -1)
-    return _with_firsts(n, k, lo, n - k + 1, _complete(n, k - 1, lo + 1))
+        return base[None, ..., lo:]
+    return _with_firsts(base, k, lo, base.shape[-1] - k + 1, _complete(base, k - 1, lo + 1))
 
 
-def _lex_blocks(n: int, k: int, lo: int = 0) -> Iterator[np.ndarray]:
-    """Every k-subset of range(lo, n) in lexicographic order, as (k, m) blocks.
+# (prefix, first, stop): a block of a complete family, see _lex_spans
+_Span = tuple[tuple[int, ...], int, int]
 
-    A block is a run of consecutive first indices of at most _BLOCK_ROWS
-    subsets; a first index whose subsets alone are more is split by its next
-    index.
+
+def _lex_spans(n: int, k: int, lo: int = 0) -> Iterator[_Span]:
+    """The blocks of every k-subset of range(lo, n) in lexicographic order, as
+    (prefix, first, stop) spans.
+
+    A span's block is the prefix followed by each (k - len(prefix))-subset of
+    range(n) whose first index lies in [first, stop).  It holds at most
+    _BLOCK_ROWS subsets: a run of consecutive first indices, or, where one
+    first index has more subsets than that, part of them with the index moved
+    into the prefix.
     """
     if k == 1:
         for start in range(lo, n, _BLOCK_ROWS):
-            yield np.arange(start, min(start + _BLOCK_ROWS, n), dtype=np.int64).reshape(1, -1)
+            yield (), start, min(start + _BLOCK_ROWS, n)
         return
     first, last = lo, n - k
     while first <= last and math.comb(n - first - 1, k - 1) > _BLOCK_ROWS:
-        for tail in _lex_blocks(n, k - 1, first + 1):
-            block = np.empty((k, tail.shape[1]), dtype=np.int64)
-            block[0] = first
-            block[1:] = tail
-            yield block
+        for prefix, a, b in _lex_spans(n, k - 1, first + 1):
+            yield (first, *prefix), a, b
         first += 1
-    tails = _complete(n, k - 1, first + 1)  # no longer than one block
     while first <= last:
         stop, rows = first, 0
         while stop <= last and rows + math.comb(n - stop - 1, k - 1) <= _BLOCK_ROWS:
             rows += math.comb(n - stop - 1, k - 1)
             stop += 1
-        yield _with_firsts(n, k, first, stop, tails)
+        yield (), first, stop
         first = stop
 
 
-def _prefix_runs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, heads) of the prefix runs of a block of lexicographic k-subsets.
+class _SpanBlocks:
+    """The blocks of a span sequence drawn from one ``base`` of shape (..., n).
 
-    A run is a maximal stretch of rows that share their first k-1 indices;
-    in lexicographic order it ends at a row whose last index is n-1, or where
-    the block ends.  ``starts`` holds the first row of each run, ``heads``
-    its first k-1 indices as a (k-1, runs) array.
+    The tails table of each degree is built once and serves every later span
+    whose first index is no smaller (no table is longer than one block).
     """
-    last = rows[:, -1]
-    first = np.empty(last.size, dtype=bool)
-    first[0] = True
-    np.equal(last[:-1], n - 1, out=first[1:])
-    starts = np.flatnonzero(first)
-    return starts, rows.T[:-1, starts]
+
+    def __init__(self, base: np.ndarray):
+        self.base = base
+        self._tails: dict[int, tuple[int, np.ndarray]] = {}
+
+    def tails(self, k: int, lo: int) -> np.ndarray:
+        """Every (k-1)-subset of range(t, n) for some t <= lo + 1."""
+        if k not in self._tails or lo < self._tails[k][0]:
+            self._tails[k] = lo, _complete(self.base, k - 1, lo + 1)
+        return self._tails[k][1]
+
+    def block(self, prefix: tuple[int, ...], k: int, lo: int, hi: int) -> np.ndarray:
+        """``prefix`` followed by each k-subset with first index in [lo, hi),
+        as a (len(prefix) + k, ..., m) array."""
+        base = self.base
+        if k == 1:
+            body = base[None, ..., lo:hi]
+        else:
+            body = _with_firsts(base, k, lo, hi, self.tails(k, lo))
+        if not prefix:
+            return body
+        heads = np.moveaxis(base[..., list(prefix)], -1, 0)[..., None]
+        return np.concatenate([np.broadcast_to(heads, (len(prefix), *body.shape[1:])), body])
+
+
+def _lex_blocks(base: np.ndarray, k: int) -> Iterator[np.ndarray]:
+    """Every k-subset of range(n) in lexicographic order, drawn from ``base``
+    of shape (..., n), as (k, ..., m) blocks of at most _BLOCK_ROWS subsets."""
+    blocks = _SpanBlocks(base)
+    for prefix, lo, hi in _lex_spans(base.shape[-1], k):
+        yield blocks.block(prefix, k - len(prefix), lo, hi)
+
+
+def _lex_runs(n: int, k: int) -> Iterator[tuple[_Span, np.ndarray, np.ndarray, np.ndarray]]:
+    """(span, starts, heads, last) for each span of ``_lex_spans(n, k)``.
+
+    A run is a maximal stretch of a block's subsets that share their first
+    k-1 indices, its head.  ``starts`` holds the first row of each run,
+    ``heads`` the heads as a (k-1, runs) array and ``last`` the last index of
+    every subset.  A head of the span (prefix, first, stop) is the prefix
+    followed by a (k-1-len(prefix))-subset of range(n-1) with first index in
+    [first, stop), and its run lasts until the last index reaches n-1; a
+    span of 1-subsets is one run, cut where the block ends.  So the heads
+    come from the subset generator too, and only ``last`` has a row per
+    subset: one suffix copy of the index tails' last row per first index.
+    """
+    indices, head_indices = _SpanBlocks(np.arange(n)), _SpanBlocks(np.arange(n - 1))
+    for span in _lex_spans(n, k):
+        prefix, lo, hi = span
+        j = k - len(prefix)
+        if j == 1:  # one run, headed by the prefix
+            heads = np.array(prefix, dtype=np.int64).reshape(-1, 1)
+            yield span, np.zeros(1, dtype=np.intp), heads, indices.base[lo:hi]
+            continue
+        heads = head_indices.block(prefix, j - 1, lo, hi)
+        lengths = n - 1 - heads[-1]
+        starts = np.zeros(lengths.size, dtype=np.intp)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        tail = indices.tails(j, lo)[-1]
+        last = np.concatenate([tail[tail.size - math.comb(n - i - 1, j - 1) :] for i in range(lo, hi)])
+        yield span, starts, heads, last
 
 
 class SubsetFamily:
@@ -219,8 +290,10 @@ class SubsetFamily:
     the rows through ``blocks()``.  ``subsets=None`` stands for every k-subset
     in lexicographic order: its counts are C(n-1, k-1) and its rows are
     generated block by block on every pass.  Generated rows are column-major,
-    so each column of a block is contiguous.  ``kind="all_tuples"`` is
-    exactly that generated family; stored rows take any other kind.
+    so each column of a block is contiguous.  The kernel evaluators do not
+    read these index rows: they run the same generator on the data.
+    ``kind="all_tuples"`` is exactly that generated family; stored rows take
+    any other kind.
     """
 
     def __init__(self, n: int, k: int, subsets: Optional[np.ndarray], kind: str):
@@ -255,7 +328,7 @@ class SubsetFamily:
             yield 0, self._subsets
             return
         start = 0
-        for block in _lex_blocks(self.n, self.k):
+        for block in _lex_blocks(np.arange(self.n, dtype=np.int64), self.k):
             yield start, block.T
             start += block.shape[1]
 
@@ -390,23 +463,23 @@ def chunk_kernel_values(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> 
     """``kernel_values`` of one family on each row of a (q, n) array of
     chunks, as a (q, M) array.
 
-    Each block of the family's rows is gathered from every chunk at once and
-    evaluated in one kernel call.  The gathered tuples keep the memory order
-    of the rows (column-major for a complete family), so every row's values
-    are those of ``kernel_values`` on that chunk alone, bit for bit.
+    Each block of the family is drawn from every chunk at once and evaluated
+    in one kernel call on a (q * m, k) array whose column c holds the chunks'
+    values at the blocks' c-th indices.  A complete family's block is copied
+    from the chunks by the subset generator itself (column-major, no index
+    array); a stored family's rows are gathered.  Every row's values are
+    those of ``kernel_values`` on that chunk alone, bit for bit.
     """
-    q = chunks.shape[0]
+    q, k = chunks.shape[0], family.k
     _check_pair(h, chunks.shape[1], family)
+    if family.kind != "all_tuples":
+        return h.evaluate(np.take(chunks, family.subsets, axis=1).reshape(-1, k)).reshape(q, family.size)
     out = np.empty((q, family.size))
-    for start, rows in family.blocks():
-        m, k = rows.shape
-        # ``take`` walks its index in C order, so a column-major block is
-        # gathered through its transpose, one contiguous column at a time
-        if rows.flags.c_contiguous:
-            tuples = np.take(chunks, rows, axis=1).reshape(q * m, k)
-        else:  # column c of the (q * m, k) result is chunks[:, rows[:, c]]
-            tuples = np.take(chunks, rows.T, axis=1).transpose(1, 0, 2).reshape(k, q * m).T
-        out[:, start : start + m] = h.evaluate(tuples).reshape(q, m)
+    start = 0
+    for block in _lex_blocks(chunks, k):
+        m = block.shape[-1]
+        out[:, start : start + m] = h.evaluate(block.reshape(k, q * m).T).reshape(q, m)
+        start += m
     return out
 
 
@@ -415,47 +488,36 @@ def evaluate_ustat(h: Kernel, data: Dataset, family: SubsetFamily) -> float:
     return float(kernel_values(h, data, family).mean())
 
 
-def _add_projection_sums(
-    sums: np.ndarray,
-    rows: np.ndarray,
-    values: np.ndarray,
-    runs: Optional[tuple[np.ndarray, np.ndarray]],
-) -> None:
-    """Add the value of every row to the sums of its k indices.
-
-    With the block's prefix runs, each of the first k-1 columns is constant
-    on a run, so it adds one sum per run; only the last column scatters every
-    value.
-    """
-    n = sums.size
-    if runs is None:
-        for column in rows.T:
-            sums += np.bincount(column, weights=values, minlength=n)
-        return
-    starts, heads = runs
-    run_sums = np.add.reduceat(values, starts)
-    for column in heads:
-        sums += np.bincount(column, weights=run_sums, minlength=n)
-    sums += np.bincount(rows[:, -1], weights=values, minlength=n)
-
-
 def kernel_values_and_projections(
     h: Kernel, data: Dataset, family: SubsetFamily
 ) -> tuple[np.ndarray, np.ndarray]:
     """``kernel_values`` and the local projections, in one pass over the family.
 
     Entry i of the projections is (1/M_i) sum_{S : i in S} h(X_S); indices
-    with M_i = 0 get NaN.  Each block's values are added to the projection
-    sums while the block is still in cache.  The values are those of
+    with M_i = 0 get NaN.  On a complete family each block's values are added
+    to the projection sums while the block is still in cache: each of the
+    first k-1 indices is constant on a prefix run, so it adds one sum per run,
+    and only the last index scatters every value.  The values are those of
     ``kernel_values``, bit for bit.
     """
     _check_pair(h, data.n, family)
-    values = np.empty(family.size)
-    sums = np.zeros(family.n)
-    for start, rows in family.blocks():
-        block_values = values[start : start + rows.shape[0]]
-        block_values[:] = h.evaluate(data.points[rows])
-        runs = _prefix_runs(rows, family.n) if family.kind == "all_tuples" else None
-        _add_projection_sums(sums, rows, block_values, runs)
+    n, k = family.n, family.k
+    sums = np.zeros(n)
+    if family.kind != "all_tuples":
+        values = kernel_values(h, data, family)
+        for column in family.subsets.T:
+            sums += np.bincount(column, weights=values, minlength=n)
+    else:
+        values = np.empty(family.size)
+        blocks = _SpanBlocks(data.points)
+        start = 0
+        for (prefix, lo, hi), starts, heads, last in _lex_runs(n, k):
+            block_values = values[start : start + last.size]
+            block_values[:] = h.evaluate(blocks.block(prefix, k - len(prefix), lo, hi).T)
+            start += last.size
+            run_sums = np.add.reduceat(block_values, starts)
+            for column in heads:
+                sums += np.bincount(column, weights=run_sums, minlength=n)
+            sums += np.bincount(last, weights=block_values, minlength=n)
     with np.errstate(invalid="ignore", divide="ignore"):
         return values, sums / family.counts

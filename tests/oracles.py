@@ -3,7 +3,9 @@ a Monte Carlo θ, closed forms, explicit families, the per-chunk loop form
 of ``median_of_means``, the majority-vote form of the boosted uniformity
 test, the full-scan forms of the spread level and the Hájek state, the
 copying clip step of ``ustat_mean``, the per-row Floyd draw of
-``subsample_family``, the per-column bincount and exact fsum forms of the
+``subsample_family``, the index-then-gather form of the complete-family
+engine (kernel values, stacked chunks, projections with scanned prefix runs,
+the reweighted mean), the per-column bincount and exact fsum forms of the
 projections, the loop form of the collision reweight, the per-line
 file readers, the loop forms of the audits and the quartic sampler, a
 constant kernel, and the U-statistic variance calculus (conditional
@@ -335,6 +337,66 @@ def floyd_subsample_picks(n: int, k: int, size: int, seed) -> np.ndarray:
 def explicit_family(n: int, k: int, subsets) -> SubsetFamily:
     """Wrap an explicit list of subsets."""
     return SubsetFamily(n, k, np.asarray(subsets, dtype=np.int64), kind="explicit")
+
+
+def gather_chunk_kernel_values(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> np.ndarray:
+    """``chunk_kernel_values`` by gathering each block of index rows from the
+    (q, n) chunks: ``take`` through the transpose of a column-major block, so
+    column c of the (q * m, k) tuples is chunks[:, rows[:, c]]."""
+    q = chunks.shape[0]
+    out = np.empty((q, family.size))
+    for start, rows in family.blocks():
+        m, k = rows.shape
+        if rows.flags.c_contiguous:
+            tuples = np.take(chunks, rows, axis=1).reshape(q * m, k)
+        else:
+            tuples = np.take(chunks, rows.T, axis=1).transpose(1, 0, 2).reshape(k, q * m).T
+        out[:, start : start + m] = h.evaluate(tuples).reshape(q, m)
+    return out
+
+
+def scanned_prefix_runs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, heads) of the prefix runs of a block of lexicographic k-subsets,
+    found by scanning its last column: a run ends at a row whose last index is
+    n-1, or where the block ends."""
+    last = rows[:, -1]
+    first = np.empty(last.size, dtype=bool)
+    first[0] = True
+    np.equal(last[:-1], n - 1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return starts, rows.T[:-1, starts]
+
+
+def gather_values_and_projections(h: Kernel, data: Dataset, family: SubsetFamily):
+    """``kernel_values_and_projections`` from index blocks: gather the data
+    through each block, then add the values to the projection sums, one sum
+    per prefix run for the head columns of a complete family."""
+    n = family.n
+    values = np.empty(family.size)
+    sums = np.zeros(n)
+    for start, rows in family.blocks():
+        block_values = values[start : start + rows.shape[0]]
+        block_values[:] = h.evaluate(data.points[rows])
+        if family.kind != "all_tuples":
+            for column in rows.T:
+                sums += np.bincount(column, weights=block_values, minlength=n)
+            continue
+        starts, heads = scanned_prefix_runs(rows, n)
+        run_sums = np.add.reduceat(block_values, starts)
+        for column in heads:
+            sums += np.bincount(column, weights=run_sums, minlength=n)
+        sums += np.bincount(rows[:, -1], weights=block_values, minlength=n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return values, sums / family.counts
+
+
+def gather_reweighted_mean(values: np.ndarray, family: SubsetFamily, weights: np.ndarray, a_n: float) -> float:
+    """``reweighted_mean`` with each subset's weight gathered through the index rows."""
+    weights = np.asarray(weights, dtype=float)
+    wt_s = np.empty(family.size)
+    for start, rows in family.blocks():
+        wt_s[start : start + rows.shape[0]] = weights[rows].min(axis=1)
+    return float(np.mean(values * wt_s + a_n * (1.0 - wt_s)))
 
 
 def bincount_projections(values: np.ndarray, family: SubsetFamily) -> np.ndarray:

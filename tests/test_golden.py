@@ -2,7 +2,9 @@
 
 The values were produced by the materialising itertools enumeration that the
 blocked complete-family engine replaced.  Each case runs at the module's own
-row budget and at a small one, so the families are cut into many blocks.
+row budget and at two small ones, so the families are cut into many blocks;
+the smallest is below C(n-1, k-1) of every case, so each first index's
+subsets are split across blocks as well.
 """
 
 from unittest import mock
@@ -65,7 +67,7 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("budget", [ustat._BLOCK_ROWS, 1000])
+@pytest.mark.parametrize("budget", [ustat._BLOCK_ROWS, 1000, 150])
 def test_complete_family_estimates_match_golden_values(budget):
     with mock.patch.object(ustat, "_BLOCK_ROWS", budget):
         reports = estimates()

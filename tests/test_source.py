@@ -176,13 +176,13 @@ def private_ustat_names(source: str) -> list[str]:
 def test_checker_finds_private_ustat_names():
     source = (
         "from ..ustat import _BLOCK_ROWS, Dataset\n"
-        "from privustat.ustat import _prefix_runs\n"
+        "from privustat.ustat import _lex_runs\n"
         "from .dp import _RATIO_BLOCK\n"
         "from .. import ustat\n"
         "rows = ustat._BLOCK_ROWS + ustat.DEFAULT_ENUMERATION_CAP\n"
     )
     assert private_ustat_names(source) == [
-        "line 1: _BLOCK_ROWS", "line 2: _prefix_runs", "line 5: _BLOCK_ROWS",
+        "line 1: _BLOCK_ROWS", "line 2: _lex_runs", "line 5: _BLOCK_ROWS",
     ]
 
 

@@ -34,6 +34,9 @@ from oracles import (
     explicit_family,
     floyd_subsample_picks,
     fsum_projections,
+    gather_chunk_kernel_values,
+    gather_reweighted_mean,
+    gather_values_and_projections,
     hoeffding_deltas,
     local_projection,
     variance_leading_term,
@@ -168,6 +171,16 @@ def test_only_the_generated_family_is_complete(kind):
     assert not pv.SubsetFamily(10, 2, pairs, kind=kind).check_regularity().ok
 
 
+def recording_kernel(k: int, seen: list) -> pv.Kernel:
+    """A sum kernel that keeps a copy of each array it is handed, with its flags."""
+
+    def fn(t):
+        seen.append((t.copy(order="K"), t.flags.f_contiguous, t.flags.writeable))
+        return t.sum(axis=1)
+
+    return pv.Kernel(k, fn, pv.Bounded(1.0), name="record")
+
+
 @pytest.mark.parametrize(
     "n, k, budget",
     [(9, 1, 4), (12, 2, 5), (12, 3, 7), (11, 4, 30), (10, 3, 10**6), (14, 5, 100)],
@@ -175,13 +188,30 @@ def test_only_the_generated_family_is_complete(kind):
 def test_generated_blocks_are_column_major_views(n, k, budget):
     # budgets below C(n-1, k-1) split a first index's run by its next index
     expected = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    rng = np.random.default_rng(n * k)
+    d = Dataset(rng.normal(size=n))
+    chunks = rng.normal(size=(3, n))
+    seen, seen_chunks = [], []
     with mock.patch.object(ustat, "_BLOCK_ROWS", budget):
-        blocks = [rows for _, rows in pv.all_tuples(n, k).blocks()]
+        fam = pv.all_tuples(n, k)
+        blocks = [rows for _, rows in fam.blocks()]
+        kernel_values(recording_kernel(k, seen), d, fam)
+        ustat.chunk_kernel_values(recording_kernel(k, seen_chunks), chunks, fam)
     assert budget >= math.comb(n - 1, k - 1) or len(blocks) > n - k + 1
     for rows in blocks:
         assert rows.ndim == 2 and rows.shape[1] == k
         assert rows.flags.f_contiguous and rows.base is not None
     assert np.array_equal(np.concatenate(blocks), expected)
+    # a kernel gets each block's data as a read-only, F-ordered (m, k) array,
+    # and a stack of q chunks as a read-only (q * m, k) array with column
+    # c = chunks[:, S_c]
+    assert len(seen) == len(seen_chunks) == len(blocks)
+    for rows, (tuples, f_order, writeable), (stacked, _, writeable_stacked) in zip(blocks, seen, seen_chunks):
+        assert f_order and not writeable and not writeable_stacked
+        assert np.array_equal(tuples, d.points[rows])
+        assert stacked.shape == (3 * rows.shape[0], k)
+        for c in range(k):
+            assert np.array_equal(stacked[:, c], chunks[:, rows[:, c]].ravel())
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
@@ -189,14 +219,74 @@ def test_mean_kernel_on_column_major_blocks_is_bitwise_c_order(k):
     rng = np.random.default_rng(k)
     n = 16
     d = Dataset(rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n))
+    chunks = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-3, 4, size=(3, n))
     h = pv.mean_kernel(k)
     with mock.patch.object(ustat, "_BLOCK_ROWS", 100):
         fam = pv.all_tuples(n, k)
         blocks = [rows for _, rows in fam.blocks()]
         values = kernel_values(h, d, fam)
+        stacked = ustat.chunk_kernel_values(h, chunks, fam)
     assert len(blocks) > 1
-    reference = np.concatenate([h.evaluate(d.points[np.ascontiguousarray(rows)]) for rows in blocks])
+    reference = np.concatenate([h.evaluate(np.ascontiguousarray(d.points[rows])) for rows in blocks])
     assert np.array_equal(values, reference)
+    for chunk, row in zip(chunks, stacked):
+        c_order = np.concatenate([h.evaluate(np.ascontiguousarray(chunk[rows])) for rows in blocks])
+        assert np.array_equal(row, c_order)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_engine_matches_the_index_then_gather_oracle_bitwise(data):
+    # small budgets cut prefix runs at block ends and split first indices
+    n = data.draw(st.integers(1, 14), label="n")
+    k = data.draw(st.integers(1, min(n, 5)), label="k")
+    budget = data.draw(st.sampled_from([1, 2, 3, 5, 8, 13, 40, 10**6]), label="budget")
+    q = data.draw(st.sampled_from([1, 3, 19]), label="q")
+    integer = data.draw(st.booleans(), label="integer")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if integer:
+        h = data.draw(st.sampled_from([pv.equality_kernel(k), pv.mean_kernel(k)]), label="kernel")
+        points, chunks = rng.integers(0, 3, size=n), rng.integers(-5, 6, size=(q, n))
+    else:
+        h = pv.mean_kernel(k)
+        points, chunks = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape) for shape in (n, (q, n)))
+    d = Dataset(points)
+    weights = np.where(rng.random(n) < 0.3, 1.0, rng.uniform(size=n))
+    with mock.patch.object(ustat, "_BLOCK_ROWS", budget):
+        complete = pv.all_tuples(n, k)
+        for fam in (complete, explicit_family(n, k, complete.subsets)):
+            values, proj = ustat.kernel_values_and_projections(h, d, fam)
+            expected_values, expected_proj = gather_values_and_projections(h, d, fam)
+            assert values.tobytes() == expected_values.tobytes()
+            assert proj.tobytes() == expected_proj.tobytes()
+            assert kernel_values(h, d, fam).tobytes() == expected_values.tobytes()
+            assert (ustat.chunk_kernel_values(h, chunks, fam).tobytes()
+                    == gather_chunk_kernel_values(h, chunks, fam).tobytes())
+            a_n = float(values.mean())
+            assert pv.reweighted_mean(values, fam, weights, a_n) == gather_reweighted_mean(values, fam, weights, a_n)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("stored", [False, True])
+def test_a_kernel_that_writes_into_its_input_cannot_change_the_data(k, stored):
+    # at k = 1 a complete family's block is a view of the dataset itself
+    def scribble(t):
+        t[:, 0] = 0.0
+        return t[:, 0].astype(float)
+
+    h = pv.Kernel(k, scribble, pv.Bounded(1.0), name="scribble")
+    points = np.arange(1.0, 7.0)
+    d = Dataset(points.copy())
+    fam = pv.all_tuples(6, k)
+    if stored:
+        fam = explicit_family(6, k, fam.subsets)
+    for evaluate in (kernel_values, ustat.kernel_values_and_projections):
+        with pytest.raises(ValueError, match="read-only"):
+            evaluate(h, d, fam)
+        assert np.array_equal(d.points, points)
+    with pytest.raises(ValueError, match="read-only"):
+        ustat.chunk_kernel_values(h, d.points[None], fam)
+    assert np.array_equal(d.points, points)
 
 
 # ---------------------------------------------------------------------------
