@@ -25,14 +25,14 @@ from .coinpress import (
     subsampled_estimator,
     ustat_mean,
 )
-from .dp import PrivacyBudget, global_sensitivity_release, smooth_sensitivity_release
+from .dp import PrivacyBudget, global_sensitivity_release
 from .hajek import (
     HajekParams,
     HajekState,
-    compute_L,
     compute_weights,
     degenerate_xi,
     private_mean_local_hajek,
+    private_means_local_hajek,
     reweighted_mean,
     smooth_bound_g,
     smooth_sensitivity,

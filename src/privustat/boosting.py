@@ -10,9 +10,11 @@ Every estimator here takes all of its chunks in one call,
 ``estimator(chunks, seeds, budgets) -> list[EstimateReport]``: chunk i
 draws from seeds[i] and debits budgets[i].  The chunks of a ``Dataset`` are
 the rows of a (q, size) array, so the clip-and-release and collision
-estimators run them as one stacked pass; the chunks of a graph are induced
-subgraphs.  A plain run is the q = 1 call.  ``each_chunk`` turns an
-estimator of one chunk into this form by calling it on each chunk in turn.
+estimators, and the generic Hájek estimator, run them as one stacked pass;
+the chunks of a graph are induced subgraphs.  A plain run is the q = 1 call.
+``each_chunk`` turns an estimator of one chunk into this form by calling it
+on each chunk in turn; only triangle density, whose chunks are graphs,
+still needs it.
 """
 
 from __future__ import annotations

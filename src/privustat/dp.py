@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -59,7 +60,32 @@ _ZERO_DRAW = 2.0**-54
 # budget ledger
 # ---------------------------------------------------------------------------
 
-_SLACK = 1e-9
+# The ledger counts in units of 2^-1074, the smallest positive double: every
+# finite double is a whole number of units, so its running total is exact.
+_UNIT_BITS = 1074
+_UNIT = 2**_UNIT_BITS
+
+# A cap admits totals up to 2^-_SLACK_BITS of itself beyond it.  Splitting eps
+# into double-precision parts (eps/(2t) per halving step) can round their sum
+# a few ulps above eps, so a hard cap would refuse the last part of a release
+# that spends exactly eps.
+_SLACK_BITS = 40
+
+
+def _units(x: float) -> int:
+    """The finite double x as an exact whole number of units."""
+    num, den = x.as_integer_ratio()
+    return num << (_UNIT_BITS + 1 - den.bit_length())
+
+
+def _double(units: int, up: bool) -> float:
+    """A whole number of units as the nearest double above (``up``) or below it."""
+    # keep the top 53 bits: the shift floors, and rounding up adds one
+    shift = max(units.bit_length() - 53, 0)
+    top = units >> shift
+    if up and top << shift != units:
+        top += 1
+    return math.ldexp(top, shift - _UNIT_BITS)
 
 
 @dataclass
@@ -68,39 +94,53 @@ class PrivacyBudget:
 
     Sequential spends add.  A ``parallel`` block runs branch ledgers over
     disjoint data; on exit the parent is debited by the *maximum* branch
-    total.
+    total.  The total of the recorded spends is kept exactly and compared
+    with the cap exactly; ``spent`` rounds it up, so the ledger never reads
+    less than was spent.  ``_cap`` is the exact cap in units, given only to
+    branch ledgers; other ledgers derive it from ``epsilon_total``.
     """
 
     epsilon_total: float
     entries: list = field(default_factory=list, init=False)
+    _cap: Optional[int] = field(default=None, repr=False)
+    _total: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
-        if self.epsilon_total <= 0:
-            raise ValueError("total budget must be positive")
+        if self._cap is None:
+            if not 0 < self.epsilon_total < math.inf:  # also rejects NaN
+                raise ValueError("total budget must be positive and finite")
+            cap = _units(float(self.epsilon_total))
+            self._cap = cap + (cap >> _SLACK_BITS)
 
     @property
     def spent(self) -> float:
-        return float(sum(eps for _, eps in self.entries))
+        return _double(self._total, up=True)
 
     @property
     def remaining(self) -> float:
-        return self.epsilon_total - self.spent
+        return _double(_units(float(self.epsilon_total)) - self._total, up=False)
 
     def spend(self, label: str, eps: float) -> None:
         if not math.isfinite(eps):
             raise ValueError(f"cannot spend non-finite budget {eps} on {label!r}")
         if eps < 0:
             raise ValueError("cannot spend negative budget")
-        if self.spent + eps > self.epsilon_total + _SLACK:
+        units = _units(float(eps))
+        if self._total + units > self._cap:
             raise BudgetExhausted(
                 f"spend {eps} on {label!r} exceeds remaining {self.remaining:.6g}"
             )
         self.entries.append((label, float(eps)))
+        self._total += units
 
     @contextmanager
     def parallel(self, label: str):
-        """Context manager for branches over disjoint data (max-composition)."""
-        branches = _ParallelBranches(self.remaining)
+        """Context manager for branches over disjoint data (max-composition).
+
+        Each branch may spend what the parent's cap still admits, rounded
+        down to a double, so the largest branch total, rounded up, still
+        fits the parent."""
+        branches = _ParallelBranches(_double(self._cap - self._total, up=False))
         try:
             yield branches
         finally:  # a branch that released and then raised still spent its budget
@@ -119,7 +159,7 @@ class _ParallelBranches:
         self._branches: list[PrivacyBudget] = []
 
     def branch(self) -> PrivacyBudget:
-        b = PrivacyBudget(self._cap if self._cap > 0 else _SLACK)
+        b = PrivacyBudget(self._cap, _cap=_units(self._cap))
         self._branches.append(b)
         return b
 
@@ -356,18 +396,3 @@ def global_sensitivity_release(
     """value + Laplace(gs/eps); a zero-sensitivity function is released exactly."""
     return float(global_sensitivity_releases([value], [gs], eps, [budget], [seed], label)[0])
 
-
-def smooth_sensitivity_release(
-    value: float,
-    ss: float,
-    eps: float,
-    budget: PrivacyBudget,
-    seed,
-    label: str = "smooth release",
-) -> float:
-    """value + (SMOOTH_RELEASE_FACTOR * ss / eps) * Z with Z quartic-tail noise.
-
-    ``ss`` must be an eps-smooth upper bound on the local sensitivity at this
-    dataset.
-    """
-    return float(smooth_sensitivity_releases([value], [ss], eps, [budget], [seed], label)[0])

@@ -11,8 +11,11 @@ which moves by at most 1 under a one-point substitution; that is what makes
 the bound smooth.
 
 The state is computed for a stack of q summaries of one shape at once
-(``SummaryRows``, ``hajek_rows``), as the count-based collision summaries of
-the chunks of a boosted estimate are; a single summary is the one-row stack.
+(``SummaryRows``, ``hajek_rows``), as the chunks of a boosted estimate are:
+the generic estimator (``private_means_local_hajek``) draws every chunk's
+kernel values and projections from one stacked pass over the family, and
+the count-based collision summaries stack the same way.  A single summary
+is the one-row stack.
 """
 
 from __future__ import annotations
@@ -76,26 +79,15 @@ class HajekState:
     smooth_bound: float
 
 
-def compute_L(deviations: np.ndarray, xi: float, c_range: float, k: int, n: int) -> int:
-    """Smallest t >= 1 such that at most t deviations exceed xi + 6kCt/n.
+def _spread_levels(devs: np.ndarray, xi: float, c_range: float, k: int, n: int) -> list[int]:
+    """The spread level L of each row of a (q, n) array of deviations: the
+    smallest t >= 1 such that at most t deviations exceed xi + 6kCt/n.
 
     Violation is strict (> the threshold); t = n always qualifies.  The
     thresholds grow with t, so only deviations over the t = 1 threshold can
-    ever violate, and t = (their number) always qualifies.
-    """
-    deviations = np.asarray(deviations, dtype=float)
-    if deviations.size != n:
-        raise ValueError("need one deviation per index")
-    if c_range < 0:
-        raise ValueError("range must be >= 0, or the thresholds would shrink with t")
-    return _spread_levels(deviations.reshape(1, n), xi, c_range, k, n)[0]
-
-
-def _spread_levels(devs: np.ndarray, xi: float, c_range: float, k: int, n: int) -> list[int]:
-    """``compute_L`` of each row of a (q, n) array of deviations.
-
-    Only the rows with two or more deviations over the t = 1 threshold are
-    sorted, and only those deviations.
+    ever violate, and t = (their number) always qualifies.  Only the rows
+    with two or more deviations over the t = 1 threshold are sorted, and only
+    those deviations.
     """
     over = devs > xi + 6.0 * k * c_range * 1 / n
     levels = []
@@ -341,20 +333,24 @@ def hajek_state(summary: UStatSummary, params: HajekParams) -> HajekState:
     return hajek_rows(summary.rows(), params).row(0)
 
 
-def _release_states(
-    states: HajekRows,
+def release_rows(
+    rows: SummaryRows,
     params: HajekParams,
     seeds: list,
     budgets: list[PrivacyBudget],
-    label: str,
+    label: str = "hajek",
 ) -> list[EstimateReport]:
+    """The release of every row of the stack: row i draws from seeds[i] and
+    debits budgets[i], exactly as a stack of that row alone.  A single
+    release also carries its whole ``HajekState`` as ``diagnostics["state"]``."""
+    states = hajek_rows(rows, params)
     values = smooth_sensitivity_releases(
         states.reweighted, states.smooth_bound, params.eps, budgets, seeds,
         label=f"{label}: smooth release",
     )
     scales = SMOOTH_RELEASE_FACTOR * states.smooth_bound / params.eps
-    n_bad = np.bincount(states.bad // states.weights.shape[1], minlength=len(values))
-    return [
+    n_bad = np.bincount(states.bad // rows.n, minlength=len(values))
+    reports = [
         EstimateReport(
             estimate=value,
             radius=None,
@@ -366,18 +362,9 @@ def _release_states(
             states.smooth_bound.tolist(),
         )
     ]
-
-
-def release_rows(
-    rows: SummaryRows,
-    params: HajekParams,
-    seeds: list,
-    budgets: list[PrivacyBudget],
-    label: str = "hajek",
-) -> list[EstimateReport]:
-    """The release of every row of the stack: row i draws from seeds[i] and
-    debits budgets[i], exactly as ``release_from_summary`` on that row alone."""
-    return _release_states(hajek_rows(rows, params), params, seeds, budgets, label)
+    if len(reports) == 1:
+        reports[0].diagnostics["state"] = states.row(0)
+    return reports
 
 
 def release_from_summary(
@@ -387,10 +374,47 @@ def release_from_summary(
     budget: PrivacyBudget,
     label: str = "hajek",
 ) -> EstimateReport:
-    states = hajek_rows(summary.rows(), params)
-    (report,) = _release_states(states, params, [seed], [budget], label)
-    report.diagnostics["state"] = states.row(0)
+    (report,) = release_rows(summary.rows(), params, [seed], [budget], label)
     return report
+
+
+def private_means_local_hajek(
+    h: Kernel,
+    chunks: np.ndarray,
+    family: SubsetFamily,
+    params: HajekParams,
+    seeds: list,
+    budgets: list[PrivacyBudget],
+) -> list[EstimateReport]:
+    """The reweighting estimator on each row of a (q, n) array of chunks:
+    row i draws from seeds[i] and debits budgets[i].
+
+    Every row returns bottom (estimate None) when the family fails the
+    incidence regularity conditions; that check depends only on the family,
+    never on the data, so it runs once, and refusing costs no privacy and
+    spends nothing.  Otherwise one stacked pass gives every row's kernel
+    values and projections, and only the rows with bad indices are
+    reweighted.
+    """
+    check = family.check_regularity()
+    if not check.ok:
+        return [
+            EstimateReport(
+                estimate=None, bottom_reason=check.reason, diagnostics={"regularity": check.reason},
+            )
+            for _ in seeds
+        ]
+    values, projections = kernel_values_and_projections(h, chunks, family)
+    a_n = np.array([row.mean() for row in values])
+    rows = SummaryRows(
+        n=family.n,
+        k=family.k,
+        a_n=a_n,
+        projections=projections,
+        reweight=lambda i, weights: reweighted_mean(values[i], family, weights, float(a_n[i])),
+        all_tuples_family=family.kind == "all_tuples",
+    )
+    return release_rows(rows, params, seeds, budgets)
 
 
 def private_mean_local_hajek(
@@ -401,20 +425,10 @@ def private_mean_local_hajek(
     seed,
     budget: PrivacyBudget,
 ) -> EstimateReport:
-    """Run the reweighting estimator on a kernel/dataset/family triple.
-
-    Returns bottom (estimate None) when the family fails the incidence
-    regularity conditions; that check depends only on the family, never on
-    the data, so refusing costs no privacy and spends nothing.
-    """
-    check = family.check_regularity()
-    if not check.ok:
-        return EstimateReport(
-            estimate=None, bottom_reason=check.reason, diagnostics={"regularity": check.reason},
-        )
-    values, projections = kernel_values_and_projections(h, data, family)
-    summary = summary_from_values(values, family, projections)
-    return release_from_summary(summary, params, seed, budget)
+    """Run the reweighting estimator on a kernel/dataset/family triple: the
+    one-chunk stack of ``private_means_local_hajek``."""
+    (report,) = private_means_local_hajek(h, data.points[None], family, params, [seed], [budget])
+    return report
 
 
 # ---------------------------------------------------------------------------

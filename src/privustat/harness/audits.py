@@ -100,12 +100,14 @@ def fixture_projection_margins(fix: AdversarialFixture) -> dict:
     h = equality_kernel(fix.k)
     family = all_tuples(fix.n, fix.k)
     out = {}
-    for name, d in (("base", fix.base), ("shifted", fix.shifted)):
-        values, proj = kernel_values_and_projections(h, d, family)
-        u = float(values.mean())
+    values, proj = kernel_values_and_projections(
+        h, np.stack([fix.base.points, fix.shifted.points]), family
+    )
+    for row, name in enumerate(("base", "shifted")):
+        u = float(values[row].mean())
         out[name] = {
             "ustat": u,
-            "max_abs_projection_deviation": float(np.max(np.abs(proj - u))),
+            "max_abs_projection_deviation": float(np.max(np.abs(proj[row] - u))),
         }
     out["direct_gap"] = out["shifted"]["ustat"] - out["base"]["ustat"]
     return out
@@ -153,11 +155,11 @@ def smoothness_audit(
     from one letter to another, so every pair of neighbouring sequences has
     the reweighted means and bounds of a pair of multisets one substitution
     apart, and every such pair arises.  The audit therefore runs the release
-    engine once on each of the C(n + r - 1, r - 1) multisets over the r
-    letters (as its sorted dataset) and checks every ordered pair of them
-    one substitution apart, in place of the r^n sequences.  Violations name
-    the two sorted datasets, in (dataset, letter moved out, letter moved in,
-    check) order.
+    engine on each of the C(n + r - 1, r - 1) multisets over the r letters
+    (as its sorted dataset), with one stacked kernel pass for all of them,
+    and checks every ordered pair of them one substitution apart, in place
+    of the r^n sequences.  Violations name the two sorted datasets, in
+    (dataset, letter moved out, letter moved in, check) order.
     """
     if n > 12:
         raise ValueError("exhaustive audit is limited to small n")
@@ -169,10 +171,10 @@ def smoothness_audit(
     multisets = list(itertools.combinations_with_replacement(range(len(alphabet)), n))
     reweighted = np.empty(len(multisets))
     bound = np.empty(len(multisets))
-    for c, multiset in enumerate(multisets):
-        values, proj = kernel_values_and_projections(kernel, Dataset(letters[list(multiset)]), family)
+    values, proj = kernel_values_and_projections(kernel, letters[np.array(multisets)], family)
+    for c in range(len(multisets)):
         try:
-            state = hajek_state(summary_from_values(values, family, proj), params)
+            state = hajek_state(summary_from_values(values[c], family, proj[c]), params)
         except ValueError:  # non-finite kernel values: nothing is released
             reweighted[c] = bound[c] = math.nan
             continue

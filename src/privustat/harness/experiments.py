@@ -18,14 +18,14 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ..boosting import boosted, each_chunk
+from ..boosting import boosted
 from ..coinpress import DEFAULT_CONFIDENCE, all_tuples_estimates, naive_estimates, subsampled_estimates
 from ..dp import PrivacyBudget, scratch_budget
 from ..errors import LedgerMismatch, PrivustatError
 from ..hajek import (
     HajekParams,
     degenerate_xi,
-    private_mean_local_hajek,
+    private_means_local_hajek,
     subgaussian_xi,
 )
 from ..applications import (
@@ -205,11 +205,7 @@ def run_single(
             m = int(spec.dist.params.get("m", 10))
             return private_collision_densities(chunks, m, eps, xi, rngs, budgets)
         params = HajekParams(eps=eps, c_range=spec.c_range, xi=xi)
-        return each_chunk(
-            lambda chunk, rng, budget: private_mean_local_hajek(
-                kernel, chunk, all_tuples(n, k), params, rng, budget
-            )
-        )(chunks, rngs, budgets)
+        return private_means_local_hajek(kernel, chunks, all_tuples(n, k), params, rngs, budgets)
 
     return boosted(run, data, k, alpha, rng, budget)
 

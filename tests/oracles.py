@@ -131,7 +131,7 @@ def full_range_smooth_sensitivity(xi, spread_level, n, k, c_range, eps, all_tupl
 
 
 def full_scan_compute_L(deviations, xi: float, c_range: float, k: int, n: int) -> int:
-    """``compute_L`` over all n deviations: one threshold per t = 1..n."""
+    """The spread level L over all n deviations: one threshold per t = 1..n."""
     deviations = np.asarray(deviations, dtype=float)
     ts = np.arange(1, n + 1)
     thresholds = xi + 6.0 * k * c_range * ts / n
@@ -625,8 +625,9 @@ def loop_smoothness_audit(
 
     def analyze(config: tuple) -> tuple:
         if config not in cache:
-            data = Dataset(np.asarray(config, dtype=float))
-            values, proj = kernel_values_and_projections(kernel, data, family)
+            (values,), (proj,) = kernel_values_and_projections(
+                kernel, np.asarray(config, dtype=float)[None], family
+            )
             try:
                 state = hajek_state(summary_from_values(values, family, proj), params)
             except ValueError:  # non-finite kernel values: nothing is released

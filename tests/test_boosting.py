@@ -10,12 +10,12 @@ import pytest
 
 import privustat as pv
 from privustat import applications as apps
-from privustat import coinpress
+from privustat import coinpress, hajek
 from privustat.boosting import BoostPlan, boosted, each_chunk, median_of_means
 from privustat.dp import scratch_budget
 from privustat.errors import InsufficientData, PreconditionWarning
 from privustat.report import EstimateReport
-from privustat.ustat import Dataset
+from privustat.ustat import Dataset, clipped_kernel
 
 from oracles import loop_median_of_means, majority_vote
 
@@ -216,6 +216,20 @@ def _labels(n, m, seed):
     return Dataset(np.random.default_rng(seed).integers(0, m, n))
 
 
+# the generic Hájek path: a clipped pair mean on the complete family
+CLIPPED_PAIR_MEAN = clipped_kernel(pv.mean_kernel(2), 0.0, 1.0)
+
+
+def _hajek_stacked(params):
+    return lambda c, r, b: hajek.private_means_local_hajek(
+        CLIPPED_PAIR_MEAN, c, pv.all_tuples(c.shape[1], 2), params, r, b)
+
+
+def _hajek_chunk(params):
+    return lambda d, r, b: pv.private_mean_local_hajek(
+        CLIPPED_PAIR_MEAN, d, pv.all_tuples(d.n, 2), params, r, b)
+
+
 STACKED_CASES = {
     "naive": (
         lambda c, r, b: coinpress.naive_estimates(pv.mean_kernel(2, 0.5), c, 2.0, 0.5, 1.0, r, b),
@@ -239,6 +253,11 @@ STACKED_CASES = {
             c, 20, 1.0, apps.collision_xi(20, c.shape[1]), r, b),
         lambda d, r, b: apps.private_collision_density(d, 20, 1.0, apps.collision_xi(20, d.n), r, b),
         lambda n, seed: _labels(n, 20, seed),
+    ),
+    "hajek": (
+        _hajek_stacked(pv.HajekParams(eps=1.0, c_range=1.0, xi=0.3)),
+        _hajek_chunk(pv.HajekParams(eps=1.0, c_range=1.0, xi=0.3)),
+        _gauss,
     ),
 }
 
@@ -289,6 +308,37 @@ def test_stacked_collision_rows_with_spread_levels_and_bad_indices():
         assert [r.diagnostics["n_bad"] for r in reports] == [3] * 6 + [0] * (plan.chunks - 6)
 
 
+def test_stacked_hajek_rows_with_spread_levels_and_bad_indices():
+    # six chunks of points near 0.5 with three at 5.0, whose clipped pair
+    # means sit near 1 (L = 3, three bad indices reweighted), five chunks
+    # with none (L = 1, none bad)
+    rng = np.random.default_rng(6)
+    plan = BoostPlan.for_dataset(2200, 2, 0.3)
+    size = plan.chunk_size
+    x = rng.normal(0.5, 0.01, 2200)
+    for c in range(6):
+        x[c * size + rng.choice(size, 3, replace=False)] = 5.0
+    params = pv.HajekParams(eps=1.0, c_range=1.0, xi=0.0)
+    for seed in range(3):
+        reports = assert_stacked_equals_loop(
+            _hajek_stacked(params), _hajek_chunk(params), Dataset(x), plan, seed
+        )
+        assert [r.diagnostics["L"] for r in reports] == [3] * 6 + [1] * (plan.chunks - 6)
+        assert [r.diagnostics["n_bad"] for r in reports] == [3] * 6 + [0] * (plan.chunks - 6)
+
+
+def test_stacked_hajek_refuses_an_irregular_family_for_every_chunk_and_spends_nothing():
+    # a disjoint-chunk family fails the pair condition, whatever the data
+    family = pv.SubsetFamily(8, 2, np.array([[0, 1], [2, 3], [4, 5], [6, 7], [0, 1]]), kind="explicit")
+    budgets = [pv.PrivacyBudget(1.0) for _ in range(3)]
+    reports = hajek.private_means_local_hajek(
+        CLIPPED_PAIR_MEAN, np.zeros((3, 8)), family, pv.HajekParams(1.0, 1.0, 0.0), [0, 1, 2], budgets
+    )
+    assert all(r.is_bottom for r in reports)
+    assert len({r.bottom_reason for r in reports}) == 1
+    assert all(b.entries == [] for b in budgets)
+
+
 def test_stacked_majority_bottom_block_equals_the_loop():
     def refuse_small(chunk, rng, budget):
         budget.spend("inner", 0.5)
@@ -309,6 +359,7 @@ BAD_CHUNK_CASES = {
     "subsampled": lambda c, r, b: coinpress.subsampled_estimates(
         pv.mean_kernel(2), c, 2.0, 0.5, 1.0, 200, r, b),
     "collision": STACKED_CASES["collision"][0],
+    "hajek": STACKED_CASES["hajek"][0],
 }
 
 

@@ -1,6 +1,7 @@
 """Noise samplers, release mechanisms, sensitivity oracles, budget ledger."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,9 +171,14 @@ def test_quartic_draws_equal_the_pow_sampler(size, seeds):
 # releases
 # ---------------------------------------------------------------------------
 
+def smooth_sensitivity_release(value, ss, eps, budget, seed, label="smooth release"):
+    """One smooth-sensitivity release: the q = 1 stack."""
+    return float(dp.smooth_sensitivity_releases([value], [ss], eps, [budget], [seed], label)[0])
+
+
 def test_zero_sensitivity_release_is_exact():
     assert pv.global_sensitivity_release(1.25, 0.0, 1.0, scratch_budget(), 0) == 1.25
-    assert pv.smooth_sensitivity_release(1.25, 0.0, 1.0, scratch_budget(), 0) == 1.25
+    assert smooth_sensitivity_release(1.25, 0.0, 1.0, scratch_budget(), 0) == 1.25
 
 
 def test_releases_add_exactly_the_audited_samplers_draw():
@@ -183,7 +189,7 @@ def test_releases_add_exactly_the_audited_samplers_draw():
         value, sens, eps = rng.normal(0.0, 10.0), rng.uniform(0.01, 5.0), rng.uniform(0.05, 4.0)
         laplace = pv.global_sensitivity_release(value, sens, eps, scratch_budget(), seed)
         assert laplace == value + dp.laplace_draws(sens / eps, 1, seed)[0], seed
-        smooth = pv.smooth_sensitivity_release(value, sens, eps, scratch_budget(), seed)
+        smooth = smooth_sensitivity_release(value, sens, eps, scratch_budget(), seed)
         scale = dp.SMOOTH_RELEASE_FACTOR * sens / eps
         assert smooth == value + scale * dp.quartic_draws(1, seed)[0], seed
 
@@ -195,7 +201,7 @@ BAD_RELEASE_INPUTS = [  # (value, sensitivity, eps)
 ]
 
 
-@pytest.mark.parametrize("release", [pv.global_sensitivity_release, pv.smooth_sensitivity_release])
+@pytest.mark.parametrize("release", [pv.global_sensitivity_release, smooth_sensitivity_release])
 @pytest.mark.parametrize("value, sens, eps", BAD_RELEASE_INPUTS)
 def test_release_refuses_a_non_finite_result_before_spending(release, value, sens, eps):
     budget = pv.PrivacyBudget(1.0)
@@ -214,13 +220,13 @@ def test_laplace_release_debits_budget():
 
 
 def test_smooth_release_symmetry():
-    vals = [pv.smooth_sensitivity_release(5.0, 0.3, 1.0, scratch_budget(), s) for s in range(20_000)]
+    vals = [smooth_sensitivity_release(5.0, 0.3, 1.0, scratch_budget(), s) for s in range(20_000)]
     signs = np.sign(np.asarray(vals) - 5.0)
     assert abs(signs.mean()) < 0.03
 
 
 def test_smooth_release_fixed_seed_regression():
-    got = pv.smooth_sensitivity_release(2.0, 0.5, 1.0, scratch_budget(), 99)
+    got = smooth_sensitivity_release(2.0, 0.5, 1.0, scratch_budget(), 99)
     assert got == pytest.approx(1.111853647191886, abs=1e-15)
 
 
@@ -262,6 +268,66 @@ def test_ledger_rejects_non_finite_spend(eps):
     with pytest.raises(ValueError, match="non-finite"):
         b.spend("bad", eps)
     assert b.entries == [("x", 0.1)]
+
+
+def test_ledger_total_is_the_exact_sum_rounded_up():
+    # ten spends of the double 0.1 sum exactly to 1 + 2^-54; a float sum
+    # reads 0.9999999999999999, below what was spent
+    b = pv.PrivacyBudget(1.0)
+    for _ in range(10):
+        b.spend("x", 0.1)
+    exact = sum(Fraction(eps) for _, eps in b.entries)
+    assert exact == 1 + Fraction(1, 2**54)
+    assert Fraction(b.spent) >= exact
+    assert Fraction(math.nextafter(b.spent, 0.0)) < exact  # the smallest double that is
+    assert b.spent == 1.0000000000000002
+
+
+def test_ledger_cap_admits_only_rounding_slack():
+    # past the cap by the rounding of the ten spends, a further 5e-10 is refused
+    b = pv.PrivacyBudget(1.0)
+    for _ in range(10):
+        b.spend("x", 0.1)
+    with pytest.raises(BudgetExhausted):
+        b.spend("y", 5e-10)
+    assert len(b.entries) == 10
+    tiny = pv.PrivacyBudget(1e-12)
+    with pytest.raises(BudgetExhausted):
+        tiny.spend("z", 2e-12)
+
+
+def test_ledger_admits_eps_split_into_rounded_parts():
+    # five halving steps at 1/10 each round above 1/2 in sum; the release
+    # step's 1/2 must still fit a cap of exactly 1
+    b = pv.PrivacyBudget(1.0)
+    for _ in range(5):
+        b.spend("halving", 1.0 / 10)
+    b.spend("release", 0.5)
+    assert sum(Fraction(eps) for _, eps in b.entries) > 1
+    assert Fraction(b.spent) >= sum(Fraction(eps) for _, eps in b.entries)
+
+
+def test_parallel_branches_fit_the_parent_exactly():
+    b = pv.PrivacyBudget(1.0)
+    b.spend("first", 0.3)
+    with b.parallel("chunks") as branches:
+        for _ in range(3):
+            branch = branches.branch()
+            with pytest.raises(BudgetExhausted):
+                branch.spend("too much", 0.7 + 1e-9)
+            branch.spend("inner", 0.35)
+            branch.spend("inner", 0.35)
+    assert Fraction(b.spent) >= Fraction(0.3) + 2 * Fraction(0.35)
+    with b.parallel("empty") as branches:
+        with pytest.raises(BudgetExhausted):
+            branches.branch().spend("nothing left", 1e-9)
+    assert b.entries[-1] == ("empty", 0.0)
+
+
+@pytest.mark.parametrize("total", [0.0, -1.0, math.inf, math.nan])
+def test_ledger_cap_must_be_positive_and_finite(total):
+    with pytest.raises(ValueError, match="positive and finite"):
+        pv.PrivacyBudget(total)
 
 
 def test_ledger_is_append_only_record():

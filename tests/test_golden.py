@@ -142,3 +142,51 @@ def test_cli_release_stdout_matches_golden_values(tmp_path, capsys):
     for name, argv in cli_cases(tmp_path).items():
         code = main(argv)
         assert (code, capsys.readouterr().out) == CLI_GOLDEN[name], name
+
+
+# ---------------------------------------------------------------------------
+# seeded simulate CSVs, pinned across code versions
+# ---------------------------------------------------------------------------
+
+def simulate_specs() -> dict:
+    """One small spec per simulate method, each run plain and boosted at alpha = 0.1."""
+    from privustat.harness.experiments import DistributionSpec, ExperimentSpec
+
+    gauss = DistributionSpec("gaussian", {"mu": 0.5, "sigma": 1.0})
+    labels = DistributionSpec("uniform", {"m": 20})
+    pair_mean = dict(kernel="pair_mean", dist=gauss, tau=0.5, r_bound=2.0)
+    methods = {
+        "naive": dict(method="naive", **pair_mean),
+        "subsampled": dict(method="subsampled", **pair_mean),
+        "all": dict(method="all", kernel="collision", dist=labels),
+        "hajek.collision": dict(method="hajek", kernel="collision", dist=labels),
+        "hajek.pair_mean": dict(method="hajek", xi="auto-subgaussian", c_range=4.0, **pair_mean),
+    }
+    return {
+        name: ExperimentSpec(
+            n_grid=[200, 400], eps_grid=[0.5, 1.0], alpha_grid=[None, 0.1], trials=2,
+            seed=4100 + j, **kw,
+        )
+        for j, (name, kw) in enumerate(methods.items())
+    }
+
+
+# name: SHA-256 of the spec's CSV
+SIMULATE_GOLDEN = {
+    "naive": "566610d6ca4c8ac031ccaa114bd3ca8da7c60b713d1547fce359e8d9214529e3",
+    "subsampled": "009f65692dd81664c90e59b5f291c822c67617ce51403dfa9fbea01a711bad7d",
+    "all": "8d48cc140168a3880b52a38bf145093958a32c874cd402409809c652fbb2cac0",
+    "hajek.collision": "4b809e2f1e80ed07760735a69473bb3d2e5fc78703bff113e5b0c004e1158c0e",
+    "hajek.pair_mean": "42db78904e1a7ff86943787befba422bd176da3bc60d75dec1a5565347a89022",
+}
+
+
+@pytest.mark.filterwarnings("ignore::privustat.errors.PreconditionWarning")
+@pytest.mark.parametrize("name", sorted(simulate_specs()))
+def test_simulate_csv_matches_golden_digest(name):
+    import hashlib
+
+    from privustat.harness.experiments import rows_to_csv, run_experiment
+
+    text = rows_to_csv(run_experiment(simulate_specs()[name]))
+    assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_GOLDEN[name], name

@@ -44,31 +44,36 @@ def summarize(vals, fam):
     return summary_from_values(vals, fam, bincount_projections(vals, fam))
 
 
+def spread_level(devs, xi, c_range, k, n):
+    """The spread level L of one row of deviations."""
+    return hajek._spread_levels(np.asarray(devs, dtype=float).reshape(1, n), xi, c_range, k, n)[0]
+
+
 # ---------------------------------------------------------------------------
-# compute_L
+# spread level L
 # ---------------------------------------------------------------------------
 
 def test_L_is_one_when_all_within_radius():
     devs = np.array([0.1, 0.2, 0.05, 0.0])
-    assert pv.compute_L(devs, xi=0.25, c_range=1.0, k=1, n=4) == 1
+    assert spread_level(devs, xi=0.25, c_range=1.0, k=1, n=4) == 1
 
 
 def test_L_single_outlier():
     # 6kC/n = 1 with k=1, C=2/3, n=4: threshold at t=1 is 1, one violator
     devs = np.array([0.0, 0.0, 0.0, 10.0])
-    assert pv.compute_L(devs, xi=0.0, c_range=4.0 / 6.0, k=1, n=4) == 1
+    assert spread_level(devs, xi=0.0, c_range=4.0 / 6.0, k=1, n=4) == 1
 
 
 def test_L_four_equal_outliers():
     # thresholds t, violators 4 at t=1..3, 4 <= 4 at t=4
     devs = np.array([5.0, 5.0, 5.0, 5.0])
-    assert pv.compute_L(devs, xi=0.0, c_range=4.0 / 6.0, k=1, n=4) == 4
+    assert spread_level(devs, xi=0.0, c_range=4.0 / 6.0, k=1, n=4) == 4
 
 
 def test_L_strict_violation_boundary():
     # a deviation exactly at the threshold is not a violator
     devs = np.array([1.0, 0.0, 0.0, 0.0])
-    assert pv.compute_L(devs, xi=0.0, c_range=4.0 / 6.0, k=1, n=4) == 1
+    assert spread_level(devs, xi=0.0, c_range=4.0 / 6.0, k=1, n=4) == 1
 
 
 def test_L_neighboring_datasets_move_by_at_most_one():
@@ -85,9 +90,9 @@ def test_L_neighboring_datasets_move_by_at_most_one():
         levels = []
         for pts in (x, y):
             vals = kernel_values(h, Dataset(pts), fam)
-            proj = kernel_values_and_projections(h, Dataset(pts), fam)[1]
+            proj = kernel_values_and_projections(h, pts[None], fam)[1][0]
             devs = np.abs(proj - vals.mean())
-            levels.append(pv.compute_L(devs, params["xi"], c, k, n))
+            levels.append(spread_level(devs, params["xi"], c, k, n))
         assert abs(levels[0] - levels[1]) <= 1
 
 
@@ -104,7 +109,7 @@ def test_L_neighboring_datasets_move_by_at_most_one():
 ], ids=["n1", "n1-over", "over0", "over1", "over2", "over2-tie", "all-over", "C0", "C0-ties"])
 def test_L_tail_cases_equal_the_full_scan(devs, xi, c_range, k, expect):
     n = len(devs)
-    assert pv.compute_L(np.array(devs), xi, c_range, k, n) == expect
+    assert spread_level(np.array(devs), xi, c_range, k, n) == expect
     assert full_scan_compute_L(np.array(devs), xi, c_range, k, n) == expect
 
 
@@ -119,12 +124,13 @@ def test_L_equals_the_full_scan_with_ties_at_thresholds(c_range):
         ts = rng.integers(1, n + 1, n)
         tie = rng.random(n) < 0.4
         devs[tie] = (xi + 6.0 * k * c_range * ts / n)[tie]
-        assert pv.compute_L(devs, xi, c_range, k, n) == full_scan_compute_L(devs, xi, c_range, k, n)
+        assert spread_level(devs, xi, c_range, k, n) == full_scan_compute_L(devs, xi, c_range, k, n)
 
 
 def test_L_rejects_a_negative_range():
+    # the thresholds would shrink with t
     with pytest.raises(ValueError, match="range"):
-        pv.compute_L(np.zeros(3), 0.0, -1.0, 1, 3)
+        HajekParams(eps=1.0, c_range=-1.0, xi=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +356,7 @@ def test_state_depends_on_the_multiset_only(data):
     fam = all_tuples(n, kernel.degree)
     (proj, state), (perm_proj, perm_state) = [
         (proj, hajek_state(summary_from_values(vals, fam, proj), params))
-        for vals, proj in (kernel_values_and_projections(kernel, Dataset(pts), fam) for pts in (x, x[perm]))
+        for (vals,), (proj,) in (kernel_values_and_projections(kernel, pts[None], fam) for pts in (x, x[perm]))
     ]
     assert perm_state.spread_level == state.spread_level
     assert perm_state.bad.size == state.bad.size
@@ -733,7 +739,7 @@ def test_subgaussian_xi_covers_projections():
     hits = 0
     for _ in range(trials):
         d = Dataset(rng.normal(theta, 1.0, n))
-        proj = kernel_values_and_projections(h, d, fam)[1]
+        proj = kernel_values_and_projections(h, d.points[None], fam)[1][0]
         hits += int(np.max(np.abs(proj - theta)) <= xi)
     assert hits / trials >= 1 - alpha
 
