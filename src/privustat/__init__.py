@@ -8,12 +8,13 @@ from .applications import (
     collision_theta,
     private_collision_densities,
     private_collision_density,
+    private_triangle_densities,
     private_triangle_density,
     sample_multinomial,
     sample_rgg,
     uniformity_test,
 )
-from .boosting import BoostPlan, each_chunk, median_of_means
+from .boosting import BoostPlan, median_of_means
 from .coinpress import (
     IntervalState,
     TailBounds,

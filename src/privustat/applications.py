@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .boosting import boosted, each_chunk
-from .dp import PrivacyBudget, global_sensitivity_release
+from .boosting import boosted
+from .dp import PrivacyBudget, global_sensitivity_releases
 from .errors import InsufficientData
 from .hajek import HajekParams, SummaryRows, UStatSummary, release_from_summary, release_rows
 from .report import EstimateReport
@@ -309,6 +309,21 @@ class GeometricGraph:
         sub.sort_indices()  # unsorted only when idx is not increasing
         return GeometricGraph._of_csr(sub, lat)
 
+    def block_diagonal(self, q: int, size: int) -> "GeometricGraph":
+        """The first q * size nodes as q disjoint consecutive chunks of
+        ``size`` nodes: one graph that keeps only the edges within a chunk
+        (the graph itself when one chunk holds all of it)."""
+        if q == 1 and size == self.n:
+            return self
+        n = q * size
+        c = self.adjacency
+        end = c.indptr[n]
+        rows = np.repeat(np.arange(n), np.diff(c.indptr[: n + 1]))
+        cols = c.indices[:end]
+        keep = rows // size == cols // size
+        lat = self.latent[:n] if self.latent is not None else None
+        return GeometricGraph._of_csr(_csr(rows[keep], cols[keep], c.data[:end][keep], n), lat)
+
 
 def sample_rgg(n: int, radius: float, seed) -> GeometricGraph:
     """Latent positions uniform on the unit sphere; edges within the radius."""
@@ -354,54 +369,77 @@ def _triangles_per_row(rows: sparse.csr_array, square: sparse.csr_array) -> np.n
     return (rows @ _lower_triangle(square)).multiply(rows).sum(axis=1)
 
 
-def triangle_summary(graph: GeometricGraph) -> UStatSummary:
-    """Sparse-product summary of the triangle kernel over all node triples.
+def triangle_rows(chunks: GeometricGraph, q: int) -> SummaryRows:
+    """Sparse-product summaries of the triangle kernel over all node triples
+    of each of q chunks, given as one block-diagonal graph of q equal chunks
+    (``GeometricGraph.block_diagonal``).
 
-    Counts are exact integers from int64 sparse products, so the work grows
-    with the number of edges, not with n^3.
+    Counts are exact integers from one int64 sparse product over all chunks,
+    so the work grows with the number of edges, not with n^3.  Row i's
+    reweight runs on chunk i's own block of the adjacency.
     """
-    n = graph.n
-    if n < 3:
+    size = chunks.n // q
+    if size * q != chunks.n:
+        raise ValueError(f"{chunks.n} nodes do not split into {q} equal chunks")
+    if size < 3:
         raise InsufficientData("triangle statistics need at least three nodes")
-    c = graph.adjacency.astype(np.int64, copy=False)
-    per_node = _triangles_per_row(c, c)
-    total = float(per_node.sum() / 3.0)
-    m_total = math.comb(n, 3)
-    m_i = math.comb(n - 1, 2)
-    a_n = total / m_total
-    projections = per_node / m_i
+    c = chunks.adjacency.astype(np.int64, copy=False)
+    per_node = _triangles_per_row(c, c).reshape(q, size)
+    a_n = per_node.sum(axis=1) / 3.0 / math.comb(size, 3)
+    projections = per_node / math.comb(size - 1, 2)
 
-    def reweight(weights: np.ndarray) -> float:
-        low = np.nonzero(weights < 1.0)[0]
-        # reweighted mean = a_n + (1/M) sum over triples meeting a
-        # down-weighted node of (wt(S) - 1)(h(S) - a_n); triples of three
-        # full-weight nodes contribute nothing
-        rest = np.setdiff1d(np.arange(n), low)
-        w = weights[low]
-        c_low = c[low]
-        to_rest = c_low[:, rest]
-        # exactly one down-weighted node: triangles through it within rest
-        tri_one = _triangles_per_row(to_rest, c[rest][:, rest])
-        pairs = rest.size * (rest.size - 1) // 2
-        corr = _add_in_order(0.0, (w - 1.0) * (tri_one - a_n * pairs))
-        # exactly two down-weighted nodes: common neighbours within rest
-        low_low = c_low[:, low].toarray()
-        common = (to_rest @ to_rest.T).toarray()
-        x, y = np.triu_indices(low.size, 1)
-        tri_two = low_low[x, y] * common[x, y]
-        corr = _add_in_order(corr, (np.minimum(w[x], w[y]) - 1.0) * (tri_two - a_n * rest.size))
-        # all three down-weighted: per first node, the pairs after it are a
-        # suffix of the lexicographic pair list
-        for first in range(low.size - 2):
-            tail = np.searchsorted(x, first + 1)
-            p, q = x[tail:], y[tail:]
-            w_min = np.minimum(w[first], np.minimum(w[p], w[q]))
-            h = low_low[first, p] * low_low[first, q] * low_low[p, q]
-            corr = _add_in_order(corr, (w_min - 1.0) * (h - a_n))
-        return a_n + corr / m_total
+    def reweight(i: int, weights: np.ndarray) -> float:
+        block = c[i * size : (i + 1) * size, i * size : (i + 1) * size] if q > 1 else c
+        return _triangle_reweight(block, float(a_n[i]), weights)
 
+    return SummaryRows(
+        n=size, k=3, a_n=a_n, projections=projections, reweight=reweight, all_tuples_family=True
+    )
+
+
+def _triangle_reweight(c: sparse.csr_array, a_n: float, weights: np.ndarray) -> float:
+    """The reweighted triangle mean of the graph with int64 adjacency c."""
+    n = c.shape[0]
+    low = np.nonzero(weights < 1.0)[0]
+    # reweighted mean = a_n + (1/M) sum over triples meeting a
+    # down-weighted node of (wt(S) - 1)(h(S) - a_n); triples of three
+    # full-weight nodes contribute nothing
+    rest = np.setdiff1d(np.arange(n), low)
+    w = weights[low]
+    c_low = c[low]
+    to_rest = c_low[:, rest]
+    # exactly one down-weighted node: triangles through it within rest
+    tri_one = _triangles_per_row(to_rest, c[rest][:, rest])
+    pairs = rest.size * (rest.size - 1) // 2
+    corr = _add_in_order(0.0, (w - 1.0) * (tri_one - a_n * pairs))
+    # exactly two down-weighted nodes: common neighbours within rest
+    low_low = c_low[:, low].toarray()
+    common = (to_rest @ to_rest.T).toarray()
+    x, y = np.triu_indices(low.size, 1)
+    tri_two = low_low[x, y] * common[x, y]
+    corr = _add_in_order(corr, (np.minimum(w[x], w[y]) - 1.0) * (tri_two - a_n * rest.size))
+    # all three down-weighted: per first node, the pairs after it are a
+    # suffix of the lexicographic pair list
+    for first in range(low.size - 2):
+        tail = np.searchsorted(x, first + 1)
+        p, q = x[tail:], y[tail:]
+        w_min = np.minimum(w[first], np.minimum(w[p], w[q]))
+        h = low_low[first, p] * low_low[first, q] * low_low[p, q]
+        corr = _add_in_order(corr, (w_min - 1.0) * (h - a_n))
+    return a_n + corr / math.comb(n, 3)
+
+
+def triangle_summary(graph: GeometricGraph) -> UStatSummary:
+    """Sparse-product summary of the triangle kernel over all node triples:
+    the one row of ``triangle_rows``."""
+    rows = triangle_rows(graph, 1)
     return UStatSummary(
-        n=n, k=3, a_n=a_n, projections=projections, reweight=reweight, all_tuples_family=True
+        n=rows.n,
+        k=3,
+        a_n=float(rows.a_n[0]),
+        projections=rows.projections[0],
+        reweight=lambda weights: rows.reweight(0, weights),
+        all_tuples_family=True,
     )
 
 
@@ -423,7 +461,8 @@ def private_triangle_density(
     seed,
     budget: PrivacyBudget,
 ) -> EstimateReport:
-    """Private triangle density of a geometric graph.
+    """Private triangle density of a geometric graph: the one-chunk call of
+    ``private_triangle_densities``.
 
     First releases the edge density with Laplace noise (sensitivity 2/n under
     one-node substitution) to size the concentration radius; returns bottom if
@@ -431,31 +470,58 @@ def private_triangle_density(
     triangle kernel over all triples.  Sequential composition: 2 * eps total
     (eps when the proxy returns bottom).
     """
-    n = graph.n
-    if n < 3:
-        raise InsufficientData("triangle statistics need at least three nodes")
-    rng = as_generator(seed)
-    u_edges = graph.edge_density()
-    nu = global_sensitivity_release(
-        u_edges,
-        gs=EDGE_DENSITY_SENSITIVITY_FACTOR / n,
-        eps=eps,
-        budget=budget,
-        seed=rng,
-        label="edge density proxy",
-    )
-    if nu < 0:
-        return EstimateReport(
-            estimate=None,
-            bottom_reason=f"edge-density proxy {nu:.4g} < 0",
-            diagnostics={"nu": nu, "edge_density": u_edges},
-        )
-    xi = triangle_xi(nu, n)
-    summary = triangle_summary(graph)
-    params = HajekParams(eps=eps, c_range=1.0, xi=xi)
-    report = release_from_summary(summary, params, rng, budget, label="triangle density")
-    report.diagnostics.update({"nu": nu, "xi": xi, "edge_density": u_edges})
+    (report,) = private_triangle_densities(graph, eps, [seed], [budget])
     return report
+
+
+def private_triangle_densities(
+    chunks: GeometricGraph,
+    eps: float,
+    seeds: list,
+    budgets: list[PrivacyBudget],
+) -> list[EstimateReport]:
+    """``private_triangle_density`` on each of q = len(seeds) chunks, given
+    as one block-diagonal graph (``GeometricGraph.block_diagonal``): chunk i
+    draws its proxy and then its release noise from seeds[i] and debits
+    budgets[i].
+
+    One sparse product counts every chunk's triangles, and all proxies go
+    through one release.  The chunks whose proxy is >= 0 are then released
+    through one ``release_rows``, each with the radius its own proxy sizes;
+    the others are bottoms that spent eps.
+    """
+    q = len(seeds)
+    chunk_rows = triangle_rows(chunks, q)
+    size = chunk_rows.n
+    rngs = [as_generator(seed) for seed in seeds]
+    # every edge of chunk i is an entry of its rows, inside its diagonal block
+    u_edges = (np.diff(chunks.adjacency.indptr[::size]) / (size * (size - 1))).tolist()
+    nu = global_sensitivity_releases(
+        u_edges, [EDGE_DENSITY_SENSITIVITY_FACTOR / size] * q, eps, budgets, rngs,
+        label="edge density proxy",
+    ).tolist()
+    live = [i for i in range(q) if nu[i] >= 0]
+    xi = [triangle_xi(nu[i], size) for i in live]
+    rows = SummaryRows(
+        n=size, k=3, a_n=chunk_rows.a_n[live], projections=chunk_rows.projections[live],
+        reweight=lambda j, weights: chunk_rows.reweight(live[j], weights), all_tuples_family=True,
+    )
+    released = release_rows(
+        rows, HajekParams(eps=eps, c_range=1.0, xi=np.array(xi)), [rngs[i] for i in live],
+        [budgets[i] for i in live], label="triangle density",
+    )
+    reports = [
+        None if v >= 0 else EstimateReport(
+            estimate=None,
+            bottom_reason=f"edge-density proxy {v:.4g} < 0",
+            diagnostics={"nu": v, "edge_density": u},
+        )
+        for v, u in zip(nu, u_edges)
+    ]
+    for i, x, report in zip(live, xi, released):
+        report.diagnostics.update({"nu": nu[i], "xi": x, "edge_density": u_edges[i]})
+        reports[i] = report
+    return reports
 
 
 def boosted_triangle_density(
@@ -465,12 +531,13 @@ def boosted_triangle_density(
     seed,
     budget: PrivacyBudget,
 ) -> EstimateReport:
-    """Median of the triangle estimator over disjoint node chunks.
+    """Median of the triangle estimator over disjoint node chunks, all of
+    them run by one ``private_triangle_densities`` call.
 
     With ``alpha`` None this is one ``private_triangle_density`` run.
     """
     return boosted(
-        each_chunk(lambda chunk, rng, branch: private_triangle_density(chunk, eps, rng, branch)),
+        lambda chunks, rngs, branches: private_triangle_densities(chunks, eps, rngs, branches),
         graph, 3, alpha, seed, budget,
     )
 

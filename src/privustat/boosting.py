@@ -9,12 +9,10 @@ the one place that chooses between a plain run and a boosted one.
 Every estimator here takes all of its chunks in one call,
 ``estimator(chunks, seeds, budgets) -> list[EstimateReport]``: chunk i
 draws from seeds[i] and debits budgets[i].  The chunks of a ``Dataset`` are
-the rows of a (q, size) array, so the clip-and-release and collision
-estimators, and the generic Hájek estimator, run them as one stacked pass;
-the chunks of a graph are induced subgraphs.  A plain run is the q = 1 call.
-``each_chunk`` turns an estimator of one chunk into this form by calling it
-on each chunk in turn; only triangle density, whose chunks are graphs,
-still needs it.
+the rows of a (q, size) array; the chunks of a graph are the diagonal
+blocks of one block-diagonal graph over its first q * size nodes.  Every
+estimator runs its chunks as one stacked pass, and a plain run is the
+q = 1 call.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import math
 from dataclasses import dataclass
 from statistics import median
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from .dp import PrivacyBudget
 from .errors import InsufficientData
@@ -59,30 +55,13 @@ class BoostPlan:
         return cls(alpha=alpha, chunks=q, chunk_size=size)
 
 
-def each_chunk(
-    estimator: Callable[[Any, Any, PrivacyBudget], EstimateReport],
-) -> ChunkEstimator:
-    """The chunk estimator that runs ``estimator(chunk, seed, budget)`` on
-    each chunk in turn; a row of a dataset's chunk array is passed as a
-    ``Dataset``."""
-
-    def run(chunks, seeds, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
-        if isinstance(chunks, np.ndarray):
-            chunks = [Dataset(row) for row in chunks]
-        return [estimator(c, s, b) for c, s, b in zip(chunks, seeds, budgets)]
-
-    return run
-
-
 def _chunks(data, q: int, size: int):
     """The first q * size points of ``data`` as q consecutive chunks: the
-    rows of a (q, size) array for a ``Dataset``, induced subgraphs for a
-    graph (the graph itself when one chunk holds all of it)."""
+    rows of a (q, size) array for a ``Dataset``, one block-diagonal graph
+    for a graph (the graph itself when one chunk holds all of it)."""
     if isinstance(data, Dataset):
         return data.points[: q * size].reshape(q, size)
-    if q == 1 and size == data.n:
-        return [data]
-    return [data.induced(np.arange(ci * size, (ci + 1) * size)) for ci in range(q)]
+    return data.block_diagonal(q, size)
 
 
 def median_of_means(
@@ -95,10 +74,11 @@ def median_of_means(
     """Median of the chunk estimator over disjoint consecutive chunks.
 
     ``data`` is a ``Dataset`` (chunks are rows of its points) or a graph
-    (chunks are induced subgraphs); indices past chunks * chunk_size are
-    dropped.  Each chunk gets an independently derived seed stream and its
-    own branch ledger, and the whole block is one parallel-composition entry
-    ``median_of_means(q=...)`` whose debit is the largest branch total.
+    (chunks are the diagonal blocks of one block-diagonal graph); indices
+    past chunks * chunk_size are dropped.  Each chunk gets an independently
+    derived seed stream and its own branch ledger, and the whole block is
+    one parallel-composition entry ``median_of_means(q=...)`` whose debit
+    is the largest branch total.
     Chunk runs that return bottom are excluded from the median; if a
     majority are bottom the wrapped result is bottom too (a majority of
     failures leaves the median meaningless).

@@ -46,23 +46,32 @@ from .coinpress import naive_estimator
 # dead band of the deviations, relative to the largest magnitude in play
 _DEAD_BAND = 32.0 * np.finfo(float).eps
 
+# read-only 1.0 behind the weights of a stack with no bad index
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class HajekParams:
     """Knobs of the reweighting estimator.
 
     ``c_range`` is the additive range of the kernel; ``xi`` the concentration
-    radius the projections are expected to respect.
+    radius the projections are expected to respect: one for every row of a
+    stack, or a (q,) array with row i's radius.
     """
 
     eps: float
     c_range: float
-    xi: float
+    xi: float | np.ndarray
 
     def __post_init__(self):
         if not self.eps > 0:  # also rejects NaN
             raise ValueError("epsilon must be > 0")
-        if not (0.0 <= self.c_range < math.inf and 0.0 <= self.xi < math.inf):  # NaN too
+        xi = np.asarray(self.xi, dtype=float)
+        if xi.ndim > 1:
+            raise ValueError("concentration radius must be a number or one per row")
+        # the negated comparisons also reject NaN
+        if not (0.0 <= self.c_range < math.inf and np.all((xi >= 0.0) & (xi < math.inf))):
             raise ValueError("range and concentration radius must be finite and >= 0")
 
 
@@ -79,28 +88,38 @@ class HajekState:
     smooth_bound: float
 
 
-def _spread_levels(devs: np.ndarray, xi: float, c_range: float, k: int, n: int) -> list[int]:
+def _spread_levels(
+    devs: np.ndarray, xi: list[float], floor: list[float], c_range: float, k: int, n: int
+) -> tuple[list[int], np.ndarray]:
     """The spread level L of each row of a (q, n) array of deviations: the
-    smallest t >= 1 such that at most t deviations exceed xi + 6kCt/n.
+    smallest t >= 1 such that at most t deviations exceed xi + 6kCt/n, with
+    row i's radius xi[i].  Also returns the flat indices, in increasing
+    order, of the candidates: the deviations over the t = 1 threshold and
+    over the row's ``floor``, under which a deviation counts as zero.
 
     Violation is strict (> the threshold); t = n always qualifies.  The
-    thresholds grow with t, so only deviations over the t = 1 threshold can
-    ever violate, and t = (their number) always qualifies.  Only the rows
-    with two or more deviations over the t = 1 threshold are sorted, and only
-    those deviations.
+    thresholds grow with t, so only the candidates can ever violate, and
+    t = (their number) always qualifies.  Only the rows with two or more
+    candidates are sorted, and only those candidates.
     """
-    over = devs > xi + 6.0 * k * c_range * 1 / n
-    levels = []
-    for i, count in enumerate(over.sum(axis=1).tolist()):
-        if count <= 1:
-            levels.append(1)
+    # every threshold is >= 0, so a deviation over max(threshold, floor)
+    # is exactly one over the threshold that is not zeroed by the floor
+    first = [max(x + 6.0 * k * c_range * 1 / n, f) for x, f in zip(xi, floor)]
+    over = np.flatnonzero(devs > np.array(first)[:, None])
+    levels = [1] * len(xi)
+    if over.size < 2:
+        return levels, over
+    values = devs.reshape(-1)[over]
+    starts = np.searchsorted(over, n * np.arange(len(xi) + 1)).tolist()
+    for i, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        if hi - lo <= 1:
             continue
-        tail = np.sort(devs[i][over[i]])
-        ts = np.arange(1, count + 1)
-        thresholds = xi + 6.0 * k * c_range * ts / n
-        exceed = count - np.searchsorted(tail, thresholds, side="right")
-        levels.append(int(np.nonzero(exceed <= ts)[0][0] + 1))
-    return levels
+        tail = np.sort(values[lo:hi])
+        ts = np.arange(1, hi - lo + 1)
+        thresholds = xi[i] + 6.0 * k * c_range * ts / n
+        exceed = hi - lo - np.searchsorted(tail, thresholds, side="right")
+        levels[i] = int(np.nonzero(exceed <= ts)[0][0] + 1)
+    return levels, over
 
 
 def compute_weights(
@@ -281,13 +300,19 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
     """All deterministic quantities of the estimator (everything but the
     noise) for every row of the stack.
 
-    Each row's dead band, spread level, edge and bad indices are its own;
-    only rows with bad indices are reweighted, and the smooth bound is
-    evaluated once per distinct spread level.  The per-row scalars are
-    Python floats, computed as for a single summary.
+    Each row's dead band, spread level, edge and bad indices are its own, and
+    so is its radius when ``params.xi`` holds one per row.  Only rows with
+    bad indices are reweighted, and the smooth bound is evaluated once per
+    distinct (spread level, radius).  The per-row scalars are Python floats,
+    computed as for a single summary.
     """
-    n, k, xi, c_range, eps = rows.n, rows.k, params.xi, params.c_range, params.eps
+    n, k, c_range, eps = rows.n, rows.k, params.c_range, params.eps
     proj, a_n = rows.projections, rows.a_n
+    q = a_n.size
+    xi = np.asarray(params.xi, dtype=float)
+    if xi.ndim and xi.shape != (q,):
+        raise ValueError(f"need one concentration radius per row, got {xi.size} for {q}")
+    xis = xi.tolist() if xi.ndim else [float(xi)] * q
     means = a_n.tolist()
     tops = proj.max(axis=1, initial=0.0).tolist()
     bottoms = proj.min(axis=1, initial=0.0).tolist()
@@ -300,22 +325,28 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
     tol = [
         _DEAD_BAND * max(1.0, abs(a), top, -bottom) for a, top, bottom in zip(means, tops, bottoms)
     ]
-    devs[devs <= np.array(tol)[:, None]] = 0.0
-    level = _spread_levels(devs, xi, c_range, k, n)
-    edge = [xi + 6.0 * k * c_range * L / n for L in level]
-    bad = np.flatnonzero(devs > np.array(edge)[:, None])
-    # the ramp is exactly 1 inside the edge, so only the bad indices need it
-    weights = np.ones(devs.shape)
+    level, over = _spread_levels(devs, xis, tol, c_range, k, n)
+    # every edge is at least the t = 1 threshold, so the bad indices are
+    # among the candidates
+    edge = np.array([x + 6.0 * k * c_range * L / n for x, L in zip(xis, level)])
+    over_devs = devs.reshape(-1)[over]
+    bad_at = over_devs > edge[over // n]
+    bad = over[bad_at]
     reweighted = a_n.copy()
     if bad.size:
+        # the ramp is exactly 1 inside the edge, so only the bad indices need it
         owner = bad // n
+        weights = np.ones(devs.shape)
         weights.reshape(-1)[bad] = compute_weights(
-            devs.reshape(-1)[bad], xi, c_range, k, n, np.array(level)[owner], eps
+            over_devs[bad_at], np.array(xis)[owner], c_range, k, n, np.array(level)[owner], eps
         )
         for i in sorted(set(owner.tolist())):
             reweighted[i] = rows.reweight(i, weights[i])
+    else:
+        weights = np.ndarray(devs.shape, buffer=_ONE, strides=(0, 0))
     bound = {
-        L: smooth_sensitivity(xi, L, n, k, c_range, eps, rows.all_tuples_family) for L in set(level)
+        (L, x): smooth_sensitivity(x, L, n, k, c_range, eps, rows.all_tuples_family)
+        for L, x in set(zip(level, xis))
     }
     return HajekRows(
         a_n=a_n,
@@ -324,7 +355,7 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
         bad=bad,
         weights=weights,
         reweighted=reweighted,
-        smooth_bound=np.array([bound[L] for L in level]),
+        smooth_bound=np.array([bound[key] for key in zip(level, xis)]),
     )
 
 

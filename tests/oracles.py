@@ -1,7 +1,8 @@
 """Oracles and fixtures that only the tests use: brute-force sensitivities,
-a Monte Carlo θ, closed forms, explicit families, the per-chunk loop form
-of ``median_of_means``, the majority-vote form of the boosted uniformity
-test, the full-scan forms of the spread level and the Hájek state, the
+a Monte Carlo θ, closed forms, explicit families, the one-chunk adapter
+and the per-chunk loop form of ``median_of_means``, the majority-vote form
+of the boosted uniformity test, the two-release form of the triangle
+density, the full-scan forms of the spread level and the Hájek state, the
 copying clip step of ``ustat_mean``, the per-row Floyd draw of
 ``subsample_family``, the index-then-gather form of the complete-family
 engine (kernel values, stacked chunks, projections with scanned prefix runs,
@@ -22,11 +23,20 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 import privustat.hajek
-from privustat.applications import GeometricGraph, uniformity_test
+from privustat import applications
+from privustat.applications import GeometricGraph, triangle_summary, uniformity_test
 from privustat.boosting import BoostPlan
 from privustat.report import EstimateReport
 from privustat.coinpress import IntervalState, TailBounds, _release, halving_rounds
-from privustat.dp import _ENVELOPE, _RATIO_BLOCK, PrivacyBudget, laplace_draws, quartic_cdf, scratch_budget
+from privustat.dp import (
+    _ENVELOPE,
+    _RATIO_BLOCK,
+    PrivacyBudget,
+    global_sensitivity_release,
+    laplace_draws,
+    quartic_cdf,
+    scratch_budget,
+)
 from privustat.errors import AuditFailure, PrivustatError
 from privustat.hajek import (
     HajekParams,
@@ -34,6 +44,7 @@ from privustat.hajek import (
     UStatSummary,
     compute_weights,
     hajek_state,
+    release_from_summary,
     smooth_bound_g,
     smooth_sensitivity,
     summary_from_values,
@@ -258,6 +269,19 @@ def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:
     return trace + [final]
 
 
+def each_chunk(estimator):
+    """The chunk estimator that runs ``estimator(chunk, seed, budget)`` on
+    each chunk in turn; a row of a dataset's chunk array is passed as a
+    ``Dataset``."""
+
+    def run(chunks, seeds, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
+        if isinstance(chunks, np.ndarray):
+            chunks = [Dataset(row) for row in chunks]
+        return [estimator(c, s, b) for c, s, b in zip(chunks, seeds, budgets)]
+
+    return run
+
+
 def loop_median_of_means(estimator, data, plan: BoostPlan, seed, budget: PrivacyBudget) -> EstimateReport:
     """``median_of_means`` as one call of ``estimator(chunk, seed, branch)``
     per chunk, in chunk order: chunk i is a copy of its points (a
@@ -291,6 +315,30 @@ def loop_median_of_means(estimator, data, plan: BoostPlan, seed, budget: Privacy
             "bottoms": q - len(good),
         },
     )
+
+
+def two_release_triangle_density(graph: GeometricGraph, eps, seed, budget: PrivacyBudget) -> EstimateReport:
+    """``private_triangle_density`` as two single releases on one generator:
+    the edge-density proxy, then (when it is >= 0) the smooth release of the
+    triangle summary at the radius the proxy sizes (``triangle_xi`` is
+    looked up at call time, so a test may patch it)."""
+    n = graph.n
+    rng = as_generator(seed)
+    u_edges = graph.edge_density()
+    nu = global_sensitivity_release(
+        u_edges, 2.0 / n, eps, budget, rng, label="edge density proxy"
+    )
+    if nu < 0:
+        return EstimateReport(
+            estimate=None,
+            bottom_reason=f"edge-density proxy {nu:.4g} < 0",
+            diagnostics={"nu": nu, "edge_density": u_edges},
+        )
+    xi = applications.triangle_xi(nu, n)
+    params = HajekParams(eps=eps, c_range=1.0, xi=xi)
+    report = release_from_summary(triangle_summary(graph), params, rng, budget, label="triangle density")
+    report.diagnostics.update({"nu": nu, "xi": xi, "edge_density": u_edges})
+    return report
 
 
 def majority_vote(decisions) -> bool:

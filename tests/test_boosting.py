@@ -11,13 +11,13 @@ import pytest
 import privustat as pv
 from privustat import applications as apps
 from privustat import coinpress, hajek
-from privustat.boosting import BoostPlan, boosted, each_chunk, median_of_means
+from privustat.boosting import BoostPlan, boosted, median_of_means
 from privustat.dp import scratch_budget
 from privustat.errors import InsufficientData, PreconditionWarning
 from privustat.report import EstimateReport
 from privustat.ustat import Dataset, clipped_kernel
 
-from oracles import loop_median_of_means, majority_vote
+from oracles import each_chunk, loop_median_of_means, majority_vote, two_release_triangle_density
 
 
 def make_estimator(fn):
@@ -398,3 +398,106 @@ def test_stacked_warnings_appear_once_at_the_calling_line():
     messages = [str(w.message) for w in caught if issubclass(w.category, PreconditionWarning)]
     assert len(messages) == 1 and messages[0].startswith("halving guarantees not in force")
     assert {w.filename for w in caught} == {__file__}
+
+
+# ---------------------------------------------------------------------------
+# triangle density: every chunk in one block-diagonal run
+# ---------------------------------------------------------------------------
+
+TRIANGLE_CHUNK_RUNS = {
+    "one-chunk call": lambda c, r, b: pv.private_triangle_density(c, 1.0, r, b),
+    "two releases": lambda c, r, b: two_release_triangle_density(c, 1.0, r, b),
+}
+
+
+def _no_slicing(*args, **kwargs):
+    raise AssertionError("a stacked triangle run sliced a chunk out of the graph")
+
+
+def assert_boosted_triangles_equal_the_loop(graph, alpha, seed, per_chunk):
+    """``boosted_triangle_density``, run with ``GeometricGraph.induced``
+    raising, against the per-chunk loop over induced chunks: the wrapped
+    report, every chunk report (bottoms among them), every branch ledger and
+    the parent ledger, bit for bit.  Returns the stacked chunk reports."""
+    plan = BoostPlan.for_dataset(graph.n, 3, alpha)
+    got_branches, got_reports, want_branches, want_reports = [], [], [], []
+    got_budget, want_budget = pv.PrivacyBudget(10.0), pv.PrivacyBudget(10.0)
+    stacked = apps.private_triangle_densities
+
+    def recording(chunks, eps, rngs, budgets):
+        return _recording_stacked(
+            lambda c, r, b: stacked(c, eps, r, b), got_branches, got_reports
+        )(chunks, rngs, budgets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(apps, "private_triangle_densities", recording)
+        mp.setattr(apps.GeometricGraph, "induced", _no_slicing)
+        got = apps.boosted_triangle_density(graph, 1.0, alpha, seed, got_budget)
+    want = loop_median_of_means(
+        _recording_chunk(per_chunk, want_branches, want_reports), graph, plan, seed, want_budget
+    )
+    assert (got.estimate, got.bottom_reason, got.diagnostics) == (
+        want.estimate, want.bottom_reason, want.diagnostics
+    )
+    assert len(got_reports) == len(want_reports) == plan.chunks
+    for g, w in zip(got_reports, want_reports):
+        assert (g.estimate, g.radius, g.noise_scale, g.bottom_reason) == (
+            w.estimate, w.radius, w.noise_scale, w.bottom_reason
+        )
+        for key in ("nu", "xi", "edge_density", "L", "n_bad", "smooth_bound"):
+            assert g.diagnostics.get(key) == w.diagnostics.get(key), key
+    assert [b.entries for b in got_branches] == [b.entries for b in want_branches]
+    assert [b.spent for b in got_branches] == [b.spent for b in want_branches]
+    assert (got_budget.entries, got_budget.spent) == (want_budget.entries, want_budget.spent)
+    return got_reports
+
+
+@pytest.mark.parametrize("per_chunk", sorted(TRIANGLE_CHUNK_RUNS))
+@pytest.mark.parametrize("alpha, q", [(0.9, 1), (0.7, 3), (0.1, 19)])
+def test_boosted_triangles_equal_the_per_chunk_loop(alpha, q, per_chunk):
+    # an RGG's node order is random, so edges cross every chunk boundary;
+    # 601 nodes leave nodes past the last chunk at q = 3 and q = 19
+    graph = apps.sample_rgg(601, 0.6, seed=40)
+    assert BoostPlan.for_dataset(graph.n, 3, alpha).chunks == q
+    bottoms = 0
+    for seed in range(3):
+        reports = assert_boosted_triangles_equal_the_loop(
+            graph, alpha, seed, TRIANGLE_CHUNK_RUNS[per_chunk]
+        )
+        bottoms += sum(r.is_bottom for r in reports)
+    assert bottoms > 0 or q < 19
+
+
+def hub_graph(seed) -> apps.GeometricGraph:
+    """Three chunks of 201 nodes and two nodes past them.  Chunk 0 is
+    random, chunk 1 has no edges (its proxy is pure Laplace noise, negative
+    half the time), chunk 2 is sparse random edges plus a hub joined to every
+    other node of it, and sparse random edges cross every chunk boundary and
+    reach the last two nodes."""
+    rng = np.random.default_rng(seed)
+    size, n = 201, 605
+    upper = rng.random((n, n)) < 0.005
+    for c, p in enumerate((0.05, 0.0, 0.127)):
+        block = slice(c * size, (c + 1) * size)
+        upper[block, block] = rng.random((size, size)) < p
+    upper[2 * size, 2 * size + 1 : 3 * size] = True
+    upper = np.triu(upper, 1)
+    return apps.GeometricGraph((upper | upper.T).astype(np.int8))
+
+
+@pytest.mark.parametrize("per_chunk", sorted(TRIANGLE_CHUNK_RUNS))
+def test_boosted_triangles_with_a_bad_node_and_a_negative_proxy_equal_the_loop(
+    per_chunk, monkeypatch
+):
+    # a radius this small lets chunk 2's hub pass its edge, so that chunk is
+    # reweighted on its own block; both paths look triangle_xi up per call
+    monkeypatch.setattr(apps, "triangle_xi", lambda nu, n: nu / 100)
+    graph = hub_graph(41)
+    reweighted = bottoms = 0
+    for seed in range(6):
+        reports = assert_boosted_triangles_equal_the_loop(
+            graph, 0.7, seed, TRIANGLE_CHUNK_RUNS[per_chunk]
+        )
+        reweighted += reports[2].diagnostics["n_bad"] > 0
+        bottoms += reports[1].is_bottom
+    assert reweighted == 6 and 0 < bottoms < 6

@@ -45,8 +45,9 @@ def summarize(vals, fam):
 
 
 def spread_level(devs, xi, c_range, k, n):
-    """The spread level L of one row of deviations."""
-    return hajek._spread_levels(np.asarray(devs, dtype=float).reshape(1, n), xi, c_range, k, n)[0]
+    """The spread level L of one row of deviations, with no dead band."""
+    levels, _ = hajek._spread_levels(np.asarray(devs, dtype=float).reshape(1, n), [xi], [0.0], c_range, k, n)
+    return levels[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +269,18 @@ def test_params_reject_negative_or_non_finite_range_and_radius(field, value):
         HajekParams(**kwargs)
 
 
+@pytest.mark.parametrize("xi", [[0.1, float("nan")], [0.1, -0.1], [0.1, float("inf")], [[0.1]]])
+def test_params_reject_bad_per_row_radii(xi):
+    with pytest.raises(ValueError):
+        HajekParams(eps=1.0, c_range=1.0, xi=np.array(xi))
+
+
+def test_state_rejects_a_radius_count_other_than_the_row_count():
+    rows = apps.collision_rows(np.zeros((3, 10), dtype=np.int64), 4)
+    with pytest.raises(ValueError, match="one concentration radius per row"):
+        hajek.hajek_rows(rows, HajekParams(1.0, 1.0, np.array([0.1, 0.2])))
+
+
 def test_smooth_sensitivity_below_closed_form_bound():
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -431,6 +444,50 @@ def test_state_equals_the_full_scan_reference_on_random_cases():
         params = HajekParams(eps=float(rng.uniform(0.1, 2.0)), c_range=float(rng.uniform(0.0, 3.0)),
                              xi=float(rng.uniform(0.0, 1.0)))
         assert_states_equal(hajek_state(summary, params), full_scan_hajek_state(summary, params))
+
+
+def per_row_radius_stack():
+    """Eight rows of collision labels: three skewed ones with bad indices and
+    five near-uniform ones, with radii that repeat (same level, one bound)
+    and differ (same level, two bounds)."""
+    rng = np.random.default_rng(31)
+    n, m = 400, 20
+    x = rng.integers(0, m, (8, n))
+    for i in (1, 4, 6):
+        x[i] = 0
+        x[i, rng.choice(n, 3, replace=False)] = rng.integers(1, m, 3)
+    xi = np.array([0.0, 0.01, 0.3, 0.3, 0.01, 0.05, 0.02, 0.3])
+    return x, m, xi
+
+
+def test_per_row_radii_equal_one_row_states_with_scalar_radii():
+    x, m, xi = per_row_radius_stack()
+    states = hajek.hajek_rows(apps.collision_rows(x, m), HajekParams(0.7, 0.02, xi))
+    assert states.bad.size > 0 and len(set(states.spread_level.tolist())) > 1
+    for i, radius in enumerate(xi.tolist()):
+        summary = apps.collision_summary(Dataset(x[i]), m)
+        params = HajekParams(0.7, 0.02, radius)
+        alone = hajek_state(summary, params)
+        assert_states_equal(states.row(i), alone)
+        assert_states_equal(alone, full_scan_hajek_state(summary, params))
+
+
+def test_scalar_radius_equals_the_same_radius_in_every_row():
+    x, m, xi = per_row_radius_stack()
+    rows = apps.collision_rows(x, m)
+    for radius in (0.0, 0.01, 0.3):
+        scalar = hajek.hajek_rows(rows, HajekParams(0.7, 0.02, radius))
+        per_row = hajek.hajek_rows(rows, HajekParams(0.7, 0.02, np.full(len(xi), radius)))
+        for field in dataclasses.fields(hajek.HajekRows):
+            a, b = getattr(scalar, field.name), getattr(per_row, field.name)
+            assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
+            assert np.array_equal(a, b), field.name
+
+
+def test_weights_are_a_read_only_view_of_ones_when_nothing_is_bad():
+    state = hajek_state(apps.collision_summary(Dataset(np.arange(40) % 4), 4), HajekParams(1.0, 1.0, 0.5))
+    assert state.bad.size == 0 and np.array_equal(state.weights, np.ones(40))
+    assert not state.weights.flags.writeable
 
 
 def large_collision_summary(skewed: bool, n: int, m: int, seed: int):

@@ -8,12 +8,12 @@ import pytest
 
 import privustat as pv
 from privustat import applications as apps
-from privustat.boosting import BoostPlan, each_chunk, median_of_means
+from privustat.boosting import BoostPlan, median_of_means
 from privustat.dp import PrivacyBudget
 from privustat.report import EstimateReport
 from privustat.ustat import Dataset
 
-from oracles import explicit_family
+from oracles import each_chunk, explicit_family
 
 EPS = 0.7
 
