@@ -1,21 +1,25 @@
 """Noise mechanisms and the privacy-budget ledger.
 
-Pure epsilon-DP only.  Two samplers: Laplace (global-sensitivity mechanism)
-and the heavy-tailed law with density proportional to 1/(1+z^4) used by the
-smooth-sensitivity mechanism, whose CDF ``quartic_cdf`` computes in closed
-form as the audit's reference.  This is the only module that draws release
-noise or debits a ledger: every release goes through
-``global_sensitivity_releases`` or ``smooth_sensitivity_releases``.  They
-release q values over disjoint data at once (a single release is the q = 1
-case): they refuse every non-finite value or sensitivity, then debit every
-ledger, then draw, value i from generator i with the draws of a single
-release.  Those draws go through the inverse CDF and the acceptance step of
-the vector samplers that ``harness.audits.noise_gof`` checks.  Bulk draws
-stream over cache-sized blocks of ``_RATIO_BLOCK`` points, so nothing the
-size of a draw is held beside the output.  Seeded single draws,
-and so every release, equal those of unblocked samplers; a quartic draw of
-more than 2^14 points takes its proposals block by block, so it differs from
-an unblocked draw of the same seed but follows the same law.  The ledger is
+Pure epsilon-DP only.  Two samplers: Laplace (global-sensitivity mechanism),
+by inverse CDF, and the heavy-tailed law with density proportional to
+1/(1+z^4) used by the smooth-sensitivity mechanism, by ratio of uniforms:
+z = v/u for (u, v) uniform on the region u^4 + v^4 <= u^2, drawn from the
+rectangle (0, 1] x [-2^-1/2, 2^-1/2) that bounds it and kept at rate pi/4.
+The region's test is a polynomial, so no envelope density is needed, and u
+never reaches 0, so z is always finite.  ``quartic_cdf`` computes the
+quartic law's CDF in closed form as the audit's reference.  This is the
+only module that draws release noise or debits a ledger: every release goes
+through ``global_sensitivity_releases`` or ``smooth_sensitivity_releases``.
+They release q values over disjoint data at once (a single release is the
+q = 1 case): they refuse every non-finite value or sensitivity, then debit
+every ledger, then draw, value i from generator i with the draws of a
+single release.  Those draws go through the inverse CDF and the region test
+of the vector samplers that ``harness.audits.noise_gof`` checks.  Bulk
+draws stream over cache-sized blocks of ``_RATIO_BLOCK`` points, so nothing
+the size of a draw is held beside the output.  Seeded single draws, and so
+every release, equal those of unblocked samplers; a quartic draw of more
+than 2^14 points takes its uniforms block by block, so it differs from an
+unblocked draw of the same seed but follows the same law.  The ledger is
 advisory: it records and enforces totals under sequential and parallel
 composition but does not itself certify that a mechanism was calibrated
 correctly.
@@ -33,11 +37,10 @@ import numpy as np
 from .errors import BudgetExhausted, NonPositiveScale
 from .rng import as_generator
 
-# integral of 1/(1+z^4) over the real line; normalizes the quartic density
-QUARTIC_NORMALIZER = math.pi / math.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 
-# sup_z sqrt(2) (1+z^2) / (1+z^4): rejection envelope vs the standard Cauchy
-_ENVELOPE = (2.0 + math.sqrt(2.0)) / 2.0
+# integral of 1/(1+z^4) over the real line; normalizes the quartic density
+QUARTIC_NORMALIZER = math.pi / _SQRT2
 
 # points per block of both samplers, of quartic_cdf and of the KS gap in
 # harness.audits.noise_gof: 256 KB of float64, so each block's passes stay in L2
@@ -195,9 +198,18 @@ def laplace_draws(scale: float, size: int, rng) -> np.ndarray:
 
 def _laplace_inverse_cdf(u: np.ndarray, scale) -> np.ndarray:
     """Laplace draws of scale ``scale`` (a scalar, or one per point) from
-    uniforms ``u`` on [0, 1); the uniform 0.0 is read as 2^-54."""
-    u = np.maximum(u, _ZERO_DRAW) - 0.5
-    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    uniforms ``u`` on [0, 1), which it overwrites; the uniform 0.0 is read
+    as 2^-54.  In place, each step in the order of
+    -scale * sign(t) * log1p(-2 |t|) with t = max(u, 2^-54) - 0.5."""
+    np.maximum(u, _ZERO_DRAW, out=u)
+    u -= 0.5
+    noise = np.sign(u)
+    np.abs(u, out=u)
+    u *= -2.0
+    np.log1p(u, out=u)
+    noise *= -scale
+    noise *= u
+    return noise
 
 
 def _laplace_each(scales: np.ndarray, rngs) -> np.ndarray:
@@ -207,24 +219,30 @@ def _laplace_each(scales: np.ndarray, rngs) -> np.ndarray:
 
 
 def quartic_draws(size: int, seed) -> np.ndarray:
-    """Rejection sampler from a standard Cauchy proposal.
+    """Ratio-of-uniforms sampler (Kinderman & Monahan, ACM TOMS 1977).
 
-    The acceptance ratio sqrt(2)(1+z^2) / ((1+z^4) * envelope) is exact, so the
-    output law matches ``quartic_cdf`` to sampling error only.
-    Mean acceptance rate is 1/envelope (about 0.586).
+    A point (u, v) uniform on the region u^4 + v^4 <= u^2, that is
+    0 < u <= sqrt(f(v/u)) for f(z) = 1/(1+z^4), gives z = v/u with density
+    proportional to f.  The region lies in the rectangle (0, 1] x
+    [-2^-1/2, 2^-1/2): sup sqrt(f) = 1, and sup |z| sqrt(f(z)) = 2^-1/2 at
+    |z| = 1.  So each proposal takes two uniforms, u = 1 - random() on
+    (0, 1], which keeps z finite, and v = (random() - 1/2) sqrt(2), and is
+    kept when it lies in the region: a polynomial test, with no envelope
+    density and no transcendental.  Mean acceptance rate is the region's
+    share of the rectangle, pi/4 (about 0.785).
 
-    Each pass draws ``2 * want`` proposals (at least 64, at most one
-    cache-sized block of ``_RATIO_BLOCK``), then as many uniforms, and writes
-    its accepted proposals straight into the output, so a bulk draw holds no
+    Each pass draws ``2 * want`` u's (at least 64, at most one cache-sized
+    block of ``_RATIO_BLOCK``), then as many v's, and writes the ratios of
+    its accepted points straight into the output, so a bulk draw holds no
     proposal-sized temporary beside it (peak RSS) and wastes only the last
     pass's surplus.  A draw of at most 2^14 points, every release's
     ``quartic_draws(1, seed)`` among them, never reaches the cap, so its
     proposals and output are those of one unblocked batch per pass.
 
-    z^4 is formed as (z^2)^2, because ``z**4`` goes through libm ``pow`` at
-    several times the cost.  The ratio may then differ in its last bit, which
-    moves an acceptance only if a uniform draw lands on that bit (odds 2^-53
-    per proposal).
+    u^4 and v^4 are formed as squares of squares, because ``**4`` goes
+    through libm ``pow`` at several times the cost.  The sum may then differ
+    in its last bit, which moves an acceptance only if a point lies within
+    that bit of the region's edge (odds about 2^-52 per proposal).
     """
     rng = as_generator(seed)
     out = np.empty(size)
@@ -232,43 +250,46 @@ def quartic_draws(size: int, seed) -> np.ndarray:
     while have < size:
         want = size - have
         batch = max(_QUARTIC_PASS, min(_RATIO_BLOCK, int(want / 0.5)))
-        z = rng.standard_cauchy(batch)
-        accepted = z[_quartic_accepts(z, rng.random(batch))]
-        take = min(accepted.size, want)
-        out[have : have + take] = accepted[:take]
-        have += take
+        u, v = rng.random(batch), rng.random(batch)
+        kept = np.flatnonzero(_quartic_accepts(u, v))[:want]
+        np.divide(v[kept], u[kept], out=out[have : have + kept.size])
+        have += kept.size
     return out
 
 
-def _quartic_accepts(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Which Cauchy proposals ``z`` the rejection step keeps, given their
-    uniforms ``u``: u <= sqrt(2)(1+z^2) / ((1+z^4) * envelope)."""
-    den = z * z
-    ratio = den + 1.0
-    ratio *= math.sqrt(2.0)
-    np.square(den, out=den)
-    den += 1.0
-    den *= _ENVELOPE
-    ratio /= den
-    return u <= ratio
+def _quartic_accepts(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Which points of the ratio-of-uniforms rectangle lie in the region
+    u^4 + v^4 <= u^2.  Maps uniforms ``u``, ``v`` on [0, 1) in place to the
+    rectangle's u = 1 - u on (0, 1] and v = (v - 1/2) sqrt(2) on
+    [-2^-1/2, 2^-1/2); the accepted draws are then v/u."""
+    np.subtract(1.0, u, out=u)
+    v -= 0.5
+    v *= _SQRT2
+    u2 = u * u
+    lhs = np.square(u2)
+    v4 = v * v
+    np.square(v4, out=v4)
+    lhs += v4
+    return lhs <= u2
 
 
 def _quartic_each(rngs) -> np.ndarray:
     """One quartic-tail draw from each generator, with the passes that
-    ``quartic_draws(1, rng)`` makes: _QUARTIC_PASS proposals, then as many
-    uniforms, until one is accepted.  The first pass of every generator is
+    ``quartic_draws(1, rng)`` makes: _QUARTIC_PASS u's, then as many v's,
+    until one point is accepted.  The first pass of every generator is
     tested as one (q, _QUARTIC_PASS) batch."""
     out = np.empty(len(rngs))
     todo = np.arange(len(rngs))
     while todo.size:
-        z = np.empty((todo.size, _QUARTIC_PASS))
         u = np.empty((todo.size, _QUARTIC_PASS))
+        v = np.empty((todo.size, _QUARTIC_PASS))
         for row, i in enumerate(todo):
-            z[row] = rngs[i].standard_cauchy(_QUARTIC_PASS)
             u[row] = rngs[i].random(_QUARTIC_PASS)
-        keep = _quartic_accepts(z, u)
+            v[row] = rngs[i].random(_QUARTIC_PASS)
+        keep = _quartic_accepts(u, v)
         hit = keep.any(axis=1)
-        out[todo[hit]] = z[hit, keep[hit].argmax(axis=1)]
+        first = keep[hit].argmax(axis=1)
+        out[todo[hit]] = v[hit, first] / u[hit, first]
         todo = todo[~hit]
     return out
 
@@ -281,26 +302,39 @@ def quartic_cdf(z) -> np.ndarray:
     Its terms cancel to a tail near 1/(3 Q x^3) that loses its digits (and,
     past x ~ 1e4, monotonicity), so from x = 32 on the tail is the series
     (1/3 - x^-4/7 + x^-8/11) / (Q x^3).  The upper half is 1 minus the tail,
-    so +-inf give exactly 1 and 0.  Points go in cache-sized blocks, so no
-    temporary is the size of z (peak RSS).
+    so +-inf give exactly 1 and 0.  Points go in cache-sized blocks, each
+    computed in place in the output with a few block-sized temporaries (peak
+    RSS); the series runs only on the points that need it.
     """
     z = np.asarray(z, dtype=float)
     cdf = np.empty(z.shape)
     flat_z, flat_cdf = z.reshape(-1), cdf.reshape(-1)
-    r2 = math.sqrt(2.0)
     for start in range(0, flat_z.size, _RATIO_BLOCK):
         block = slice(start, start + _RATIO_BLOCK)
-        x = np.abs(flat_z[block])
+        zb, lower = flat_z[block], flat_cdf[block]
+        x = np.abs(zb)
         b = np.minimum(x, _CDF_SERIES_FROM)
         bb = b * b
-        log_term = np.log((bb + r2 * b + 1.0) / (bb - r2 * b + 1.0)) / (4.0 * r2)
-        atan_term = np.arctan2(r2 * b, 1.0 - bb) / (2.0 * r2)
-        body = 0.5 - (log_term + atan_term) / QUARTIC_NORMALIZER
-        r = 1.0 / np.maximum(x, _CDF_SERIES_FROM)
-        u = (r * r) ** 2
-        tail = (1.0 / 3.0 + u * (u / 11.0 - 1.0 / 7.0)) * (r * r * r) / QUARTIC_NORMALIZER
-        lower = np.where(x < _CDF_SERIES_FROM, body, tail)
-        flat_cdf[block] = np.where(flat_z[block] < 0, lower, 1.0 - lower)
+        b *= _SQRT2
+        np.add(bb, b, out=lower)
+        lower += 1.0
+        den = bb - b
+        den += 1.0
+        lower /= den
+        np.log(lower, out=lower)
+        lower /= 4.0 * _SQRT2
+        np.subtract(1.0, bb, out=bb)
+        np.arctan2(b, bb, out=b)
+        b /= 2.0 * _SQRT2
+        lower += b
+        lower /= QUARTIC_NORMALIZER
+        np.subtract(0.5, lower, out=lower)
+        far = np.flatnonzero(~(x < _CDF_SERIES_FROM))  # NaN included
+        if far.size:
+            r = 1.0 / x[far]
+            u = (r * r) ** 2
+            lower[far] = (1.0 / 3.0 + u * (u / 11.0 - 1.0 / 7.0)) * (r * r * r) / QUARTIC_NORMALIZER
+        np.subtract(1.0, lower, out=lower, where=~(zb < 0))
     return cdf
 
 

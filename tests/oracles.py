@@ -8,8 +8,8 @@ copying clip step of ``ustat_mean``, the per-row Floyd draw of
 engine (kernel values, stacked chunks, projections with scanned prefix runs,
 the reweighted mean), the per-column bincount and exact fsum forms of the
 projections, the loop form of the collision reweight, the per-line
-file readers, the loop forms of the audits and the quartic sampler, a
-constant kernel, and the U-statistic variance calculus (conditional
+file readers, the loop forms of the audits, the quartic sampler and its
+CDF, a constant kernel, and the U-statistic variance calculus (conditional
 variances, Hoeffding components, exact variance)."""
 
 import itertools
@@ -29,8 +29,9 @@ from privustat.boosting import BoostPlan
 from privustat.report import EstimateReport
 from privustat.coinpress import IntervalState, TailBounds, _release, halving_rounds
 from privustat.dp import (
-    _ENVELOPE,
+    _CDF_SERIES_FROM,
     _RATIO_BLOCK,
+    QUARTIC_NORMALIZER,
     PrivacyBudget,
     global_sensitivity_release,
     laplace_draws,
@@ -584,23 +585,23 @@ def write_edge_list(graph: GeometricGraph, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# loop forms of the audits and the quartic sampler
+# loop forms of the audits, the quartic sampler and its CDF
 # ---------------------------------------------------------------------------
 
 def whole_batch_quartic_draws(size: int, seed) -> np.ndarray:
     """``dp.quartic_draws`` without the block cap: each pass draws all of its
-    ``2 * want`` proposals, then all of its uniforms, at once."""
+    ``2 * want`` u's, then all of its v's, at once, and keeps v/u of the
+    points in the region u^4 + v^4 <= u^2 of (0, 1] x [-2^-1/2, 2^-1/2)."""
     rng = as_generator(seed)
     out = np.empty(size)
     have = 0
     while have < size:
         want = size - have
         batch = max(64, int(want / 0.5))
-        z = rng.standard_cauchy(batch)
-        u = rng.random(batch)
-        den = z * z
-        ratio = (den + 1.0) * math.sqrt(2.0) / ((den * den + 1.0) * _ENVELOPE)
-        accepted = z[u <= ratio]
+        u = 1.0 - rng.random(batch)
+        v = (2.0 * rng.random(batch) - 1.0) * math.sqrt(0.5)
+        inside = (u * u) ** 2 + (v * v) ** 2 <= u * u
+        accepted = v[inside] / u[inside]
         take = min(accepted.size, want)
         out[have : have + take] = accepted[:take]
         have += take
@@ -608,21 +609,39 @@ def whole_batch_quartic_draws(size: int, seed) -> np.ndarray:
 
 
 def pow_quartic_draws(size: int, seed) -> np.ndarray:
-    """``dp.quartic_draws`` with the acceptance ratio written through ``z**4``."""
+    """``dp.quartic_draws`` with the region's test written through ``**4``."""
     rng = as_generator(seed)
     out = np.empty(size)
     have = 0
     while have < size:
         want = size - have
         batch = max(64, min(_RATIO_BLOCK, int(want / 0.5)))
-        z = rng.standard_cauchy(batch)
-        u = rng.random(batch)
-        ratio = math.sqrt(2.0) * (1.0 + z * z) / ((1.0 + z**4) * _ENVELOPE)
-        accepted = z[u <= ratio]
+        u = 1.0 - rng.random(batch)
+        v = (2.0 * rng.random(batch) - 1.0) * math.sqrt(0.5)
+        inside = u**4 + v**4 <= u**2
+        accepted = v[inside] / u[inside]
         take = min(accepted.size, want)
         out[have : have + take] = accepted[:take]
         have += take
     return out
+
+
+def where_quartic_cdf(z) -> np.ndarray:
+    """``dp.quartic_cdf`` with both branches evaluated on every point and
+    chosen by ``np.where``, in one unblocked pass."""
+    z = np.asarray(z, dtype=float)
+    r2 = math.sqrt(2.0)
+    x = np.abs(z)
+    b = np.minimum(x, _CDF_SERIES_FROM)
+    bb = b * b
+    log_term = np.log((bb + r2 * b + 1.0) / (bb - r2 * b + 1.0)) / (4.0 * r2)
+    atan_term = np.arctan2(r2 * b, 1.0 - bb) / (2.0 * r2)
+    body = 0.5 - (log_term + atan_term) / QUARTIC_NORMALIZER
+    r = 1.0 / np.maximum(x, _CDF_SERIES_FROM)
+    u = (r * r) ** 2
+    tail = (1.0 / 3.0 + u * (u / 11.0 - 1.0 / 7.0)) * (r * r * r) / QUARTIC_NORMALIZER
+    lower = np.where(x < _CDF_SERIES_FROM, body, tail)
+    return np.where(z < 0, lower, 1.0 - lower)
 
 
 def fresh_array_ks_gap(samples: np.ndarray, cdf_values: np.ndarray) -> float:

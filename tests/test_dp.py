@@ -1,5 +1,6 @@
 """Noise samplers, release mechanisms, sensitivity oracles, budget ledger."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from oracles import (
     brute_force_global_sensitivity,
     brute_force_local_sensitivity,
     pow_quartic_draws,
+    where_quartic_cdf,
     whole_batch_quartic_draws,
 )
 
@@ -66,19 +68,24 @@ def test_laplace_fixed_seed_regression():
     assert dp.laplace_draws(1.0, 1, 20240601)[0] == pytest.approx(0.8762112869339834, abs=1e-15)
 
 
-class _ZeroGenerator(np.random.Generator):
-    """A generator whose uniform draws are all exactly 0.0 (u = -0.5 in the samplers)."""
+class _CyclingGenerator(np.random.Generator):
+    """A generator whose k-th call of ``random`` returns values[k mod len(values)]
+    at every point.  Each pass of the quartic sampler draws its u's, then its
+    v's, so consecutive values pair up as one (u, v) for the whole pass."""
 
-    def __init__(self):
+    def __init__(self, values):
         super().__init__(np.random.PCG64(0))
+        self._values = itertools.cycle(values)
 
     def random(self, size=None):
-        return 0.0 if size is None else np.zeros(size)
+        value = next(self._values)
+        return value if size is None else np.full(size, value)
 
 
 def test_laplace_zero_uniform_draw_is_finite():
-    one = dp.laplace_draws(2.0, 1, _ZeroGenerator())[0]
-    many = dp.laplace_draws(2.0, 4, _ZeroGenerator())
+    # the uniform 0.0 is the Laplace sampler's u = -0.5
+    one = dp.laplace_draws(2.0, 1, _CyclingGenerator([0.0]))[0]
+    many = dp.laplace_draws(2.0, 4, _CyclingGenerator([0.0]))
     assert math.isfinite(one)
     assert np.all(np.isfinite(many))
     assert np.all(many == one)  # one draw and a batch read the draw 0.0 the same way
@@ -125,12 +132,26 @@ def test_quartic_cdf_matches_quad_at_grid():
         assert c == pytest.approx(beyond if z < 0 else 1 - beyond, abs=1e-12)
 
 
-def test_quartic_cdf_is_monotone_out_to_the_extremes():
+def extreme_cdf_grid() -> np.ndarray:
     half = np.logspace(-3, 300, 20001)
-    grid = np.concatenate([-half[::-1], [0.0], half])
+    return np.concatenate([-half[::-1], [0.0], half])
+
+
+def test_quartic_cdf_is_monotone_out_to_the_extremes():
+    grid = extreme_cdf_grid()
     assert np.all(np.diff(dp.quartic_cdf(grid)) >= 0)
     ends = dp.quartic_cdf([-np.inf, -1e300, 1e300, np.inf])
     assert ends.tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
+def test_quartic_cdf_equals_the_where_form_bitwise():
+    # in place, the series only where |z| >= 32 and a masked sign: the same
+    # expressions in the same order, so the same bits, NaN included
+    near = np.nextafter(32.0, [0.0, 64.0])
+    edges = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 32.0, -32.0], near, -near])
+    draws = np.sort(dp.quartic_draws(10**6, 10))
+    for z in (extreme_cdf_grid(), edges, draws):
+        assert np.array_equal(dp.quartic_cdf(z).view(np.int64), where_quartic_cdf(z).view(np.int64))
 
 
 def test_quartic_empirical_cdf_at_grid():
@@ -142,7 +163,44 @@ def test_quartic_empirical_cdf_at_grid():
 
 
 def test_quartic_fixed_seed_regression():
-    assert dp.quartic_draws(1, 20240601)[0] == pytest.approx(0.5457380784402894, abs=1e-15)
+    assert dp.quartic_draws(1, 20240601)[0] == pytest.approx(-0.8563703275630332, abs=1e-15)
+
+
+def test_quartic_tails_match_the_cdf():
+    # the v-extent of the ratio-of-uniforms rectangle must reach the tails:
+    # about 2400 draws beyond |z| = 5 and 300 beyond |z| = 10 in 10^6
+    n = 10**6
+    z = np.abs(dp.quartic_draws(n, 7))
+    for t in (5.0, 10.0):
+        p = 2.0 * float(dp.quartic_cdf(-t))
+        count = int(np.count_nonzero(z > t))
+        assert abs(count - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)), (t, count, n * p)
+
+
+TOP_DRAW = 1.0 - 2.0**-53  # the largest uniform rng.random() returns
+EXTREME_UNIFORM_PAIRS = [  # (u draw, v draw)
+    (0.0, 0.0),  # u = 1, v = -2^-1/2
+    (0.0, TOP_DRAW),  # u = 1, v just below 2^-1/2
+    (TOP_DRAW, 0.0),  # u = 2^-53, v = -2^-1/2: the largest |v/u| of the rectangle
+    (TOP_DRAW, TOP_DRAW),  # u = 2^-53, v just below 2^-1/2
+    (TOP_DRAW, 0.5 - 2.0**-53),  # u = 2^-53 and the smallest |v| > 0: inside
+    (TOP_DRAW, 0.5),  # u = 2^-53, v = 0: inside
+    (1.0 - math.sqrt(0.5), 0.0),  # the region's corners at z = -1 and 1
+    (1.0 - math.sqrt(0.5), TOP_DRAW),
+    (0.0, 0.5),  # u = 1, v = 0: inside
+]
+
+
+def test_quartic_draws_are_finite_at_the_extreme_uniforms():
+    # u = 1 - random() lies in (0, 1], so no pass divides by zero (a
+    # RuntimeWarning fails this module) and |z| <= 2^-1/2 * 2^53
+    bound = 2.0**-0.5 * 2.0**53
+    flat = [value for pair in EXTREME_UNIFORM_PAIRS for value in pair]
+    starts = range(0, len(flat), 2)
+    draws = [dp.quartic_draws(size, _CyclingGenerator(flat[s:] + flat[:s])) for s in starts for size in (1, 5)]
+    draws.append(dp._quartic_each([_CyclingGenerator(flat[s:] + flat[:s]) for s in starts]))
+    for z in draws:
+        assert np.all(np.isfinite(z)) and np.max(np.abs(z)) <= bound
 
 
 def test_quartic_deterministic_given_seed():
@@ -227,7 +285,7 @@ def test_smooth_release_symmetry():
 
 def test_smooth_release_fixed_seed_regression():
     got = smooth_sensitivity_release(2.0, 0.5, 1.0, scratch_budget(), 99)
-    assert got == pytest.approx(1.111853647191886, abs=1e-15)
+    assert got == pytest.approx(3.764056260088143, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

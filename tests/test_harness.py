@@ -708,7 +708,8 @@ def test_noise_gof_gap_equals_the_reference_gap(law):
 @pytest.mark.parametrize("law", ["laplace", "quartic"])
 def test_noise_gof_holds_only_block_sized_temporaries(law):
     # 8 MB of sorted draws plus blocks of _RATIO_BLOCK points; an unblocked
-    # sampler and KS gap hold 38 MB (laplace) and 49 MB (quartic)
+    # sampler and KS gap hold 38 MB (laplace), and the whole-batch quartic
+    # sampler with the np.where CDF and the fresh-array gap 100 MiB
     tracemalloc.start()
     try:
         audits.noise_gof(law, 10**6, 5)
