@@ -21,7 +21,7 @@ from scipy import sparse
 from .boosting import boosted
 from .dp import PrivacyBudget, global_sensitivity_releases
 from .errors import InsufficientData
-from .hajek import HajekParams, SummaryRows, UStatSummary, release_from_summary, release_rows
+from .hajek import HajekParams, SummaryRows, release_rows
 from .report import EstimateReport
 from .rng import as_generator
 from .ustat import Dataset
@@ -82,6 +82,22 @@ def collision_theta(dist: PerturbedUniform) -> float:
     return float(np.sum(p * p))
 
 
+@dataclass(frozen=True)
+class UStatSummary:
+    """One dataset's non-private statistic: the U-statistic ``a_n`` and the
+    local projections of its n indices.  A record to read, not an input of
+    the release engine, which takes ``SummaryRows``."""
+
+    n: int
+    k: int
+    a_n: float
+    projections: np.ndarray
+
+
+def _first_row(rows: SummaryRows) -> UStatSummary:
+    return UStatSummary(n=rows.n, k=rows.k, a_n=float(rows.a_n[0]), projections=rows.projections[0])
+
+
 def collision_rows(chunks: np.ndarray, m: int) -> SummaryRows:
     """Count-based summaries of the collision kernel over all pairs of each
     row of a (q, n) array of category labels.
@@ -134,17 +150,8 @@ def collision_rows(chunks: np.ndarray, m: int) -> SummaryRows:
 
 
 def collision_summary(data: Dataset, m: int) -> UStatSummary:
-    """Count-based summary of the collision kernel over all pairs: the one
-    row of ``collision_rows``."""
-    rows = collision_rows(np.asarray(data.points).reshape(1, -1), m)
-    return UStatSummary(
-        n=rows.n,
-        k=2,
-        a_n=float(rows.a_n[0]),
-        projections=rows.projections[0],
-        reweight=lambda weights: rows.reweight(0, weights),
-        all_tuples_family=True,
-    )
+    """The collision statistic of one dataset: row 0 of ``collision_rows``."""
+    return _first_row(collision_rows(np.asarray(data.points).reshape(1, -1), m))
 
 
 def collision_xi(m: int, n: int) -> float:
@@ -161,10 +168,12 @@ def private_collision_density(
     seed,
     budget: PrivacyBudget,
 ) -> EstimateReport:
-    """Reweighting estimator for the collision probability (C = 1 kernel)."""
-    summary = collision_summary(data, m)
-    params = HajekParams(eps=eps, c_range=1.0, xi=xi)
-    return release_from_summary(summary, params, seed, budget, label="collision density")
+    """The collision density of one dataset: the one-row call of
+    ``private_collision_densities``."""
+    (report,) = private_collision_densities(
+        np.asarray(data.points).reshape(1, -1), m, eps, xi, [seed], [budget]
+    )
+    return report
 
 
 def private_collision_densities(
@@ -175,8 +184,9 @@ def private_collision_densities(
     seeds: list,
     budgets: list[PrivacyBudget],
 ) -> list[EstimateReport]:
-    """``private_collision_density`` on each row of a (q, n) array of labels,
-    row i drawing from seeds[i] and debiting budgets[i]."""
+    """Reweighting estimator for the collision probability (C = 1 kernel) on
+    each row of a (q, n) array of labels, row i drawing from seeds[i] and
+    debiting budgets[i]."""
     params = HajekParams(eps=eps, c_range=1.0, xi=xi)
     return release_rows(
         collision_rows(chunks, m), params, seeds, budgets, label="collision density"
@@ -430,17 +440,8 @@ def _triangle_reweight(c: sparse.csr_array, a_n: float, weights: np.ndarray) -> 
 
 
 def triangle_summary(graph: GeometricGraph) -> UStatSummary:
-    """Sparse-product summary of the triangle kernel over all node triples:
-    the one row of ``triangle_rows``."""
-    rows = triangle_rows(graph, 1)
-    return UStatSummary(
-        n=rows.n,
-        k=3,
-        a_n=float(rows.a_n[0]),
-        projections=rows.projections[0],
-        reweight=lambda weights: rows.reweight(0, weights),
-        all_tuples_family=True,
-    )
+    """The triangle statistic of one graph: row 0 of ``triangle_rows``."""
+    return _first_row(triangle_rows(graph, 1))
 
 
 def triangle_xi(nu: float, n: int) -> float:
@@ -502,13 +503,9 @@ def private_triangle_densities(
     ).tolist()
     live = [i for i in range(q) if nu[i] >= 0]
     xi = [triangle_xi(nu[i], size) for i in live]
-    rows = SummaryRows(
-        n=size, k=3, a_n=chunk_rows.a_n[live], projections=chunk_rows.projections[live],
-        reweight=lambda j, weights: chunk_rows.reweight(live[j], weights), all_tuples_family=True,
-    )
     released = release_rows(
-        rows, HajekParams(eps=eps, c_range=1.0, xi=np.array(xi)), [rngs[i] for i in live],
-        [budgets[i] for i in live], label="triangle density",
+        chunk_rows.take(live), HajekParams(eps=eps, c_range=1.0, xi=np.array(xi)),
+        [rngs[i] for i in live], [budgets[i] for i in live], label="triangle density",
     )
     reports = [
         None if v >= 0 else EstimateReport(

@@ -46,7 +46,6 @@ class BoostPlan:
         q = math.ceil(8.0 * math.log(1.0 / alpha))
         if q % 2 == 0:
             q += 1
-        q = max(q, 1)
         size = n // q
         if size < k:
             raise InsufficientData(

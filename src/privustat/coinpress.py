@@ -2,7 +2,7 @@
 
 One engine drives three estimators.  Each refinement step clips the kernel
 values to the current interval widened by a uniform deviation bound, releases
-the clipped mean through ``dp.global_sensitivity_release`` (Laplace noise
+the clipped mean through ``dp.global_sensitivity_releases`` (Laplace noise
 scaled to the family's dependence fraction; the ledger is debited before the
 draw), and re-centers the interval.  The naive, all-tuples, and subsampled
 estimators differ only in the subset family and the pair of tail bounds they

@@ -13,9 +13,10 @@ the bound smooth.
 The state is computed for a stack of q summaries of one shape at once
 (``SummaryRows``, ``hajek_rows``), as the chunks of a boosted estimate are:
 the generic estimator (``private_means_local_hajek``) draws every chunk's
-kernel values and projections from one stacked pass over the family, and
-the count-based collision summaries stack the same way.  A single summary
-is the one-row stack.
+kernel values and projections from one stacked pass over the family, the
+count-based collision and triangle summaries stack the same way, and the
+smoothness audit stacks one row per multiset.  There is no one-row path: a
+single dataset is the one-row stack.
 """
 
 from __future__ import annotations
@@ -222,46 +223,30 @@ class SummaryRows:
     reweight: Callable[[int, np.ndarray], float]
     all_tuples_family: bool
 
-
-@dataclass
-class UStatSummary:
-    """What the release engine needs to know about one kernel/family pair.
-
-    ``reweight`` maps a per-index weight vector to the reweighted mean; the
-    generic implementation scans the family, and structured kernels
-    (categorical collision, graph triangles) provide count-based equivalents.
-    """
-
-    n: int
-    k: int
-    a_n: float
-    projections: np.ndarray
-    reweight: Callable[[np.ndarray], float]
-    all_tuples_family: bool
-
-    def rows(self) -> SummaryRows:
-        """This summary as the one row of a stack."""
+    def take(self, live: list[int]) -> "SummaryRows":
+        """The stack of rows ``live`` of this one, in that order."""
         return SummaryRows(
             n=self.n,
             k=self.k,
-            a_n=np.array([self.a_n], dtype=float),
-            projections=np.asarray(self.projections, dtype=float).reshape(1, self.n),
-            reweight=lambda i, weights: self.reweight(weights),
+            a_n=self.a_n[live],
+            projections=self.projections[live],
+            reweight=lambda j, weights: self.reweight(live[j], weights),
             all_tuples_family=self.all_tuples_family,
         )
 
 
 def summary_from_values(
     values: np.ndarray, family: SubsetFamily, projections: np.ndarray
-) -> UStatSummary:
-    """The summary of a family's (M,) kernel values and their local projections."""
-    a_n = float(values.mean())
-    return UStatSummary(
+) -> SummaryRows:
+    """The summaries of a family's (q, M) kernel values and their (q, n)
+    local projections, one row per dataset."""
+    a_n = np.array([row.mean() for row in values])
+    return SummaryRows(
         n=family.n,
         k=family.k,
         a_n=a_n,
         projections=projections,
-        reweight=lambda w: reweighted_mean(values, family, w, a_n),
+        reweight=lambda i, weights: reweighted_mean(values[i], family, weights, float(a_n[i])),
         all_tuples_family=family.kind == "all_tuples",
     )
 
@@ -359,11 +344,6 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
     )
 
 
-def hajek_state(summary: UStatSummary, params: HajekParams) -> HajekState:
-    """All deterministic quantities of the estimator (everything but the noise)."""
-    return hajek_rows(summary.rows(), params).row(0)
-
-
 def release_rows(
     rows: SummaryRows,
     params: HajekParams,
@@ -398,17 +378,6 @@ def release_rows(
     return reports
 
 
-def release_from_summary(
-    summary: UStatSummary,
-    params: HajekParams,
-    seed,
-    budget: PrivacyBudget,
-    label: str = "hajek",
-) -> EstimateReport:
-    (report,) = release_rows(summary.rows(), params, [seed], [budget], label)
-    return report
-
-
 def private_means_local_hajek(
     h: Kernel,
     chunks: np.ndarray,
@@ -436,16 +405,7 @@ def private_means_local_hajek(
             for _ in seeds
         ]
     values, projections = kernel_values_and_projections(h, chunks, family)
-    a_n = np.array([row.mean() for row in values])
-    rows = SummaryRows(
-        n=family.n,
-        k=family.k,
-        a_n=a_n,
-        projections=projections,
-        reweight=lambda i, weights: reweighted_mean(values[i], family, weights, float(a_n[i])),
-        all_tuples_family=family.kind == "all_tuples",
-    )
-    return release_rows(rows, params, seeds, budgets)
+    return release_rows(summary_from_values(values, family, projections), params, seeds, budgets)
 
 
 def private_mean_local_hajek(

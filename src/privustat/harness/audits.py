@@ -2,12 +2,13 @@
 
 These are the checks that justify trusting the mechanisms: a deterministic
 dataset pair whose U-statistic gap is combinatorially certified, an exhaustive
-neighbor enumeration that validates the smooth sensitivity bound at desk
-scale, and goodness-of-fit of both noise samplers against their analytic
-CDFs.  The audits take no fault-injection option.  Tests show that an audit
-is not vacuous by injecting the fault themselves and watching it fail: they
-patch ``hajek_state`` here to halve the smooth bound, and hand the KS gap
-draws at the wrong scale.
+neighbor enumeration that validates the smooth sensitivity bound on every
+multiset of a finite alphabet (one stacked run of the Hájek engine, under a
+cap on the kernel values it holds), and goodness-of-fit of both noise
+samplers against their analytic CDFs.  The audits take no fault-injection
+option.  Tests show that an audit is not vacuous by injecting the fault
+themselves and watching it fail: they patch ``hajek_rows`` here to halve
+the smooth bound, and hand the KS gap draws at the wrong scale.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from ..dp import _RATIO_BLOCK, laplace_draws, quartic_cdf, quartic_draws
 from ..errors import AuditFailure, PreconditionWarning
-from ..hajek import HajekParams, hajek_state, summary_from_values
+from ..hajek import HajekParams, hajek_rows, summary_from_values
 from ..rng import as_generator
 from ..ustat import (
     Dataset,
@@ -117,9 +118,14 @@ def fixture_projection_margins(fix: AdversarialFixture) -> dict:
 # exhaustive smoothness audit
 # ---------------------------------------------------------------------------
 
+# most kernel values (multisets x C(n, k)) the smoothness audit may hold:
+# 128 MiB of float64, enough for binary data at k = 2 up to n = 322
+AUDIT_VALUE_CAP = 2**24
+
+
 @dataclass
 class SmoothnessReport:
-    datasets: int  # multisets, each run through the engine once
+    datasets: int  # multisets, one row each of the engine's stack
     pairs_checked: int  # ordered multiset pairs one substitution apart
     worst_dominance_margin: float  # min over D of S(D) - max_nbr |A~ (D) - A~(D')|
     worst_smoothness_margin: float  # min over pairs of e^eps S(D) - S(D')
@@ -145,7 +151,8 @@ def smoothness_audit(
     neighbors (Nissim, Raskhodnikova & Smith, STOC 2007).  The release runs
     on the complete family of ``kernel.degree``-subsets.  Raises AuditFailure
     on any violation; a NaN reweighted mean or bound counts as one, and so
-    does a dataset whose kernel values are not finite (its release refuses).
+    does a dataset whose a_n or projections are not finite (its release
+    refuses).
 
     The audit runs over multisets, not sequences.  On the complete family a
     symmetric kernel's values are permuted with the data and each index's
@@ -154,32 +161,36 @@ def smoothness_audit(
     values.  A substitution at one position moves one count of that multiset
     from one letter to another, so every pair of neighbouring sequences has
     the reweighted means and bounds of a pair of multisets one substitution
-    apart, and every such pair arises.  The audit therefore runs the release
-    engine on each of the C(n + r - 1, r - 1) multisets over the r letters
-    (as its sorted dataset), with one stacked kernel pass for all of them,
-    and checks every ordered pair of them one substitution apart, in place
-    of the r^n sequences.  Violations name the two sorted datasets, in
-    (dataset, letter moved out, letter moved in, check) order.
+    apart, and every such pair arises.  The audit therefore stacks the
+    C(n + r - 1, r - 1) multisets over the r letters (each as its sorted
+    dataset), runs one kernel pass and one ``hajek_rows`` call over the
+    stack, and checks every ordered pair of them one substitution apart, in
+    place of the r^n sequences.  Violations name the two sorted datasets, in
+    (dataset, letter moved out, letter moved in, check) order.  An audit
+    whose stack would hold more than ``AUDIT_VALUE_CAP`` kernel values
+    raises ``ValueError`` before the kernel pass.
     """
-    if n > 12:
-        raise ValueError("exhaustive audit is limited to small n")
+    alphabet = tuple(alphabet)
+    held = math.comb(n + len(alphabet) - 1, len(alphabet) - 1) * math.comb(n, kernel.degree)
+    if held > AUDIT_VALUE_CAP:
+        raise ValueError(
+            f"exhaustive audit would hold {held} kernel values, over the cap of {AUDIT_VALUE_CAP}"
+        )
     family = all_tuples(n, kernel.degree)
     params = HajekParams(eps=eps, c_range=c_range, xi=xi)
-    alphabet = tuple(alphabet)
     letters = np.asarray(alphabet, dtype=float)
 
     multisets = list(itertools.combinations_with_replacement(range(len(alphabet)), n))
-    reweighted = np.empty(len(multisets))
-    bound = np.empty(len(multisets))
     values, proj = kernel_values_and_projections(kernel, letters[np.array(multisets)], family)
-    for c in range(len(multisets)):
-        try:
-            state = hajek_state(summary_from_values(values[c], family, proj[c]), params)
-        except ValueError:  # non-finite kernel values: nothing is released
-            reweighted[c] = bound[c] = math.nan
-            continue
-        reweighted[c] = state.reweighted
-        bound[c] = state.smooth_bound
+    rows = summary_from_values(values, family, proj)
+    # a multiset with a non-finite a_n or projection releases nothing: the
+    # engine refuses it, so it gets a NaN reweighted mean and bound
+    live = np.flatnonzero(np.isfinite(rows.a_n) & np.isfinite(proj).all(axis=1)).tolist()
+    states = hajek_rows(rows.take(live), params)
+    reweighted = np.full(len(multisets), math.nan)
+    bound = np.full(len(multisets), math.nan)
+    reweighted[live] = states.reweighted
+    bound[live] = states.smooth_bound
 
     # (D, D') index pairs of every substitution that changes a value
     index = {multiset: c for c, multiset in enumerate(multisets)}

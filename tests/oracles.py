@@ -24,7 +24,7 @@ import numpy as np
 
 import privustat.hajek
 from privustat import applications
-from privustat.applications import GeometricGraph, triangle_summary, uniformity_test
+from privustat.applications import GeometricGraph, triangle_rows, uniformity_test
 from privustat.boosting import BoostPlan
 from privustat.report import EstimateReport
 from privustat.coinpress import IntervalState, TailBounds, _release, halving_rounds
@@ -41,11 +41,12 @@ from privustat.dp import (
 from privustat.errors import AuditFailure, PrivustatError
 from privustat.hajek import (
     HajekParams,
+    HajekRows,
     HajekState,
-    UStatSummary,
+    SummaryRows,
     compute_weights,
-    hajek_state,
-    release_from_summary,
+    hajek_rows,
+    release_rows,
     smooth_bound_g,
     smooth_sensitivity,
     summary_from_values,
@@ -151,12 +152,18 @@ def full_scan_compute_L(deviations, xi: float, c_range: float, k: int, n: int) -
     return int(np.nonzero(exceed <= ts)[0][0] + 1)
 
 
-def full_scan_hajek_state(summary: UStatSummary, params: HajekParams) -> HajekState:
-    """``hajek_state`` with the full-scan spread level and the ramp over all n."""
-    n, k = summary.n, summary.k
-    signed = summary.projections - summary.a_n
+def row_state(rows: SummaryRows, params: HajekParams) -> HajekState:
+    """The ``HajekState`` of a one-row stack."""
+    return hajek_rows(rows, params).row(0)
+
+
+def full_scan_hajek_state(rows: SummaryRows, params: HajekParams) -> HajekState:
+    """``row_state`` with the full-scan spread level and the ramp over all n."""
+    n, k = rows.n, rows.k
+    a_n, projections = float(rows.a_n[0]), rows.projections[0]
+    signed = projections - a_n
     tol = 32.0 * np.finfo(float).eps * max(
-        1.0, abs(summary.a_n), float(np.max(np.abs(summary.projections), initial=0.0))
+        1.0, abs(a_n), float(np.max(np.abs(projections), initial=0.0))
     )
     signed = np.where(np.abs(signed) <= tol, 0.0, signed)
     devs = np.abs(signed)
@@ -165,14 +172,14 @@ def full_scan_hajek_state(summary: UStatSummary, params: HajekParams) -> HajekSt
     bad = np.nonzero(devs > edge)[0]
     weights = compute_weights(signed, params.xi, params.c_range, k, n, level, params.eps)
     return HajekState(
-        a_n=summary.a_n,
-        projections=summary.projections,
+        a_n=a_n,
+        projections=projections,
         spread_level=level,
         bad=bad,
         weights=weights,
-        reweighted=summary.reweight(weights) if bad.size else summary.a_n,
+        reweighted=rows.reweight(0, weights) if bad.size else a_n,
         smooth_bound=smooth_sensitivity(
-            params.xi, level, n, k, params.c_range, params.eps, summary.all_tuples_family
+            params.xi, level, n, k, params.c_range, params.eps, rows.all_tuples_family
         ),
     )
 
@@ -337,7 +344,7 @@ def two_release_triangle_density(graph: GeometricGraph, eps, seed, budget: Priva
         )
     xi = applications.triangle_xi(nu, n)
     params = HajekParams(eps=eps, c_range=1.0, xi=xi)
-    report = release_from_summary(triangle_summary(graph), params, rng, budget, label="triangle density")
+    (report,) = release_rows(triangle_rows(graph, 1), params, [rng], [budget], label="triangle density")
     report.diagnostics.update({"nu": nu, "xi": xi, "edge_density": u_edges})
     return report
 
@@ -666,14 +673,14 @@ def reference_noise_gap(law: str, draws: int, seed) -> float:
     return fresh_array_ks_gap(samples, cdf)
 
 
-def halved_bound_state(summary: UStatSummary, params: HajekParams) -> HajekState:
-    """``hajek_state`` with its smooth bound halved: a fault the smoothness
-    audits must catch.  Tests patch it in for ``hajek_state`` in ``audits``
+def halved_bound_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
+    """``hajek_rows`` with every smooth bound halved: a fault the smoothness
+    audits must catch.  Tests patch it in for ``hajek_rows`` in ``audits``
     and in this module; it calls the library's function by its module, so
     the patch does not reach it."""
-    state = privustat.hajek.hajek_state(summary, params)
-    state.smooth_bound *= 0.5
-    return state
+    states = privustat.hajek.hajek_rows(rows, params)
+    states.smooth_bound *= 0.5
+    return states
 
 
 def loop_smoothness_audit(
@@ -692,11 +699,11 @@ def loop_smoothness_audit(
 
     def analyze(config: tuple) -> tuple:
         if config not in cache:
-            (values,), (proj,) = kernel_values_and_projections(
+            values, proj = kernel_values_and_projections(
                 kernel, np.asarray(config, dtype=float)[None], family
             )
             try:
-                state = hajek_state(summary_from_values(values, family, proj), params)
+                state = hajek_rows(summary_from_values(values, family, proj), params).row(0)
             except ValueError:  # non-finite kernel values: nothing is released
                 cache[config] = (math.nan, math.nan)
             else:

@@ -23,7 +23,7 @@ from oracles import (
     VarianceProfile,
     collision_ustat_variance,
     empirical_zetas,
-    halved_bound_state,
+    halved_bound_rows,
     rgg_triangle_theta,
     variance_of_ustat,
 )
@@ -133,7 +133,7 @@ def test_criterion_03_smoothness_audit(monkeypatch):
             margins.append((n, eps, rep.worst_dominance_margin, rep.worst_smoothness_margin))
             assert rep.ok
     fault_tripped = False
-    monkeypatch.setattr(audits, "hajek_state", halved_bound_state)
+    monkeypatch.setattr(audits, "hajek_rows", halved_bound_rows)
     try:
         audits.smoothness_audit(n=6, eps=1.0, xi=0.0, c_range=1.0)
     except AuditFailure:

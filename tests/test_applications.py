@@ -180,7 +180,7 @@ def test_collision_reweight_matches_loop_reference(n, m, seed, low_share, skewed
     # weights are a function of the category, as projections are
     w_cat = np.where(rng.random(m) < low_share, rng.choice([0.0, 0.25, rng.uniform()], m), 1.0)
     weights = w_cat[x]
-    got = apps.collision_summary(Dataset(x), m).reweight(weights)
+    got = apps.collision_rows(x[None], m).reweight(0, weights)
     assert got == pytest.approx(loop_collision_reweight(x, m, weights), rel=1e-12, abs=0)
 
 
@@ -489,9 +489,9 @@ def test_csr_graph_equals_the_dense_oracles(case):
     sub = g.induced(idx)
     assert sub.adjacency.has_sorted_indices
     assert np.array_equal(sub.adjacency.toarray(), adj[np.ix_(idx, idx)])
-    s = apps.triangle_summary(g)
+    rows = apps.triangle_rows(g, 1)
     w = np.array(weights)
-    assert s.reweight(w) == loop_triangle_reweight(adj, w, s.a_n)
+    assert rows.reweight(0, w) == loop_triangle_reweight(adj, w, float(rows.a_n[0]))
 
 
 def test_triangle_density_complete_graph():

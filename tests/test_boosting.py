@@ -29,11 +29,14 @@ def make_estimator(fn):
 
 
 def test_plan_chunk_count_is_odd_and_matches_log():
-    plan = BoostPlan.for_dataset(10_000, 2, 0.05)
-    assert plan.chunks % 2 == 1
-    assert plan.chunks >= 8 * math.log(1 / 0.05)
-    assert plan.chunks <= 8 * math.log(1 / 0.05) + 2
-    assert plan.chunk_size == 10_000 // plan.chunks
+    # just below 1, 8 ln(1/alpha) is about 1.8e-15 and rounds up to one chunk
+    for alpha, chunks in ((0.05, 25), (0.9999999999999999, 1)):
+        plan = BoostPlan.for_dataset(10_000, 2, alpha)
+        assert plan.chunks == chunks
+        assert plan.chunks % 2 == 1
+        assert plan.chunks >= 8 * math.log(1 / alpha)
+        assert plan.chunks <= 8 * math.log(1 / alpha) + 2
+        assert plan.chunk_size == 10_000 // plan.chunks
 
 
 def test_plan_rejects_tiny_datasets():

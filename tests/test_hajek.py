@@ -14,7 +14,7 @@ from privustat import hajek
 from privustat.dp import scratch_budget
 from privustat.hajek import (
     HajekParams,
-    hajek_state,
+    SummaryRows,
     subgaussian_xi,
     summary_from_values,
 )
@@ -36,12 +36,14 @@ from oracles import (
     full_scan_compute_L,
     full_scan_hajek_state,
     loop_triangle_reweight,
+    row_state,
     smooth_sensitivity_closed_form_bound,
 )
 
 
 def summarize(vals, fam):
-    return summary_from_values(vals, fam, bincount_projections(vals, fam))
+    """The one-row stack of a family's (M,) kernel values."""
+    return summary_from_values(vals[None], fam, bincount_projections(vals, fam)[None])
 
 
 def spread_level(devs, xi, c_range, k, n):
@@ -331,7 +333,7 @@ def test_well_concentrated_white_box():
     fam = all_tuples(150, 2)
     params = HajekParams(eps=2.0, c_range=1.0, xi=0.5)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    state = hajek_state(summarize(vals, fam), params)
+    state = row_state(summarize(vals, fam), params)
     assert state.spread_level == 1
     assert state.bad.size == 0
     assert state.reweighted == pytest.approx(float(vals.mean()))
@@ -368,8 +370,8 @@ def test_state_depends_on_the_multiset_only(data):
     perm = rng.permutation(n)
     fam = all_tuples(n, kernel.degree)
     (proj, state), (perm_proj, perm_state) = [
-        (proj, hajek_state(summary_from_values(vals, fam, proj), params))
-        for (vals,), (proj,) in (kernel_values_and_projections(kernel, pts[None], fam) for pts in (x, x[perm]))
+        (proj[0], row_state(summary_from_values(vals, fam, proj), params))
+        for vals, proj in (kernel_values_and_projections(kernel, pts[None], fam) for pts in (x, x[perm]))
     ]
     assert perm_state.spread_level == state.spread_level
     assert perm_state.bad.size == state.bad.size
@@ -387,7 +389,7 @@ def test_state_invariants_on_adversarial_data():
     fam = all_tuples(n, 2)
     params = HajekParams(eps=1.0, c_range=1.0, xi=0.01)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    state = hajek_state(summarize(vals, fam), params)
+    state = row_state(summarize(vals, fam), params)
     assert state.bad.size <= state.spread_level
     assert np.all(np.delete(state.weights, state.bad) == 1.0)
     low = np.nonzero(state.weights < 1.0)[0]
@@ -399,7 +401,7 @@ def test_bad_empty_means_reweighted_equals_mean_bitwise():
     data = Dataset(rng.integers(0, 40, size=100))
     fam = all_tuples(100, 2)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    state = hajek_state(summarize(vals, fam), HajekParams(1.0, 1.0, 0.5))
+    state = row_state(summarize(vals, fam), HajekParams(1.0, 1.0, 0.5))
     assert state.bad.size == 0
     assert state.reweighted == float(vals.mean())
 
@@ -427,12 +429,12 @@ def test_state_equals_the_full_scan_reference_on_random_cases():
     for _ in range(300):
         n, m = int(rng.integers(2, 200)), int(rng.integers(1, 30))
         p = rng.dirichlet(np.full(m, rng.uniform(0.1, 3.0)))
-        summary = apps.collision_summary(Dataset(rng.choice(m, size=n, p=p)), m)
+        summary = apps.collision_rows(rng.choice(m, size=n, p=p)[None], m)
         params = HajekParams(eps=float(rng.uniform(0.05, 3.0)),
                              c_range=float(rng.choice([0.0, rng.uniform(0.0, 0.1), 1.0])),
                              xi=float(rng.choice([0.0, rng.uniform(0.0, 0.3)])))
         want = full_scan_hajek_state(summary, params)
-        assert_states_equal(hajek_state(summary, params), want)
+        assert_states_equal(row_state(summary, params), want)
         with_bad += want.bad.size > 0
     assert with_bad > 50
     for _ in range(40):
@@ -443,7 +445,7 @@ def test_state_equals_the_full_scan_reference_on_random_cases():
         summary = summarize(vals, fam)
         params = HajekParams(eps=float(rng.uniform(0.1, 2.0)), c_range=float(rng.uniform(0.0, 3.0)),
                              xi=float(rng.uniform(0.0, 1.0)))
-        assert_states_equal(hajek_state(summary, params), full_scan_hajek_state(summary, params))
+        assert_states_equal(row_state(summary, params), full_scan_hajek_state(summary, params))
 
 
 def per_row_radius_stack():
@@ -465,9 +467,9 @@ def test_per_row_radii_equal_one_row_states_with_scalar_radii():
     states = hajek.hajek_rows(apps.collision_rows(x, m), HajekParams(0.7, 0.02, xi))
     assert states.bad.size > 0 and len(set(states.spread_level.tolist())) > 1
     for i, radius in enumerate(xi.tolist()):
-        summary = apps.collision_summary(Dataset(x[i]), m)
+        summary = apps.collision_rows(x[i][None], m)
         params = HajekParams(0.7, 0.02, radius)
-        alone = hajek_state(summary, params)
+        alone = row_state(summary, params)
         assert_states_equal(states.row(i), alone)
         assert_states_equal(alone, full_scan_hajek_state(summary, params))
 
@@ -485,7 +487,7 @@ def test_scalar_radius_equals_the_same_radius_in_every_row():
 
 
 def test_weights_are_a_read_only_view_of_ones_when_nothing_is_bad():
-    state = hajek_state(apps.collision_summary(Dataset(np.arange(40) % 4), 4), HajekParams(1.0, 1.0, 0.5))
+    state = row_state(apps.collision_rows((np.arange(40) % 4)[None], 4), HajekParams(1.0, 1.0, 0.5))
     assert state.bad.size == 0 and np.array_equal(state.weights, np.ones(40))
     assert not state.weights.flags.writeable
 
@@ -498,13 +500,13 @@ def large_collision_summary(skewed: bool, n: int, m: int, seed: int):
         x = rng.permutation(x)
     else:
         x = rng.integers(0, m, n)
-    return apps.collision_summary(Dataset(x), m), HajekParams(1.0, 1.0, apps.collision_xi(m, n))
+    return apps.collision_rows(x[None], m), HajekParams(1.0, 1.0, apps.collision_xi(m, n))
 
 
 @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
 def test_state_equals_the_full_scan_reference_at_scale(skewed):
     summary, params = large_collision_summary(skewed, 2 * 10**5, 1000, 24)
-    got = hajek_state(summary, params)
+    got = row_state(summary, params)
     assert_states_equal(got, full_scan_hajek_state(summary, params))
     assert (got.bad.size > 0) == skewed
 
@@ -514,7 +516,7 @@ def test_state_sorts_only_the_over_threshold_tail(skewed, monkeypatch):
     n, m = 10**5, 100
     summary, params = large_collision_summary(skewed, n, m, 25)
     first = params.xi + 6.0 * 2 * params.c_range * 1 / n  # the t = 1 threshold
-    over = int(np.count_nonzero(np.abs(summary.projections - summary.a_n) > first))
+    over = int(np.count_nonzero(np.abs(summary.projections[0] - summary.a_n[0]) > first))
     sizes = []
     sort = np.sort
 
@@ -523,7 +525,7 @@ def test_state_sorts_only_the_over_threshold_tail(skewed, monkeypatch):
         return sort(a, *args, **kwargs)
 
     monkeypatch.setattr(hajek.np, "sort", recording_sort)
-    state = hajek_state(summary, params)
+    state = row_state(summary, params)
     monkeypatch.undo()
     if skewed:
         assert 2 <= over < n and state.spread_level > 1
@@ -534,12 +536,12 @@ def test_state_sorts_only_the_over_threshold_tail(skewed, monkeypatch):
 
 
 def test_state_rejects_non_finite_projections():
-    summary = hajek.UStatSummary(
-        n=3, k=1, a_n=0.0, projections=np.array([0.0, math.nan, 0.0]),
-        reweight=lambda w: 0.0, all_tuples_family=True,
+    summary = SummaryRows(
+        n=3, k=1, a_n=np.array([0.0]), projections=np.array([[0.0, math.nan, 0.0]]),
+        reweight=lambda i, w: 0.0, all_tuples_family=True,
     )
     with pytest.raises(ValueError, match="finite"):
-        hajek_state(summary, HajekParams(1.0, 1.0, 0.0))
+        row_state(summary, HajekParams(1.0, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -565,7 +567,7 @@ def enumerate_states(n, params):
     out = {}
     for config in itertools.product((0, 1), repeat=n):
         vals = kernel_values(h, Dataset(np.array(config, dtype=float)), fam)
-        out[config] = hajek_state(summarize(vals, fam), params)
+        out[config] = row_state(summarize(vals, fam), params)
     return out
 
 
@@ -591,14 +593,14 @@ def test_smooth_bound_dominates_brute_force_local_sensitivity():
 
     def reweighted_of(pts):
         vals = kernel_values(h, Dataset(np.asarray(pts, dtype=float)), fam)
-        return hajek_state(summarize(vals, fam), params).reweighted
+        return row_state(summarize(vals, fam), params).reweighted
 
     rng = np.random.default_rng(11)
     for _ in range(12):
         pts = rng.integers(0, 2, size=n)
         ls = brute_force_local_sensitivity(reweighted_of, pts.astype(float), [0.0, 1.0])
         vals = kernel_values(h, Dataset(pts.astype(float)), fam)
-        s = hajek_state(summarize(vals, fam), params).smooth_bound
+        s = row_state(summarize(vals, fam), params).smooth_bound
         assert ls <= s + 1e-12
 
 
@@ -610,7 +612,7 @@ def test_sensitivity_reduction_on_adversarial_fixture():
     fam = all_tuples(60, 2)
     params = HajekParams(eps=0.5, c_range=1.0, xi=fix.xi)
     vals = kernel_values(h, fix.base, fam)
-    state = hajek_state(summarize(vals, fam), params)
+    state = row_state(summarize(vals, fam), params)
     closed = smooth_sensitivity_closed_form_bound(fix.xi, state.spread_level, 60, 2, 1.0, 0.5, True)
     assert state.smooth_bound <= closed * (1 + 1e-9)
     # far below the worst-case range-based Laplace scale C * dep = C * k/n... the
@@ -641,8 +643,8 @@ def test_collision_fast_path_matches_generic(xi, c_range, expect_bad):
     fam = all_tuples(35, 2)
     params = HajekParams(eps=1.0, c_range=c_range, xi=xi)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    generic = hajek_state(summarize(vals, fam), params)
-    fast = hajek_state(apps.collision_summary(data, m), params)
+    generic = row_state(summarize(vals, fam), params)
+    fast = row_state(apps.collision_rows(data.points[None], m), params)
     if expect_bad:
         assert generic.bad.size > 0  # otherwise this case checks nothing new
     assert fast.spread_level == generic.spread_level
@@ -675,8 +677,8 @@ def test_triangle_fast_path_matches_generic(xi, c_range, expect_bad):
     )
     params = HajekParams(eps=1.0, c_range=c_range, xi=xi)
     vals = kernel_values(tri, Dataset(np.arange(18)), fam)
-    generic = hajek_state(summarize(vals, fam), params)
-    fast = hajek_state(apps.triangle_summary(g), params)
+    generic = row_state(summarize(vals, fam), params)
+    fast = row_state(apps.triangle_rows(g, 1), params)
     if expect_bad:
         assert generic.bad.size > 0
     assert fast.spread_level == generic.spread_level
@@ -693,8 +695,8 @@ def test_collision_fast_path_with_fractional_weights():
     fam = all_tuples(40, 2)
     params = HajekParams(eps=0.05, c_range=0.02, xi=0.0)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    generic = hajek_state(summarize(vals, fam), params)
-    fast = hajek_state(apps.collision_summary(data, m), params)
+    generic = row_state(summarize(vals, fam), params)
+    fast = row_state(apps.collision_rows(data.points[None], m), params)
     fractional = (generic.weights > 0.0) & (generic.weights < 1.0)
     assert fractional.any()
     assert fast.reweighted == pytest.approx(generic.reweighted, rel=1e-12)
@@ -714,8 +716,8 @@ def test_collision_fast_path_with_many_scattered_categories():
     fam = all_tuples(n, 2)
     params = HajekParams(eps=1.0, c_range=0.02, xi=0.0)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    generic = hajek_state(summarize(vals, fam), params)
-    fast = hajek_state(apps.collision_summary(data, m), params)
+    generic = row_state(summarize(vals, fam), params)
+    fast = row_state(apps.collision_rows(data.points[None], m), params)
     assert 0 < generic.bad.size < n
     assert fast.reweighted == pytest.approx(generic.reweighted, rel=1e-12)
 
@@ -737,8 +739,8 @@ def test_triangle_fast_path_with_many_bad_nodes():
     )
     params = HajekParams(eps=0.2, c_range=0.001, xi=0.0)
     vals = kernel_values(tri, Dataset(np.arange(14)), fam)
-    generic = hajek_state(summarize(vals, fam), params)
-    fast = hajek_state(apps.triangle_summary(g), params)
+    generic = row_state(summarize(vals, fam), params)
+    fast = row_state(apps.triangle_rows(g, 1), params)
     assert generic.bad.size >= 3
     assert generic.weights.min() < 1.0
     assert fast.reweighted == pytest.approx(generic.reweighted, rel=1e-12, abs=1e-15)
@@ -750,13 +752,14 @@ def test_triangle_fast_path_with_many_bad_nodes():
 def test_triangle_reweight_equals_loop_reference_bitwise(n, radius, low_share):
     rng = np.random.default_rng(n)
     g = apps.sample_rgg(n, radius, rng)
-    summary = apps.triangle_summary(g)
-    assert summary.reweight(np.ones(n)) == summary.a_n
+    rows = apps.triangle_rows(g, 1)
+    a_n = float(rows.a_n[0])
+    assert rows.reweight(0, np.ones(n)) == a_n
     for _ in range(4):
         weights = np.ones(n)
         low = rng.choice(n, max(1, int(low_share * n)), replace=False)
         weights[low] = rng.choice([0.0, 0.25, rng.uniform()], size=low.size)
-        assert summary.reweight(weights) == loop_triangle_reweight(g.adjacency.toarray(), weights, summary.a_n)
+        assert rows.reweight(0, weights) == loop_triangle_reweight(g.adjacency.toarray(), weights, a_n)
 
 
 # ---------------------------------------------------------------------------

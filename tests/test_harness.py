@@ -14,7 +14,7 @@ import pytest
 
 import privustat as pv
 from privustat.errors import AuditFailure, LedgerMismatch, PreconditionWarning
-from privustat.hajek import hajek_state
+from privustat.hajek import hajek_rows
 from privustat.harness import audits, cli, experiments
 from privustat.harness.audits import SmoothnessReport
 from privustat.harness.cli import main as cli_main
@@ -30,7 +30,7 @@ import oracles
 from oracles import (
     constant_kernel,
     fresh_array_ks_gap,
-    halved_bound_state,
+    halved_bound_rows,
     loop_smoothness_audit,
     reference_noise_gap,
 )
@@ -307,7 +307,7 @@ def test_cli_audit_exit_codes(monkeypatch, capsys):
     assert ok == 0
     # the 5 binary multisets of size 4 and their 8 ordered neighbour pairs
     assert "smoothness audit ok\ndatasets 5\npairs 8\n" in capsys.readouterr().out
-    monkeypatch.setattr(audits, "hajek_state", halved_bound_state)
+    monkeypatch.setattr(audits, "hajek_rows", halved_bound_rows)
     bad = cli_main(["audit-smoothness", "--n", "5", "--eps", "1.0", "--xi", "0.0"])
     assert bad == 2
     capsys.readouterr()
@@ -546,12 +546,12 @@ def test_smoothness_audit_fails_on_a_non_finite_kernel(value):
 
 
 def test_smoothness_audit_fails_on_a_nan_bound(monkeypatch):
-    def nan_bound(summary, params):
-        state = hajek_state(summary, params)
-        state.smooth_bound = float("nan")
-        return state
+    def nan_bound(rows, params):
+        states = hajek_rows(rows, params)
+        states.smooth_bound[:] = math.nan
+        return states
 
-    monkeypatch.setattr(audits, "hajek_state", nan_bound)
+    monkeypatch.setattr(audits, "hajek_rows", nan_bound)
     with pytest.raises(AuditFailure, match="dominance violated") as exc:
         audits.smoothness_audit(n=4, eps=1.0, xi=0.0)
     # both checks on every ordered pair of the 5 binary multisets of size 4
@@ -569,18 +569,71 @@ def test_smoothness_audit_equality_kernel_positive_margins():
 
 @pytest.mark.parametrize("n, alphabet", [(10, (0, 1)), (6, (0, 1, 2)), (4, (0, 1, 2, 3))])
 def test_smoothness_audit_runs_the_engine_once_per_multiset(monkeypatch, n, alphabet):
-    calls = mock.Mock(wraps=hajek_state)
-    monkeypatch.setattr(audits, "hajek_state", calls)
+    calls = mock.Mock(wraps=hajek_rows)
+    monkeypatch.setattr(audits, "hajek_rows", calls)
     rep = audits.smoothness_audit(n=n, eps=1.0, xi=0.1, alphabet=alphabet)
     r = len(alphabet)
-    assert calls.call_count == rep.datasets == math.comb(n + r - 1, r - 1)
+    (rows, _), _ = calls.call_args
+    assert calls.call_count == 1
+    assert rows.a_n.shape == (rep.datasets,) and rep.datasets == math.comb(n + r - 1, r - 1)
     # an ordered pair per letter present and letter it can become
     present = sum(len(set(m)) for m in itertools.combinations_with_replacement(range(r), n))
     assert rep.pairs_checked == present * (r - 1)
 
 
+def test_smoothness_audit_past_the_value_cap_raises_before_any_kernel_pass(monkeypatch):
+    def no_kernel_pass(*args):
+        raise AssertionError("the audit ran a kernel pass past its cap")
+
+    monkeypatch.setattr(audits, "kernel_values_and_projections", no_kernel_pass)
+    # 324 binary multisets of n = 323, C(323, 2) values each
+    assert 324 * math.comb(323, 2) > audits.AUDIT_VALUE_CAP
+    with pytest.raises(ValueError, match="over the cap"):
+        audits.smoothness_audit(n=323, eps=1.0, xi=0.0)
+    with pytest.raises(ValueError, match="over the cap"):
+        audits.smoothness_audit(n=10**6, eps=1.0, xi=0.0, alphabet=(0, 1, 2))
+    assert cli_main(["audit-smoothness", "--n", "323"]) == 1
+
+
+def test_smoothness_audit_value_cap_counts_multisets_times_subsets(monkeypatch):
+    # binary data at n = 40: 41 multisets of C(40, 2) = 780 values
+    kwargs = dict(n=40, eps=1.0, xi=0.0, c_range=0.0, kernel=constant_kernel(0.5, 2))
+    monkeypatch.setattr(audits, "AUDIT_VALUE_CAP", 41 * 780 - 1)
+    with pytest.raises(ValueError, match="31980 kernel values"):
+        audits.smoothness_audit(**kwargs)
+    monkeypatch.setattr(audits, "AUDIT_VALUE_CAP", 41 * 780)
+    assert audits.smoothness_audit(**kwargs).datasets == 41
+
+
+@pytest.mark.parametrize("n, violations", [(13, 12), (40, 34)])
+def test_smoothness_audit_known_dominance_misses_past_n_12(n, violations):
+    # the smooth bound does not dominate the reweighted mean's change where
+    # L moves (binary collision data, eps = 1, xi = 0); kept visible until
+    # the bound is fixed
+    with pytest.raises(AuditFailure, match=f"^dominance .*\\({violations} violations total\\)$"):
+        audits.smoothness_audit(n=n, eps=1.0, xi=0.0)
+
+
+def test_cli_audit_past_n_12_runs_and_fails_on_the_known_miss(capsys):
+    assert cli_main(["audit-smoothness", "--n", "13", "--eps", "1.0", "--xi", "0.0"]) == 2
+    assert "audit failure: dominance violated" in capsys.readouterr().err
+
+
+def test_smoothness_audit_leaves_out_only_the_non_finite_multisets(monkeypatch):
+    # multisets holding inf have an inf a_n and get NaN; the rest are audited
+    calls = mock.Mock(wraps=hajek_rows)
+    monkeypatch.setattr(audits, "hajek_rows", calls)
+    kwargs = dict(n=4, eps=1.0, xi=0.0, alphabet=(0, 1, math.inf), kernel=pv.mean_kernel(2))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(AuditFailure):
+            audits.smoothness_audit(**kwargs)
+        (rows, _), _ = calls.call_args
+        assert rows.a_n.shape == (5,)  # the 5 multisets of 0s and 1s
+        assert_audit_equals_the_loop_audit_modulo_permutation(monkeypatch, **kwargs)
+
+
 def test_smoothness_audit_fault_injection_fails(monkeypatch):
-    monkeypatch.setattr(audits, "hajek_state", halved_bound_state)
+    monkeypatch.setattr(audits, "hajek_rows", halved_bound_rows)
     with pytest.raises(AuditFailure):
         audits.smoothness_audit(n=5, eps=1.0, xi=0.0, c_range=1.0)
 
@@ -667,20 +720,20 @@ def test_smoothness_audit_equals_the_loop_audit(monkeypatch, n):
         with monkeypatch.context() as patched:
             if halved:
                 for module in (audits, oracles):
-                    patched.setattr(module, "hajek_state", halved_bound_state)
+                    patched.setattr(module, "hajek_rows", halved_bound_rows)
             assert_audit_equals_the_loop_audit_modulo_permutation(patched, **kwargs)
 
 
 def test_smoothness_audit_orders_violations_like_the_loop_audit(monkeypatch):
     # a bound that falls as a_n rises breaks dominance and smoothness on the
     # first pair, so the report must name dominance first
-    def skewed(summary, params):
-        state = hajek_state(summary, params)
-        state.smooth_bound *= 0.1 * (1.0 + 30.0 * (1.0 - state.a_n))
-        return state
+    def skewed(rows, params):
+        states = hajek_rows(rows, params)
+        states.smooth_bound *= 0.1 * (1.0 + 30.0 * (1.0 - states.a_n))
+        return states
 
-    monkeypatch.setattr(audits, "hajek_state", skewed)
-    monkeypatch.setattr(oracles, "hajek_state", skewed)
+    monkeypatch.setattr(audits, "hajek_rows", skewed)
+    monkeypatch.setattr(oracles, "hajek_rows", skewed)
     for n in (4, 5, 6):
         with pytest.raises(AuditFailure, match="^dominance"):
             audits.smoothness_audit(n=n, eps=1.0, xi=0.0)

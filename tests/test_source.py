@@ -7,7 +7,10 @@ release takes the caller's ledger, so no ``budget`` parameter has a default,
 and the release noise has one calibration, so no parameter rescales it.
 Only ``dp`` debits a ledger or draws release noise, so a release is drawn
 and debited one way; ``noise_gof`` may call the samplers, because it audits
-them.  No module but ``ustat`` uses ``ustat``'s private names.  No function,
+them.  Only ``hajek.release_rows`` and the smoothness audit call the Hájek
+engine, and only ``release_rows`` calls its release, so no second Hájek
+path grows beside the stacked one.  No module but ``ustat`` uses
+``ustat``'s private names.  No function,
 parameter or dataclass field is named ``fault_*``: tests inject faults by
 patching, not through a library option.  Importing
 the package loads a fixed set of scipy subpackages.
@@ -200,18 +203,23 @@ SAMPLERS = {"laplace_draws", "quartic_draws", "_laplace_each", "_quartic_each"}
 SAMPLER_AUDIT = ("harness/audits.py", "noise_gof")
 
 
-def debits_and_draws(source: str) -> list[tuple[int, str, str]]:
-    """(line, enclosing top-level definition, callee) of every call of
-    ``spend`` or of a release sampler, by plain name or as an attribute."""
+def calls_of(source: str, callees) -> list[tuple[int, str, str]]:
+    """(line, enclosing top-level definition, callee) of every call of a
+    name in ``callees``, by plain name or as an attribute."""
     found = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", "<module>")
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if callee == "spend" or callee in SAMPLERS:
+                if callee in callees:
                     found.append((node.lineno, owner, callee))
     return sorted(found)
+
+
+def debits_and_draws(source: str) -> list[tuple[int, str, str]]:
+    """Every call of ``spend`` or of a release sampler (``calls_of``)."""
+    return calls_of(source, {"spend"} | SAMPLERS)
 
 
 def test_checker_finds_debits_and_draws():
@@ -241,6 +249,56 @@ def test_only_dp_debits_the_ledger_and_draws_release_noise():
             if callee in SAMPLERS and (module, owner) == SAMPLER_AUDIT:
                 continue
             found.append(f"{module} line {line}: {callee} in {owner}")
+    assert found == []
+
+
+# the Hájek engine and its release, with the only (module, top-level
+# definition) pairs that may call them: every release of the estimator goes
+# through ``release_rows``, and the smoothness audit runs the engine itself
+HAJEK_ENGINE_CALLERS = {
+    "hajek_rows": {("hajek.py", "release_rows"), ("harness/audits.py", "smoothness_audit")},
+    "smooth_sensitivity_releases": {("hajek.py", "release_rows")},
+}
+
+
+def second_hajek_paths(module: str, source: str) -> list[str]:
+    """Every call of a Hájek engine function from outside its callers."""
+    return [
+        f"{module} line {line}: {callee} in {owner}"
+        for line, owner, callee in calls_of(source, HAJEK_ENGINE_CALLERS)
+        if (module, owner) not in HAJEK_ENGINE_CALLERS[callee]
+    ]
+
+
+def test_checker_finds_second_hajek_paths():
+    source = (
+        "def release_rows(rows, params, seeds, budgets):\n"
+        "    states = hajek_rows(rows, params)\n"
+        "    return smooth_sensitivity_releases(states.reweighted, seeds, budgets)\n"
+        "def hajek_state(summary, params):\n"
+        "    return hajek.hajek_rows(summary.rows(), params).row(0)\n"
+        "class Release:\n"
+        "    def run(self, states):\n"
+        "        return dp.smooth_sensitivity_releases(states.reweighted)\n"
+    )
+    assert second_hajek_paths("hajek.py", source) == [
+        "hajek.py line 5: hajek_rows in hajek_state",
+        "hajek.py line 8: smooth_sensitivity_releases in Release",
+    ]
+    assert second_hajek_paths("harness/audits.py", source) == [
+        "harness/audits.py line 2: hajek_rows in release_rows",
+        "harness/audits.py line 3: smooth_sensitivity_releases in release_rows",
+        "harness/audits.py line 5: hajek_rows in hajek_state",
+        "harness/audits.py line 8: smooth_sensitivity_releases in Release",
+    ]
+
+
+def test_one_hajek_path():
+    # a one-row copy of the engine would drift from the stacked one that
+    # every release and the audit use
+    found = []
+    for path in ALL_MODULES:
+        found += second_hajek_paths(str(path.relative_to(SRC)), path.read_text())
     assert found == []
 
 
