@@ -267,9 +267,10 @@ class GeometricGraph:
     """Undirected graph, optionally carrying latent unit-sphere positions.
 
     The adjacency is kept only as a CSR array of int8 ones with sorted
-    indices.  The constructor takes a dense 0/1 array of any dtype: one scan
-    of its n^2 entries finds the edges, and every check after it is linear
-    in their number.
+    indices, each column at most once per row; the triangle counts build
+    their neighbour bitsets from it (``triangle_rows``).  The constructor
+    takes a dense 0/1 array of any dtype: one scan of its n^2 entries finds
+    the edges, and every check after it is linear in their number.
     """
 
     adjacency: sparse.csr_array
@@ -359,75 +360,125 @@ def _add_in_order(total: float, terms: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate([[total], terms]))[-1])
 
 
-def _lower_triangle(c: sparse.csr_array) -> sparse.csr_array:
-    """The entries of c below its diagonal (``sparse.tril`` without the COO
-    round trip, which dominates on small graphs)."""
-    n = c.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(c.indptr))
-    keep = c.indices < rows
-    return _csr(rows[keep], c.indices[keep], c.data[keep], n)
+# bytes of bitsets one gather of ``_common_neighbours`` reads per side
+_GATHER_BYTES = 1 << 18
 
 
-def _triangles_per_row(rows: sparse.csr_array, square: sparse.csr_array) -> np.ndarray:
-    """Triangles closed by each row's node: for every row v, the number of
-    edges {u, w} of ``square`` with both ends among v's neighbours.
+def _neighbour_bits(rows: np.ndarray, cols: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Each node's neighbours inside its own chunk of ``size`` consecutive
+    nodes, as an (n, ceil(size / 64)) array of uint64 words: bit j of word w
+    of row v is set when v is adjacent to node 64 w + j of its chunk.
 
-    One masked product with the lower triangle counts each edge once, for
-    u > w (Azad, Buluc & Gilbert, IPDPSW 2015).  int64 data keeps the counts
-    exact; int8 products would overflow past 127 common neighbours.
+    (rows, cols) are the entries of a block-diagonal CSR, each column at
+    most once per row, so the bits that land in one word are distinct powers
+    of two and one unbuffered integer ``add.at`` sets them all.
     """
-    return (rows @ _lower_triangle(square)).multiply(rows).sum(axis=1)
+    words = -(-size // 64)
+    bits = np.zeros(n * words, dtype=np.uint64)
+    local = cols % size if size < n else cols
+    one_bits = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
+    np.add.at(bits, rows * words + (local >> 6), one_bits)
+    return bits.reshape(n, words)
+
+
+def _common_neighbours(
+    left: np.ndarray, right: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """popcount(left[u[e]] & right[v[e]]) for each pair e, as exact int64,
+    gathered in blocks of about ``_GATHER_BYTES`` per side."""
+    out = np.empty(u.size, dtype=np.int64)
+    step = max(1, _GATHER_BYTES // (8 * left.shape[1]))
+    for lo in range(0, u.size, step):
+        both = np.take(left, u[lo : lo + step], axis=0)
+        both &= np.take(right, v[lo : lo + step], axis=0)
+        np.einsum("ij->i", np.bitwise_count(both), dtype=np.int64, out=out[lo : lo + step])
+    return out
+
+
+def _halved_counts(common: np.ndarray, ends: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """Half the sum of ``common`` at each of the n indices named by ``ends``.
+
+    The float64 bincount is exact: every sum is an integer below 2^53.
+    """
+    total = sum(np.bincount(e, common, n) for e in ends)
+    return total.astype(np.int64) // 2
 
 
 def triangle_rows(chunks: GeometricGraph, q: int) -> SummaryRows:
-    """Sparse-product summaries of the triangle kernel over all node triples
+    """Count-based summaries of the triangle kernel over all node triples
     of each of q chunks, given as one block-diagonal graph of q equal chunks
     (``GeometricGraph.block_diagonal``).
 
-    Counts are exact integers from one int64 sparse product over all chunks,
-    so the work grows with the number of edges, not with n^3.  Row i's
-    reweight runs on chunk i's own block of the adjacency.
+    Each node's neighbours in its chunk are one bitset of ceil(size / 64)
+    words.  Every undirected edge is visited once: the popcount of its
+    ends' intersection is its number of common neighbours, which both ends
+    add, and each node's sum is twice its triangles (the edge iterator of
+    Schank & Wagner, WEA 2005).  That is E ceil(size / 64) word operations
+    on n ceil(size / 64) words, and the counts are exact integers.  Row i's
+    reweight runs on chunk i's own block of the adjacency and bitsets.
     """
     size = chunks.n // q
     if size * q != chunks.n:
         raise ValueError(f"{chunks.n} nodes do not split into {q} equal chunks")
     if size < 3:
         raise InsufficientData("triangle statistics need at least three nodes")
-    c = chunks.adjacency.astype(np.int64, copy=False)
-    per_node = _triangles_per_row(c, c).reshape(q, size)
+    c = chunks.adjacency
+    rows = np.repeat(np.arange(chunks.n), np.diff(c.indptr))
+    if q > 1 and (rows // size != c.indices // size).any():
+        raise ValueError(f"an edge joins two of the {q} chunks; pass a block-diagonal graph")
+    bits = _neighbour_bits(rows, c.indices, chunks.n, size)
+    lower = c.indices < rows
+    u, v = rows[lower], c.indices[lower]
+    common = _common_neighbours(bits, bits, u, v)
+    per_node = _halved_counts(common, (u, v), chunks.n).reshape(q, size)
     a_n = per_node.sum(axis=1) / 3.0 / math.comb(size, 3)
     projections = per_node / math.comb(size - 1, 2)
 
     def reweight(i: int, weights: np.ndarray) -> float:
-        block = c[i * size : (i + 1) * size, i * size : (i + 1) * size] if q > 1 else c
-        return _triangle_reweight(block, float(a_n[i]), weights)
+        chunk = slice(i * size, (i + 1) * size)
+        block = c[chunk, chunk] if q > 1 else c
+        return _triangle_reweight(block, bits[chunk], float(a_n[i]), weights)
 
     return SummaryRows(
         n=size, k=3, a_n=a_n, projections=projections, reweight=reweight, all_tuples_family=True
     )
 
 
-def _triangle_reweight(c: sparse.csr_array, a_n: float, weights: np.ndarray) -> float:
-    """The reweighted triangle mean of the graph with int64 adjacency c."""
+def _triangle_reweight(
+    c: sparse.csr_array, bits: np.ndarray, a_n: float, weights: np.ndarray
+) -> float:
+    """The reweighted triangle mean of the graph with adjacency c and
+    neighbour bitsets ``bits`` (``_neighbour_bits`` of c as one chunk)."""
     n = c.shape[0]
-    low = np.nonzero(weights < 1.0)[0]
+    is_low = weights < 1.0
+    low = np.flatnonzero(is_low)
     # reweighted mean = a_n + (1/M) sum over triples meeting a
     # down-weighted node of (wt(S) - 1)(h(S) - a_n); triples of three
     # full-weight nodes contribute nothing
-    rest = np.setdiff1d(np.arange(n), low)
+    rest = n - low.size
     w = weights[low]
+    # the low nodes' neighbours among the full-weight ones
+    keep = np.full(bits.shape[1], ~np.uint64(0))
+    np.bitwise_and.at(keep, low >> 6, ~np.left_shift(np.uint64(1), (low & 63).astype(np.uint64)))
+    to_rest = bits[low] & keep
+    # exactly one down-weighted node: per stored entry (b, u) with u in
+    # rest, the common neighbours of b and u within rest; each triangle
+    # through b is counted from both of its other ends
     c_low = c[low]
-    to_rest = c_low[:, rest]
-    # exactly one down-weighted node: triangles through it within rest
-    tri_one = _triangles_per_row(to_rest, c[rest][:, rest])
-    pairs = rest.size * (rest.size - 1) // 2
+    owner = np.repeat(np.arange(low.size), np.diff(c_low.indptr))
+    in_rest = ~is_low[c_low.indices]
+    owner, ends = owner[in_rest], c_low.indices[in_rest]
+    tri_one = _halved_counts(_common_neighbours(to_rest, bits, owner, ends), (owner,), low.size)
+    pairs = rest * (rest - 1) // 2
     corr = _add_in_order(0.0, (w - 1.0) * (tri_one - a_n * pairs))
     # exactly two down-weighted nodes: common neighbours within rest
-    low_low = c_low[:, low].toarray()
-    common = (to_rest @ to_rest.T).toarray()
+    shift = (low & 63).astype(np.uint64)
+    low_low = (np.right_shift(bits[low[:, None], low >> 6], shift) & np.uint64(1)).astype(np.int8)
     x, y = np.triu_indices(low.size, 1)
-    tri_two = low_low[x, y] * common[x, y]
-    corr = _add_in_order(corr, (np.minimum(w[x], w[y]) - 1.0) * (tri_two - a_n * rest.size))
+    tri_two = low_low[x, y].astype(np.int64)
+    edge = np.flatnonzero(tri_two)
+    tri_two[edge] = _common_neighbours(to_rest, to_rest, x[edge], y[edge])
+    corr = _add_in_order(corr, (np.minimum(w[x], w[y]) - 1.0) * (tri_two - a_n * rest))
     # all three down-weighted: per first node, the pairs after it are a
     # suffix of the lexicographic pair list
     for first in range(low.size - 2):
@@ -486,10 +537,11 @@ def private_triangle_densities(
     draws its proxy and then its release noise from seeds[i] and debits
     budgets[i].
 
-    One sparse product counts every chunk's triangles, and all proxies go
-    through one release.  The chunks whose proxy is >= 0 are then released
-    through one ``release_rows``, each with the radius its own proxy sizes;
-    the others are bottoms that spent eps.
+    One pass over the edges of the block-diagonal graph counts every
+    chunk's triangles from its neighbour bitsets (``triangle_rows``), and
+    all proxies go through one release.  The chunks whose proxy is >= 0 are
+    then released through one ``release_rows``, each with the radius its own
+    proxy sizes; the others are bottoms that spent eps.
     """
     q = len(seeds)
     chunk_rows = triangle_rows(chunks, q)

@@ -183,25 +183,34 @@ def smooth_bound_g(
 
 
 def smooth_sensitivity(
-    xi: float,
-    spread_level: int,
+    xi: float | np.ndarray,
+    spread_level: int | np.ndarray,
     n: int,
     k: int,
     c_range: float,
     eps: float,
     all_tuples_family: bool,
-) -> float:
-    """max over shifts l in 0..n of exp(-eps l) g(xi, L + l, n).
+) -> float | np.ndarray:
+    """max over shifts l in 0..n of exp(-eps l) g(xi, L + l, n), for one
+    (xi, L) key or for equal-length arrays of keys at once.
 
     A one-point substitution moves L by at most 1, so this is an eps-smooth
-    upper bound on the local sensitivity of the reweighted mean.
+    upper bound on the local sensitivity of the reweighted mean.  Every
+    key's shifts are one row of a padded array, masked past the key's own
+    last shift; each entry is the one a lone key computes, and a maximum
+    does not round, so every key's bound is the one it has alone.
     """
+    xis = np.asarray(xi, dtype=float).reshape(-1, 1)
+    levels = np.asarray(spread_level).reshape(-1, 1)
     # every term of g grows at most like L^3, so once L + l >= 6/eps each
     # further shift multiplies exp(-eps l) g by at most e^(-eps/2) < 1
-    last = min(n, max(0, math.ceil(6.0 / eps - spread_level)) + 1)
-    shifts = np.arange(0, last + 1)
-    g = smooth_bound_g(xi, spread_level + shifts, n, k, c_range, eps, all_tuples_family)
-    return float(np.max(np.exp(-eps * shifts) * g))
+    last = [min(n, max(0, math.ceil(6.0 / eps - L)) + 1) for L in levels[:, 0].tolist()]
+    shifts = np.arange(0, max(last, default=0) + 1)
+    g = smooth_bound_g(xis, levels + shifts, n, k, c_range, eps, all_tuples_family)
+    terms = np.exp(-eps * shifts) * g
+    terms[shifts > np.array(last)[:, None]] = -np.inf
+    out = terms.max(axis=1, initial=-np.inf)
+    return float(out[0]) if np.ndim(xi) == np.ndim(spread_level) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +296,10 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
 
     Each row's dead band, spread level, edge and bad indices are its own, and
     so is its radius when ``params.xi`` holds one per row.  Only rows with
-    bad indices are reweighted, and the smooth bound is evaluated once per
-    distinct (spread level, radius).  The per-row scalars are Python floats,
-    computed as for a single summary.
+    bad indices are reweighted, and the smooth bound is evaluated by one
+    ``smooth_sensitivity`` call over the distinct (spread level, radius)
+    keys.  The per-row scalars are Python floats, computed as for a single
+    summary.
     """
     n, k, c_range, eps = rows.n, rows.k, params.c_range, params.eps
     proj, a_n = rows.projections, rows.a_n
@@ -329,10 +339,12 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
             reweighted[i] = rows.reweight(i, weights[i])
     else:
         weights = np.ndarray(devs.shape, buffer=_ONE, strides=(0, 0))
-    bound = {
-        (L, x): smooth_sensitivity(x, L, n, k, c_range, eps, rows.all_tuples_family)
-        for L, x in set(zip(level, xis))
-    }
+    keys = list(dict.fromkeys(zip(level, xis)))
+    bounds = smooth_sensitivity(
+        np.array([x for _, x in keys]), np.array([L for L, _ in keys], dtype=int),
+        n, k, c_range, eps, rows.all_tuples_family,
+    )
+    bound = dict(zip(keys, bounds.tolist()))
     return HajekRows(
         a_n=a_n,
         projections=proj,

@@ -143,6 +143,15 @@ def full_range_smooth_sensitivity(xi, spread_level, n, k, c_range, eps, all_tupl
     return float(np.max(np.exp(-eps * shifts) * g))
 
 
+def per_key_smooth_sensitivity(xi, spread_level, n, k, c_range, eps, all_tuples_family) -> float:
+    """max over shifts l in 0..last of exp(-eps l) g(xi, L + l, n) for one
+    key alone, with last = min(n, max(0, ceil(6/eps - L)) + 1)."""
+    last = min(n, max(0, math.ceil(6.0 / eps - spread_level)) + 1)
+    shifts = np.arange(0, last + 1)
+    g = smooth_bound_g(xi, spread_level + shifts, n, k, c_range, eps, all_tuples_family)
+    return float(np.max(np.exp(-eps * shifts) * g))
+
+
 def full_scan_compute_L(deviations, xi: float, c_range: float, k: int, n: int) -> int:
     """The spread level L over all n deviations: one threshold per t = 1..n."""
     deviations = np.asarray(deviations, dtype=float)

@@ -494,6 +494,99 @@ def test_csr_graph_equals_the_dense_oracles(case):
     assert rows.reweight(0, w) == loop_triangle_reweight(adj, w, float(rows.a_n[0]))
 
 
+def random_graph(n, density, rng):
+    """Symmetric 0/1 int8 adjacency with each pair an edge with probability ``density``."""
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return (upper | upper.T).astype(np.int8)
+
+
+def complete_graph(n):
+    return np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
+
+
+# neighbour bitsets are ceil(n / 64) words: one word short of, at and past
+# each word boundary
+WORD_EDGE_SIZES = [63, 64, 65, 127, 128, 129]
+
+
+@pytest.mark.parametrize("n", WORD_EDGE_SIZES)
+@pytest.mark.parametrize("kind", ["random", "complete"])
+def test_triangle_summary_at_word_boundaries_matches_dense_oracle(n, kind):
+    adj = random_graph(n, 0.3, np.random.default_rng(n)) if kind == "random" else complete_graph(n)
+    assert_summary_matches_dense_oracle(adj)
+
+
+def assert_stack_matches_each_chunk(adj, q, size, rng):
+    """Every chunk of the block-diagonal graph's ``triangle_rows`` equals the
+    dense oracles on that chunk alone: counts, a_n and a reweight."""
+    rows = apps.triangle_rows(apps.GeometricGraph(adj).block_diagonal(q, size), q)
+    assert rows.n == size and rows.projections.shape == (q, size)
+    for i in range(q):
+        block = adj[i * size : (i + 1) * size, i * size : (i + 1) * size]
+        per_node = dense_triangles_per_node(block)
+        assert np.array_equal(rows.projections[i], per_node / math.comb(size - 1, 2))
+        assert rows.a_n[i] == float(per_node.sum() / 3.0) / math.comb(size, 3)
+        weights = np.ones(size)
+        low = rng.choice(size, min(size, 6), replace=False)
+        weights[low] = rng.choice([0.0, 0.25, 0.6], size=low.size)
+        a_n = float(rows.a_n[i])
+        assert rows.reweight(i, weights) == loop_triangle_reweight(block, weights, a_n)
+
+
+@pytest.mark.parametrize("q,size", [(2, 70), (3, 65), (3, 130), (19, 67), (19, 3)])
+def test_block_diagonal_triangle_rows_match_each_chunk(q, size):
+    rng = np.random.default_rng(q * size)
+    assert_stack_matches_each_chunk(random_graph(q * size + 5, 0.4, rng), q, size, rng)
+
+
+@pytest.mark.parametrize("gather_bytes", [8, 200, 4096])
+def test_triangle_counts_do_not_depend_on_the_gather_block(monkeypatch, gather_bytes):
+    # blocks of one pair, of a few pairs with a ragged last block, and of many
+    monkeypatch.setattr(apps, "_GATHER_BYTES", gather_bytes)
+    rng = np.random.default_rng(gather_bytes)
+    assert_summary_matches_dense_oracle(random_graph(129, 0.4, rng))
+    assert_stack_matches_each_chunk(random_graph(3 * 70, 0.4, rng), 3, 70, rng)
+
+
+def test_triangle_densities_refuse_an_edge_between_chunks_before_any_spend():
+    adj = random_graph(2 * 70, 0.4, np.random.default_rng(9))
+    budgets = [pv.PrivacyBudget(2.0), pv.PrivacyBudget(2.0)]
+    with pytest.raises(ValueError, match="block-diagonal"):
+        apps.private_triangle_densities(apps.GeometricGraph(adj), 1.0, [1, 2], budgets)
+    assert all(b.entries == [] for b in budgets)
+
+
+def test_an_edgeless_chunk_inside_a_stack_counts_zero():
+    rng = np.random.default_rng(3)
+    q, size = 3, 65
+    adj = random_graph(q * size, 0.5, rng)
+    adj[size : 2 * size, :] = 0
+    adj[:, size : 2 * size] = 0
+    assert_stack_matches_each_chunk(adj, q, size, rng)
+    rows = apps.triangle_rows(apps.GeometricGraph(adj).block_diagonal(q, size), q)
+    assert rows.a_n[1] == 0.0 and not rows.projections[1].any()
+
+
+@pytest.mark.parametrize("q,size", [(1, 130), (4, 65)])
+def test_an_edgeless_graph_counts_zero(q, size):
+    rows = apps.triangle_rows(apps.GeometricGraph(np.zeros((q * size,) * 2, dtype=np.int8)), q)
+    assert not rows.a_n.any() and not rows.projections.any()
+    weights = np.full(size, 0.5)
+    assert rows.reweight(q - 1, weights) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(3, 140),
+    st.sampled_from([0.0, 0.05, 0.3, 0.8, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_triangle_rows_of_random_stacks_equal_the_dense_oracles(q, size, density, seed):
+    rng = np.random.default_rng(seed)
+    assert_stack_matches_each_chunk(random_graph(q * size, density, rng), q, size, rng)
+
+
 def test_triangle_density_complete_graph():
     adj = np.ones((30, 30), dtype=np.int8)
     np.fill_diagonal(adj, 0)

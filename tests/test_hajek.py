@@ -36,6 +36,7 @@ from oracles import (
     full_scan_compute_L,
     full_scan_hajek_state,
     loop_triangle_reweight,
+    per_key_smooth_sensitivity,
     row_state,
     smooth_sensitivity_closed_form_bound,
 )
@@ -255,6 +256,44 @@ def test_smooth_sensitivity_equals_full_range_max_bitwise(eps):
             continue
         args = (xi, L, n, k, 1.0, eps, complete)
         assert pv.smooth_sensitivity(*args) == full_range_smooth_sensitivity(*args), args
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 500).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.floats(0.0, 3.0), st.integers(1, n)), max_size=20),
+    )),
+    st.integers(1, 4),
+    st.sampled_from([0.01, 0.3, 1.0, 6.0, 50.0]),
+    st.booleans(),
+)
+def test_smooth_sensitivity_of_many_keys_equals_each_key_alone_bitwise(case, k, eps, complete):
+    n, keys = case
+    xis = np.array([x for x, _ in keys], dtype=float)
+    levels = np.array([L for _, L in keys], dtype=int)
+    got = pv.smooth_sensitivity(xis, levels, n, k, 1.0, eps, complete)
+    assert got.shape == (len(keys),)
+    assert got.tolist() == [per_key_smooth_sensitivity(x, L, n, k, 1.0, eps, complete) for x, L in keys]
+    for x, L in keys[:3]:
+        alone = pv.smooth_sensitivity(x, L, n, k, 1.0, eps, complete)
+        assert type(alone) is float and alone == per_key_smooth_sensitivity(x, L, n, k, 1.0, eps, complete)
+
+
+def test_stacked_smooth_bounds_equal_per_key_calls_bitwise():
+    # a boosted triangle estimate gives every live chunk its own radius, so
+    # each row is its own (L, xi) key
+    rng = np.random.default_rng(5)
+    q, n = 15, 200
+    labels = np.where(rng.random((q, n)) < 0.3, 0, rng.integers(0, 40, (q, n)))
+    rows = apps.collision_rows(labels, 40)
+    xi = rng.uniform(0.0, 0.05, q)
+    for eps in (0.1, 1.0):
+        state = hajek.hajek_rows(rows, HajekParams(eps=eps, c_range=1.0, xi=xi))
+        levels = state.spread_level.tolist()
+        assert len(set(levels)) > 1
+        want = [per_key_smooth_sensitivity(x, L, n, 2, 1.0, eps, True) for x, L in zip(xi.tolist(), levels)]
+        assert state.smooth_bound.tolist() == want
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
@@ -748,6 +787,8 @@ def test_triangle_fast_path_with_many_bad_nodes():
 
 @pytest.mark.parametrize("n,radius,low_share", [
     (40, 0.9, 0.1), (40, 1.4, 0.5), (25, 2.0, 1.0), (120, 0.5, 0.4), (3, 2.0, 1.0),
+    # past one 64-bit word of neighbours: the low rows against the rest
+    (65, 1.2, 0.3), (129, 0.8, 0.2), (200, 0.5, 0.1), (130, 2.0, 0.15),
 ])
 def test_triangle_reweight_equals_loop_reference_bitwise(n, radius, low_share):
     rng = np.random.default_rng(n)
