@@ -12,7 +12,6 @@ from .applications import (
     private_triangle_density,
     sample_multinomial,
     sample_rgg,
-    uniformity_test,
 )
 from .boosting import BoostPlan, median_of_means
 from .coinpress import (
@@ -24,12 +23,11 @@ from .coinpress import (
     naive_estimator,
     subsampled_estimates,
     subsampled_estimator,
-    ustat_mean,
+    ustat_means,
 )
-from .dp import PrivacyBudget, global_sensitivity_release
+from .dp import PrivacyBudget
 from .hajek import (
     HajekParams,
-    HajekState,
     compute_weights,
     degenerate_xi,
     private_mean_local_hajek,

@@ -48,8 +48,8 @@ class PerturbedUniform:
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         if self.a.shape != (self.m,):
             raise ValueError("need one perturbation per atom")
-        if np.any(np.abs(self.a) > 1 + 1e-12):
-            raise ValueError("perturbations must lie in [-1, 1]")
+        if not np.all(np.abs(self.a) <= 1 + 1e-12):  # also rejects NaN
+            raise ValueError("perturbations must be finite and lie in [-1, 1]")
         if abs(float(self.a.sum())) > 1e-9 * max(1, self.m):
             raise ValueError("perturbations must sum to 0")
 
@@ -201,22 +201,6 @@ class UniformityDecision:
     report: EstimateReport
 
 
-def uniformity_test(
-    data: Dataset,
-    m: int,
-    delta: float,
-    eps: float,
-    seed,
-    budget: PrivacyBudget,
-) -> UniformityDecision:
-    """Reject approximate uniformity iff the private collision estimate is large.
-
-    The private estimate replaces the raw collision statistic; the decision
-    threshold (1 + 3 delta^2 / 4)/m splits the two hypothesis classes.
-    """
-    return boosted_uniformity_test(data, m, delta, eps, None, seed, budget)
-
-
 def boosted_uniformity_test(
     data: Dataset,
     m: int,
@@ -226,11 +210,14 @@ def boosted_uniformity_test(
     seed,
     budget: PrivacyBudget,
 ) -> UniformityDecision:
-    """The uniformity test on the median of the chunks' collision densities.
+    """Reject approximate uniformity iff the private collision estimate is
+    large: the median of the chunks' collision densities.
 
-    The chunks are disjoint (parallel composition) and their number is odd,
-    so the median clears the threshold exactly when a strict majority of the
-    chunk estimates do.  With ``alpha`` None this is ``uniformity_test``.
+    The private estimate replaces the raw collision statistic; the decision
+    threshold (1 + 3 delta^2 / 4)/m splits the two hypothesis classes.  The
+    chunks are disjoint (parallel composition) and their number is odd, so
+    the median clears the threshold exactly when a strict majority of the
+    chunk estimates do.  With ``alpha`` None the whole dataset is one chunk.
     """
     if m < 2:
         raise ValueError("need at least two atoms")
@@ -264,7 +251,8 @@ def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int) -> spar
 
 @dataclass
 class GeometricGraph:
-    """Undirected graph, optionally carrying latent unit-sphere positions.
+    """Undirected graph; ``sample_rgg`` also records the latent unit-sphere
+    positions it drew the edges from.
 
     The adjacency is kept only as a CSR array of int8 ones with sorted
     indices, each column at most once per row; the triangle counts build
@@ -299,10 +287,11 @@ class GeometricGraph:
         self.adjacency = c
 
     @classmethod
-    def _of_csr(cls, adjacency: sparse.csr_array, latent=None) -> "GeometricGraph":
-        """A graph around a CSR adjacency that is valid by construction; no checks."""
+    def _of_csr(cls, adjacency: sparse.csr_array) -> "GeometricGraph":
+        """A graph around a CSR adjacency that is valid by construction, with
+        no latent positions; no checks."""
         graph = object.__new__(cls)
-        graph.adjacency, graph.latent = adjacency, latent
+        graph.adjacency = adjacency
         return graph
 
     @property
@@ -312,13 +301,6 @@ class GeometricGraph:
     def edge_density(self) -> float:
         n = self.n
         return self.adjacency.nnz / (n * (n - 1))
-
-    def induced(self, indices) -> "GeometricGraph":
-        idx = np.asarray(indices)
-        lat = self.latent[idx] if self.latent is not None else None
-        sub = self.adjacency[np.ix_(idx, idx)]
-        sub.sort_indices()  # unsorted only when idx is not increasing
-        return GeometricGraph._of_csr(sub, lat)
 
     def block_diagonal(self, q: int, size: int) -> "GeometricGraph":
         """The first q * size nodes as q disjoint consecutive chunks of
@@ -332,8 +314,7 @@ class GeometricGraph:
         rows = np.repeat(np.arange(n), np.diff(c.indptr[: n + 1]))
         cols = c.indices[:end]
         keep = rows // size == cols // size
-        lat = self.latent[:n] if self.latent is not None else None
-        return GeometricGraph._of_csr(_csr(rows[keep], cols[keep], c.data[:end][keep], n), lat)
+        return GeometricGraph._of_csr(_csr(rows[keep], cols[keep], c.data[:end][keep], n))
 
 
 def sample_rgg(n: int, radius: float, seed) -> GeometricGraph:
@@ -552,7 +533,7 @@ def private_triangle_densities(
     nu = global_sensitivity_releases(
         u_edges, [EDGE_DENSITY_SENSITIVITY_FACTOR / size] * q, eps, budgets, rngs,
         label="edge density proxy",
-    ).tolist()
+    )[0].tolist()
     live = [i for i in range(q) if nu[i] >= 0]
     xi = [triangle_xi(nu[i], size) for i in live]
     released = release_rows(

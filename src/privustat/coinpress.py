@@ -122,18 +122,17 @@ def _release(
     """
     delta = deps * ((hi - lo) + 2.0 * tb.q(beta))
     means = np.add.reduce(values, axis=1) / values.shape[1]
-    release = global_sensitivity_releases(means, delta, eps_step, budgets, rngs, label)
-    scale = delta / eps_step
+    release, scale = global_sensitivity_releases(means, delta, eps_step, budgets, rngs, label)
     half = tb.qavg(beta) + scale * math.log(1.0 / beta)
     return release - half, release + half, scale
 
 
 def halving_rounds(r: float, q_gamma: float) -> int:
     """Number of interval-halving rounds: max(1, ceil(log2(R / Q(gamma))))."""
-    if r <= 0:
-        raise ValueError("range bound must be > 0")
-    if q_gamma <= 0:
-        raise ValueError("deviation bound must be > 0")
+    if not 0 < r < math.inf:  # also rejects NaN
+        raise ValueError(f"range bound must be finite and > 0, got {r}")
+    if not 0 < q_gamma < math.inf:
+        raise ValueError(f"deviation bound must be finite and > 0, got {q_gamma}")
     return max(1, math.ceil(math.log2(r / q_gamma)))
 
 
@@ -173,7 +172,7 @@ def _clip_and_release(
     budgets: list[PrivacyBudget],
     label: str,
 ) -> list[EstimateReport]:
-    """The halving and release steps of ``ustat_mean`` on every row of the
+    """The halving and release steps of ``ustat_means`` on every row of the
     (q, M) finite ``values`` at once; row i has dependence fraction deps[i],
     draws from rngs[i] and debits budgets[i].
 
@@ -244,7 +243,7 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _family_means(
+def ustat_means(
     h: Kernel,
     chunks: np.ndarray,
     family: SubsetFamily,
@@ -256,26 +255,9 @@ def _family_means(
     budgets: list[PrivacyBudget],
     label: str,
 ) -> list[EstimateReport]:
-    """``ustat_mean`` of one family on each row of the (q, n) ``chunks``."""
-    rngs = [as_generator(seed) for seed in seeds]
-    values = _finite(chunk_kernel_values(h, chunks, family))
-    deps = np.full(len(chunks), family.dependence_fraction())
-    return _clip_and_release(values, deps, r, eps, gamma, tb, rngs, budgets, label)
-
-
-def ustat_mean(
-    h: Kernel,
-    data: Dataset,
-    family: SubsetFamily,
-    r: float,
-    eps: float,
-    gamma: float,
-    tb: TailBounds,
-    seed,
-    budget: PrivacyBudget,
-    label: str = "ustat_mean",
-) -> EstimateReport:
-    """Private mean of the kernel values over the family, assuming |theta| <= R.
+    """Private mean of the kernel values over the family on each row of the
+    (q, n) ``chunks``, assuming |theta| <= R; row i draws from seeds[i] and
+    debits budgets[i].
 
     Runs t = max(1, ceil(log2(R/Q(gamma)))) halving steps at eps/(2t) each,
     then one release step at eps/2; total budget is exactly eps.  Interval
@@ -284,12 +266,13 @@ def ustat_mean(
     alone, and its midpoint, clamped to [-R, R], is the returned estimate (free
     post-processing that never moves it away from a theta in that range).
     Violated sample-size preconditions produce a warning, not an abort;
-    non-finite kernel values raise ``ValueError`` before any spend.
+    non-finite kernel values, R or Q(gamma) raise ``ValueError`` before any
+    spend.
     """
-    (report,) = _family_means(
-        h, data.points[None], family, r, eps, gamma, tb, [seed], [budget], label
-    )
-    return report
+    rngs = [as_generator(seed) for seed in seeds]
+    values = _finite(chunk_kernel_values(h, chunks, family))
+    deps = np.full(len(chunks), family.dependence_fraction())
+    return _clip_and_release(values, deps, r, eps, gamma, tb, rngs, budgets, label)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +295,7 @@ def naive_estimates(
         raise ValueError("need n >= k")
     family = disjoint_chunks(n, h.degree)
     tb = chunk_tail_bounds(tau, family.size)
-    return _family_means(
+    return ustat_means(
         h, chunks, family, r, eps, DEFAULT_CONFIDENCE, tb, seeds, budgets, "naive"
     )
 
@@ -348,7 +331,7 @@ def all_tuples_estimates(
     n = chunks.shape[1]
     family = all_tuples(n, h.degree)
     tb = all_tuples_tail_bounds(tau, h.degree, n)
-    return _family_means(
+    return ustat_means(
         h, chunks, family, r, eps, DEFAULT_CONFIDENCE, tb, seeds, budgets, "all_tuples"
     )
 

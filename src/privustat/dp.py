@@ -11,7 +11,8 @@ quartic law's CDF in closed form as the audit's reference.  This is the
 only module that draws release noise or debits a ledger: every release goes
 through ``global_sensitivity_releases`` or ``smooth_sensitivity_releases``.
 They release q values over disjoint data at once (a single release is the
-q = 1 case): they refuse every non-finite value or sensitivity, then debit
+q = 1 case) and return the noise scale of each, so no caller restates the
+calibration: they refuse every non-finite value or sensitivity, then debit
 every ledger, then draw, value i from generator i with the draws of a
 single release.  Those draws go through the inverse CDF and the region test
 of the vector samplers that ``harness.audits.noise_gof`` checks.  Bulk
@@ -344,7 +345,8 @@ def quartic_cdf(z) -> np.ndarray:
 
 def _releases(values, sensitivities, eps: float, factor: float, budgets, seeds, label, draw):
     """values[i] + draw(scales, generators)[i] with scale_i = factor *
-    sensitivities[i] / eps: the body of both releases.
+    sensitivities[i] / eps: the body of both releases.  Returns the (q,)
+    released values and the (q,) scales they were drawn at.
 
     Every input that would release a non-finite value is refused before any
     ledger is debited, and every ledger is debited before any draw.  A value
@@ -375,7 +377,7 @@ def _releases(values, sensitivities, eps: float, factor: float, budgets, seeds, 
             out += noise
         else:
             out[live] += noise
-    return out
+    return out, np.array(scales)
 
 
 def global_sensitivity_releases(
@@ -385,9 +387,10 @@ def global_sensitivity_releases(
     budgets: list[PrivacyBudget],
     seeds: list,
     label: str = "laplace release",
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """values[i] + Laplace(gs[i]/eps), debited to budgets[i] and drawn from
-    seeds[i], for q releases over disjoint data.
+    seeds[i], for q releases over disjoint data; returns the released values
+    and their Laplace scales gs[i]/eps.
 
     Every input is checked before any ledger is debited, and every ledger is
     debited before any draw.  A zero-sensitivity value is released exactly
@@ -404,9 +407,10 @@ def smooth_sensitivity_releases(
     budgets: list[PrivacyBudget],
     seeds: list,
     label: str = "smooth release",
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """values[i] + (SMOOTH_RELEASE_FACTOR * ss[i] / eps) * Z_i with Z_i
-    quartic-tail noise from seeds[i], debited to budgets[i].
+    quartic-tail noise from seeds[i], debited to budgets[i]; returns the
+    released values and their scales SMOOTH_RELEASE_FACTOR * ss[i] / eps.
 
     ``ss[i]`` must be an eps-smooth upper bound on the local sensitivity at
     dataset i.  Checks, debits and draws are ordered as in
@@ -417,16 +421,3 @@ def smooth_sensitivity_releases(
         values, ss, eps, SMOOTH_RELEASE_FACTOR, budgets, seeds, label,
         lambda scales, rngs: scales * _quartic_each(rngs),
     )
-
-
-def global_sensitivity_release(
-    value: float,
-    gs: float,
-    eps: float,
-    budget: PrivacyBudget,
-    seed,
-    label: str = "laplace release",
-) -> float:
-    """value + Laplace(gs/eps); a zero-sensitivity function is released exactly."""
-    return float(global_sensitivity_releases([value], [gs], eps, [budget], [seed], label)[0])
-

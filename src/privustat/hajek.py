@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dp import SMOOTH_RELEASE_FACTOR, PrivacyBudget, smooth_sensitivity_releases
+from .dp import PrivacyBudget, smooth_sensitivity_releases
 from .errors import PreconditionWarning
 from .report import EstimateReport
 from .rng import as_generator
@@ -76,17 +76,11 @@ class HajekParams:
             raise ValueError("range and concentration radius must be finite and >= 0")
 
 
-@dataclass
-class HajekState:
-    """Intermediate quantities, exposed for white-box verification."""
-
-    a_n: float
-    projections: np.ndarray
-    spread_level: int  # the integer L
-    bad: np.ndarray
-    weights: np.ndarray
-    reweighted: float
-    smooth_bound: float
+def _ramp_edge(xi, c_range: float, k: int, n: int, spread_level):
+    """xi + 6kCL/n: the half-width of the interval the weight ramp starts
+    outside, and so the threshold that L counts violations of.  Scalars or
+    arrays, which broadcast."""
+    return xi + 6.0 * k * c_range * spread_level / n
 
 
 def _spread_levels(
@@ -105,7 +99,7 @@ def _spread_levels(
     """
     # every threshold is >= 0, so a deviation over max(threshold, floor)
     # is exactly one over the threshold that is not zeroed by the floor
-    first = [max(x + 6.0 * k * c_range * 1 / n, f) for x, f in zip(xi, floor)]
+    first = [max(_ramp_edge(x, c_range, k, n, 1), f) for x, f in zip(xi, floor)]
     over = np.flatnonzero(devs > np.array(first)[:, None])
     levels = [1] * len(xi)
     if over.size < 2:
@@ -117,7 +111,7 @@ def _spread_levels(
             continue
         tail = np.sort(values[lo:hi])
         ts = np.arange(1, hi - lo + 1)
-        thresholds = xi[i] + 6.0 * k * c_range * ts / n
+        thresholds = _ramp_edge(xi[i], c_range, k, n, ts)
         exceed = hi - lo - np.searchsorted(tail, thresholds, side="right")
         levels[i] = int(np.nonzero(exceed <= ts)[0][0] + 1)
     return levels, over
@@ -139,8 +133,7 @@ def compute_weights(
     kernel the ramp degenerates to the indicator of the interval.
     """
     signed_deviations = np.asarray(signed_deviations, dtype=float)
-    edge = xi + 6.0 * k * c_range * spread_level / n
-    dist = np.maximum(0.0, np.abs(signed_deviations) - edge)
+    dist = np.maximum(0.0, np.abs(signed_deviations) - _ramp_edge(xi, c_range, k, n, spread_level))
     if c_range == 0.0:
         return (dist == 0.0).astype(float)
     return np.maximum(0.0, 1.0 - (eps * n / (6.0 * c_range * k)) * dist)
@@ -163,8 +156,9 @@ def smooth_bound_g(
     c_range: float,
     eps: float,
     all_tuples_family: bool,
-) -> float | np.ndarray:
-    """Local-sensitivity bound as a function of the spread level L.
+) -> np.ndarray:
+    """Local-sensitivity bound as a function of the spread level L, at every
+    entry of the spread levels (and radii) given.
 
     g(xi, L, n) = (k/n)(xi + kCL/n)(1 + eps L)
                 + (k^2 C L^2 min(k, L) / n^2)(eps + k/n)
@@ -178,21 +172,20 @@ def smooth_bound_g(
     overcount = 1.0 if all_tuples_family else np.minimum(float(k), L)
     second = (k**2 * c * L**2 * overcount / n**2) * (eps + k / n)
     third = k**2 * c / (n**2 * eps)
-    out = first + second + third
-    return float(out) if out.ndim == 0 else out
+    return first + second + third
 
 
 def smooth_sensitivity(
-    xi: float | np.ndarray,
-    spread_level: int | np.ndarray,
+    xi: np.ndarray,
+    spread_level: np.ndarray,
     n: int,
     k: int,
     c_range: float,
     eps: float,
     all_tuples_family: bool,
-) -> float | np.ndarray:
-    """max over shifts l in 0..n of exp(-eps l) g(xi, L + l, n), for one
-    (xi, L) key or for equal-length arrays of keys at once.
+) -> np.ndarray:
+    """max over shifts l in 0..n of exp(-eps l) g(xi, L + l, n) for each of
+    equal-length arrays of (xi, L) keys (a lone key is a one-key array).
 
     A one-point substitution moves L by at most 1, so this is an eps-smooth
     upper bound on the local sensitivity of the reweighted mean.  Every
@@ -209,8 +202,7 @@ def smooth_sensitivity(
     g = smooth_bound_g(xis, levels + shifts, n, k, c_range, eps, all_tuples_family)
     terms = np.exp(-eps * shifts) * g
     terms[shifts > np.array(last)[:, None]] = -np.inf
-    out = terms.max(axis=1, initial=-np.inf)
-    return float(out[0]) if np.ndim(xi) == np.ndim(spread_level) == 0 else out
+    return terms.max(axis=1, initial=-np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +254,10 @@ def summary_from_values(
 
 @dataclass
 class HajekRows:
-    """The ``HajekState`` of every row of a ``SummaryRows``, stacked.
+    """Every deterministic quantity of the estimator for each row of a
+    ``SummaryRows``, stacked: (q,) means, spread levels L, reweighted means
+    and smooth bounds, and (q, n) projections and weights.  Exposed for
+    white-box verification; a single dataset is the one-row stack.
 
     ``bad`` holds flat indices into the (q, n) ``weights``: row i's bad
     indices, offset by i * n, in increasing order.
@@ -275,19 +270,6 @@ class HajekRows:
     weights: np.ndarray
     reweighted: np.ndarray
     smooth_bound: np.ndarray
-
-    def row(self, i: int) -> HajekState:
-        n = self.weights.shape[1]
-        lo, hi = np.searchsorted(self.bad, [i * n, (i + 1) * n])
-        return HajekState(
-            a_n=float(self.a_n[i]),
-            projections=self.projections[i],
-            spread_level=int(self.spread_level[i]),
-            bad=self.bad[lo:hi] - i * n,
-            weights=self.weights[i],
-            reweighted=float(self.reweighted[i]),
-            smooth_bound=float(self.smooth_bound[i]),
-        )
 
 
 def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
@@ -323,7 +305,7 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
     level, over = _spread_levels(devs, xis, tol, c_range, k, n)
     # every edge is at least the t = 1 threshold, so the bad indices are
     # among the candidates
-    edge = np.array([x + 6.0 * k * c_range * L / n for x, L in zip(xis, level)])
+    edge = np.array([_ramp_edge(x, c_range, k, n, L) for x, L in zip(xis, level)])
     over_devs = devs.reshape(-1)[over]
     bad_at = over_devs > edge[over // n]
     bad = over[bad_at]
@@ -364,16 +346,16 @@ def release_rows(
     label: str = "hajek",
 ) -> list[EstimateReport]:
     """The release of every row of the stack: row i draws from seeds[i] and
-    debits budgets[i], exactly as a stack of that row alone.  A single
-    release also carries its whole ``HajekState`` as ``diagnostics["state"]``."""
+    debits budgets[i], exactly as a stack of that row alone.  Each report
+    carries the noise scale its value was drawn at and the row's L, number
+    of bad indices and smooth bound."""
     states = hajek_rows(rows, params)
-    values = smooth_sensitivity_releases(
+    values, scales = smooth_sensitivity_releases(
         states.reweighted, states.smooth_bound, params.eps, budgets, seeds,
         label=f"{label}: smooth release",
     )
-    scales = SMOOTH_RELEASE_FACTOR * states.smooth_bound / params.eps
     n_bad = np.bincount(states.bad // rows.n, minlength=len(values))
-    reports = [
+    return [
         EstimateReport(
             estimate=value,
             radius=None,
@@ -385,9 +367,6 @@ def release_rows(
             states.smooth_bound.tolist(),
         )
     ]
-    if len(reports) == 1:
-        reports[0].diagnostics["state"] = states.row(0)
-    return reports
 
 
 def private_means_local_hajek(

@@ -3,7 +3,7 @@ a Monte Carlo θ, closed forms, explicit families, the one-chunk adapter
 and the per-chunk loop form of ``median_of_means``, the majority-vote form
 of the boosted uniformity test, the two-release form of the triangle
 density, the full-scan forms of the spread level and the Hájek state, the
-copying clip step of ``ustat_mean``, the per-row Floyd draw of
+copying clip step of ``ustat_means``, the per-row Floyd draw of
 ``subsample_family``, the index-then-gather form of the complete-family
 engine (kernel values, stacked chunks, projections with scanned prefix runs,
 the reweighted mean), the per-column bincount and exact fsum forms of the
@@ -24,7 +24,7 @@ import numpy as np
 
 import privustat.hajek
 from privustat import applications
-from privustat.applications import GeometricGraph, triangle_rows, uniformity_test
+from privustat.applications import GeometricGraph, boosted_uniformity_test, triangle_rows
 from privustat.boosting import BoostPlan
 from privustat.report import EstimateReport
 from privustat.coinpress import IntervalState, TailBounds, _release, halving_rounds
@@ -33,7 +33,7 @@ from privustat.dp import (
     _RATIO_BLOCK,
     QUARTIC_NORMALIZER,
     PrivacyBudget,
-    global_sensitivity_release,
+    global_sensitivity_releases,
     laplace_draws,
     quartic_cdf,
     scratch_budget,
@@ -42,7 +42,6 @@ from privustat.errors import AuditFailure, PrivustatError
 from privustat.hajek import (
     HajekParams,
     HajekRows,
-    HajekState,
     SummaryRows,
     compute_weights,
     hajek_rows,
@@ -161,12 +160,30 @@ def full_scan_compute_L(deviations, xi: float, c_range: float, k: int, n: int) -
     return int(np.nonzero(exceed <= ts)[0][0] + 1)
 
 
-def row_state(rows: SummaryRows, params: HajekParams) -> HajekState:
-    """The ``HajekState`` of a one-row stack."""
-    return hajek_rows(rows, params).row(0)
+def row_state(rows: SummaryRows, params: HajekParams) -> HajekRows:
+    """The ``HajekRows`` of a one-row stack."""
+    assert rows.a_n.shape == (1,), "row_state takes a one-row stack"
+    return hajek_rows(rows, params)
 
 
-def full_scan_hajek_state(rows: SummaryRows, params: HajekParams) -> HajekState:
+def stack_row(states: HajekRows, i: int) -> HajekRows:
+    """Row i of a stack's ``HajekRows``, as the ``HajekRows`` of a one-row
+    stack: its bad indices lose their offset i * n."""
+    n = states.weights.shape[1]
+    lo, hi = np.searchsorted(states.bad, [i * n, (i + 1) * n])
+    one = slice(i, i + 1)
+    return HajekRows(
+        a_n=states.a_n[one],
+        projections=states.projections[one],
+        spread_level=states.spread_level[one],
+        bad=states.bad[lo:hi] - i * n,
+        weights=states.weights[one],
+        reweighted=states.reweighted[one],
+        smooth_bound=states.smooth_bound[one],
+    )
+
+
+def full_scan_hajek_state(rows: SummaryRows, params: HajekParams) -> HajekRows:
     """``row_state`` with the full-scan spread level and the ramp over all n."""
     n, k = rows.n, rows.k
     a_n, projections = float(rows.a_n[0]), rows.projections[0]
@@ -180,15 +197,16 @@ def full_scan_hajek_state(rows: SummaryRows, params: HajekParams) -> HajekState:
     edge = params.xi + 6.0 * k * params.c_range * level / n
     bad = np.nonzero(devs > edge)[0]
     weights = compute_weights(signed, params.xi, params.c_range, k, n, level, params.eps)
-    return HajekState(
-        a_n=a_n,
-        projections=projections,
-        spread_level=level,
+    return HajekRows(
+        a_n=rows.a_n,
+        projections=rows.projections,
+        spread_level=np.array([level]),
         bad=bad,
-        weights=weights,
-        reweighted=rows.reweight(0, weights) if bad.size else a_n,
+        weights=weights[None],
+        reweighted=np.array([rows.reweight(0, weights) if bad.size else a_n]),
         smooth_bound=smooth_sensitivity(
-            params.xi, level, n, k, params.c_range, params.eps, rows.all_tuples_family
+            np.array([params.xi]), np.array([level]), n, k, params.c_range, params.eps,
+            rows.all_tuples_family,
         ),
     )
 
@@ -268,8 +286,9 @@ def ustat_one_step(
 
 
 def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:
-    """The interval trace of ``ustat_mean``'s loop, each step through the
-    copying ``ustat_one_step``; its last interval is the release interval."""
+    """The interval trace of ``ustat_means``' loop on one dataset, each step
+    through the copying ``ustat_one_step``; its last interval is the release
+    interval."""
     rng = as_generator(seed)
     values = kernel_values(h, data, family)
     t = halving_rounds(r, tb.q(gamma))
@@ -299,13 +318,19 @@ def each_chunk(estimator):
     return run
 
 
+def induced_subgraph(graph: GeometricGraph, indices) -> GeometricGraph:
+    """The subgraph on the nodes ``indices``, renumbered in their order."""
+    idx = np.asarray(indices)
+    return GeometricGraph(graph.adjacency[np.ix_(idx, idx)].toarray())
+
+
 def loop_median_of_means(estimator, data, plan: BoostPlan, seed, budget: PrivacyBudget) -> EstimateReport:
     """``median_of_means`` as one call of ``estimator(chunk, seed, branch)``
     per chunk, in chunk order: chunk i is a copy of its points (a
     ``Dataset``, or an induced subgraph), runs on child seed i and gets its
     branch ledger just before it runs."""
     q, size = plan.chunks, plan.chunk_size
-    take = data.subset if isinstance(data, Dataset) else data.induced
+    take = data.subset if isinstance(data, Dataset) else lambda idx: induced_subgraph(data, idx)
     rngs = child_seeds(seed, q)
     with budget.parallel(f"median_of_means(q={q})") as branches:
         reports = [
@@ -342,9 +367,9 @@ def two_release_triangle_density(graph: GeometricGraph, eps, seed, budget: Priva
     n = graph.n
     rng = as_generator(seed)
     u_edges = graph.edge_density()
-    nu = global_sensitivity_release(
-        u_edges, 2.0 / n, eps, budget, rng, label="edge density proxy"
-    )
+    nu = float(global_sensitivity_releases(
+        [u_edges], [2.0 / n], eps, [budget], [rng], label="edge density proxy"
+    )[0][0])
     if nu < 0:
         return EstimateReport(
             estimate=None,
@@ -367,16 +392,17 @@ def majority_vote(decisions) -> bool:
 def majority_uniformity_test(data: Dataset, m, delta, eps, alpha, seed, budget: PrivacyBudget):
     """The boosted uniformity test as a majority vote of per-chunk tests.
 
-    Each chunk runs ``uniformity_test`` on its own child seed and branch
-    ledger.  Returns (reject, median statistic, threshold, block debit).
+    Each chunk runs the one-chunk test (``boosted_uniformity_test`` with
+    ``alpha`` None) on its own child seed and branch ledger.  Returns
+    (reject, median statistic, threshold, block debit).
     """
     plan = BoostPlan.for_dataset(data.n, 2, alpha)
     q, size = plan.chunks, plan.chunk_size
     rngs = child_seeds(seed, q)
     with budget.parallel(f"uniformity majority(q={q})") as branches:
         decisions = [
-            uniformity_test(data.subset(np.arange(c * size, (c + 1) * size)), m, delta, eps,
-                            rngs[c], branches.branch())
+            boosted_uniformity_test(data.subset(np.arange(c * size, (c + 1) * size)), m, delta,
+                                    eps, None, rngs[c], branches.branch())
             for c in range(q)
         ]
     statistic = float(np.median([d.statistic for d in decisions]))
@@ -712,11 +738,11 @@ def loop_smoothness_audit(
                 kernel, np.asarray(config, dtype=float)[None], family
             )
             try:
-                state = hajek_rows(summary_from_values(values, family, proj), params).row(0)
+                state = hajek_rows(summary_from_values(values, family, proj), params)
             except ValueError:  # non-finite kernel values: nothing is released
                 cache[config] = (math.nan, math.nan)
             else:
-                cache[config] = (state.reweighted, state.smooth_bound)
+                cache[config] = (float(state.reweighted[0]), float(state.smooth_bound[0]))
         return cache[config]
 
     report = SmoothnessReport(

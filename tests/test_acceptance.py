@@ -392,7 +392,7 @@ def test_criterion_10_budget_exactness():
             declared = 2 * eps
         elif pipeline == "uniformity":
             data = apps.sample_multinomial(apps.PerturbedUniform.uniform(10), 300, rng)
-            apps.uniformity_test(data, 10, 0.5, eps, rng, budget)
+            apps.boosted_uniformity_test(data, 10, 0.5, eps, None, rng, budget)
             declared = eps
         else:
             data = apps.sample_multinomial(apps.PerturbedUniform.uniform(10), 800, rng)

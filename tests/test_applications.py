@@ -13,6 +13,7 @@ import privustat as pv
 from privustat import applications as apps
 from privustat.dp import scratch_budget
 from privustat.errors import InsufficientData
+from privustat.hajek import HajekParams
 from privustat.ustat import Dataset
 
 from oracles import (
@@ -21,12 +22,14 @@ from oracles import (
     collision_variance_profile,
     dense_edge_density,
     dense_triangles_per_node,
+    induced_subgraph,
     line_read_column,
     line_read_edge_list,
     loop_collision_reweight,
     loop_triangle_reweight,
     majority_uniformity_test,
     rgg_triangle_theta,
+    row_state,
     variance_of_ustat,
     write_edge_list,
 )
@@ -41,6 +44,9 @@ def test_perturbed_uniform_validation():
         apps.PerturbedUniform(3, np.array([0.5, 0.5, 0.5]))  # does not sum to 0
     with pytest.raises(ValueError):
         apps.PerturbedUniform(2, np.array([1.5, -1.5]))  # outside [-1, 1]
+    for amplitude in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            apps.PerturbedUniform.half_split(4, amplitude)
     dist = apps.PerturbedUniform.half_split(4, 0.5)
     assert dist.probabilities.sum() == pytest.approx(1.0)
     assert np.all(dist.probabilities <= 2 / 4 + 1e-12)
@@ -95,19 +101,19 @@ def test_collision_variance_profile_matches_closed_form():
 
 def test_uniformity_insufficient_data():
     with pytest.raises(InsufficientData):
-        apps.uniformity_test(Dataset(np.array([1])), 5, 0.5, 1.0, 0, scratch_budget())
+        apps.boosted_uniformity_test(Dataset(np.array([1])), 5, 0.5, 1.0, None, 0, scratch_budget())
 
 
 def test_uniformity_rejects_point_mass():
     data = Dataset(np.zeros(4000, dtype=int))
-    decision = apps.uniformity_test(data, 50, 0.5, 1.0, 1, scratch_budget())
+    decision = apps.boosted_uniformity_test(data, 50, 0.5, 1.0, None, 1, scratch_budget())
     assert decision.reject
     assert decision.statistic > decision.threshold
 
 
 def test_uniformity_accepts_uniform_at_scale():
     data = apps.sample_multinomial(apps.PerturbedUniform.uniform(50), 60_000, seed=2)
-    decision = apps.uniformity_test(data, 50, 0.5, 1.0, 3, scratch_budget())
+    decision = apps.boosted_uniformity_test(data, 50, 0.5, 1.0, None, 3, scratch_budget())
     assert not decision.reject
 
 
@@ -486,7 +492,7 @@ def test_csr_graph_equals_the_dense_oracles(case):
     assert np.array_equal(g.adjacency.toarray(), adj)
     assert g.edge_density() == dense_edge_density(adj)
     idx = np.array(order, dtype=np.intp)
-    sub = g.induced(idx)
+    sub = induced_subgraph(g, idx)
     assert sub.adjacency.has_sorted_indices
     assert np.array_equal(sub.adjacency.toarray(), adj[np.ix_(idx, idx)])
     rows = apps.triangle_rows(g, 1)
@@ -594,8 +600,8 @@ def test_triangle_density_complete_graph():
     rep = apps.private_triangle_density(g, eps=5.0, seed=5, budget=scratch_budget())
     assert not rep.is_bottom
     assert rep.diagnostics["edge_density"] == 1.0
-    state = rep.diagnostics["state"]
-    assert state.reweighted == 1.0  # the statistic itself; output is 1 +- noise
+    state = row_state(apps.triangle_rows(g, 1), HajekParams(5.0, 1.0, rep.diagnostics["xi"]))
+    assert state.reweighted[0] == 1.0  # the statistic itself; output is 1 +- noise
     assert rep.estimate - 1.0 == pytest.approx(
         rep.noise_scale * (rep.estimate - 1.0) / rep.noise_scale
     )

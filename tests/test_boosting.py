@@ -413,15 +413,11 @@ TRIANGLE_CHUNK_RUNS = {
 }
 
 
-def _no_slicing(*args, **kwargs):
-    raise AssertionError("a stacked triangle run sliced a chunk out of the graph")
-
-
 def assert_boosted_triangles_equal_the_loop(graph, alpha, seed, per_chunk):
-    """``boosted_triangle_density``, run with ``GeometricGraph.induced``
-    raising, against the per-chunk loop over induced chunks: the wrapped
-    report, every chunk report (bottoms among them), every branch ledger and
-    the parent ledger, bit for bit.  Returns the stacked chunk reports."""
+    """``boosted_triangle_density`` against the per-chunk loop over induced
+    chunks: the wrapped report, every chunk report (bottoms among them),
+    every branch ledger and the parent ledger, bit for bit.  Returns the
+    stacked chunk reports."""
     plan = BoostPlan.for_dataset(graph.n, 3, alpha)
     got_branches, got_reports, want_branches, want_reports = [], [], [], []
     got_budget, want_budget = pv.PrivacyBudget(10.0), pv.PrivacyBudget(10.0)
@@ -434,7 +430,6 @@ def assert_boosted_triangles_equal_the_loop(graph, alpha, seed, per_chunk):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(apps, "private_triangle_densities", recording)
-        mp.setattr(apps.GeometricGraph, "induced", _no_slicing)
         got = apps.boosted_triangle_density(graph, 1.0, alpha, seed, got_budget)
     want = loop_median_of_means(
         _recording_chunk(per_chunk, want_branches, want_reports), graph, plan, seed, want_budget

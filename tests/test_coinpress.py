@@ -35,6 +35,14 @@ def flat_bounds(q0: float, qavg0: float) -> TailBounds:
     return TailBounds(q=lambda b: q0, qavg=lambda b: qavg0)
 
 
+def ustat_mean(h, data, family, r, eps, gamma, tb, seed, budget, label="ustat_mean"):
+    """``coinpress.ustat_means`` on the one-row stack of ``data``."""
+    (report,) = coinpress.ustat_means(
+        h, data.points[None], family, r, eps, gamma, tb, [seed], [budget], label
+    )
+    return report
+
+
 # ---------------------------------------------------------------------------
 # tail bounds
 # ---------------------------------------------------------------------------
@@ -57,6 +65,17 @@ def test_halving_rounds():
     assert halving_rounds(8.0, 1.0) == 3
     assert halving_rounds(1.0, 4.0) == 1  # floor at one round
     assert halving_rounds(1.5, 1.0) == 1
+    for r, q_gamma in [(math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0), (1.0, math.inf), (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="finite and > 0"):
+            halving_rounds(r, q_gamma)
+
+
+def test_non_finite_range_bound_raises_before_any_spend():
+    budget = pv.PrivacyBudget(1.0)
+    d = Dataset(np.random.default_rng(2).normal(0.0, 1.0, 40))
+    with pytest.raises(ValueError, match="range bound"):
+        coinpress.naive_estimator(pv.identity_kernel(), d, math.inf, 1.0, 1.0, 3, budget)
+    assert budget.entries == []
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +168,7 @@ def test_one_step_width_identity():
 def test_ustat_mean_constant_kernel_high_budget():
     d = Dataset(np.full(40, 0.62))
     fam = pv.all_tuples(40, 2)
-    rep = coinpress.ustat_mean(
+    rep = ustat_mean(
         constant_kernel(0.62, 2), d, fam, r=1.0, eps=10**6, gamma=0.01,
         tb=flat_bounds(0.05, 0.01), seed=7, budget=scratch_budget(),
     )
@@ -162,7 +181,7 @@ def test_ustat_mean_clamps_its_estimate_to_r():
     fam, tb = pv.all_tuples(60, 3), all_tuples_tail_bounds(1 / 3, 3, 60)
     outside = 0
     for seed in range(10):
-        rep = coinpress.ustat_mean(
+        rep = ustat_mean(
             pv.mean_kernel(3), d, fam, 1.0, 0.2, 0.01, tb, seed, scratch_budget()
         )
         midpoint = rep.diagnostics["trace"][-1].midpoint
@@ -203,7 +222,7 @@ def test_ustat_mean_in_place_clip_equals_copy_clipping_reference(case):
         h, d, r, tau = pv.mean_kernel(3), Dataset(rng.normal(0.5, 1.0, 60)), 2.0, 1 / 3
         fam, tb = pv.all_tuples(60, 3), all_tuples_tail_bounds(tau, 3, 60)
     for seed in range(5):
-        rep = coinpress.ustat_mean(h, d, fam, r, eps, 0.01, tb, seed, scratch_budget())
+        rep = ustat_mean(h, d, fam, r, eps, 0.01, tb, seed, scratch_budget())
         reference = copy_clipping_ustat_mean(h, d, fam, r, eps, 0.01, tb, seed)
         assert rep.diagnostics["trace"] == reference
         assert rep.estimate == min(max(reference[-1].midpoint, -r), r)
@@ -215,7 +234,7 @@ def test_ustat_mean_budget_schedule():
     d = Dataset(np.random.default_rng(1).normal(0, 1, 30))
     fam = pv.all_tuples(30, 2)
     tb = all_tuples_tail_bounds(0.5, 2, 30)
-    rep = coinpress.ustat_mean(
+    rep = ustat_mean(
         pv.mean_kernel(2, 0.5), d, fam, r=40.0, eps=1.0, gamma=0.01, tb=tb,
         seed=8, budget=budget,
     )
@@ -235,7 +254,7 @@ def test_ustat_mean_refuses_the_release_step_before_it_draws():
     t = halving_rounds(4.0, tb.q(0.01))
     rng, budget = np.random.default_rng(5), pv.PrivacyBudget(0.5)
     with pytest.raises(BudgetExhausted):
-        coinpress.ustat_mean(pv.mean_kernel(2, 0.5), d, fam, 4.0, 1.0, 0.01, tb, rng, budget, "short")
+        ustat_mean(pv.mean_kernel(2, 0.5), d, fam, 4.0, 1.0, 0.01, tb, rng, budget, "short")
     assert [label for label, _ in budget.entries] == ["short: halving step"] * t
     halving_only = np.random.default_rng(5)
     for _ in range(t):
@@ -247,7 +266,7 @@ def test_ustat_mean_interval_widths_never_grow_before_release():
     rng = np.random.default_rng(9)
     d = Dataset(rng.normal(0.2, 1.0, 50))
     fam = pv.all_tuples(50, 2)
-    rep = coinpress.ustat_mean(
+    rep = ustat_mean(
         pv.mean_kernel(2, 0.5), d, fam, r=50.0, eps=0.5, gamma=0.01,
         tb=all_tuples_tail_bounds(0.5, 2, 50), seed=10, budget=scratch_budget(),
     )
@@ -268,8 +287,8 @@ def test_interval_nesting_coverage():
     trials, hits = 10**4, 0
     for _ in range(trials):
         d = Dataset(rng.normal(theta, math.sqrt(tau), n))
-        rep = coinpress.ustat_mean(h, d, fam, r=4.0, eps=eps, gamma=gamma, tb=tb, seed=rng,
-                                   budget=scratch_budget())
+        rep = ustat_mean(h, d, fam, r=4.0, eps=eps, gamma=gamma, tb=tb, seed=rng,
+                         budget=scratch_budget())
         trace = rep.diagnostics["trace"]
         inside = all(iv.lo - 1e-12 <= theta <= iv.hi + 1e-12 for iv in trace[1:-1])
         final = trace[-1]
@@ -282,7 +301,7 @@ def test_precondition_violation_warns_but_completes():
     d = Dataset(np.random.default_rng(2).normal(0, 1, 12))
     fam = pv.all_tuples(12, 2)
     with pytest.warns(PreconditionWarning):
-        rep = coinpress.ustat_mean(
+        rep = ustat_mean(
             pv.mean_kernel(2, 0.5), d, fam, r=100.0, eps=0.05, gamma=0.01,
             tb=all_tuples_tail_bounds(0.5, 2, 12), seed=12, budget=scratch_budget(),
         )
@@ -290,7 +309,7 @@ def test_precondition_violation_warns_but_completes():
 
 
 @pytest.mark.parametrize("release", [
-    lambda h, d: coinpress.ustat_mean(
+    lambda h, d: ustat_mean(
         h, d, pv.all_tuples(12, 2), r=100.0, eps=0.05, gamma=0.01,
         tb=all_tuples_tail_bounds(0.5, 2, 12), seed=12, budget=scratch_budget(),
     ),
@@ -329,7 +348,7 @@ def test_naive_k1_matches_direct_chunk_run():
     from privustat.ustat import disjoint_chunks
 
     fam = disjoint_chunks(64, 1)
-    b = coinpress.ustat_mean(
+    b = ustat_mean(
         h, data, fam, r=4.0, eps=1.0, gamma=0.01, tb=chunk_tail_bounds(1.0, 64), seed=14,
         budget=scratch_budget(), label="naive",
     )
@@ -347,7 +366,9 @@ def test_gaussian_mean_beats_laplace_on_range():
         d = Dataset(rng.normal(theta, 1.0, n))
         rep = coinpress.naive_estimator(h, d, r, tau, eps, rng, scratch_budget())
         errs.append(abs(rep.estimate - theta))
-        lap = pv.global_sensitivity_release(float(d.points.mean()), 2 * r / n, eps, scratch_budget(), rng)
+        (lap,), _ = dp.global_sensitivity_releases(
+            [float(d.points.mean())], [2 * r / n], eps, [scratch_budget()], [rng]
+        )
         lap_errs.append(abs(lap - theta))
     assert np.quantile(errs, 0.75) < np.quantile(lap_errs, 0.75)
     assert np.quantile(errs, 0.75) < 0.5  # sane absolute accuracy

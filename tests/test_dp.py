@@ -229,13 +229,20 @@ def test_quartic_draws_equal_the_pow_sampler(size, seeds):
 # releases
 # ---------------------------------------------------------------------------
 
+def global_sensitivity_release(value, gs, eps, budget, seed, label="laplace release"):
+    """One Laplace release: the q = 1 stack."""
+    (released,), _ = dp.global_sensitivity_releases([value], [gs], eps, [budget], [seed], label)
+    return released
+
+
 def smooth_sensitivity_release(value, ss, eps, budget, seed, label="smooth release"):
     """One smooth-sensitivity release: the q = 1 stack."""
-    return float(dp.smooth_sensitivity_releases([value], [ss], eps, [budget], [seed], label)[0])
+    (released,), _ = dp.smooth_sensitivity_releases([value], [ss], eps, [budget], [seed], label)
+    return released
 
 
 def test_zero_sensitivity_release_is_exact():
-    assert pv.global_sensitivity_release(1.25, 0.0, 1.0, scratch_budget(), 0) == 1.25
+    assert global_sensitivity_release(1.25, 0.0, 1.0, scratch_budget(), 0) == 1.25
     assert smooth_sensitivity_release(1.25, 0.0, 1.0, scratch_budget(), 0) == 1.25
 
 
@@ -245,7 +252,7 @@ def test_releases_add_exactly_the_audited_samplers_draw():
     rng = np.random.default_rng(12)
     for seed in range(200):
         value, sens, eps = rng.normal(0.0, 10.0), rng.uniform(0.01, 5.0), rng.uniform(0.05, 4.0)
-        laplace = pv.global_sensitivity_release(value, sens, eps, scratch_budget(), seed)
+        laplace = global_sensitivity_release(value, sens, eps, scratch_budget(), seed)
         assert laplace == value + dp.laplace_draws(sens / eps, 1, seed)[0], seed
         smooth = smooth_sensitivity_release(value, sens, eps, scratch_budget(), seed)
         scale = dp.SMOOTH_RELEASE_FACTOR * sens / eps
@@ -259,7 +266,7 @@ BAD_RELEASE_INPUTS = [  # (value, sensitivity, eps)
 ]
 
 
-@pytest.mark.parametrize("release", [pv.global_sensitivity_release, smooth_sensitivity_release])
+@pytest.mark.parametrize("release", [global_sensitivity_release, smooth_sensitivity_release])
 @pytest.mark.parametrize("value, sens, eps", BAD_RELEASE_INPUTS)
 def test_release_refuses_a_non_finite_result_before_spending(release, value, sens, eps):
     budget = pv.PrivacyBudget(1.0)
@@ -271,10 +278,10 @@ def test_release_refuses_a_non_finite_result_before_spending(release, value, sen
 
 def test_laplace_release_debits_budget():
     budget = pv.PrivacyBudget(1.0)
-    pv.global_sensitivity_release(1.0, 2 / 100, 0.6, budget, 1)
+    global_sensitivity_release(1.0, 2 / 100, 0.6, budget, 1)
     assert budget.spent == pytest.approx(0.6)
     with pytest.raises(BudgetExhausted):
-        pv.global_sensitivity_release(1.0, 2 / 100, 0.6, budget, 2)
+        global_sensitivity_release(1.0, 2 / 100, 0.6, budget, 2)
 
 
 def test_smooth_release_symmetry():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privustat as pv
-from privustat import hajek
+from privustat import dp, hajek
 from privustat.dp import scratch_budget
 from privustat.hajek import (
     HajekParams,
@@ -39,12 +39,21 @@ from oracles import (
     per_key_smooth_sensitivity,
     row_state,
     smooth_sensitivity_closed_form_bound,
+    stack_row,
 )
 
 
 def summarize(vals, fam):
     """The one-row stack of a family's (M,) kernel values."""
     return summary_from_values(vals[None], fam, bincount_projections(vals, fam)[None])
+
+
+def one_key_bound(xi, spread_level, n, k, c_range, eps, complete) -> float:
+    """The smooth bound of one (xi, L) key: the one-key ``smooth_sensitivity`` call."""
+    (bound,) = pv.smooth_sensitivity(
+        np.array([xi]), np.array([spread_level]), n, k, c_range, eps, complete
+    ).tolist()
+    return bound
 
 
 def spread_level(devs, xi, c_range, k, n):
@@ -237,12 +246,12 @@ def test_smooth_bound_min_factor_only_off_complete_family():
 
 def test_smooth_sensitivity_large_eps_is_g_at_L():
     for L in (1, 3, 7):
-        s = pv.smooth_sensitivity(0.4, L, 50, 2, 1.0, 1000.0, True)
+        s = one_key_bound(0.4, L, 50, 2, 1.0, 1000.0, True)
         assert s == pytest.approx(pv.smooth_bound_g(0.4, L, 50, 2, 1.0, 1000.0, True), rel=1e-12)
 
 
 def test_smooth_sensitivity_can_exceed_g_at_small_eps():
-    s = pv.smooth_sensitivity(0.0, 1, 6, 2, 1.0, 0.5, True)
+    s = one_key_bound(0.0, 1, 6, 2, 1.0, 0.5, True)
     assert s > pv.smooth_bound_g(0.0, 1, 6, 2, 1.0, 0.5, True)
 
 
@@ -255,7 +264,7 @@ def test_smooth_sensitivity_equals_full_range_max_bitwise(eps):
         if L > n:
             continue
         args = (xi, L, n, k, 1.0, eps, complete)
-        assert pv.smooth_sensitivity(*args) == full_range_smooth_sensitivity(*args), args
+        assert one_key_bound(*args) == full_range_smooth_sensitivity(*args), args
 
 
 @settings(max_examples=80, deadline=None)
@@ -276,8 +285,8 @@ def test_smooth_sensitivity_of_many_keys_equals_each_key_alone_bitwise(case, k, 
     assert got.shape == (len(keys),)
     assert got.tolist() == [per_key_smooth_sensitivity(x, L, n, k, 1.0, eps, complete) for x, L in keys]
     for x, L in keys[:3]:
-        alone = pv.smooth_sensitivity(x, L, n, k, 1.0, eps, complete)
-        assert type(alone) is float and alone == per_key_smooth_sensitivity(x, L, n, k, 1.0, eps, complete)
+        alone = pv.smooth_sensitivity(np.array([x]), np.array([L]), n, k, 1.0, eps, complete)
+        assert alone.tolist() == [per_key_smooth_sensitivity(x, L, n, k, 1.0, eps, complete)]
 
 
 def test_stacked_smooth_bounds_equal_per_key_calls_bitwise():
@@ -331,7 +340,7 @@ def test_smooth_sensitivity_below_closed_form_bound():
         xi = float(rng.uniform(0, 1))
         eps = float(rng.uniform(0.2, 3.0))
         for complete in (True, False):
-            s = pv.smooth_sensitivity(xi, L, n, k, 1.0, eps, complete)
+            s = one_key_bound(xi, L, n, k, 1.0, eps, complete)
             bound = smooth_sensitivity_closed_form_bound(xi, L, n, k, 1.0, eps, complete)
             assert s <= bound * (1 + 1e-9)
 
@@ -342,16 +351,55 @@ def test_smooth_sensitivity_below_closed_form_bound():
 
 def test_constant_kernel_released_exactly():
     fam = all_tuples(20, 2)
-    rep = pv.private_mean_local_hajek(
-        constant_kernel(0.8, 2), Dataset(np.arange(20.0)), fam,
-        HajekParams(eps=1.0, c_range=0.0, xi=0.0), seed=3, budget=scratch_budget(),
-    )
-    state = rep.diagnostics["state"]
-    assert rep.estimate == state.reweighted  # zero noise, bitwise
+    h, data = constant_kernel(0.8, 2), Dataset(np.arange(20.0))
+    params = HajekParams(eps=1.0, c_range=0.0, xi=0.0)
+    rep = pv.private_mean_local_hajek(h, data, fam, params, seed=3, budget=scratch_budget())
+    vals, proj = kernel_values_and_projections(h, data.points[None], fam)
+    state = row_state(summary_from_values(vals, fam, proj), params)
+    assert rep.estimate == state.reweighted[0]  # zero noise, bitwise
     assert rep.estimate == pytest.approx(0.8, abs=1e-14)
     assert rep.noise_scale == 0.0
     assert rep.diagnostics["L"] == 1
     assert rep.diagnostics["n_bad"] == 0
+
+
+def hajek_release_and_statistic(case: str):
+    """One seeded Hájek release of each kind, and the reweighted mean its
+    noise was added to (the one-row ``HajekRows``)."""
+    eps = 1.0
+    if case == "collision":  # n = 2000, xi = 0, seed 3
+        data = Dataset(np.random.default_rng(1).integers(0, 100, 2000))
+        rep = apps.private_collision_density(data, 100, eps, 0.0, 3, scratch_budget())
+        rows, xi = apps.collision_rows(data.points[None], 100), 0.0
+    elif case == "triangle":
+        g = apps.sample_rgg(200, 0.6, 4)
+        rep = apps.private_triangle_density(g, eps, 5, scratch_budget())
+        rows, xi = apps.triangle_rows(g, 1), rep.diagnostics["xi"]
+    else:
+        data = Dataset(np.random.default_rng(6).integers(0, 8, 60))
+        fam, xi = all_tuples(60, 2), 0.05
+        rep = pv.private_mean_local_hajek(
+            pv.collision_kernel(), data, fam, HajekParams(eps, 1.0, xi), 7, scratch_budget()
+        )
+        vals, proj = kernel_values_and_projections(pv.collision_kernel(), data.points[None], fam)
+        rows = summary_from_values(vals, fam, proj)
+    return rep, row_state(rows, HajekParams(eps, 1.0, xi)).reweighted[0]
+
+
+@pytest.mark.parametrize("case", ["hajek", "collision", "triangle"])
+def test_noise_scale_follows_the_drawn_noise_when_the_release_factor_changes(case, monkeypatch):
+    # a caller that recomputed the scale from its own copy of the factor
+    # would report the factor times the noise it drew once the factor is 1
+    factor = dp.SMOOTH_RELEASE_FACTOR
+    rep, statistic = hajek_release_and_statistic(case)
+    monkeypatch.setattr(dp, "SMOOTH_RELEASE_FACTOR", 1.0)
+    patched, patched_statistic = hajek_release_and_statistic(case)
+    assert patched_statistic == statistic and patched.noise_scale > 0.0
+    assert patched.noise_scale == patched.diagnostics["smooth_bound"] / 1.0
+    assert rep.noise_scale == factor * rep.diagnostics["smooth_bound"] / 1.0
+    # the same seeded quartic draw z in both runs: estimate = statistic + scale * z
+    z = (rep.estimate - statistic) / rep.noise_scale
+    assert (patched.estimate - statistic) / patched.noise_scale == pytest.approx(z, rel=1e-9)
 
 
 def test_irregular_family_returns_bottom():
@@ -373,10 +421,10 @@ def test_well_concentrated_white_box():
     params = HajekParams(eps=2.0, c_range=1.0, xi=0.5)
     vals = kernel_values(pv.collision_kernel(), data, fam)
     state = row_state(summarize(vals, fam), params)
-    assert state.spread_level == 1
+    assert state.spread_level[0] == 1
     assert state.bad.size == 0
-    assert state.reweighted == pytest.approx(float(vals.mean()))
-    assert state.smooth_bound == pytest.approx(
+    assert state.reweighted[0] == pytest.approx(float(vals.mean()))
+    assert state.smooth_bound[0] == pytest.approx(
         pv.smooth_bound_g(0.5, 1, 150, 2, 1.0, 2.0, True)
     )
     h = pv.collision_kernel()
@@ -412,11 +460,11 @@ def test_state_depends_on_the_multiset_only(data):
         (proj[0], row_state(summary_from_values(vals, fam, proj), params))
         for vals, proj in (kernel_values_and_projections(kernel, pts[None], fam) for pts in (x, x[perm]))
     ]
-    assert perm_state.spread_level == state.spread_level
+    assert perm_state.spread_level[0] == state.spread_level[0]
     assert perm_state.bad.size == state.bad.size
-    assert perm_state.smooth_bound == state.smooth_bound
-    assert perm_state.a_n == pytest.approx(state.a_n, rel=1e-12, abs=0)
-    assert perm_state.reweighted == pytest.approx(state.reweighted, rel=1e-12, abs=0)
+    assert perm_state.smooth_bound[0] == state.smooth_bound[0]
+    assert perm_state.a_n[0] == pytest.approx(state.a_n[0], rel=1e-12, abs=0)
+    assert perm_state.reweighted[0] == pytest.approx(state.reweighted[0], rel=1e-12, abs=0)
     np.testing.assert_allclose(perm_proj, proj[perm], rtol=1e-12, atol=0)
 
 
@@ -429,9 +477,9 @@ def test_state_invariants_on_adversarial_data():
     params = HajekParams(eps=1.0, c_range=1.0, xi=0.01)
     vals = kernel_values(pv.collision_kernel(), data, fam)
     state = row_state(summarize(vals, fam), params)
-    assert state.bad.size <= state.spread_level
-    assert np.all(np.delete(state.weights, state.bad) == 1.0)
-    low = np.nonzero(state.weights < 1.0)[0]
+    assert state.bad.size <= state.spread_level[0]
+    assert np.all(np.delete(state.weights[0], state.bad) == 1.0)
+    low = np.nonzero(state.weights[0] < 1.0)[0]
     assert set(low.tolist()) <= set(state.bad.tolist())
 
 
@@ -442,7 +490,7 @@ def test_bad_empty_means_reweighted_equals_mean_bitwise():
     vals = kernel_values(pv.collision_kernel(), data, fam)
     state = row_state(summarize(vals, fam), HajekParams(1.0, 1.0, 0.5))
     assert state.bad.size == 0
-    assert state.reweighted == float(vals.mean())
+    assert state.reweighted[0] == float(vals.mean())
 
 
 def test_budget_debit_is_eps():
@@ -456,7 +504,7 @@ def test_budget_debit_is_eps():
 
 
 def assert_states_equal(got, want):
-    for field in dataclasses.fields(hajek.HajekState):
+    for field in dataclasses.fields(hajek.HajekRows):
         a, b = getattr(got, field.name), getattr(want, field.name)
         assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
         assert np.array_equal(a, b), field.name
@@ -509,7 +557,7 @@ def test_per_row_radii_equal_one_row_states_with_scalar_radii():
         summary = apps.collision_rows(x[i][None], m)
         params = HajekParams(0.7, 0.02, radius)
         alone = row_state(summary, params)
-        assert_states_equal(states.row(i), alone)
+        assert_states_equal(stack_row(states, i), alone)
         assert_states_equal(alone, full_scan_hajek_state(summary, params))
 
 
@@ -527,7 +575,7 @@ def test_scalar_radius_equals_the_same_radius_in_every_row():
 
 def test_weights_are_a_read_only_view_of_ones_when_nothing_is_bad():
     state = row_state(apps.collision_rows((np.arange(40) % 4)[None], 4), HajekParams(1.0, 1.0, 0.5))
-    assert state.bad.size == 0 and np.array_equal(state.weights, np.ones(40))
+    assert state.bad.size == 0 and np.array_equal(state.weights, np.ones((1, 40)))
     assert not state.weights.flags.writeable
 
 
@@ -567,10 +615,10 @@ def test_state_sorts_only_the_over_threshold_tail(skewed, monkeypatch):
     state = row_state(summary, params)
     monkeypatch.undo()
     if skewed:
-        assert 2 <= over < n and state.spread_level > 1
+        assert 2 <= over < n and state.spread_level[0] > 1
         assert sizes == [over]
     else:
-        assert state.spread_level == 1 and over <= 1
+        assert state.spread_level[0] == 1 and over <= 1
         assert sizes == []
 
 
@@ -620,8 +668,8 @@ def test_exhaustive_smoothness_and_dominance(eps):
         for i in range(n):
             flipped = config[:i] + (1 - config[i],) + config[i + 1 :]
             other = states[flipped]
-            assert abs(st.reweighted - other.reweighted) <= st.smooth_bound + 1e-12
-            assert other.smooth_bound <= grow * st.smooth_bound + 1e-12
+            assert abs(st.reweighted[0] - other.reweighted[0]) <= st.smooth_bound[0] + 1e-12
+            assert other.smooth_bound[0] <= grow * st.smooth_bound[0] + 1e-12
 
 
 def test_smooth_bound_dominates_brute_force_local_sensitivity():
@@ -632,14 +680,14 @@ def test_smooth_bound_dominates_brute_force_local_sensitivity():
 
     def reweighted_of(pts):
         vals = kernel_values(h, Dataset(np.asarray(pts, dtype=float)), fam)
-        return row_state(summarize(vals, fam), params).reweighted
+        return row_state(summarize(vals, fam), params).reweighted[0]
 
     rng = np.random.default_rng(11)
     for _ in range(12):
         pts = rng.integers(0, 2, size=n)
         ls = brute_force_local_sensitivity(reweighted_of, pts.astype(float), [0.0, 1.0])
         vals = kernel_values(h, Dataset(pts.astype(float)), fam)
-        s = row_state(summarize(vals, fam), params).smooth_bound
+        s = row_state(summarize(vals, fam), params).smooth_bound[0]
         assert ls <= s + 1e-12
 
 
@@ -652,12 +700,12 @@ def test_sensitivity_reduction_on_adversarial_fixture():
     params = HajekParams(eps=0.5, c_range=1.0, xi=fix.xi)
     vals = kernel_values(h, fix.base, fam)
     state = row_state(summarize(vals, fam), params)
-    closed = smooth_sensitivity_closed_form_bound(fix.xi, state.spread_level, 60, 2, 1.0, 0.5, True)
-    assert state.smooth_bound <= closed * (1 + 1e-9)
+    closed = smooth_sensitivity_closed_form_bound(fix.xi, state.spread_level[0], 60, 2, 1.0, 0.5, True)
+    assert state.smooth_bound[0] <= closed * (1 + 1e-9)
     # far below the worst-case range-based Laplace scale C * dep = C * k/n... the
     # clipped global-sensitivity scale for a complete family is k*C/n * n = C;
     # compare against the per-release Laplace scale C * k / n
-    assert state.smooth_bound < 1.0 * 2 / 60
+    assert state.smooth_bound[0] < 1.0 * 2 / 60
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +953,7 @@ def test_smooth_sensitivity_shift_inequality(complete):
         L = int(rng.integers(1, n // 2 + 1))
         eps = float(rng.uniform(0.2, 2.5))
         xi = float(rng.uniform(0.0, 0.8))
-        s_here = pv.smooth_sensitivity(xi, L, n, k, 1.0, eps, complete)
-        s_up = pv.smooth_sensitivity(xi, min(L + 1, n), n, k, 1.0, eps, complete)
+        s_here = one_key_bound(xi, L, n, k, 1.0, eps, complete)
+        s_up = one_key_bound(xi, min(L + 1, n), n, k, 1.0, eps, complete)
         assert s_up <= math.exp(eps) * s_here * (1 + 1e-12)
         assert s_here <= math.exp(eps) * s_up * (1 + 1e-12)

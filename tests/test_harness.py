@@ -323,6 +323,26 @@ def test_cli_estimate_hajek_non_finite_radius_is_a_usage_error(flag, capsys):
     assert "estimate" not in captured.out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--simulate", "gaussian,n=100", "--R", "inf"], "range bound must be finite"),
+    (["estimate", "--simulate", "gaussian,n=100", "--R", "nan"], "range bound must be finite"),
+    (["estimate", "--simulate", "gaussian,n=100", "--tau", "inf"], "deviation bound must be finite"),
+    (["estimate", "--method", "subsampled", "--simulate", "gaussian,n=100", "--tau", "nan"],
+     "deviation bound must be finite"),
+    (["simulate", "--dist", "half_split", "--amplitude", "nan", "--n-grid", "40", "--trials", "1"],
+     "perturbations must be finite"),
+], ids=["R-inf", "R-nan", "tau-inf", "tau-nan", "amplitude-nan"])
+def test_cli_non_finite_bounds_are_one_line_usage_errors(argv, message, capsys):
+    # the package's own ValueError, raised before any spend: one error line,
+    # no traceback, no ledger and no output
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag, value", [("--xi", "nan"), ("--C", "nan")])
 def test_cli_audit_smoothness_bad_parameter_is_a_usage_error(flag, value, capsys):
     code = cli_main(["audit-smoothness", "--n", "6", flag, value])

@@ -38,7 +38,8 @@ CASES = {
         pv.HajekParams(eps=EPS, c_range=1.0, xi=0.1), 8, b),
     "pipeline": lambda b: pv.subgaussian_pipeline(
         pv.mean_kernel(2, 0.5), _reals(240, 9), 4.0, 0.5, EPS, 0.05, 10, budget=b),
-    "uniformity": lambda b: apps.uniformity_test(_labels(300, 11), 10, 0.5, EPS, 12, b).report,
+    "uniformity": lambda b: apps.boosted_uniformity_test(
+        _labels(300, 11), 10, 0.5, EPS, None, 12, b).report,
     "triangle": lambda b: pv.private_triangle_density(apps.sample_rgg(60, 0.8, 13), EPS, 14, b),
     "boosted_uniformity": lambda b: apps.boosted_uniformity_test(
         _labels(2000, 15), 10, 0.5, EPS, 0.1, 16, b).report,

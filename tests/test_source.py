@@ -9,7 +9,9 @@ Only ``dp`` debits a ledger or draws release noise, so a release is drawn
 and debited one way; ``noise_gof`` may call the samplers, because it audits
 them.  Only ``hajek.release_rows`` and the smoothness audit call the Hájek
 engine, and only ``release_rows`` calls its release, so no second Hájek
-path grows beside the stacked one.  No module but ``ustat`` uses
+path grows beside the stacked one.  Only ``dp`` reads
+``SMOOTH_RELEASE_FACTOR``: the releases return the scale they drew at, so
+no caller holds a copy of the calibration.  No module but ``ustat`` uses
 ``ustat``'s private names.  No function,
 parameter or dataclass field is named ``fault_*``: tests inject faults by
 patching, not through a library option.  Importing
@@ -299,6 +301,44 @@ def test_one_hajek_path():
     found = []
     for path in ALL_MODULES:
         found += second_hajek_paths(str(path.relative_to(SRC)), path.read_text())
+    assert found == []
+
+
+def release_factor_reads(source: str) -> list[str]:
+    """Every read of ``SMOOTH_RELEASE_FACTOR``: imported, read by plain name,
+    or read as an attribute, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [node.lineno for alias in node.names if alias.name == "SMOOTH_RELEASE_FACTOR"]
+        elif isinstance(node, ast.Name) and node.id == "SMOOTH_RELEASE_FACTOR":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "SMOOTH_RELEASE_FACTOR":
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_checker_finds_release_factor_reads():
+    source = (
+        "from .dp import SMOOTH_RELEASE_FACTOR, PrivacyBudget\n"
+        "from . import dp\n"
+        "def scale(bound, eps):\n"
+        "    return SMOOTH_RELEASE_FACTOR * bound / eps\n"
+        "def other(bound, eps):\n"
+        "    return dp.SMOOTH_RELEASE_FACTOR * bound / eps\n"
+        "RELEASE_FACTOR = 10.0  # a different name\n"
+    )
+    assert release_factor_reads(source) == ["line 1", "line 4", "line 6"]
+
+
+def test_only_dp_reads_the_release_factor():
+    # a module that multiplies by its own copy of the factor reports a
+    # scale the drawn noise does not have once the factor changes
+    found = []
+    for path in ALL_MODULES:
+        module = str(path.relative_to(SRC))
+        if module != "dp.py":
+            found += [f"{module} {where}" for where in release_factor_reads(path.read_text())]
     assert found == []
 
 
