@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .boosting import boosted
 from .dp import PrivacyBudget, global_sensitivity_releases
@@ -244,63 +243,57 @@ def boosted_uniformity_test(
 # random geometric graphs and triangle density
 # ---------------------------------------------------------------------------
 
-def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int) -> sparse.csr_array:
-    """n x n CSR array from entries sorted by row, then by column, no repeats."""
-    return sparse.csr_array((values, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
-
-
 @dataclass
 class GeometricGraph:
     """Undirected graph; ``sample_rgg`` also records the latent unit-sphere
     positions it drew the edges from.
 
-    The adjacency is kept only as a CSR array of int8 ones with sorted
-    indices, each column at most once per row; the triangle counts build
-    their neighbour bitsets from it (``triangle_rows``).  The constructor
-    takes a dense 0/1 array of any dtype: one scan of its n^2 entries finds
-    the edges, and every check after it is linear in their number.
+    The adjacency is kept only in CSR form, as two int64 arrays: node v's
+    neighbours are ``indices[indptr[v]:indptr[v + 1]]``, in increasing
+    order, so ``indptr`` has n + 1 entries and ``indices`` one per stored
+    direction of each edge.  The triangle counts build their neighbour
+    bitsets from them (``triangle_rows``).  The constructor takes a dense
+    0/1 array of any dtype: one scan of its n^2 entries finds the edges, and
+    every check after it is linear in their number.
     """
 
-    adjacency: sparse.csr_array
+    adjacency: InitVar[np.ndarray]
     latent: Optional[np.ndarray] = None
+    indptr: np.ndarray = field(init=False)
+    indices: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        a = np.asarray(self.adjacency)
+    def __post_init__(self, adjacency):
+        a = np.asarray(adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be square")
         n = a.shape[0]
         byte_sized = a.dtype.itemsize == 1 and a.dtype.kind in "biu"
         flat = np.flatnonzero(a.view(np.bool_) if byte_sized else a != 0)
-        c = _csr(*np.divmod(flat, n), a.reshape(-1)[flat], n)
-        t = c.T.tocsr()
-        if not (
-            np.array_equal(t.indptr, c.indptr)
-            and np.array_equal(t.indices, c.indices)
-            and np.array_equal(t.data, c.data)
-        ):
+        rows, cols = np.divmod(flat, n)
+        values = a.reshape(-1)[flat]
+        if not np.array_equal(a[cols, rows], values):
             raise ValueError("adjacency must be symmetric")
-        if c.diagonal().any():
+        if (rows == cols).any():
             raise ValueError("adjacency must have a zero diagonal")
-        if not (c.data == 1).all():
+        if not (values == 1).all():
             raise ValueError("adjacency entries must be 0/1")
-        c.data = np.ones(c.nnz, dtype=np.int8)
-        self.adjacency = c
+        self.indptr, self.indices = np.searchsorted(rows, np.arange(n + 1)), cols
 
     @classmethod
-    def _of_csr(cls, adjacency: sparse.csr_array) -> "GeometricGraph":
-        """A graph around a CSR adjacency that is valid by construction, with
-        no latent positions; no checks."""
+    def _of_csr(cls, indptr: np.ndarray, indices: np.ndarray) -> "GeometricGraph":
+        """A graph around CSR arrays that are valid by construction, with no
+        latent positions; no checks."""
         graph = object.__new__(cls)
-        graph.adjacency = adjacency
+        graph.indptr, graph.indices = indptr, indices
         return graph
 
     @property
     def n(self) -> int:
-        return int(self.adjacency.shape[0])
+        return self.indptr.size - 1
 
     def edge_density(self) -> float:
         n = self.n
-        return self.adjacency.nnz / (n * (n - 1))
+        return self.indices.size / (n * (n - 1))
 
     def block_diagonal(self, q: int, size: int) -> "GeometricGraph":
         """The first q * size nodes as q disjoint consecutive chunks of
@@ -309,12 +302,10 @@ class GeometricGraph:
         if q == 1 and size == self.n:
             return self
         n = q * size
-        c = self.adjacency
-        end = c.indptr[n]
-        rows = np.repeat(np.arange(n), np.diff(c.indptr[: n + 1]))
-        cols = c.indices[:end]
+        rows = np.repeat(np.arange(n), np.diff(self.indptr[: n + 1]))
+        cols = self.indices[: self.indptr[n]]
         keep = rows // size == cols // size
-        return GeometricGraph._of_csr(_csr(rows[keep], cols[keep], c.data[:end][keep], n))
+        return GeometricGraph._of_csr(np.searchsorted(rows[keep], np.arange(n + 1)), cols[keep])
 
 
 def sample_rgg(n: int, radius: float, seed) -> GeometricGraph:
@@ -396,29 +387,31 @@ def triangle_rows(chunks: GeometricGraph, q: int) -> SummaryRows:
     add, and each node's sum is twice its triangles (the edge iterator of
     Schank & Wagner, WEA 2005).  That is E ceil(size / 64) word operations
     on n ceil(size / 64) words, and the counts are exact integers.  Row i's
-    reweight runs on chunk i's own block of the adjacency and bitsets.
+    reweight runs on chunk i's own rows of the CSR and bitsets.
     """
     size = chunks.n // q
     if size * q != chunks.n:
         raise ValueError(f"{chunks.n} nodes do not split into {q} equal chunks")
     if size < 3:
         raise InsufficientData("triangle statistics need at least three nodes")
-    c = chunks.adjacency
-    rows = np.repeat(np.arange(chunks.n), np.diff(c.indptr))
-    if q > 1 and (rows // size != c.indices // size).any():
+    indptr, indices = chunks.indptr, chunks.indices
+    rows = np.repeat(np.arange(chunks.n), np.diff(indptr))
+    if q > 1 and (rows // size != indices // size).any():
         raise ValueError(f"an edge joins two of the {q} chunks; pass a block-diagonal graph")
-    bits = _neighbour_bits(rows, c.indices, chunks.n, size)
-    lower = c.indices < rows
-    u, v = rows[lower], c.indices[lower]
+    bits = _neighbour_bits(rows, indices, chunks.n, size)
+    lower = indices < rows
+    u, v = rows[lower], indices[lower]
     common = _common_neighbours(bits, bits, u, v)
     per_node = _halved_counts(common, (u, v), chunks.n).reshape(q, size)
     a_n = per_node.sum(axis=1) / 3.0 / math.comb(size, 3)
     projections = per_node / math.comb(size - 1, 2)
 
     def reweight(i: int, weights: np.ndarray) -> float:
-        chunk = slice(i * size, (i + 1) * size)
-        block = c[chunk, chunk] if q > 1 else c
-        return _triangle_reweight(block, bits[chunk], float(a_n[i]), weights)
+        # chunk i's rows, renumbered from 0: every edge stays in the chunk
+        lo, hi = i * size, (i + 1) * size
+        start, stop = indptr[lo], indptr[hi]
+        block = (indptr[lo : hi + 1] - start, indices[start:stop] - lo)
+        return _triangle_reweight(*block, bits[lo:hi], float(a_n[i]), weights)
 
     return SummaryRows(
         n=size, k=3, a_n=a_n, projections=projections, reweight=reweight, all_tuples_family=True
@@ -426,11 +419,12 @@ def triangle_rows(chunks: GeometricGraph, q: int) -> SummaryRows:
 
 
 def _triangle_reweight(
-    c: sparse.csr_array, bits: np.ndarray, a_n: float, weights: np.ndarray
+    indptr: np.ndarray, indices: np.ndarray, bits: np.ndarray, a_n: float, weights: np.ndarray
 ) -> float:
-    """The reweighted triangle mean of the graph with adjacency c and
-    neighbour bitsets ``bits`` (``_neighbour_bits`` of c as one chunk)."""
-    n = c.shape[0]
+    """The reweighted triangle mean of the graph with CSR arrays (indptr,
+    indices) and neighbour bitsets ``bits`` (``_neighbour_bits`` of it as
+    one chunk)."""
+    n = indptr.size - 1
     is_low = weights < 1.0
     low = np.flatnonzero(is_low)
     # reweighted mean = a_n + (1/M) sum over triples meeting a
@@ -445,10 +439,14 @@ def _triangle_reweight(
     # exactly one down-weighted node: per stored entry (b, u) with u in
     # rest, the common neighbours of b and u within rest; each triangle
     # through b is counted from both of its other ends
-    c_low = c[low]
-    owner = np.repeat(np.arange(low.size), np.diff(c_low.indptr))
-    in_rest = ~is_low[c_low.indices]
-    owner, ends = owner[in_rest], c_low.indices[in_rest]
+    starts = indptr[low]
+    degrees = indptr[low + 1] - starts
+    owner = np.repeat(np.arange(low.size), degrees)
+    # entry j of the low rows sits at its row's start plus its rank in the row
+    skip = np.repeat(starts - (np.cumsum(degrees) - degrees), degrees)
+    ends = indices[skip + np.arange(owner.size)]
+    in_rest = ~is_low[ends]
+    owner, ends = owner[in_rest], ends[in_rest]
     tri_one = _halved_counts(_common_neighbours(to_rest, bits, owner, ends), (owner,), low.size)
     pairs = rest * (rest - 1) // 2
     corr = _add_in_order(0.0, (w - 1.0) * (tri_one - a_n * pairs))
@@ -529,7 +527,7 @@ def private_triangle_densities(
     size = chunk_rows.n
     rngs = [as_generator(seed) for seed in seeds]
     # every edge of chunk i is an entry of its rows, inside its diagonal block
-    u_edges = (np.diff(chunks.adjacency.indptr[::size]) / (size * (size - 1))).tolist()
+    u_edges = (np.diff(chunks.indptr[::size]) / (size * (size - 1))).tolist()
     nu = global_sensitivity_releases(
         u_edges, [EDGE_DENSITY_SENSITIVITY_FACTOR / size] * q, eps, budgets, rngs,
         label="edge density proxy",
@@ -632,8 +630,8 @@ def read_edge_list(path) -> GeometricGraph:
     n = int(pairs.max())
     i, j = (pairs - 1).T
     # both directions of every edge, once each, in row-major order
-    flat = np.unique(np.concatenate([i * n + j, j * n + i]))
-    return GeometricGraph._of_csr(_csr(*np.divmod(flat, n), np.ones(flat.size, dtype=np.int8), n))
+    rows, cols = np.divmod(np.unique(np.concatenate([i * n + j, j * n + i])), n)
+    return GeometricGraph._of_csr(np.searchsorted(rows, np.arange(n + 1)), cols)
 
 
 def _read_column(path, parse, valid, expected: str) -> np.ndarray:

@@ -67,7 +67,6 @@ _ZERO_DRAW = 2.0**-54
 # The ledger counts in units of 2^-1074, the smallest positive double: every
 # finite double is a whole number of units, so its running total is exact.
 _UNIT_BITS = 1074
-_UNIT = 2**_UNIT_BITS
 
 # A cap admits totals up to 2^-_SLACK_BITS of itself beyond it.  Splitting eps
 # into double-precision parts (eps/(2t) per halving step) can round their sum

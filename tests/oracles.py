@@ -7,10 +7,11 @@ copying clip step of ``ustat_means``, the per-row Floyd draw of
 ``subsample_family``, the index-then-gather form of the complete-family
 engine (kernel values, stacked chunks, projections with scanned prefix runs,
 the reweighted mean), the per-column bincount and exact fsum forms of the
-projections, the loop form of the collision reweight, the per-line
-file readers, the loop forms of the audits, the quartic sampler and its
-CDF, a constant kernel, and the U-statistic variance calculus (conditional
-variances, Hoeffding components, exact variance)."""
+projections, the loop form of the collision reweight, the dense
+adjacency of a graph, the per-line file readers, the loop forms of the
+audits, the quartic sampler and its CDF, a constant kernel, and the
+U-statistic variance calculus (conditional variances, Hoeffding components,
+exact variance)."""
 
 import itertools
 import math
@@ -318,10 +319,17 @@ def each_chunk(estimator):
     return run
 
 
+def dense_adjacency(graph: GeometricGraph) -> np.ndarray:
+    """The dense int8 0/1 adjacency of a graph, from its CSR arrays."""
+    adj = np.zeros((graph.n, graph.n), dtype=np.int8)
+    adj[np.repeat(np.arange(graph.n), np.diff(graph.indptr)), graph.indices] = 1
+    return adj
+
+
 def induced_subgraph(graph: GeometricGraph, indices) -> GeometricGraph:
     """The subgraph on the nodes ``indices``, renumbered in their order."""
     idx = np.asarray(indices)
-    return GeometricGraph(graph.adjacency[np.ix_(idx, idx)].toarray())
+    return GeometricGraph(dense_adjacency(graph)[np.ix_(idx, idx)])
 
 
 def loop_median_of_means(estimator, data, plan: BoostPlan, seed, budget: PrivacyBudget) -> EstimateReport:
@@ -621,7 +629,7 @@ def line_read_column(path, parse, valid, expected: str) -> np.ndarray:
 def write_edge_list(graph: GeometricGraph, path) -> None:
     """One "i j" line (1-based) per edge i < j."""
     with open(path, "w") as fh:
-        rows, cols = np.nonzero(np.triu(graph.adjacency.toarray(), k=1))
+        rows, cols = np.nonzero(np.triu(dense_adjacency(graph), k=1))
         for i, j in zip(rows.tolist(), cols.tolist()):
             fh.write(f"{i + 1} {j + 1}\n")
 

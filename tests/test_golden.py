@@ -19,6 +19,8 @@ from privustat import ustat
 from privustat.dp import scratch_budget
 from privustat.ustat import clipped_kernel
 
+from oracles import dense_adjacency
+
 
 def estimates() -> dict:
     rng = np.random.default_rng(2024)
@@ -91,7 +93,7 @@ def cli_cases(tmp_path) -> dict:
     sparse.write_text("1 2\n3 4\n")  # near-empty graph: the edge-density proxy often goes negative
     labels.write_text("".join(f"{v}\n" for v in rng.integers(0, 12, 3000).tolist()))
     graph = pv.sample_rgg(400, 0.5, rng)
-    rows, cols = np.nonzero(np.triu(graph.adjacency.toarray(), 1))
+    rows, cols = np.nonzero(np.triu(dense_adjacency(graph), 1))
     edges.write_text("".join(f"{i + 1} {j + 1}\n" for i, j in zip(rows, cols)))
     alpha = ["--alpha", "0.2"]
     uni = ["uniformity-test", "--m", "12", "--delta", "0.5", "--eps", "1"]

@@ -31,6 +31,7 @@ from oracles import (
     bincount_projections,
     brute_force_local_sensitivity,
     constant_kernel,
+    dense_adjacency,
     explicit_family,
     full_range_smooth_sensitivity,
     full_scan_compute_L,
@@ -756,9 +757,9 @@ def test_triangle_fast_path_matches_generic(xi, c_range, expect_bad):
     tri = pv.Kernel(
         3,
         lambda t: (
-            g.adjacency.toarray()[t[:, 0].astype(int), t[:, 1].astype(int)]
-            * g.adjacency.toarray()[t[:, 0].astype(int), t[:, 2].astype(int)]
-            * g.adjacency.toarray()[t[:, 1].astype(int), t[:, 2].astype(int)]
+            dense_adjacency(g)[t[:, 0].astype(int), t[:, 1].astype(int)]
+            * dense_adjacency(g)[t[:, 0].astype(int), t[:, 2].astype(int)]
+            * dense_adjacency(g)[t[:, 1].astype(int), t[:, 2].astype(int)]
         ).astype(float),
         pv.Bounded(1.0),
     )
@@ -818,9 +819,9 @@ def test_triangle_fast_path_with_many_bad_nodes():
     tri = pv.Kernel(
         3,
         lambda t: (
-            g.adjacency.toarray()[t[:, 0].astype(int), t[:, 1].astype(int)]
-            * g.adjacency.toarray()[t[:, 0].astype(int), t[:, 2].astype(int)]
-            * g.adjacency.toarray()[t[:, 1].astype(int), t[:, 2].astype(int)]
+            dense_adjacency(g)[t[:, 0].astype(int), t[:, 1].astype(int)]
+            * dense_adjacency(g)[t[:, 0].astype(int), t[:, 2].astype(int)]
+            * dense_adjacency(g)[t[:, 1].astype(int), t[:, 2].astype(int)]
         ).astype(float),
         pv.Bounded(1.0),
     )
@@ -848,7 +849,7 @@ def test_triangle_reweight_equals_loop_reference_bitwise(n, radius, low_share):
         weights = np.ones(n)
         low = rng.choice(n, max(1, int(low_share * n)), replace=False)
         weights[low] = rng.choice([0.0, 0.25, rng.uniform()], size=low.size)
-        assert rows.reweight(0, weights) == loop_triangle_reweight(g.adjacency.toarray(), weights, a_n)
+        assert rows.reweight(0, weights) == loop_triangle_reweight(dense_adjacency(g), weights, a_n)
 
 
 # ---------------------------------------------------------------------------

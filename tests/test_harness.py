@@ -29,6 +29,7 @@ from privustat.harness.experiments import (
 import oracles
 from oracles import (
     constant_kernel,
+    dense_adjacency,
     fresh_array_ks_gap,
     halved_bound_rows,
     loop_smoothness_audit,
@@ -385,7 +386,7 @@ def user_data_files(tmp_path):
     reals.write_text("".join(f"{v!r}\n" for v in rng.normal(0.3, 1.0, 600).tolist()))
     labels.write_text("".join(f"{v}\n" for v in rng.integers(0, 10, 900).tolist()))
     graph = pv.sample_rgg(150, 0.6, rng)
-    rows, cols = np.nonzero(np.triu(graph.adjacency.toarray(), 1))
+    rows, cols = np.nonzero(np.triu(dense_adjacency(graph), 1))
     edges.write_text("".join(f"{i + 1} {j + 1}\n" for i, j in zip(rows, cols)))
     return str(reals), str(labels), str(edges)
 
