@@ -32,7 +32,6 @@ from .hajek import (
     degenerate_xi,
     private_mean_local_hajek,
     private_means_local_hajek,
-    reweighted_mean,
     smooth_bound_g,
     smooth_sensitivity,
     subgaussian_pipeline,

@@ -134,9 +134,9 @@ def collision_rows(chunks: np.ndarray, m: int) -> SummaryRows:
         # same-category pairs: h = 1, weight w_c
         sp = same_pairs[i, occupied]
         total = float(np.sum(sp * (wc + a_n[i] * (1.0 - wc))))
-        # cross-category pairs: h = 0, weight min(w_c, w_d).  In increasing
-        # weight order the minimum of a pair is its earlier category's
-        # weight, which meets every count after it: a suffix sum.
+        # cross-category pairs: h = 0, weight min(w_c, w_d).  By the rule of
+        # every reweight (``hajek``) that is, in increasing weight order, the
+        # earlier category's weight, which meets every count after it.
         order = np.argsort(wc, kind="stable")
         cnt = counts[i, occupied][order]
         after = n - np.cumsum(cnt)
@@ -323,16 +323,7 @@ def sample_rgg(n: int, radius: float, seed) -> GeometricGraph:
     return GeometricGraph(adj, latent)
 
 
-def _add_in_order(total: float, terms: np.ndarray) -> float:
-    """total + terms[0] + terms[1] + ..., rounded left to right.
-
-    Keeps the sum bit-identical to a scalar loop over the same terms, which a
-    pairwise ``np.sum`` would not.
-    """
-    return float(np.add.accumulate(np.concatenate([[total], terms]))[-1])
-
-
-# bytes of bitsets one gather of ``_common_neighbours`` reads per side
+# bytes one gather of ``_common_neighbours`` reads per side, or one block of ``_neighbour_bits``
 _GATHER_BYTES = 1 << 18
 
 
@@ -343,13 +334,15 @@ def _neighbour_bits(rows: np.ndarray, cols: np.ndarray, n: int, size: int) -> np
 
     (rows, cols) are the entries of a block-diagonal CSR, each column at
     most once per row, so the bits that land in one word are distinct powers
-    of two and one unbuffered integer ``add.at`` sets them all.
+    of two and one unbuffered integer ``add.at`` per block of entries sets them.
     """
     words = -(-size // 64)
     bits = np.zeros(n * words, dtype=np.uint64)
-    local = cols % size if size < n else cols
-    one_bits = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
-    np.add.at(bits, rows * words + (local >> 6), one_bits)
+    step = _GATHER_BYTES // 8
+    for lo in range(0, rows.size, step):
+        local = cols[lo : lo + step] % size
+        one_bits = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
+        np.add.at(bits, rows[lo : lo + step] * words + (local >> 6), one_bits)
     return bits.reshape(n, words)
 
 
@@ -387,7 +380,7 @@ def triangle_rows(chunks: GeometricGraph, q: int) -> SummaryRows:
     add, and each node's sum is twice its triangles (the edge iterator of
     Schank & Wagner, WEA 2005).  That is E ceil(size / 64) word operations
     on n ceil(size / 64) words, and the counts are exact integers.  Row i's
-    reweight runs on chunk i's own rows of the CSR and bitsets.
+    reweight reads chunk i's rows of the same CSR and bitsets by global id.
     """
     size = chunks.n // q
     if size * q != chunks.n:
@@ -407,66 +400,43 @@ def triangle_rows(chunks: GeometricGraph, q: int) -> SummaryRows:
     projections = per_node / math.comb(size - 1, 2)
 
     def reweight(i: int, weights: np.ndarray) -> float:
-        # chunk i's rows, renumbered from 0: every edge stays in the chunk
-        lo, hi = i * size, (i + 1) * size
-        start, stop = indptr[lo], indptr[hi]
-        block = (indptr[lo : hi + 1] - start, indices[start:stop] - lo)
-        return _triangle_reweight(*block, bits[lo:hi], float(a_n[i]), weights)
+        # by the rule of every reweight (``hajek``) a triple takes the weight
+        # of its earliest member in ascending weight order: the r-th
+        # down-weighted node v is earliest in C(size - 1 - r, 2) triples, t_v
+        # of them triangles, and adds (w_v - 1)(t_v - a_n C(size - 1 - r, 2)) / M
+        order = np.argsort(weights, kind="stable")
+        low = order[: np.count_nonzero(weights < 1.0)]
+        t = _later_triangles(indptr, indices, bits, i * size, low)
+        rest = size - 1 - np.arange(low.size)
+        corr = float((weights[low] - 1.0) @ (t - a_n[i] * (rest * (rest - 1) // 2)))
+        return float(a_n[i]) + corr / math.comb(size, 3)
 
     return SummaryRows(
         n=size, k=3, a_n=a_n, projections=projections, reweight=reweight, all_tuples_family=True
     )
 
 
-def _triangle_reweight(
-    indptr: np.ndarray, indices: np.ndarray, bits: np.ndarray, a_n: float, weights: np.ndarray
-) -> float:
-    """The reweighted triangle mean of the graph with CSR arrays (indptr,
-    indices) and neighbour bitsets ``bits`` (``_neighbour_bits`` of it as
-    one chunk)."""
-    n = indptr.size - 1
-    is_low = weights < 1.0
-    low = np.flatnonzero(is_low)
-    # reweighted mean = a_n + (1/M) sum over triples meeting a
-    # down-weighted node of (wt(S) - 1)(h(S) - a_n); triples of three
-    # full-weight nodes contribute nothing
-    rest = n - low.size
-    w = weights[low]
-    # the low nodes' neighbours among the full-weight ones
-    keep = np.full(bits.shape[1], ~np.uint64(0))
-    np.bitwise_and.at(keep, low >> 6, ~np.left_shift(np.uint64(1), (low & 63).astype(np.uint64)))
-    to_rest = bits[low] & keep
-    # exactly one down-weighted node: per stored entry (b, u) with u in
-    # rest, the common neighbours of b and u within rest; each triangle
-    # through b is counted from both of its other ends
-    starts = indptr[low]
-    degrees = indptr[low + 1] - starts
+def _later_triangles(
+    indptr: np.ndarray, indices: np.ndarray, bits: np.ndarray, lo: int, low: np.ndarray
+) -> np.ndarray:
+    """For each node v of ``low`` (in order, ids in the chunk from node lo),
+    the triangles through v whose other two nodes are neither v nor an
+    earlier node of ``low``.  v's neighbours after it are its bitset less a
+    cumulative OR of one-hot rows; each CSR entry (v, u) with u after v adds
+    the popcount of that and u's bitset, so each triangle counts twice."""
+    rank = np.full(bits.shape[1] * 64, low.size)  # a rank for every bit of a row
+    rank[low] = np.arange(low.size)
+    one_hot = np.zeros((low.size, bits.shape[1]), dtype=np.uint64)
+    one_hot[np.arange(low.size), low >> 6] = np.left_shift(np.uint64(1), (low & 63).astype(np.uint64))
+    after = bits[lo + low] & ~np.bitwise_or.accumulate(one_hot, axis=0)
+    starts = indptr[lo + low]
+    degrees = indptr[lo + low + 1] - starts
     owner = np.repeat(np.arange(low.size), degrees)
     # entry j of the low rows sits at its row's start plus its rank in the row
-    skip = np.repeat(starts - (np.cumsum(degrees) - degrees), degrees)
-    ends = indices[skip + np.arange(owner.size)]
-    in_rest = ~is_low[ends]
-    owner, ends = owner[in_rest], ends[in_rest]
-    tri_one = _halved_counts(_common_neighbours(to_rest, bits, owner, ends), (owner,), low.size)
-    pairs = rest * (rest - 1) // 2
-    corr = _add_in_order(0.0, (w - 1.0) * (tri_one - a_n * pairs))
-    # exactly two down-weighted nodes: common neighbours within rest
-    shift = (low & 63).astype(np.uint64)
-    low_low = (np.right_shift(bits[low[:, None], low >> 6], shift) & np.uint64(1)).astype(np.int8)
-    x, y = np.triu_indices(low.size, 1)
-    tri_two = low_low[x, y].astype(np.int64)
-    edge = np.flatnonzero(tri_two)
-    tri_two[edge] = _common_neighbours(to_rest, to_rest, x[edge], y[edge])
-    corr = _add_in_order(corr, (np.minimum(w[x], w[y]) - 1.0) * (tri_two - a_n * rest))
-    # all three down-weighted: per first node, the pairs after it are a
-    # suffix of the lexicographic pair list
-    for first in range(low.size - 2):
-        tail = np.searchsorted(x, first + 1)
-        p, q = x[tail:], y[tail:]
-        w_min = np.minimum(w[first], np.minimum(w[p], w[q]))
-        h = low_low[first, p] * low_low[first, q] * low_low[p, q]
-        corr = _add_in_order(corr, (w_min - 1.0) * (h - a_n))
-    return a_n + corr / math.comb(n, 3)
+    ends = indices[np.repeat(starts - (np.cumsum(degrees) - degrees), degrees) + np.arange(owner.size)]
+    later = rank[ends - lo] > owner
+    owner, ends = owner[later], ends[later]
+    return _halved_counts(_common_neighbours(after, bits, owner, ends), (owner,), low.size)
 
 
 def triangle_summary(graph: GeometricGraph) -> UStatSummary:

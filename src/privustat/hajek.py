@@ -3,12 +3,12 @@
 The local projection of index i is the average of the kernel over the subsets
 containing i.  Indices whose projection strays far from the overall mean are
 down-weighted with a linear ramp, every subset inherits the minimum weight of
-its members, and the reweighted mean is released with heavy-tailed noise
-scaled to a smooth upper bound on its local sensitivity.  The spread of the
-projections enters that bound only through one integer (the smallest t such
-that at most t indices deviate beyond a threshold growing linearly in t),
-which moves by at most 1 under a one-point substitution; that is what makes
-the bound smooth.
+its members (one rule for every reweight, ``_reweighted_mean``), and the
+reweighted mean is released with heavy-tailed noise scaled to a smooth upper
+bound on its local sensitivity.  The spread of the projections enters that
+bound only through one integer (the smallest t such that at most t indices
+deviate beyond a threshold growing linearly in t), which moves by at most 1
+under a one-point substitution; that is what makes the bound smooth.
 
 The state is computed for a stack of q summaries of one shape at once
 (``SummaryRows``, ``hajek_rows``), as the chunks of a boosted estimate are:
@@ -33,13 +33,11 @@ from .errors import PreconditionWarning
 from .report import EstimateReport
 from .rng import as_generator
 from .ustat import (
-    Bounded,
     Dataset,
     Kernel,
     SubsetFamily,
     all_tuples,
     clipped_kernel,
-    kernel_values,
     kernel_values_and_projections,
 )
 from .coinpress import naive_estimator
@@ -139,15 +137,6 @@ def compute_weights(
     return np.maximum(0.0, 1.0 - (eps * n / (6.0 * c_range * k)) * dist)
 
 
-def reweighted_mean(
-    values: np.ndarray, family: SubsetFamily, weights: np.ndarray, a_n: float
-) -> float:
-    """Mean of h(X_S) * wt(S) + a_n * (1 - wt(S)), wt(S) = min weight in S."""
-    smallest = Kernel(family.k, lambda t: t.min(axis=1), Bounded(1.0), name="min")
-    wt_s = kernel_values(smallest, Dataset(np.asarray(weights, dtype=float)), family)
-    return float(np.mean(values * wt_s + a_n * (1.0 - wt_s)))
-
-
 def smooth_bound_g(
     xi: float,
     spread_level: int | np.ndarray,
@@ -236,18 +225,55 @@ class SummaryRows:
         )
 
 
+# rows of a stored family that one reweight relabels at a time
+_RELABEL_ROWS = 1 << 15
+
+
+def _reweighted_mean(
+    h: Kernel, chunk: np.ndarray, family: SubsetFamily, weights: np.ndarray, a_n: float
+) -> float:
+    """The mean of h(X_S) wt(S) + a_n (1 - wt(S)) over the family on one
+    chunk, by the rule the generic, collision and triangle reweights share:
+    in ascending weight order (ties by index) a subset takes the weight of
+    its earliest member, its smallest.  With the data relabelled in that
+    order, S meets the |B| down-weighted indices when its smallest label r
+    is below |B|, and adds (w_r - 1)(h(X_S) - a_n) / M; no other S adds.
+    Those are a lexicographic prefix of the complete family, whose rows
+    serve as labels, so its pass stops in the block that ends the prefix; a
+    stored family's rows are relabelled and sorted a slice at a time.  h
+    runs on those subsets only.
+    """
+    order = np.argsort(weights, kind="stable")
+    cut = np.count_nonzero(weights < 1.0)
+    data, lowered = chunk[order], weights[order[:cut]] - 1.0
+    complete, total = family.kind == "all_tuples", 0.0
+    if complete:
+        blocks = (rows for _, rows in family.blocks())
+    else:
+        stored, step, label = family.subsets, _RELABEL_ROWS, np.argsort(order)
+        blocks = (np.sort(label[stored[lo : lo + step]], axis=1) for lo in range(0, family.size, step))
+    for rows in blocks:
+        touched = rows[:, 0] < cut
+        if touched.any():
+            total += float(lowered[rows[touched, 0]] @ (h.evaluate(data[rows[touched]]) - a_n))
+        if complete and rows[-1, 0] >= cut:
+            break
+    return a_n + total / family.size
+
+
 def summary_from_values(
-    values: np.ndarray, family: SubsetFamily, projections: np.ndarray
+    h: Kernel, chunks: np.ndarray, family: SubsetFamily, values: np.ndarray, projections: np.ndarray
 ) -> SummaryRows:
-    """The summaries of a family's (q, M) kernel values and their (q, n)
-    local projections, one row per dataset."""
+    """The summaries of a (q, n) stack of chunks from their (q, M) kernel
+    values, read for the means only (a reweight evaluates h again), and
+    their (q, n) local projections."""
     a_n = np.array([row.mean() for row in values])
     return SummaryRows(
         n=family.n,
         k=family.k,
         a_n=a_n,
         projections=projections,
-        reweight=lambda i, weights: reweighted_mean(values[i], family, weights, float(a_n[i])),
+        reweight=lambda i, weights: _reweighted_mean(h, chunks[i], family, weights, float(a_n[i])),
         all_tuples_family=family.kind == "all_tuples",
     )
 
@@ -395,8 +421,8 @@ def private_means_local_hajek(
             )
             for _ in seeds
         ]
-    values, projections = kernel_values_and_projections(h, chunks, family)
-    return release_rows(summary_from_values(values, family, projections), params, seeds, budgets)
+    rows = summary_from_values(h, chunks, family, *kernel_values_and_projections(h, chunks, family))
+    return release_rows(rows, params, seeds, budgets)
 
 
 def private_mean_local_hajek(

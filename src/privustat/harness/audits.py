@@ -181,8 +181,9 @@ def smoothness_audit(
     letters = np.asarray(alphabet, dtype=float)
 
     multisets = list(itertools.combinations_with_replacement(range(len(alphabet)), n))
-    values, proj = kernel_values_and_projections(kernel, letters[np.array(multisets)], family)
-    rows = summary_from_values(values, family, proj)
+    datasets = letters[np.array(multisets)]
+    values, proj = kernel_values_and_projections(kernel, datasets, family)
+    rows = summary_from_values(kernel, datasets, family, values, proj)
     # a multiset with a non-finite a_n or projection releases nothing: the
     # engine refuses it, so it gets a NaN reweighted mean and bound
     live = np.flatnonzero(np.isfinite(rows.a_n) & np.isfinite(proj).all(axis=1)).tolist()

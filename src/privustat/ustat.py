@@ -8,9 +8,9 @@ private estimators and the regularity check used by the reweighting algorithm.
 
 The complete family is never stored.  One generator writes its subsets in
 lexicographic blocks, copying from any array of shape (..., n): from the
-indices range(n) it gives the rows of ``SubsetFamily.blocks()``, from the
-data, a stack of chunks or a weight vector it gives the kernel's inputs
-directly, with no index array and no gather in between.
+indices range(n) it gives the rows of ``SubsetFamily.blocks()``, and from
+the data or a stack of chunks it gives the kernel's inputs directly, with no
+index array and no gather in between.
 """
 
 from __future__ import annotations

@@ -5,13 +5,15 @@ of the boosted uniformity test, the two-release form of the triangle
 density, the full-scan forms of the spread level and the Hájek state, the
 copying clip step of ``ustat_means``, the per-row Floyd draw of
 ``subsample_family``, the index-then-gather form of the complete-family
-engine (kernel values, stacked chunks, projections with scanned prefix runs,
-the reweighted mean), the per-column bincount and exact fsum forms of the
-projections, the loop form of the collision reweight, the dense
-adjacency of a graph, the per-line file readers, the loop forms of the
-audits, the quartic sampler and its CDF, a constant kernel, and the
-U-statistic variance calculus (conditional variances, Hoeffding components,
-exact variance)."""
+engine (kernel values, stacked chunks, projections with scanned prefix runs),
+the per-column bincount and exact fsum forms of the projections, the
+reweighted mean in exact rationals over every subset (with the bound a float
+reweight must meet) and in floats over every subset, the loop form of the
+collision reweight, the dense adjacency, triangle values and enumerated
+per-node triangle counts of a graph, the per-line file readers, the loop
+forms of the audits, the quartic sampler and its CDF, a constant kernel,
+and the U-statistic variance calculus (conditional variances, Hoeffding
+components, exact variance)."""
 
 import itertools
 import math
@@ -233,32 +235,76 @@ def loop_collision_reweight(x: np.ndarray, m: int, weights: np.ndarray) -> float
     return total / pairs_total
 
 
-def loop_triangle_reweight(adjacency: np.ndarray, weights: np.ndarray, a_n: float) -> float:
-    """Triangle reweighted mean by dense per-node, per-pair and per-triple loops."""
-    a = np.asarray(adjacency, dtype=np.float64)
-    n = a.shape[0]
-    low = np.nonzero(weights < 1.0)[0]
-    if low.size == 0:
-        return a_n
-    rest = np.setdiff1d(np.arange(n), low)
-    ar = a[np.ix_(rest, rest)]
-    corr = 0.0
-    for b in low:
-        row = a[b, rest]
-        pairs = rest.size * (rest.size - 1) // 2
-        corr += (weights[b] - 1.0) * (float(row @ ar @ row) / 2.0 - a_n * pairs)
-    for x in range(low.size):
-        for y in range(x + 1, low.size):
-            b1, b2 = low[x], low[y]
-            tri = float(a[b1, b2] * np.sum(a[b1, rest] * a[b2, rest]))
-            corr += (min(weights[b1], weights[b2]) - 1.0) * (tri - a_n * rest.size)
-    for x in range(low.size):
-        for y in range(x + 1, low.size):
-            for z in range(y + 1, low.size):
-                b1, b2, b3 = low[x], low[y], low[z]
-                h = float(a[b1, b2] * a[b1, b3] * a[b2, b3])
-                corr += (min(weights[b1], weights[b2], weights[b3]) - 1.0) * (h - a_n)
-    return a_n + corr / math.comb(n, 3)
+def dense_triangle_values(adjacency: np.ndarray) -> np.ndarray:
+    """The triangle indicator of every node triple, in the complete family's
+    lexicographic order."""
+    a = np.asarray(adjacency, dtype=bool)
+    rows = all_tuples(a.shape[0], 3).subsets
+    return (a[rows[:, 0], rows[:, 1]] & a[rows[:, 0], rows[:, 2]] & a[rows[:, 1], rows[:, 2]]).astype(float)
+
+
+def enumerated_later_triangles(adjacency: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """For each node of ``low``, in order, the triangles whose earliest
+    member in the order (``low``, then every other node) is that node: a
+    scan of every node triple."""
+    position = np.full(adjacency.shape[0], low.size)
+    position[low] = np.arange(low.size)
+    first = position[all_tuples(adjacency.shape[0], 3).subsets].min(axis=1)
+    return np.bincount(first[(dense_triangle_values(adjacency) == 1.0) & (first < low.size)], minlength=low.size)
+
+
+# How far a float reweight may miss the exact one.  The library forms it as
+# a_n + (1/M) times a sum of N terms (w - 1) d: one per subset that meets the
+# down-weighted indices, with d = h(S) - a_n (generic path), or one per
+# down-weighted node v, with d = t_v - a_n C(n - 1 - r, 2) (triangle path;
+# t_v and the binomial are exact integers).  With u = eps / 2, w - 1, a_n C,
+# d and the product each round at most once, so a term is off by at most
+# 4u (1 - w) times the sum over its subsets of |h(S)| + |a_n|.  Summing N
+# terms in any order adds at most (N - 1) u times the sum of their
+# magnitudes (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., section 4.2); the division by M rounds once more, and the addition
+# of a_n once relative to the result.  With T the sum over the subsets that
+# meet the down-weighted indices of (1 - wt(S))(|h(S)| + |a_n|),
+#     |got - exact| <= (N + 4) u T / M + u |exact| + O(u^2).
+# The tests allow twice that, (N + 4) eps T / M + eps |exact|, which covers
+# the second-order terms.  The bound is relative to the terms, not to the
+# result, because the terms can cancel.
+REWEIGHT_EPS = Fraction(float(np.finfo(float).eps))
+
+
+class ExactReweight(NamedTuple):
+    value: Fraction  # the reweighted mean
+    magnitude: Fraction  # T / M, see REWEIGHT_EPS
+    touched: int  # subsets that meet a down-weighted index
+
+    def admits(self, got: float, terms: int) -> bool:
+        """Whether a float reweight that sums ``terms`` terms is within the
+        derived bound of this one."""
+        bound = (terms + 4) * REWEIGHT_EPS * self.magnitude + REWEIGHT_EPS * abs(self.value)
+        return abs(Fraction(got) - self.value) <= bound
+
+
+def exact_reweighted_mean(
+    values: np.ndarray, family: SubsetFamily, weights: np.ndarray, a_n: float
+) -> ExactReweight:
+    """(1/M) sum over every subset S of h(S) wt(S) + a_n (1 - wt(S)), with
+    wt(S) the smallest weight in S, in exact rationals: the definition, with
+    no rule for which subsets may be skipped.  The generic, collision and
+    triangle reweights all take wt(S) as the weight of S's earliest member
+    in ascending weight order, which is that smallest weight.  Subsets with
+    equal (h, wt) are counted and summed once."""
+    wt = np.concatenate([np.asarray(weights)[rows].min(axis=1) for _, rows in family.blocks()])
+    # one complex key per subset: a 1-D unique sorts far faster than rows
+    pairs, counts = np.unique(values + 1j * wt, return_counts=True)
+    a = Fraction(a_n)
+    value = magnitude = Fraction(0)
+    touched = 0
+    for pair, count in zip(pairs.tolist(), counts.tolist()):
+        h, w = Fraction(pair.real), Fraction(pair.imag)
+        value += count * (h * w + a * (1 - w))
+        magnitude += count * (1 - w) * (abs(h) + abs(a))
+        touched += count if w < 1 else 0
+    return ExactReweight(value / family.size, magnitude / family.size, touched)
 
 
 def ustat_one_step(
@@ -324,6 +370,17 @@ def dense_adjacency(graph: GeometricGraph) -> np.ndarray:
     adj = np.zeros((graph.n, graph.n), dtype=np.int8)
     adj[np.repeat(np.arange(graph.n), np.diff(graph.indptr)), graph.indices] = 1
     return adj
+
+
+def packed_neighbour_bits(adjacency: np.ndarray, size: int) -> np.ndarray:
+    """Each node's neighbours inside its chunk of ``size`` consecutive nodes,
+    as uint64 words (bit j of word w for node 64 w + j of the chunk): the
+    dense rows packed little-endian."""
+    n = adjacency.shape[0]
+    local = np.zeros((n, -(-size // 64) * 64), dtype=bool)
+    for lo in range(0, n, size):
+        local[lo : lo + size, :size] = adjacency[lo : lo + size, lo : lo + size] != 0
+    return np.packbits(local, axis=1, bitorder="little").view("<u8")
 
 
 def induced_subgraph(graph: GeometricGraph, indices) -> GeometricGraph:
@@ -489,8 +546,11 @@ def gather_values_and_projections(h: Kernel, data: Dataset, family: SubsetFamily
         return values, sums / family.counts
 
 
-def gather_reweighted_mean(values: np.ndarray, family: SubsetFamily, weights: np.ndarray, a_n: float) -> float:
-    """``reweighted_mean`` with each subset's weight gathered through the index rows."""
+def reweighted_mean(values: np.ndarray, family: SubsetFamily, weights: np.ndarray, a_n: float) -> float:
+    """The mean of h(S) wt(S) + a_n (1 - wt(S)) over every subset in floats,
+    each subset's weight wt(S), its smallest, gathered through the index
+    rows: the full-pass form the library used before it reweighted only the
+    subsets that meet a down-weighted index."""
     weights = np.asarray(weights, dtype=float)
     wt_s = np.empty(family.size)
     for start, rows in family.blocks():
@@ -742,11 +802,10 @@ def loop_smoothness_audit(
 
     def analyze(config: tuple) -> tuple:
         if config not in cache:
-            values, proj = kernel_values_and_projections(
-                kernel, np.asarray(config, dtype=float)[None], family
-            )
+            data = np.asarray(config, dtype=float)[None]
+            values, proj = kernel_values_and_projections(kernel, data, family)
             try:
-                state = hajek_rows(summary_from_values(values, family, proj), params)
+                state = hajek_rows(summary_from_values(kernel, data, family, values, proj), params)
             except ValueError:  # non-finite kernel values: nothing is released
                 cache[config] = (math.nan, math.nan)
             else:

@@ -14,7 +14,7 @@ from privustat import applications as apps
 from privustat.dp import quartic_draws, scratch_budget
 from privustat.errors import InsufficientData
 from privustat.hajek import HajekParams
-from privustat.ustat import Dataset
+from privustat.ustat import Dataset, all_tuples
 
 from oracles import (
     VarianceProfile,
@@ -22,13 +22,15 @@ from oracles import (
     collision_variance_profile,
     dense_adjacency,
     dense_edge_density,
+    dense_triangle_values,
     dense_triangles_per_node,
+    exact_reweighted_mean,
     induced_subgraph,
     line_read_column,
     line_read_edge_list,
     loop_collision_reweight,
-    loop_triangle_reweight,
     majority_uniformity_test,
+    packed_neighbour_bits,
     rgg_triangle_theta,
     row_state,
     variance_of_ustat,
@@ -523,9 +525,16 @@ def test_csr_graph_equals_the_dense_oracles(tmp_path_factory, case):
         # the file names no node past the last one with an edge
         assert np.array_equal(dense_adjacency(read), adj[: read.n, : read.n])
         assert not adj[read.n :].any()
-    rows = apps.triangle_rows(g, 1)
-    w = np.array(weights)
-    assert rows.reweight(0, w) == loop_triangle_reweight(adj, w, float(rows.a_n[0]))
+    assert_triangle_reweight_is_exact(apps.triangle_rows(g, 1), 0, adj, np.array(weights))
+
+
+def assert_triangle_reweight_is_exact(rows, i, adj, weights):
+    """Row i's reweight is the exact mean over every triple of the dense
+    graph ``adj`` within the bound derived in the oracles (REWEIGHT_EPS),
+    for a sum of one term per down-weighted node."""
+    n = adj.shape[0]
+    exact = exact_reweighted_mean(dense_triangle_values(adj), all_tuples(n, 3), weights, float(rows.a_n[i]))
+    assert exact.admits(rows.reweight(i, weights), np.count_nonzero(weights < 1.0))
 
 
 def random_graph(n, density, rng):
@@ -563,8 +572,7 @@ def assert_stack_matches_each_chunk(adj, q, size, rng):
         weights = np.ones(size)
         low = rng.choice(size, min(size, 6), replace=False)
         weights[low] = rng.choice([0.0, 0.25, 0.6], size=low.size)
-        a_n = float(rows.a_n[i])
-        assert rows.reweight(i, weights) == loop_triangle_reweight(block, weights, a_n)
+        assert_triangle_reweight_is_exact(rows, i, block, weights)
 
 
 @pytest.mark.parametrize("q,size", [(2, 70), (3, 65), (3, 130), (19, 67), (19, 3)])
@@ -580,6 +588,17 @@ def test_triangle_counts_do_not_depend_on_the_gather_block(monkeypatch, gather_b
     rng = np.random.default_rng(gather_bytes)
     assert_summary_matches_dense_oracle(random_graph(129, 0.4, rng))
     assert_stack_matches_each_chunk(random_graph(3 * 70, 0.4, rng), 3, 70, rng)
+
+
+@pytest.mark.parametrize("gather_bytes", [8, 200, 1 << 18])
+@pytest.mark.parametrize("q,size", [(1, 129), (2, 64), (3, 65)])
+def test_neighbour_bits_equal_the_packed_dense_rows(monkeypatch, gather_bytes, q, size):
+    # entries in blocks of one, of 25 with a ragged last block, and all at once
+    monkeypatch.setattr(apps, "_GATHER_BYTES", gather_bytes)
+    g = apps.GeometricGraph(random_graph(q * size, 0.4, np.random.default_rng(size))).block_diagonal(q, size)
+    bits = apps._neighbour_bits(np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices, g.n, size)
+    assert bits.dtype == np.uint64
+    assert np.array_equal(bits, packed_neighbour_bits(dense_adjacency(g), size))
 
 
 def test_triangle_densities_refuse_an_edge_between_chunks_before_any_spend():

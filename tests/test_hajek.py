@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privustat as pv
-from privustat import dp, hajek
+from privustat import dp, hajek, ustat
 from privustat.dp import scratch_budget
 from privustat.hajek import (
     HajekParams,
@@ -24,6 +25,7 @@ from privustat.ustat import (
     clipped_kernel,
     kernel_values,
     kernel_values_and_projections,
+    subsample_family,
 )
 from privustat import applications as apps
 
@@ -32,21 +34,24 @@ from oracles import (
     brute_force_local_sensitivity,
     constant_kernel,
     dense_adjacency,
+    dense_triangle_values,
+    enumerated_later_triangles,
+    exact_reweighted_mean,
     explicit_family,
     full_range_smooth_sensitivity,
     full_scan_compute_L,
     full_scan_hajek_state,
-    loop_triangle_reweight,
     per_key_smooth_sensitivity,
+    reweighted_mean,
     row_state,
     smooth_sensitivity_closed_form_bound,
     stack_row,
 )
 
 
-def summarize(vals, fam):
-    """The one-row stack of a family's (M,) kernel values."""
-    return summary_from_values(vals[None], fam, bincount_projections(vals, fam)[None])
+def summarize(h, data, fam, vals):
+    """The one-row stack of a dataset from its (M,) kernel values on a family."""
+    return summary_from_values(h, data.points[None], fam, vals[None], bincount_projections(vals, fam)[None])
 
 
 def one_key_bound(xi, spread_level, n, k, c_range, eps, complete) -> float:
@@ -180,26 +185,32 @@ def test_weights_clamped_to_unit_interval():
 # reweighted mean
 # ---------------------------------------------------------------------------
 
+def library_reweight(h, points, fam, weights):
+    """(kernel values, a_n, reweighted mean) of one dataset through the
+    library's summary."""
+    data = Dataset(np.asarray(points))
+    vals = kernel_values(h, data, fam)
+    rows = summarize(h, data, fam, vals)
+    return vals, float(rows.a_n[0]), rows.reweight(0, np.asarray(weights, dtype=float))
+
+
 def test_reweighted_mean_all_ones_is_plain_mean():
     fam = all_tuples(5, 2)
-    vals = np.arange(float(fam.size))
-    a_n = float(vals.mean())
-    assert pv.reweighted_mean(vals, fam, np.ones(5), a_n) == a_n
+    _, a_n, out = library_reweight(pv.mean_kernel(2), np.arange(5.0) ** 2, fam, np.ones(5))
+    assert out == a_n
 
 
 def test_reweighted_mean_all_zeros_is_plain_mean():
     fam = all_tuples(5, 2)
-    vals = np.arange(float(fam.size))
-    a_n = float(vals.mean())
-    assert pv.reweighted_mean(vals, fam, np.zeros(5), a_n) == pytest.approx(a_n, rel=1e-12)
+    _, a_n, out = library_reweight(pv.mean_kernel(2), np.arange(5.0) ** 2, fam, np.zeros(5))
+    assert out == pytest.approx(a_n, rel=1e-12)
 
 
 def test_reweighted_mean_hand_example():
     # values h01=1, h02=0, h12=0 with weights (0, 1, 1): mean becomes 2/9
     fam = all_tuples(3, 2)
-    vals = np.array([1.0, 0.0, 0.0])
-    a_n = float(vals.mean())
-    out = pv.reweighted_mean(vals, fam, np.array([0.0, 1.0, 1.0]), a_n)
+    vals, _, out = library_reweight(pv.collision_kernel(), [0, 0, 1], fam, [0.0, 1.0, 1.0])
+    assert vals.tolist() == [1.0, 0.0, 0.0]
     assert out == pytest.approx(2 / 9, rel=1e-12)
 
 
@@ -208,14 +219,121 @@ def test_double_counting_on_reweighted_values():
     rng = np.random.default_rng(1)
     n, k = 9, 2
     fam = all_tuples(n, k)
-    vals = rng.uniform(0, 1, fam.size)
-    a_n = float(vals.mean())
     weights = rng.uniform(0, 1, n)
+    vals, a_n, a_tilde = library_reweight(pv.mean_kernel(k), rng.uniform(0, 1, n), fam, weights)
     wt_s = weights[fam.subsets].min(axis=1)
     gvals = vals * wt_s + a_n * (1 - wt_s)
-    a_tilde = pv.reweighted_mean(vals, fam, weights, a_n)
     ghat = bincount_projections(gvals, fam)
     assert float(np.sum(fam.counts * ghat)) == pytest.approx(k * fam.size * a_tilde, rel=1e-12)
+
+
+def order_free_cases(n, k, rng):
+    """(kernel, points) pairs whose kernel values do not depend on the order
+    of the arguments: labels, and integer-valued points, whose sums are
+    exact.  A reweight evaluates h on its own argument order, so on these
+    the library and the oracles see the same h(S)."""
+    labels = rng.integers(0, 3, n)
+    yield (pv.collision_kernel() if k == 2 else pv.equality_kernel(k)), labels
+    yield pv.mean_kernel(k), rng.integers(-4, 5, n).astype(float)
+    yield clipped_kernel(pv.mean_kernel(k), -1.0, 2.0), rng.integers(-4, 5, n).astype(float)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("blocks", ["default", "small"])
+def test_reweight_is_the_exact_mean_within_the_derived_bound(monkeypatch, k, blocks):
+    # complete and stored families, every number of down-weighted indices
+    # from 1 to n, weights with ties; small blocks end the complete family's
+    # prefix inside a block and cut a stored family into slices
+    if blocks == "small":
+        monkeypatch.setattr(ustat, "_BLOCK_ROWS", 5)
+        monkeypatch.setattr(hajek, "_RELABEL_ROWS", 7)
+    rng = np.random.default_rng(k)
+    n = {1: 20, 2: 20, 3: 14}[k]
+    complete = all_tuples(n, k)
+    for fam in (complete, subsample_family(n, k, 150, rng), explicit_family(n, k, complete.subsets[::-1])):
+        for h, points in order_free_cases(n, k, rng):
+            data = Dataset(points)
+            vals = kernel_values(h, data, fam)
+            rows = summarize(h, data, fam, vals)
+            a_n = float(rows.a_n[0])
+            for bad in range(1, n + 1):
+                weights = np.ones(n)
+                weights[rng.choice(n, bad, replace=False)] = rng.choice([0.0, 0.25, 0.5, rng.uniform()], bad)
+                exact = exact_reweighted_mean(vals, fam, weights, a_n)
+                assert exact.admits(rows.reweight(0, weights), exact.touched), (fam.kind, h.name, bad)
+                # the oracle against the full-pass float form of the definition
+                full_pass = reweighted_mean(vals, fam, weights, a_n)
+                assert float(exact.value) == pytest.approx(full_pass, rel=1e-12, abs=1e-15)
+
+
+def test_reweight_bound_holds_when_every_subset_is_a_term():
+    # equality_kernel(3) at n = 60 with every index down-weighted: all
+    # C(60, 3) subsets are summed, and their terms partly cancel
+    rng = np.random.default_rng(60)
+    n, h = 60, pv.equality_kernel(3)
+    data, fam = Dataset(rng.integers(0, 3, n)), all_tuples(n, 3)
+    vals = kernel_values(h, data, fam)
+    rows = summarize(h, data, fam, vals)
+    for _ in range(5):
+        weights = rng.choice([0.0, 0.25, 0.5, rng.uniform()], n)
+        exact = exact_reweighted_mean(vals, fam, weights, float(rows.a_n[0]))
+        assert exact.touched == fam.size
+        assert exact.admits(rows.reweight(0, weights), exact.touched)
+
+
+def counting_kernel(k: int, calls: list) -> pv.Kernel:
+    """A sum kernel that records how many subsets each call evaluates."""
+
+    def fn(t):
+        calls.append(t.shape[0])
+        return t.sum(axis=1)
+
+    return pv.Kernel(k, fn, pv.Bounded(1.0), name="count")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reweight_evaluates_only_the_subsets_that_meet_a_bad_index(monkeypatch, k):
+    # the reweight's work follows the down-weighted indices B, not M: on the
+    # complete family the C(n - 1 - r, k - 1) subsets whose earliest member
+    # is B's r-th, on a stored family its rows that meet B
+    monkeypatch.setattr(ustat, "_BLOCK_ROWS", 50)
+    monkeypatch.setattr(hajek, "_RELABEL_ROWS", 64)
+    n = 24
+    rng = np.random.default_rng(k)
+    data = Dataset(rng.integers(0, 5, n).astype(float))
+    calls: list = []
+    h = counting_kernel(k, calls)
+    complete = all_tuples(n, k)
+    for fam in (complete, subsample_family(n, k, 500, rng)):
+        rows = summarize(h, data, fam, kernel_values(h, data, fam))
+        for bad in (1, 3, n // 2, n):
+            low = rng.choice(n, bad, replace=False)
+            weights = np.ones(n)
+            weights[low] = rng.choice([0.0, 0.5], bad)
+            calls.clear()
+            rows.reweight(0, weights)
+            if fam is complete:
+                assert sum(calls) == sum(math.comb(n - 1 - r, k - 1) for r in range(bad))
+            else:
+                assert sum(calls) == np.count_nonzero(np.isin(fam.subsets, low).any(axis=1))
+
+
+def test_one_reweight_holds_less_than_one_value_per_subset():
+    # collision at n = 2001 with one down-weighted index: M = 2,001,000
+    # subsets, of which the reweight reads the 2000 that hold that index
+    n, h = 2001, pv.collision_kernel()
+    data, fam = Dataset(np.r_[1, np.zeros(n - 1, dtype=np.int64)]), all_tuples(n, 2)
+    chunks = data.points[None]
+    rows = summary_from_values(h, chunks, fam, *kernel_values_and_projections(h, chunks, fam))
+    weights = np.ones(n)
+    weights[0] = 0.0
+    tracemalloc.start()
+    try:
+        rows.reweight(0, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * fam.size
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +474,7 @@ def test_constant_kernel_released_exactly():
     params = HajekParams(eps=1.0, c_range=0.0, xi=0.0)
     rep = pv.private_mean_local_hajek(h, data, fam, params, seed=3, budget=scratch_budget())
     vals, proj = kernel_values_and_projections(h, data.points[None], fam)
-    state = row_state(summary_from_values(vals, fam, proj), params)
+    state = row_state(summary_from_values(h, data.points[None], fam, vals, proj), params)
     assert rep.estimate == state.reweighted[0]  # zero noise, bitwise
     assert rep.estimate == pytest.approx(0.8, abs=1e-14)
     assert rep.noise_scale == 0.0
@@ -383,7 +501,7 @@ def hajek_release_and_statistic(case: str):
             pv.collision_kernel(), data, fam, HajekParams(eps, 1.0, xi), 7, scratch_budget()
         )
         vals, proj = kernel_values_and_projections(pv.collision_kernel(), data.points[None], fam)
-        rows = summary_from_values(vals, fam, proj)
+        rows = summary_from_values(pv.collision_kernel(), data.points[None], fam, vals, proj)
     return rep, row_state(rows, HajekParams(eps, 1.0, xi)).reweighted[0]
 
 
@@ -421,7 +539,7 @@ def test_well_concentrated_white_box():
     fam = all_tuples(150, 2)
     params = HajekParams(eps=2.0, c_range=1.0, xi=0.5)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    state = row_state(summarize(vals, fam), params)
+    state = row_state(summarize(pv.collision_kernel(), data, fam, vals), params)
     assert state.spread_level[0] == 1
     assert state.bad.size == 0
     assert state.reweighted[0] == pytest.approx(float(vals.mean()))
@@ -458,8 +576,9 @@ def test_state_depends_on_the_multiset_only(data):
     perm = rng.permutation(n)
     fam = all_tuples(n, kernel.degree)
     (proj, state), (perm_proj, perm_state) = [
-        (proj[0], row_state(summary_from_values(vals, fam, proj), params))
-        for vals, proj in (kernel_values_and_projections(kernel, pts[None], fam) for pts in (x, x[perm]))
+        (proj[0], row_state(summary_from_values(kernel, pts[None], fam, vals, proj), params))
+        for pts in (x, x[perm])
+        for vals, proj in [kernel_values_and_projections(kernel, pts[None], fam)]
     ]
     assert perm_state.spread_level[0] == state.spread_level[0]
     assert perm_state.bad.size == state.bad.size
@@ -477,7 +596,7 @@ def test_state_invariants_on_adversarial_data():
     fam = all_tuples(n, 2)
     params = HajekParams(eps=1.0, c_range=1.0, xi=0.01)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    state = row_state(summarize(vals, fam), params)
+    state = row_state(summarize(pv.collision_kernel(), data, fam, vals), params)
     assert state.bad.size <= state.spread_level[0]
     assert np.all(np.delete(state.weights[0], state.bad) == 1.0)
     low = np.nonzero(state.weights[0] < 1.0)[0]
@@ -489,7 +608,7 @@ def test_bad_empty_means_reweighted_equals_mean_bitwise():
     data = Dataset(rng.integers(0, 40, size=100))
     fam = all_tuples(100, 2)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    state = row_state(summarize(vals, fam), HajekParams(1.0, 1.0, 0.5))
+    state = row_state(summarize(pv.collision_kernel(), data, fam, vals), HajekParams(1.0, 1.0, 0.5))
     assert state.bad.size == 0
     assert state.reweighted[0] == float(vals.mean())
 
@@ -530,7 +649,7 @@ def test_state_equals_the_full_scan_reference_on_random_cases():
         fam = all_tuples(n, k)
         x = rng.standard_t(2, size=n)
         vals = kernel_values(pv.mean_kernel(k), Dataset(x), fam)
-        summary = summarize(vals, fam)
+        summary = summarize(pv.mean_kernel(k), Dataset(x), fam, vals)
         params = HajekParams(eps=float(rng.uniform(0.1, 2.0)), c_range=float(rng.uniform(0.0, 3.0)),
                              xi=float(rng.uniform(0.0, 1.0)))
         assert_states_equal(row_state(summary, params), full_scan_hajek_state(summary, params))
@@ -655,7 +774,7 @@ def enumerate_states(n, params):
     out = {}
     for config in itertools.product((0, 1), repeat=n):
         vals = kernel_values(h, Dataset(np.array(config, dtype=float)), fam)
-        out[config] = row_state(summarize(vals, fam), params)
+        out[config] = row_state(summarize(h, Dataset(np.array(config, dtype=float)), fam, vals), params)
     return out
 
 
@@ -680,15 +799,16 @@ def test_smooth_bound_dominates_brute_force_local_sensitivity():
     h = pv.collision_kernel()
 
     def reweighted_of(pts):
-        vals = kernel_values(h, Dataset(np.asarray(pts, dtype=float)), fam)
-        return row_state(summarize(vals, fam), params).reweighted[0]
+        data = Dataset(np.asarray(pts, dtype=float))
+        vals = kernel_values(h, data, fam)
+        return row_state(summarize(h, data, fam, vals), params).reweighted[0]
 
     rng = np.random.default_rng(11)
     for _ in range(12):
         pts = rng.integers(0, 2, size=n)
         ls = brute_force_local_sensitivity(reweighted_of, pts.astype(float), [0.0, 1.0])
         vals = kernel_values(h, Dataset(pts.astype(float)), fam)
-        s = row_state(summarize(vals, fam), params).smooth_bound[0]
+        s = row_state(summarize(h, Dataset(pts.astype(float)), fam, vals), params).smooth_bound[0]
         assert ls <= s + 1e-12
 
 
@@ -700,7 +820,7 @@ def test_sensitivity_reduction_on_adversarial_fixture():
     fam = all_tuples(60, 2)
     params = HajekParams(eps=0.5, c_range=1.0, xi=fix.xi)
     vals = kernel_values(h, fix.base, fam)
-    state = row_state(summarize(vals, fam), params)
+    state = row_state(summarize(h, fix.base, fam, vals), params)
     closed = smooth_sensitivity_closed_form_bound(fix.xi, state.spread_level[0], 60, 2, 1.0, 0.5, True)
     assert state.smooth_bound[0] <= closed * (1 + 1e-9)
     # far below the worst-case range-based Laplace scale C * dep = C * k/n... the
@@ -731,7 +851,7 @@ def test_collision_fast_path_matches_generic(xi, c_range, expect_bad):
     fam = all_tuples(35, 2)
     params = HajekParams(eps=1.0, c_range=c_range, xi=xi)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    generic = row_state(summarize(vals, fam), params)
+    generic = row_state(summarize(pv.collision_kernel(), data, fam, vals), params)
     fast = row_state(apps.collision_rows(data.points[None], m), params)
     if expect_bad:
         assert generic.bad.size > 0  # otherwise this case checks nothing new
@@ -765,7 +885,7 @@ def test_triangle_fast_path_matches_generic(xi, c_range, expect_bad):
     )
     params = HajekParams(eps=1.0, c_range=c_range, xi=xi)
     vals = kernel_values(tri, Dataset(np.arange(18)), fam)
-    generic = row_state(summarize(vals, fam), params)
+    generic = row_state(summarize(tri, Dataset(np.arange(18)), fam, vals), params)
     fast = row_state(apps.triangle_rows(g, 1), params)
     if expect_bad:
         assert generic.bad.size > 0
@@ -783,7 +903,7 @@ def test_collision_fast_path_with_fractional_weights():
     fam = all_tuples(40, 2)
     params = HajekParams(eps=0.05, c_range=0.02, xi=0.0)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    generic = row_state(summarize(vals, fam), params)
+    generic = row_state(summarize(pv.collision_kernel(), data, fam, vals), params)
     fast = row_state(apps.collision_rows(data.points[None], m), params)
     fractional = (generic.weights > 0.0) & (generic.weights < 1.0)
     assert fractional.any()
@@ -804,7 +924,7 @@ def test_collision_fast_path_with_many_scattered_categories():
     fam = all_tuples(n, 2)
     params = HajekParams(eps=1.0, c_range=0.02, xi=0.0)
     vals = kernel_values(pv.collision_kernel(), data, fam)
-    generic = row_state(summarize(vals, fam), params)
+    generic = row_state(summarize(pv.collision_kernel(), data, fam, vals), params)
     fast = row_state(apps.collision_rows(data.points[None], m), params)
     assert 0 < generic.bad.size < n
     assert fast.reweighted == pytest.approx(generic.reweighted, rel=1e-12)
@@ -827,7 +947,7 @@ def test_triangle_fast_path_with_many_bad_nodes():
     )
     params = HajekParams(eps=0.2, c_range=0.001, xi=0.0)
     vals = kernel_values(tri, Dataset(np.arange(14)), fam)
-    generic = row_state(summarize(vals, fam), params)
+    generic = row_state(summarize(tri, Dataset(np.arange(14)), fam, vals), params)
     fast = row_state(apps.triangle_rows(g, 1), params)
     assert generic.bad.size >= 3
     assert generic.weights.min() < 1.0
@@ -840,16 +960,29 @@ def test_triangle_fast_path_with_many_bad_nodes():
     (65, 1.2, 0.3), (129, 0.8, 0.2), (200, 0.5, 0.1), (130, 2.0, 0.15),
 ])
 def test_triangle_reweight_equals_loop_reference_bitwise(n, radius, low_share):
+    # bitwise where the arithmetic is exact: with no node down-weighted the
+    # reweight is a_n itself, and each low node's count of the triangles it
+    # is earliest in equals a scan of every triple.  The reweight sums its
+    # terms in its own order, so it meets the exact mean within the bound
+    # derived in the oracles (REWEIGHT_EPS).
     rng = np.random.default_rng(n)
     g = apps.sample_rgg(n, radius, rng)
+    adj = dense_adjacency(g)
     rows = apps.triangle_rows(g, 1)
     a_n = float(rows.a_n[0])
     assert rows.reweight(0, np.ones(n)) == a_n
+    bits = apps._neighbour_bits(np.repeat(np.arange(n), np.diff(g.indptr)), g.indices, n, n)
+    values, fam = dense_triangle_values(adj), all_tuples(n, 3)
     for _ in range(4):
         weights = np.ones(n)
         low = rng.choice(n, max(1, int(low_share * n)), replace=False)
         weights[low] = rng.choice([0.0, 0.25, rng.uniform()], size=low.size)
-        assert rows.reweight(0, weights) == loop_triangle_reweight(dense_adjacency(g), weights, a_n)
+        order = low[np.argsort(weights[low], kind="stable")]
+        counts = apps._later_triangles(g.indptr, g.indices, bits, 0, order)
+        assert np.array_equal(counts, enumerated_later_triangles(adj, order))
+        if n <= 130:  # the exact sum over C(n, 3) triples
+            exact = exact_reweighted_mean(values, fam, weights, a_n)
+            assert exact.admits(rows.reweight(0, weights), low.size)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ engine, and only ``release_rows`` calls its release, so no second Hájek
 path grows beside the stacked one.  Only ``dp`` reads
 ``SMOOTH_RELEASE_FACTOR``: the releases return the scale they drew at, so
 no caller holds a copy of the calibration.  No module but ``ustat`` uses
-``ustat``'s private names.  No function,
+``ustat``'s private names, or builds a ``Kernel``.  No function,
 parameter or dataclass field is named ``fault_*``: tests inject faults by
 patching, not through a library option.  Importing
 the package loads no scipy module.
@@ -198,6 +198,35 @@ def test_only_ustat_uses_its_private_names(path):
     # the engine's block size and helpers may change without notice; a
     # module that needs one needs a public entry point instead
     assert private_ustat_names(path.read_text()) == []
+
+
+def kernel_constructions(source: str) -> list[str]:
+    """Every call of ``Kernel``, by plain name or as an attribute."""
+    return [f"line {line}: {callee} in {owner}" for line, owner, callee in calls_of(source, {"Kernel"})]
+
+
+def test_checker_finds_kernel_constructions():
+    source = (
+        "from .ustat import Kernel, kernel_values\n"
+        "def reweighted_mean(values, family, weights):\n"
+        "    smallest = Kernel(family.k, lambda t: t.min(axis=1), None, name='min')\n"
+        "    return kernel_values(smallest, weights, family)\n"
+        "PAIR = ustat.Kernel(2, max, None)\n"
+        "class Kernels:\n    def make(self):\n        return self.kernel(1)\n"
+    )
+    assert kernel_constructions(source) == [
+        "line 3: Kernel in reweighted_mean", "line 5: Kernel in <module>",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "ustat.py"], ids=lambda p: str(p.relative_to(SRC))
+)
+def test_only_ustat_builds_kernels(path):
+    # a kernel built to drive the engine over something other than the data
+    # (weights, indices) is a second pass over the family; the engine's own
+    # paths should do that work instead
+    assert kernel_constructions(path.read_text()) == []
 
 
 # the bulk samplers, and the one-draw-per-generator samplers of the stacked releases

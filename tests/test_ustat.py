@@ -35,7 +35,6 @@ from oracles import (
     floyd_subsample_picks,
     fsum_projections,
     gather_chunk_kernel_values,
-    gather_reweighted_mean,
     gather_values_and_projections,
     hoeffding_deltas,
     local_projection,
@@ -251,7 +250,6 @@ def test_engine_matches_the_index_then_gather_oracle_bitwise(data):
         h = pv.mean_kernel(k)
         points, chunks = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape) for shape in (n, (q, n)))
     d = Dataset(points)
-    weights = np.where(rng.random(n) < 0.3, 1.0, rng.uniform(size=n))
     with mock.patch.object(ustat, "_BLOCK_ROWS", budget):
         complete = pv.all_tuples(n, k)
         for fam in (complete, explicit_family(n, k, complete.subsets)):
@@ -270,8 +268,6 @@ def test_engine_matches_the_index_then_gather_oracle_bitwise(data):
                 assert stacked_values[row].tobytes() == row_values.tobytes()
                 assert stacked_proj[row].tobytes() == row_proj.tobytes()
                 assert stacked_values[row].mean() == row_values.mean()
-            a_n = float(values.mean())
-            assert pv.reweighted_mean(values, fam, weights, a_n) == gather_reweighted_mean(values, fam, weights, a_n)
 
 
 @pytest.mark.parametrize("k", [1, 2])
