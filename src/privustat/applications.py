@@ -45,6 +45,8 @@ class PerturbedUniform:
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        if self.m < 1:
+            raise ValueError(f"need at least one category, got m = {self.m}")
         if self.a.shape != (self.m,):
             raise ValueError("need one perturbation per atom")
         if not np.all(np.abs(self.a) <= 1 + 1e-12):  # also rejects NaN
@@ -290,10 +292,6 @@ class GeometricGraph:
     @property
     def n(self) -> int:
         return self.indptr.size - 1
-
-    def edge_density(self) -> float:
-        n = self.n
-        return self.indices.size / (n * (n - 1))
 
     def block_diagonal(self, q: int, size: int) -> "GeometricGraph":
         """The first q * size nodes as q disjoint consecutive chunks of

@@ -25,7 +25,7 @@ from typing import Any, Callable, Optional
 from .dp import PrivacyBudget
 from .errors import InsufficientData
 from .report import EstimateReport
-from .rng import child_seeds
+from .rng import as_generator
 from .ustat import Dataset
 
 ChunkEstimator = Callable[[Any, list, list[PrivacyBudget]], list[EstimateReport]]
@@ -85,7 +85,7 @@ def median_of_means(
     q, size = plan.chunks, plan.chunk_size
     if data.n < q * size:
         raise InsufficientData("dataset shorter than the chunk plan")
-    rngs = child_seeds(seed, q)
+    rngs = as_generator(seed).spawn(q)
     with budget.parallel(f"median_of_means(q={q})") as branches:
         reports = estimator(_chunks(data, q, size), rngs, [branches.branch() for _ in range(q)])
     good = [r for r in reports if not r.is_bottom]

@@ -6,7 +6,8 @@ the clipped mean through ``dp.global_sensitivity_releases`` (Laplace noise
 scaled to the family's dependence fraction; the ledger is debited before the
 draw), and re-centers the interval.  The naive, all-tuples, and subsampled
 estimators differ only in the subset family and the pair of tail bounds they
-plug in.
+plug in.  Every uniform deviation bound is ``subgaussian_xi``; the complete
+family's bounds are those of n chunk values with variance proxy k tau.
 
 The engine runs many datasets of one size at once, as the rows of a (q, M)
 array of kernel values: the q chunks of a boosted estimate make one pass,
@@ -18,15 +19,13 @@ of one dataset are their q = 1 case.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .dp import PrivacyBudget, global_sensitivity_releases
-from .errors import PreconditionWarning
+from .errors import warn_precondition
 from .report import EstimateReport
 from .rng import as_generator
 from .ustat import (
@@ -56,26 +55,26 @@ class TailBounds:
     qavg: Callable[[float], float]
 
 
+def subgaussian_xi(tau: float, n: int, alpha: float) -> float:
+    """Concentration radius of n values sub-Gaussian with variance proxy tau:
+    sqrt(2 tau log(2n/alpha)) bounds all n deviations except with probability alpha."""
+    if tau < 0:
+        raise ValueError(f"variance proxy must be >= 0, got {tau}")
+    return math.sqrt(2.0 * tau * math.log(2.0 * n / alpha))
+
+
 def chunk_tail_bounds(tau: float, m: int) -> TailBounds:
     """Bounds for m disjoint-chunk values of a sub-Gaussian kernel."""
     return TailBounds(
-        q=lambda beta: math.sqrt(2.0 * tau * math.log(2.0 * m / beta)),
+        q=lambda beta: subgaussian_xi(tau, m, beta),
         qavg=lambda beta: math.sqrt(2.0 * tau * math.log(2.0 / beta) / m),
-    )
-
-
-def all_tuples_tail_bounds(tau: float, k: int, n: int) -> TailBounds:
-    """Bounds for the complete family of a sub-Gaussian kernel."""
-    return TailBounds(
-        q=lambda beta: math.sqrt(2.0 * tau * k * math.log(2.0 * n / beta)),
-        qavg=lambda beta: math.sqrt(2.0 * tau * k * math.log(2.0 / beta) / n),
     )
 
 
 def subsampled_tail_bounds(tau: float, k: int, n: int, size: int) -> TailBounds:
     """Bounds for a with-replacement subsampled family of a sub-Gaussian kernel."""
     return TailBounds(
-        q=lambda beta: math.sqrt(2.0 * tau * k * math.log(4.0 * n / beta)),
+        q=lambda beta: subgaussian_xi(tau * k, 2 * n, beta),
         qavg=lambda beta: 4.0 * math.sqrt(tau * k / min(size, n) * math.log(4.0 * n / beta)),
     )
 
@@ -150,17 +149,6 @@ def check_preconditions(
     return problems
 
 
-def _caller_stacklevel() -> int:
-    """``warnings.warn`` stacklevel, counted from the calling function, of the
-    first frame outside this module: the line that called the public
-    estimator, however many of this module's functions lie in between (what
-    ``skip_file_prefixes`` does from Python 3.12)."""
-    level, frame = 1, sys._getframe(1)
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
-        level, frame = level + 1, frame.f_back
-    return level
-
-
 def _clip_and_release(
     values: np.ndarray,
     deps: np.ndarray,
@@ -189,7 +177,7 @@ def _clip_and_release(
         if found:
             problems["halving guarantees not in force: " + "; ".join(found)] = None
     for message in problems:
-        warnings.warn(message, PreconditionWarning, stacklevel=_caller_stacklevel())
+        warn_precondition(message)
     lo, hi = np.full(len(values), -r), np.full(len(values), r)
     los, his = [lo.tolist()], [hi.tolist()]  # the trace, one list of rows per step
     beta = gamma / t
@@ -330,7 +318,7 @@ def all_tuples_estimates(
     """``all_tuples_estimator`` on each row of a (q, n) array of chunks."""
     n = chunks.shape[1]
     family = all_tuples(n, h.degree)
-    tb = all_tuples_tail_bounds(tau, h.degree, n)
+    tb = chunk_tail_bounds(tau * h.degree, n)  # n chunk values, variance proxy k tau
     return ustat_means(
         h, chunks, family, r, eps, DEFAULT_CONFIDENCE, tb, seeds, budgets, "all_tuples"
     )
@@ -367,14 +355,10 @@ def subsampled_estimates(
     family over the concatenated chunks.
     """
     (q, n), k = chunks.shape, h.degree
-    if size < (n / k) * math.log(n):
-        warnings.warn(
-            "subsample size below (n/k) log n; dependence fraction may be large",
-            PreconditionWarning,
-            stacklevel=_caller_stacklevel(),
-        )
     rngs = [as_generator(seed) for seed in seeds]
     families = [subsample_family(n, k, size, rng) for rng in rngs]
+    if size < (n / k) * math.log(n):
+        warn_precondition("subsample size below (n/k) log n; dependence fraction may be large")
     rows = np.concatenate([f.subsets + i * n for i, f in enumerate(families)])
     joint = SubsetFamily(q * n, k, rows, kind="explicit")
     values = _finite(kernel_values(h, Dataset(chunks.reshape(-1)), joint).reshape(q, size))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one warning rule."""
+
+import sys
+import warnings
 
 
 class PrivustatError(Exception):
@@ -31,3 +34,14 @@ class AuditFailure(PrivustatError):
 
 class PreconditionWarning(UserWarning):
     """A stated sample-size or parameter precondition does not hold; proceeding anyway."""
+
+
+def warn_precondition(message: str) -> None:
+    """Issue a ``PreconditionWarning`` at the first frame outside the package:
+    the line that called into privustat, however many of its functions lie
+    in between (what ``skip_file_prefixes`` does from Python 3.12)."""
+    package = __name__.partition(".")[0]
+    level, frame = 2, sys._getframe(1)
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == package:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, PreconditionWarning, stacklevel=level)

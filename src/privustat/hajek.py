@@ -22,14 +22,13 @@ single dataset is the one-row stack.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .dp import PrivacyBudget, smooth_sensitivity_releases
-from .errors import PreconditionWarning
+from .errors import warn_precondition
 from .report import EstimateReport
 from .rng import as_generator
 from .ustat import (
@@ -40,7 +39,7 @@ from .ustat import (
     clipped_kernel,
     kernel_values_and_projections,
 )
-from .coinpress import naive_estimator
+from .coinpress import naive_estimator, subgaussian_xi
 
 # dead band of the deviations, relative to the largest magnitude in play
 _DEAD_BAND = 32.0 * np.finfo(float).eps
@@ -447,18 +446,15 @@ def private_mean_local_hajek(
 PIPELINE_CLIP_FACTOR = 4.0
 
 
-def subgaussian_xi(tau: float, n: int, alpha: float) -> float:
-    """Concentration radius for sub-Gaussian kernels: sqrt(2 tau log(2n/alpha))."""
-    return math.sqrt(2.0 * tau * math.log(2.0 * n / alpha))
-
-
 def degenerate_xi(c_range: float, k: int, n: int, alpha: float) -> float:
     """Concentration radius for bounded degenerate kernels.
 
     C sqrt((k/n) log(2n/alpha)) + (8Ck/3n) log(2n/alpha); uses the fact that a
     range-C variable has standard deviation at most C/2.
     """
-    if c_range < 0 or k < 1 or n < 1:
+    if c_range < 0:
+        raise ValueError(f"kernel range C must be >= 0, got {c_range}")
+    if k < 1 or n < 1:
         raise ValueError("bad parameters")
     log_term = math.log(2.0 * n / alpha)
     return c_range * math.sqrt((k / n) * log_term) + (8.0 * c_range * k / (3.0 * n)) * log_term
@@ -484,19 +480,14 @@ def subgaussian_pipeline(
     """
     n, k = data.n, h.degree
     if eps < math.sqrt(k) / n:
-        warnings.warn(
-            "epsilon below sqrt(k)/n; the pipeline's guarantees assume more budget",
-            PreconditionWarning,
-            stacklevel=2,
-        )
+        warn_precondition("epsilon below sqrt(k)/n; the pipeline's guarantees assume more budget")
     rng = as_generator(seed)
     n_coarse = n // 2
     if n_coarse < k or (n - n_coarse) < k:
         raise ValueError("not enough data to split into two usable halves")
     if not np.isfinite(data.points).all():
         raise ValueError("data points must be finite")
-    coarse_half = data.subset(np.arange(n_coarse))
-    fine_half = data.subset(np.arange(n_coarse, n))
+    coarse_half, fine_half = Dataset(data.points[:n_coarse]), Dataset(data.points[n_coarse:])
     coarse = naive_estimator(h, coarse_half, r, tau, eps / 2.0, rng, budget)
     half_width = PIPELINE_CLIP_FACTOR * math.sqrt(k * tau * math.log(n / alpha))
     clipped = clipped_kernel(h, coarse.estimate - half_width, coarse.estimate + half_width)

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..dp import _RATIO_BLOCK, laplace_draws, quartic_cdf, quartic_draws
-from ..errors import AuditFailure, PreconditionWarning
+from ..errors import AuditFailure, warn_precondition
 from ..hajek import HajekParams, hajek_rows, summary_from_values
 from ..rng import as_generator
 from ..ustat import (
@@ -69,11 +68,8 @@ def adversarial_fixture(n: int, k: int, eps: float) -> AdversarialFixture:
     flips = math.ceil(1.0 / eps)
     ones = math.ceil(k + k ** (1.0 / (2 * k - 2)) * n ** (1.0 - 1.0 / (2 * k - 2)) - 1.0 / eps)
     if ones < 2 * k / eps:
-        warnings.warn(
-            f"leading block {ones} below 2k/eps = {2 * k / eps:.3g}; gap bound may not hold",
-            PreconditionWarning,
-            stacklevel=2,
-        )
+        warn_precondition(f"leading block {ones} below 2k/eps = {2 * k / eps:.3g}; "
+                          "gap bound may not hold")
     if ones + flips > n:
         raise ValueError("fixture parameters exceed the dataset size")
     base_vals = np.arange(2, n + 2, dtype=float)

@@ -19,15 +19,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ..boosting import boosted
-from ..coinpress import DEFAULT_CONFIDENCE, all_tuples_estimates, naive_estimates, subsampled_estimates
+from ..coinpress import (
+    DEFAULT_CONFIDENCE, all_tuples_estimates, naive_estimates, subgaussian_xi, subsampled_estimates,
+)
 from ..dp import PrivacyBudget, scratch_budget
 from ..errors import LedgerMismatch, PrivustatError
-from ..hajek import (
-    HajekParams,
-    degenerate_xi,
-    private_means_local_hajek,
-    subgaussian_xi,
-)
+from ..hajek import HajekParams, degenerate_xi, private_means_local_hajek
 from ..applications import (
     PerturbedUniform,
     collision_theta,
@@ -69,6 +66,8 @@ class DistributionSpec:
         if self.name == "gaussian":
             mu = float(self.params.get("mu", 0.0))
             sigma = float(self.params.get("sigma", 1.0))
+            if not sigma >= 0:  # also rejects NaN
+                raise ValueError(f"sigma must be >= 0, got {sigma}")
             return Dataset(rng.normal(mu, sigma, size=n))
         raise ValueError(f"unknown distribution {self.name!r}")
 
@@ -197,7 +196,9 @@ def run_single(
         if spec.method == "all":
             return all_tuples_estimates(kernel, chunks, r, tau, eps, rngs, budgets)
         if spec.method == "subsampled":
-            size = subsample_size or max(1, math.ceil((n / k) * math.log(max(n, 2))))
+            size = subsample_size
+            if size is None:
+                size = max(1, math.ceil((n / k) * math.log(max(n, 2))))
             return subsampled_estimates(kernel, chunks, r, tau, eps, size, rngs, budgets)
         # reweighting estimator; the collision kernel gets the count-based path
         xi = resolve_xi(spec, kernel, n)

@@ -4,7 +4,8 @@ Every randomized operation in the package accepts either an integer seed, a
 ``numpy.random.SeedSequence``, or an existing ``numpy.random.Generator``.
 Experiment code derives independent per-trial streams with
 ``stream(master_seed, cell_index, trial_index)``, i.e.
-``SeedSequence(master_seed, spawn_key=(cell, trial))``.
+``SeedSequence(master_seed, spawn_key=(cell, trial))``.  The q chunks of a
+boosted estimate draw from ``as_generator(seed).spawn(q)``, NumPy's own.
 """
 
 from __future__ import annotations
@@ -22,14 +23,3 @@ def as_generator(seed) -> np.random.Generator:
 def stream(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic per-(cell, trial) stream derived from a master seed."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=tuple(key)))
-
-
-def child_seeds(seed, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` independent generators from one seed (for parallel chunks)."""
-    if isinstance(seed, np.random.Generator):
-        ss = seed.bit_generator.seed_seq
-    elif isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in ss.spawn(n)]

@@ -72,9 +72,7 @@ class Kernel:
         # a read-only view: the tuples may be a view of the dataset itself
         tuples = np.asarray(tuples).view()
         tuples.flags.writeable = False
-        if tuples.ndim == 1:
-            tuples = tuples.reshape(1, -1)
-        if tuples.shape[1] != self.degree:
+        if tuples.ndim != 2 or tuples.shape[1] != self.degree:
             raise ValueError(f"expected {self.degree}-tuples, got shape {tuples.shape}")
         return np.asarray(self.fn(tuples), dtype=float).reshape(tuples.shape[0])
 
@@ -132,9 +130,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.points.shape[0])
-
-    def subset(self, indices) -> "Dataset":
-        return Dataset(self.points[np.asarray(indices)])
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +378,17 @@ class SubsetFamily:
         return RegularityCheck(True, None)
 
 
-def _check_enumeration_cap(n: int, k: int, cap: int) -> int:
-    total = math.comb(n, k)
-    if total > cap:
-        raise CombinatorialOverflow(
-            f"C({n},{k}) = {total} exceeds the cap {cap}; use subsample_family instead"
-        )
-    return total
-
-
 def all_tuples(n: int, k: int) -> SubsetFamily:
     """Every k-subset of range(n), in lexicographic order; at most
     ``DEFAULT_ENUMERATION_CAP`` of them."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    _check_enumeration_cap(n, k, DEFAULT_ENUMERATION_CAP)
+    total = math.comb(n, k)
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise CombinatorialOverflow(
+            f"C({n},{k}) = {total} exceeds the cap {DEFAULT_ENUMERATION_CAP}; "
+            "use subsample_family instead"
+        )
     return SubsetFamily(n, k, None, kind="all_tuples")
 
 

@@ -54,14 +54,12 @@ from privustat.hajek import (
     summary_from_values,
 )
 from privustat.harness.audits import SmoothnessReport
-from privustat.rng import as_generator, child_seeds
+from privustat.rng import as_generator
 from privustat.ustat import (
-    DEFAULT_ENUMERATION_CAP,
     Bounded,
     Dataset,
     Kernel,
     SubsetFamily,
-    _check_enumeration_cap,
     all_tuples,
     collision_kernel,
     kernel_values,
@@ -383,6 +381,36 @@ def packed_neighbour_bits(adjacency: np.ndarray, size: int) -> np.ndarray:
     return np.packbits(local, axis=1, bitorder="little").view("<u8")
 
 
+def written_out_all_tuples_tail_bounds(tau: float, k: int, n: int) -> TailBounds:
+    """The complete family's bounds as their own formulas, variance proxy
+    tau k written into each."""
+    return TailBounds(
+        q=lambda beta: math.sqrt(2.0 * tau * k * math.log(2.0 * n / beta)),
+        qavg=lambda beta: math.sqrt(2.0 * tau * k * math.log(2.0 / beta) / n),
+    )
+
+
+def written_out_subsampled_tail_bounds(tau: float, k: int, n: int, size: int) -> TailBounds:
+    """The subsampled family's bounds with the uniform one written out."""
+    return TailBounds(
+        q=lambda beta: math.sqrt(2.0 * tau * k * math.log(4.0 * n / beta)),
+        qavg=lambda beta: 4.0 * math.sqrt(tau * k / min(size, n) * math.log(4.0 * n / beta)),
+    )
+
+
+def seed_sequence_children(seed, n: int) -> list[np.random.Generator]:
+    """The boosted chunks' streams built by hand: ``n`` children spawned from
+    the seed's ``SeedSequence`` (a Generator's own, a SeedSequence itself, or
+    a new one from an int), each wrapped in ``default_rng``."""
+    if isinstance(seed, np.random.Generator):
+        ss = seed.bit_generator.seed_seq
+    elif isinstance(seed, np.random.SeedSequence):
+        ss = seed
+    else:
+        ss = np.random.SeedSequence(seed)
+    return [np.random.default_rng(s) for s in ss.spawn(n)]
+
+
 def induced_subgraph(graph: GeometricGraph, indices) -> GeometricGraph:
     """The subgraph on the nodes ``indices``, renumbered in their order."""
     idx = np.asarray(indices)
@@ -395,8 +423,11 @@ def loop_median_of_means(estimator, data, plan: BoostPlan, seed, budget: Privacy
     ``Dataset``, or an induced subgraph), runs on child seed i and gets its
     branch ledger just before it runs."""
     q, size = plan.chunks, plan.chunk_size
-    take = data.subset if isinstance(data, Dataset) else lambda idx: induced_subgraph(data, idx)
-    rngs = child_seeds(seed, q)
+
+    def take(idx):
+        return Dataset(data.points[idx]) if isinstance(data, Dataset) else induced_subgraph(data, idx)
+
+    rngs = seed_sequence_children(seed, q)
     with budget.parallel(f"median_of_means(q={q})") as branches:
         reports = [
             estimator(take(np.arange(ci * size, (ci + 1) * size)), rngs[ci], branches.branch())
@@ -431,7 +462,7 @@ def two_release_triangle_density(graph: GeometricGraph, eps, seed, budget: Priva
     looked up at call time, so a test may patch it)."""
     n = graph.n
     rng = as_generator(seed)
-    u_edges = graph.edge_density()
+    u_edges = csr_edge_density(graph)
     nu = float(global_sensitivity_releases(
         [u_edges], [2.0 / n], eps, [budget], [rng], label="edge density proxy"
     )[0][0])
@@ -463,10 +494,10 @@ def majority_uniformity_test(data: Dataset, m, delta, eps, alpha, seed, budget: 
     """
     plan = BoostPlan.for_dataset(data.n, 2, alpha)
     q, size = plan.chunks, plan.chunk_size
-    rngs = child_seeds(seed, q)
+    rngs = seed_sequence_children(seed, q)
     with budget.parallel(f"uniformity majority(q={q})") as branches:
         decisions = [
-            boosted_uniformity_test(data.subset(np.arange(c * size, (c + 1) * size)), m, delta,
+            boosted_uniformity_test(Dataset(data.points[c * size : (c + 1) * size]), m, delta,
                                     eps, None, rngs[c], branches.branch())
             for c in range(q)
         ]
@@ -628,6 +659,12 @@ def smooth_sensitivity_closed_form_bound(
     second = (k**2 * c * (2.0 / eps + L) ** 2 * overcount / n**2) * (eps + k / n)
     third = k**2 * c / (n**2 * eps)
     return first + second + third
+
+
+def csr_edge_density(graph: GeometricGraph) -> float:
+    """Edge density from the number of stored CSR entries (each edge twice)."""
+    n = graph.n
+    return graph.indices.size / (n * (n - 1))
 
 
 def dense_edge_density(adjacency: np.ndarray) -> float:
@@ -931,7 +968,7 @@ def variance_of_ustat(profile: VarianceProfile, n: int, k: int) -> float:
         raise ValueError("profile length must equal the kernel degree")
     if n < k:
         raise ValueError("need n >= k")
-    _check_enumeration_cap(n, k, DEFAULT_ENUMERATION_CAP)
+    all_tuples(n, k)  # raises past the enumeration cap
     total = math.comb(n, k)
     out = 0.0
     for c in range(1, k + 1):

@@ -20,6 +20,7 @@ from oracles import (
     VarianceProfile,
     collision_ustat_variance,
     collision_variance_profile,
+    csr_edge_density,
     dense_adjacency,
     dense_edge_density,
     dense_triangle_values,
@@ -47,6 +48,8 @@ def test_perturbed_uniform_validation():
         apps.PerturbedUniform(3, np.array([0.5, 0.5, 0.5]))  # does not sum to 0
     with pytest.raises(ValueError):
         apps.PerturbedUniform(2, np.array([1.5, -1.5]))  # outside [-1, 1]
+    with pytest.raises(ValueError, match="need at least one category, got m = 0"):
+        apps.PerturbedUniform.uniform(0)
     for amplitude in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             apps.PerturbedUniform.half_split(4, amplitude)
@@ -234,7 +237,7 @@ def test_rgg_adjacency_matches_latent_rule():
 def test_rgg_edge_density_expectation():
     # edge probability is r^2/4; average over many pairs
     r, n = 0.5, 700  # ~2.4e5 pairs
-    dens = [apps.sample_rgg(n, r, seed=s).edge_density() for s in range(3)]
+    dens = [csr_edge_density(apps.sample_rgg(n, r, seed=s)) for s in range(3)]
     p = r**2 / 4
     se = math.sqrt(p * (1 - p) / (3 * n * (n - 1) / 2))
     # edges sharing endpoints are weakly dependent; allow a margin over the
@@ -507,7 +510,7 @@ def test_csr_graph_equals_the_dense_oracles(tmp_path_factory, case):
     g = apps.GeometricGraph(adj)
     assert_csr_invariants(g)
     assert np.array_equal(dense_adjacency(g), adj)
-    assert g.edge_density() == dense_edge_density(adj)
+    assert csr_edge_density(g) == dense_edge_density(adj)
     idx = np.array(order, dtype=np.intp)
     sub = induced_subgraph(g, idx)
     assert np.array_equal(dense_adjacency(sub), adj[np.ix_(idx, idx)])
@@ -713,7 +716,7 @@ def test_edge_density_ustat_concentrates():
         hits = 0
         for s in range(20):
             g = apps.sample_rgg(n, 0.3, seed=(n, s))
-            u = g.edge_density()
+            u = csr_edge_density(g)
             hits += int(0.3**2 / 8 <= u <= 3 * 0.3**2 / 8)
         assert hits / 20 >= min_rate
 

@@ -17,7 +17,13 @@ from privustat.errors import InsufficientData, PreconditionWarning
 from privustat.report import EstimateReport
 from privustat.ustat import Dataset, clipped_kernel
 
-from oracles import each_chunk, loop_median_of_means, majority_vote, two_release_triangle_density
+from oracles import (
+    each_chunk,
+    loop_median_of_means,
+    majority_vote,
+    seed_sequence_children,
+    two_release_triangle_density,
+)
 
 
 def make_estimator(fn):
@@ -387,6 +393,32 @@ def test_a_bad_chunk_raises_before_any_branch_is_debited(name):
     assert len(branches) == plan.chunks
     assert all(b.entries == [] for b in branches)
     assert budget.spent == 0.0
+
+
+SEEDS = {
+    "int": lambda: 41,
+    "SeedSequence": lambda: np.random.SeedSequence(41),
+    "Generator": lambda: np.random.default_rng(41),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEEDS))
+def test_chunk_streams_are_the_seed_sequence_children_bitwise(kind):
+    # median_of_means spawns its chunk streams with NumPy's Generator.spawn;
+    # they are the SeedSequence children spawned by hand, and a second
+    # median_of_means on the same parent continues the children the same way
+    ours, reference = SEEDS[kind](), SEEDS[kind]()
+    for _ in range(2):
+        drawn = []
+
+        def estimator(chunks, rngs, budgets):
+            drawn.extend(rng.integers(0, 2**63, 4).tolist() for rng in rngs)
+            return [EstimateReport(0.0) for _ in rngs]
+
+        median_of_means(estimator, Dataset(np.zeros(5)), BoostPlan(0.5, 5, 1), ours, scratch_budget())
+        assert drawn == [rng.integers(0, 2**63, 4).tolist() for rng in seed_sequence_children(reference, 5)]
+    if kind == "Generator":  # spawning leaves the parent's own stream alone
+        assert ours.bit_generator.state == reference.bit_generator.state
 
 
 def test_stacked_warnings_appear_once_at_the_calling_line():

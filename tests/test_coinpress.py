@@ -8,16 +8,18 @@ import pytest
 
 import privustat as pv
 from privustat import coinpress, dp
+from privustat.boosting import boosted
 from privustat.coinpress import (
     IntervalState,
     TailBounds,
-    all_tuples_tail_bounds,
     chunk_tail_bounds,
     halving_rounds,
+    subgaussian_xi,
     subsampled_tail_bounds,
 )
 from privustat.dp import scratch_budget
 from privustat.errors import BudgetExhausted, PreconditionWarning
+from privustat.harness import audits
 from privustat.ustat import Dataset, disjoint_chunks
 
 from oracles import (
@@ -26,6 +28,8 @@ from oracles import (
     copy_clipping_ustat_mean,
     ustat_one_step,
     variance_of_ustat,
+    written_out_all_tuples_tail_bounds,
+    written_out_subsampled_tail_bounds,
 )
 
 warnings.simplefilter("ignore", PreconditionWarning)
@@ -50,7 +54,7 @@ def ustat_mean(h, data, family, r, eps, gamma, tb, seed, budget, label="ustat_me
 def test_tail_bounds_nonincreasing_in_beta():
     for tb in (
         chunk_tail_bounds(0.5, 50),
-        all_tuples_tail_bounds(0.5, 2, 100),
+        chunk_tail_bounds(0.5 * 2, 100),
         subsampled_tail_bounds(0.5, 2, 100, 400),
     ):
         betas = [0.2, 0.1, 0.01, 0.001]
@@ -59,6 +63,34 @@ def test_tail_bounds_nonincreasing_in_beta():
         assert all(a <= b for a, b in zip(qs, qs[1:]))
         assert all(a <= b for a, b in zip(qavgs, qavgs[1:]))
         assert all(v > 0 for v in qs + qavgs)
+
+
+def test_tail_bounds_equal_their_written_out_formulas_bitwise():
+    # the complete family's bounds are chunk_tail_bounds at variance proxy
+    # tau k, and the subsampled uniform bound is subgaussian_xi over 2n values
+    rng = np.random.default_rng(29)
+    for _ in range(5000):
+        tau = float(10.0 ** rng.uniform(-4, 3))
+        k, n = int(rng.integers(1, 7)), int(rng.integers(1, 10**6 + 1))
+        size, beta = int(rng.integers(1, 10**7)), float(10.0 ** rng.uniform(-9, -0.3))
+        for ours, written in (
+            (chunk_tail_bounds(tau * k, n), written_out_all_tuples_tail_bounds(tau, k, n)),
+            (subsampled_tail_bounds(tau, k, n, size),
+             written_out_subsampled_tail_bounds(tau, k, n, size)),
+        ):
+            assert (ours.q(beta), ours.qavg(beta)) == (written.q(beta), written.qavg(beta))
+
+
+def test_a_negative_variance_proxy_is_refused_by_every_uniform_bound():
+    # the subsampled bound is that of values with variance proxy k tau
+    for bound, proxy in (
+        (lambda: subgaussian_xi(-1.0, 10, 0.01), "-1.0"),
+        (lambda: chunk_tail_bounds(-1.0, 10).q(0.01), "-1.0"),
+        (lambda: subsampled_tail_bounds(-1.0, 2, 10, 40).q(0.01), "-2.0"),
+    ):
+        with pytest.raises(ValueError, match=f"variance proxy must be >= 0, got {proxy}$"):
+            bound()
+    assert subgaussian_xi(0.0, 10, 0.01) == 0.0
 
 
 def test_halving_rounds():
@@ -178,7 +210,7 @@ def test_ustat_mean_constant_kernel_high_budget():
 def test_ustat_mean_clamps_its_estimate_to_r():
     # at eps = 0.2 most release midpoints land outside [-1, 1]
     d = Dataset(np.random.default_rng(31).normal(0.5, 1.0, 60))
-    fam, tb = pv.all_tuples(60, 3), all_tuples_tail_bounds(1 / 3, 3, 60)
+    fam, tb = pv.all_tuples(60, 3), chunk_tail_bounds((1 / 3) * 3, 60)
     outside = 0
     for seed in range(10):
         rep = ustat_mean(
@@ -210,7 +242,7 @@ def test_ustat_mean_in_place_clip_equals_copy_clipping_reference(case):
         fam, tb = pv.all_tuples(200, 2), flat_bounds(0.3, 0.02)
     elif case == "collision":
         h, d, r, tau = pv.collision_kernel(), Dataset(rng.integers(0, 8, 120)), 1.0, 0.25
-        fam, tb = pv.all_tuples(120, 2), all_tuples_tail_bounds(tau, 2, 120)
+        fam, tb = pv.all_tuples(120, 2), chunk_tail_bounds(tau * 2, 120)
     elif case == "chunks":
         h, d, r, tau = pv.mean_kernel(2), Dataset(rng.normal(0.5, 1.0, 301)), 8.0, 0.5
         fam = disjoint_chunks(301, 2)
@@ -220,7 +252,7 @@ def test_ustat_mean_in_place_clip_equals_copy_clipping_reference(case):
         fam, tb = pv.subsample_family(90, 3, 2000, 5), subsampled_tail_bounds(tau, 3, 90, 2000)
     else:
         h, d, r, tau = pv.mean_kernel(3), Dataset(rng.normal(0.5, 1.0, 60)), 2.0, 1 / 3
-        fam, tb = pv.all_tuples(60, 3), all_tuples_tail_bounds(tau, 3, 60)
+        fam, tb = pv.all_tuples(60, 3), chunk_tail_bounds(tau * 3, 60)
     for seed in range(5):
         rep = ustat_mean(h, d, fam, r, eps, 0.01, tb, seed, scratch_budget())
         reference = copy_clipping_ustat_mean(h, d, fam, r, eps, 0.01, tb, seed)
@@ -233,7 +265,7 @@ def test_ustat_mean_budget_schedule():
     budget = pv.PrivacyBudget(1.0)
     d = Dataset(np.random.default_rng(1).normal(0, 1, 30))
     fam = pv.all_tuples(30, 2)
-    tb = all_tuples_tail_bounds(0.5, 2, 30)
+    tb = chunk_tail_bounds(0.5 * 2, 30)
     rep = ustat_mean(
         pv.mean_kernel(2, 0.5), d, fam, r=40.0, eps=1.0, gamma=0.01, tb=tb,
         seed=8, budget=budget,
@@ -250,7 +282,7 @@ def test_ustat_mean_refuses_the_release_step_before_it_draws():
     # the ledger holds the halving steps but not the release step, which must
     # be refused before its Laplace draw: the generator has not advanced
     d = Dataset(np.random.default_rng(3).normal(0.5, 1.0, 60))
-    fam, tb = pv.all_tuples(60, 2), all_tuples_tail_bounds(0.5, 2, 60)
+    fam, tb = pv.all_tuples(60, 2), chunk_tail_bounds(0.5 * 2, 60)
     t = halving_rounds(4.0, tb.q(0.01))
     rng, budget = np.random.default_rng(5), pv.PrivacyBudget(0.5)
     with pytest.raises(BudgetExhausted):
@@ -268,7 +300,7 @@ def test_ustat_mean_interval_widths_never_grow_before_release():
     fam = pv.all_tuples(50, 2)
     rep = ustat_mean(
         pv.mean_kernel(2, 0.5), d, fam, r=50.0, eps=0.5, gamma=0.01,
-        tb=all_tuples_tail_bounds(0.5, 2, 50), seed=10, budget=scratch_budget(),
+        tb=chunk_tail_bounds(0.5 * 2, 50), seed=10, budget=scratch_budget(),
     )
     trace = rep.diagnostics["trace"]
     widths = [iv.width for iv in trace[:-1]]  # exclude the stand-alone release
@@ -280,7 +312,7 @@ def test_interval_nesting_coverage():
     # theta stays inside every intermediate interval at least 1 - 6 gamma of
     # the time when the tail bounds are honest and the preconditions hold
     theta, tau, n, gamma, eps = 0.5, 1.0, 300, 0.01, 1.0
-    tb = all_tuples_tail_bounds(tau, 1, n)
+    tb = chunk_tail_bounds(tau, n)
     fam = pv.all_tuples(n, 1)
     h = pv.identity_kernel()
     rng = np.random.default_rng(11)
@@ -303,23 +335,55 @@ def test_precondition_violation_warns_but_completes():
     with pytest.warns(PreconditionWarning):
         rep = ustat_mean(
             pv.mean_kernel(2, 0.5), d, fam, r=100.0, eps=0.05, gamma=0.01,
-            tb=all_tuples_tail_bounds(0.5, 2, 12), seed=12, budget=scratch_budget(),
+            tb=chunk_tail_bounds(0.5 * 2, 12), seed=12, budget=scratch_budget(),
         )
     assert rep.estimate is not None
 
 
-@pytest.mark.parametrize("release", [
-    lambda h, d: ustat_mean(
+def boosted_chunks(estimates):
+    """``estimates(h, chunks, seeds, budgets)`` on seven 12-point chunks
+    under median-of-means at alpha = 0.5."""
+    data = Dataset(np.random.default_rng(2).normal(0, 1, 84))
+    return lambda h, d: boosted(
+        lambda chunks, seeds, budgets: estimates(h, chunks, seeds, budgets),
+        data, h.degree, 0.5, 12, scratch_budget(),
+    )
+
+
+@pytest.mark.parametrize("release, message", [
+    (lambda h, d: ustat_mean(
         h, d, pv.all_tuples(12, 2), r=100.0, eps=0.05, gamma=0.01,
-        tb=all_tuples_tail_bounds(0.5, 2, 12), seed=12, budget=scratch_budget(),
-    ),
-    lambda h, d: coinpress.naive_estimator(h, d, 100.0, 0.5, 0.05, 12, scratch_budget()),
-    lambda h, d: coinpress.all_tuples_estimator(h, d, 100.0, 0.5, 0.05, 12, scratch_budget()),
-    lambda h, d: coinpress.subsampled_estimator(h, d, 100.0, 0.5, 0.05, 10, 12, scratch_budget()),
-], ids=["ustat_mean", "naive", "all_tuples", "subsampled"])
-def test_precondition_warnings_name_the_calling_line(release):
+        tb=chunk_tail_bounds(0.5 * 2, 12), seed=12, budget=scratch_budget(),
+    ), "halving"),
+    (lambda h, d: coinpress.naive_estimator(h, d, 100.0, 0.5, 0.05, 12, scratch_budget()), "halving"),
+    (lambda h, d: coinpress.all_tuples_estimator(h, d, 100.0, 0.5, 0.05, 12, scratch_budget()),
+     "halving"),
+    (lambda h, d: coinpress.subsampled_estimator(h, d, 100.0, 0.5, 0.05, 10, 12, scratch_budget()),
+     "subsample size"),
+    (boosted_chunks(lambda h, c, s, b: coinpress.naive_estimates(h, c, 100.0, 0.5, 0.05, s, b)),
+     "halving"),
+    (boosted_chunks(lambda h, c, s, b: coinpress.all_tuples_estimates(h, c, 100.0, 0.5, 0.05, s, b)),
+     "halving"),
+    (boosted_chunks(
+        lambda h, c, s, b: coinpress.subsampled_estimates(h, c, 100.0, 0.5, 0.05, 10, s, b)
+    ), "subsample size"),
+    (lambda h, d: pv.subgaussian_pipeline(h, d, 100.0, 0.5, 0.01, 0.05, 12, scratch_budget()),
+     "epsilon below"),
+    # the coarse stage's halving warning, raised two package modules down
+    (lambda h, d: pv.subgaussian_pipeline(
+        h, Dataset(np.random.default_rng(2).normal(0, 1, 40)), 100.0, 0.5, 0.05, 0.05, 12,
+        scratch_budget(),
+    ), "halving"),
+    (lambda h, d: audits.adversarial_fixture(60, 2, 0.1), "leading block"),
+], ids=[
+    "ustat_mean", "naive", "all_tuples", "subsampled", "boosted-naive", "boosted-all_tuples",
+    "boosted-subsampled", "pipeline-eps", "pipeline-coarse", "fixture",
+])
+def test_precondition_warnings_name_the_calling_line(release, message):
+    # every PreconditionWarning points at the line that called into the
+    # package, however deep inside it the precondition was checked
     d = Dataset(np.random.default_rng(2).normal(0, 1, 12))
-    with pytest.warns(PreconditionWarning) as record:
+    with pytest.warns(PreconditionWarning, match=message) as record:
         release(pv.mean_kernel(2, 0.5), d)
     assert {w.filename for w in record} == {__file__}
 

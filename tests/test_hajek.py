@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 import privustat as pv
 from privustat import dp, hajek, ustat
 from privustat.dp import scratch_budget
+from privustat.coinpress import subgaussian_xi
 from privustat.hajek import (
     HajekParams,
     SummaryRows,
-    subgaussian_xi,
     summary_from_values,
 )
 from privustat.ustat import (

@@ -332,10 +332,21 @@ def test_cli_estimate_hajek_non_finite_radius_is_a_usage_error(flag, capsys):
      "deviation bound must be finite"),
     (["simulate", "--dist", "half_split", "--amplitude", "nan", "--n-grid", "40", "--trials", "1"],
      "perturbations must be finite"),
-], ids=["R-inf", "R-nan", "tau-inf", "tau-nan", "amplitude-nan"])
+    (["estimate", "--simulate", "gaussian,n=100", "--tau", "-1"],
+     "variance proxy must be >= 0, got -1.0"),
+    (["estimate", "--method", "hajek", "--kernel", "pair_mean", "--simulate", "gaussian,n=100",
+      "--C", "-1"], "kernel range C must be >= 0, got -1.0"),
+    (["estimate", "--simulate", "gaussian,n=200,sigma=-1"], "sigma must be >= 0, got -1.0"),
+    (["estimate", "--simulate", "uniform,n=200,m=0"], "need at least one category, got m = 0"),
+    (["estimate", "--method", "subsampled", "--simulate", "gaussian,n=100", "--M", "0"],
+     "need at least one subset"),
+    (["simulate", "--method", "subsampled", "--kernel", "pair_mean", "--dist", "gaussian",
+      "--M-grid", "0", "--n-grid", "100", "--trials", "1"], "need at least one subset"),
+], ids=["R-inf", "R-nan", "tau-inf", "tau-nan", "amplitude-nan", "tau-negative", "C-negative",
+        "sigma-negative", "m-zero", "estimate-M-zero", "simulate-M-zero"])
 def test_cli_non_finite_bounds_are_one_line_usage_errors(argv, message, capsys):
     # the package's own ValueError, raised before any spend: one error line,
-    # no traceback, no ledger and no output
+    # no traceback, no ledger and no output (an M of 0 is a size, not "unset")
     code = cli_main(argv)
     captured = capsys.readouterr()
     assert code == 1

@@ -12,7 +12,9 @@ engine, and only ``release_rows`` calls its release, so no second Hájek
 path grows beside the stacked one.  Only ``dp`` reads
 ``SMOOTH_RELEASE_FACTOR``: the releases return the scale they drew at, so
 no caller holds a copy of the calibration.  No module but ``ustat`` uses
-``ustat``'s private names, or builds a ``Kernel``.  No function,
+``ustat``'s private names, or builds a ``Kernel``.  No module but
+``errors`` calls ``warnings.warn``, so every warning is attributed by
+``warn_precondition``'s one rule.  No function,
 parameter or dataclass field is named ``fault_*``: tests inject faults by
 patching, not through a library option.  Importing
 the package loads no scipy module.
@@ -227,6 +229,33 @@ def test_only_ustat_builds_kernels(path):
     # (weights, indices) is a second pass over the family; the engine's own
     # paths should do that work instead
     assert kernel_constructions(path.read_text()) == []
+
+
+def warning_calls(source: str) -> list[str]:
+    """Every call of ``warn``, by plain name or as an attribute (``calls_of``)."""
+    return [f"line {line}: warn in {owner}" for line, owner, _ in calls_of(source, {"warn"})]
+
+
+def test_checker_finds_warning_calls():
+    source = (
+        "import warnings\n"
+        "from warnings import warn\n"
+        "def check(x):\n"
+        "    warnings.warn('x', UserWarning, stacklevel=2)\n"
+        "    warn_precondition('y')\n"
+        "    warnings.filterwarnings('ignore')\n"
+        "warn('z')\n"
+    )
+    assert warning_calls(source) == ["line 4: warn in check", "line 7: warn in <module>"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "errors.py"], ids=lambda p: str(p.relative_to(SRC))
+)
+def test_only_errors_issues_warnings(path):
+    # a hand-counted stacklevel points at the wrong line as soon as a call
+    # moves one module deeper; warn_precondition finds the caller's frame
+    assert warning_calls(path.read_text()) == []
 
 
 # the bulk samplers, and the one-draw-per-generator samplers of the stacked releases

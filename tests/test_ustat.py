@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -483,6 +484,13 @@ def test_subsampled_regularity_holds_at_recommended_size():
 # ---------------------------------------------------------------------------
 # evaluation and projections
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(2,), (4, 3)], ids=["one-tuple-as-1d", "wrong-width"])
+def test_kernel_evaluate_takes_only_rows_of_k_tuples(shape):
+    # a 1-D array is refused like a wrong width, not read as one tuple
+    with pytest.raises(ValueError, match=re.escape(f"expected 2-tuples, got shape {shape}")):
+        pv.mean_kernel(2).evaluate(np.zeros(shape))
+
 
 def test_constant_kernel_evaluates_to_constant():
     fam = pv.all_tuples(5, 2)
