@@ -43,8 +43,9 @@ _SQRT2 = math.sqrt(2.0)
 # integral of 1/(1+z^4) over the real line; normalizes the quartic density
 QUARTIC_NORMALIZER = math.pi / _SQRT2
 
-# points per block of both samplers, of quartic_cdf and of the KS gap in
-# harness.audits.noise_gof: 256 KB of float64, so each block's passes stay in L2
+# points per block of both samplers and of quartic_cdf, and the most points
+# the KS gap in harness.audits.noise_gof scans at once: 256 KB of float64, so
+# each block's passes stay in L2
 _RATIO_BLOCK = 2**15
 
 SMOOTH_RELEASE_FACTOR = 10.0

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import privustat as pv
+from privustat import dp
+from privustat.dp import quartic_cdf
 from privustat.errors import AuditFailure, LedgerMismatch, PreconditionWarning
 from privustat.hajek import hajek_rows
 from privustat.harness import audits, cli, experiments
@@ -773,14 +775,60 @@ def test_smoothness_audit_orders_violations_like_the_loop_audit(monkeypatch):
 
 
 def test_ks_gap_equals_the_fresh_array_gap():
-    def cdf_of(z):  # bent, so the largest gap is not at either end
-        return np.clip(z * 0.3 + 0.5 - 0.02 * z * z * z, 0, 1)
+    def cdf_of(z):  # nondecreasing, bent away from the normal CDF: the largest gap is interior
+        return 0.5 + 0.5 * np.tanh(0.6 * z + 0.05 * z * z * z)
 
     rng = np.random.default_rng(8)
-    block = audits._RATIO_BLOCK
-    for size in (1, 7, 1000, block, block + 1, 10**5):
-        samples = np.sort(rng.standard_normal(size))
-        assert audits._ks_gap(samples, cdf_of) == fresh_array_ks_gap(samples, cdf_of(samples))
+    sizes = {1, 7, 1000, 10**5, 10**5 + 3}
+    for block in audits._KS_BLOCKS + (audits._RATIO_BLOCK,):
+        sizes |= {block - 1, block, block + 1}
+    for size in sorted(sizes):
+        normal = np.sort(rng.standard_normal(size))
+        for samples in (normal, np.round(normal, 1), np.full(size, 0.3)):  # ties, all equal
+            gap = audits._ks_gap(samples, cdf_of)
+            assert gap == fresh_array_ks_gap(samples, cdf_of(samples)), size
+
+
+def test_ks_gap_refuses_a_decreasing_cdf():
+    def cdf_of(z):  # decreases for |z| > 2.24, so it is no CDF
+        return np.clip(z * 0.3 + 0.5 - 0.02 * z * z * z, 0, 1)
+
+    samples = np.sort(np.random.default_rng(8).standard_normal(10**5))
+    with pytest.raises(ValueError, match="nondecreasing CDF"):
+        audits._ks_gap(samples, cdf_of)
+
+
+@pytest.mark.parametrize("cdf_of", [quartic_cdf, audits._laplace_cdf])
+def test_ks_gap_of_non_finite_samples_equals_the_fresh_array_gap(cdf_of):
+    rng = np.random.default_rng(9)
+    for extra in ([math.nan], [math.inf], [-math.inf], [-math.inf, math.inf],
+                  [math.nan, math.inf, -math.inf]):
+        samples = np.sort(np.concatenate((rng.standard_normal(10**5), extra)))
+        gap, reference = audits._ks_gap(samples, cdf_of), fresh_array_ks_gap(samples, cdf_of(samples))
+        if math.isnan(reference):  # a NaN draw fails the audit
+            assert math.isnan(gap), extra
+        else:
+            assert gap == reference, extra
+
+
+def test_ks_gap_when_every_block_survives():
+    # at the Laplace quantiles F^-1((i + 1/2)/n) every point's gap is 1/2n,
+    # so no block can be pruned and every point is evaluated
+    n = 10**6
+    p = (np.arange(n) + 0.5) / n
+    samples = np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 - 2.0 * p))
+    reference = fresh_array_ks_gap(samples, audits._laplace_cdf(samples))
+    points = []
+    tracemalloc.start()
+    try:
+        gap = audits._ks_gap(samples, lambda z: points.append(z.size) or audits._laplace_cdf(z))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gap == reference
+    assert sum(points) >= n
+    # the draws and the search's temporaries fit the audit's 16 MiB
+    assert samples.nbytes + peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("law", ["laplace", "quartic"])
@@ -809,14 +857,26 @@ def test_noise_gof_both_laws():
     assert audits.noise_gof("quartic", 10**5, 2).ok
 
 
-def test_noise_gof_wrong_scale_fails():
-    from privustat import dp
+@pytest.mark.parametrize("law", ["laplace", "quartic"])
+def test_noise_gof_evaluates_its_cdf_at_few_draws(monkeypatch, law):
+    name = {"laplace": "_laplace_cdf", "quartic": "quartic_cdf"}[law]
+    cdf_of = getattr(audits, name)
+    points = []
+    monkeypatch.setattr(audits, name, lambda z: points.append(z.size) or cdf_of(z))
+    for seed in (1, 2, 3):
+        points.clear()
+        assert audits.noise_gof(law, 10**6, seed).ok
+        assert sum(points) < 0.02 * 10**6, seed
 
-    rng = np.random.default_rng(3)
-    draws = 10**5
-    samples = np.sort(dp.laplace_draws(2.0, draws, rng))
-    gap = audits._ks_gap(samples, lambda z: np.where(z < 0, 0.5 * np.exp(z), 1 - 0.5 * np.exp(-z)))
-    assert gap > 1.5 * 1.63 / draws**0.5
+
+def test_noise_gof_wrong_scale_fails(monkeypatch):
+    # each sampler as the audit calls it, drawing 1.25 times too wide, or one NaN
+    for fault in (lambda draws: 1.25 * draws, lambda draws: np.append(draws[1:], math.nan)):
+        monkeypatch.setattr(audits, "laplace_draws",
+                            lambda scale, size, rng: fault(dp.laplace_draws(scale, size, rng)))
+        monkeypatch.setattr(audits, "quartic_draws", lambda size, rng: fault(dp.quartic_draws(size, rng)))
+        for law, seed in itertools.product(("laplace", "quartic"), (1, 2, 3)):
+            assert not audits.noise_gof(law, 10**5, seed).ok, (law, seed)
 
 
 def test_cli_estimate_wrapped_with_alpha(capsys):
