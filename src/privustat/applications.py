@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .boosting import boosted
-from .dp import PrivacyBudget, global_sensitivity_releases
+from .dp import LAPLACE, PrivacyBudget, releases
 from .errors import InsufficientData
 from .hajek import HajekParams, SummaryRows, release_rows
 from .report import EstimateReport
@@ -496,9 +496,9 @@ def private_triangle_densities(
     rngs = [as_generator(seed) for seed in seeds]
     # every edge of chunk i is an entry of its rows, inside its diagonal block
     u_edges = (np.diff(chunks.indptr[::size]) / (size * (size - 1))).tolist()
-    nu = global_sensitivity_releases(
-        u_edges, [EDGE_DENSITY_SENSITIVITY_FACTOR / size] * q, eps, budgets, rngs,
-        label="edge density proxy",
+    nu = releases(
+        LAPLACE, u_edges, [EDGE_DENSITY_SENSITIVITY_FACTOR / size] * q, eps, budgets, rngs,
+        "edge density proxy",
     )[0].tolist()
     live = [i for i in range(q) if nu[i] >= 0]
     xi = [triangle_xi(nu[i], size) for i in live]

@@ -2,7 +2,7 @@
 
 One engine drives three estimators.  Each refinement step clips the kernel
 values to the current interval widened by a uniform deviation bound, releases
-the clipped mean through ``dp.global_sensitivity_releases`` (Laplace noise
+the clipped mean through ``dp.releases`` with ``dp.LAPLACE`` (Laplace noise
 scaled to the family's dependence fraction; the ledger is debited before the
 draw), and re-centers the interval.  The naive, all-tuples, and subsampled
 estimators differ only in the subset family and the pair of tail bounds they
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dp import PrivacyBudget, global_sensitivity_releases
+from .dp import LAPLACE, PrivacyBudget, releases
 from .errors import warn_precondition
 from .report import EstimateReport
 from .rng import as_generator
@@ -121,7 +121,7 @@ def _release(
     """
     delta = deps * ((hi - lo) + 2.0 * tb.q(beta))
     means = np.add.reduce(values, axis=1) / values.shape[1]
-    release, scale = global_sensitivity_releases(means, delta, eps_step, budgets, rngs, label)
+    release, scale = releases(LAPLACE, means, delta, eps_step, budgets, rngs, label)
     half = tb.qavg(beta) + scale * math.log(1.0 / beta)
     return release - half, release + half, scale
 

@@ -1,29 +1,13 @@
 """Noise mechanisms and the privacy-budget ledger.
 
-Pure epsilon-DP only.  Two samplers: Laplace (global-sensitivity mechanism),
-by inverse CDF, and the heavy-tailed law with density proportional to
-1/(1+z^4) used by the smooth-sensitivity mechanism, by ratio of uniforms:
-z = v/u for (u, v) uniform on the region u^4 + v^4 <= u^2, drawn from the
-rectangle (0, 1] x [-2^-1/2, 2^-1/2) that bounds it and kept at rate pi/4.
-The region's test is a polynomial, so no envelope density is needed, and u
-never reaches 0, so z is always finite.  ``quartic_cdf`` computes the
-quartic law's CDF in closed form as the audit's reference.  This is the
-only module that draws release noise or debits a ledger: every release goes
-through ``global_sensitivity_releases`` or ``smooth_sensitivity_releases``.
-They release q values over disjoint data at once (a single release is the
-q = 1 case) and return the noise scale of each, so no caller restates the
-calibration: they refuse every non-finite value or sensitivity, then debit
-every ledger, then draw, value i from generator i with the draws of a
-single release.  Those draws go through the inverse CDF and the region test
-of the vector samplers that ``harness.audits.noise_gof`` checks.  Bulk
-draws stream over cache-sized blocks of ``_RATIO_BLOCK`` points, so nothing
-the size of a draw is held beside the output.  Seeded single draws, and so
-every release, equal those of unblocked samplers; a quartic draw of more
-than 2^14 points takes its uniforms block by block, so it differs from an
-unblocked draw of the same seed but follows the same law.  The ledger is
-advisory: it records and enforces totals under sequential and parallel
-composition but does not itself certify that a mechanism was calibrated
-correctly.
+Pure epsilon-DP only.  Each noise law is one ``NoiseLaw`` record in
+``LAWS``: its unit-scale bulk sampler, its one-draw-per-generator sampler,
+its CDF and its release factor.  ``releases`` is the only release: every
+caller passes it a law, and ``harness.audits.noise_gof`` audits the same
+law's bulk sampler against its CDF.  This is the only module that draws
+release noise or debits a ledger.  The ledger is advisory: it records and
+enforces totals under sequential and parallel composition but does not
+itself certify that a mechanism was calibrated correctly.
 """
 
 from __future__ import annotations
@@ -31,11 +15,11 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetExhausted, NonPositiveScale
+from .errors import BudgetExhausted
 from .rng import as_generator
 
 _SQRT2 = math.sqrt(2.0)
@@ -47,8 +31,6 @@ QUARTIC_NORMALIZER = math.pi / _SQRT2
 # the KS gap in harness.audits.noise_gof scans at once: 256 KB of float64, so
 # each block's passes stay in L2
 _RATIO_BLOCK = 2**15
-
-SMOOTH_RELEASE_FACTOR = 10.0
 
 # proposals in the smallest pass of the quartic sampler (every single draw's)
 _QUARTIC_PASS = 64
@@ -180,20 +162,18 @@ def scratch_budget() -> PrivacyBudget:
 # samplers
 # ---------------------------------------------------------------------------
 
-def laplace_draws(scale: float, size: int, rng) -> np.ndarray:
-    """``size`` draws with density exp(-|z|/b) / (2b), via the inverse CDF.
+def laplace_draws(size: int, seed) -> np.ndarray:
+    """``size`` draws with density exp(-|z|) / 2, via the inverse CDF.
 
     The uniforms are drawn and transformed one cache-sized block at a time,
     straight into the output.  ``rng.random`` fills in order, so the draws
     do not depend on the block size: they equal one unblocked pass.
     """
-    if not 0 < scale < math.inf:  # also rejects NaN
-        raise NonPositiveScale(f"Laplace scale must be finite and > 0, got {scale}")
-    gen = as_generator(rng)
+    rng = as_generator(seed)
     out = np.empty(size)
     for start in range(0, size, _RATIO_BLOCK):
         stop = min(size, start + _RATIO_BLOCK)
-        out[start:stop] = _laplace_inverse_cdf(gen.random(stop - start), scale)
+        out[start:stop] = _laplace_inverse_cdf(rng.random(stop - start), 1.0)
     return out
 
 
@@ -215,8 +195,21 @@ def _laplace_inverse_cdf(u: np.ndarray, scale) -> np.ndarray:
 
 def _laplace_each(scales: np.ndarray, rngs) -> np.ndarray:
     """One Laplace draw of scale ``scales[i]`` from each generator ``rngs[i]``:
-    the one uniform that ``laplace_draws(scales[i], 1, rngs[i])`` draws."""
+    ``scales[i]`` times the draw of ``laplace_draws(1, rngs[i])``."""
     return _laplace_inverse_cdf(np.array([rng.random() for rng in rngs]), scales)
+
+
+def _laplace_cdf(z) -> np.ndarray:
+    """Standard Laplace CDF at ``z``, in any order: 0.5 exp(-|z|), taken
+    from 1 where z >= 0.  One exp per point, computed in place in the
+    output."""
+    z = np.asarray(z, dtype=float)
+    cdf = np.abs(z, out=np.empty(z.shape))
+    np.negative(cdf, out=cdf)
+    np.exp(cdf, out=cdf)
+    cdf *= 0.5
+    np.subtract(1.0, cdf, out=cdf, where=z >= 0)
+    return cdf
 
 
 def quartic_draws(size: int, seed) -> np.ndarray:
@@ -274,11 +267,12 @@ def _quartic_accepts(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return lhs <= u2
 
 
-def _quartic_each(rngs) -> np.ndarray:
-    """One quartic-tail draw from each generator, with the passes that
-    ``quartic_draws(1, rng)`` makes: _QUARTIC_PASS u's, then as many v's,
-    until one point is accepted.  The first pass of every generator is
-    tested as one (q, _QUARTIC_PASS) batch."""
+def _quartic_each(scales: np.ndarray, rngs) -> np.ndarray:
+    """One quartic-tail draw of scale ``scales[i]`` from each generator
+    ``rngs[i]``, with the passes that ``quartic_draws(1, rngs[i])`` makes:
+    _QUARTIC_PASS u's, then as many v's, until one point is accepted.  The
+    first pass of every generator is tested as one (q, _QUARTIC_PASS)
+    batch."""
     out = np.empty(len(rngs))
     todo = np.arange(len(rngs))
     while todo.size:
@@ -292,6 +286,7 @@ def _quartic_each(rngs) -> np.ndarray:
         first = keep[hit].argmax(axis=1)
         out[todo[hit]] = v[hit, first] / u[hit, first]
         todo = todo[~hit]
+    out *= scales
     return out
 
 
@@ -340,20 +335,57 @@ def quartic_cdf(z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# release mechanisms
+# noise laws and the release
 # ---------------------------------------------------------------------------
 
-def _releases(values, sensitivities, eps: float, factor: float, budgets, seeds, label, draw):
-    """values[i] + draw(scales, generators)[i] with scale_i = factor *
-    sensitivities[i] / eps: the body of both releases.  Returns the (q,)
-    released values and the (q,) scales they were drawn at.
+@dataclass(frozen=True)
+class NoiseLaw:
+    """One noise law, as every release and audit reads it.
 
-    Every input that would release a non-finite value is refused before any
-    ledger is debited, and every ledger is debited before any draw.  A value
-    whose scale is zero is released exactly and draws nothing.  The checks
-    and scales run on Python floats: a release holds one value per chunk,
-    and for so few, list scans cost less than array operations.
+    ``draws(size, seed)`` is the unit-scale bulk sampler that
+    ``harness.audits.noise_gof`` checks against ``cdf``.  ``each(scales,
+    generators)`` gives one draw per generator, draw i being
+    ``scales[i] * draws(1, generators[i])[0]``: what a release adds.  A
+    release at sensitivity S and budget eps draws at scale factor * S / eps.
     """
+
+    draws: Callable
+    each: Callable
+    cdf: Callable
+    factor: float
+
+
+LAPLACE = NoiseLaw(laplace_draws, _laplace_each, _laplace_cdf, 1.0)
+QUARTIC = NoiseLaw(quartic_draws, _quartic_each, quartic_cdf, 10.0)
+LAWS = {"laplace": LAPLACE, "quartic": QUARTIC}
+
+
+def releases(
+    law: NoiseLaw,
+    values,
+    sensitivities,
+    eps: float,
+    budgets: list[PrivacyBudget],
+    seeds: list,
+    label: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """values[i] + ``law`` noise of scale law.factor * sensitivities[i] / eps,
+    debited to budgets[i] and drawn from seeds[i], for q releases over
+    disjoint data (a single release is the q = 1 case).  Returns the (q,)
+    released values and the (q,) scales they were drawn at, so no caller
+    restates the calibration.
+
+    ``sensitivities[i]`` bounds the sensitivity at dataset i: globally for
+    Laplace noise; for quartic noise, as an eps-smooth upper bound on the
+    local sensitivity (Nissim, Raskhodnikova & Smith, STOC 2007).  Every
+    input that would release a non-finite value is refused before any ledger
+    is debited, and every ledger is debited before any draw.  A value whose
+    scale is zero is released exactly and draws nothing.  The checks and
+    scales run on Python floats: a release holds one value per chunk, and
+    for so few, list scans cost less than array operations.
+    """
+    if not 0 < eps < math.inf:  # also rejects NaN
+        raise ValueError("epsilon must be finite and > 0")
     out = np.array(values, dtype=float)
     for value in out.tolist():
         if not math.isfinite(value):
@@ -362,62 +394,17 @@ def _releases(values, sensitivities, eps: float, factor: float, budgets, seeds, 
     for sensitivity in listed:
         if not 0 <= sensitivity < math.inf:  # also rejects NaN
             raise ValueError(f"sensitivity must be finite and >= 0, got {sensitivity}")
-    if eps <= 0:
-        raise ValueError("epsilon must be > 0")
-    scales = [factor * sensitivity / eps for sensitivity in listed]
+    scales = [law.factor * sensitivity / eps for sensitivity in listed]
     for sensitivity, scale in zip(listed, scales):
-        if not scale < math.inf:  # NaN eps, or an overflowing ratio
-            raise ValueError(f"non-finite noise scale {factor} * {sensitivity} / {eps}")
+        if not scale < math.inf:  # an overflowing ratio
+            raise ValueError(f"non-finite noise scale {law.factor} * {sensitivity} / {eps}")
     for budget in budgets:
         budget.spend(label, eps)
     live = [i for i, scale in enumerate(scales) if scale]
     if live:
-        noise = draw(np.array([scales[i] for i in live]), [as_generator(seeds[i]) for i in live])
+        noise = law.each(np.array([scales[i] for i in live]), [as_generator(seeds[i]) for i in live])
         if len(live) == out.size:
             out += noise
         else:
             out[live] += noise
     return out, np.array(scales)
-
-
-def global_sensitivity_releases(
-    values,
-    gs,
-    eps: float,
-    budgets: list[PrivacyBudget],
-    seeds: list,
-    label: str = "laplace release",
-) -> tuple[np.ndarray, np.ndarray]:
-    """values[i] + Laplace(gs[i]/eps), debited to budgets[i] and drawn from
-    seeds[i], for q releases over disjoint data; returns the released values
-    and their Laplace scales gs[i]/eps.
-
-    Every input is checked before any ledger is debited, and every ledger is
-    debited before any draw.  A zero-sensitivity value is released exactly
-    and draws nothing; the others draw what ``laplace_draws(gs[i]/eps, 1,
-    seeds[i])`` draws.
-    """
-    return _releases(values, gs, eps, 1.0, budgets, seeds, label, _laplace_each)
-
-
-def smooth_sensitivity_releases(
-    values,
-    ss,
-    eps: float,
-    budgets: list[PrivacyBudget],
-    seeds: list,
-    label: str = "smooth release",
-) -> tuple[np.ndarray, np.ndarray]:
-    """values[i] + (SMOOTH_RELEASE_FACTOR * ss[i] / eps) * Z_i with Z_i
-    quartic-tail noise from seeds[i], debited to budgets[i]; returns the
-    released values and their scales SMOOTH_RELEASE_FACTOR * ss[i] / eps.
-
-    ``ss[i]`` must be an eps-smooth upper bound on the local sensitivity at
-    dataset i.  Checks, debits and draws are ordered as in
-    ``global_sensitivity_releases``; each nonzero-sensitivity value draws
-    what ``quartic_draws(1, seeds[i])`` draws.
-    """
-    return _releases(
-        values, ss, eps, SMOOTH_RELEASE_FACTOR, budgets, seeds, label,
-        lambda scales, rngs: scales * _quartic_each(rngs),
-    )

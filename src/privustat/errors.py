@@ -12,10 +12,6 @@ class CombinatorialOverflow(PrivustatError):
     """Requested an enumeration larger than the configured cap."""
 
 
-class NonPositiveScale(PrivustatError):
-    """Noise scale must be finite and strictly positive."""
-
-
 class BudgetExhausted(PrivustatError):
     """A spend would push the privacy ledger past its total."""
 

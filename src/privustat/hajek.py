@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dp import PrivacyBudget, smooth_sensitivity_releases
+from .dp import QUARTIC, PrivacyBudget, releases
 from .errors import warn_precondition
 from .report import EstimateReport
 from .rng import as_generator
@@ -63,8 +63,8 @@ class HajekParams:
     xi: float | np.ndarray
 
     def __post_init__(self):
-        if not self.eps > 0:  # also rejects NaN
-            raise ValueError("epsilon must be > 0")
+        if not 0 < self.eps < math.inf:  # also rejects NaN
+            raise ValueError("epsilon must be finite and > 0")
         xi = np.asarray(self.xi, dtype=float)
         if xi.ndim > 1:
             raise ValueError("concentration radius must be a number or one per row")
@@ -375,9 +375,9 @@ def release_rows(
     carries the noise scale its value was drawn at and the row's L, number
     of bad indices and smooth bound."""
     states = hajek_rows(rows, params)
-    values, scales = smooth_sensitivity_releases(
-        states.reweighted, states.smooth_bound, params.eps, budgets, seeds,
-        label=f"{label}: smooth release",
+    values, scales = releases(
+        QUARTIC, states.reweighted, states.smooth_bound, params.eps, budgets, seeds,
+        f"{label}: smooth release",
     )
     n_bad = np.bincount(states.bad // rows.n, minlength=len(values))
     return [

@@ -8,7 +8,8 @@ cap on the kernel values it holds), and goodness-of-fit of both noise
 samplers against their analytic CDFs.  The audits take no fault-injection
 option.  Tests show that an audit is not vacuous by injecting the fault
 themselves and watching it fail: they patch ``hajek_rows`` here to halve
-the smooth bound, and the samplers here to draw at the wrong scale.
+the smooth bound, and put a law in ``dp.LAWS`` whose sampler draws at the
+wrong scale.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dp import _RATIO_BLOCK, laplace_draws, quartic_cdf, quartic_draws
+from ..dp import _RATIO_BLOCK, LAWS
 from ..errors import AuditFailure, warn_precondition
 from ..hajek import HajekParams, hajek_rows, summary_from_values
-from ..rng import as_generator
 from ..ustat import (
     Dataset,
     Kernel,
@@ -245,8 +245,8 @@ class GofReport:
 _KS_BLOCKS = (2048, 128, 8)
 
 # added to every block's bound on its largest gap.  The bound assumes the
-# CDF is nondecreasing; quartic_cdf and _laplace_cdf are, up to a few ulps of
-# 1 (the rounding of one log, atan2 or exp, and the hand-over to the tail
+# CDF is nondecreasing; the CDF of each law in dp.LAWS is, up to a few ulps
+# of 1 (the rounding of one log, atan2 or exp, and the hand-over to the tail
 # series at |z| = 32), and the bound's own i/n arithmetic rounds by ulps too.
 # 2^-30 covers both about a million times over and is a thousandth of the
 # 1/n step of 10^6 draws, so it costs the search next to nothing.
@@ -337,14 +337,9 @@ def _ks_gap(samples: np.ndarray, cdf_of_block) -> float:
     return float(best)
 
 
-def _laplace_cdf(z: np.ndarray) -> np.ndarray:
-    """Standard Laplace CDF at sorted ``z``: one exp per point, not two."""
-    neg = int(np.searchsorted(z, 0.0))
-    return np.concatenate((0.5 * np.exp(z[:neg]), 1.0 - 0.5 * np.exp(-z[neg:])))
-
-
 def noise_gof(law: str, draws: int, seed) -> GofReport:
-    """Kolmogorov-Smirnov check of a unit-scale sampler against its reference CDF.
+    """Kolmogorov-Smirnov check of the unit-scale bulk sampler of
+    ``dp.LAWS[law]`` against the law's CDF; an unknown law raises ValueError.
 
     Laplace is compared to its analytic CDF, the quartic-tail law to the
     closed form ``quartic_cdf``, which shares no math with the sampler.  The
@@ -358,16 +353,10 @@ def noise_gof(law: str, draws: int, seed) -> GofReport:
     """
     if draws < 10**5:
         raise ValueError("goodness-of-fit needs at least 1e5 draws")
-    rng = as_generator(seed)
-    if law == "laplace":
-        samples = laplace_draws(1.0, draws, rng)
-        cdf = _laplace_cdf
-    elif law == "quartic":
-        samples = quartic_draws(draws, rng)
-        cdf = quartic_cdf
-    else:
+    if law not in LAWS:
         raise ValueError(f"unknown law {law!r}")
+    samples = LAWS[law].draws(draws, seed)
     samples.sort()
-    gap = _ks_gap(samples, cdf)
+    gap = _ks_gap(samples, LAWS[law].cdf)
     threshold = 1.5 * 1.63 / math.sqrt(draws)
     return GofReport(law=law, draws=draws, ks_gap=gap, threshold=threshold)

@@ -32,7 +32,7 @@ import sys
 from typing import Optional
 
 from .. import applications as apps
-from ..dp import scratch_budget
+from ..dp import LAWS, scratch_budget
 from ..errors import AuditFailure, PrivustatError
 from ..rng import as_generator
 from . import audits
@@ -177,7 +177,7 @@ def build_parser() -> Parser:
 
     noi = sub.add_parser("audit-noise", help="sampler goodness of fit")
     add_common(noi, "seed")
-    noi.add_argument("--law", choices=("laplace", "quartic"), default="laplace")
+    noi.add_argument("--law", choices=tuple(LAWS), default="laplace")
     noi.add_argument("--draws", type=int, default=10**6)
 
     fix = sub.add_parser("fixture-adversarial", help="deterministic worst-case dataset pair")

@@ -11,9 +11,9 @@ reweighted mean in exact rationals over every subset (with the bound a float
 reweight must meet) and in floats over every subset, the loop form of the
 collision reweight, the dense adjacency, triangle values and enumerated
 per-node triangle counts of a graph, the per-line file readers, the loop
-forms of the audits, the quartic sampler and its CDF, a constant kernel,
-and the U-statistic variance calculus (conditional variances, Hoeffding
-components, exact variance)."""
+forms of the audits, the quartic sampler and its CDF, the sorted-input
+Laplace CDF, a constant kernel, and the U-statistic variance calculus
+(conditional variances, Hoeffding components, exact variance)."""
 
 import itertools
 import math
@@ -34,11 +34,12 @@ from privustat.coinpress import IntervalState, TailBounds, _release, halving_rou
 from privustat.dp import (
     _CDF_SERIES_FROM,
     _RATIO_BLOCK,
+    LAPLACE,
     QUARTIC_NORMALIZER,
     PrivacyBudget,
-    global_sensitivity_releases,
     laplace_draws,
     quartic_cdf,
+    releases,
     scratch_budget,
 )
 from privustat.errors import AuditFailure, PrivustatError
@@ -463,9 +464,7 @@ def two_release_triangle_density(graph: GeometricGraph, eps, seed, budget: Priva
     n = graph.n
     rng = as_generator(seed)
     u_edges = csr_edge_density(graph)
-    nu = float(global_sensitivity_releases(
-        [u_edges], [2.0 / n], eps, [budget], [rng], label="edge density proxy"
-    )[0][0])
+    nu = float(releases(LAPLACE, [u_edges], [2.0 / n], eps, [budget], [rng], "edge density proxy")[0][0])
     if nu < 0:
         return EstimateReport(
             estimate=None,
@@ -791,6 +790,13 @@ def where_quartic_cdf(z) -> np.ndarray:
     return np.where(z < 0, lower, 1.0 - lower)
 
 
+def sorted_laplace_cdf(z: np.ndarray) -> np.ndarray:
+    """The standard Laplace CDF split at the first z >= 0 of sorted ``z``:
+    the exact values of ``dp.LAPLACE.cdf``, on sorted input only."""
+    neg = int(np.searchsorted(z, 0.0))
+    return np.concatenate((0.5 * np.exp(z[:neg]), 1.0 - 0.5 * np.exp(-z[neg:])))
+
+
 def fresh_array_ks_gap(samples: np.ndarray, cdf_values: np.ndarray) -> float:
     """Kolmogorov-Smirnov gap of sorted samples, one new array per step."""
     n = samples.size
@@ -805,7 +811,7 @@ def reference_noise_gap(law: str, draws: int, seed) -> float:
     the fresh-array gap."""
     rng = as_generator(seed)
     if law == "laplace":
-        samples = np.sort(laplace_draws(1.0, draws, rng))
+        samples = np.sort(laplace_draws(draws, rng))
         cdf = np.where(samples < 0, 0.5 * np.exp(samples), 1.0 - 0.5 * np.exp(-samples))
     else:
         samples = np.sort(pow_quartic_draws(draws, rng))

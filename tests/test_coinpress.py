@@ -290,7 +290,7 @@ def test_ustat_mean_refuses_the_release_step_before_it_draws():
     assert [label for label, _ in budget.entries] == ["short: halving step"] * t
     halving_only = np.random.default_rng(5)
     for _ in range(t):
-        dp.laplace_draws(1.0, 1, halving_only)
+        dp.laplace_draws(1, halving_only)
     assert rng.bit_generator.state == halving_only.bit_generator.state
 
 
@@ -430,8 +430,8 @@ def test_gaussian_mean_beats_laplace_on_range():
         d = Dataset(rng.normal(theta, 1.0, n))
         rep = coinpress.naive_estimator(h, d, r, tau, eps, rng, scratch_budget())
         errs.append(abs(rep.estimate - theta))
-        (lap,), _ = dp.global_sensitivity_releases(
-            [float(d.points.mean())], [2 * r / n], eps, [scratch_budget()], [rng]
+        (lap,), _ = dp.releases(
+            dp.LAPLACE, [float(d.points.mean())], [2 * r / n], eps, [scratch_budget()], [rng], "laplace"
         )
         lap_errs.append(abs(lap - theta))
     assert np.quantile(errs, 0.75) < np.quantile(lap_errs, 0.75)

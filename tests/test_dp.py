@@ -11,13 +11,14 @@ from scipy import integrate
 import privustat as pv
 from privustat import dp
 from privustat.dp import scratch_budget
-from privustat.errors import BudgetExhausted, NonPositiveScale
+from privustat.errors import BudgetExhausted
 from privustat.ustat import Dataset, all_tuples, evaluate_ustat
 
 from oracles import (
     brute_force_global_sensitivity,
     brute_force_local_sensitivity,
     pow_quartic_draws,
+    sorted_laplace_cdf,
     where_quartic_cdf,
     whole_batch_quartic_draws,
 )
@@ -30,42 +31,28 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 # Laplace sampler
 # ---------------------------------------------------------------------------
 
-def test_laplace_rejects_bad_scale():
-    with pytest.raises(NonPositiveScale):
-        dp.laplace_draws(0.0, 1, 0)
-    with pytest.raises(NonPositiveScale):
-        dp.laplace_draws(-1.0, 1, 0)
-
-
-@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
-def test_laplace_rejects_a_non_finite_scale(scale):
-    for size in (1, 10**5):
-        with pytest.raises(NonPositiveScale, match="finite"):
-            dp.laplace_draws(scale, size, 0)
-
-
 def test_laplace_draws_are_block_size_free():
     # blocks of _RATIO_BLOCK uniforms, drawn in order: a bulk draw is the
     # same generator's single draws in sequence, across a block boundary
     size = dp._RATIO_BLOCK + 3
     rng = np.random.default_rng(7)
-    singles = [dp.laplace_draws(1.5, 1, rng)[0] for _ in range(size)]
-    assert np.array_equal(dp.laplace_draws(1.5, size, 7), singles)
+    singles = [dp.laplace_draws(1, rng)[0] for _ in range(size)]
+    assert np.array_equal(dp.laplace_draws(size, 7), singles)
 
 
 def test_laplace_median_of_abs_is_log2():
-    draws = dp.laplace_draws(2.0, 10**6, np.random.default_rng(1))
+    draws = 2.0 * dp.laplace_draws(10**6, np.random.default_rng(1))
     assert np.median(np.abs(draws)) / 2.0 == pytest.approx(math.log(2), abs=0.01)
 
 
 def test_laplace_mean_near_zero():
     b = 3.0
-    draws = dp.laplace_draws(b, 10**6, np.random.default_rng(2))
+    draws = b * dp.laplace_draws(10**6, np.random.default_rng(2))
     assert abs(draws.mean()) <= 3 * b * math.sqrt(2 / 10**6)
 
 
 def test_laplace_fixed_seed_regression():
-    assert dp.laplace_draws(1.0, 1, 20240601)[0] == pytest.approx(0.8762112869339834, abs=1e-15)
+    assert dp.laplace_draws(1, 20240601)[0] == pytest.approx(0.8762112869339834, abs=1e-15)
 
 
 class _CyclingGenerator(np.random.Generator):
@@ -84,8 +71,8 @@ class _CyclingGenerator(np.random.Generator):
 
 def test_laplace_zero_uniform_draw_is_finite():
     # the uniform 0.0 is the Laplace sampler's u = -0.5
-    one = dp.laplace_draws(2.0, 1, _CyclingGenerator([0.0]))[0]
-    many = dp.laplace_draws(2.0, 4, _CyclingGenerator([0.0]))
+    one = dp.laplace_draws(1, _CyclingGenerator([0.0]))[0]
+    many = dp.laplace_draws(4, _CyclingGenerator([0.0]))
     assert math.isfinite(one)
     assert np.all(np.isfinite(many))
     assert np.all(many == one)  # one draw and a batch read the draw 0.0 the same way
@@ -93,10 +80,26 @@ def test_laplace_zero_uniform_draw_is_finite():
 
 def test_laplace_tail_bound():
     b = 1.0
-    draws = np.abs(dp.laplace_draws(b, 10**6, np.random.default_rng(3)))
+    draws = np.abs(dp.laplace_draws(10**6, np.random.default_rng(3)))
     for beta in (0.1, 0.01):
         frac = float(np.mean(draws > b * math.log(1 / beta)))
         assert frac <= beta + 3 * math.sqrt(beta / 10**6)
+
+
+def test_laplace_cdf_equals_the_sorted_form_bitwise_in_any_order():
+    # one exp of -|z| per point, taken from 1 where z >= 0: the bits of the
+    # split at the first z >= 0 on sorted input, point by point in any order
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                      1.0, -1.0, 745.2, -745.2, 800.0, -800.0])
+    rng = np.random.default_rng(13)
+    for z in (edges, 40.0 * dp.laplace_draws(10**5, 14)):
+        ordered = np.sort(z)
+        reference = sorted_laplace_cdf(ordered)
+        assert np.array_equal(dp.LAPLACE.cdf(ordered).view(np.int64), reference.view(np.int64))
+        shuffle = rng.permutation(z.size)
+        assert np.array_equal(dp.LAPLACE.cdf(ordered[shuffle]).view(np.int64), reference[shuffle].view(np.int64))
+        finite = dp.LAPLACE.cdf(z[np.isfinite(z)])
+        assert np.all((finite >= 0.0) & (finite <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +201,7 @@ def test_quartic_draws_are_finite_at_the_extreme_uniforms():
     flat = [value for pair in EXTREME_UNIFORM_PAIRS for value in pair]
     starts = range(0, len(flat), 2)
     draws = [dp.quartic_draws(size, _CyclingGenerator(flat[s:] + flat[:s])) for s in starts for size in (1, 5)]
-    draws.append(dp._quartic_each([_CyclingGenerator(flat[s:] + flat[:s]) for s in starts]))
+    draws.append(dp._quartic_each(np.ones(len(starts)), [_CyclingGenerator(flat[s:] + flat[:s]) for s in starts]))
     for z in draws:
         assert np.all(np.isfinite(z)) and np.max(np.abs(z)) <= bound
 
@@ -231,13 +234,13 @@ def test_quartic_draws_equal_the_pow_sampler(size, seeds):
 
 def global_sensitivity_release(value, gs, eps, budget, seed, label="laplace release"):
     """One Laplace release: the q = 1 stack."""
-    (released,), _ = dp.global_sensitivity_releases([value], [gs], eps, [budget], [seed], label)
+    (released,), _ = dp.releases(dp.LAPLACE, [value], [gs], eps, [budget], [seed], label)
     return released
 
 
 def smooth_sensitivity_release(value, ss, eps, budget, seed, label="smooth release"):
-    """One smooth-sensitivity release: the q = 1 stack."""
-    (released,), _ = dp.smooth_sensitivity_releases([value], [ss], eps, [budget], [seed], label)
+    """One quartic-noise release at a smooth bound: the q = 1 stack."""
+    (released,), _ = dp.releases(dp.QUARTIC, [value], [ss], eps, [budget], [seed], label)
     return released
 
 
@@ -246,23 +249,24 @@ def test_zero_sensitivity_release_is_exact():
     assert smooth_sensitivity_release(1.25, 0.0, 1.0, scratch_budget(), 0) == 1.25
 
 
-def test_releases_add_exactly_the_audited_samplers_draw():
-    # noise_gof checks laplace_draws and quartic_draws; a release adds one of
-    # their draws and nothing else
+@pytest.mark.parametrize("law", dp.LAWS)
+def test_releases_add_exactly_the_audited_samplers_draw(law):
+    # noise_gof checks each law's bulk sampler; a release adds one of its
+    # draws at the scale it returns, and nothing else
+    noise = dp.LAWS[law]
     rng = np.random.default_rng(12)
     for seed in range(200):
         value, sens, eps = rng.normal(0.0, 10.0), rng.uniform(0.01, 5.0), rng.uniform(0.05, 4.0)
-        laplace = global_sensitivity_release(value, sens, eps, scratch_budget(), seed)
-        assert laplace == value + dp.laplace_draws(sens / eps, 1, seed)[0], seed
-        smooth = smooth_sensitivity_release(value, sens, eps, scratch_budget(), seed)
-        scale = dp.SMOOTH_RELEASE_FACTOR * sens / eps
-        assert smooth == value + scale * dp.quartic_draws(1, seed)[0], seed
+        (released,), (scale,) = dp.releases(noise, [value], [sens], eps, [scratch_budget()], [seed], law)
+        assert scale == noise.factor * sens / eps, seed
+        assert released == value + scale * noise.draws(1, seed)[0], seed
 
 
 BAD_RELEASE_INPUTS = [  # (value, sensitivity, eps)
     (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (-math.inf, 1.0, 1.0),
     (0.0, math.nan, 1.0), (0.0, math.inf, 1.0), (0.0, -1.0, 1.0),
-    (0.0, 1.0, math.nan), (0.0, 1e300, 1e-300),  # a noise scale that overflows
+    (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+    (0.0, 1e300, 1e-300),  # a noise scale that overflows
 ]
 
 
@@ -466,8 +470,8 @@ def test_laplace_release_satisfies_eps_dp_empirically():
     d1[0] = 1.0
     gs = 1.0 / n
     rng = np.random.default_rng(12)
-    rel0 = d0.mean() + dp.laplace_draws(gs / eps, draws, rng)
-    rel1 = d1.mean() + dp.laplace_draws(gs / eps, draws, rng)
+    rel0 = d0.mean() + (gs / eps) * dp.laplace_draws(draws, rng)
+    rel1 = d1.mean() + (gs / eps) * dp.laplace_draws(draws, rng)
     edges = np.linspace(-0.3, 0.35, 14)
     c0, _ = np.histogram(rel0, bins=edges)
     c1, _ = np.histogram(rel1, bins=edges)

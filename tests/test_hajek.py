@@ -509,9 +509,9 @@ def hajek_release_and_statistic(case: str):
 def test_noise_scale_follows_the_drawn_noise_when_the_release_factor_changes(case, monkeypatch):
     # a caller that recomputed the scale from its own copy of the factor
     # would report the factor times the noise it drew once the factor is 1
-    factor = dp.SMOOTH_RELEASE_FACTOR
+    factor = dp.QUARTIC.factor
     rep, statistic = hajek_release_and_statistic(case)
-    monkeypatch.setattr(dp, "SMOOTH_RELEASE_FACTOR", 1.0)
+    monkeypatch.setattr(hajek, "QUARTIC", dataclasses.replace(dp.QUARTIC, factor=1.0))
     patched, patched_statistic = hajek_release_and_statistic(case)
     assert patched_statistic == statistic and patched.noise_scale > 0.0
     assert patched.noise_scale == patched.diagnostics["smooth_bound"] / 1.0

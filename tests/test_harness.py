@@ -1,6 +1,7 @@
 """Experiment runner determinism, CLI behavior, audits with negative controls."""
 
 import argparse
+import dataclasses
 import itertools
 import math
 import subprocess
@@ -225,7 +226,7 @@ def test_cli_estimate_nan_eps_is_a_usage_error(capsys):
     code = cli_main(["estimate", "--method", "naive", "--simulate", "gaussian,n=50", "--eps", "nan"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "non-finite" in captured.err
+    assert captured.err == "error: epsilon must be finite and > 0\n"
     assert "estimate" not in captured.out
 
 
@@ -344,8 +345,18 @@ def test_cli_estimate_hajek_non_finite_radius_is_a_usage_error(flag, capsys):
      "need at least one subset"),
     (["simulate", "--method", "subsampled", "--kernel", "pair_mean", "--dist", "gaussian",
       "--M-grid", "0", "--n-grid", "100", "--trials", "1"], "need at least one subset"),
+    (["estimate", "--method", "hajek", "--kernel", "pair_mean", "--simulate", "gaussian,n=100",
+      "--eps", "inf"], "epsilon must be finite and > 0"),
+    (["estimate", "--method", "all", "--simulate", "gaussian,n=100", "--eps", "inf"],
+     "epsilon must be finite and > 0"),
+    (["estimate", "--method", "naive", "--simulate", "gaussian,n=100", "--eps", "inf"],
+     "epsilon must be finite and > 0"),
+    (["uniformity-test", "--m", "5", "--simulate", "n=200", "--eps", "inf"],
+     "epsilon must be finite and > 0"),
+    (["rgg-triangles", "--simulate", "n=100", "--eps", "inf"], "epsilon must be finite and > 0"),
 ], ids=["R-inf", "R-nan", "tau-inf", "tau-nan", "amplitude-nan", "tau-negative", "C-negative",
-        "sigma-negative", "m-zero", "estimate-M-zero", "simulate-M-zero"])
+        "sigma-negative", "m-zero", "estimate-M-zero", "simulate-M-zero", "hajek-eps-inf",
+        "all-eps-inf", "naive-eps-inf", "uniformity-eps-inf", "rgg-eps-inf"])
 def test_cli_non_finite_bounds_are_one_line_usage_errors(argv, message, capsys):
     # the package's own ValueError, raised before any spend: one error line,
     # no traceback, no ledger and no output (an M of 0 is a size, not "unset")
@@ -357,7 +368,7 @@ def test_cli_non_finite_bounds_are_one_line_usage_errors(argv, message, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flag, value", [("--xi", "nan"), ("--C", "nan")])
+@pytest.mark.parametrize("flag, value", [("--xi", "nan"), ("--C", "nan"), ("--eps", "inf")])
 def test_cli_audit_smoothness_bad_parameter_is_a_usage_error(flag, value, capsys):
     code = cli_main(["audit-smoothness", "--n", "6", flag, value])
     captured = capsys.readouterr()
@@ -798,7 +809,7 @@ def test_ks_gap_refuses_a_decreasing_cdf():
         audits._ks_gap(samples, cdf_of)
 
 
-@pytest.mark.parametrize("cdf_of", [quartic_cdf, audits._laplace_cdf])
+@pytest.mark.parametrize("cdf_of", [quartic_cdf, dp.LAPLACE.cdf])
 def test_ks_gap_of_non_finite_samples_equals_the_fresh_array_gap(cdf_of):
     rng = np.random.default_rng(9)
     for extra in ([math.nan], [math.inf], [-math.inf], [-math.inf, math.inf],
@@ -817,11 +828,11 @@ def test_ks_gap_when_every_block_survives():
     n = 10**6
     p = (np.arange(n) + 0.5) / n
     samples = np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 - 2.0 * p))
-    reference = fresh_array_ks_gap(samples, audits._laplace_cdf(samples))
+    reference = fresh_array_ks_gap(samples, dp.LAPLACE.cdf(samples))
     points = []
     tracemalloc.start()
     try:
-        gap = audits._ks_gap(samples, lambda z: points.append(z.size) or audits._laplace_cdf(z))
+        gap = audits._ks_gap(samples, lambda z: points.append(z.size) or dp.LAPLACE.cdf(z))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -859,10 +870,10 @@ def test_noise_gof_both_laws():
 
 @pytest.mark.parametrize("law", ["laplace", "quartic"])
 def test_noise_gof_evaluates_its_cdf_at_few_draws(monkeypatch, law):
-    name = {"laplace": "_laplace_cdf", "quartic": "quartic_cdf"}[law]
-    cdf_of = getattr(audits, name)
+    cdf_of = dp.LAWS[law].cdf
     points = []
-    monkeypatch.setattr(audits, name, lambda z: points.append(z.size) or cdf_of(z))
+    counted = dataclasses.replace(dp.LAWS[law], cdf=lambda z: points.append(z.size) or cdf_of(z))
+    monkeypatch.setitem(dp.LAWS, law, counted)
     for seed in (1, 2, 3):
         points.clear()
         assert audits.noise_gof(law, 10**6, seed).ok
@@ -870,12 +881,14 @@ def test_noise_gof_evaluates_its_cdf_at_few_draws(monkeypatch, law):
 
 
 def test_noise_gof_wrong_scale_fails(monkeypatch):
-    # each sampler as the audit calls it, drawing 1.25 times too wide, or one NaN
+    # each law's bulk sampler, drawing 1.25 times too wide, or one NaN
+    laws = dict(dp.LAWS)
     for fault in (lambda draws: 1.25 * draws, lambda draws: np.append(draws[1:], math.nan)):
-        monkeypatch.setattr(audits, "laplace_draws",
-                            lambda scale, size, rng: fault(dp.laplace_draws(scale, size, rng)))
-        monkeypatch.setattr(audits, "quartic_draws", lambda size, rng: fault(dp.quartic_draws(size, rng)))
-        for law, seed in itertools.product(("laplace", "quartic"), (1, 2, 3)):
+        for law, noise in laws.items():
+            monkeypatch.setitem(dp.LAWS, law, dataclasses.replace(
+                noise, draws=lambda size, seed, draws=noise.draws: fault(draws(size, seed))
+            ))
+        for law, seed in itertools.product(laws, (1, 2, 3)):
             assert not audits.noise_gof(law, 10**5, seed).ok, (law, seed)
 
 

@@ -5,13 +5,14 @@ the standard-library ``ast`` module.  Package ``__init__`` modules are
 skipped by the import check: their imports are the public re-exports.  Every
 release takes the caller's ledger, so no ``budget`` parameter has a default,
 and the release noise has one calibration, so no parameter rescales it.
-Only ``dp`` debits a ledger or draws release noise, so a release is drawn
-and debited one way; ``noise_gof`` may call the samplers, because it audits
-them.  Only ``hajek.release_rows`` and the smoothness audit call the Hájek
-engine, and only ``release_rows`` calls its release, so no second Hájek
-path grows beside the stacked one.  Only ``dp`` reads
-``SMOOTH_RELEASE_FACTOR``: the releases return the scale they drew at, so
-no caller holds a copy of the calibration.  No module but ``ustat`` uses
+Only ``dp`` debits a ledger or calls a noise law's per-generator sampler,
+so a release is drawn and debited one way; outside ``dp`` only
+``noise_gof`` calls a law's bulk sampler, because it audits it.  Only
+``hajek.release_rows`` and the smoothness audit call the Hájek engine, and
+only ``release_rows`` releases with the quartic law, so no second Hájek
+path grows beside the stacked one.  Only ``dp`` reads a law's ``factor``:
+the release returns the scale it drew at, so no caller holds a copy of the
+calibration.  No module but ``ustat`` uses
 ``ustat``'s private names, or builds a ``Kernel``.  No module but
 ``errors`` calls ``warnings.warn``, so every warning is attributed by
 ``warn_precondition``'s one rule.  No function,
@@ -258,43 +259,49 @@ def test_only_errors_issues_warnings(path):
     assert warning_calls(path.read_text()) == []
 
 
-# the bulk samplers, and the one-draw-per-generator samplers of the stacked releases
-SAMPLERS = {"laplace_draws", "quartic_draws", "_laplace_each", "_quartic_each"}
+# a noise law's bulk sampler, called through its ``dp.NoiseLaw`` record or by
+# its name in dp, and its one-draw-per-generator sampler, likewise: outside
+# dp only noise_gof calls a bulk sampler, because it audits it, and nothing
+# calls a per-generator one, which only ``dp.releases`` adds to a value
+BULK_SAMPLERS = {"draws", "laplace_draws", "quartic_draws"}
+EACH_SAMPLERS = {"each", "_laplace_each", "_quartic_each"}
 SAMPLER_AUDIT = ("harness/audits.py", "noise_gof")
+
+
+def calls(source: str):
+    """(enclosing top-level definition, call node, callee name) of every call."""
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield owner, node, getattr(node.func, "attr", getattr(node.func, "id", None))
 
 
 def calls_of(source: str, callees) -> list[tuple[int, str, str]]:
     """(line, enclosing top-level definition, callee) of every call of a
     name in ``callees``, by plain name or as an attribute."""
-    found = []
-    for top in ast.parse(source).body:
-        owner = getattr(top, "name", "<module>")
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if callee in callees:
-                    found.append((node.lineno, owner, callee))
-    return sorted(found)
+    return sorted((node.lineno, owner, callee) for owner, node, callee in calls(source) if callee in callees)
 
 
 def debits_and_draws(source: str) -> list[tuple[int, str, str]]:
-    """Every call of ``spend`` or of a release sampler (``calls_of``)."""
-    return calls_of(source, {"spend"} | SAMPLERS)
+    """Every call of ``spend`` or of a noise sampler (``calls_of``)."""
+    return calls_of(source, {"spend"} | BULK_SAMPLERS | EACH_SAMPLERS)
 
 
 def test_checker_finds_debits_and_draws():
     source = (
-        "from .dp import laplace_draws\n"
+        "from .dp import LAWS, laplace_draws\n"
         "def release(x, budget, rng):\n"
         "    budget.spend('x', 1.0)\n"
-        "    return x + laplace_draws(1.0, 1, rng)[0]\n"
-        "class Audit:\n    def run(self, rng):\n        return dp.quartic_draws(10, rng)\n"
+        "    return x + laplace_draws(1, rng)[0] + LAWS['laplace'].each([1.0], [rng])[0]\n"
+        "class Audit:\n    def run(self, rng):\n        return dp.QUARTIC.draws(10, rng)\n"
         "spend('top', 0.5)\n"
     )
     assert debits_and_draws(source) == [
         (3, "release", "spend"),
+        (4, "release", "each"),
         (4, "release", "laplace_draws"),
-        (7, "Audit", "quartic_draws"),
+        (7, "Audit", "draws"),
         (8, "<module>", "spend"),
     ]
 
@@ -306,18 +313,17 @@ def test_only_dp_debits_the_ledger_and_draws_release_noise():
         if module == "dp.py":
             continue
         for line, owner, callee in debits_and_draws(path.read_text()):
-            if callee in SAMPLERS and (module, owner) == SAMPLER_AUDIT:
+            if callee in BULK_SAMPLERS and (module, owner) == SAMPLER_AUDIT:
                 continue
             found.append(f"{module} line {line}: {callee} in {owner}")
     assert found == []
 
 
-# the Hájek engine and its release, with the only (module, top-level
-# definition) pairs that may call them: every release of the estimator goes
-# through ``release_rows``, and the smoothness audit runs the engine itself
+# the Hájek engine, with the only (module, top-level definition) pairs that
+# may call it: every release of the estimator goes through ``release_rows``,
+# and the smoothness audit runs the engine itself
 HAJEK_ENGINE_CALLERS = {
     "hajek_rows": {("hajek.py", "release_rows"), ("harness/audits.py", "smoothness_audit")},
-    "smooth_sensitivity_releases": {("hajek.py", "release_rows")},
 }
 
 
@@ -333,23 +339,14 @@ def second_hajek_paths(module: str, source: str) -> list[str]:
 def test_checker_finds_second_hajek_paths():
     source = (
         "def release_rows(rows, params, seeds, budgets):\n"
-        "    states = hajek_rows(rows, params)\n"
-        "    return smooth_sensitivity_releases(states.reweighted, seeds, budgets)\n"
+        "    return hajek_rows(rows, params)\n"
         "def hajek_state(summary, params):\n"
         "    return hajek.hajek_rows(summary.rows(), params).row(0)\n"
-        "class Release:\n"
-        "    def run(self, states):\n"
-        "        return dp.smooth_sensitivity_releases(states.reweighted)\n"
     )
-    assert second_hajek_paths("hajek.py", source) == [
-        "hajek.py line 5: hajek_rows in hajek_state",
-        "hajek.py line 8: smooth_sensitivity_releases in Release",
-    ]
+    assert second_hajek_paths("hajek.py", source) == ["hajek.py line 4: hajek_rows in hajek_state"]
     assert second_hajek_paths("harness/audits.py", source) == [
         "harness/audits.py line 2: hajek_rows in release_rows",
-        "harness/audits.py line 3: smooth_sensitivity_releases in release_rows",
-        "harness/audits.py line 5: hajek_rows in hajek_state",
-        "harness/audits.py line 8: smooth_sensitivity_releases in Release",
+        "harness/audits.py line 4: hajek_rows in hajek_state",
     ]
 
 
@@ -362,36 +359,82 @@ def test_one_hajek_path():
     assert found == []
 
 
-def release_factor_reads(source: str) -> list[str]:
-    """Every read of ``SMOOTH_RELEASE_FACTOR``: imported, read by plain name,
-    or read as an attribute, in line order."""
+# the only (module, top-level definition) that releases with the quartic law
+QUARTIC_RELEASER = ("hajek.py", "release_rows")
+LAPLACE_RECORD = {"LAPLACE", "dp.LAPLACE"}
+
+
+def quartic_releases(module: str, source: str) -> list[str]:
+    """Every call of ``releases`` from outside ``QUARTIC_RELEASER`` whose law
+    is not plainly the Laplace record: one that may draw quartic noise."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            found += [node.lineno for alias in node.names if alias.name == "SMOOTH_RELEASE_FACTOR"]
-        elif isinstance(node, ast.Name) and node.id == "SMOOTH_RELEASE_FACTOR":
-            found.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == "SMOOTH_RELEASE_FACTOR":
-            found.append(node.lineno)
+    for owner, node, callee in calls(source):
+        if callee != "releases" or (module, owner) == QUARTIC_RELEASER:
+            continue
+        law = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "law"), None)
+        law = "?" if law is None else ast.unparse(law)
+        if law not in LAPLACE_RECORD:
+            found.append((node.lineno, f"{module} line {node.lineno}: releases({law}) in {owner}"))
+    return [what for _, what in sorted(found)]
+
+
+def test_checker_finds_quartic_releases():
+    source = (
+        "from .dp import LAPLACE, QUARTIC, releases\n"
+        "def release_rows(rows, eps, seeds, budgets):\n"
+        "    return releases(QUARTIC, rows.values, rows.bounds, eps, budgets, seeds, 'hajek')\n"
+        "def proxy(values, eps, seeds, budgets):\n"
+        "    return dp.releases(LAPLACE, values, [1.0], eps, budgets, seeds, 'proxy')\n"
+        "class Release:\n"
+        "    def run(self, law):\n"
+        "        return dp.releases(dp.LAWS[law], self.values)\n"
+        "def keyword(values):\n"
+        "    return releases(law=dp.QUARTIC, values=values)\n"
+    )
+    assert quartic_releases("hajek.py", source) == [
+        "hajek.py line 8: releases(dp.LAWS[law]) in Release",
+        "hajek.py line 10: releases(dp.QUARTIC) in keyword",
+    ]
+    assert quartic_releases("applications.py", source) == [
+        "applications.py line 3: releases(QUARTIC) in release_rows",
+        "applications.py line 8: releases(dp.LAWS[law]) in Release",
+        "applications.py line 10: releases(dp.QUARTIC) in keyword",
+    ]
+
+
+def test_only_release_rows_releases_with_the_quartic_law():
+    # the quartic law's scale is calibrated to the Hájek engine's smooth
+    # bound; any other caller's sensitivity is not one
+    found = []
+    for path in ALL_MODULES:
+        module = str(path.relative_to(SRC))
+        if module != "dp.py":
+            found += quartic_releases(module, path.read_text())
+    assert found == []
+
+
+def release_factor_reads(source: str) -> list[str]:
+    """Every read of a noise law's ``factor``, by attribute, in line order."""
+    found = [node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and node.attr == "factor"]
     return [f"line {line}" for line in sorted(found)]
 
 
 def test_checker_finds_release_factor_reads():
     source = (
-        "from .dp import SMOOTH_RELEASE_FACTOR, PrivacyBudget\n"
-        "from . import dp\n"
+        "from .dp import QUARTIC, LAWS\n"
         "def scale(bound, eps):\n"
-        "    return SMOOTH_RELEASE_FACTOR * bound / eps\n"
-        "def other(bound, eps):\n"
-        "    return dp.SMOOTH_RELEASE_FACTOR * bound / eps\n"
-        "RELEASE_FACTOR = 10.0  # a different name\n"
+        "    return QUARTIC.factor * bound / eps\n"
+        "def other(bound, eps, law):\n"
+        "    return dp.LAWS[law].factor * bound / eps\n"
+        "factor = 10.0  # a name, not a law's field\n"
     )
-    assert release_factor_reads(source) == ["line 1", "line 4", "line 6"]
+    assert release_factor_reads(source) == ["line 3", "line 5"]
 
 
 def test_only_dp_reads_the_release_factor():
-    # a module that multiplies by its own copy of the factor reports a
-    # scale the drawn noise does not have once the factor changes
+    # a module that multiplies by a law's factor reports a scale the drawn
+    # noise does not have once the factor changes
     found = []
     for path in ALL_MODULES:
         module = str(path.relative_to(SRC))
