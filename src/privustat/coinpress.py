@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dp import LAPLACE, PrivacyBudget, releases
+from .dp import LAPLACE, PrivacyBudget, check_epsilon, releases
 from .errors import warn_precondition
 from .report import EstimateReport
 from .rng import as_generator
@@ -168,8 +168,9 @@ def _clip_and_release(
     per-row bounds, and each step releases the q row means together.  Row
     i's report equals that of a run on row i alone: the same arithmetic and
     the same draws from its generator.  Each distinct precondition warning
-    is issued once.
+    is issued once, after epsilon is checked.
     """
+    check_epsilon(eps)
     t = halving_rounds(r, tb.q(gamma))
     problems = {}
     for dep in dict.fromkeys(deps.tolist()):

@@ -360,6 +360,12 @@ QUARTIC = NoiseLaw(quartic_draws, _quartic_each, quartic_cdf, 10.0)
 LAWS = {"laplace": LAPLACE, "quartic": QUARTIC}
 
 
+def check_epsilon(eps: float) -> None:
+    """Refuse an epsilon that is not finite and > 0, before any warning or spend."""
+    if not 0 < eps < math.inf:  # also rejects NaN
+        raise ValueError("epsilon must be finite and > 0")
+
+
 def releases(
     law: NoiseLaw,
     values,
@@ -384,8 +390,7 @@ def releases(
     scales run on Python floats: a release holds one value per chunk, and
     for so few, list scans cost less than array operations.
     """
-    if not 0 < eps < math.inf:  # also rejects NaN
-        raise ValueError("epsilon must be finite and > 0")
+    check_epsilon(eps)
     out = np.array(values, dtype=float)
     for value in out.tolist():
         if not math.isfinite(value):

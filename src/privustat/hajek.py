@@ -13,10 +13,11 @@ under a one-point substitution; that is what makes the bound smooth.
 The state is computed for a stack of q summaries of one shape at once
 (``SummaryRows``, ``hajek_rows``), as the chunks of a boosted estimate are:
 the generic estimator (``private_means_local_hajek``) draws every chunk's
-kernel values and projections from one stacked pass over the family, the
-count-based collision and triangle summaries stack the same way, and the
-smoothness audit stacks one row per multiset.  There is no one-row path: a
-single dataset is the one-row stack.
+mean and projections from one stacked pass over the family (``summary_rows``,
+which keeps no kernel value past its block), the count-based collision and
+triangle summaries stack the same way, and the smoothness audit stacks one
+row per multiset.  There is no one-row path: a single dataset is the
+one-row stack.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dp import QUARTIC, PrivacyBudget, releases
+from .dp import QUARTIC, PrivacyBudget, check_epsilon, releases
 from .errors import warn_precondition
 from .report import EstimateReport
 from .rng import as_generator
@@ -37,7 +38,7 @@ from .ustat import (
     SubsetFamily,
     all_tuples,
     clipped_kernel,
-    kernel_values_and_projections,
+    means_and_projections,
 )
 from .coinpress import naive_estimator, subgaussian_xi
 
@@ -63,8 +64,7 @@ class HajekParams:
     xi: float | np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.eps < math.inf:  # also rejects NaN
-            raise ValueError("epsilon must be finite and > 0")
+        check_epsilon(self.eps)
         xi = np.asarray(self.xi, dtype=float)
         if xi.ndim > 1:
             raise ValueError("concentration radius must be a number or one per row")
@@ -260,13 +260,11 @@ def _reweighted_mean(
     return a_n + total / family.size
 
 
-def summary_from_values(
-    h: Kernel, chunks: np.ndarray, family: SubsetFamily, values: np.ndarray, projections: np.ndarray
-) -> SummaryRows:
-    """The summaries of a (q, n) stack of chunks from their (q, M) kernel
-    values, read for the means only (a reweight evaluates h again), and
-    their (q, n) local projections."""
-    a_n = np.array([row.mean() for row in values])
+def summary_rows(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> SummaryRows:
+    """The summaries of a (q, n) stack of chunks: one pass over the family
+    gives their means and local projections, and a reweight evaluates h
+    again on the subsets it needs."""
+    a_n, projections = means_and_projections(h, chunks, family)
     return SummaryRows(
         n=family.n,
         k=family.k,
@@ -408,9 +406,8 @@ def private_means_local_hajek(
     Every row returns bottom (estimate None) when the family fails the
     incidence regularity conditions; that check depends only on the family,
     never on the data, so it runs once, and refusing costs no privacy and
-    spends nothing.  Otherwise one stacked pass gives every row's kernel
-    values and projections, and only the rows with bad indices are
-    reweighted.
+    spends nothing.  Otherwise one stacked pass gives every row's mean and
+    projections, and only the rows with bad indices are reweighted.
     """
     check = family.check_regularity()
     if not check.ok:
@@ -420,8 +417,7 @@ def private_means_local_hajek(
             )
             for _ in seeds
         ]
-    rows = summary_from_values(h, chunks, family, *kernel_values_and_projections(h, chunks, family))
-    return release_rows(rows, params, seeds, budgets)
+    return release_rows(summary_rows(h, chunks, family), params, seeds, budgets)
 
 
 def private_mean_local_hajek(

@@ -4,7 +4,7 @@ These are the checks that justify trusting the mechanisms: a deterministic
 dataset pair whose U-statistic gap is combinatorially certified, an exhaustive
 neighbor enumeration that validates the smooth sensitivity bound on every
 multiset of a finite alphabet (one stacked run of the Hájek engine, under a
-cap on the kernel values it holds), and goodness-of-fit of both noise
+cap on the kernel evaluations it runs), and goodness-of-fit of both noise
 samplers against their analytic CDFs.  The audits take no fault-injection
 option.  Tests show that an audit is not vacuous by injecting the fault
 themselves and watching it fail: they patch ``hajek_rows`` here to halve
@@ -20,16 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dp import _RATIO_BLOCK, LAWS
+from ..dp import _RATIO_BLOCK, LAWS, check_epsilon
 from ..errors import AuditFailure, warn_precondition
-from ..hajek import HajekParams, hajek_rows, summary_from_values
+from ..hajek import HajekParams, hajek_rows, summary_rows
 from ..ustat import (
     Dataset,
     Kernel,
     all_tuples,
     collision_kernel,
     equality_kernel,
-    kernel_values_and_projections,
+    means_and_projections,
 )
 
 
@@ -63,8 +63,7 @@ class AdversarialFixture:
 def adversarial_fixture(n: int, k: int, eps: float) -> AdversarialFixture:
     if k < 2:
         raise ValueError("fixture needs k >= 2")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    check_epsilon(eps)
     flips = math.ceil(1.0 / eps)
     ones = math.ceil(k + k ** (1.0 / (2 * k - 2)) * n ** (1.0 - 1.0 / (2 * k - 2)) - 1.0 / eps)
     if ones < 2 * k / eps:
@@ -97,11 +96,9 @@ def fixture_projection_margins(fix: AdversarialFixture) -> dict:
     h = equality_kernel(fix.k)
     family = all_tuples(fix.n, fix.k)
     out = {}
-    values, proj = kernel_values_and_projections(
-        h, np.stack([fix.base.points, fix.shifted.points]), family
-    )
+    means, proj = means_and_projections(h, np.stack([fix.base.points, fix.shifted.points]), family)
     for row, name in enumerate(("base", "shifted")):
-        u = float(values[row].mean())
+        u = float(means[row])
         out[name] = {
             "ustat": u,
             "max_abs_projection_deviation": float(np.max(np.abs(proj[row] - u))),
@@ -114,8 +111,9 @@ def fixture_projection_margins(fix: AdversarialFixture) -> dict:
 # exhaustive smoothness audit
 # ---------------------------------------------------------------------------
 
-# most kernel values (multisets x C(n, k)) the smoothness audit may hold:
-# 128 MiB of float64, enough for binary data at k = 2 up to n = 322
+# most kernel evaluations (multisets x C(n, k)) the smoothness audit may
+# run, enough for binary data at k = 2 up to n = 322.  The pass keeps no
+# kernel value past its block, so this bounds the audit's time.
 AUDIT_VALUE_CAP = 2**24
 
 
@@ -163,14 +161,14 @@ def smoothness_audit(
     stack, and checks every ordered pair of them one substitution apart, in
     place of the r^n sequences.  Violations name the two sorted datasets, in
     (dataset, letter moved out, letter moved in, check) order.  An audit
-    whose stack would hold more than ``AUDIT_VALUE_CAP`` kernel values
+    whose stack would take more than ``AUDIT_VALUE_CAP`` kernel evaluations
     raises ``ValueError`` before the kernel pass.
     """
     alphabet = tuple(alphabet)
-    held = math.comb(n + len(alphabet) - 1, len(alphabet) - 1) * math.comb(n, kernel.degree)
-    if held > AUDIT_VALUE_CAP:
+    evals = math.comb(n + len(alphabet) - 1, len(alphabet) - 1) * math.comb(n, kernel.degree)
+    if evals > AUDIT_VALUE_CAP:
         raise ValueError(
-            f"exhaustive audit would hold {held} kernel values, over the cap of {AUDIT_VALUE_CAP}"
+            f"exhaustive audit would evaluate {evals} kernel values, over the cap of {AUDIT_VALUE_CAP}"
         )
     family = all_tuples(n, kernel.degree)
     params = HajekParams(eps=eps, c_range=c_range, xi=xi)
@@ -178,11 +176,11 @@ def smoothness_audit(
 
     multisets = list(itertools.combinations_with_replacement(range(len(alphabet)), n))
     datasets = letters[np.array(multisets)]
-    values, proj = kernel_values_and_projections(kernel, datasets, family)
-    rows = summary_from_values(kernel, datasets, family, values, proj)
+    rows = summary_rows(kernel, datasets, family)
     # a multiset with a non-finite a_n or projection releases nothing: the
     # engine refuses it, so it gets a NaN reweighted mean and bound
-    live = np.flatnonzero(np.isfinite(rows.a_n) & np.isfinite(proj).all(axis=1)).tolist()
+    finite = np.isfinite(rows.a_n) & np.isfinite(rows.projections).all(axis=1)
+    live = np.flatnonzero(finite).tolist()
     states = hajek_rows(rows.take(live), params)
     reweighted = np.full(len(multisets), math.nan)
     bound = np.full(len(multisets), math.nan)

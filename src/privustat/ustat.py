@@ -486,12 +486,12 @@ def evaluate_ustat(h: Kernel, data: Dataset, family: SubsetFamily) -> float:
     return float(kernel_values(h, data, family).mean())
 
 
-def kernel_values_and_projections(
+def means_and_projections(
     h: Kernel, chunks: np.ndarray, family: SubsetFamily
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``chunk_kernel_values`` and the local projections of each row of a
-    (q, n) array of chunks, in one pass over the family: (q, M) values and
-    (q, n) projections.
+    """The mean kernel value and the local projections of each row of a
+    (q, n) array of chunks, in one pass over the family: (q,) means and
+    (q, n) projections.  No kernel value outlives its block.
 
     Entry (r, i) of the projections is (1/M_i) sum_{S : i in S} h(X_S) on
     chunk r; indices with M_i = 0 get NaN.  On a complete family the run
@@ -500,8 +500,10 @@ def kernel_values_and_projections(
     cache: each of the first k-1 indices is constant on a prefix run, so it
     adds one sum per run, and only the last index scatters every value.
     Each scatter is one ``bincount`` over the whole stack, with row r's bins
-    offset by r * n.  Every row's values and projections are those of its
-    chunk alone, bit for bit.
+    offset by r * n.  Every subset adds its value to each of its k indices,
+    so a row's mean is the total of its index sums over k * M, summed before
+    it is divided.  Every row's mean and projections are those of its chunk
+    alone, bit for bit.
     """
     q, n, k = chunks.shape[0], family.n, family.k
     _check_pair(h, chunks.shape[1], family)
@@ -518,17 +520,13 @@ def kernel_values_and_projections(
         for column in family.subsets.T:
             scatter(column, values)
     else:
-        values = np.empty((q, family.size))
         blocks = _SpanBlocks(chunks)
-        start = 0
         for (prefix, lo, hi), starts, heads, last in _lex_runs(n, k):
-            m = last.size
-            block_values = values[:, start : start + m]
-            block_values[:] = _block_values(h, blocks.block(prefix, k - len(prefix), lo, hi))
-            start += m
+            block_values = _block_values(h, blocks.block(prefix, k - len(prefix), lo, hi))
             run_sums = np.add.reduceat(block_values, starts, axis=1)
             for column in heads:
                 scatter(column, run_sums)
             scatter(last, block_values)
+    sums = sums.reshape(q, n)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return values, sums.reshape(q, n) / family.counts
+        return sums.sum(axis=1) / (k * family.size), sums / family.counts

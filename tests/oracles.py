@@ -52,7 +52,7 @@ from privustat.hajek import (
     release_rows,
     smooth_bound_g,
     smooth_sensitivity,
-    summary_from_values,
+    summary_rows,
 )
 from privustat.harness.audits import SmoothnessReport
 from privustat.rng import as_generator
@@ -64,7 +64,6 @@ from privustat.ustat import (
     all_tuples,
     collision_kernel,
     kernel_values,
-    kernel_values_and_projections,
 )
 
 
@@ -553,16 +552,15 @@ def scanned_prefix_runs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     return starts, rows.T[:-1, starts]
 
 
-def gather_values_and_projections(h: Kernel, data: Dataset, family: SubsetFamily):
-    """``kernel_values_and_projections`` from index blocks: gather the data
-    through each block, then add the values to the projection sums, one sum
-    per prefix run for the head columns of a complete family."""
+def gather_means_and_projections(h: Kernel, data: Dataset, family: SubsetFamily):
+    """``means_and_projections`` of one dataset from index blocks: gather the
+    data through each block, then add the values to the projection sums, one
+    sum per prefix run for the head columns of a complete family.  The mean
+    is the total of the index sums over k * M."""
     n = family.n
-    values = np.empty(family.size)
     sums = np.zeros(n)
-    for start, rows in family.blocks():
-        block_values = values[start : start + rows.shape[0]]
-        block_values[:] = h.evaluate(data.points[rows])
+    for _, rows in family.blocks():
+        block_values = h.evaluate(data.points[rows])
         if family.kind != "all_tuples":
             for column in rows.T:
                 sums += np.bincount(column, weights=block_values, minlength=n)
@@ -573,7 +571,26 @@ def gather_values_and_projections(h: Kernel, data: Dataset, family: SubsetFamily
             sums += np.bincount(column, weights=run_sums, minlength=n)
         sums += np.bincount(rows[:, -1], weights=block_values, minlength=n)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return values, sums / family.counts
+        return sums.sum() / (family.k * family.size), sums / family.counts
+
+
+def values_summary(
+    h: Kernel, chunks: np.ndarray, family: SubsetFamily, values: np.ndarray, projections: np.ndarray
+) -> SummaryRows:
+    """The summaries of a (q, n) stack of chunks built from given (q, M)
+    kernel values, read for the means only (``row.mean()``), and (q, n)
+    projections, with the library's reweight: ``summary_rows`` with its
+    pass replaced by the caller's arrays."""
+    a_n = np.array([row.mean() for row in values])
+    reweighted_mean = privustat.hajek._reweighted_mean
+    return SummaryRows(
+        n=family.n,
+        k=family.k,
+        a_n=a_n,
+        projections=projections,
+        reweight=lambda i, weights: reweighted_mean(h, chunks[i], family, weights, float(a_n[i])),
+        all_tuples_family=family.kind == "all_tuples",
+    )
 
 
 def reweighted_mean(values: np.ndarray, family: SubsetFamily, weights: np.ndarray, a_n: float) -> float:
@@ -846,9 +863,8 @@ def loop_smoothness_audit(
     def analyze(config: tuple) -> tuple:
         if config not in cache:
             data = np.asarray(config, dtype=float)[None]
-            values, proj = kernel_values_and_projections(kernel, data, family)
             try:
-                state = hajek_rows(summary_from_values(kernel, data, family, values, proj), params)
+                state = hajek_rows(summary_rows(kernel, data, family), params)
             except ValueError:  # non-finite kernel values: nothing is released
                 cache[config] = (math.nan, math.nan)
             else:

@@ -184,7 +184,7 @@ SIMULATE_GOLDEN = {
     "subsampled": "009f65692dd81664c90e59b5f291c822c67617ce51403dfa9fbea01a711bad7d",
     "all": "8d48cc140168a3880b52a38bf145093958a32c874cd402409809c652fbb2cac0",
     "hajek.collision": "d968a81d1acc24074da011aaf084131521c4a0635ebbefa422443b6b8abdfeb3",
-    "hajek.pair_mean": "7fb7c622b3c90c242ad75715cc5249e9eddf756a38e951f908650cf4d49ff2bc",
+    "hajek.pair_mean": "88bc923d45da5a1938dbb1d0c9a5334b7c1309c36474b1cc7c12ad973595b288",
 }
 
 

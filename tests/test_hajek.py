@@ -17,14 +17,14 @@ from privustat.coinpress import subgaussian_xi
 from privustat.hajek import (
     HajekParams,
     SummaryRows,
-    summary_from_values,
+    summary_rows,
 )
 from privustat.ustat import (
     Dataset,
     all_tuples,
     clipped_kernel,
     kernel_values,
-    kernel_values_and_projections,
+    means_and_projections,
     subsample_family,
 )
 from privustat import applications as apps
@@ -46,12 +46,13 @@ from oracles import (
     row_state,
     smooth_sensitivity_closed_form_bound,
     stack_row,
+    values_summary,
 )
 
 
 def summarize(h, data, fam, vals):
     """The one-row stack of a dataset from its (M,) kernel values on a family."""
-    return summary_from_values(h, data.points[None], fam, vals[None], bincount_projections(vals, fam)[None])
+    return values_summary(h, data.points[None], fam, vals[None], bincount_projections(vals, fam)[None])
 
 
 def one_key_bound(xi, spread_level, n, k, c_range, eps, complete) -> float:
@@ -109,7 +110,7 @@ def test_L_neighboring_datasets_move_by_at_most_one():
         levels = []
         for pts in (x, y):
             vals = kernel_values(h, Dataset(pts), fam)
-            proj = kernel_values_and_projections(h, pts[None], fam)[1][0]
+            proj = means_and_projections(h, pts[None], fam)[1][0]
             devs = np.abs(proj - vals.mean())
             levels.append(spread_level(devs, params["xi"], c, k, n))
         assert abs(levels[0] - levels[1]) <= 1
@@ -323,8 +324,7 @@ def test_one_reweight_holds_less_than_one_value_per_subset():
     # subsets, of which the reweight reads the 2000 that hold that index
     n, h = 2001, pv.collision_kernel()
     data, fam = Dataset(np.r_[1, np.zeros(n - 1, dtype=np.int64)]), all_tuples(n, 2)
-    chunks = data.points[None]
-    rows = summary_from_values(h, chunks, fam, *kernel_values_and_projections(h, chunks, fam))
+    rows = summary_rows(h, data.points[None], fam)
     weights = np.ones(n)
     weights[0] = 0.0
     tracemalloc.start()
@@ -334,6 +334,22 @@ def test_one_reweight_holds_less_than_one_value_per_subset():
     finally:
         tracemalloc.stop()
     assert peak < 8 * fam.size
+
+
+def test_one_release_holds_no_value_per_subset():
+    # collision at n = 2001 on the complete family: M = 2,001,000 subsets,
+    # 16 MB of float64 values, while the pass keeps no value past its block
+    n, h = 2001, pv.collision_kernel()
+    data, fam = Dataset(np.random.default_rng(2001).integers(0, 50, n)), all_tuples(n, 2)
+    params = HajekParams(eps=1.0, c_range=1.0, xi=0.05)
+    tracemalloc.start()
+    try:
+        rep = pv.private_mean_local_hajek(h, data, fam, params, 3, scratch_budget())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.estimate is not None
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +489,7 @@ def test_constant_kernel_released_exactly():
     h, data = constant_kernel(0.8, 2), Dataset(np.arange(20.0))
     params = HajekParams(eps=1.0, c_range=0.0, xi=0.0)
     rep = pv.private_mean_local_hajek(h, data, fam, params, seed=3, budget=scratch_budget())
-    vals, proj = kernel_values_and_projections(h, data.points[None], fam)
-    state = row_state(summary_from_values(h, data.points[None], fam, vals, proj), params)
+    state = row_state(summary_rows(h, data.points[None], fam), params)
     assert rep.estimate == state.reweighted[0]  # zero noise, bitwise
     assert rep.estimate == pytest.approx(0.8, abs=1e-14)
     assert rep.noise_scale == 0.0
@@ -500,8 +515,7 @@ def hajek_release_and_statistic(case: str):
         rep = pv.private_mean_local_hajek(
             pv.collision_kernel(), data, fam, HajekParams(eps, 1.0, xi), 7, scratch_budget()
         )
-        vals, proj = kernel_values_and_projections(pv.collision_kernel(), data.points[None], fam)
-        rows = summary_from_values(pv.collision_kernel(), data.points[None], fam, vals, proj)
+        rows = summary_rows(pv.collision_kernel(), data.points[None], fam)
     return rep, row_state(rows, HajekParams(eps, 1.0, xi)).reweighted[0]
 
 
@@ -576,9 +590,9 @@ def test_state_depends_on_the_multiset_only(data):
     perm = rng.permutation(n)
     fam = all_tuples(n, kernel.degree)
     (proj, state), (perm_proj, perm_state) = [
-        (proj[0], row_state(summary_from_values(kernel, pts[None], fam, vals, proj), params))
+        (rows.projections[0], row_state(rows, params))
         for pts in (x, x[perm])
-        for vals, proj in [kernel_values_and_projections(kernel, pts[None], fam)]
+        for rows in [summary_rows(kernel, pts[None], fam)]
     ]
     assert perm_state.spread_level[0] == state.spread_level[0]
     assert perm_state.bad.size == state.bad.size
@@ -1022,7 +1036,7 @@ def test_subgaussian_xi_covers_projections():
     hits = 0
     for _ in range(trials):
         d = Dataset(rng.normal(theta, 1.0, n))
-        proj = kernel_values_and_projections(h, d.points[None], fam)[1][0]
+        proj = means_and_projections(h, d.points[None], fam)[1][0]
         hits += int(np.max(np.abs(proj - theta)) <= xi)
     assert hits / trials >= 1 - alpha
 

@@ -377,6 +377,33 @@ def test_cli_audit_smoothness_bad_parameter_is_a_usage_error(flag, value, capsys
     assert "audit ok" not in captured.out
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan", "-1", "0"])
+def test_cli_fixture_adversarial_bad_eps_is_a_usage_error(eps, capsys):
+    # at eps = inf the fixture had no flips and a zero gap, and passed
+    code = cli_main(["fixture-adversarial", "--n", "60", "--k", "2", "--eps", eps])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: epsilon must be finite and > 0" in captured.err
+    assert "ok" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--method", method, "--simulate", "gaussian,n=100", "--eps", "-1"]
+    for method in ("all", "naive", "subsampled")
+] + [["simulate", "--n-grid", "100", "--trials", "1", "--eps-grid", "-1"]],
+    ids=["all", "naive", "subsampled", "simulate"])
+def test_cli_clip_and_release_bad_eps_fails_before_any_warning(argv, capsys):
+    # epsilon is checked before the halving preconditions, which would
+    # otherwise warn about a bound computed from the negative epsilon
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PreconditionWarning)
+        code = cli_main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines()[-1] == "error: epsilon must be finite and > 0"
+    assert [str(w.message) for w in caught if issubclass(w.category, PreconditionWarning)] == []
+
+
 def test_cli_simulate_csv_round_trip(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code = cli_main([
@@ -630,7 +657,7 @@ def test_smoothness_audit_past_the_value_cap_raises_before_any_kernel_pass(monke
     def no_kernel_pass(*args):
         raise AssertionError("the audit ran a kernel pass past its cap")
 
-    monkeypatch.setattr(audits, "kernel_values_and_projections", no_kernel_pass)
+    monkeypatch.setattr(audits, "means_and_projections", no_kernel_pass)
     # 324 binary multisets of n = 323, C(323, 2) values each
     assert 324 * math.comb(323, 2) > audits.AUDIT_VALUE_CAP
     with pytest.raises(ValueError, match="over the cap"):

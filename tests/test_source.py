@@ -10,9 +10,11 @@ so a release is drawn and debited one way; outside ``dp`` only
 ``noise_gof`` calls a law's bulk sampler, because it audits it.  Only
 ``hajek.release_rows`` and the smoothness audit call the Hájek engine, and
 only ``release_rows`` releases with the quartic law, so no second Hájek
-path grows beside the stacked one.  Only ``dp`` reads a law's ``factor``:
-the release returns the scale it drew at, so no caller holds a copy of the
-calibration.  No module but ``ustat`` uses
+path grows beside the stacked one.  Outside ``ustat`` only ``coinpress``
+asks for a kernel value per subset, which clip-and-release clips in place;
+the Hájek paths read the pass's means and projections.  Only ``dp`` reads
+a law's ``factor``: the release returns the scale it drew at, so no caller
+holds a copy of the calibration.  No module but ``ustat`` uses
 ``ustat``'s private names, or builds a ``Kernel``.  No module but
 ``errors`` calls ``warnings.warn``, so every warning is attributed by
 ``warn_precondition``'s one rule.  No function,
@@ -356,6 +358,47 @@ def test_one_hajek_path():
     found = []
     for path in ALL_MODULES:
         found += second_hajek_paths(str(path.relative_to(SRC)), path.read_text())
+    assert found == []
+
+
+# the functions that return one kernel value per subset, and the modules
+# that may call them: clip-and-release clips its values in place, and every
+# Hájek path reads the means and projections of ``ustat``'s own pass
+PER_SUBSET_VALUES = {"chunk_kernel_values", "kernel_values"}
+PER_SUBSET_VALUE_MODULES = {"ustat.py", "coinpress.py"}
+
+
+def per_subset_value_calls(module: str, source: str) -> list[str]:
+    """Every call of a per-subset value function from outside its modules."""
+    if module in PER_SUBSET_VALUE_MODULES:
+        return []
+    return [f"{module} line {line}: {callee} in {owner}"
+            for line, owner, callee in calls_of(source, PER_SUBSET_VALUES)]
+
+
+def test_checker_finds_per_subset_value_calls():
+    source = (
+        "from .ustat import chunk_kernel_values, kernel_values\n"
+        "def summary(h, chunks, family):\n"
+        "    values = chunk_kernel_values(h, chunks, family)\n"
+        "    return values.mean(axis=1)\n"
+        "def margins(h, data, family):\n"
+        "    return ustat.kernel_values(h, data, family).mean()\n"
+    )
+    for module in ("hajek.py", "harness/audits.py"):
+        assert per_subset_value_calls(module, source) == [
+            f"{module} line 3: chunk_kernel_values in summary",
+            f"{module} line 6: kernel_values in margins",
+        ]
+    assert per_subset_value_calls("coinpress.py", source) == []
+
+
+def test_only_clip_and_release_holds_a_value_per_subset():
+    # a Hájek path that asked for the values would hold a (q, M) array the
+    # estimator never needs: it reads the means and projections only
+    found = []
+    for path in ALL_MODULES:
+        found += per_subset_value_calls(str(path.relative_to(SRC)), path.read_text())
     assert found == []
 
 

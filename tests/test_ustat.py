@@ -36,7 +36,7 @@ from oracles import (
     floyd_subsample_picks,
     fsum_projections,
     gather_chunk_kernel_values,
-    gather_values_and_projections,
+    gather_means_and_projections,
     hoeffding_deltas,
     local_projection,
     variance_leading_term,
@@ -124,14 +124,14 @@ def test_all_tuples_blocked_values_and_projections_match_materialized():
         fam = pv.all_tuples(n, k)
         assert len(list(fam.blocks())) > 1
         values = kernel_values(h, d, fam)
-        proj = ustat.kernel_values_and_projections(h, d.points[None], fam)[1][0]
+        proj = ustat.means_and_projections(h, d.points[None], fam)[1][0]
         assert np.array_equal(fam.subsets, stored.subsets)
     assert np.array_equal(values, kernel_values(h, d, stored))
     # the two families sum in different orders; both must stay near the exact sums
     exact = fsum_projections(values, stored)
     assert np.max(np.abs(values)) <= 4.0
     assert np.max(np.abs(proj - exact)) <= PROJECTION_ATOL
-    assert np.max(np.abs(ustat.kernel_values_and_projections(h, d.points[None], stored)[1][0] - exact)) <= PROJECTION_ATOL
+    assert np.max(np.abs(ustat.means_and_projections(h, d.points[None], stored)[1][0] - exact)) <= PROJECTION_ATOL
 
 
 @given(st.data())
@@ -149,13 +149,13 @@ def test_one_pass_values_and_projections_across_block_budgets(data):
     with mock.patch.object(ustat, "_BLOCK_ROWS", budget):
         fam = pv.all_tuples(n, k)
         for h, d in cases:
-            (values,), (proj,) = ustat.kernel_values_and_projections(h, d.points[None], fam)
-            reference = kernel_values(h, d, fam)
-            assert np.array_equal(values, reference)
-            assert float(values.mean()) == float(reference.mean())
+            (mean,), (proj,) = ustat.means_and_projections(h, d.points[None], fam)
+            values = kernel_values(h, d, fam)
             if h.name.startswith("equal"):  # 0/1 values: every sum is an exact integer
+                assert mean == values.mean()
                 assert np.array_equal(proj, bincount_projections(values, fam))
             else:
+                assert abs(mean - math.fsum(values) / values.size) <= PROJECTION_ATOL
                 assert np.max(np.abs(proj - fsum_projections(values, fam))) <= PROJECTION_ATOL
 
 
@@ -254,21 +254,21 @@ def test_engine_matches_the_index_then_gather_oracle_bitwise(data):
     with mock.patch.object(ustat, "_BLOCK_ROWS", budget):
         complete = pv.all_tuples(n, k)
         for fam in (complete, explicit_family(n, k, complete.subsets)):
-            (values,), (proj,) = ustat.kernel_values_and_projections(h, d.points[None], fam)
-            expected_values, expected_proj = gather_values_and_projections(h, d, fam)
-            assert values.tobytes() == expected_values.tobytes()
+            (mean,), (proj,) = ustat.means_and_projections(h, d.points[None], fam)
+            expected_mean, expected_proj = gather_means_and_projections(h, d, fam)
+            assert mean.tobytes() == expected_mean.tobytes()
             assert proj.tobytes() == expected_proj.tobytes()
-            assert kernel_values(h, d, fam).tobytes() == expected_values.tobytes()
+            assert (kernel_values(h, d, fam).tobytes()
+                    == gather_chunk_kernel_values(h, d.points[None], fam)[0].tobytes())
             assert (ustat.chunk_kernel_values(h, chunks, fam).tobytes()
                     == gather_chunk_kernel_values(h, chunks, fam).tobytes())
             # the stacked pass: each row is its chunk's own pass, byte for byte
-            stacked_values, stacked_proj = ustat.kernel_values_and_projections(h, chunks, fam)
-            assert stacked_values.shape == (q, fam.size) and stacked_proj.shape == (q, n)
+            stacked_means, stacked_proj = ustat.means_and_projections(h, chunks, fam)
+            assert stacked_means.shape == (q,) and stacked_proj.shape == (q, n)
             for row, chunk in enumerate(chunks):
-                row_values, row_proj = gather_values_and_projections(h, Dataset(chunk), fam)
-                assert stacked_values[row].tobytes() == row_values.tobytes()
+                row_mean, row_proj = gather_means_and_projections(h, Dataset(chunk), fam)
+                assert stacked_means[row].tobytes() == row_mean.tobytes()
                 assert stacked_proj[row].tobytes() == row_proj.tobytes()
-                assert stacked_values[row].mean() == row_values.mean()
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -288,7 +288,7 @@ def test_a_kernel_that_writes_into_its_input_cannot_change_the_data(k, stored):
     for evaluate, data in (
         (kernel_values, d),
         (ustat.chunk_kernel_values, d.points[None]),
-        (ustat.kernel_values_and_projections, d.points[None]),
+        (ustat.means_and_projections, d.points[None]),
     ):
         with pytest.raises(ValueError, match="read-only"):
             evaluate(h, data, fam)
@@ -533,7 +533,7 @@ def test_double_counting_identity(seed):
     d = Dataset(rng.normal(size=n))
     h = pv.mean_kernel(k)
     vals = kernel_values(h, d, fam)
-    proj = ustat.kernel_values_and_projections(h, d.points[None], fam)[1][0]
+    proj = ustat.means_and_projections(h, d.points[None], fam)[1][0]
     lhs = float(np.nansum(fam.counts * proj))
     rhs = k * fam.size * float(vals.mean())
     assert lhs == pytest.approx(rhs, rel=1e-12)
