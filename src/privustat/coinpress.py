@@ -97,35 +97,6 @@ class IntervalState:
         return 0.5 * (self.lo + self.hi)
 
 
-def _release(
-    values: np.ndarray,
-    deps: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    eps_step: float,
-    beta: float,
-    tb: TailBounds,
-    rngs: list,
-    budgets: list[PrivacyBudget],
-    label: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One release of each row's mean of the (q, M) ``values``: the (lo, hi)
-    endpoints of the interval around each release, and its noise scale.
-
-    Row i must already be clipped to [lo[i] - Q(beta), hi[i] + Q(beta)].  Its
-    mean is released with Laplace noise of scale Delta_i/eps_step, where
-    Delta_i = deps[i] * (hi[i] - lo[i] + 2 Q(beta)), debited to budgets[i]
-    and drawn from rngs[i]; the returned interval has half-width
-    Qavg(beta) + (Delta_i/eps_step) log(1/beta) around the release and is
-    not intersected with the input one (``_clip_and_release`` does that).
-    """
-    delta = deps * ((hi - lo) + 2.0 * tb.q(beta))
-    means = np.add.reduce(values, axis=1) / values.shape[1]
-    release, scale = releases(LAPLACE, means, delta, eps_step, budgets, rngs, label)
-    half = tb.qavg(beta) + scale * math.log(1.0 / beta)
-    return release - half, release + half, scale
-
-
 def halving_rounds(r: float, q_gamma: float) -> int:
     """Number of interval-halving rounds: max(1, ceil(log2(R / Q(gamma))))."""
     if not 0 < r < math.inf:  # also rejects NaN
@@ -160,15 +131,22 @@ def _clip_and_release(
     budgets: list[PrivacyBudget],
     label: str,
 ) -> list[EstimateReport]:
-    """The halving and release steps of ``ustat_means`` on every row of the
-    (q, M) finite ``values`` at once; row i has dependence fraction deps[i],
-    draws from rngs[i] and debits budgets[i].
+    """The t halving steps and the release step of ``ustat_means`` on every
+    row of the (q, M) ``values`` at once; row i has dependence fraction
+    deps[i], draws from rngs[i] and debits budgets[i].
 
-    Interval endpoints are (q,) arrays, the values are clipped in place to
-    per-row bounds, and each step releases the q row means together.  Row
-    i's report equals that of a run on row i alone: the same arithmetic and
-    the same draws from its generator.  Each distinct precondition warning
-    is issued once, after epsilon is checked.
+    One loop runs all t + 1 steps: the halving steps at (eps/(2t), gamma/t),
+    then the release step at (eps/2, gamma).  Each clips row i in place to
+    [lo[i] - Q(beta), hi[i] + Q(beta)] and releases its mean in one
+    ``releases`` call, with Laplace noise of scale Delta_i/eps_step, where
+    Delta_i = deps[i] * (hi[i] - lo[i] + 2 Q(beta)).  The new interval has
+    half-width Qavg(beta) + (Delta_i/eps_step) log(1/beta) around the
+    release.  A halving step clamps its ends into the last interval: that
+    intersects the two, or, if they are disjoint, collapses it onto the
+    endpoint nearest the release.  The release step's interval stands
+    alone.  Row i's report equals that of a run on row i alone: the same
+    arithmetic and the same draws from its generator.  Each distinct
+    precondition warning is issued once, after epsilon is checked.
     """
     check_epsilon(eps)
     t = halving_rounds(r, tb.q(gamma))
@@ -181,32 +159,28 @@ def _clip_and_release(
         warn_precondition(message)
     lo, hi = np.full(len(values), -r), np.full(len(values), r)
     los, his = [lo.tolist()], [hi.tolist()]  # the trace, one list of rows per step
-    beta = gamma / t
-    q = tb.q(beta)
     # each step clips the previous step's output, so the values are clipped
     # in place rather than copied into a new (q, M) array per step
-    for _ in range(t):
+    for step in range(t + 1):
+        halving = step < t
+        eps_step, beta = (eps / (2.0 * t), gamma / t) if halving else (eps / 2.0, gamma)
+        q = tb.q(beta)
         np.clip(values, (lo - q)[:, None], (hi + q)[:, None], out=values)
-        raw_lo, raw_hi, _ = _release(
-            values, deps, lo, hi, eps / (2.0 * t), beta, tb, rngs, budgets,
-            f"{label}: halving step",
+        means = np.add.reduce(values, axis=1) / values.shape[1]
+        release, scale = releases(
+            LAPLACE, means, deps * ((hi - lo) + 2.0 * q), eps_step, budgets, rngs,
+            f"{label}: {'halving' if halving else 'release'} step",
         )
-        new_lo, new_hi = np.maximum(lo, raw_lo), np.minimum(hi, raw_hi)
-        disjoint = new_lo > new_hi
-        if any(disjoint.tolist()):  # keep the previous endpoint nearest the release
-            nearest = np.minimum(np.maximum(0.5 * (raw_lo + raw_hi), lo), hi)
-            new_lo = np.where(disjoint, nearest, new_lo)
-            new_hi = np.where(disjoint, nearest, new_hi)
+        half = tb.qavg(beta) + scale * math.log(1.0 / beta)
+        new_lo, new_hi = release - half, release + half
+        if halving:
+            # clamping both ends into the last interval intersects the two,
+            # and collapses a disjoint one onto the endpoint nearest the release
+            new_lo = np.minimum(np.maximum(new_lo, lo), hi)
+            new_hi = np.minimum(np.maximum(new_hi, lo), hi)
         lo, hi = new_lo, new_hi
         los.append(lo.tolist())
         his.append(hi.tolist())
-    q = tb.q(gamma)
-    np.clip(values, (lo - q)[:, None], (hi + q)[:, None], out=values)
-    lo, hi, scale = _release(
-        values, deps, lo, hi, eps / 2.0, gamma, tb, rngs, budgets, f"{label}: release step"
-    )
-    los.append(lo.tolist())
-    his.append(hi.tolist())
     estimate = np.minimum(np.maximum(0.5 * (lo + hi), -r), r)
     return [
         EstimateReport(
@@ -226,10 +200,10 @@ def _clip_and_release(
     ]
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
-        raise ValueError("kernel values must be finite")
-    return values
+def check_data(points: np.ndarray) -> None:
+    """Refuse non-finite data points, before any spend."""
+    if not np.isfinite(points).all():
+        raise ValueError("data points must be finite")
 
 
 def ustat_means(
@@ -255,11 +229,14 @@ def ustat_means(
     alone, and its midpoint, clamped to [-R, R], is the returned estimate (free
     post-processing that never moves it away from a theta in that range).
     Violated sample-size preconditions produce a warning, not an abort;
-    non-finite kernel values, R or Q(gamma) raise ``ValueError`` before any
-    spend.
+    non-finite data points, R or Q(gamma) raise ``ValueError`` before any
+    spend.  A kernel value that overflows from finite data is clipped by the
+    first step like any outlier.
     """
+    check_data(chunks)
     rngs = [as_generator(seed) for seed in seeds]
-    values = _finite(chunk_kernel_values(h, chunks, family))
+    with np.errstate(over="ignore"):  # the first step clips an overflowing value
+        values = chunk_kernel_values(h, chunks, family)
     deps = np.full(len(chunks), family.dependence_fraction())
     return _clip_and_release(values, deps, r, eps, gamma, tb, rngs, budgets, label)
 
@@ -355,6 +332,7 @@ def subsampled_estimates(
     dependence fraction is per chunk.  The q families are evaluated as one
     family over the concatenated chunks.
     """
+    check_data(chunks)
     (q, n), k = chunks.shape, h.degree
     rngs = [as_generator(seed) for seed in seeds]
     families = [subsample_family(n, k, size, rng) for rng in rngs]
@@ -362,7 +340,8 @@ def subsampled_estimates(
         warn_precondition("subsample size below (n/k) log n; dependence fraction may be large")
     rows = np.concatenate([f.subsets + i * n for i, f in enumerate(families)])
     joint = SubsetFamily(q * n, k, rows, kind="explicit")
-    values = _finite(kernel_values(h, Dataset(chunks.reshape(-1)), joint).reshape(q, size))
+    with np.errstate(over="ignore"):  # the first step clips an overflowing value
+        values = kernel_values(h, Dataset(chunks.reshape(-1)), joint).reshape(q, size)
     deps = np.array([f.dependence_fraction() for f in families])
     tb = subsampled_tail_bounds(tau, k, n, size)
     return _clip_and_release(

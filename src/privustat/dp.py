@@ -407,9 +407,6 @@ def releases(
         budget.spend(label, eps)
     live = [i for i, scale in enumerate(scales) if scale]
     if live:
-        noise = law.each(np.array([scales[i] for i in live]), [as_generator(seeds[i]) for i in live])
-        if len(live) == out.size:
-            out += noise
-        else:
-            out[live] += noise
+        rngs = [as_generator(seeds[i]) for i in live]
+        out[live] += law.each(np.array([scales[i] for i in live]), rngs)
     return out, np.array(scales)

@@ -14,10 +14,10 @@ The state is computed for a stack of q summaries of one shape at once
 (``SummaryRows``, ``hajek_rows``), as the chunks of a boosted estimate are:
 the generic estimator (``private_means_local_hajek``) draws every chunk's
 mean and projections from one stacked pass over the family (``summary_rows``,
-which keeps no kernel value past its block), the count-based collision and
-triangle summaries stack the same way, and the smoothness audit stacks one
-row per multiset.  There is no one-row path: a single dataset is the
-one-row stack.
+which on a complete family keeps no kernel value past its block), the
+count-based collision and triangle summaries stack the same way, and the
+smoothness audit stacks one row per multiset.  There is no one-row path: a
+single dataset is the one-row stack.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .ustat import (
     clipped_kernel,
     means_and_projections,
 )
-from .coinpress import naive_estimator, subgaussian_xi
+from .coinpress import check_data, naive_estimator, subgaussian_xi
 
 # dead band of the deviations, relative to the largest magnitude in play
 _DEAD_BAND = 32.0 * np.finfo(float).eps
@@ -99,8 +99,6 @@ def _spread_levels(
     first = [max(_ramp_edge(x, c_range, k, n, 1), f) for x, f in zip(xi, floor)]
     over = np.flatnonzero(devs > np.array(first)[:, None])
     levels = [1] * len(xi)
-    if over.size < 2:
-        return levels, over
     values = devs.reshape(-1)[over]
     starts = np.searchsorted(over, n * np.arange(len(xi) + 1)).tolist()
     for i, (lo, hi) in enumerate(zip(starts, starts[1:])):
@@ -176,21 +174,19 @@ def smooth_sensitivity(
     equal-length arrays of (xi, L) keys (a lone key is a one-key array).
 
     A one-point substitution moves L by at most 1, so this is an eps-smooth
-    upper bound on the local sensitivity of the reweighted mean.  Every
-    key's shifts are one row of a padded array, masked past the key's own
-    last shift; each entry is the one a lone key computes, and a maximum
-    does not round, so every key's bound is the one it has alone.
+    upper bound on the local sensitivity of the reweighted mean.  Every key
+    scans the same shifts, 0..min(n, ceil(6/eps) + 1), whatever its L: each
+    entry is the one a lone key computes, and a maximum does not round, so
+    every key's bound is the one it has alone.
     """
     xis = np.asarray(xi, dtype=float).reshape(-1, 1)
     levels = np.asarray(spread_level).reshape(-1, 1)
     # every term of g grows at most like L^3, so once L + l >= 6/eps each
-    # further shift multiplies exp(-eps l) g by at most e^(-eps/2) < 1
-    last = [min(n, max(0, math.ceil(6.0 / eps - L)) + 1) for L in levels[:, 0].tolist()]
-    shifts = np.arange(0, max(last, default=0) + 1)
+    # further shift multiplies exp(-eps l) g by at most e^(-eps/2) < 1: for
+    # every L >= 0 the maximum lies at or before shift ceil(6/eps) + 1
+    shifts = np.arange(0, min(n, math.ceil(6.0 / eps) + 1) + 1)
     g = smooth_bound_g(xis, levels + shifts, n, k, c_range, eps, all_tuples_family)
-    terms = np.exp(-eps * shifts) * g
-    terms[shifts > np.array(last)[:, None]] = -np.inf
-    return terms.max(axis=1, initial=-np.inf)
+    return (np.exp(-eps * shifts) * g).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +297,9 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
 
     Each row's dead band, spread level, edge and bad indices are its own, and
     so is its radius when ``params.xi`` holds one per row.  Only rows with
-    bad indices are reweighted, and the smooth bound is evaluated by one
-    ``smooth_sensitivity`` call over the distinct (spread level, radius)
-    keys.  The per-row scalars are Python floats, computed as for a single
-    summary.
+    bad indices are reweighted, and one ``smooth_sensitivity`` call takes
+    every row's (radius, spread level) and scans the same shifts for each.
+    The per-row scalars are Python floats, computed as for a single summary.
     """
     n, k, c_range, eps = rows.n, rows.k, params.c_range, params.eps
     proj, a_n = rows.projections, rows.a_n
@@ -344,12 +339,9 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
             reweighted[i] = rows.reweight(i, weights[i])
     else:
         weights = np.ndarray(devs.shape, buffer=_ONE, strides=(0, 0))
-    keys = list(dict.fromkeys(zip(level, xis)))
-    bounds = smooth_sensitivity(
-        np.array([x for _, x in keys]), np.array([L for L, _ in keys], dtype=int),
-        n, k, c_range, eps, rows.all_tuples_family,
+    bound = smooth_sensitivity(
+        np.array(xis), np.array(level), n, k, c_range, eps, rows.all_tuples_family
     )
-    bound = dict(zip(keys, bounds.tolist()))
     return HajekRows(
         a_n=a_n,
         projections=proj,
@@ -357,7 +349,7 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
         bad=bad,
         weights=weights,
         reweighted=reweighted,
-        smooth_bound=np.array([bound[key] for key in zip(level, xis)]),
+        smooth_bound=bound,
     )
 
 
@@ -481,8 +473,7 @@ def subgaussian_pipeline(
     n_coarse = n // 2
     if n_coarse < k or (n - n_coarse) < k:
         raise ValueError("not enough data to split into two usable halves")
-    if not np.isfinite(data.points).all():
-        raise ValueError("data points must be finite")
+    check_data(data.points)
     coarse_half, fine_half = Dataset(data.points[:n_coarse]), Dataset(data.points[n_coarse:])
     coarse = naive_estimator(h, coarse_half, r, tau, eps / 2.0, rng, budget)
     half_width = PIPELINE_CLIP_FACTOR * math.sqrt(k * tau * math.log(n / alpha))

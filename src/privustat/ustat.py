@@ -491,7 +491,9 @@ def means_and_projections(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The mean kernel value and the local projections of each row of a
     (q, n) array of chunks, in one pass over the family: (q,) means and
-    (q, n) projections.  No kernel value outlives its block.
+    (q, n) projections.  On a complete family no kernel value outlives its
+    block; a stored family's (q, M) values are evaluated at once and held
+    until they are scattered.
 
     Entry (r, i) of the projections is (1/M_i) sum_{S : i in S} h(X_S) on
     chunk r; indices with M_i = 0 get NaN.  On a complete family the run

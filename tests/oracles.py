@@ -30,7 +30,7 @@ from privustat import applications
 from privustat.applications import GeometricGraph, boosted_uniformity_test, triangle_rows
 from privustat.boosting import BoostPlan
 from privustat.report import EstimateReport
-from privustat.coinpress import IntervalState, TailBounds, _release, halving_rounds
+from privustat.coinpress import IntervalState, TailBounds, halving_rounds
 from privustat.dp import (
     _CDF_SERIES_FROM,
     _RATIO_BLOCK,
@@ -317,17 +317,20 @@ def ustat_one_step(
     """One clip-release-recenter refinement that copies its input.
 
     Clips each value to [lo - Q(beta), hi + Q(beta)] into a new array
-    (``values`` is left as it is) and releases its mean through the library's
-    row release ``_release``, as a single row, on a scratch ledger; returns
-    the clipped values and the unintersected interval.
+    (``values`` is left as it is), releases its mean through ``releases``
+    with Laplace noise of scale dep * (hi - lo + 2 Q(beta)) / eps_step on a
+    scratch ledger, and returns the clipped values and the unintersected
+    interval: half-width Qavg(beta) + scale log(1/beta) around the release.
     """
     q = tb.q(beta)
     clipped = np.clip(values, interval.lo - q, interval.hi + q)
-    lo, hi, _ = _release(
-        clipped[None], np.array([family.dependence_fraction()]), np.array([interval.lo]),
-        np.array([interval.hi]), eps_step, beta, tb, [seed], [scratch_budget()], "one step",
+    sensitivity = family.dependence_fraction() * (interval.width + 2.0 * q)
+    (release,), (scale,) = releases(
+        LAPLACE, [np.add.reduce(clipped) / clipped.size], [sensitivity], eps_step,
+        [scratch_budget()], [seed], "one step",
     )
-    return clipped, IntervalState(float(lo[0]), float(hi[0]))
+    half = tb.qavg(beta) + scale * math.log(1.0 / beta)
+    return clipped, IntervalState(float(release - half), float(release + half))
 
 
 def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:

@@ -233,11 +233,16 @@ def test_one_step_leaves_its_input_unchanged():
     assert clipped is not values and clipped.min() == -1.5 and clipped.max() == 1.5
 
 
-@pytest.mark.parametrize("case", ["mean3", "tight", "collision", "chunks", "subsampled"])
+@pytest.mark.parametrize("case", ["mean3", "tight", "collision", "chunks", "subsampled", "disjoint"])
 def test_ustat_mean_in_place_clip_equals_copy_clipping_reference(case):
     rng = np.random.default_rng(31)
     eps = 1.0
-    if case == "tight":  # intervals shrink at the first step, so every later step clips
+    if case == "disjoint":  # the mean is outside [-r, r], so a halving step misses
+        h, d, r, tau = pv.mean_kernel(2, 0.01), Dataset(rng.normal(5.0, 1.0, 200)), 1.0, 0.01
+        eps = 10.0
+        fam = disjoint_chunks(200, 2)
+        tb = chunk_tail_bounds(tau, fam.size)
+    elif case == "tight":  # intervals shrink at the first step, so every later step clips
         h, d, r, eps = pv.mean_kernel(2), Dataset(rng.normal(0.5, 1.0, 200)), 4.0, 20.0
         fam, tb = pv.all_tuples(200, 2), flat_bounds(0.3, 0.02)
     elif case == "collision":
@@ -259,6 +264,8 @@ def test_ustat_mean_in_place_clip_equals_copy_clipping_reference(case):
         assert rep.diagnostics["trace"] == reference
         assert rep.estimate == min(max(reference[-1].midpoint, -r), r)
         assert rep.radius == 0.5 * reference[-1].width
+        if case == "disjoint":
+            assert any(iv.lo == iv.hi for iv in reference[1:-1])
 
 
 def test_ustat_mean_budget_schedule():
@@ -564,3 +571,38 @@ def test_stacked_row_means_equal_each_rows_mean(m):
         values = rng.normal(0.3, 2.0, (q, m)) ** 3
         got = np.add.reduce(values, axis=1) / m
         assert got.tolist() == [float(row.mean()) for row in values], q
+
+
+def overflow_neighbours(n: int) -> tuple[Dataset, Dataset]:
+    """n N(0, 1) draws with one record at 1.7e308, and the neighbour with a
+    second such record, whose pair mean overflows to inf."""
+    x = np.random.default_rng(0).normal(0.0, 1.0, n)
+    x[0] = 1.7e308
+    y = x.copy()
+    y[1] = 1.7e308
+    return Dataset(x), Dataset(y)
+
+
+OVERFLOW_RUNS = {
+    "naive": (200, lambda d, b: pv.naive_estimator(pv.mean_kernel(2), d, 1.0, 0.25, 1.0, 1, b)),
+    "all": (200, lambda d, b: pv.all_tuples_estimator(pv.mean_kernel(2), d, 1.0, 0.25, 1.0, 1, b)),
+    # 2000 draws from the 190 pairs of 20 points hold the overflowing one
+    "subsampled": (20, lambda d, b: pv.subsampled_estimator(
+        pv.mean_kernel(2), d, 1.0, 0.25, 1.0, 2000, 1, b)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_RUNS))
+def test_overflowing_kernel_values_are_clipped_on_both_neighbours(name):
+    # finite data are the only input checked: a kernel value that overflows
+    # is clipped by the first step like any outlier, so a dataset and its
+    # neighbour both release, and neither exits where the other does not
+    n, run = OVERFLOW_RUNS[name]
+    for data in overflow_neighbours(n):
+        budget = pv.PrivacyBudget(1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            report = run(data, budget)
+        assert [str(w.message) for w in caught] == []
+        assert math.isfinite(report.estimate) and math.isfinite(report.radius)
+        assert budget.spent == pytest.approx(1.0, rel=0, abs=1e-12)

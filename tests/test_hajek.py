@@ -756,6 +756,29 @@ def test_state_sorts_only_the_over_threshold_tail(skewed, monkeypatch):
         assert sizes == []
 
 
+def test_smooth_bound_scans_the_same_shifts_whatever_the_spread_level(monkeypatch):
+    # a scan that stopped at a cutoff set by L would do work, and take time,
+    # that follows the data: two and three 1s among 40 binary labels give
+    # L = 2 and L = 3, and both must evaluate g on the same shifts
+    g, shapes = hajek.smooth_bound_g, []
+
+    def recording_g(*args, **kwargs):
+        out = g(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(hajek, "smooth_bound_g", recording_g)
+    levels = []
+    for ones in (2, 3):
+        x = np.zeros(40, dtype=np.int64)
+        x[:ones] = 1
+        state = hajek.hajek_rows(apps.collision_rows(x[None], 2), HajekParams(1.0, 1.0, 0.0))
+        levels += state.spread_level.tolist()
+    monkeypatch.undo()
+    assert levels == [2, 3]
+    assert len(shapes) == 2 and shapes[0] == shapes[1]
+
+
 def test_state_rejects_non_finite_projections():
     summary = SummaryRows(
         n=3, k=1, a_n=np.array([0.0]), projections=np.array([[0.0, math.nan, 0.0]]),

@@ -295,6 +295,22 @@ def test_cli_estimate_on_a_nan_line_is_a_usage_error(tmp_path, capsys):
     assert "privacy ledger" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("method", ["all", "naive"])
+def test_cli_clip_and_release_releases_both_overflow_neighbours(method, tmp_path, capsys):
+    # one record at 1.7e308 leaves every pair mean finite; two make one
+    # overflow, which the first halving step clips
+    x = np.random.default_rng(0).normal(0.0, 1.0, 200)
+    for records in (1, 2):
+        x[:records] = 1.7e308
+        path = tmp_path / f"reals{records}.txt"
+        path.write_text("\n".join(map(repr, x.tolist())) + "\n")
+        code = cli_main(["estimate", "--kernel", "pair_mean", "--seed", "1", "--method", method,
+                         "--data", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert any(line.startswith("estimate ") for line in captured.out.splitlines())
+
+
 @pytest.mark.parametrize("text", ["1\n2\nx\n", "1\n\n-2\n"], ids=["not-a-number", "negative"])
 def test_cli_uniformity_bad_label_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "labels.txt"

@@ -456,6 +456,36 @@ def test_only_release_rows_releases_with_the_quartic_law():
     assert found == []
 
 
+# clip-and-release runs its halving steps and its release step as one loop,
+# so ``coinpress`` releases from one place only
+CLIP_AND_RELEASE = "_clip_and_release"
+
+
+def release_call_sites(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing top-level definition) of every call of ``releases``."""
+    return [(line, owner) for line, owner, _ in calls_of(source, {"releases"})]
+
+
+def test_checker_finds_release_call_sites():
+    source = (
+        "from .dp import LAPLACE, releases\n"
+        "def _release(values, eps, budgets, rngs):\n"
+        "    return releases(LAPLACE, values.mean(axis=1), [1.0], eps, budgets, rngs, 'step')\n"
+        "def _clip_and_release(values, t, eps, budgets, rngs):\n"
+        "    for _ in range(t):\n"
+        "        _release(values, eps / (2 * t), budgets, rngs)\n"
+        "    return dp.releases(LAPLACE, values.mean(axis=1), [1.0], eps / 2, budgets, rngs, 'r')\n"
+    )
+    assert release_call_sites(source) == [(3, "_release"), (7, "_clip_and_release")]
+
+
+def test_clip_and_release_releases_from_one_call():
+    # a helper per step, or an unrolled last step, is a second path through
+    # the release that the loop's steps would have to be kept equal to
+    sites = release_call_sites((SRC / "coinpress.py").read_text())
+    assert [owner for _, owner in sites] == [CLIP_AND_RELEASE]
+
+
 def release_factor_reads(source: str) -> list[str]:
     """Every read of a noise law's ``factor``, by attribute, in line order."""
     found = [node.lineno for node in ast.walk(ast.parse(source))
