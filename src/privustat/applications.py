@@ -5,7 +5,9 @@ the uniform law; triangle indicator in a geometric graph), which is exactly
 the regime where the reweighting estimator beats Laplace-on-range noise.
 Both kernels are structured, so the release engine is fed count-based
 summaries that avoid enumerating the complete subset family; equivalence
-with the generic enumeration path is covered by tests.
+with the generic enumeration path is covered by tests.  Both summaries
+stack the q chunks of a boosted estimate as rows, and every release of a
+stack draws from one generator.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def collision_rows(chunks: np.ndarray, m: int) -> SummaryRows:
     The overall mean, the per-index projections, and the reweighted mean all
     depend on a row only through its category counts, so everything is
     O(n + m log m) per row instead of O(n^2).  One ``bincount`` of
-    x + m * row counts every row at once.  Every row is checked before any
-    is summarised.
+    x + m * row, as int64 codes, counts every row at once.  Every row is
+    checked before any is summarised.
     """
     x = np.asarray(chunks)
     if x.dtype.kind not in "iu":
@@ -117,8 +119,9 @@ def collision_rows(chunks: np.ndarray, m: int) -> SummaryRows:
         raise InsufficientData("need at least two samples for pair statistics")
     if x.min() < 0 or x.max() >= m:
         raise ValueError(f"category labels must lie in [0, {m})")
-    # row i's labels shifted to [i m, (i + 1) m); row 0 needs no shift
-    codes = x + m * np.arange(q)[:, None] if q > 1 else x
+    # row i's labels shifted to [i m, (i + 1) m), as integers whatever the
+    # label dtype (uint64 plus int64 would give float64)
+    codes = x.astype(np.int64, copy=False) + m * np.arange(q)[:, None]
     counts = np.bincount(codes.ravel(), minlength=q * m).reshape(q, m)
     pairs_total = n * (n - 1) // 2
     same_pairs = counts * (counts - 1) // 2
@@ -172,7 +175,7 @@ def private_collision_density(
     """The collision density of one dataset: the one-row call of
     ``private_collision_densities``."""
     (report,) = private_collision_densities(
-        np.asarray(data.points).reshape(1, -1), m, eps, xi, [seed], [budget]
+        np.asarray(data.points).reshape(1, -1), m, eps, xi, seed, [budget]
     )
     return report
 
@@ -182,15 +185,15 @@ def private_collision_densities(
     m: int,
     eps: float,
     xi: float,
-    seeds: list,
+    seed,
     budgets: list[PrivacyBudget],
 ) -> list[EstimateReport]:
     """Reweighting estimator for the collision probability (C = 1 kernel) on
-    each row of a (q, n) array of labels, row i drawing from seeds[i] and
-    debiting budgets[i]."""
+    each row of a (q, n) array of labels, row i debiting budgets[i]; the
+    release draws from ``seed``."""
     params = HajekParams(eps=eps, c_range=1.0, xi=xi)
     return release_rows(
-        collision_rows(chunks, m), params, seeds, budgets, label="collision density"
+        collision_rows(chunks, m), params, seed, budgets, label="collision density"
     )
 
 
@@ -227,8 +230,8 @@ def boosted_uniformity_test(
     if data.n < 2:
         raise InsufficientData("uniformity testing needs at least two samples")
     report = boosted(
-        lambda chunks, rngs, branches: private_collision_densities(
-            chunks, m, eps, collision_xi(m, chunks.shape[1]), rngs, branches
+        lambda chunks, rng, branches: private_collision_densities(
+            chunks, m, eps, collision_xi(m, chunks.shape[1]), rng, branches
         ),
         data, 2, alpha, seed, budget,
     )
@@ -469,42 +472,43 @@ def private_triangle_density(
     triangle kernel over all triples.  Sequential composition: 2 * eps total
     (eps when the proxy returns bottom).
     """
-    (report,) = private_triangle_densities(graph, eps, [seed], [budget])
+    (report,) = private_triangle_densities(graph, eps, seed, [budget])
     return report
 
 
 def private_triangle_densities(
     chunks: GeometricGraph,
     eps: float,
-    seeds: list,
+    seed,
     budgets: list[PrivacyBudget],
 ) -> list[EstimateReport]:
-    """``private_triangle_density`` on each of q = len(seeds) chunks, given
-    as one block-diagonal graph (``GeometricGraph.block_diagonal``): chunk i
-    draws its proxy and then its release noise from seeds[i] and debits
-    budgets[i].
+    """``private_triangle_density`` on each of q = len(budgets) chunks,
+    given as one block-diagonal graph (``GeometricGraph.block_diagonal``):
+    chunk i debits budgets[i].
 
     One pass over the edges of the block-diagonal graph counts every
     chunk's triangles from its neighbour bitsets (``triangle_rows``), and
     all proxies go through one release.  The chunks whose proxy is >= 0 are
     then released through one ``release_rows``, each with the radius its own
-    proxy sizes; the others are bottoms that spent eps.
+    proxy sizes; the others are bottoms that spent eps.  Both releases draw
+    from the one generator of ``seed``: the q proxies first, then the live
+    chunks' releases.
     """
-    q = len(seeds)
+    q = len(budgets)
     chunk_rows = triangle_rows(chunks, q)
     size = chunk_rows.n
-    rngs = [as_generator(seed) for seed in seeds]
+    rng = as_generator(seed)
     # every edge of chunk i is an entry of its rows, inside its diagonal block
     u_edges = (np.diff(chunks.indptr[::size]) / (size * (size - 1))).tolist()
     nu = releases(
-        LAPLACE, u_edges, [EDGE_DENSITY_SENSITIVITY_FACTOR / size] * q, eps, budgets, rngs,
+        LAPLACE, u_edges, [EDGE_DENSITY_SENSITIVITY_FACTOR / size] * q, eps, budgets, rng,
         "edge density proxy",
     )[0].tolist()
     live = [i for i in range(q) if nu[i] >= 0]
     xi = [triangle_xi(nu[i], size) for i in live]
     released = release_rows(
         chunk_rows.take(live), HajekParams(eps=eps, c_range=1.0, xi=np.array(xi)),
-        [rngs[i] for i in live], [budgets[i] for i in live], label="triangle density",
+        rng, [budgets[i] for i in live], label="triangle density",
     )
     reports = [
         None if v >= 0 else EstimateReport(
@@ -533,7 +537,7 @@ def boosted_triangle_density(
     With ``alpha`` None this is one ``private_triangle_density`` run.
     """
     return boosted(
-        lambda chunks, rngs, branches: private_triangle_densities(chunks, eps, rngs, branches),
+        lambda chunks, rng, branches: private_triangle_densities(chunks, eps, rng, branches),
         graph, 3, alpha, seed, budget,
     )
 

@@ -7,12 +7,14 @@ same privacy budget as a single run (parallel composition).  ``boosted`` is
 the one place that chooses between a plain run and a boosted one.
 
 Every estimator here takes all of its chunks in one call,
-``estimator(chunks, seeds, budgets) -> list[EstimateReport]``: chunk i
-draws from seeds[i] and debits budgets[i].  The chunks of a ``Dataset`` are
-the rows of a (q, size) array; the chunks of a graph are the diagonal
-blocks of one block-diagonal graph over its first q * size nodes.  Every
-estimator runs its chunks as one stacked pass, and a plain run is the
-q = 1 call.
+``estimator(chunks, rng, budgets) -> list[EstimateReport]``: chunk i debits
+budgets[i], and every chunk's randomness comes from the one generator
+``rng``.  Each release of the stack gives its rows i.i.d. draws of its noise
+law, independent of the data (``dp.releases``), so each chunk gets the noise
+of a run on that chunk alone.  The chunks of a ``Dataset`` are the rows of
+a (q, size) array; the chunks of a graph are the diagonal blocks of one
+block-diagonal graph over its first q * size nodes.  Every estimator runs
+its chunks as one stacked pass, and a plain run is the q = 1 call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .report import EstimateReport
 from .rng import as_generator
 from .ustat import Dataset
 
-ChunkEstimator = Callable[[Any, list, list[PrivacyBudget]], list[EstimateReport]]
+ChunkEstimator = Callable[[Any, Any, list[PrivacyBudget]], list[EstimateReport]]
 
 
 @dataclass(frozen=True)
@@ -74,10 +76,10 @@ def median_of_means(
 
     ``data`` is a ``Dataset`` (chunks are rows of its points) or a graph
     (chunks are the diagonal blocks of one block-diagonal graph); indices
-    past chunks * chunk_size are dropped.  Each chunk gets an independently
-    derived seed stream and its own branch ledger, and the whole block is
-    one parallel-composition entry ``median_of_means(q=...)`` whose debit
-    is the largest branch total.
+    past chunks * chunk_size are dropped.  The estimator gets the generator
+    of ``seed`` and one branch ledger per chunk, and the whole block is one
+    parallel-composition entry ``median_of_means(q=...)`` whose debit is
+    the largest branch total.
     Chunk runs that return bottom are excluded from the median; if a
     majority are bottom the wrapped result is bottom too (a majority of
     failures leaves the median meaningless).
@@ -85,9 +87,9 @@ def median_of_means(
     q, size = plan.chunks, plan.chunk_size
     if data.n < q * size:
         raise InsufficientData("dataset shorter than the chunk plan")
-    rngs = as_generator(seed).spawn(q)
+    rng = as_generator(seed)
     with budget.parallel(f"median_of_means(q={q})") as branches:
-        reports = estimator(_chunks(data, q, size), rngs, [branches.branch() for _ in range(q)])
+        reports = estimator(_chunks(data, q, size), rng, [branches.branch() for _ in range(q)])
     good = [r for r in reports if not r.is_bottom]
     if len(good) <= q // 2:
         return EstimateReport(
@@ -126,7 +128,7 @@ def boosted(
     that alpha.
     """
     if alpha is None:
-        (report,) = estimator(_chunks(data, 1, data.n), [seed], [budget])
+        (report,) = estimator(_chunks(data, 1, data.n), seed, [budget])
         return report
     return median_of_means(
         estimator, data, BoostPlan.for_dataset(data.n, k, float(alpha)), seed, budget

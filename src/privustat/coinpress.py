@@ -11,9 +11,10 @@ family's bounds are those of n chunk values with variance proxy k tau.
 
 The engine runs many datasets of one size at once, as the rows of a (q, M)
 array of kernel values: the q chunks of a boosted estimate make one pass,
-with (q,) interval endpoints and one stacked release per step.  The
-``*_estimates`` functions take the chunks as a (q, n) array; the estimators
-of one dataset are their q = 1 case.
+with (q,) interval endpoints and one stacked release per step, every step
+drawing from one generator.  The ``*_estimates`` functions take the chunks
+as a (q, n) array and one seed; the estimators of one dataset are their
+q = 1 case.
 """
 
 from __future__ import annotations
@@ -127,13 +128,13 @@ def _clip_and_release(
     eps: float,
     gamma: float,
     tb: TailBounds,
-    rngs: list,
+    rng: np.random.Generator,
     budgets: list[PrivacyBudget],
     label: str,
 ) -> list[EstimateReport]:
     """The t halving steps and the release step of ``ustat_means`` on every
     row of the (q, M) ``values`` at once; row i has dependence fraction
-    deps[i], draws from rngs[i] and debits budgets[i].
+    deps[i] and debits budgets[i], and every step's noise comes from ``rng``.
 
     One loop runs all t + 1 steps: the halving steps at (eps/(2t), gamma/t),
     then the release step at (eps/2, gamma).  Each clips row i in place to
@@ -144,8 +145,8 @@ def _clip_and_release(
     release.  A halving step clamps its ends into the last interval: that
     intersects the two, or, if they are disjoint, collapses it onto the
     endpoint nearest the release.  The release step's interval stands
-    alone.  Row i's report equals that of a run on row i alone: the same
-    arithmetic and the same draws from its generator.  Each distinct
+    alone.  Row i's report equals that of a run on row i alone given the
+    same noise: the same arithmetic, step by step.  Each distinct
     precondition warning is issued once, after epsilon is checked.
     """
     check_epsilon(eps)
@@ -168,7 +169,7 @@ def _clip_and_release(
         np.clip(values, (lo - q)[:, None], (hi + q)[:, None], out=values)
         means = np.add.reduce(values, axis=1) / values.shape[1]
         release, scale = releases(
-            LAPLACE, means, deps * ((hi - lo) + 2.0 * q), eps_step, budgets, rngs,
+            LAPLACE, means, deps * ((hi - lo) + 2.0 * q), eps_step, budgets, rng,
             f"{label}: {'halving' if halving else 'release'} step",
         )
         half = tb.qavg(beta) + scale * math.log(1.0 / beta)
@@ -214,13 +215,13 @@ def ustat_means(
     eps: float,
     gamma: float,
     tb: TailBounds,
-    seeds: list,
+    seed,
     budgets: list[PrivacyBudget],
     label: str,
 ) -> list[EstimateReport]:
     """Private mean of the kernel values over the family on each row of the
-    (q, n) ``chunks``, assuming |theta| <= R; row i draws from seeds[i] and
-    debits budgets[i].
+    (q, n) ``chunks``, assuming |theta| <= R; row i debits budgets[i], and
+    every release draws from the one generator of ``seed``.
 
     Runs t = max(1, ceil(log2(R/Q(gamma)))) halving steps at eps/(2t) each,
     then one release step at eps/2; total budget is exactly eps.  Interval
@@ -234,11 +235,10 @@ def ustat_means(
     first step like any outlier.
     """
     check_data(chunks)
-    rngs = [as_generator(seed) for seed in seeds]
     with np.errstate(over="ignore"):  # the first step clips an overflowing value
         values = chunk_kernel_values(h, chunks, family)
     deps = np.full(len(chunks), family.dependence_fraction())
-    return _clip_and_release(values, deps, r, eps, gamma, tb, rngs, budgets, label)
+    return _clip_and_release(values, deps, r, eps, gamma, tb, as_generator(seed), budgets, label)
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +251,18 @@ def naive_estimates(
     r: float,
     tau: float,
     eps: float,
-    seeds: list,
+    seed,
     budgets: list[PrivacyBudget],
 ) -> list[EstimateReport]:
     """``naive_estimator`` on each row of a (q, n) array of chunks, chunk i
-    drawing from seeds[i] and debiting budgets[i]."""
+    debiting budgets[i]."""
     n = chunks.shape[1]
     if n < h.degree:
         raise ValueError("need n >= k")
     family = disjoint_chunks(n, h.degree)
     tb = chunk_tail_bounds(tau, family.size)
     return ustat_means(
-        h, chunks, family, r, eps, DEFAULT_CONFIDENCE, tb, seeds, budgets, "naive"
+        h, chunks, family, r, eps, DEFAULT_CONFIDENCE, tb, seed, budgets, "naive"
     )
 
 
@@ -280,7 +280,7 @@ def naive_estimator(
     Remainder points are dropped.  For k = 1 this is plain private mean
     estimation on the raw data.
     """
-    (report,) = naive_estimates(h, data.points[None], r, tau, eps, [seed], [budget])
+    (report,) = naive_estimates(h, data.points[None], r, tau, eps, seed, [budget])
     return report
 
 
@@ -290,7 +290,7 @@ def all_tuples_estimates(
     r: float,
     tau: float,
     eps: float,
-    seeds: list,
+    seed,
     budgets: list[PrivacyBudget],
 ) -> list[EstimateReport]:
     """``all_tuples_estimator`` on each row of a (q, n) array of chunks."""
@@ -298,7 +298,7 @@ def all_tuples_estimates(
     family = all_tuples(n, h.degree)
     tb = chunk_tail_bounds(tau * h.degree, n)  # n chunk values, variance proxy k tau
     return ustat_means(
-        h, chunks, family, r, eps, DEFAULT_CONFIDENCE, tb, seeds, budgets, "all_tuples"
+        h, chunks, family, r, eps, DEFAULT_CONFIDENCE, tb, seed, budgets, "all_tuples"
     )
 
 
@@ -312,7 +312,7 @@ def all_tuples_estimator(
     budget: PrivacyBudget,
 ) -> EstimateReport:
     """Private mean over every k-subset (the complete U-statistic)."""
-    (report,) = all_tuples_estimates(h, data.points[None], r, tau, eps, [seed], [budget])
+    (report,) = all_tuples_estimates(h, data.points[None], r, tau, eps, seed, [budget])
     return report
 
 
@@ -323,19 +323,19 @@ def subsampled_estimates(
     tau: float,
     eps: float,
     size: int,
-    seeds: list,
+    seed,
     budgets: list[PrivacyBudget],
 ) -> list[EstimateReport]:
     """``subsampled_estimator`` on each row of a (q, n) array of chunks.
 
-    Chunk i draws its own family from seeds[i] before its noise, so the
-    dependence fraction is per chunk.  The q families are evaluated as one
-    family over the concatenated chunks.
+    The generator of ``seed`` draws the q families, in chunk order, and
+    then the noise, so the dependence fraction is per chunk.  The q
+    families are evaluated as one family over the concatenated chunks.
     """
     check_data(chunks)
     (q, n), k = chunks.shape, h.degree
-    rngs = [as_generator(seed) for seed in seeds]
-    families = [subsample_family(n, k, size, rng) for rng in rngs]
+    rng = as_generator(seed)
+    families = [subsample_family(n, k, size, rng) for _ in range(q)]
     if size < (n / k) * math.log(n):
         warn_precondition("subsample size below (n/k) log n; dependence fraction may be large")
     rows = np.concatenate([f.subsets + i * n for i, f in enumerate(families)])
@@ -345,7 +345,7 @@ def subsampled_estimates(
     deps = np.array([f.dependence_fraction() for f in families])
     tb = subsampled_tail_bounds(tau, k, n, size)
     return _clip_and_release(
-        values, deps, r, eps, DEFAULT_CONFIDENCE, tb, rngs, budgets, "subsampled"
+        values, deps, r, eps, DEFAULT_CONFIDENCE, tb, rng, budgets, "subsampled"
     )
 
 
@@ -364,5 +364,5 @@ def subsampled_estimator(
     The dependence fraction is computed from the realized counts.  Sampling
     the family is data-independent, so it costs no privacy.
     """
-    (report,) = subsampled_estimates(h, data.points[None], r, tau, eps, size, [seed], [budget])
+    (report,) = subsampled_estimates(h, data.points[None], r, tau, eps, size, seed, [budget])
     return report

@@ -1,13 +1,14 @@
 """Noise mechanisms and the privacy-budget ledger.
 
 Pure epsilon-DP only.  Each noise law is one ``NoiseLaw`` record in
-``LAWS``: its unit-scale bulk sampler, its one-draw-per-generator sampler,
-its CDF and its release factor.  ``releases`` is the only release: every
-caller passes it a law, and ``harness.audits.noise_gof`` audits the same
-law's bulk sampler against its CDF.  This is the only module that draws
-release noise or debits a ledger.  The ledger is advisory: it records and
-enforces totals under sequential and parallel composition but does not
-itself certify that a mechanism was calibrated correctly.
+``LAWS``: its unit-scale sampler, its CDF and its release factor.
+``releases`` is the only release: every caller passes it a law, and it
+draws a stack's noise with that law's one sampler, the one that
+``harness.audits.noise_gof`` audits against its CDF.  This is the only
+module that draws release noise or debits a ledger.  The ledger is
+advisory: it records and enforces totals under sequential and parallel
+composition but does not itself certify that a mechanism was calibrated
+correctly.
 """
 
 from __future__ import annotations
@@ -173,30 +174,23 @@ def laplace_draws(size: int, seed) -> np.ndarray:
     out = np.empty(size)
     for start in range(0, size, _RATIO_BLOCK):
         stop = min(size, start + _RATIO_BLOCK)
-        out[start:stop] = _laplace_inverse_cdf(rng.random(stop - start), 1.0)
+        out[start:stop] = _laplace_inverse_cdf(rng.random(stop - start))
     return out
 
 
-def _laplace_inverse_cdf(u: np.ndarray, scale) -> np.ndarray:
-    """Laplace draws of scale ``scale`` (a scalar, or one per point) from
-    uniforms ``u`` on [0, 1), which it overwrites; the uniform 0.0 is read
-    as 2^-54.  In place, each step in the order of
-    -scale * sign(t) * log1p(-2 |t|) with t = max(u, 2^-54) - 0.5."""
+def _laplace_inverse_cdf(u: np.ndarray) -> np.ndarray:
+    """Unit-scale Laplace draws from uniforms ``u`` on [0, 1), which it
+    overwrites; the uniform 0.0 is read as 2^-54.  In place, each step in
+    the order of -sign(t) * log1p(-2 |t|) with t = max(u, 2^-54) - 0.5."""
     np.maximum(u, _ZERO_DRAW, out=u)
     u -= 0.5
     noise = np.sign(u)
     np.abs(u, out=u)
     u *= -2.0
     np.log1p(u, out=u)
-    noise *= -scale
+    np.negative(noise, out=noise)
     noise *= u
     return noise
-
-
-def _laplace_each(scales: np.ndarray, rngs) -> np.ndarray:
-    """One Laplace draw of scale ``scales[i]`` from each generator ``rngs[i]``:
-    ``scales[i]`` times the draw of ``laplace_draws(1, rngs[i])``."""
-    return _laplace_inverse_cdf(np.array([rng.random() for rng in rngs]), scales)
 
 
 def _laplace_cdf(z) -> np.ndarray:
@@ -229,9 +223,9 @@ def quartic_draws(size: int, seed) -> np.ndarray:
     block of ``_RATIO_BLOCK``), then as many v's, and writes the ratios of
     its accepted points straight into the output, so a bulk draw holds no
     proposal-sized temporary beside it (peak RSS) and wastes only the last
-    pass's surplus.  A draw of at most 2^14 points, every release's
-    ``quartic_draws(1, seed)`` among them, never reaches the cap, so its
-    proposals and output are those of one unblocked batch per pass.
+    pass's surplus.  A draw of at most 2^14 points, every release's among
+    them, never reaches the cap, so its proposals and output are those of
+    one unblocked batch per pass.
 
     u^4 and v^4 are formed as squares of squares, because ``**4`` goes
     through libm ``pow`` at several times the cost.  The sum may then differ
@@ -265,29 +259,6 @@ def _quartic_accepts(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     np.square(v4, out=v4)
     lhs += v4
     return lhs <= u2
-
-
-def _quartic_each(scales: np.ndarray, rngs) -> np.ndarray:
-    """One quartic-tail draw of scale ``scales[i]`` from each generator
-    ``rngs[i]``, with the passes that ``quartic_draws(1, rngs[i])`` makes:
-    _QUARTIC_PASS u's, then as many v's, until one point is accepted.  The
-    first pass of every generator is tested as one (q, _QUARTIC_PASS)
-    batch."""
-    out = np.empty(len(rngs))
-    todo = np.arange(len(rngs))
-    while todo.size:
-        u = np.empty((todo.size, _QUARTIC_PASS))
-        v = np.empty((todo.size, _QUARTIC_PASS))
-        for row, i in enumerate(todo):
-            u[row] = rngs[i].random(_QUARTIC_PASS)
-            v[row] = rngs[i].random(_QUARTIC_PASS)
-        keep = _quartic_accepts(u, v)
-        hit = keep.any(axis=1)
-        first = keep[hit].argmax(axis=1)
-        out[todo[hit]] = v[hit, first] / u[hit, first]
-        todo = todo[~hit]
-    out *= scales
-    return out
 
 
 def quartic_cdf(z) -> np.ndarray:
@@ -342,21 +313,18 @@ def quartic_cdf(z) -> np.ndarray:
 class NoiseLaw:
     """One noise law, as every release and audit reads it.
 
-    ``draws(size, seed)`` is the unit-scale bulk sampler that
-    ``harness.audits.noise_gof`` checks against ``cdf``.  ``each(scales,
-    generators)`` gives one draw per generator, draw i being
-    ``scales[i] * draws(1, generators[i])[0]``: what a release adds.  A
+    ``draws(size, seed)`` is the unit-scale sampler that every release
+    draws from and ``harness.audits.noise_gof`` checks against ``cdf``.  A
     release at sensitivity S and budget eps draws at scale factor * S / eps.
     """
 
     draws: Callable
-    each: Callable
     cdf: Callable
     factor: float
 
 
-LAPLACE = NoiseLaw(laplace_draws, _laplace_each, _laplace_cdf, 1.0)
-QUARTIC = NoiseLaw(quartic_draws, _quartic_each, quartic_cdf, 10.0)
+LAPLACE = NoiseLaw(laplace_draws, _laplace_cdf, 1.0)
+QUARTIC = NoiseLaw(quartic_draws, quartic_cdf, 10.0)
 LAWS = {"laplace": LAPLACE, "quartic": QUARTIC}
 
 
@@ -372,21 +340,27 @@ def releases(
     sensitivities,
     eps: float,
     budgets: list[PrivacyBudget],
-    seeds: list,
+    seed,
     label: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """values[i] + ``law`` noise of scale law.factor * sensitivities[i] / eps,
-    debited to budgets[i] and drawn from seeds[i], for q releases over
-    disjoint data (a single release is the q = 1 case).  Returns the (q,)
-    released values and the (q,) scales they were drawn at, so no caller
-    restates the calibration.
+    debited to budgets[i], for q releases over disjoint data (a single
+    release is the q = 1 case).  Returns the (q,) released values and the
+    (q,) scales they were drawn at, so no caller restates the calibration.
+
+    The rows with a nonzero scale, in increasing order, add
+    ``law.draws(len(live), seed)`` times their scales: one call of the
+    law's audited sampler.  Those draws are i.i.d. draws of the law and
+    independent of the data, so each row gets the noise of a release on
+    its own data alone, and q releases over disjoint data compose in
+    parallel.  A value whose scale is zero is released exactly and draws
+    nothing.
 
     ``sensitivities[i]`` bounds the sensitivity at dataset i: globally for
     Laplace noise; for quartic noise, as an eps-smooth upper bound on the
     local sensitivity (Nissim, Raskhodnikova & Smith, STOC 2007).  Every
     input that would release a non-finite value is refused before any ledger
-    is debited, and every ledger is debited before any draw.  A value whose
-    scale is zero is released exactly and draws nothing.  The checks and
+    is debited, and every ledger is debited before any draw.  The checks and
     scales run on Python floats: a release holds one value per chunk, and
     for so few, list scans cost less than array operations.
     """
@@ -399,14 +373,13 @@ def releases(
     for sensitivity in listed:
         if not 0 <= sensitivity < math.inf:  # also rejects NaN
             raise ValueError(f"sensitivity must be finite and >= 0, got {sensitivity}")
-    scales = [law.factor * sensitivity / eps for sensitivity in listed]
-    for sensitivity, scale in zip(listed, scales):
+    scales = np.array([law.factor * sensitivity / eps for sensitivity in listed])
+    for sensitivity, scale in zip(listed, scales.tolist()):
         if not scale < math.inf:  # an overflowing ratio
             raise ValueError(f"non-finite noise scale {law.factor} * {sensitivity} / {eps}")
     for budget in budgets:
         budget.spend(label, eps)
-    live = [i for i, scale in enumerate(scales) if scale]
-    if live:
-        rngs = [as_generator(seeds[i]) for i in live]
-        out[live] += law.each(np.array([scales[i] for i in live]), rngs)
-    return out, np.array(scales)
+    live = np.flatnonzero(scales)
+    if live.size:
+        out[live] += law.draws(live.size, seed) * scales[live]
+    return out, scales

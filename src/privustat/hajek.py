@@ -16,8 +16,9 @@ the generic estimator (``private_means_local_hajek``) draws every chunk's
 mean and projections from one stacked pass over the family (``summary_rows``,
 which on a complete family keeps no kernel value past its block), the
 count-based collision and triangle summaries stack the same way, and the
-smoothness audit stacks one row per multiset.  There is no one-row path: a
-single dataset is the one-row stack.
+smoothness audit stacks one row per multiset.  A stack's release draws
+every row's noise in one call, from one generator.  There is no one-row
+path: a single dataset is the one-row stack.
 """
 
 from __future__ import annotations
@@ -356,17 +357,17 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
 def release_rows(
     rows: SummaryRows,
     params: HajekParams,
-    seeds: list,
+    seed,
     budgets: list[PrivacyBudget],
     label: str = "hajek",
 ) -> list[EstimateReport]:
-    """The release of every row of the stack: row i draws from seeds[i] and
-    debits budgets[i], exactly as a stack of that row alone.  Each report
-    carries the noise scale its value was drawn at and the row's L, number
-    of bad indices and smooth bound."""
+    """The release of every row of the stack: row i debits budgets[i], and
+    the rows' noise is one draw from ``seed``.  Each report carries the
+    noise scale its value was drawn at and the row's L, number of bad
+    indices and smooth bound."""
     states = hajek_rows(rows, params)
     values, scales = releases(
-        QUARTIC, states.reweighted, states.smooth_bound, params.eps, budgets, seeds,
+        QUARTIC, states.reweighted, states.smooth_bound, params.eps, budgets, seed,
         f"{label}: smooth release",
     )
     n_bad = np.bincount(states.bad // rows.n, minlength=len(values))
@@ -389,11 +390,11 @@ def private_means_local_hajek(
     chunks: np.ndarray,
     family: SubsetFamily,
     params: HajekParams,
-    seeds: list,
+    seed,
     budgets: list[PrivacyBudget],
 ) -> list[EstimateReport]:
     """The reweighting estimator on each row of a (q, n) array of chunks:
-    row i draws from seeds[i] and debits budgets[i].
+    row i debits budgets[i], and the release draws from ``seed``.
 
     Every row returns bottom (estimate None) when the family fails the
     incidence regularity conditions; that check depends only on the family,
@@ -407,9 +408,9 @@ def private_means_local_hajek(
             EstimateReport(
                 estimate=None, bottom_reason=check.reason, diagnostics={"regularity": check.reason},
             )
-            for _ in seeds
+            for _ in budgets
         ]
-    return release_rows(summary_rows(h, chunks, family), params, seeds, budgets)
+    return release_rows(summary_rows(h, chunks, family), params, seed, budgets)
 
 
 def private_mean_local_hajek(
@@ -422,7 +423,7 @@ def private_mean_local_hajek(
 ) -> EstimateReport:
     """Run the reweighting estimator on a kernel/dataset/family triple: the
     one-chunk stack of ``private_means_local_hajek``."""
-    (report,) = private_means_local_hajek(h, data.points[None], family, params, [seed], [budget])
+    (report,) = private_means_local_hajek(h, data.points[None], family, params, seed, [budget])
     return report
 
 

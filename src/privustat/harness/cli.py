@@ -13,13 +13,15 @@ Each subcommand takes only the flags its handler reads; every one takes --out:
   audit-noise          --seed --law --draws
   fixture-adversarial  --eps --n --k
 
-``--config FILE`` reads ``key = value`` lines whose keys are these flag names
-without the dashes (``M-grid`` or ``M_grid``, ``R``); ``true`` sets a switch
-and ``false`` leaves it off.  They are parsed as flags given right after the
-command, so explicit flags win, and a key that is not a flag of the command
-is a usage error.  argparse accepts a unique prefix of a flag, so
-``simulate --eps 0.5`` is ``--eps-grid 0.5``.  Exit codes: 0 success, 1
-usage error, 2 audit failure, 3 estimator bottom.
+``--config FILE`` or ``--config=FILE`` reads ``key = value`` lines whose
+keys are these flag names without the dashes (``M-grid`` or ``M_grid``,
+``R``); ``true`` sets a switch and ``false`` leaves it off.  They are
+parsed as flags given right after the command, so explicit flags win, and a
+key that is not a flag of the command is a usage error.  argparse accepts a
+unique prefix of a flag, so ``simulate --eps 0.5`` is ``--eps-grid 0.5``.
+The collision kernel's range is 1, so ``estimate`` and ``simulate`` refuse
+any other ``--C`` for it.  Exit codes: 0 success, 1 usage error, 2 audit
+failure, 3 estimator bottom.
 
 Every run prints the privacy-ledger summary to stderr; CSV goes to --out or
 stdout.
@@ -96,15 +98,20 @@ def config_tokens(path: str) -> list[str]:
 
 
 def expand_config(argv: list[str]) -> list[str]:
-    """``argv`` with ``--config FILE`` replaced by the file's flags, placed
-    right after the command name so that explicit flags, parsed later, win."""
-    if "--config" not in argv:
+    """``argv`` with ``--config FILE`` or ``--config=FILE`` replaced by the
+    file's flags, placed right after the command name so that explicit
+    flags, parsed later, win."""
+    i = next((i for i, token in enumerate(argv) if token.partition("=")[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise CliError("--config needs a path")
-    rest = argv[:i] + argv[i + 2 :]
-    return rest[:1] + config_tokens(argv[i + 1]) + rest[1:]
+    _, joined, path = argv[i].partition("=")
+    end = i + 1
+    if not joined:
+        if i + 1 >= len(argv):
+            raise CliError("--config needs a path")
+        path, end = argv[i + 1], i + 2
+    rest = argv[:i] + argv[end:]
+    return rest[:1] + config_tokens(path) + rest[1:]
 
 
 COMMON_FLAGS = {
@@ -217,6 +224,13 @@ def simulated(args, flag: str) -> bool:
     return args.simulate is not None
 
 
+def check_collision_range(args) -> None:
+    """Refuse a --C other than 1 for the collision kernel, before any data
+    are read or sampled: its releases run at its range, C = 1."""
+    if args.kernel == "collision" and args.c != 1.0:
+        raise CliError(f"--C must be 1, the collision kernel's finite range; got {args.c}")
+
+
 def finish(args, budget, report, lines: list[str]) -> int:
     """Print the ledger; on bottom say why and exit 3, else emit the released lines."""
     print(budget.summary(), file=sys.stderr)
@@ -228,6 +242,7 @@ def finish(args, budget, report, lines: list[str]) -> int:
 
 
 def cmd_estimate(args) -> int:
+    check_collision_range(args)
     rng = as_generator(args.seed)
     m = args.m
     if simulated(args, "data"):
@@ -268,6 +283,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    check_collision_range(args)
     dist_params = {"m": args.m, "amplitude": args.amplitude, "mu": args.mu, "sigma": args.sigma}
     n_grid = [int(tok) for tok in str(args.n_grid).split(",") if tok]
     eps_grid = [float(tok) for tok in str(args.eps_grid).split(",") if tok]

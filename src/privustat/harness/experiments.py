@@ -189,24 +189,24 @@ def run_single(
     _, eps, alpha, subsample_size = cell
     r, tau, k = spec.r_bound, spec.tau, kernel.degree
 
-    def run(chunks: np.ndarray, rngs: list, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
+    def run(chunks: np.ndarray, rng, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
         n = chunks.shape[1]
         if spec.method == "naive":
-            return naive_estimates(kernel, chunks, r, tau, eps, rngs, budgets)
+            return naive_estimates(kernel, chunks, r, tau, eps, rng, budgets)
         if spec.method == "all":
-            return all_tuples_estimates(kernel, chunks, r, tau, eps, rngs, budgets)
+            return all_tuples_estimates(kernel, chunks, r, tau, eps, rng, budgets)
         if spec.method == "subsampled":
             size = subsample_size
             if size is None:
                 size = max(1, math.ceil((n / k) * math.log(max(n, 2))))
-            return subsampled_estimates(kernel, chunks, r, tau, eps, size, rngs, budgets)
+            return subsampled_estimates(kernel, chunks, r, tau, eps, size, rng, budgets)
         # reweighting estimator; the collision kernel gets the count-based path
         xi = resolve_xi(spec, kernel, n)
         if spec.kernel == "collision":
             m = int(spec.dist.params.get("m", 10))
-            return private_collision_densities(chunks, m, eps, xi, rngs, budgets)
+            return private_collision_densities(chunks, m, eps, xi, rng, budgets)
         params = HajekParams(eps=eps, c_range=spec.c_range, xi=xi)
-        return private_means_local_hajek(kernel, chunks, all_tuples(n, k), params, rngs, budgets)
+        return private_means_local_hajek(kernel, chunks, all_tuples(n, k), params, rng, budgets)
 
     return boosted(run, data, k, alpha, rng, budget)
 

@@ -5,7 +5,8 @@ Every randomized operation in the package accepts either an integer seed, a
 Experiment code derives independent per-trial streams with
 ``stream(master_seed, cell_index, trial_index)``, i.e.
 ``SeedSequence(master_seed, spawn_key=(cell, trial))``.  The q chunks of a
-boosted estimate draw from ``as_generator(seed).spawn(q)``, NumPy's own.
+boosted estimate share one generator, ``as_generator(seed)``: each release
+draws all of their noise in one call (``dp.releases``).
 """
 
 from __future__ import annotations

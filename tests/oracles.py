@@ -1,6 +1,7 @@
 """Oracles and fixtures that only the tests use: brute-force sensitivities,
-a Monte Carlo θ, closed forms, explicit families, the one-chunk adapter
-and the per-chunk loop form of ``median_of_means``, the majority-vote form
+a Monte Carlo θ, closed forms, explicit families, the one-chunk adapter,
+the record and replay of a stack's noise by chunk, and the per-chunk loop
+form of ``median_of_means``, the majority-vote form
 of the boosted uniformity test, the two-release form of the triangle
 density, the full-scan forms of the spread level and the Hájek state, the
 copying clip step of ``ustat_means``, the per-row Floyd draw of
@@ -18,15 +19,18 @@ Laplace CDF, a constant kernel, and the U-statistic variance calculus
 import itertools
 import math
 import statistics
+import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
+import pytest
 
 import privustat.hajek
-from privustat import applications
+from privustat import applications, coinpress, dp
 from privustat.applications import GeometricGraph, boosted_uniformity_test, triangle_rows
 from privustat.boosting import BoostPlan
 from privustat.report import EstimateReport
@@ -327,7 +331,7 @@ def ustat_one_step(
     sensitivity = family.dependence_fraction() * (interval.width + 2.0 * q)
     (release,), (scale,) = releases(
         LAPLACE, [np.add.reduce(clipped) / clipped.size], [sensitivity], eps_step,
-        [scratch_budget()], [seed], "one step",
+        [scratch_budget()], seed, "one step",
     )
     half = tb.qavg(beta) + scale * math.log(1.0 / beta)
     return clipped, IntervalState(float(release - half), float(release + half))
@@ -354,16 +358,95 @@ def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:
 
 
 def each_chunk(estimator):
-    """The chunk estimator that runs ``estimator(chunk, seed, budget)`` on
-    each chunk in turn; a row of a dataset's chunk array is passed as a
-    ``Dataset``."""
+    """The chunk estimator that runs ``estimator(chunk, rng, budget)`` on
+    each chunk in turn, all on the one generator it is given; a row of a
+    dataset's chunk array is passed as a ``Dataset``."""
 
-    def run(chunks, seeds, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
+    def run(chunks, rng, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
         if isinstance(chunks, np.ndarray):
             chunks = [Dataset(row) for row in chunks]
-        return [estimator(c, s, b) for c, s, b in zip(chunks, seeds, budgets)]
+        return [estimator(c, rng, b) for c, b in zip(chunks, budgets)]
 
     return run
+
+
+class StackNoise:
+    """The noise of one stacked run, filed by chunk, to replay to the same
+    chunks run one at a time.
+
+    While ``recording``, every ``dp.releases`` call of the package (and of
+    these oracles) draws as usual, from the law's own sampler, and files
+    each live row's draw under that row's chunk; a row of scale zero files
+    None.  ``generators`` keeps the seed of every recorded release.  While
+    ``replaying``, the j-th release of chunk c adds the j-th draw filed
+    under c in place of a draw of its own, and the block must use up every
+    filed draw.  A chunk is known by its branch ledger, numbered in the
+    order ``PrivacyBudget.parallel`` hands them out: chunk order, both in
+    ``median_of_means`` and in the loops below.
+    """
+
+    def __init__(self):
+        self.filed: dict[int, list] = {}
+        self.generators: list = []
+
+    @contextmanager
+    def _routed(self, release):
+        ledgers = []
+        branch = dp._ParallelBranches.branch
+
+        def numbered(branches):
+            ledgers.append(branch(branches))
+            return ledgers[-1]
+
+        def chunk_of(budget) -> int:
+            return next(c for c, ledger in enumerate(ledgers) if ledger is budget)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dp._ParallelBranches, "branch", numbered)
+            for module in (coinpress, privustat.hajek, applications, sys.modules[__name__]):
+                mp.setattr(module, "releases", lambda law, *args: release(chunk_of, law, *args))
+            yield
+
+    def recording(self):
+        def release(chunk_of, law, values, sensitivities, eps, budgets, seed, label):
+            drawn = []
+
+            def draws(size, rng):
+                drawn.append(law.draws(size, rng))
+                return drawn[0]
+
+            out, scales = dp.releases(
+                dp.NoiseLaw(draws, law.cdf, law.factor), values, sensitivities, eps, budgets, seed,
+                label,
+            )
+            noise = iter(drawn[0].tolist() if drawn else [])
+            for budget, scale in zip(budgets, scales.tolist()):
+                self.filed.setdefault(chunk_of(budget), []).append(next(noise) if scale else None)
+            self.generators.append(seed)
+            return out, scales
+
+        return self._routed(release)
+
+    @contextmanager
+    def replaying(self):
+        def release(chunk_of, law, values, sensitivities, eps, budgets, seed, label):
+            wants = [self.filed[chunk_of(budget)].pop(0) for budget in budgets]
+            live = [want for want in wants if want is not None]
+
+            def draws(size, rng):
+                assert size == len(live)
+                return np.array(live)
+
+            out, scales = dp.releases(
+                dp.NoiseLaw(draws, law.cdf, law.factor), values, sensitivities, eps, budgets, seed,
+                label,
+            )
+            assert [want is not None for want in wants] == [bool(scale) for scale in scales]
+            return out, scales
+
+        with self._routed(release):
+            yield
+        assert not any(self.filed.values()), "a chunk left stacked draws unused"
 
 
 def dense_adjacency(graph: GeometricGraph) -> np.ndarray:
@@ -401,19 +484,6 @@ def written_out_subsampled_tail_bounds(tau: float, k: int, n: int, size: int) ->
     )
 
 
-def seed_sequence_children(seed, n: int) -> list[np.random.Generator]:
-    """The boosted chunks' streams built by hand: ``n`` children spawned from
-    the seed's ``SeedSequence`` (a Generator's own, a SeedSequence itself, or
-    a new one from an int), each wrapped in ``default_rng``."""
-    if isinstance(seed, np.random.Generator):
-        ss = seed.bit_generator.seed_seq
-    elif isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in ss.spawn(n)]
-
-
 def induced_subgraph(graph: GeometricGraph, indices) -> GeometricGraph:
     """The subgraph on the nodes ``indices``, renumbered in their order."""
     idx = np.asarray(indices)
@@ -421,19 +491,21 @@ def induced_subgraph(graph: GeometricGraph, indices) -> GeometricGraph:
 
 
 def loop_median_of_means(estimator, data, plan: BoostPlan, seed, budget: PrivacyBudget) -> EstimateReport:
-    """``median_of_means`` as one call of ``estimator(chunk, seed, branch)``
+    """``median_of_means`` as one call of ``estimator(chunk, rng, branch)``
     per chunk, in chunk order: chunk i is a copy of its points (a
-    ``Dataset``, or an induced subgraph), runs on child seed i and gets its
-    branch ledger just before it runs."""
+    ``Dataset``, or an induced subgraph), runs on the seed's one generator
+    after chunk i - 1 and gets its branch ledger just before it runs.
+    Under ``StackNoise.replaying`` its releases add the stacked run's
+    draws."""
     q, size = plan.chunks, plan.chunk_size
 
     def take(idx):
         return Dataset(data.points[idx]) if isinstance(data, Dataset) else induced_subgraph(data, idx)
 
-    rngs = seed_sequence_children(seed, q)
+    rng = as_generator(seed)
     with budget.parallel(f"median_of_means(q={q})") as branches:
         reports = [
-            estimator(take(np.arange(ci * size, (ci + 1) * size)), rngs[ci], branches.branch())
+            estimator(take(np.arange(ci * size, (ci + 1) * size)), rng, branches.branch())
             for ci in range(q)
         ]
     good = [r for r in reports if not r.is_bottom]
@@ -466,7 +538,7 @@ def two_release_triangle_density(graph: GeometricGraph, eps, seed, budget: Priva
     n = graph.n
     rng = as_generator(seed)
     u_edges = csr_edge_density(graph)
-    nu = float(releases(LAPLACE, [u_edges], [2.0 / n], eps, [budget], [rng], "edge density proxy")[0][0])
+    nu = float(releases(LAPLACE, [u_edges], [2.0 / n], eps, [budget], rng, "edge density proxy")[0][0])
     if nu < 0:
         return EstimateReport(
             estimate=None,
@@ -475,7 +547,7 @@ def two_release_triangle_density(graph: GeometricGraph, eps, seed, budget: Priva
         )
     xi = applications.triangle_xi(nu, n)
     params = HajekParams(eps=eps, c_range=1.0, xi=xi)
-    (report,) = release_rows(triangle_rows(graph, 1), params, [rng], [budget], label="triangle density")
+    (report,) = release_rows(triangle_rows(graph, 1), params, rng, [budget], label="triangle density")
     report.diagnostics.update({"nu": nu, "xi": xi, "edge_density": u_edges})
     return report
 
@@ -490,16 +562,17 @@ def majority_uniformity_test(data: Dataset, m, delta, eps, alpha, seed, budget: 
     """The boosted uniformity test as a majority vote of per-chunk tests.
 
     Each chunk runs the one-chunk test (``boosted_uniformity_test`` with
-    ``alpha`` None) on its own child seed and branch ledger.  Returns
-    (reject, median statistic, threshold, block debit).
+    ``alpha`` None) on its own branch ledger, in chunk order on the seed's
+    one generator; under ``StackNoise.replaying`` it adds the stacked run's
+    draw.  Returns (reject, median statistic, threshold, block debit).
     """
     plan = BoostPlan.for_dataset(data.n, 2, alpha)
     q, size = plan.chunks, plan.chunk_size
-    rngs = seed_sequence_children(seed, q)
+    rng = as_generator(seed)
     with budget.parallel(f"uniformity majority(q={q})") as branches:
         decisions = [
             boosted_uniformity_test(Dataset(data.points[c * size : (c + 1) * size]), m, delta,
-                                    eps, None, rngs[c], branches.branch())
+                                    eps, None, rng, branches.branch())
             for c in range(q)
         ]
     statistic = float(np.median([d.statistic for d in decisions]))

@@ -29,6 +29,7 @@ from oracles import (
     induced_subgraph,
     line_read_column,
     line_read_edge_list,
+    StackNoise,
     loop_collision_reweight,
     majority_uniformity_test,
     packed_neighbour_bits,
@@ -159,15 +160,37 @@ def uniformity_cases():
 
 
 def test_boosted_uniformity_equals_the_chunk_majority_vote():
+    # each chunk's one-chunk test adds the boosted stack's draw for it
     outcomes = []
     for data, m, delta, eps, alpha, seed in uniformity_cases():
         budget, reference = pv.PrivacyBudget(eps), pv.PrivacyBudget(eps)
-        got = apps.boosted_uniformity_test(data, m, delta, eps, alpha, seed, budget)
-        want = majority_uniformity_test(data, m, delta, eps, alpha, seed, reference)
+        noise = StackNoise()
+        with noise.recording():
+            got = apps.boosted_uniformity_test(data, m, delta, eps, alpha, seed, budget)
+        with noise.replaying():
+            want = majority_uniformity_test(data, m, delta, eps, alpha, seed, reference)
         assert (got.reject, got.statistic, got.threshold, budget.spent) == want, seed
         assert budget.spent == reference.spent == eps
         outcomes.append(got.reject)
     assert 20 <= sum(outcomes) <= len(outcomes) - 20  # both decisions are well covered
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int32])
+def test_unsigned_and_narrow_labels_equal_int64_labels_bitwise(dtype):
+    # the stacked counts shift row i's labels by i m as int64 codes; a
+    # uint64 label plus an int64 shift would be float64
+    x = np.random.default_rng(8).integers(0, 20, 4000)
+    labels = {t: pv.Dataset(x.astype(t)) for t in (np.int64, dtype)}
+    for alpha in (None, 0.2):
+        got, want = (
+            apps.boosted_uniformity_test(labels[t], 20, 0.5, 1.0, alpha, 3, scratch_budget())
+            for t in (dtype, np.int64)
+        )
+        assert got.statistic == want.statistic and got.reject == want.reject
+        assert got.report.diagnostics == want.report.diagnostics
+    for q in (1, 5):
+        got, want = (apps.collision_rows(labels[t].points.reshape(q, -1), 20) for t in (dtype, np.int64))
+        assert np.array_equal(got.a_n, want.a_n) and np.array_equal(got.projections, want.projections)
 
 
 def test_boosted_uniformity_ledger_is_one_median_of_means_entry():
@@ -608,7 +631,7 @@ def test_triangle_densities_refuse_an_edge_between_chunks_before_any_spend():
     adj = random_graph(2 * 70, 0.4, np.random.default_rng(9))
     budgets = [pv.PrivacyBudget(2.0), pv.PrivacyBudget(2.0)]
     with pytest.raises(ValueError, match="block-diagonal"):
-        apps.private_triangle_densities(apps.GeometricGraph(adj), 1.0, [1, 2], budgets)
+        apps.private_triangle_densities(apps.GeometricGraph(adj), 1.0, 1, budgets)
     assert all(b.entries == [] for b in budgets)
 
 

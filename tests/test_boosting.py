@@ -18,10 +18,10 @@ from privustat.report import EstimateReport
 from privustat.ustat import Dataset, clipped_kernel
 
 from oracles import (
+    StackNoise,
     each_chunk,
     loop_median_of_means,
     majority_vote,
-    seed_sequence_children,
     two_release_triangle_density,
 )
 
@@ -102,11 +102,11 @@ def test_coverage_boost():
     alpha, radius = 0.05, 1.0
     plan = BoostPlan.for_dataset(2500, 1, alpha)
 
-    def est(chunks, rngs, budgets):
+    def est(chunks, rng, budgets):
         # per chunk: with probability 0.75 uniform on [-radius, radius]
         # (``uniform``'s one double), else -50 or 50 (``choice``'s integer)
         reports = []
-        for rng, budget in zip(rngs, budgets):
+        for budget in budgets:
             budget.spend("inner", 1.0)
             if rng.random() < 0.75:
                 value = -radius + 2.0 * radius * rng.random()
@@ -172,9 +172,9 @@ def test_boosted_with_alpha_is_median_of_means_at_the_plan():
 # ---------------------------------------------------------------------------
 
 def _recording_stacked(estimator, branches, reports):
-    def run(chunks, rngs, budgets):
+    def run(chunks, rng, budgets):
         branches.extend(budgets)
-        out = estimator(chunks, rngs, budgets)
+        out = estimator(chunks, rng, budgets)
         reports.extend(out)
         return out
 
@@ -190,21 +190,32 @@ def _recording_chunk(estimator, branches, reports):
     return run
 
 
+def assert_one_generator(noise: StackNoise):
+    """Every release of the stacked run drew from one and the same Generator."""
+    assert all(g is noise.generators[0] for g in noise.generators)
+    assert all(isinstance(g, np.random.Generator) for g in noise.generators)
+
+
 def assert_stacked_equals_loop(stacked, per_chunk, data, plan, seed):
-    """The stacked block and the per-chunk loop agree bit for bit: the
-    wrapped report, every branch ledger and the parent ledger.  Returns the
-    stacked path's chunk reports."""
+    """The stacked block and the per-chunk loop, each chunk's releases
+    adding the stack's draws for it, agree bit for bit: the wrapped report,
+    every branch ledger and the parent ledger.  Every release of the stack
+    draws from one generator.  Returns the stacked path's chunk reports."""
     got_branches, got_reports, want_branches, want_reports = [], [], [], []
     got_budget, want_budget = pv.PrivacyBudget(10.0), pv.PrivacyBudget(10.0)
-    # a SeedSequence counts the children it spawned, so each run gets a copy
-    got = median_of_means(
-        _recording_stacked(stacked, got_branches, got_reports), data, plan, copy.deepcopy(seed),
-        got_budget,
-    )
-    want = loop_median_of_means(
-        _recording_chunk(per_chunk, want_branches, want_reports), data, plan, copy.deepcopy(seed),
-        want_budget,
-    )
+    noise = StackNoise()
+    # a Generator seed is advanced by the run, so each run gets a copy
+    with noise.recording():
+        got = median_of_means(
+            _recording_stacked(stacked, got_branches, got_reports), data, plan,
+            copy.deepcopy(seed), got_budget,
+        )
+    assert_one_generator(noise)
+    with noise.replaying():
+        want = loop_median_of_means(
+            _recording_chunk(per_chunk, want_branches, want_reports), data, plan,
+            copy.deepcopy(seed), want_budget,
+        )
     assert (got.estimate, got.radius, got.noise_scale, got.bottom_reason) == (
         want.estimate, want.radius, want.noise_scale, want.bottom_reason
     )
@@ -341,7 +352,7 @@ def test_stacked_hajek_refuses_an_irregular_family_for_every_chunk_and_spends_no
     family = pv.SubsetFamily(8, 2, np.array([[0, 1], [2, 3], [4, 5], [6, 7], [0, 1]]), kind="explicit")
     budgets = [pv.PrivacyBudget(1.0) for _ in range(3)]
     reports = hajek.private_means_local_hajek(
-        CLIPPED_PAIR_MEAN, np.zeros((3, 8)), family, pv.HajekParams(1.0, 1.0, 0.0), [0, 1, 2], budgets
+        CLIPPED_PAIR_MEAN, np.zeros((3, 8)), family, pv.HajekParams(1.0, 1.0, 0.0), 0, budgets
     )
     assert all(r.is_bottom for r in reports)
     assert len({r.bottom_reason for r in reports}) == 1
@@ -403,22 +414,23 @@ SEEDS = {
 
 
 @pytest.mark.parametrize("kind", sorted(SEEDS))
-def test_chunk_streams_are_the_seed_sequence_children_bitwise(kind):
-    # median_of_means spawns its chunk streams with NumPy's Generator.spawn;
-    # they are the SeedSequence children spawned by hand, and a second
-    # median_of_means on the same parent continues the children the same way
-    ours, reference = SEEDS[kind](), SEEDS[kind]()
+def test_the_estimator_gets_the_seeds_one_generator(kind):
+    # median_of_means hands the estimator as_generator(seed) and makes no
+    # stream of its own: a Generator seed is passed through, so a second
+    # median_of_means on it continues the same stream
+    ours, reference = SEEDS[kind](), np.random.default_rng(SEEDS[kind]())
     for _ in range(2):
-        drawn = []
+        got = []
 
-        def estimator(chunks, rngs, budgets):
-            drawn.extend(rng.integers(0, 2**63, 4).tolist() for rng in rngs)
-            return [EstimateReport(0.0) for _ in rngs]
+        def estimator(chunks, rng, budgets):
+            got.append(rng)
+            return [EstimateReport(float(rng.random())) for _ in budgets]
 
-        median_of_means(estimator, Dataset(np.zeros(5)), BoostPlan(0.5, 5, 1), ours, scratch_budget())
-        assert drawn == [rng.integers(0, 2**63, 4).tolist() for rng in seed_sequence_children(reference, 5)]
-    if kind == "Generator":  # spawning leaves the parent's own stream alone
-        assert ours.bit_generator.state == reference.bit_generator.state
+        rep = median_of_means(estimator, Dataset(np.zeros(5)), BoostPlan(0.5, 5, 1), ours, scratch_budget())
+        if kind != "Generator":  # a new generator from the same seed
+            reference = np.random.default_rng(SEEDS[kind]())
+        assert rep.diagnostics["chunk_estimates"] == reference.random(5).tolist()
+        assert len(got) == 1 and (got[0] is ours) == (kind == "Generator")
 
 
 def test_stacked_warnings_appear_once_at_the_calling_line():
@@ -454,18 +466,21 @@ def assert_boosted_triangles_equal_the_loop(graph, alpha, seed, per_chunk):
     got_branches, got_reports, want_branches, want_reports = [], [], [], []
     got_budget, want_budget = pv.PrivacyBudget(10.0), pv.PrivacyBudget(10.0)
     stacked = apps.private_triangle_densities
+    noise = StackNoise()
 
-    def recording(chunks, eps, rngs, budgets):
+    def recording(chunks, eps, rng, budgets):
         return _recording_stacked(
             lambda c, r, b: stacked(c, eps, r, b), got_branches, got_reports
-        )(chunks, rngs, budgets)
+        )(chunks, rng, budgets)
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, noise.recording():
         mp.setattr(apps, "private_triangle_densities", recording)
         got = apps.boosted_triangle_density(graph, 1.0, alpha, seed, got_budget)
-    want = loop_median_of_means(
-        _recording_chunk(per_chunk, want_branches, want_reports), graph, plan, seed, want_budget
-    )
+    assert_one_generator(noise)
+    with noise.replaying():
+        want = loop_median_of_means(
+            _recording_chunk(per_chunk, want_branches, want_reports), graph, plan, seed, want_budget
+        )
     assert (got.estimate, got.bottom_reason, got.diagnostics) == (
         want.estimate, want.bottom_reason, want.diagnostics
     )

@@ -42,7 +42,7 @@ def flat_bounds(q0: float, qavg0: float) -> TailBounds:
 def ustat_mean(h, data, family, r, eps, gamma, tb, seed, budget, label="ustat_mean"):
     """``coinpress.ustat_means`` on the one-row stack of ``data``."""
     (report,) = coinpress.ustat_means(
-        h, data.points[None], family, r, eps, gamma, tb, [seed], [budget], label
+        h, data.points[None], family, r, eps, gamma, tb, seed, [budget], label
     )
     return report
 
@@ -348,11 +348,11 @@ def test_precondition_violation_warns_but_completes():
 
 
 def boosted_chunks(estimates):
-    """``estimates(h, chunks, seeds, budgets)`` on seven 12-point chunks
+    """``estimates(h, chunks, rng, budgets)`` on seven 12-point chunks
     under median-of-means at alpha = 0.5."""
     data = Dataset(np.random.default_rng(2).normal(0, 1, 84))
     return lambda h, d: boosted(
-        lambda chunks, seeds, budgets: estimates(h, chunks, seeds, budgets),
+        lambda chunks, rng, budgets: estimates(h, chunks, rng, budgets),
         data, h.degree, 0.5, 12, scratch_budget(),
     )
 
@@ -438,7 +438,7 @@ def test_gaussian_mean_beats_laplace_on_range():
         rep = coinpress.naive_estimator(h, d, r, tau, eps, rng, scratch_budget())
         errs.append(abs(rep.estimate - theta))
         (lap,), _ = dp.releases(
-            dp.LAPLACE, [float(d.points.mean())], [2 * r / n], eps, [scratch_budget()], [rng], "laplace"
+            dp.LAPLACE, [float(d.points.mean())], [2 * r / n], eps, [scratch_budget()], rng, "laplace"
         )
         lap_errs.append(abs(lap - theta))
     assert np.quantile(errs, 0.75) < np.quantile(lap_errs, 0.75)

@@ -201,7 +201,6 @@ def test_quartic_draws_are_finite_at_the_extreme_uniforms():
     flat = [value for pair in EXTREME_UNIFORM_PAIRS for value in pair]
     starts = range(0, len(flat), 2)
     draws = [dp.quartic_draws(size, _CyclingGenerator(flat[s:] + flat[:s])) for s in starts for size in (1, 5)]
-    draws.append(dp._quartic_each(np.ones(len(starts)), [_CyclingGenerator(flat[s:] + flat[:s]) for s in starts]))
     for z in draws:
         assert np.all(np.isfinite(z)) and np.max(np.abs(z)) <= bound
 
@@ -234,13 +233,13 @@ def test_quartic_draws_equal_the_pow_sampler(size, seeds):
 
 def global_sensitivity_release(value, gs, eps, budget, seed, label="laplace release"):
     """One Laplace release: the q = 1 stack."""
-    (released,), _ = dp.releases(dp.LAPLACE, [value], [gs], eps, [budget], [seed], label)
+    (released,), _ = dp.releases(dp.LAPLACE, [value], [gs], eps, [budget], seed, label)
     return released
 
 
 def smooth_sensitivity_release(value, ss, eps, budget, seed, label="smooth release"):
     """One quartic-noise release at a smooth bound: the q = 1 stack."""
-    (released,), _ = dp.releases(dp.QUARTIC, [value], [ss], eps, [budget], [seed], label)
+    (released,), _ = dp.releases(dp.QUARTIC, [value], [ss], eps, [budget], seed, label)
     return released
 
 
@@ -251,15 +250,26 @@ def test_zero_sensitivity_release_is_exact():
 
 @pytest.mark.parametrize("law", dp.LAWS)
 def test_releases_add_exactly_the_audited_samplers_draw(law):
-    # noise_gof checks each law's bulk sampler; a release adds one of its
-    # draws at the scale it returns, and nothing else
+    # noise_gof checks each law's sampler; a release adds one call of it,
+    # one draw per row of nonzero scale in row order, at the scales it
+    # returns, and nothing else.  A zero-scale row is released exactly.
     noise = dp.LAWS[law]
     rng = np.random.default_rng(12)
     for seed in range(200):
-        value, sens, eps = rng.normal(0.0, 10.0), rng.uniform(0.01, 5.0), rng.uniform(0.05, 4.0)
-        (released,), (scale,) = dp.releases(noise, [value], [sens], eps, [scratch_budget()], [seed], law)
-        assert scale == noise.factor * sens / eps, seed
-        assert released == value + scale * noise.draws(1, seed)[0], seed
+        q = (1, 2, 5, 19)[seed % 4]
+        values, eps = rng.normal(0.0, 10.0, q), rng.uniform(0.05, 4.0)
+        sens = rng.uniform(0.01, 5.0, q)
+        if q > 1:
+            sens[rng.integers(q)] = 0.0
+        budgets = [scratch_budget() for _ in range(q)]
+        released, scales = dp.releases(noise, values, sens, eps, budgets, seed, law)
+        assert scales.tolist() == [noise.factor * s / eps for s in sens.tolist()], seed
+        live = np.flatnonzero(scales)
+        assert live.size == q - (q > 1)
+        want = values.copy()
+        want[live] = values[live] + scales[live] * noise.draws(live.size, seed)
+        assert np.array_equal(released.view(np.int64), want.view(np.int64)), seed
+        assert all(b.entries == [(law, eps)] for b in budgets)
 
 
 BAD_RELEASE_INPUTS = [  # (value, sensitivity, eps)

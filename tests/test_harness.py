@@ -500,6 +500,39 @@ def test_cli_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert first != second
 
 
+@pytest.mark.parametrize("form", ["separate", "joined"])
+def test_cli_config_file_is_read_in_both_flag_forms(tmp_path, capsys, form):
+    # --config FILE and --config=FILE stand for the same flags
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = all\nsimulate = gaussian,n=200,mu=0.5\nR = 4\n")
+    config = ["--config", str(cfg)] if form == "separate" else [f"--config={cfg}"]
+    assert cli_main(["estimate", "--seed", "3"] + config) == 0
+    from_config = capsys.readouterr().out
+    assert cli_main(["estimate", "--method", "all", "--simulate", "gaussian,n=200,mu=0.5",
+                     "--R", "4", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == from_config != ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--method", "hajek", "--kernel", "collision", "--data", "missing-labels.txt"],
+    ["simulate", "--method", "hajek", "--kernel", "collision", "--n-grid", "100", "--trials", "1"],
+    ["simulate", "--method", "all", "--n-grid", "100", "--trials", "1"],
+], ids=["estimate", "simulate-hajek", "simulate-all"])
+@pytest.mark.parametrize("c", ["5", "0.5", "0", "nan"])
+def test_cli_collision_kernel_refuses_a_range_other_than_one(argv, c, capsys, monkeypatch):
+    # the collision releases run at C = 1 while --C moved the radius; the
+    # refusal comes before any data are read (the estimate's file does not
+    # exist) or sampled
+    def no_sampling(*args):
+        raise AssertionError("data sampled")
+
+    monkeypatch.setattr(experiments.DistributionSpec, "sample", no_sampling)
+    code = cli_main(argv + ["--C", c])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: --C must be 1, the collision kernel's finite range; got {float(c)}\n"
+
+
 def cli_code(argv) -> int:
     """The exit code of a CLI run, argparse's usage exits included."""
     try:

@@ -5,9 +5,11 @@ the standard-library ``ast`` module.  Package ``__init__`` modules are
 skipped by the import check: their imports are the public re-exports.  Every
 release takes the caller's ledger, so no ``budget`` parameter has a default,
 and the release noise has one calibration, so no parameter rescales it.
-Only ``dp`` debits a ledger or calls a noise law's per-generator sampler,
-so a release is drawn and debited one way; outside ``dp`` only
-``noise_gof`` calls a law's bulk sampler, because it audits it.  Only
+Only ``dp`` debits a ledger or draws release noise, so a release is drawn
+and debited one way; outside ``dp`` only ``noise_gof`` calls a law's
+sampler, because it audits it.  No module calls ``spawn``: a stack's
+chunks share one generator, and each release draws all of their noise
+from it in one sampler call.  Only
 ``hajek.release_rows`` and the smoothness audit call the Hájek engine, and
 only ``release_rows`` releases with the quartic law, so no second Hájek
 path grows beside the stacked one.  Outside ``ustat`` only ``coinpress``
@@ -261,12 +263,9 @@ def test_only_errors_issues_warnings(path):
     assert warning_calls(path.read_text()) == []
 
 
-# a noise law's bulk sampler, called through its ``dp.NoiseLaw`` record or by
-# its name in dp, and its one-draw-per-generator sampler, likewise: outside
-# dp only noise_gof calls a bulk sampler, because it audits it, and nothing
-# calls a per-generator one, which only ``dp.releases`` adds to a value
+# a noise law's sampler, called through its ``dp.NoiseLaw`` record or by its
+# name in dp: outside dp only noise_gof calls one, because it audits it
 BULK_SAMPLERS = {"draws", "laplace_draws", "quartic_draws"}
-EACH_SAMPLERS = {"each", "_laplace_each", "_quartic_each"}
 SAMPLER_AUDIT = ("harness/audits.py", "noise_gof")
 
 
@@ -287,7 +286,7 @@ def calls_of(source: str, callees) -> list[tuple[int, str, str]]:
 
 def debits_and_draws(source: str) -> list[tuple[int, str, str]]:
     """Every call of ``spend`` or of a noise sampler (``calls_of``)."""
-    return calls_of(source, {"spend"} | BULK_SAMPLERS | EACH_SAMPLERS)
+    return calls_of(source, {"spend"} | BULK_SAMPLERS)
 
 
 def test_checker_finds_debits_and_draws():
@@ -295,13 +294,13 @@ def test_checker_finds_debits_and_draws():
         "from .dp import LAWS, laplace_draws\n"
         "def release(x, budget, rng):\n"
         "    budget.spend('x', 1.0)\n"
-        "    return x + laplace_draws(1, rng)[0] + LAWS['laplace'].each([1.0], [rng])[0]\n"
+        "    return x + laplace_draws(1, rng)[0] + LAWS['laplace'].draws(1, rng)[0]\n"
         "class Audit:\n    def run(self, rng):\n        return dp.QUARTIC.draws(10, rng)\n"
         "spend('top', 0.5)\n"
     )
     assert debits_and_draws(source) == [
         (3, "release", "spend"),
-        (4, "release", "each"),
+        (4, "release", "draws"),
         (4, "release", "laplace_draws"),
         (7, "Audit", "draws"),
         (8, "<module>", "spend"),
@@ -319,6 +318,27 @@ def test_only_dp_debits_the_ledger_and_draws_release_noise():
                 continue
             found.append(f"{module} line {line}: {callee} in {owner}")
     assert found == []
+
+
+def test_checker_finds_spawn_calls():
+    # a method call or a bare name; the SeedSequence keyword spawn_key is no call
+    source = (
+        "import numpy as np\n"
+        "def chunks(seed, q):\n"
+        "    return as_generator(seed).spawn(q)\n"
+        "def stream(seed, *key):\n"
+        "    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))\n"
+        "class Plan:\n    def seeds(self, ss):\n        return [spawn(ss), ss.spawn(2)]\n"
+    )
+    assert calls_of(source, {"spawn"}) == [(3, "chunks", "spawn"), (8, "Plan", "spawn"), (8, "Plan", "spawn")]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_module_spawns_generators(path):
+    # the q chunks of a boosted estimate share one generator; spawning one
+    # per chunk cost a SeedSequence per chunk and drew each chunk's noise
+    # apart from the law's one sampler call
+    assert calls_of(path.read_text(), {"spawn"}) == []
 
 
 # the Hájek engine, with the only (module, top-level definition) pairs that
