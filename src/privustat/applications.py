@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -105,11 +105,11 @@ def collision_rows(chunks: np.ndarray, m: int) -> SummaryRows:
     """Count-based summaries of the collision kernel over all pairs of each
     row of a (q, n) array of category labels.
 
-    The overall mean, the per-index projections, and the reweighted mean all
-    depend on a row only through its category counts, so everything is
-    O(n + m log m) per row instead of O(n^2).  One ``bincount`` of
-    x + m * row, as int64 codes, counts every row at once.  Every row is
-    checked before any is summarised.
+    Everything depends on a row only through its category counts: an index
+    in a category of count c has projection (c - 1)/(n - 1), so a row has
+    one column per category, the count its multiplicity.  After one O(n)
+    ``bincount`` of the int64 labels (row i's shifted by i m when q > 1),
+    all is O(m log m) per row.  Every row is checked before any is summarised.
     """
     x = np.asarray(chunks)
     if x.dtype.kind not in "iu":
@@ -119,23 +119,19 @@ def collision_rows(chunks: np.ndarray, m: int) -> SummaryRows:
         raise InsufficientData("need at least two samples for pair statistics")
     if x.min() < 0 or x.max() >= m:
         raise ValueError(f"category labels must lie in [0, {m})")
-    # row i's labels shifted to [i m, (i + 1) m), as integers whatever the
-    # label dtype (uint64 plus int64 would give float64)
-    codes = x.astype(np.int64, copy=False) + m * np.arange(q)[:, None]
+    # as integers whatever the label dtype (uint64 plus int64 would give float64)
+    codes = x.astype(np.int64, copy=False)
+    if q > 1:  # row i's labels shifted to [i m, (i + 1) m)
+        codes = codes + m * np.arange(q)[:, None]
     counts = np.bincount(codes.ravel(), minlength=q * m).reshape(q, m)
     pairs_total = n * (n - 1) // 2
     same_pairs = counts * (counts - 1) // 2
     a_n = same_pairs.sum(axis=1) / pairs_total
-    projections = ((counts - 1) / (n - 1)).reshape(-1)[codes]
 
     def reweight(i: int, weights: np.ndarray) -> float:
-        # weights are constant within a category (projections are), so any
-        # index of a category gives its weight; unchanged ones stay 1
-        changed = np.flatnonzero(weights != 1.0)
-        w_cat = np.ones(m)
-        w_cat[x[i, changed]] = weights[changed]
+        # weights holds one weight per category; an empty one is never bad
         occupied = np.flatnonzero(counts[i])
-        wc = w_cat[occupied]
+        wc = weights[occupied]
         # same-category pairs: h = 1, weight w_c
         sp = same_pairs[i, occupied]
         total = float(np.sum(sp * (wc + a_n[i] * (1.0 - wc))))
@@ -149,13 +145,15 @@ def collision_rows(chunks: np.ndarray, m: int) -> SummaryRows:
         return total / pairs_total
 
     return SummaryRows(
-        n=n, k=2, a_n=a_n, projections=projections, reweight=reweight, all_tuples_family=True
+        n=n, k=2, a_n=a_n, projections=(counts - 1) / (n - 1), multiplicity=counts,
+        reweight=reweight, all_tuples_family=True,
     )
 
 
 def collision_summary(data: Dataset, m: int) -> UStatSummary:
-    """The collision statistic of one dataset: row 0 of ``collision_rows``."""
-    return _first_row(collision_rows(np.asarray(data.points).reshape(1, -1), m))
+    """Row 0 of ``collision_rows`` for one dataset, its projections expanded to the n indices."""
+    row = _first_row(collision_rows(data.points.reshape(1, -1), m))
+    return replace(row, projections=row.projections[data.points])
 
 
 def collision_xi(m: int, n: int) -> float:
@@ -413,7 +411,8 @@ def triangle_rows(chunks: GeometricGraph, q: int) -> SummaryRows:
         return float(a_n[i]) + corr / math.comb(size, 3)
 
     return SummaryRows(
-        n=size, k=3, a_n=a_n, projections=projections, reweight=reweight, all_tuples_family=True
+        n=size, k=3, a_n=a_n, projections=projections, reweight=reweight, all_tuples_family=True,
+        multiplicity=np.broadcast_to(np.int64(1), projections.shape),  # a column per node
     )
 
 
@@ -492,7 +491,7 @@ def private_triangle_densities(
     then released through one ``release_rows``, each with the radius its own
     proxy sizes; the others are bottoms that spent eps.  Both releases draw
     from the one generator of ``seed``: the q proxies first, then the live
-    chunks' releases.
+    chunks' releases.  With no live chunk there is no second release.
     """
     q = len(budgets)
     chunk_rows = triangle_rows(chunks, q)
@@ -504,12 +503,6 @@ def private_triangle_densities(
         LAPLACE, u_edges, [EDGE_DENSITY_SENSITIVITY_FACTOR / size] * q, eps, budgets, rng,
         "edge density proxy",
     )[0].tolist()
-    live = [i for i in range(q) if nu[i] >= 0]
-    xi = [triangle_xi(nu[i], size) for i in live]
-    released = release_rows(
-        chunk_rows.take(live), HajekParams(eps=eps, c_range=1.0, xi=np.array(xi)),
-        rng, [budgets[i] for i in live], label="triangle density",
-    )
     reports = [
         None if v >= 0 else EstimateReport(
             estimate=None,
@@ -518,6 +511,14 @@ def private_triangle_densities(
         )
         for v, u in zip(nu, u_edges)
     ]
+    live = [i for i in range(q) if nu[i] >= 0]
+    if not live:
+        return reports
+    xi = [triangle_xi(nu[i], size) for i in live]
+    released = release_rows(
+        chunk_rows.take(live), HajekParams(eps=eps, c_range=1.0, xi=np.array(xi)),
+        rng, [budgets[i] for i in live], label="triangle density",
+    )
     for i, x, report in zip(live, xi, released):
         report.diagnostics.update({"nu": nu[i], "xi": x, "edge_density": u_edges[i]})
         reports[i] = report

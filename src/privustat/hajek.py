@@ -16,9 +16,10 @@ the generic estimator (``private_means_local_hajek``) draws every chunk's
 mean and projections from one stacked pass over the family (``summary_rows``,
 which on a complete family keeps no kernel value past its block), the
 count-based collision and triangle summaries stack the same way, and the
-smoothness audit stacks one row per multiset.  A stack's release draws
-every row's noise in one call, from one generator.  There is no one-row
-path: a single dataset is the one-row stack.
+smoothness audit stacks one row per multiset.  A column stands for its
+multiplicity of indices: one, or a category's count in the collision stack.
+A stack's release draws every row's noise in one call, from one generator.
+There is no one-row path: a single dataset is the one-row stack.
 """
 
 from __future__ import annotations
@@ -82,26 +83,30 @@ def _ramp_edge(xi, c_range: float, k: int, n: int, spread_level):
 
 
 def _spread_levels(
-    devs: np.ndarray, xi: list[float], floor: list[float], c_range: float, k: int, n: int
-) -> tuple[list[int], np.ndarray]:
-    """The spread level L of each row of a (q, n) array of deviations: the
-    smallest t >= 1 such that at most t deviations exceed xi + 6kCt/n, with
-    row i's radius xi[i].  Also returns the flat indices, in increasing
-    order, of the candidates: the deviations over the t = 1 threshold and
-    over the row's ``floor``, under which a deviation counts as zero.
+    devs: np.ndarray, multiplicity: np.ndarray, xi: list[float], floor: list[float], c_range: float,
+    k: int, n: int,
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The spread level L of each row of a (q, u) array of deviations, a
+    column standing for its ``multiplicity`` of indices: the smallest t >= 1
+    such that at most t indices exceed xi + 6kCt/n, with row i's radius
+    xi[i].  Also returns the flat indices, in increasing order, and counts of
+    the candidates: the columns over the t = 1 threshold and over the row's
+    ``floor``, under which a deviation counts as zero.
 
     Violation is strict (> the threshold); t = n always qualifies.  The
     thresholds grow with t, so only the candidates can ever violate, and
-    t = (their number) always qualifies.  Only the rows with two or more
-    candidates are sorted, and only those candidates.
+    t = (their indices) always qualifies.  Only the rows whose candidates
+    stand for two or more indices are sorted, each candidate once per index.
     """
     # every threshold is >= 0, so a deviation over max(threshold, floor)
     # is exactly one over the threshold that is not zeroed by the floor
     first = [max(_ramp_edge(x, c_range, k, n, 1), f) for x, f in zip(xi, floor)]
     over = np.flatnonzero(devs > np.array(first)[:, None])
+    counts = multiplicity.flat[over]
     levels = [1] * len(xi)
-    values = devs.reshape(-1)[over]
-    starts = np.searchsorted(over, n * np.arange(len(xi) + 1)).tolist()
+    repeated = np.repeat(over, counts)  # each candidate once per index
+    values = devs.reshape(-1)[repeated]
+    starts = np.searchsorted(repeated, devs.shape[1] * np.arange(len(xi) + 1)).tolist()
     for i, (lo, hi) in enumerate(zip(starts, starts[1:])):
         if hi - lo <= 1:
             continue
@@ -110,7 +115,7 @@ def _spread_levels(
         thresholds = _ramp_edge(xi[i], c_range, k, n, ts)
         exceed = hi - lo - np.searchsorted(tail, thresholds, side="right")
         levels[i] = int(np.nonzero(exceed <= ts)[0][0] + 1)
-    return levels, over
+    return levels, over, counts
 
 
 def compute_weights(
@@ -198,14 +203,17 @@ def smooth_sensitivity(
 class SummaryRows:
     """q summaries of one kernel/family shape, stacked as rows.
 
-    ``a_n`` is (q,) and ``projections`` is (q, n); ``reweight(i, weights)``
-    is row i's reweighted mean for its (n,) weight vector.
+    ``a_n`` is (q,); in the (q, u) ``projections``, column j of row i holds
+    the projection of ``multiplicity[i, j]`` of the n indices (none: never
+    in L, never bad).  ``reweight(i, weights)`` is row i's reweighted mean
+    for its (u,) column weights.
     """
 
     n: int
     k: int
     a_n: np.ndarray
     projections: np.ndarray
+    multiplicity: np.ndarray
     reweight: Callable[[int, np.ndarray], float]
     all_tuples_family: bool
 
@@ -216,6 +224,7 @@ class SummaryRows:
             k=self.k,
             a_n=self.a_n[live],
             projections=self.projections[live],
+            multiplicity=self.multiplicity[live],
             reweight=lambda j, weights: self.reweight(live[j], weights),
             all_tuples_family=self.all_tuples_family,
         )
@@ -267,6 +276,7 @@ def summary_rows(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> Summary
         k=family.k,
         a_n=a_n,
         projections=projections,
+        multiplicity=np.broadcast_to(np.int64(1), projections.shape),  # a column per index
         reweight=lambda i, weights: _reweighted_mean(h, chunks[i], family, weights, float(a_n[i])),
         all_tuples_family=family.kind == "all_tuples",
     )
@@ -275,18 +285,20 @@ def summary_rows(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> Summary
 @dataclass
 class HajekRows:
     """Every deterministic quantity of the estimator for each row of a
-    ``SummaryRows``, stacked: (q,) means, spread levels L, reweighted means
-    and smooth bounds, and (q, n) projections and weights.  Exposed for
-    white-box verification; a single dataset is the one-row stack.
+    ``SummaryRows``, stacked: (q,) means, spread levels L, bad index counts,
+    reweighted means and smooth bounds, and (q, u) projections and weights,
+    one per column.  Exposed for white-box verification.
 
-    ``bad`` holds flat indices into the (q, n) ``weights``: row i's bad
-    indices, offset by i * n, in increasing order.
+    ``bad`` holds flat indices into the (q, u) ``weights``: row i's bad
+    columns, offset by i * u, in increasing order; ``n_bad[i]`` sums their
+    multiplicities.
     """
 
     a_n: np.ndarray
     projections: np.ndarray
     spread_level: np.ndarray
     bad: np.ndarray
+    n_bad: np.ndarray
     weights: np.ndarray
     reweighted: np.ndarray
     smooth_bound: np.ndarray
@@ -296,15 +308,16 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
     """All deterministic quantities of the estimator (everything but the
     noise) for every row of the stack.
 
-    Each row's dead band, spread level, edge and bad indices are its own, and
-    so is its radius when ``params.xi`` holds one per row.  Only rows with
-    bad indices are reweighted, and one ``smooth_sensitivity`` call takes
-    every row's (radius, spread level) and scans the same shifts for each.
-    The per-row scalars are Python floats, computed as for a single summary.
+    Each row's dead band, spread level, edge and bad columns are its own, and
+    so is its radius when ``params.xi`` holds one per row.  L counts a column
+    once per index; every other pass is over the columns.  Only rows with bad
+    columns are reweighted, and one ``smooth_sensitivity`` call takes every
+    row's (radius, spread level) and scans the same shifts for each.  The
+    per-row scalars are Python floats, computed as for a single summary.
     """
     n, k, c_range, eps = rows.n, rows.k, params.c_range, params.eps
     proj, a_n = rows.projections, rows.a_n
-    q = a_n.size
+    q, u = proj.shape
     xi = np.asarray(params.xi, dtype=float)
     if xi.ndim and xi.shape != (q,):
         raise ValueError(f"need one concentration radius per row, got {xi.size} for {q}")
@@ -321,33 +334,35 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
     tol = [
         _DEAD_BAND * max(1.0, abs(a), top, -bottom) for a, top, bottom in zip(means, tops, bottoms)
     ]
-    level, over = _spread_levels(devs, xis, tol, c_range, k, n)
-    # every edge is at least the t = 1 threshold, so the bad indices are
-    # among the candidates
+    level, over, counts = _spread_levels(devs, rows.multiplicity, xis, tol, c_range, k, n)
+    # every edge is at least the t = 1 threshold, so the bad columns are
+    # among the candidates; a column that stands for no index is never bad
     edge = np.array([_ramp_edge(x, c_range, k, n, L) for x, L in zip(xis, level)])
+    radii, levels = np.array(xis), np.array(level)
     over_devs = devs.reshape(-1)[over]
-    bad_at = over_devs > edge[over // n]
+    bad_at = np.logical_and(over_devs > edge[over // u], counts)
     bad = over[bad_at]
     reweighted = a_n.copy()
     if bad.size:
-        # the ramp is exactly 1 inside the edge, so only the bad indices need it
-        owner = bad // n
+        # the ramp is exactly 1 inside the edge, so only the bad columns need it
+        owner = bad // u
+        n_bad = np.bincount(owner, counts[bad_at], q).astype(np.int64)
         weights = np.ones(devs.shape)
         weights.reshape(-1)[bad] = compute_weights(
-            over_devs[bad_at], np.array(xis)[owner], c_range, k, n, np.array(level)[owner], eps
+            over_devs[bad_at], radii[owner], c_range, k, n, levels[owner], eps
         )
         for i in sorted(set(owner.tolist())):
             reweighted[i] = rows.reweight(i, weights[i])
     else:
         weights = np.ndarray(devs.shape, buffer=_ONE, strides=(0, 0))
-    bound = smooth_sensitivity(
-        np.array(xis), np.array(level), n, k, c_range, eps, rows.all_tuples_family
-    )
+        n_bad = np.zeros(q, dtype=np.int64)
+    bound = smooth_sensitivity(radii, levels, n, k, c_range, eps, rows.all_tuples_family)
     return HajekRows(
         a_n=a_n,
         projections=proj,
-        spread_level=np.array(level),
+        spread_level=levels,
         bad=bad,
+        n_bad=n_bad,
         weights=weights,
         reweighted=reweighted,
         smooth_bound=bound,
@@ -370,7 +385,6 @@ def release_rows(
         QUARTIC, states.reweighted, states.smooth_bound, params.eps, budgets, seed,
         f"{label}: smooth release",
     )
-    n_bad = np.bincount(states.bad // rows.n, minlength=len(values))
     return [
         EstimateReport(
             estimate=value,
@@ -379,7 +393,7 @@ def release_rows(
             diagnostics={"L": level, "n_bad": count, "smooth_bound": bound},
         )
         for value, scale, level, count, bound in zip(
-            values.tolist(), scales.tolist(), states.spread_level.tolist(), n_bad.tolist(),
+            values.tolist(), scales.tolist(), states.spread_level.tolist(), states.n_bad.tolist(),
             states.smooth_bound.tolist(),
         )
     ]

@@ -4,7 +4,8 @@ the record and replay of a stack's noise by chunk, and the per-chunk loop
 form of ``median_of_means``, the majority-vote form
 of the boosted uniformity test, the two-release form of the triangle
 density, the full-scan forms of the spread level and the Hájek state, the
-copying clip step of ``ustat_means``, the per-row Floyd draw of
+expansion of a letter-level collision stack and its state to one column
+per index, the copying clip step of ``ustat_means``, the per-row Floyd draw of
 ``subsample_family``, the index-then-gather form of the complete-family
 engine (kernel values, stacked chunks, projections with scanned prefix runs),
 the per-column bincount and exact fsum forms of the projections, the
@@ -22,7 +23,7 @@ import statistics
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
@@ -173,15 +174,16 @@ def row_state(rows: SummaryRows, params: HajekParams) -> HajekRows:
 
 def stack_row(states: HajekRows, i: int) -> HajekRows:
     """Row i of a stack's ``HajekRows``, as the ``HajekRows`` of a one-row
-    stack: its bad indices lose their offset i * n."""
-    n = states.weights.shape[1]
-    lo, hi = np.searchsorted(states.bad, [i * n, (i + 1) * n])
+    stack: its bad columns lose their offset i * u."""
+    u = states.weights.shape[1]
+    lo, hi = np.searchsorted(states.bad, [i * u, (i + 1) * u])
     one = slice(i, i + 1)
     return HajekRows(
         a_n=states.a_n[one],
         projections=states.projections[one],
         spread_level=states.spread_level[one],
-        bad=states.bad[lo:hi] - i * n,
+        bad=states.bad[lo:hi] - i * u,
+        n_bad=states.n_bad[one],
         weights=states.weights[one],
         reweighted=states.reweighted[one],
         smooth_bound=states.smooth_bound[one],
@@ -207,12 +209,52 @@ def full_scan_hajek_state(rows: SummaryRows, params: HajekParams) -> HajekRows:
         projections=rows.projections,
         spread_level=np.array([level]),
         bad=bad,
+        n_bad=np.array([bad.size]),
         weights=weights[None],
         reweighted=np.array([rows.reweight(0, weights) if bad.size else a_n]),
         smooth_bound=smooth_sensitivity(
             np.array([params.xi]), np.array([level]), n, k, params.c_range, params.eps,
             rows.all_tuples_family,
         ),
+    )
+
+
+def index_level_rows(rows: SummaryRows, labels: np.ndarray) -> SummaryRows:
+    """A letter-level collision stack (one column per category, its count as
+    the multiplicity) expanded through its (q, n) labels to one column per
+    index, the form the per-index collision stack had: index j of row i gets
+    the projection of category labels[i, j], and a reweight maps its (n,)
+    index weights, constant within a category, to the (m,) category weights
+    the letter-level reweight takes."""
+    labels = np.asarray(labels)
+    q, m = rows.projections.shape
+    for i in range(q):
+        assert np.array_equal(np.bincount(labels[i], minlength=m), rows.multiplicity[i])
+
+    def reweight(i: int, weights: np.ndarray) -> float:
+        w_cat = np.ones(m)
+        w_cat[labels[i]] = weights
+        return rows.reweight(i, w_cat)
+
+    return SummaryRows(
+        n=rows.n, k=rows.k, a_n=rows.a_n, projections=np.take_along_axis(rows.projections, labels, 1),
+        multiplicity=np.broadcast_to(np.int64(1), labels.shape), reweight=reweight,
+        all_tuples_family=rows.all_tuples_family,
+    )
+
+
+def index_level_state(states: HajekRows, labels: np.ndarray) -> HajekRows:
+    """The ``HajekRows`` of a letter-level collision stack expanded through
+    its (q, n) labels, as ``index_level_rows`` expands the stack: (q, n)
+    projections and weights, and ``bad`` the flat (q, n) indices whose
+    category column is bad.  L, ``n_bad``, the means and bounds stay."""
+    labels = np.asarray(labels)
+    q, m = states.projections.shape
+    return replace(
+        states,
+        projections=np.take_along_axis(states.projections, labels, 1),
+        bad=np.flatnonzero(np.isin(labels + m * np.arange(q)[:, None], states.bad)),
+        weights=np.take_along_axis(states.weights, labels, 1),
     )
 
 
@@ -664,6 +706,7 @@ def values_summary(
         k=family.k,
         a_n=a_n,
         projections=projections,
+        multiplicity=np.broadcast_to(np.int64(1), projections.shape),
         reweight=lambda i, weights: reweighted_mean(h, chunks[i], family, weights, float(a_n[i])),
         all_tuples_family=family.kind == "all_tuples",
     )

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privustat as pv
-from privustat import applications as apps
+from privustat import applications as apps, dp
 from privustat.dp import quartic_draws, scratch_budget
 from privustat.errors import InsufficientData
-from privustat.hajek import HajekParams
+from privustat.hajek import HajekParams, release_rows
 from privustat.ustat import Dataset, all_tuples
 
 from oracles import (
@@ -26,6 +27,7 @@ from oracles import (
     dense_triangle_values,
     dense_triangles_per_node,
     exact_reweighted_mean,
+    index_level_rows,
     induced_subgraph,
     line_read_column,
     line_read_edge_list,
@@ -215,8 +217,74 @@ def test_collision_reweight_matches_loop_reference(n, m, seed, low_share, skewed
     # weights are a function of the category, as projections are
     w_cat = np.where(rng.random(m) < low_share, rng.choice([0.0, 0.25, rng.uniform()], m), 1.0)
     weights = w_cat[x]
-    got = apps.collision_rows(x[None], m).reweight(0, weights)
+    rows = apps.collision_rows(x[None], m)
+    got = index_level_rows(rows, x[None]).reweight(0, weights)
     assert got == pytest.approx(loop_collision_reweight(x, m, weights), rel=1e-12, abs=0)
+    # the category weights directly: an empty category's weight is never read
+    assert rows.reweight(0, w_cat) == got
+
+
+def collision_labels(rng, q: int, n: int, m: int, skewed: bool) -> np.ndarray:
+    """(q, n) labels: uniform over m, or one heavy category 0 with about 5%
+    rare ones, at least one of them in every row."""
+    if not skewed:
+        return rng.integers(0, m, (q, n))
+    x = np.where(rng.random((q, n)) < 0.05, rng.integers(1, m, (q, n)), 0)
+    x[:, 0] = rng.integers(1, m, q)
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(2, 30), st.integers(20, 300), st.booleans(),
+    st.sampled_from([0.005, 0.02, 1.0]), st.integers(0, 2**32 - 1),
+)
+def test_letter_level_release_equals_its_index_level_expansion_bitwise(q, m, n, skewed, c_range, seed):
+    # at C <= 0.02 and xi <= 0.05 every skewed row's rare categories are bad
+    rng = np.random.default_rng(seed)
+    x = collision_labels(rng, q, n, m, skewed)
+    params = HajekParams(float(rng.uniform(0.1, 2.0)), c_range, rng.choice([0.0, 0.01, 0.05], q))
+    rows = apps.collision_rows(x, m)
+    assert rows.projections.shape == rows.multiplicity.shape == (q, m)
+    got_budgets, want_budgets = ([pv.PrivacyBudget(10.0) for _ in range(q)] for _ in range(2))
+    got = release_rows(rows, params, seed, got_budgets)
+    want = release_rows(index_level_rows(rows, x), params, seed, want_budgets)
+    for g, w in zip(got, want):
+        assert (g.estimate, g.noise_scale, g.diagnostics) == (w.estimate, w.noise_scale, w.diagnostics)
+    assert [b.entries for b in got_budgets] == [b.entries for b in want_budgets]
+    if skewed and c_range < 1.0:
+        assert all(r.diagnostics["n_bad"] > 0 for r in got)
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+def test_collision_release_on_a_million_labels_holds_no_per_index_array(skewed):
+    # 10^6 int64 labels are 7.6 MiB: a per-index projection, gather or offset
+    # copy of them would pass the bound on its own.  The skewed labels are
+    # count-summary's: 1000 rare labels, each a bad index (L = 1000)
+    n, m = 10**6, 1000
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, m, (1, n))
+    if skewed:
+        x[:] = 0
+        x[0, rng.choice(n, 1000, replace=False)] = rng.integers(1, m, 1000)
+    budget = scratch_budget()
+    tracemalloc.start()
+    try:
+        (report,) = apps.private_collision_densities(x, m, 1.0, apps.collision_xi(m, n), 5, [budget])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.diagnostics["n_bad"] == (1000 if skewed else 0)
+    assert peak < 2**20
+
+
+def test_collision_summary_gives_every_index_its_projection():
+    x = np.random.default_rng(6).integers(0, 7, 50).astype(np.uint16)
+    summary = apps.collision_summary(Dataset(x), 9)
+    counts = np.bincount(x, minlength=9)
+    assert summary.projections.shape == (50,)
+    assert np.array_equal(summary.projections, (counts[x] - 1) / 49)
+    assert summary.a_n == apps.collision_rows(x[None], 9).a_n[0]
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +763,33 @@ def test_triangle_empty_graph_bottom_rate_matches_laplace():
     )
     rate = bottoms / n_graphs
     assert rate == pytest.approx(0.5, abs=3 * math.sqrt(0.25 / n_graphs))
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_triangle_densities_make_no_second_release_when_every_proxy_is_negative(q, monkeypatch):
+    # an edgeless graph's proxies are pure Laplace noise, negative at some seeds
+    size, eps = 12, 1.0
+    chunks = apps.GeometricGraph(np.zeros((q * size,) * 2, dtype=np.int8))
+    calls = mock.Mock(wraps=apps.release_rows)
+    monkeypatch.setattr(apps, "release_rows", calls)
+    all_negative = 0
+    for seed in range(48):
+        want_budgets = [pv.PrivacyBudget(5.0) for _ in range(q)]
+        nu = dp.releases(dp.LAPLACE, [0.0] * q, [2.0 / size] * q, eps, want_budgets, seed,
+                         "edge density proxy")[0].tolist()
+        budgets = [pv.PrivacyBudget(5.0) for _ in range(q)]
+        calls.reset_mock()
+        reports = apps.private_triangle_densities(chunks, eps, seed, budgets)
+        if max(nu) >= 0:  # a live chunk: one stacked release
+            assert calls.call_count == 1
+            continue
+        all_negative += 1
+        assert calls.call_count == 0
+        assert [(r.estimate, r.bottom_reason, r.diagnostics) for r in reports] == [
+            (None, f"edge-density proxy {v:.4g} < 0", {"nu": v, "edge_density": 0.0}) for v in nu
+        ]
+        assert [b.entries for b in budgets] == [b.entries for b in want_budgets]
+    assert 0 < all_negative < 48
 
 
 def test_triangle_budget_is_two_eps():

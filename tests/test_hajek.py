@@ -41,6 +41,8 @@ from oracles import (
     full_range_smooth_sensitivity,
     full_scan_compute_L,
     full_scan_hajek_state,
+    index_level_rows,
+    index_level_state,
     per_key_smooth_sensitivity,
     reweighted_mean,
     row_state,
@@ -65,7 +67,8 @@ def one_key_bound(xi, spread_level, n, k, c_range, eps, complete) -> float:
 
 def spread_level(devs, xi, c_range, k, n):
     """The spread level L of one row of deviations, with no dead band."""
-    levels, _ = hajek._spread_levels(np.asarray(devs, dtype=float).reshape(1, n), [xi], [0.0], c_range, k, n)
+    ones = np.ones((1, n), dtype=np.int64)
+    levels, _, _ = hajek._spread_levels(np.asarray(devs, dtype=float).reshape(1, n), ones, [xi], [0.0], c_range, k, n)
     return levels[0]
 
 
@@ -644,18 +647,26 @@ def assert_states_equal(got, want):
         assert np.array_equal(a, b), field.name
 
 
+def assert_letter_state_equals(got, want, labels):
+    """A letter-level collision state against an index-level one, bitwise:
+    the same L, n_bad, bound and reweighted mean, and, through the (q, n)
+    labels, the same projections, weights and bad indices."""
+    assert_states_equal(index_level_state(got, labels), want)
+
+
 def test_state_equals_the_full_scan_reference_on_random_cases():
     rng = np.random.default_rng(22)
     with_bad = 0
     for _ in range(300):
         n, m = int(rng.integers(2, 200)), int(rng.integers(1, 30))
         p = rng.dirichlet(np.full(m, rng.uniform(0.1, 3.0)))
-        summary = apps.collision_rows(rng.choice(m, size=n, p=p)[None], m)
+        labels = rng.choice(m, size=n, p=p)[None]
+        summary = apps.collision_rows(labels, m)
         params = HajekParams(eps=float(rng.uniform(0.05, 3.0)),
                              c_range=float(rng.choice([0.0, rng.uniform(0.0, 0.1), 1.0])),
                              xi=float(rng.choice([0.0, rng.uniform(0.0, 0.3)])))
-        want = full_scan_hajek_state(summary, params)
-        assert_states_equal(row_state(summary, params), want)
+        want = full_scan_hajek_state(index_level_rows(summary, labels), params)
+        assert_letter_state_equals(row_state(summary, params), want, labels)
         with_bad += want.bad.size > 0
     assert with_bad > 50
     for _ in range(40):
@@ -692,7 +703,8 @@ def test_per_row_radii_equal_one_row_states_with_scalar_radii():
         params = HajekParams(0.7, 0.02, radius)
         alone = row_state(summary, params)
         assert_states_equal(stack_row(states, i), alone)
-        assert_states_equal(alone, full_scan_hajek_state(summary, params))
+        want = full_scan_hajek_state(index_level_rows(summary, x[i][None]), params)
+        assert_letter_state_equals(alone, want, x[i][None])
 
 
 def test_scalar_radius_equals_the_same_radius_in_every_row():
@@ -708,9 +720,28 @@ def test_scalar_radius_equals_the_same_radius_in_every_row():
 
 
 def test_weights_are_a_read_only_view_of_ones_when_nothing_is_bad():
-    state = row_state(apps.collision_rows((np.arange(40) % 4)[None], 4), HajekParams(1.0, 1.0, 0.5))
-    assert state.bad.size == 0 and np.array_equal(state.weights, np.ones((1, 40)))
+    labels = (np.arange(40) % 4)[None]
+    state = row_state(apps.collision_rows(labels, 4), HajekParams(1.0, 1.0, 0.5))
+    assert state.bad.size == 0 and state.n_bad.tolist() == [0]
+    assert np.array_equal(state.weights, np.ones((1, 4)))
+    assert np.array_equal(index_level_state(state, labels).weights, np.ones((1, 40)))
     assert not state.weights.flags.writeable
+
+
+def test_an_empty_category_is_never_bad():
+    # 37 zeros and 3 ones over m = 3: category 2 is empty, and its projection
+    # -1/39 is further from a_n than the ones' 2/39, which are bad at L = 11,
+    # where the edge has passed the 37 zeros
+    labels = np.zeros((1, 40), dtype=np.int64)
+    labels[0, :3] = 1
+    rows = apps.collision_rows(labels, 3)
+    params = HajekParams(1.0, 0.02, 0.0)
+    state = row_state(rows, params)
+    devs = np.abs(rows.projections[0] - rows.a_n[0])
+    assert rows.multiplicity.tolist() == [[37, 3, 0]] and devs[2] > devs[1]
+    assert state.bad.tolist() == [1] and state.n_bad.tolist() == [3] and state.spread_level.tolist() == [11]
+    assert state.weights[0, 2] == 1.0 and state.weights[0, 1] < 1.0
+    assert_letter_state_equals(state, full_scan_hajek_state(index_level_rows(rows, labels), params), labels)
 
 
 def large_collision_summary(skewed: bool, n: int, m: int, seed: int):
@@ -721,23 +752,27 @@ def large_collision_summary(skewed: bool, n: int, m: int, seed: int):
         x = rng.permutation(x)
     else:
         x = rng.integers(0, m, n)
-    return apps.collision_rows(x[None], m), HajekParams(1.0, 1.0, apps.collision_xi(m, n))
+    return x[None], HajekParams(1.0, 1.0, apps.collision_xi(m, n))
 
 
 @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
 def test_state_equals_the_full_scan_reference_at_scale(skewed):
-    summary, params = large_collision_summary(skewed, 2 * 10**5, 1000, 24)
+    labels, params = large_collision_summary(skewed, 2 * 10**5, 1000, 24)
+    summary = apps.collision_rows(labels, 1000)
     got = row_state(summary, params)
-    assert_states_equal(got, full_scan_hajek_state(summary, params))
+    assert_letter_state_equals(got, full_scan_hajek_state(index_level_rows(summary, labels), params), labels)
     assert (got.bad.size > 0) == skewed
 
 
 @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
 def test_state_sorts_only_the_over_threshold_tail(skewed, monkeypatch):
     n, m = 10**5, 100
-    summary, params = large_collision_summary(skewed, n, m, 25)
+    labels, params = large_collision_summary(skewed, n, m, 25)
+    summary = apps.collision_rows(labels, m)
     first = params.xi + 6.0 * 2 * params.c_range * 1 / n  # the t = 1 threshold
-    over = int(np.count_nonzero(np.abs(summary.projections[0] - summary.a_n[0]) > first))
+    # the sort takes each candidate category once per index: the indices over the threshold
+    per_index = index_level_rows(summary, labels).projections[0]
+    over = int(np.count_nonzero(np.abs(per_index - summary.a_n[0]) > first))
     sizes = []
     sort = np.sort
 
@@ -782,7 +817,7 @@ def test_smooth_bound_scans_the_same_shifts_whatever_the_spread_level(monkeypatc
 def test_state_rejects_non_finite_projections():
     summary = SummaryRows(
         n=3, k=1, a_n=np.array([0.0]), projections=np.array([[0.0, math.nan, 0.0]]),
-        reweight=lambda i, w: 0.0, all_tuples_family=True,
+        multiplicity=np.ones((1, 3), dtype=np.int64), reweight=lambda i, w: 0.0, all_tuples_family=True,
     )
     with pytest.raises(ValueError, match="finite"):
         row_state(summary, HajekParams(1.0, 1.0, 0.0))
@@ -889,10 +924,11 @@ def test_collision_fast_path_matches_generic(xi, c_range, expect_bad):
     params = HajekParams(eps=1.0, c_range=c_range, xi=xi)
     vals = kernel_values(pv.collision_kernel(), data, fam)
     generic = row_state(summarize(pv.collision_kernel(), data, fam, vals), params)
-    fast = row_state(apps.collision_rows(data.points[None], m), params)
+    fast = index_level_state(row_state(apps.collision_rows(data.points[None], m), params), data.points[None])
     if expect_bad:
         assert generic.bad.size > 0  # otherwise this case checks nothing new
     assert fast.spread_level == generic.spread_level
+    assert np.array_equal(fast.bad, generic.bad) and fast.n_bad == generic.n_bad
     assert fast.a_n == pytest.approx(generic.a_n, rel=1e-12)
     np.testing.assert_allclose(fast.projections, generic.projections, rtol=1e-12)
     assert fast.reweighted == pytest.approx(generic.reweighted, rel=1e-12)
@@ -941,7 +977,7 @@ def test_collision_fast_path_with_fractional_weights():
     params = HajekParams(eps=0.05, c_range=0.02, xi=0.0)
     vals = kernel_values(pv.collision_kernel(), data, fam)
     generic = row_state(summarize(pv.collision_kernel(), data, fam, vals), params)
-    fast = row_state(apps.collision_rows(data.points[None], m), params)
+    fast = index_level_state(row_state(apps.collision_rows(data.points[None], m), params), data.points[None])
     fractional = (generic.weights > 0.0) & (generic.weights < 1.0)
     assert fractional.any()
     assert fast.reweighted == pytest.approx(generic.reweighted, rel=1e-12)

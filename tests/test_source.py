@@ -12,7 +12,9 @@ chunks share one generator, and each release draws all of their noise
 from it in one sampler call.  Only
 ``hajek.release_rows`` and the smoothness audit call the Hájek engine, and
 only ``release_rows`` releases with the quartic law, so no second Hájek
-path grows beside the stacked one.  Outside ``ustat`` only ``coinpress``
+path grows beside the stacked one.  Every ``SummaryRows`` built in the
+package names its ``multiplicity``, so a letter-level stack states how
+many indices each column stands for.  Outside ``ustat`` only ``coinpress``
 asks for a kernel value per subset, which clip-and-release clips in place;
 the Hájek paths read the pass's means and projections.  Only ``dp`` reads
 a law's ``factor``: the release returns the scale it drew at, so no caller
@@ -379,6 +381,35 @@ def test_one_hajek_path():
     for path in ALL_MODULES:
         found += second_hajek_paths(str(path.relative_to(SRC)), path.read_text())
     assert found == []
+
+
+def summary_rows_without_multiplicity(source: str) -> list[int]:
+    """The line of every ``SummaryRows`` call that does not name its
+    ``multiplicity`` keyword."""
+    return [
+        node.lineno for _, node, callee in calls(source)
+        if callee == "SummaryRows" and "multiplicity" not in {kw.arg for kw in node.keywords}
+    ]
+
+
+def test_checker_finds_summary_rows_without_multiplicity():
+    # by keyword, through a module, positionally and by ** unpacking
+    source = (
+        "def letters(a, p, counts, n):\n"
+        "    return SummaryRows(n=n, k=2, a_n=a, projections=p, multiplicity=counts)\n"
+        "def indices(a, p, n):\n"
+        "    return hajek.SummaryRows(n=n, k=2, a_n=a, projections=p)\n"
+        "class Stack:\n    def rows(self, counts):\n"
+        "        return [SummaryRows(2, 2, self.a, self.p, counts), SummaryRows(**self.fields)]\n"
+    )
+    assert summary_rows_without_multiplicity(source) == [4, 7, 7]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_every_summary_rows_names_its_multiplicity(path):
+    # a letter-level stack that left its multiplicities out would count each
+    # letter once toward L, which gives a wrong L and so a wrong smooth bound
+    assert summary_rows_without_multiplicity(path.read_text()) == []
 
 
 # the functions that return one kernel value per subset, and the modules
