@@ -22,7 +22,7 @@ import numpy as np
 from .boosting import boosted
 from .dp import LAPLACE, PrivacyBudget, releases
 from .errors import InsufficientData
-from .hajek import HajekParams, SummaryRows, release_rows
+from .hajek import HajekParams, SummaryRows, count_rows, release_rows
 from .report import EstimateReport
 from .rng import as_generator
 from .ustat import Dataset
@@ -103,13 +103,12 @@ def _first_row(rows: SummaryRows) -> UStatSummary:
 
 def collision_rows(chunks: np.ndarray, m: int) -> SummaryRows:
     """Count-based summaries of the collision kernel over all pairs of each
-    row of a (q, n) array of category labels.
+    row of a (q, n) array of category labels: ``count_rows`` of the rows'
+    category counts, one column per category.
 
-    Everything depends on a row only through its category counts: an index
-    in a category of count c has projection (c - 1)/(n - 1), so a row has
-    one column per category, the count its multiplicity.  After one O(n)
-    ``bincount`` of the int64 labels (row i's shifted by i m when q > 1),
-    all is O(m log m) per row.  Every row is checked before any is summarised.
+    One O(n) ``bincount`` of the int64 labels (row i's shifted by i m when
+    q > 1) gives the counts, and all after it is O(m log m) per row.  Every
+    row is checked before any is summarised.
     """
     x = np.asarray(chunks)
     if x.dtype.kind not in "iu":
@@ -123,31 +122,7 @@ def collision_rows(chunks: np.ndarray, m: int) -> SummaryRows:
     codes = x.astype(np.int64, copy=False)
     if q > 1:  # row i's labels shifted to [i m, (i + 1) m)
         codes = codes + m * np.arange(q)[:, None]
-    counts = np.bincount(codes.ravel(), minlength=q * m).reshape(q, m)
-    pairs_total = n * (n - 1) // 2
-    same_pairs = counts * (counts - 1) // 2
-    a_n = same_pairs.sum(axis=1) / pairs_total
-
-    def reweight(i: int, weights: np.ndarray) -> float:
-        # weights holds one weight per category; an empty one is never bad
-        occupied = np.flatnonzero(counts[i])
-        wc = weights[occupied]
-        # same-category pairs: h = 1, weight w_c
-        sp = same_pairs[i, occupied]
-        total = float(np.sum(sp * (wc + a_n[i] * (1.0 - wc))))
-        # cross-category pairs: h = 0, weight min(w_c, w_d).  By the rule of
-        # every reweight (``hajek``) that is, in increasing weight order, the
-        # earlier category's weight, which meets every count after it.
-        order = np.argsort(wc, kind="stable")
-        cnt = counts[i, occupied][order]
-        after = n - np.cumsum(cnt)
-        total += a_n[i] * float(np.sum(cnt * after * (1.0 - wc[order])))
-        return total / pairs_total
-
-    return SummaryRows(
-        n=n, k=2, a_n=a_n, projections=(counts - 1) / (n - 1), multiplicity=counts,
-        reweight=reweight, all_tuples_family=True,
-    )
+    return count_rows(np.bincount(codes.ravel(), minlength=q * m).reshape(q, m), n, 2)
 
 
 def collision_summary(data: Dataset, m: int) -> UStatSummary:

@@ -12,7 +12,10 @@ family's bounds are those of n chunk values with variance proxy k tau.
 The engine runs many datasets of one size at once, as the rows of a (q, M)
 array of kernel values: the q chunks of a boosted estimate make one pass,
 with (q,) interval endpoints and one stacked release per step, every step
-drawing from one generator.  The ``*_estimates`` functions take the chunks
+drawing from one generator.  An equality kernel on the complete family
+(``ustat.runs_on_counts``) gives a (q, 2) array instead: its two values 0
+and 1, each weighted by the number of subsets taking it, from the value
+counts.  The ``*_estimates`` functions take the chunks
 as a (q, n) array and one seed; the estimators of one dataset are their
 q = 1 case.
 """
@@ -34,10 +37,13 @@ from .ustat import (
     Kernel,
     SubsetFamily,
     all_tuples,
+    binomials,
     chunk_kernel_values,
     disjoint_chunks,
     kernel_values,
+    runs_on_counts,
     subsample_family,
+    value_counts,
 )
 
 DEFAULT_CONFIDENCE = 0.01  # per-run failure budget before median-of-means boosting
@@ -123,6 +129,7 @@ def check_preconditions(
 
 def _clip_and_release(
     values: np.ndarray,
+    counts: np.ndarray | None,
     deps: np.ndarray,
     r: float,
     eps: float,
@@ -133,8 +140,11 @@ def _clip_and_release(
     label: str,
 ) -> list[EstimateReport]:
     """The t halving steps and the release step of ``ustat_means`` on every
-    row of the (q, M) ``values`` at once; row i has dependence fraction
+    row of the (q, V) ``values`` at once; row i has dependence fraction
     deps[i] and debits budgets[i], and every step's noise comes from ``rng``.
+    With ``counts`` None each column is one subset's value (V = M);
+    otherwise column j of row i is the value of counts[i, j] of the M
+    subsets, and the mean weighs it so.
 
     One loop runs all t + 1 steps: the halving steps at (eps/(2t), gamma/t),
     then the release step at (eps/2, gamma).  Each clips row i in place to
@@ -158,6 +168,7 @@ def _clip_and_release(
             problems["halving guarantees not in force: " + "; ".join(found)] = None
     for message in problems:
         warn_precondition(message)
+    size = values.shape[1] if counts is None else int(counts[0].sum())
     lo, hi = np.full(len(values), -r), np.full(len(values), r)
     los, his = [lo.tolist()], [hi.tolist()]  # the trace, one list of rows per step
     # each step clips the previous step's output, so the values are clipped
@@ -167,7 +178,8 @@ def _clip_and_release(
         eps_step, beta = (eps / (2.0 * t), gamma / t) if halving else (eps / 2.0, gamma)
         q = tb.q(beta)
         np.clip(values, (lo - q)[:, None], (hi + q)[:, None], out=values)
-        means = np.add.reduce(values, axis=1) / values.shape[1]
+        # one subset per value sums as it is: a product with ones would cost a pass
+        means = np.add.reduce(values if counts is None else values * counts, axis=1) / size
         release, scale = releases(
             LAPLACE, means, deps * ((hi - lo) + 2.0 * q), eps_step, budgets, rng,
             f"{label}: {'halving' if halving else 'release'} step",
@@ -232,13 +244,20 @@ def ustat_means(
     Violated sample-size preconditions produce a warning, not an abort;
     non-finite data points, R or Q(gamma) raise ``ValueError`` before any
     spend.  A kernel value that overflows from finite data is clipped by the
-    first step like any outlier.
+    first step like any outlier.  An equality kernel on a complete family
+    runs on the chunks' value counts, with no kernel call.
     """
     check_data(chunks)
-    with np.errstate(over="ignore"):  # the first step clips an overflowing value
-        values = chunk_kernel_values(h, chunks, family)
+    if runs_on_counts(h, family):
+        # the kernel is 1 on the sum_j C(c_j, k) subsets inside a class, else 0
+        ones = binomials(value_counts(h, chunks, family), family.k).sum(axis=1)
+        values = np.tile([0.0, 1.0], (len(chunks), 1))
+        counts = np.stack([family.size - ones, ones], axis=1)
+    else:
+        with np.errstate(over="ignore"):  # the first step clips an overflowing value
+            values, counts = chunk_kernel_values(h, chunks, family), None
     deps = np.full(len(chunks), family.dependence_fraction())
-    return _clip_and_release(values, deps, r, eps, gamma, tb, as_generator(seed), budgets, label)
+    return _clip_and_release(values, counts, deps, r, eps, gamma, tb, as_generator(seed), budgets, label)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +364,7 @@ def subsampled_estimates(
     deps = np.array([f.dependence_fraction() for f in families])
     tb = subsampled_tail_bounds(tau, k, n, size)
     return _clip_and_release(
-        values, deps, r, eps, DEFAULT_CONFIDENCE, tb, rng, budgets, "subsampled"
+        values, None, deps, r, eps, DEFAULT_CONFIDENCE, tb, rng, budgets, "subsampled"
     )
 
 

@@ -16,8 +16,11 @@ the generic estimator (``private_means_local_hajek``) draws every chunk's
 mean and projections from one stacked pass over the family (``summary_rows``,
 which on a complete family keeps no kernel value past its block), the
 count-based collision and triangle summaries stack the same way, and the
-smoothness audit stacks one row per multiset.  A column stands for its
-multiplicity of indices: one, or a category's count in the collision stack.
+smoothness audit stacks one row per multiset.  An equality kernel on a
+complete family skips the pass: its rows come from value counts
+(``count_rows``, which the collision summaries share), with exact integer
+binomials up to the last division.  A column stands for its multiplicity of
+indices: one, or the count of a value or category.
 A stack's release draws every row's noise in one call, from one generator.
 There is no one-row path: a single dataset is the one-row stack.
 """
@@ -39,8 +42,11 @@ from .ustat import (
     Kernel,
     SubsetFamily,
     all_tuples,
+    binomials,
     clipped_kernel,
     means_and_projections,
+    runs_on_counts,
+    value_counts,
 )
 from .coinpress import check_data, naive_estimator, subgaussian_xi
 
@@ -224,7 +230,11 @@ class SummaryRows:
             k=self.k,
             a_n=self.a_n[live],
             projections=self.projections[live],
-            multiplicity=self.multiplicity[live],
+            # a broadcast of one multiplicity per index stays a broadcast
+            multiplicity=(
+                self.multiplicity[live] if self.multiplicity.strides[0]
+                else np.broadcast_to(self.multiplicity[:1], (len(live), self.multiplicity.shape[1]))
+            ),
             reweight=lambda j, weights: self.reweight(live[j], weights),
             all_tuples_family=self.all_tuples_family,
         )
@@ -266,10 +276,51 @@ def _reweighted_mean(
     return a_n + total / family.size
 
 
+def count_rows(counts: np.ndarray, n: int, k: int) -> SummaryRows:
+    """The summaries of the equality kernel 1(x_1 = ... = x_k) over every
+    k-subset of each row of a stack, from its (q, r) value counts: one
+    column per value, its count the multiplicity.
+
+    The counts are exact integers up to the last division.  A row's a_n is
+    sum_j C(c_j, k) / C(n, k), and an index in a class of c values has the
+    projection C(c - 1, k - 1) / C(n - 1, k - 1), finite for an empty
+    column (which stands for no index, so is never in L and never bad).
+    The reweight keeps the rule of every reweight (``_reweighted_mean``): in
+    stable weight order a subset takes the weight of its earliest class.  So
+    class j's own C(c_j, k) subsets (h = 1) take w_j, and so do the
+    C(c_j + a, k) - C(a, k) - C(c_j, k) mixed ones (h = 0) drawn from it and
+    the a values of the classes after it, with at least one from each.
+    """
+    same = binomials(counts, k)
+    total = math.comb(n, k)
+    a_n = same.sum(axis=1) / total
+
+    def reweight(i: int, weights: np.ndarray) -> float:
+        # an empty column holds no subset
+        occupied = np.flatnonzero(counts[i])
+        w, own = weights[occupied], same[i, occupied]
+        result = float(np.sum(own * (w + a_n[i] * (1.0 - w))))
+        order = np.argsort(w, kind="stable")
+        c = counts[i, occupied][order]
+        after = n - np.cumsum(c)
+        mixed = binomials(c + after, k) - binomials(after, k) - own[order]
+        result += a_n[i] * float(np.sum(mixed * (1.0 - w[order])))
+        return result / total
+
+    return SummaryRows(
+        n=n, k=k, a_n=a_n, projections=binomials(counts - 1, k - 1) / math.comb(n - 1, k - 1),
+        multiplicity=counts, reweight=reweight, all_tuples_family=True,
+    )
+
+
 def summary_rows(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> SummaryRows:
-    """The summaries of a (q, n) stack of chunks: one pass over the family
-    gives their means and local projections, and a reweight evaluates h
-    again on the subsets it needs."""
+    """The summaries of a (q, n) stack of chunks.  An equality kernel on a
+    complete family runs on the rows' value counts (``count_rows``), with no
+    kernel call.  Otherwise one pass over the family gives their means and
+    local projections, and a reweight evaluates h again on the subsets it
+    needs."""
+    if runs_on_counts(h, family):
+        return count_rows(value_counts(h, chunks, family), family.n, family.k)
     a_n, projections = means_and_projections(h, chunks, family)
     return SummaryRows(
         n=family.n,

@@ -4,9 +4,9 @@ These are the checks that justify trusting the mechanisms: a deterministic
 dataset pair whose U-statistic gap is combinatorially certified, an exhaustive
 neighbor enumeration that validates the smooth sensitivity bound on every
 multiset of a finite alphabet (one stacked run of the Hájek engine, under a
-cap on the kernel evaluations it runs), and goodness-of-fit of both noise
-samplers against their analytic CDFs.  The audits take no fault-injection
-option.  Tests show that an audit is not vacuous by injecting the fault
+cap on the kernel evaluations a kernel pass over the stack would run), and
+goodness-of-fit of both noise samplers against their analytic CDFs.  The
+audits take no fault-injection option.  Tests show that an audit is not vacuous by injecting the fault
 themselves and watching it fail: they patch ``hajek_rows`` here to halve
 the smooth bound, and put a law in ``dp.LAWS`` whose sampler draws at the
 wrong scale.
@@ -111,9 +111,11 @@ def fixture_projection_margins(fix: AdversarialFixture) -> dict:
 # exhaustive smoothness audit
 # ---------------------------------------------------------------------------
 
-# most kernel evaluations (multisets x C(n, k)) the smoothness audit may
-# run, enough for binary data at k = 2 up to n = 322.  The pass keeps no
-# kernel value past its block, so this bounds the audit's time.
+# most kernel evaluations (multisets x C(n, k)) the smoothness audit's stack
+# may take, enough for binary data at k = 2 up to n = 322.  The pass keeps
+# no kernel value past its block, so this bounds the audit's time.  An
+# equality kernel's stack runs on value counts and evaluates none, but the
+# cap applies to it all the same.
 AUDIT_VALUE_CAP = 2**24
 
 
@@ -157,12 +159,14 @@ def smoothness_audit(
     the reweighted means and bounds of a pair of multisets one substitution
     apart, and every such pair arises.  The audit therefore stacks the
     C(n + r - 1, r - 1) multisets over the r letters (each as its sorted
-    dataset), runs one kernel pass and one ``hajek_rows`` call over the
-    stack, and checks every ordered pair of them one substitution apart, in
-    place of the r^n sequences.  Violations name the two sorted datasets, in
-    (dataset, letter moved out, letter moved in, check) order.  An audit
+    dataset), summarises the stack in one ``summary_rows`` call (from value
+    counts for the equality kernels, the default collision kernel among
+    them; one kernel pass for any other) and runs one ``hajek_rows`` call
+    over it, and checks every ordered pair of them one substitution apart,
+    in place of the r^n sequences.  Violations name the two sorted datasets,
+    in (dataset, letter moved out, letter moved in, check) order.  An audit
     whose stack would take more than ``AUDIT_VALUE_CAP`` kernel evaluations
-    raises ``ValueError`` before the kernel pass.
+    by a kernel pass raises ``ValueError`` before it is summarised.
     """
     alphabet = tuple(alphabet)
     evals = math.comb(n + len(alphabet) - 1, len(alphabet) - 1) * math.comb(n, kernel.degree)

@@ -11,13 +11,20 @@ lexicographic blocks, copying from any array of shape (..., n): from the
 indices range(n) it gives the rows of ``SubsetFamily.blocks()``, and from
 the data or a stack of chunks it gives the kernel's inputs directly, with no
 index array and no gather in between.
+
+An equality kernel 1(x_1 = ... = x_k) on the complete family depends on the
+data only through its value counts: a class of c equal values holds C(c, k)
+subsets on which it is 1, and it is 0 on every other.  So the releases run
+it on the counts (``runs_on_counts``, ``value_counts``, ``binomials``), one
+sort of the data in place of C(n, k) kernel evaluations, and never call it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import mmap
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -56,13 +63,17 @@ class Kernel:
     so ``fn`` must not assume C order.  It is read-only, because it may be a
     view of the dataset itself: a ``fn`` that writes into it raises.
     Symmetry in the k arguments is the caller's responsibility (and is
-    property-tested).
+    property-tested).  ``equality`` marks 1(x_1 = ... = x_k), which only
+    ``equality_kernel`` sets: on a complete family its values depend on the
+    data only through the value counts, and the releases run on those
+    (``runs_on_counts``) without calling ``fn``.
     """
 
     degree: int
     fn: Callable[[np.ndarray], np.ndarray]
     tail: Bounded | SubGaussian
     name: str = "kernel"
+    equality: bool = False
 
     def __post_init__(self):
         if self.degree < 1:
@@ -88,8 +99,8 @@ def mean_kernel(degree: int, tau: float = 1.0) -> Kernel:
 
 
 def collision_kernel() -> Kernel:
-    """Pair kernel 1(x = y) used by the uniformity test."""
-    return Kernel(2, lambda t: (t[:, 0] == t[:, 1]).astype(float), Bounded(1.0), name="collision")
+    """Pair kernel 1(x = y) used by the uniformity test: ``equality_kernel(2)``."""
+    return replace(equality_kernel(2), name="collision")
 
 
 def equality_kernel(degree: int) -> Kernel:
@@ -101,7 +112,7 @@ def equality_kernel(degree: int) -> Kernel:
             out &= t[:, j] == t[:, 0]
         return out.astype(float)
 
-    return Kernel(degree, fn, Bounded(1.0), name=f"equal{degree}")
+    return Kernel(degree, fn, Bounded(1.0), name=f"equal{degree}", equality=True)
 
 
 def clipped_kernel(base: Kernel, lo: float, hi: float) -> Kernel:
@@ -451,6 +462,28 @@ def _block_values(h: Kernel, block: np.ndarray) -> np.ndarray:
     return h.evaluate(block.reshape(k, q * m).T).reshape(q, m)
 
 
+# bytes from which a complete family's (q, M) kernel values get a mapping of their own
+_MAPPED_VALUES_BYTES = 1 << 22
+
+
+def _values_array(q: int, m: int) -> np.ndarray:
+    """An uninitialised (q, m) float64 array for kernel values.
+
+    From ``_MAPPED_VALUES_BYTES`` on (where the system has huge-page advice)
+    it lives in a private anonymous mapping of its own, which goes back to
+    the system when the array is dropped.  On glibc's heap a freed array of
+    this size stays resident, and the next, larger one is mapped beside it,
+    so a run of calls peaked at the sum of two arrays.  The price is fresh
+    zeroed pages on every call: 2-4 ms per 21 MB on a 2-core host.
+    """
+    size = 8 * q * m
+    if size < _MAPPED_VALUES_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty((q, m))
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf).reshape(q, m)
+
+
 def kernel_values(h: Kernel, data: Dataset, family: SubsetFamily) -> np.ndarray:
     """h(X_S) for every subset S of the family, as an (M,) array."""
     return chunk_kernel_values(h, data.points[None], family)[0]
@@ -471,13 +504,49 @@ def chunk_kernel_values(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> 
     _check_pair(h, chunks.shape[1], family)
     if family.kind != "all_tuples":
         return h.evaluate(np.take(chunks, family.subsets, axis=1).reshape(-1, k)).reshape(q, family.size)
-    out = np.empty((q, family.size))
+    out = _values_array(q, family.size)
     blocks, start = _SpanBlocks(chunks), 0
     for prefix, lo, hi in _lex_spans(family.n, k):
         block_values = _block_values(h, blocks.block(prefix, k - len(prefix), lo, hi))
         m = block_values.shape[1]
         out[:, start : start + m] = block_values
         start += m
+    return out
+
+
+def runs_on_counts(h: Kernel, family: SubsetFamily) -> bool:
+    """Whether the releases run h on the family from value counts
+    (``value_counts``) instead of kernel values: an equality kernel on a
+    complete family.  The choice reads public inputs only, never the data."""
+    return h.equality and family.kind == "all_tuples"
+
+
+def value_counts(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> np.ndarray:
+    """The counts of the r distinct values of a (q, n) stack of chunks in
+    each row, as a (q, r) array: all that an equality kernel's values on a
+    complete family depend on.  A value absent from a row counts 0 there.
+
+    Values are told apart as the kernel compares them: -0.0 equals 0.0, and
+    every NaN stands alone.  One ``np.unique`` sorts the whole stack, and
+    one ``bincount`` counts it, with row i's codes offset by i * r; the work
+    after the sort grows with r.
+    """
+    _check_pair(h, chunks.shape[1], family)
+    q = chunks.shape[0]
+    distinct, codes = np.unique(chunks, return_inverse=True, equal_nan=False)
+    r = distinct.size
+    codes = codes.reshape(chunks.shape) + r * np.arange(q)[:, None]
+    return np.bincount(codes.ravel(), minlength=q * r).reshape(q, r)
+
+
+def binomials(c: np.ndarray, k: int) -> np.ndarray:
+    """C(c, k) of every entry of an integer array, exactly: the k-subsets
+    of a class of c values.  Step j multiplies C(c, j) by c - j and divides
+    by j + 1 with no remainder, so c = -1 (an empty class less one) gives
+    (-1)^k."""
+    out = np.ones_like(c)
+    for j in range(k):
+        out = out * (c - j) // (j + 1)
     return out
 
 

@@ -1,6 +1,8 @@
 """Oracles and fixtures that only the tests use: brute-force sensitivities,
 a Monte Carlo θ, closed forms, explicit families, the one-chunk adapter,
-the record and replay of a stack's noise by chunk, and the per-chunk loop
+the record and replay of a stack's noise by chunk, the kernel pass
+that the equality kernels' count route is checked against (and the value
+column of each entry), and the per-chunk loop
 form of ``median_of_means``, the majority-vote form
 of the boosted uniformity test, the two-release form of the triangle
 density, the full-scan forms of the spread level and the Hájek state, the
@@ -69,6 +71,7 @@ from privustat.ustat import (
     all_tuples,
     collision_kernel,
     kernel_values,
+    means_and_projections,
 )
 
 
@@ -690,6 +693,37 @@ def gather_means_and_projections(h: Kernel, data: Dataset, family: SubsetFamily)
         sums += np.bincount(rows[:, -1], weights=block_values, minlength=n)
     with np.errstate(invalid="ignore", divide="ignore"):
         return sums.sum() / (family.k * family.size), sums / family.counts
+
+
+def without_counts(h: Kernel) -> Kernel:
+    """h with its equality mark cleared: the same values, run through the
+    kernel pass on every family."""
+    return replace(h, equality=False)
+
+
+def kernel_pass_rows(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> SummaryRows:
+    """``summary_rows`` by the kernel pass whatever the kernel, the oracle of
+    the count route: one column per index, the means and projections of
+    ``means_and_projections`` and the library's generic reweight."""
+    a_n, projections = means_and_projections(h, chunks, family)
+    reweighted_mean = privustat.hajek._reweighted_mean
+    return SummaryRows(
+        n=family.n,
+        k=family.k,
+        a_n=a_n,
+        projections=projections,
+        multiplicity=np.broadcast_to(np.int64(1), projections.shape),
+        reweight=lambda i, weights: reweighted_mean(h, chunks[i], family, weights, float(a_n[i])),
+        all_tuples_family=family.kind == "all_tuples",
+    )
+
+
+def value_columns(chunks: np.ndarray) -> np.ndarray:
+    """The column of each entry of a (q, n) stack in its letter-level rows
+    (``ustat.value_counts``), as (q, n) codes: the entry's rank among the
+    stack's distinct values, with -0.0 equal to 0.0 and each NaN its own."""
+    _, codes = np.unique(chunks, return_inverse=True, equal_nan=False)
+    return codes.reshape(chunks.shape)
 
 
 def values_summary(

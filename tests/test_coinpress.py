@@ -28,6 +28,7 @@ from oracles import (
     copy_clipping_ustat_mean,
     ustat_one_step,
     variance_of_ustat,
+    without_counts,
     written_out_all_tuples_tail_bounds,
     written_out_subsampled_tail_bounds,
 )
@@ -266,6 +267,51 @@ def test_ustat_mean_in_place_clip_equals_copy_clipping_reference(case):
         assert rep.radius == 0.5 * reference[-1].width
         if case == "disjoint":
             assert any(iv.lo == iv.hi for iv in reference[1:-1])
+
+
+def equality_stack(k: int, q: int, n: int, seed: int) -> np.ndarray:
+    """(q, n) labels with signed zeros, for the equality kernels' count route."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([0.0, -0.0, 1.0, 2.0, 3.0], (q, n), p=[0.3, 0.2, 0.3, 0.1, 0.1])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("q", [1, 3])
+def test_all_tuples_count_route_equals_the_kernel_pass(k, q):
+    # at r = 1 and tau = 0.25 every step's clip band holds [0, 1], where
+    # the kernel's two values lie, so the count route's weighted mean
+    # W_1 / M is the kernel pass's sum of M values over M, bit for bit
+    chunks = equality_stack(k, q, 40, 10 * k + q)
+    for h in (pv.equality_kernel(k), pv.collision_kernel()) if k == 2 else (pv.equality_kernel(k),):
+        for seed in range(3):
+            got, want = (
+                coinpress.all_tuples_estimates(kernel, chunks, 1.0, 0.25, 1.0, seed, [scratch_budget() for _ in range(q)])
+                for kernel in (h, without_counts(h))
+            )
+            assert [(g.estimate, g.radius, g.noise_scale, g.diagnostics) for g in got] == [
+                (w.estimate, w.radius, w.noise_scale, w.diagnostics) for w in want
+            ]
+
+
+def test_count_route_clips_like_the_kernel_pass_inside_the_unit_interval():
+    # flat bounds of 0.05 put the later steps' clip bands inside (0, 1), so
+    # the two sums round differently: M - W_1 copies of the low end added
+    # pairwise against one product per value
+    h, fam = pv.equality_kernel(2), pv.all_tuples(60, 2)
+    chunks = equality_stack(2, 3, 60, 5)
+    tb, moved = flat_bounds(0.05, 0.01), 0
+    for seed in range(5):
+        got, want = (
+            coinpress.ustat_means(kernel, chunks, fam, 1.0, 20.0, 0.01, tb, seed,
+                                  [scratch_budget() for _ in range(3)], "clip")
+            for kernel in (h, without_counts(h))
+        )
+        for g, w in zip(got, want):
+            lows = [iv.lo - 0.05 for iv in w.diagnostics["trace"][1:-1]]
+            moved += any(0.0 < low < 1.0 for low in lows)
+            assert g.estimate == pytest.approx(w.estimate, rel=1e-12, abs=1e-15)
+            assert g.radius == pytest.approx(w.radius, rel=1e-12, abs=1e-15)
+    assert moved > 0
 
 
 def test_ustat_mean_budget_schedule():

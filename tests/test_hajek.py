@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,12 +44,15 @@ from oracles import (
     full_scan_hajek_state,
     index_level_rows,
     index_level_state,
+    kernel_pass_rows,
     per_key_smooth_sensitivity,
     reweighted_mean,
     row_state,
     smooth_sensitivity_closed_form_bound,
     stack_row,
+    value_columns,
     values_summary,
+    without_counts,
 )
 
 
@@ -323,9 +327,9 @@ def test_reweight_evaluates_only_the_subsets_that_meet_a_bad_index(monkeypatch, 
 
 
 def test_one_reweight_holds_less_than_one_value_per_subset():
-    # collision at n = 2001 with one down-weighted index: M = 2,001,000
-    # subsets, of which the reweight reads the 2000 that hold that index
-    n, h = 2001, pv.collision_kernel()
+    # collision by the kernel pass at n = 2001 with one down-weighted index:
+    # M = 2,001,000 subsets, of which the reweight reads the 2000 that hold it
+    n, h = 2001, without_counts(pv.collision_kernel())
     data, fam = Dataset(np.r_[1, np.zeros(n - 1, dtype=np.int64)]), all_tuples(n, 2)
     rows = summary_rows(h, data.points[None], fam)
     weights = np.ones(n)
@@ -340,9 +344,10 @@ def test_one_reweight_holds_less_than_one_value_per_subset():
 
 
 def test_one_release_holds_no_value_per_subset():
-    # collision at n = 2001 on the complete family: M = 2,001,000 subsets,
-    # 16 MB of float64 values, while the pass keeps no value past its block
-    n, h = 2001, pv.collision_kernel()
+    # collision by the kernel pass at n = 2001 on the complete family:
+    # M = 2,001,000 subsets, 16 MB of float64 values, while the pass keeps
+    # no value past its block
+    n, h = 2001, without_counts(pv.collision_kernel())
     data, fam = Dataset(np.random.default_rng(2001).integers(0, 50, n)), all_tuples(n, 2)
     params = HajekParams(eps=1.0, c_range=1.0, xi=0.05)
     tracemalloc.start()
@@ -592,8 +597,15 @@ def test_state_depends_on_the_multiset_only(data):
     x = letters[rng.integers(0, r, size=n)]
     perm = rng.permutation(n)
     fam = all_tuples(n, kernel.degree)
+
+    def index_projections(rows, pts):
+        # the equality kernels' rows have one column per distinct value
+        if kernel.equality:
+            return np.take_along_axis(rows.projections, value_columns(pts[None]), 1)[0]
+        return rows.projections[0]
+
     (proj, state), (perm_proj, perm_state) = [
-        (rows.projections[0], row_state(rows, params))
+        (index_projections(rows, pts), row_state(rows, params))
         for pts in (x, x[perm])
         for rows in [summary_rows(kernel, pts[None], fam)]
     ]
@@ -603,6 +615,117 @@ def test_state_depends_on_the_multiset_only(data):
     assert perm_state.a_n[0] == pytest.approx(state.a_n[0], rel=1e-12, abs=0)
     assert perm_state.reweighted[0] == pytest.approx(state.reweighted[0], rel=1e-12, abs=0)
     np.testing.assert_allclose(perm_proj, proj[perm], rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the count route of the equality kernels
+# ---------------------------------------------------------------------------
+
+# a reweighted mean from value counts sums a few non-negative terms per
+# class, so it stays within this many units in the last place of the exact
+# rational mean (1.53 at most over 1500 random stacks with n < 60)
+COUNT_REWEIGHT_ULPS = 4
+
+
+def assert_count_route_equals_the_kernel_pass(kernel, chunks, params):
+    """The count route's ``HajekRows`` of a (q, n) stack against the kernel
+    pass's: a_n, L, ``n_bad`` and the bounds bitwise, the projections,
+    weights and bad indices bitwise once expanded to the indices, and each
+    reweighted mean within ``COUNT_REWEIGHT_ULPS`` of the exact mean, which
+    the kernel pass meets within its derived bound.  Returns the number of
+    rows with bad indices."""
+    fam = all_tuples(chunks.shape[1], kernel.degree)
+    rows = summary_rows(kernel, chunks, fam)
+    got, want = hajek.hajek_rows(rows, params), hajek.hajek_rows(kernel_pass_rows(kernel, chunks, fam), params)
+    columns = value_columns(chunks)
+    q, u = rows.projections.shape
+    for i in range(q):
+        assert np.array_equal(np.bincount(columns[i], minlength=u), rows.multiplicity[i])
+    for name in ("a_n", "spread_level", "n_bad", "smooth_bound"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("projections", "weights"):
+        assert np.take_along_axis(getattr(got, name), columns, 1).tobytes() == getattr(want, name).tobytes(), name
+    assert np.array_equal(np.flatnonzero(np.isin(columns + u * np.arange(q)[:, None], got.bad)), want.bad)
+    for i in range(q):
+        if not got.n_bad[i]:
+            assert got.reweighted[i] == want.reweighted[i] == got.a_n[i]
+            continue
+        exact = exact_reweighted_mean(
+            kernel_values(kernel, Dataset(chunks[i]), fam), fam, want.weights[i], float(want.a_n[i])
+        )
+        assert exact.admits(want.reweighted[i], exact.touched)
+        ulps = abs(Fraction(float(got.reweighted[i])) - exact.value) / Fraction(np.spacing(float(exact.value)))
+        assert ulps <= COUNT_REWEIGHT_ULPS, float(ulps)
+    return int(np.count_nonzero(got.n_bad))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_route_equals_the_kernel_pass(data):
+    # labelled stacks with NaN (never equal, so each its own class), signed
+    # zeros (one class) and infinities, skewed so that many rows have bad indices
+    q = data.draw(st.integers(1, 4), label="q")
+    k = data.draw(st.sampled_from([2, 3]), label="k")
+    n = data.draw(st.integers(k, 40), label="n")
+    letters = data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, math.nan, math.inf]), min_size=1, max_size=5,
+    ), label="letters")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    p = rng.dirichlet(np.full(len(letters), 0.3))
+    chunks = np.array(letters)[rng.choice(len(letters), (q, n), p=p)]
+    params = HajekParams(
+        eps=data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="eps"),
+        c_range=data.draw(st.sampled_from([0.0, 0.01, 0.1, 1.0]), label="C"),
+        xi=data.draw(st.sampled_from([0.0, 0.02, 0.1]), label="xi"),
+    )
+    kernel = pv.collision_kernel() if k == 2 and data.draw(st.booleans(), label="collision") else pv.equality_kernel(k)
+    assert_count_route_equals_the_kernel_pass(kernel, chunks, params)
+
+
+def test_count_route_equals_the_kernel_pass_on_rows_with_bad_indices():
+    # the random stacks above reweight some rows; these reweight most of them
+    rng = np.random.default_rng(36)
+    with_bad = 0
+    for _ in range(40):
+        k, q, n = int(rng.integers(2, 4)), int(rng.integers(1, 5)), int(rng.integers(12, 40))
+        chunks = rng.choice([0.0, -0.0, 1.0, 2.0, math.nan], (q, n), p=[0.35, 0.35, 0.2, 0.05, 0.05])
+        params = HajekParams(eps=1.0, c_range=float(rng.choice([0.01, 0.05])), xi=0.0)
+        with_bad += assert_count_route_equals_the_kernel_pass(pv.equality_kernel(k), chunks, params)
+    assert with_bad > 40
+
+
+def no_call_kernel(k: int) -> pv.Kernel:
+    """An equality kernel whose ``fn`` refuses every call."""
+
+    def fn(t):
+        raise AssertionError("the kernel was called")
+
+    return pv.Kernel(k, fn, pv.Bounded(1.0), name="no calls", equality=True)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_count_route_makes_no_kernel_call(k):
+    n = 30
+    data = Dataset(np.r_[np.zeros(n - 3), 1.0, 2.0, 2.0])
+    fam = all_tuples(n, k)
+    h = no_call_kernel(k)
+    rep = pv.private_mean_local_hajek(h, data, fam, HajekParams(1.0, 0.01, 0.0), 5, scratch_budget())
+    assert rep.diagnostics["n_bad"] > 0  # the reweight ran too
+    assert pv.all_tuples_estimator(h, data, 1.0, 0.25, 1.0, 5, scratch_budget()).estimate is not None
+    # the route reads the family's kind, not the data: a stored family runs the kernel
+    with pytest.raises(AssertionError, match="was called"):
+        summary_rows(h, data.points[None], explicit_family(n, k, fam.subsets))
+
+
+def test_take_keeps_a_broadcast_multiplicity_broadcast():
+    # the smoothness audit's 301-row take at n = 300 once built 722400 bytes of ones
+    rows = summary_rows(pv.mean_kernel(2), np.zeros((301, 300)), all_tuples(300, 2))
+    taken = rows.take(list(range(300, -1, -1)))
+    assert taken.multiplicity.strides == (0, 0) and taken.multiplicity.shape == (301, 300)
+    assert (taken.multiplicity == 1).all()
+    assert rows.take([]).multiplicity.shape == (0, 300)
+    letters = apps.collision_rows(np.array([[0, 0, 1], [2, 2, 2]]), 3)
+    assert letters.take([1, 0]).multiplicity.tolist() == [[0, 0, 3], [2, 1, 0]]
 
 
 def test_state_invariants_on_adversarial_data():

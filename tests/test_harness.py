@@ -35,6 +35,7 @@ from oracles import (
     dense_adjacency,
     fresh_array_ks_gap,
     halved_bound_rows,
+    kernel_pass_rows,
     loop_smoothness_audit,
     reference_noise_gap,
 )
@@ -702,11 +703,44 @@ def test_smoothness_audit_runs_the_engine_once_per_multiset(monkeypatch, n, alph
     assert rep.pairs_checked == present * (r - 1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(n=10, eps=1.0, xi=0.1),
+    dict(n=13, eps=1.0, xi=0.0),  # the known dominance misses
+    dict(n=12, eps=0.5, xi=0.0, c_range=0.3),
+    dict(n=8, eps=1.0, xi=0.0, alphabet=(0, 1, 2), kernel=pv.equality_kernel(3)),
+    dict(n=7, eps=2.0, xi=0.05, alphabet=(-0.0, 0.0, 1.0, math.nan)),
+], ids=lambda kwargs: ",".join(f"{k}={getattr(v, 'name', v)}" for k, v in kwargs.items()))
+def test_smoothness_audit_stack_equals_the_kernel_pass(monkeypatch, kwargs):
+    # the audit's equality kernels run on value counts; the kernel pass over
+    # the same multisets must give the same L, n_bad and smooth bounds bit
+    # for bit, and reweighted means that differ only by rounding
+    calls = mock.Mock(wraps=hajek_rows)
+    monkeypatch.setattr(audits, "hajek_rows", calls)
+    try:
+        audits.smoothness_audit(**kwargs)
+    except AuditFailure:
+        pass
+    (rows, params), _ = calls.call_args
+    got = hajek_rows(rows, params)
+    alphabet = kwargs.get("alphabet", (0, 1))
+    kernel = kwargs.get("kernel", pv.collision_kernel())
+    datasets = np.asarray(alphabet, dtype=float)[
+        np.array(list(itertools.combinations_with_replacement(range(len(alphabet)), kwargs["n"])))
+    ]
+    want = hajek_rows(kernel_pass_rows(kernel, datasets, pv.all_tuples(kwargs["n"], kernel.degree)), params)
+    # one column per value, not per index
+    assert rows.multiplicity.strides != (0, 0) and (rows.multiplicity.sum(axis=1) == kwargs["n"]).all()
+    for name in ("a_n", "spread_level", "n_bad", "smooth_bound"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    np.testing.assert_allclose(got.reweighted, want.reweighted, rtol=1e-13, atol=0)
+
+
 def test_smoothness_audit_past_the_value_cap_raises_before_any_kernel_pass(monkeypatch):
     def no_kernel_pass(*args):
         raise AssertionError("the audit ran a kernel pass past its cap")
 
     monkeypatch.setattr(audits, "means_and_projections", no_kernel_pass)
+    monkeypatch.setattr(audits, "summary_rows", no_kernel_pass)  # the count route too
     # 324 binary multisets of n = 323, C(323, 2) values each
     assert 324 * math.comb(323, 2) > audits.AUDIT_VALUE_CAP
     with pytest.raises(ValueError, match="over the cap"):

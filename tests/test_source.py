@@ -19,7 +19,8 @@ asks for a kernel value per subset, which clip-and-release clips in place;
 the Hájek paths read the pass's means and projections.  Only ``dp`` reads
 a law's ``factor``: the release returns the scale it drew at, so no caller
 holds a copy of the calibration.  No module but ``ustat`` uses
-``ustat``'s private names, or builds a ``Kernel``.  No module but
+``ustat``'s private names, or builds a ``Kernel``, and only
+``equality_kernel`` marks one ``equality``.  No module but
 ``errors`` calls ``warnings.warn``, so every warning is attributed by
 ``warn_precondition``'s one rule.  No function,
 parameter or dataclass field is named ``fault_*``: tests inject faults by
@@ -236,6 +237,43 @@ def test_only_ustat_builds_kernels(path):
     # (weights, indices) is a second pass over the family; the engine's own
     # paths should do that work instead
     assert kernel_constructions(path.read_text()) == []
+
+
+# the only (module, top-level definition) that marks a kernel ``equality``:
+# the mark sends the releases to the value counts, which hold for
+# 1(x_1 = ... = x_k) alone
+EQUALITY_MARKER = ("ustat.py", "equality_kernel")
+
+
+def equality_marks(module: str, source: str) -> list[str]:
+    """Every call that passes an ``equality`` keyword from outside ``EQUALITY_MARKER``."""
+    return [
+        f"{module} line {node.lineno}: {callee} in {owner}"
+        for owner, node, callee in calls(source)
+        if (module, owner) != EQUALITY_MARKER and any(kw.arg == "equality" for kw in node.keywords)
+    ]
+
+
+def test_checker_finds_equality_marks():
+    source = (
+        "def equality_kernel(k):\n"
+        "    return Kernel(k, fn, Bounded(1.0), equality=True)\n"
+        "def min_kernel(k):\n"
+        "    return dataclasses.replace(equality_kernel(k), fn=min, equality=True)\n"
+    )
+    assert equality_marks("ustat.py", source) == ["ustat.py line 4: replace in min_kernel"]
+    assert equality_marks("hajek.py", source) == [
+        "hajek.py line 2: Kernel in equality_kernel", "hajek.py line 4: replace in min_kernel",
+    ]
+
+
+def test_only_equality_kernel_marks_a_kernel_equality():
+    # a kernel marked by mistake would release the equality kernel's
+    # statistic in place of its own, without a call of its ``fn``
+    found = []
+    for path in ALL_MODULES:
+        found += equality_marks(str(path.relative_to(SRC)), path.read_text())
+    assert found == []
 
 
 def warning_calls(source: str) -> list[str]:

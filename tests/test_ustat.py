@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import mmap
 import re
 import tracemalloc
 from collections import Counter
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privustat as pv
-from privustat import ustat
+from privustat import coinpress, ustat
+from privustat.dp import PrivacyBudget
 from privustat.errors import CombinatorialOverflow
 from privustat.ustat import (
     Dataset,
@@ -269,6 +271,30 @@ def test_engine_matches_the_index_then_gather_oracle_bitwise(data):
                 row_mean, row_proj = gather_means_and_projections(h, Dataset(chunk), fam)
                 assert stacked_means[row].tobytes() == row_mean.tobytes()
                 assert stacked_proj[row].tobytes() == row_proj.tobytes()
+
+
+def test_large_kernel_values_get_a_mapping_of_their_own():
+    # from _MAPPED_VALUES_BYTES on, a complete family's (q, M) values live in
+    # a private anonymous mapping (on systems with huge-page advice); the
+    # values, and every clip-and-release step run in place on them, are those
+    # of a heap array, bit for bit
+    rng = np.random.default_rng(8)
+    chunks = rng.normal(size=(3, 40))
+    fam, h = pv.all_tuples(40, 3), pv.mean_kernel(3)
+    tb = coinpress.chunk_tail_bounds(1.0, 40)
+    heap = ustat.chunk_kernel_values(h, chunks, fam)
+    reports = coinpress.ustat_means(h, chunks, fam, 2.0, 1.0, 0.01, tb, 4, [PrivacyBudget(1.0) for _ in range(3)], "x")
+    with mock.patch.object(ustat, "_MAPPED_VALUES_BYTES", 8):
+        mapped = ustat.chunk_kernel_values(h, chunks, fam)
+        mapped_reports = coinpress.ustat_means(
+            h, chunks, fam, 2.0, 1.0, 0.01, tb, 4, [PrivacyBudget(1.0) for _ in range(3)], "x"
+        )
+    assert mapped.tobytes() == heap.tobytes() and mapped.flags.writeable
+    mapping = getattr(mapped.base.base, "obj", None)
+    assert isinstance(mapping, mmap.mmap) == hasattr(mmap, "MADV_HUGEPAGE")
+    assert [(r.estimate, r.radius, r.diagnostics) for r in mapped_reports] == [
+        (r.estimate, r.radius, r.diagnostics) for r in reports
+    ]
 
 
 @pytest.mark.parametrize("k", [1, 2])
