@@ -23,14 +23,7 @@ import numpy as np
 from ..dp import _RATIO_BLOCK, LAWS, check_epsilon
 from ..errors import AuditFailure, warn_precondition
 from ..hajek import HajekParams, hajek_rows, summary_rows
-from ..ustat import (
-    Dataset,
-    Kernel,
-    all_tuples,
-    collision_kernel,
-    equality_kernel,
-    means_and_projections,
-)
+from ..ustat import Dataset, Kernel, all_tuples, collision_kernel, equality_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +85,18 @@ def adversarial_fixture(n: int, k: int, eps: float) -> AdversarialFixture:
 
 
 def fixture_projection_margins(fix: AdversarialFixture) -> dict:
-    """Direct evaluation of the gap and the projection concentration claims."""
-    h = equality_kernel(fix.k)
-    family = all_tuples(fix.n, fix.k)
+    """Direct evaluation of the gap and the projection concentration claims
+    from the datasets' value counts (``summary_rows``), the largest deviation
+    over the values present: an empty column's projection stands for no index."""
+    pair = np.stack([fix.base.points, fix.shifted.points])
+    rows = summary_rows(equality_kernel(fix.k), pair, all_tuples(fix.n, fix.k))
     out = {}
-    means, proj = means_and_projections(h, np.stack([fix.base.points, fix.shifted.points]), family)
     for row, name in enumerate(("base", "shifted")):
-        u = float(means[row])
+        u = float(rows.a_n[row])
+        present = rows.multiplicity[row] > 0
         out[name] = {
             "ustat": u,
-            "max_abs_projection_deviation": float(np.max(np.abs(proj[row] - u))),
+            "max_abs_projection_deviation": float(np.max(np.abs(rows.projections[row, present] - u))),
         }
     out["direct_gap"] = out["shifted"]["ustat"] - out["base"]["ustat"]
     return out

@@ -3,7 +3,7 @@
 Each subcommand takes only the flags its handler reads; every one takes --out:
 
   estimate             --seed --eps --alpha --method --kernel --data --simulate
-                       --R --tau --M --xi --C --m
+                       --R --tau --M --xi --C
   simulate             --seed --alpha --method --kernel --dist --m --amplitude
                        --mu --sigma --n-grid --eps-grid --M-grid --trials --R
                        --tau --xi --C --timing
@@ -19,9 +19,9 @@ keys are these flag names without the dashes (``M-grid`` or ``M_grid``,
 parsed as flags given right after the command, so explicit flags win, and a
 key that is not a flag of the command is a usage error.  argparse accepts a
 unique prefix of a flag, so ``simulate --eps 0.5`` is ``--eps-grid 0.5``.
-The collision kernel's range is 1, so ``estimate`` and ``simulate`` refuse
-any other ``--C`` for it.  Exit codes: 0 success, 1 usage error, 2 audit
-failure, 3 estimator bottom.
+A kernel that declares its range (the collision kernel's is 1) takes no
+other ``--C`` in ``estimate`` or ``simulate``.  Exit codes: 0 success, 1
+usage error, 2 audit failure, 3 estimator bottom.
 
 Every run prints the privacy-ledger summary to stderr; CSV goes to --out or
 stdout.
@@ -37,6 +37,7 @@ from .. import applications as apps
 from ..dp import LAWS, scratch_budget
 from ..errors import AuditFailure, PrivustatError
 from ..rng import as_generator
+from ..ustat import check_range
 from . import audits
 from .experiments import (
     METHODS,
@@ -142,8 +143,6 @@ def build_parser() -> Parser:
     est.add_argument("--M", type=int, dest="m_subsets")
     est.add_argument("--xi", default="auto-degenerate", help="auto-subgaussian | auto-degenerate | <value>")
     est.add_argument("--C", type=float, default=1.0, dest="c")
-    est.add_argument("--m", type=int,
-                     help="atom count for categorical data (default: the simulate spec's m, else 10)")
 
     sim = sub.add_parser("simulate", help="grid experiment, CSV output")
     add_common(sim, "seed", "alpha")
@@ -224,11 +223,13 @@ def simulated(args, flag: str) -> bool:
     return args.simulate is not None
 
 
-def check_collision_range(args) -> None:
-    """Refuse a --C other than 1 for the collision kernel, before any data
-    are read or sampled: its releases run at its range, C = 1."""
-    if args.kernel == "collision" and args.c != 1.0:
-        raise CliError(f"--C must be 1, the collision kernel's finite range; got {args.c}")
+def check_kernel_range(args) -> None:
+    """Refuse a --C other than the kernel's declared range, before any data are read or sampled."""
+    kernel = build_kernel(args.kernel)
+    try:
+        check_range(kernel, args.c)
+    except ValueError as exc:
+        raise CliError(f"--{exc}") from None
 
 
 def finish(args, budget, report, lines: list[str]) -> int:
@@ -242,28 +243,21 @@ def finish(args, budget, report, lines: list[str]) -> int:
 
 
 def cmd_estimate(args) -> int:
-    check_collision_range(args)
+    check_kernel_range(args)
     rng = as_generator(args.seed)
-    m = args.m
     if simulated(args, "data"):
         kv = parse_kv(args.simulate)
         n = int(kv.get("n", 100))
         dist = DistributionSpec(kv.get("kind", "gaussian"),
                                 {k: v for k, v in kv.items() if k not in ("kind", "n")})
-        if "m" in kv:
-            if m is not None and m != kv["m"]:
-                raise CliError(f"--m {m} disagrees with m={kv['m']} in --simulate")
-            m = kv["m"]
         data = dist.sample(rng, n)
-    elif args.kernel == "collision":
-        data = apps.read_categories(args.data)
     else:
         data = apps.read_reals(args.data)
 
     spec = ExperimentSpec(
         method=args.method,
         kernel=args.kernel,
-        dist=DistributionSpec("data", {"m": 10 if m is None else m}),  # the collision path reads m
+        dist=DistributionSpec("data", {}),
         n_grid=[data.n],
         eps_grid=[args.eps],
         trials=1,
@@ -283,7 +277,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    check_collision_range(args)
+    check_kernel_range(args)
     dist_params = {"m": args.m, "amplitude": args.amplitude, "mu": args.mu, "sigma": args.sigma}
     n_grid = [int(tok) for tok in str(args.n_grid).split(",") if tok]
     eps_grid = [float(tok) for tok in str(args.eps_grid).split(",") if tok]

@@ -25,15 +25,10 @@ from ..coinpress import (
 from ..dp import PrivacyBudget, scratch_budget
 from ..errors import LedgerMismatch, PrivustatError
 from ..hajek import HajekParams, degenerate_xi, private_means_local_hajek
-from ..applications import (
-    PerturbedUniform,
-    collision_theta,
-    private_collision_densities,
-    sample_multinomial,
-)
+from ..applications import PerturbedUniform, collision_theta, sample_multinomial
 from ..report import EstimateReport
 from ..rng import stream
-from ..ustat import Dataset, Kernel, all_tuples, collision_kernel, identity_kernel, mean_kernel
+from ..ustat import Dataset, Kernel, all_tuples, check_range, collision_kernel, identity_kernel, mean_kernel
 
 METHODS = ("naive", "all", "subsampled", "hajek")
 
@@ -116,6 +111,7 @@ class ExperimentSpec:
             raise ValueError("grid must be non-empty")
         if self.trials < 1:
             raise ValueError("need at least one trial per cell")
+        check_range(build_kernel(self.kernel), self.c_range)
 
     def cells(self) -> list[tuple]:
         return [
@@ -200,12 +196,8 @@ def run_single(
             if size is None:
                 size = max(1, math.ceil((n / k) * math.log(max(n, 2))))
             return subsampled_estimates(kernel, chunks, r, tau, eps, size, rng, budgets)
-        # reweighting estimator; the collision kernel gets the count-based path
-        xi = resolve_xi(spec, kernel, n)
-        if spec.kernel == "collision":
-            m = int(spec.dist.params.get("m", 10))
-            return private_collision_densities(chunks, m, eps, xi, rng, budgets)
-        params = HajekParams(eps=eps, c_range=spec.c_range, xi=xi)
+        # reweighting estimator, on value counts for an equality kernel
+        params = HajekParams(eps=eps, c_range=spec.c_range, xi=resolve_xi(spec, kernel, n))
         return private_means_local_hajek(kernel, chunks, all_tuples(n, k), params, rng, budgets)
 
     return boosted(run, data, k, alpha, rng, budget)

@@ -115,6 +115,13 @@ def equality_kernel(degree: int) -> Kernel:
     return Kernel(degree, fn, Bounded(1.0), name=f"equal{degree}", equality=True)
 
 
+def check_range(h: Kernel, c_range: float) -> None:
+    """Refuse a range C other than the width h declares (a ``Bounded`` tail):
+    a release calibrated to a narrower C than h's range adds too little noise."""
+    if isinstance(h.tail, Bounded) and c_range != h.tail.range_width:
+        raise ValueError(f"C must be {h.tail.range_width:g}, the {h.name} kernel's finite range; got {c_range}")
+
+
 def clipped_kernel(base: Kernel, lo: float, hi: float) -> Kernel:
     """Project the values of ``base`` onto [lo, hi]."""
     if hi < lo:
@@ -191,7 +198,7 @@ def _complete(base: np.ndarray, k: int, lo: int) -> np.ndarray:
 _Span = tuple[tuple[int, ...], int, int]
 
 
-def _lex_spans(n: int, k: int, lo: int = 0) -> Iterator[_Span]:
+def _lex_spans(n: int, k: int, lo: int = 0) -> list[_Span]:
     """The blocks of every k-subset of range(lo, n) in lexicographic order, as
     (prefix, first, stop) spans.
 
@@ -199,24 +206,27 @@ def _lex_spans(n: int, k: int, lo: int = 0) -> Iterator[_Span]:
     range(n) whose first index lies in [first, stop).  It holds at most
     _BLOCK_ROWS subsets: a run of consecutive first indices, or, where one
     first index has more subsets than that, part of them with the index moved
-    into the prefix.
+    into the prefix.  Every enumeration of a complete family starts here, so a
+    family past ``DEFAULT_ENUMERATION_CAP`` is refused here, before any block.
     """
+    total = math.comb(n - lo, k)
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise CombinatorialOverflow(f"C({n - lo},{k}) = {total} exceeds the cap {DEFAULT_ENUMERATION_CAP}; "
+                                    "use subsample_family instead")
     if k == 1:
-        for start in range(lo, n, _BLOCK_ROWS):
-            yield (), start, min(start + _BLOCK_ROWS, n)
-        return
-    first, last = lo, n - k
+        return [((), start, min(start + _BLOCK_ROWS, n)) for start in range(lo, n, _BLOCK_ROWS)]
+    spans, first, last = [], lo, n - k
     while first <= last and math.comb(n - first - 1, k - 1) > _BLOCK_ROWS:
-        for prefix, a, b in _lex_spans(n, k - 1, first + 1):
-            yield (first, *prefix), a, b
+        spans += [((first, *prefix), a, b) for prefix, a, b in _lex_spans(n, k - 1, first + 1)]
         first += 1
     while first <= last:
         stop, rows = first, 0
         while stop <= last and rows + math.comb(n - stop - 1, k - 1) <= _BLOCK_ROWS:
             rows += math.comb(n - stop - 1, k - 1)
             stop += 1
-        yield (), first, stop
+        spans.append(((), first, stop))
         first = stop
+    return spans
 
 
 class _SpanBlocks:
@@ -390,16 +400,14 @@ class SubsetFamily:
 
 
 def all_tuples(n: int, k: int) -> SubsetFamily:
-    """Every k-subset of range(n), in lexicographic order; at most
-    ``DEFAULT_ENUMERATION_CAP`` of them."""
+    """Every k-subset of range(n), in lexicographic order.  Its counts are
+    int64, so C(n, k) must stay below 2^63; a pass that enumerates it takes
+    at most the cap of ``_lex_spans``, while the count route takes any."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     total = math.comb(n, k)
-    if total > DEFAULT_ENUMERATION_CAP:
-        raise CombinatorialOverflow(
-            f"C({n},{k}) = {total} exceeds the cap {DEFAULT_ENUMERATION_CAP}; "
-            "use subsample_family instead"
-        )
+    if total >= 2**63:
+        raise CombinatorialOverflow(f"C({n},{k}) = {total} overflows the int64 subset counts")
     return SubsetFamily(n, k, None, kind="all_tuples")
 
 
@@ -504,9 +512,10 @@ def chunk_kernel_values(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> 
     _check_pair(h, chunks.shape[1], family)
     if family.kind != "all_tuples":
         return h.evaluate(np.take(chunks, family.subsets, axis=1).reshape(-1, k)).reshape(q, family.size)
+    spans = _lex_spans(family.n, k)  # refused past the cap before the values are allocated
     out = _values_array(q, family.size)
     blocks, start = _SpanBlocks(chunks), 0
-    for prefix, lo, hi in _lex_spans(family.n, k):
+    for prefix, lo, hi in spans:
         block_values = _block_values(h, blocks.block(prefix, k - len(prefix), lo, hi))
         m = block_values.shape[1]
         out[:, start : start + m] = block_values
@@ -522,20 +531,25 @@ def runs_on_counts(h: Kernel, family: SubsetFamily) -> bool:
 
 
 def value_counts(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> np.ndarray:
-    """The counts of the r distinct values of a (q, n) stack of chunks in
-    each row, as a (q, r) array: all that an equality kernel's values on a
-    complete family depend on.  A value absent from a row counts 0 there.
+    """The counts of the values of a (q, n) stack of chunks in each row, as a
+    (q, r) array: all that an equality kernel's values on a complete family
+    depend on.  A value absent from a row counts 0 there.
 
     Values are told apart as the kernel compares them: -0.0 equals 0.0, and
-    every NaN stands alone.  One ``np.unique`` sorts the whole stack, and
-    one ``bincount`` counts it, with row i's codes offset by i * r; the work
-    after the sort grows with r.
+    every NaN stands alone.  The r0 values that are not NaN take the first
+    columns, and a row's j-th NaN takes column r0 + j.  One ``np.unique``
+    sorts the whole stack, and one ``bincount`` counts it, with row i's codes
+    offset by i * r; the work after the sort grows with r.
     """
     _check_pair(h, chunks.shape[1], family)
     q = chunks.shape[0]
-    distinct, codes = np.unique(chunks, return_inverse=True, equal_nan=False)
-    r = distinct.size
-    codes = codes.reshape(chunks.shape) + r * np.arange(q)[:, None]
+    distinct, codes = np.unique(chunks, return_inverse=True)  # every NaN in one last column
+    codes, r = codes.reshape(chunks.shape), distinct.size
+    if chunks.dtype.kind in "fc" and r and np.isnan(distinct[-1]):
+        nans = np.isnan(chunks)
+        codes = codes + (np.cumsum(nans, axis=1) - 1) * nans
+        r += int(nans.sum(axis=1).max()) - 1
+    codes = codes + r * np.arange(q)[:, None]
     return np.bincount(codes.ravel(), minlength=q * r).reshape(q, r)
 
 
@@ -543,11 +557,15 @@ def binomials(c: np.ndarray, k: int) -> np.ndarray:
     """C(c, k) of every entry of an integer array, exactly: the k-subsets
     of a class of c values.  Step j multiplies C(c, j) by c - j and divides
     by j + 1 with no remainder, so c = -1 (an empty class less one) gives
-    (-1)^k."""
+    (-1)^k.  Products that could reach 2^63 (k C(top, min(k, top // 2)), top
+    the largest c) are taken on Python integers, so every count is exact."""
+    top = int(c.max(initial=0))
+    if k * math.comb(top, min(k, top // 2)) >= 2**63:
+        c = c.astype(object)
     out = np.ones_like(c)
     for j in range(k):
         out = out * (c - j) // (j + 1)
-    return out
+    return out.astype(np.int64, copy=False)
 
 
 def evaluate_ustat(h: Kernel, data: Dataset, family: SubsetFamily) -> float:

@@ -721,9 +721,14 @@ def kernel_pass_rows(h: Kernel, chunks: np.ndarray, family: SubsetFamily) -> Sum
 def value_columns(chunks: np.ndarray) -> np.ndarray:
     """The column of each entry of a (q, n) stack in its letter-level rows
     (``ustat.value_counts``), as (q, n) codes: the entry's rank among the
-    stack's distinct values, with -0.0 equal to 0.0 and each NaN its own."""
-    _, codes = np.unique(chunks, return_inverse=True, equal_nan=False)
-    return codes.reshape(chunks.shape)
+    stack's r0 distinct values that are not NaN, with -0.0 equal to 0.0, and
+    r0 + j for a row's j-th NaN, which equals nothing."""
+    nans = np.isnan(chunks)
+    distinct = np.unique(chunks[~nans])
+    codes = np.searchsorted(distinct, chunks)
+    for row, row_nans in zip(codes, nans):
+        row[row_nans] = distinct.size + np.arange(np.count_nonzero(row_nans))
+    return codes
 
 
 def values_summary(

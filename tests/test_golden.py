@@ -103,6 +103,7 @@ def cli_cases(tmp_path) -> dict:
     rgg = ["rgg-triangles", "--eps", "1"]
     pair_mean = ["estimate", "--kernel", "pair_mean", "--simulate", "gaussian,n=600,mu=0.4",
                  "--R", "4", "--tau", "1", "--eps", "1"]
+    collision = ["estimate", "--method", "hajek", "--kernel", "collision", "--eps", "1"]
     return {
         "uniformity.simulate.accept": uni + ["--simulate", "n=3000,kind=uniform", "--seed", "1"],
         "uniformity.simulate.reject": uni + ["--simulate", "n=3000,kind=split,a=0.8", "--seed", "2"],
@@ -119,6 +120,9 @@ def cli_cases(tmp_path) -> dict:
         "estimate.pair_mean.hajek": pair_mean + ["--method", "hajek", "--seed", "11"],
         "estimate.pair_mean.naive.alpha": pair_mean + ["--method", "naive", "--seed", "12"] + alpha,
         "estimate.pair_mean.subsampled.alpha": pair_mean + ["--method", "subsampled", "--seed", "13"] + alpha,
+        "estimate.collision.hajek.data": collision + ["--data", str(labels), "--seed", "14"],
+        "estimate.collision.hajek.simulate": collision + ["--simulate", "uniform,n=2000,m=30", "--seed", "15"],
+        "estimate.collision.hajek.data.alpha": collision + ["--data", str(labels), "--seed", "16"] + alpha,
     }
 
 
@@ -126,6 +130,9 @@ def cli_cases(tmp_path) -> dict:
 # boosted chunks stopped drawing from q spawned child generators and began
 # to share one generator, every release drawing its live rows' noise in one
 # call of the law's sampler; every case without --alpha kept its output.
+# The estimate.collision cases were pinned while the collision kernel's
+# Hájek release still ran on category counts over [0, m), with --m 12 for
+# the labels file; the release on value counts gives the same stdout.
 CLI_GOLDEN = {
     'uniformity.simulate.accept': (0, 'decision accept\nstatistic 0.08786417559706612\nthreshold 0.09895833333333333\n'),
     'uniformity.simulate.reject': (0, 'decision reject\nstatistic 0.1475711472469504\nthreshold 0.09895833333333333\n'),
@@ -142,6 +149,9 @@ CLI_GOLDEN = {
     'estimate.pair_mean.hajek': (0, 'estimate 1.7873526136120308\n'),
     'estimate.pair_mean.naive.alpha': (0, 'estimate 0.10150775372195842\nradius 7.171672469754931\n'),
     'estimate.pair_mean.subsampled.alpha': (0, 'estimate 0.49631174852404314\nradius 23.864552897655837\n'),
+    'estimate.collision.hajek.data': (0, 'estimate 0.08469756430451615\n'),
+    'estimate.collision.hajek.simulate': (0, 'estimate 0.034807737651714216\n'),
+    'estimate.collision.hajek.data.alpha': (0, 'estimate 0.07533093028713478\n'),
 }
 
 

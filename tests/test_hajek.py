@@ -694,6 +694,54 @@ def test_count_route_equals_the_kernel_pass_on_rows_with_bad_indices():
     assert with_bad > 40
 
 
+def assert_collision_routes_agree(labels, m, eps, xi, seed) -> int:
+    """The generic release of the collision kernel on a (q, n) label stack
+    (value counts, a column per label present in the stack) against the
+    application's (category counts, a column per category in [0, m)): every
+    report and ledger total bitwise.  Returns the number of rows with bad
+    categories."""
+    q, n = labels.shape
+    generic, application = [scratch_budget() for _ in range(q)], [scratch_budget() for _ in range(q)]
+    got = hajek.private_means_local_hajek(
+        pv.collision_kernel(), labels, all_tuples(n, 2), HajekParams(eps, 1.0, xi), seed, generic
+    )
+    want = apps.private_collision_densities(labels, m, eps, xi, seed, application)
+    for a, b in zip(got, want):
+        assert (a.estimate, a.noise_scale) == (b.estimate, b.noise_scale)
+        for name in ("L", "n_bad", "smooth_bound"):
+            assert a.diagnostics[name] == b.diagnostics[name], name
+    assert [b.spent for b in generic] == [b.spent for b in application]
+    return sum(report.diagnostics["n_bad"] > 0 for report in got)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_generic_collision_release_equals_the_application_release(data):
+    # the runner releases the collision kernel through the generic estimator;
+    # the columns of categories absent from the whole stack are all the two
+    # differ in, and an empty column is never in L and never bad
+    q = data.draw(st.sampled_from([1, 3, 19]), label="q")
+    m = data.draw(st.integers(2, 30), label="m")
+    n = data.draw(st.integers(2, 120), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    support = rng.choice(m, data.draw(st.integers(1, m), label="present"), replace=False)
+    p = rng.dirichlet(np.full(support.size, data.draw(st.sampled_from([0.2, 1.0, 20.0]), label="skew")))
+    labels = support[rng.choice(support.size, (q, n), p=p)]
+    xi = data.draw(st.sampled_from([0.0, 0.005, 0.05, apps.collision_xi(m, n)]), label="xi")
+    eps = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="eps")
+    assert_collision_routes_agree(labels, m, eps, xi, int(rng.integers(2**32)))
+
+
+def test_generic_collision_release_equals_the_application_release_on_bad_categories():
+    # skewed stacks at xi = 0, where most rows down-weight some categories
+    rng = np.random.default_rng(37)
+    with_bad = 0
+    for q, m in itertools.product((1, 3, 19), (2, 5, 30)):
+        labels = np.where(rng.random((q, 60)) < 0.9, 0, rng.integers(0, m, (q, 60)))
+        with_bad += assert_collision_routes_agree(labels, m, 1.0, 0.0, q * m)
+    assert with_bad > 40
+
+
 def no_call_kernel(k: int) -> pv.Kernel:
     """An equality kernel whose ``fn`` refuses every call."""
 

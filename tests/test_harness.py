@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import privustat as pv
-from privustat import dp
+from privustat import dp, hajek
 from privustat.dp import quartic_cdf
 from privustat.errors import AuditFailure, LedgerMismatch, PreconditionWarning
 from privustat.hajek import hajek_rows
@@ -235,12 +235,57 @@ def test_cli_estimate_collision_reads_m_from_simulate_spec(capsys):
     argv = ["estimate", "--method", "hajek", "--kernel", "collision",
             "--simulate", "uniform,n=500,m=50", "--seed", "3"]
     assert cli_main(argv) == 0
-    from_spec = capsys.readouterr().out
-    assert from_spec.startswith("estimate ")
-    assert cli_main(argv + ["--m", "50"]) == 0
-    assert capsys.readouterr().out == from_spec
-    assert cli_main(argv + ["--m", "20"]) == 1
-    assert "disagrees" in capsys.readouterr().err
+    assert capsys.readouterr().out.startswith("estimate ")
+
+
+def test_cli_estimate_takes_no_m(capsys):
+    # the Hájek release reads the labels' own counts; a category count has
+    # no reader, so --m (an abbreviation of --method here) is a usage error
+    argv = ["estimate", "--method", "hajek", "--kernel", "collision", "--simulate", "uniform,n=500,m=5"]
+    assert cli_code(argv + ["--m", "5"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_estimate_collision_reads_labels_of_any_size(tmp_path, capsys):
+    # no [0, m) check on the estimate path: labels past 10, negative or
+    # fractional ones release, and the labels' values only name categories
+    rng = np.random.default_rng(5)
+    codes = rng.integers(0, 40, 500)
+    runs = []
+    for name, values in (("codes", codes), ("spread", codes * 1000.5 - 7000)):
+        labels = tmp_path / f"{name}.txt"
+        labels.write_text("".join(f"{v}\n" for v in values.tolist()))
+        assert cli_main(["estimate", "--method", "hajek", "--kernel", "collision",
+                         "--data", str(labels), "--seed", "2"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0].startswith("estimate ") and runs[1] == runs[0]
+
+
+def test_cli_estimate_all_collision_past_the_enumeration_cap_releases(capsys):
+    # C(20000, 2) subsets are past the cap, but the collision kernel runs on
+    # value counts and enumerates none; a kernel that needs the pass is refused
+    simulate = ["--method", "all", "--eps", "1", "--seed", "3"]
+    assert cli_main(["estimate", "--kernel", "collision", "--simulate", "uniform,n=20000,m=100"] + simulate) == 0
+    assert capsys.readouterr().out.startswith("estimate ")
+    assert cli_main(["estimate", "--kernel", "pair_mean", "--simulate", "gaussian,n=20000"] + simulate) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: CombinatorialOverflow: C(20000,2) = 199990000 exceeds the cap 100000000; "
+        "use subsample_family instead\n"
+    )
+
+
+@pytest.mark.parametrize("method", experiments.METHODS)
+def test_spec_refuses_a_range_other_than_the_kernels_before_sampling(method, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("data sampled")
+
+    monkeypatch.setattr(experiments.DistributionSpec, "sample", no_sampling)
+    with pytest.raises(ValueError, match="^C must be 1, the collision kernel's finite range; got 0.5$"):
+        small_spec(method=method, c_range=0.5)
+    # a kernel with no declared range takes any
+    assert small_spec(method=method, kernel="pair_mean", c_range=0.5).c_range == 0.5
 
 
 def test_cli_uniformity_accept_and_reject(capsys):
@@ -730,6 +775,9 @@ def test_smoothness_audit_stack_equals_the_kernel_pass(monkeypatch, kwargs):
     want = hajek_rows(kernel_pass_rows(kernel, datasets, pv.all_tuples(kwargs["n"], kernel.degree)), params)
     # one column per value, not per index
     assert rows.multiplicity.strides != (0, 0) and (rows.multiplicity.sum(axis=1) == kwargs["n"]).all()
+    if any(map(math.isnan, alphabet)):
+        # the two values 0.0 (= -0.0) and 1.0, then the n NaNs of the all-NaN multiset
+        assert rows.projections.shape[1] == 2 + kwargs["n"]
     for name in ("a_n", "spread_level", "n_bad", "smooth_bound"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     np.testing.assert_allclose(got.reweighted, want.reweighted, rtol=1e-13, atol=0)
@@ -739,7 +787,7 @@ def test_smoothness_audit_past_the_value_cap_raises_before_any_kernel_pass(monke
     def no_kernel_pass(*args):
         raise AssertionError("the audit ran a kernel pass past its cap")
 
-    monkeypatch.setattr(audits, "means_and_projections", no_kernel_pass)
+    monkeypatch.setattr(hajek, "means_and_projections", no_kernel_pass)
     monkeypatch.setattr(audits, "summary_rows", no_kernel_pass)  # the count route too
     # 324 binary multisets of n = 323, C(323, 2) values each
     assert 324 * math.comb(323, 2) > audits.AUDIT_VALUE_CAP

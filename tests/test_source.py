@@ -12,7 +12,9 @@ chunks share one generator, and each release draws all of their noise
 from it in one sampler call.  Only
 ``hajek.release_rows`` and the smoothness audit call the Hájek engine, and
 only ``release_rows`` releases with the quartic law, so no second Hájek
-path grows beside the stacked one.  Every ``SummaryRows`` built in the
+path grows beside the stacked one.  Outside ``hajek`` a summary comes from
+``summary_rows`` alone, and only the collision application builds count
+rows from its own counts.  Every ``SummaryRows`` built in the
 package names its ``multiplicity``, so a letter-level stack states how
 many indices each column stands for.  Outside ``ustat`` only ``coinpress``
 asks for a kernel value per subset, which clip-and-release clips in place;
@@ -448,6 +450,55 @@ def test_every_summary_rows_names_its_multiplicity(path):
     # a letter-level stack that left its multiplicities out would count each
     # letter once toward L, which gives a wrong L and so a wrong smooth bound
     assert summary_rows_without_multiplicity(path.read_text()) == []
+
+
+# the summaries of the Hájek engine, with the only (module, top-level
+# definition) pairs that may call them: a caller outside ``hajek`` asks
+# ``summary_rows``, which picks the kernel pass or the value counts from the
+# kernel and family, and only the collision application builds count rows
+# from its own category counts
+SUMMARY_CALLERS = {
+    "means_and_projections": {("hajek.py", "summary_rows")},
+    "count_rows": {("hajek.py", "summary_rows"), ("applications.py", "collision_rows")},
+}
+
+
+def second_summary_routes(module: str, source: str) -> list[str]:
+    """Every call of a summary builder from outside its callers."""
+    return [
+        f"{module} line {line}: {callee} in {owner}"
+        for line, owner, callee in calls_of(source, SUMMARY_CALLERS)
+        if (module, owner) not in SUMMARY_CALLERS[callee]
+    ]
+
+
+def test_checker_finds_second_summary_routes():
+    source = (
+        "def summary_rows(h, chunks, family):\n"
+        "    return count_rows(value_counts(h, chunks, family), family.n, family.k)\n"
+        "def collision_rows(chunks, m):\n"
+        "    return hajek.count_rows(np.bincount(chunks.ravel(), minlength=m)[None], chunks.size, 2)\n"
+        "def fixture_projection_margins(fix):\n"
+        "    return ustat.means_and_projections(h, chunks, family)\n"
+    )
+    assert second_summary_routes("hajek.py", source) == [
+        "hajek.py line 4: count_rows in collision_rows",
+        "hajek.py line 6: means_and_projections in fixture_projection_margins",
+    ]
+    assert second_summary_routes("applications.py", source) == [
+        "applications.py line 2: count_rows in summary_rows",
+        "applications.py line 6: means_and_projections in fixture_projection_margins",
+    ]
+
+
+def test_one_summary_route_outside_hajek():
+    # a caller that runs the kernel pass itself skips the count route of the
+    # equality kernels, and a second builder of count rows is a second set
+    # of columns to keep equal to the first
+    found = []
+    for path in ALL_MODULES:
+        found += second_summary_routes(str(path.relative_to(SRC)), path.read_text())
+    assert found == []
 
 
 # the functions that return one kernel value per subset, and the modules

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privustat as pv
-from privustat import coinpress, ustat
+from privustat import coinpress, hajek, ustat
 from privustat.dp import PrivacyBudget
 from privustat.errors import CombinatorialOverflow
 from privustat.ustat import (
@@ -94,6 +94,84 @@ def test_all_tuples_overflow_cap():
     with pytest.raises(CombinatorialOverflow):
         pv.all_tuples(100, 20)
     assert pv.all_tuples(25, 2).size == 300
+
+
+PAST_THE_CAP = re.escape("C(20000,2) = 199990000 exceeds the cap 100000000; use subsample_family instead")
+
+
+def refusing_kernel(k: int) -> pv.Kernel:
+    """A kernel with no declared range whose ``fn`` refuses every call."""
+
+    def fn(t):
+        raise AssertionError("kernel called")
+
+    return pv.Kernel(k, fn, pv.SubGaussian(1.0), name="refusing")
+
+
+def test_enumeration_cap_guards_enumeration_not_the_family(monkeypatch):
+    # C(20000, 2) subsets: the family and its counts stand, and every pass
+    # that enumerates it is refused before it makes a block, allocates its
+    # (q, M) values or calls the kernel
+    fam = pv.all_tuples(20000, 2)
+    assert fam.size > ustat.DEFAULT_ENUMERATION_CAP and fam.counts[0] == 19999
+    assert fam.check_regularity().ok
+
+    def no_values(*args):
+        raise AssertionError("values allocated")
+
+    monkeypatch.setattr(ustat, "_values_array", no_values)
+    h, chunks = refusing_kernel(2), np.zeros((2, 20000))
+    for enumerate_family in (
+        lambda: next(fam.blocks()),
+        lambda: ustat.chunk_kernel_values(h, chunks, fam),
+        lambda: ustat.means_and_projections(h, chunks, fam),
+    ):
+        with pytest.raises(CombinatorialOverflow, match=PAST_THE_CAP):
+            enumerate_family()
+
+
+def test_a_kernel_pass_past_the_cap_is_refused_before_any_spend():
+    # both releases refuse the kernel pass before any debit; an equality
+    # kernel on the same family enumerates nothing and releases
+    chunks = np.zeros((2, 20000))
+    fam = pv.all_tuples(20000, 2)
+    for release in (
+        lambda h, budgets: coinpress.all_tuples_estimates(h, chunks, 1.0, 0.25, 1.0, 3, budgets),
+        lambda h, budgets: pv.private_means_local_hajek(
+            h, chunks, fam, pv.HajekParams(1.0, 1.0, 0.0), 3, budgets),
+    ):
+        budgets = [PrivacyBudget(1.0) for _ in range(2)]
+        with pytest.raises(CombinatorialOverflow, match=PAST_THE_CAP):
+            release(refusing_kernel(2), budgets)
+        assert [b.spent for b in budgets] == [0.0, 0.0]
+        reports = release(pv.collision_kernel(), budgets)
+        assert all(r.estimate is not None for r in reports) and [b.spent for b in budgets] == [1.0, 1.0]
+
+
+def test_binomials_are_exact_below_int64_overflow():
+    # every C(c, k) below 2^63 with c from -1 (an empty class less one) to
+    # n, k > n/2 included: counting up to C(c, k) through C(c, c/2) > 2^63
+    # once wrapped, and the equality kernel of degree 66 on 70 equal values
+    # released a_n = -2093/916895
+    for n in (12, 70, 100):
+        c = np.arange(-1, n + 1)
+        for k in range(n + 1):
+            if math.comb(n, k) < 2**63:
+                want = [(-1) ** k] + [math.comb(v, k) for v in range(n + 1)]
+                assert ustat.binomials(c, k).tolist() == want, (n, k)
+    rows = hajek.summary_rows(pv.equality_kernel(66), np.zeros((1, 70)), pv.all_tuples(70, 66))
+    assert rows.a_n.tolist() == [1.0] and rows.projections.tolist() == [[1.0]]
+
+
+def test_value_counts_give_each_row_its_own_nan_columns():
+    # 0.0 (= -0.0), 1.0 and 2.5, then a column per NaN of the row with the most
+    h, fam = pv.equality_kernel(2), pv.all_tuples(4, 2)
+    chunks = np.array([[math.nan, math.nan, 1.0, 0.0], [math.nan, 0.0, -0.0, 2.5]])
+    assert ustat.value_counts(h, chunks, fam).tolist() == [[1, 1, 0, 1, 1], [2, 0, 1, 1, 0]]
+    complex_chunks = np.array([[complex(math.nan, 0), 1j, 1j, complex(0, math.nan)]])
+    assert ustat.value_counts(h, complex_chunks, fam).tolist() == [[2, 1, 1]]
+    labels = np.array([[3, 3, 7, 9], [7, 9, 9, 9]])
+    assert ustat.value_counts(h, labels, fam).tolist() == [[2, 1, 1], [0, 1, 3]]
 
 
 @given(st.data())
