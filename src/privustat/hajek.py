@@ -89,9 +89,9 @@ def _ramp_edge(xi, c_range: float, k: int, n: int, spread_level):
 
 
 def _spread_levels(
-    devs: np.ndarray, multiplicity: np.ndarray, xi: list[float], floor: list[float], c_range: float,
+    devs: np.ndarray, multiplicity: np.ndarray, xi: np.ndarray, floor: np.ndarray, c_range: float,
     k: int, n: int,
-) -> tuple[list[int], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The spread level L of each row of a (q, u) array of deviations, a
     column standing for its ``multiplicity`` of indices: the smallest t >= 1
     such that at most t indices exceed xi + 6kCt/n, with row i's radius
@@ -99,29 +99,31 @@ def _spread_levels(
     the candidates: the columns over the t = 1 threshold and over the row's
     ``floor``, under which a deviation counts as zero.
 
-    Violation is strict (> the threshold); t = n always qualifies.  The
-    thresholds grow with t, so only the candidates can ever violate, and
-    t = (their indices) always qualifies.  Only the rows whose candidates
-    stand for two or more indices are sorted, each candidate once per index.
+    Violation is strict (> the threshold).  The thresholds never fall as t
+    grows (C >= 0, and rounding is monotone), so only the candidates can
+    ever violate, and exceed(t), their mass over threshold t, never grows:
+    exceed(mass) <= L <= mass, the row's candidate mass (L = 1 below 2).
+    One bisection over that bracket finds every row's L at once, fixing the
+    bits of L - 1 from the highest; each step compares every candidate with
+    its row's threshold, from ``_ramp_edge`` itself, and sums the
+    multiplicities of those over it per row.  No column expands to indices.
     """
     # every threshold is >= 0, so a deviation over max(threshold, floor)
     # is exactly one over the threshold that is not zeroed by the floor
-    first = [max(_ramp_edge(x, c_range, k, n, 1), f) for x, f in zip(xi, floor)]
-    over = np.flatnonzero(devs > np.array(first)[:, None])
+    over = np.flatnonzero(devs > np.maximum(_ramp_edge(xi, c_range, k, n, 1), floor)[:, None])
     counts = multiplicity.flat[over]
-    levels = [1] * len(xi)
-    repeated = np.repeat(over, counts)  # each candidate once per index
-    values = devs.reshape(-1)[repeated]
-    starts = np.searchsorted(repeated, devs.shape[1] * np.arange(len(xi) + 1)).tolist()
-    for i, (lo, hi) in enumerate(zip(starts, starts[1:])):
-        if hi - lo <= 1:
-            continue
-        tail = np.sort(values[lo:hi])
-        ts = np.arange(1, hi - lo + 1)
-        thresholds = _ramp_edge(xi[i], c_range, k, n, ts)
-        exceed = hi - lo - np.searchsorted(tail, thresholds, side="right")
-        levels[i] = int(np.nonzero(exceed <= ts)[0][0] + 1)
-    return levels, over, counts
+    q, owner, values = xi.size, over // devs.shape[1], devs.reshape(-1)[over]
+
+    def exceed(t: np.ndarray) -> np.ndarray:
+        return np.bincount(owner, counts * (values > _ramp_edge(xi, c_range, k, n, t)[owner]), q)
+
+    mass = np.bincount(owner, counts, q).astype(np.int64)
+    # the largest t known to fail, exceed(t) > t: every t below exceed(mass)
+    fails = np.maximum(exceed(mass), 1).astype(np.int64) - 1 if mass.max(initial=0) > 1 else 0 * mass
+    for bit in reversed(range((int((mass - fails).max(initial=1)) - 1).bit_length())):  # L <= mass
+        t = fails + (1 << bit)
+        fails = np.where(exceed(t) > t, t, fails)
+    return fails + 1, over, counts
 
 
 def compute_weights(
@@ -360,11 +362,12 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
     noise) for every row of the stack.
 
     Each row's dead band, spread level, edge and bad columns are its own, and
-    so is its radius when ``params.xi`` holds one per row.  L counts a column
-    once per index; every other pass is over the columns.  Only rows with bad
-    columns are reweighted, and one ``smooth_sensitivity`` call takes every
-    row's (radius, spread level) and scans the same shifts for each.  The
-    per-row scalars are Python floats, computed as for a single summary.
+    so is its radius when ``params.xi`` holds one per row.  L weighs each
+    candidate column by its multiplicity, and every pass is over the columns,
+    none over the indices they stand for.  Only rows with bad columns are
+    reweighted, and one ``smooth_sensitivity`` call takes every row's
+    (radius, spread level) and scans the same shifts for each.  Every per-row
+    quantity is computed as it is for a one-row stack.
     """
     n, k, c_range, eps = rows.n, rows.k, params.c_range, params.eps
     proj, a_n = rows.projections, rows.a_n
@@ -372,24 +375,19 @@ def hajek_rows(rows: SummaryRows, params: HajekParams) -> HajekRows:
     xi = np.asarray(params.xi, dtype=float)
     if xi.ndim and xi.shape != (q,):
         raise ValueError(f"need one concentration radius per row, got {xi.size} for {q}")
-    xis = xi.tolist() if xi.ndim else [float(xi)] * q
-    means = a_n.tolist()
-    tops = proj.max(axis=1, initial=0.0).tolist()
-    bottoms = proj.min(axis=1, initial=0.0).tolist()
-    if not all(map(math.isfinite, means + tops + bottoms)):
+    radii = np.full(q, xi)
+    tops, bottoms = proj.max(axis=1, initial=0.0), proj.min(axis=1, initial=0.0)
+    if not np.isfinite([a_n, tops, bottoms]).all():
         raise ValueError("kernel values must be finite")
     devs = proj - a_n[:, None]
     np.abs(devs, out=devs)
     # dead-band at the rounding floor so an identically-constant kernel does
     # not manufacture spurious outliers out of 1-ulp projection jitter
-    tol = [
-        _DEAD_BAND * max(1.0, abs(a), top, -bottom) for a, top, bottom in zip(means, tops, bottoms)
-    ]
-    level, over, counts = _spread_levels(devs, rows.multiplicity, xis, tol, c_range, k, n)
+    tol = _DEAD_BAND * np.maximum.reduce([np.abs(a_n), tops, -bottoms], initial=1.0)
+    levels, over, counts = _spread_levels(devs, rows.multiplicity, radii, tol, c_range, k, n)
     # every edge is at least the t = 1 threshold, so the bad columns are
     # among the candidates; a column that stands for no index is never bad
-    edge = np.array([_ramp_edge(x, c_range, k, n, L) for x, L in zip(xis, level)])
-    radii, levels = np.array(xis), np.array(level)
+    edge = _ramp_edge(radii, c_range, k, n, levels)
     over_devs = devs.reshape(-1)[over]
     bad_at = np.logical_and(over_devs > edge[over // u], counts)
     bad = over[bad_at]

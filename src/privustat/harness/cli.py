@@ -9,7 +9,7 @@ Each subcommand takes only the flags its handler reads; every one takes --out:
                        --tau --xi --C --timing
   uniformity-test      --seed --eps --alpha --m --delta --data --simulate
   rgg-triangles        --seed --eps --alpha --graph --simulate
-  audit-smoothness     --eps --n --xi --C
+  audit-smoothness     --eps --n --xi
   audit-noise          --seed --law --draws
   fixture-adversarial  --eps --n --k
 
@@ -20,7 +20,8 @@ parsed as flags given right after the command, so explicit flags win, and a
 key that is not a flag of the command is a usage error.  argparse accepts a
 unique prefix of a flag, so ``simulate --eps 0.5`` is ``--eps-grid 0.5``.
 A kernel that declares its range (the collision kernel's is 1) takes no
-other ``--C`` in ``estimate`` or ``simulate``.  Exit codes: 0 success, 1
+other ``--C`` in ``estimate`` or ``simulate``, and ``audit-smoothness``,
+which audits the collision kernel, takes none.  Exit codes: 0 success, 1
 usage error, 2 audit failure, 3 estimator bottom.
 
 Every run prints the privacy-ledger summary to stderr; CSV goes to --out or
@@ -179,7 +180,6 @@ def build_parser() -> Parser:
     add_common(smo, "eps")
     smo.add_argument("--n", type=int, default=5)
     smo.add_argument("--xi", type=float, default=0.0)
-    smo.add_argument("--C", type=float, default=1.0, dest="c")
 
     noi = sub.add_parser("audit-noise", help="sampler goodness of fit")
     add_common(noi, "seed")
@@ -351,7 +351,7 @@ def cmd_rgg(args) -> int:
 def cmd_audit_smoothness(args) -> int:
     print("privacy ledger: audits spend no budget", file=sys.stderr)
     try:
-        report = audits.smoothness_audit(n=args.n, eps=args.eps, xi=args.xi, c_range=args.c)
+        report = audits.smoothness_audit(n=args.n, eps=args.eps, xi=args.xi)
     except AuditFailure as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT

@@ -256,17 +256,24 @@ def test_letter_level_release_equals_its_index_level_expansion_bitwise(q, m, n, 
         assert all(r.diagnostics["n_bad"] > 0 for r in got)
 
 
-@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
-def test_collision_release_on_a_million_labels_holds_no_per_index_array(skewed):
+@pytest.mark.parametrize("labels", ["uniform", "skewed", "rare5pct"])
+def test_collision_release_on_a_million_labels_holds_no_per_index_array(labels):
     # 10^6 int64 labels are 7.6 MiB: a per-index projection, gather or offset
     # copy of them would pass the bound on its own.  The skewed labels are
-    # count-summary's: 1000 rare labels, each a bad index (L = 1000)
+    # count-summary's: 1000 rare labels, each a bad index (L = 1000).  With
+    # 5% rare labels the heavy category is itself over the t = 1 threshold,
+    # a candidate that stands for 95% of the indices, and L is the number of
+    # rare labels: a spread level that took each candidate once per index
+    # would hold about 10^6 values
     n, m = 10**6, 1000
     rng = np.random.default_rng(4)
     x = rng.integers(0, m, (1, n))
-    if skewed:
+    if labels == "skewed":
         x[:] = 0
         x[0, rng.choice(n, 1000, replace=False)] = rng.integers(1, m, 1000)
+    elif labels == "rare5pct":
+        x = collision_labels(rng, 1, n, m, skewed=True)
+    rare = int(np.count_nonzero(x)) if labels != "uniform" else 0
     budget = scratch_budget()
     tracemalloc.start()
     try:
@@ -274,7 +281,8 @@ def test_collision_release_on_a_million_labels_holds_no_per_index_array(skewed):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.diagnostics["n_bad"] == (1000 if skewed else 0)
+    assert report.diagnostics["n_bad"] == rare
+    assert report.diagnostics["L"] == max(rare, 1)
     assert peak < 2**20
 
 

@@ -72,7 +72,9 @@ def one_key_bound(xi, spread_level, n, k, c_range, eps, complete) -> float:
 def spread_level(devs, xi, c_range, k, n):
     """The spread level L of one row of deviations, with no dead band."""
     ones = np.ones((1, n), dtype=np.int64)
-    levels, _, _ = hajek._spread_levels(np.asarray(devs, dtype=float).reshape(1, n), ones, [xi], [0.0], c_range, k, n)
+    levels, _, _ = hajek._spread_levels(
+        np.asarray(devs, dtype=float).reshape(1, n), ones, np.array([xi]), [0.0], c_range, k, n
+    )
     return levels[0]
 
 
@@ -849,6 +851,34 @@ def test_state_equals_the_full_scan_reference_on_random_cases():
         params = HajekParams(eps=float(rng.uniform(0.1, 2.0)), c_range=float(rng.uniform(0.0, 3.0)),
                              xi=float(rng.uniform(0.0, 1.0)))
         assert_states_equal(row_state(summary, params), full_scan_hajek_state(summary, params))
+    seen = dict.fromkeys(["L > 1", "multiplicity > 1 over", "empty candidate", "tie"], 0)
+    for _ in range(300):
+        # letter-level rows: columns of multiplicity 0 to 5, a_n = 0 so that
+        # a projection put on a threshold xi + 6kCt/n leaves the deviation on it
+        u, k = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+        params = HajekParams(eps=float(rng.uniform(0.1, 2.0)), c_range=float(rng.choice([0.0, 0.01, 0.2])),
+                             xi=float(rng.choice([0.0, rng.uniform(0.0, 0.2)])))
+        counts = rng.integers(0, 6, u)
+        n = int(counts.sum()) + k
+        proj = rng.uniform(-1.0, 1.0, u) * rng.uniform(0.0, 1.0)
+        tie = rng.random(u) < 0.3
+        thresholds = params.xi + 6.0 * k * params.c_range * rng.integers(1, n + 1, u) / n
+        proj[tie] = (rng.choice([-1.0, 1.0], u) * thresholds)[tie]
+        # the widest column stands for indices, so both states have one dead band
+        counts[np.argmax(np.abs(proj))] += k
+        labels = np.repeat(np.arange(u), counts)[None]
+        letters = SummaryRows(
+            n=n, k=k, a_n=np.zeros(1), projections=proj[None], multiplicity=counts[None],
+            reweight=lambda i, weights: float(weights @ np.arange(1.0, u + 1.0)), all_tuples_family=True,
+        )
+        got = row_state(letters, params)
+        assert_letter_state_equals(got, full_scan_hajek_state(index_level_rows(letters, labels), params), labels)
+        candidate = np.abs(proj) > params.xi + 6.0 * k * params.c_range / n
+        seen["L > 1"] += got.spread_level[0] > 1
+        seen["multiplicity > 1 over"] += bool((candidate & (counts > 1)).any())
+        seen["empty candidate"] += bool((candidate & (counts == 0)).any())
+        seen["tie"] += bool((tie & (counts > 0)).any())
+    assert min(seen.values()) > 30, seen
 
 
 def per_row_radius_stack():
@@ -933,33 +963,6 @@ def test_state_equals_the_full_scan_reference_at_scale(skewed):
     got = row_state(summary, params)
     assert_letter_state_equals(got, full_scan_hajek_state(index_level_rows(summary, labels), params), labels)
     assert (got.bad.size > 0) == skewed
-
-
-@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
-def test_state_sorts_only_the_over_threshold_tail(skewed, monkeypatch):
-    n, m = 10**5, 100
-    labels, params = large_collision_summary(skewed, n, m, 25)
-    summary = apps.collision_rows(labels, m)
-    first = params.xi + 6.0 * 2 * params.c_range * 1 / n  # the t = 1 threshold
-    # the sort takes each candidate category once per index: the indices over the threshold
-    per_index = index_level_rows(summary, labels).projections[0]
-    over = int(np.count_nonzero(np.abs(per_index - summary.a_n[0]) > first))
-    sizes = []
-    sort = np.sort
-
-    def recording_sort(a, *args, **kwargs):
-        sizes.append(np.size(a))
-        return sort(a, *args, **kwargs)
-
-    monkeypatch.setattr(hajek.np, "sort", recording_sort)
-    state = row_state(summary, params)
-    monkeypatch.undo()
-    if skewed:
-        assert 2 <= over < n and state.spread_level[0] > 1
-        assert sizes == [over]
-    else:
-        assert state.spread_level[0] == 1 and over <= 1
-        assert sizes == []
 
 
 def test_smooth_bound_scans_the_same_shifts_whatever_the_spread_level(monkeypatch):

@@ -38,6 +38,7 @@ from oracles import (
     kernel_pass_rows,
     loop_smoothness_audit,
     reference_noise_gap,
+    without_counts,
 )
 
 # a NaN or inf reaching a sampler or an audit shows as a RuntimeWarning: fail on it
@@ -430,13 +431,23 @@ def test_cli_non_finite_bounds_are_one_line_usage_errors(argv, message, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flag, value", [("--xi", "nan"), ("--C", "nan"), ("--eps", "inf")])
+@pytest.mark.parametrize("flag, value", [("--xi", "nan"), ("--eps", "inf")])
 def test_cli_audit_smoothness_bad_parameter_is_a_usage_error(flag, value, capsys):
     code = cli_main(["audit-smoothness", "--n", "6", flag, value])
     captured = capsys.readouterr()
     assert code == 1
     assert "finite" in captured.err
     assert "audit ok" not in captured.out
+
+
+def test_cli_audit_smoothness_takes_no_range(capsys):
+    # the audit runs the collision kernel, whose range is 1; a verdict at
+    # any other C would be one on a release that no command runs
+    code = cli_code(["audit-smoothness", "--n", "6", "--C", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "unrecognized arguments: --C 0.5" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("eps", ["inf", "nan", "-1", "0"])
@@ -783,19 +794,32 @@ def test_smoothness_audit_stack_equals_the_kernel_pass(monkeypatch, kwargs):
     np.testing.assert_allclose(got.reweighted, want.reweighted, rtol=1e-13, atol=0)
 
 
-def test_smoothness_audit_past_the_value_cap_raises_before_any_kernel_pass(monkeypatch):
-    def no_kernel_pass(*args):
-        raise AssertionError("the audit ran a kernel pass past its cap")
+def no_summary(*args):
+    raise AssertionError("the audit summarised a stack past its cap")
 
-    monkeypatch.setattr(hajek, "means_and_projections", no_kernel_pass)
-    monkeypatch.setattr(audits, "summary_rows", no_kernel_pass)  # the count route too
-    # 324 binary multisets of n = 323, C(323, 2) values each
+
+def test_smoothness_audit_past_the_value_cap_raises_before_any_kernel_pass(monkeypatch):
+    monkeypatch.setattr(hajek, "means_and_projections", no_summary)
+    monkeypatch.setattr(audits, "summary_rows", no_summary)
+    # 324 binary multisets of n = 323, C(323, 2) values each, for a kernel
+    # that takes the kernel pass
     assert 324 * math.comb(323, 2) > audits.AUDIT_VALUE_CAP
-    with pytest.raises(ValueError, match="over the cap"):
-        audits.smoothness_audit(n=323, eps=1.0, xi=0.0)
-    with pytest.raises(ValueError, match="over the cap"):
+    with pytest.raises(ValueError, match="kernel values, over the cap"):
+        audits.smoothness_audit(n=323, eps=1.0, xi=0.0, kernel=without_counts(pv.collision_kernel()))
+
+
+def test_smoothness_audit_past_the_stack_cap_raises_before_its_stack_is_built(monkeypatch):
+    # the collision kernel runs on value counts and evaluates no kernel
+    # value, so its cap is on the (multisets, n) stack: 2049 binary
+    # multisets of n = 2048 are past it, and 2048 of n = 2047 are not (a
+    # ternary stack at n = 10^6 would not fit in memory, were it built)
+    monkeypatch.setattr(audits, "summary_rows", no_summary)
+    assert 2049 * 2048 > audits.AUDIT_STACK_CAP >= 2048 * 2047
+    with pytest.raises(ValueError, match="would take 4196352 stack entries, over the cap"):
+        audits.smoothness_audit(n=2048, eps=1.0, xi=0.0)
+    with pytest.raises(ValueError, match="stack entries, over the cap"):
         audits.smoothness_audit(n=10**6, eps=1.0, xi=0.0, alphabet=(0, 1, 2))
-    assert cli_main(["audit-smoothness", "--n", "323"]) == 1
+    assert cli_main(["audit-smoothness", "--n", "2048"]) == 1
 
 
 def test_smoothness_audit_value_cap_counts_multisets_times_subsets(monkeypatch):
@@ -808,11 +832,11 @@ def test_smoothness_audit_value_cap_counts_multisets_times_subsets(monkeypatch):
     assert audits.smoothness_audit(**kwargs).datasets == 41
 
 
-@pytest.mark.parametrize("n, violations", [(13, 12), (40, 34)])
+@pytest.mark.parametrize("n, violations", [(13, 12), (40, 34), (1000, 156)])
 def test_smoothness_audit_known_dominance_misses_past_n_12(n, violations):
     # the smooth bound does not dominate the reweighted mean's change where
     # L moves (binary collision data, eps = 1, xi = 0); kept visible until
-    # the bound is fixed
+    # the bound is fixed, up to the acceptance tests' n
     with pytest.raises(AuditFailure, match=f"^dominance .*\\({violations} violations total\\)$"):
         audits.smoothness_audit(n=n, eps=1.0, xi=0.0)
 

@@ -16,9 +16,11 @@ path grows beside the stacked one.  Outside ``hajek`` a summary comes from
 ``summary_rows`` alone, and only the collision application builds count
 rows from its own counts.  Every ``SummaryRows`` built in the
 package names its ``multiplicity``, so a letter-level stack states how
-many indices each column stands for.  Outside ``ustat`` only ``coinpress``
-asks for a kernel value per subset, which clip-and-release clips in place;
-the Hájek paths read the pass's means and projections.  Only ``dp`` reads
+many indices each column stands for, and ``hajek`` calls no ``repeat``, so
+no step of the Hájek state expands a column to its indices.  Outside
+``ustat`` only ``coinpress`` asks for a kernel value per subset, which
+clip-and-release clips in place; the Hájek paths read the pass's means and
+projections.  Only ``dp`` reads
 a law's ``factor``: the release returns the scale it drew at, so no caller
 holds a copy of the calibration.  No module but ``ustat`` uses
 ``ustat``'s private names, or builds a ``Kernel``, and only
@@ -450,6 +452,27 @@ def test_every_summary_rows_names_its_multiplicity(path):
     # a letter-level stack that left its multiplicities out would count each
     # letter once toward L, which gives a wrong L and so a wrong smooth bound
     assert summary_rows_without_multiplicity(path.read_text()) == []
+
+
+def repeat_calls(source: str) -> list[tuple[int, str, str]]:
+    """Every call of ``repeat``, NumPy's or an array's (``calls_of``)."""
+    return calls_of(source, {"repeat"})
+
+
+def test_checker_finds_repeat_calls():
+    source = (
+        "import numpy as np\n"
+        "def spread(over, counts, devs):\n"
+        "    return devs.reshape(-1)[np.repeat(over, counts)]\n"
+        "class Rows:\n    def expand(self, counts):\n        return self.columns.repeat(counts)\n"
+    )
+    assert repeat_calls(source) == [(3, "spread", "repeat"), (6, "Rows", "repeat")]
+
+
+def test_hajek_never_expands_a_column_to_its_indices():
+    # a letter-level column stands for its multiplicity of indices; a repeat
+    # of it would size a step of the Hájek state by that multiplicity, up to n
+    assert repeat_calls((SRC / "hajek.py").read_text()) == []
 
 
 # the summaries of the Hájek engine, with the only (module, top-level
