@@ -113,11 +113,14 @@ def _spread_levels(
     over = np.flatnonzero(devs > np.maximum(_ramp_edge(xi, c_range, k, n, 1), floor)[:, None])
     counts = multiplicity.flat[over]
     q, owner, values = xi.size, over // devs.shape[1], devs.reshape(-1)[over]
+    # bincount sums in float64 and casts int64 weights at every step, which
+    # doubles its cost; the counts are far below 2**53, so exact either way
+    weights = counts.astype(np.float64)
 
     def exceed(t: np.ndarray) -> np.ndarray:
-        return np.bincount(owner, counts * (values > _ramp_edge(xi, c_range, k, n, t)[owner]), q)
+        return np.bincount(owner, weights * (values > _ramp_edge(xi, c_range, k, n, t)[owner]), q)
 
-    mass = np.bincount(owner, counts, q).astype(np.int64)
+    mass = np.bincount(owner, weights, q).astype(np.int64)
     # the largest t known to fail, exceed(t) > t: every t below exceed(mass)
     fails = np.maximum(exceed(mass), 1).astype(np.int64) - 1 if mass.max(initial=0) > 1 else 0 * mass
     for bit in reversed(range((int((mass - fails).max(initial=1)) - 1).bit_length())):  # L <= mass

@@ -31,6 +31,7 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -123,6 +124,7 @@ COMMON_FLAGS = {
 }
 
 
+@functools.cache  # parsing leaves the tree as it was, so one per process serves every call
 def build_parser() -> Parser:
     parser = Parser(prog="privustat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -897,6 +897,15 @@ def line_read_column(path, parse, valid, expected: str) -> np.ndarray:
     raise ValueError(f"no data in {path}")
 
 
+def nonzero_csr(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 CSR ``indptr`` and ``indices`` of a dense adjacency, from
+    ``np.nonzero``'s row-major scan: each row's neighbours in increasing
+    order, each once."""
+    rows, cols = np.nonzero(adjacency)
+    counts = np.bincount(rows, minlength=adjacency.shape[0])
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), cols.astype(np.int64)
+
+
 def write_edge_list(graph: GeometricGraph, path) -> None:
     """One "i j" line (1-based) per edge i < j."""
     with open(path, "w") as fh:

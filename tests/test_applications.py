@@ -34,6 +34,7 @@ from oracles import (
     StackNoise,
     loop_collision_reweight,
     majority_uniformity_test,
+    nonzero_csr,
     packed_neighbour_bits,
     rgg_triangle_theta,
     row_state,
@@ -412,22 +413,34 @@ def test_value_files_keep_blank_lines_out(tmp_path):
     assert apps.read_reals(path).points.tolist() == [3.0, 1.0, 2.0]
 
 
+def graph_arrays(graph):
+    return dense_adjacency(graph), graph.indptr, graph.indices
+
+
+def oracle_graph_arrays(adjacency):
+    return adjacency, *nonzero_csr(adjacency)
+
+
+# each reader, and its per-line oracle, as a tuple of arrays
 READERS = {
     "categories": (
-        lambda p: apps.read_categories(p).points,
-        lambda p: line_read_column(p, int, lambda a: a >= 0, "a non-negative integer label"),
+        lambda p: (apps.read_categories(p).points,),
+        lambda p: (line_read_column(p, int, lambda a: a >= 0, "a non-negative integer label"),),
     ),
     "reals": (
-        lambda p: apps.read_reals(p).points,
-        lambda p: line_read_column(p, float, np.isfinite, "a finite real number"),
+        lambda p: (apps.read_reals(p).points,),
+        lambda p: (line_read_column(p, float, np.isfinite, "a finite real number"),),
     ),
-    "edges": (lambda p: dense_adjacency(apps.read_edge_list(p)), line_read_edge_list),
+    "edges": (
+        lambda p: graph_arrays(apps.read_edge_list(p)),
+        lambda p: oracle_graph_arrays(line_read_edge_list(p)),
+    ),
 }
 
 
 def assert_reads_like_the_line_oracle(kind, path):
-    """The reader returns what the per-line oracle returns, or raises the
-    same error."""
+    """The reader returns what the per-line oracle returns, array by array
+    with equal dtypes, or raises the same error."""
     read, oracle = READERS[kind]
     try:
         want = oracle(path)
@@ -437,7 +450,24 @@ def assert_reads_like_the_line_oracle(kind, path):
         assert str(got.value) == str(exc)
         return
     got = read(path)
-    assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("text, indptr, indices", [
+    ("3 1\n1 2\n2 1\n1 3\n1 2\n", [0, 2, 3, 4], [1, 2, 0, 0]),
+    ("2 4\n4 2\n2 4\n1 3\n3 1\n", [0, 1, 2, 3, 4], [2, 3, 0, 1]),
+    ("5 4\n4 3\n3 2\n2 1\n5 1\n1 5\n", [0, 2, 4, 6, 8, 10], [1, 4, 0, 2, 1, 3, 2, 4, 0, 3]),
+    ("# repeated\n2 1\n1 2\n2 1\n", [0, 1, 2], [1, 0]),  # the per-line parse
+], ids=["repeated-reversed-unsorted", "every-edge-twice", "descending-cycle", "comment"])
+def test_read_edge_list_reads_a_repeated_edge_once(tmp_path, text, indptr, indices):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    g = apps.read_edge_list(path)
+    assert g.indptr.tolist() == indptr and g.indices.tolist() == indices
+    assert_csr_invariants(g)
+    assert_reads_like_the_line_oracle("edges", path)
 
 
 @pytest.mark.parametrize("kind, text", [

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import privustat as pv
-from privustat import dp, hajek
+from privustat import applications as apps, dp, hajek
 from privustat.dp import quartic_cdf
 from privustat.errors import AuditFailure, LedgerMismatch, PreconditionWarning
 from privustat.hajek import hajek_rows
@@ -674,6 +674,33 @@ def test_cli_command_reads_every_flag_it_takes(command, capsys):
     assert cli.HANDLERS[command](args) == 0
     capsys.readouterr()
     assert set(vars(args)) - {"command"} - read == set()
+
+
+def test_cli_reuses_one_parser_and_repeats_each_run_byte_for_byte(tmp_path, capsysbinary):
+    # one parser serves the process: neither a parse nor a usage error's exit
+    # changes it, so a command run again prints the same bytes
+    assert cli.build_parser() is cli.build_parser()
+    labels, graph = tmp_path / "labels.txt", tmp_path / "graph.txt"
+    labels.write_text("".join(f"{v}\n" for v in np.random.default_rng(0).integers(0, 10, 2000)))
+    oracles.write_edge_list(apps.sample_rgg(150, 0.6, seed=1), graph)
+    with open(graph, "a") as fh:
+        fh.write("2 1\n1 2\n")  # a repeated edge, both ways
+    runs = [["uniformity-test", "--m", "10", "--data", str(labels), "--seed", "3"],
+            ["rgg-triangles", "--graph", str(graph), "--seed", "3"]]
+
+    def run(argv):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsysbinary.readouterr()
+        return code, captured.out, captured.err
+
+    first = [run(argv) for argv in runs]
+    assert [code for code, _, _ in first] == [0, 0]
+    code, out, err = run(["estimate", "--method", "nope"])
+    assert code == 1 and out == b"" and b"invalid choice: 'nope'" in err
+    assert [run(argv) for argv in runs] == first
 
 
 def test_cli_entry_point_subprocess():

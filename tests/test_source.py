@@ -17,7 +17,9 @@ path grows beside the stacked one.  Outside ``hajek`` a summary comes from
 rows from its own counts.  Every ``SummaryRows`` built in the
 package names its ``multiplicity``, so a letter-level stack states how
 many indices each column stands for, and ``hajek`` calls no ``repeat``, so
-no step of the Hájek state expands a column to its indices.  Outside
+no step of the Hájek state expands a column to its indices.  No module
+calls a bare ``np.unique``, which hashes integers far slower than a sort
+dedupes them.  Outside
 ``ustat`` only ``coinpress`` asks for a kernel value per subset, which
 clip-and-release clips in place; the Hájek paths read the pass's means and
 projections.  Only ``dp`` reads
@@ -473,6 +475,53 @@ def test_hajek_never_expands_a_column_to_its_indices():
     # a letter-level column stands for its multiplicity of indices; a repeat
     # of it would size a step of the Hájek state by that multiplicity, up to n
     assert repeat_calls((SRC / "hajek.py").read_text()) == []
+
+
+# any of these sends ``np.unique`` down its sort path
+UNIQUE_SORT_KEYWORDS = {"return_index", "return_inverse", "return_counts"}
+
+
+def hash_unique_calls(source: str) -> list[tuple[int, str, str]]:
+    """Every ``unique`` call that sets none of ``UNIQUE_SORT_KEYWORDS``, and
+    every ``unique_values`` call (``calls_of``'s triples).
+
+    On integers NumPy 2.4 dedupes those two through a hash table that grows
+    faster than linearly: on 10^6 int64 codes a bare ``np.unique`` takes
+    0.78-0.82 s, where ``return_counts`` takes 17-22 ms, ``return_inverse``
+    75-97 ms and ``np.sort`` with a neighbour mask 14 ms (2-core host).
+    """
+    def sorts(node: ast.Call) -> bool:
+        return any(kw.arg in UNIQUE_SORT_KEYWORDS
+                   and not (isinstance(kw.value, ast.Constant) and kw.value.value is False)
+                   for kw in node.keywords)
+
+    return sorted((node.lineno, owner, callee) for owner, node, callee in calls(source)
+                  if callee == "unique_values" or callee == "unique" and not sorts(node))
+
+
+def test_checker_finds_hash_unique_calls():
+    source = (
+        "import numpy as np\n"
+        "def edges(codes):\n"
+        "    return np.unique(codes)\n"
+        "def counts(codes):\n"
+        "    return np.unique(codes, return_counts=True)\n"
+        "def inverse(codes):\n"
+        "    return np.unique(codes, return_inverse=True, return_counts=False)\n"
+        "def spelled_out(codes):\n"
+        "    return np.unique(codes, return_counts=False)\n"
+        "class Values:\n    def distinct(self):\n        return np.unique_values(self.codes)\n"
+    )
+    assert hash_unique_calls(source) == [
+        (3, "edges", "unique"), (9, "spelled_out", "unique"), (12, "Values", "unique_values"),
+    ]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_hash_unique(path):
+    # a dedupe sorts: np.sort and a neighbour mask, or np.unique with counts
+    # or an inverse (``pair_counts`` and ``value_counts``)
+    assert hash_unique_calls(path.read_text()) == []
 
 
 # the summaries of the Hájek engine, with the only (module, top-level
