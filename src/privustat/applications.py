@@ -6,8 +6,8 @@ the regime where the reweighting estimator beats Laplace-on-range noise.
 Both kernels are structured, so the release engine is fed count-based
 summaries that avoid enumerating the complete subset family; equivalence
 with the generic enumeration path is covered by tests.  Both summaries
-stack the q chunks of a boosted estimate as rows, and every release of a
-stack draws from one generator.
+stack the q chunks of a boosted estimate as rows, and each row of a
+release draws from its own generator (``rng.row_generators``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .dp import LAPLACE, PrivacyBudget, releases
 from .errors import InsufficientData
 from .hajek import HajekParams, SummaryRows, count_rows, release_rows
 from .report import EstimateReport
-from .rng import as_generator
+from .rng import as_generator, row_generators
 from .ustat import Dataset
 
 APPLICATION_CONFIDENCE = 0.01  # fixed per-run failure level; callers boost
@@ -162,8 +162,8 @@ def private_collision_densities(
     budgets: list[PrivacyBudget],
 ) -> list[EstimateReport]:
     """Reweighting estimator for the collision probability (C = 1 kernel) on
-    each row of a (q, n) array of labels, row i debiting budgets[i]; the
-    release draws from ``seed``."""
+    each row of a (q, n) array of labels, row i debiting budgets[i] and
+    drawing from its generator of ``seed``."""
     params = HajekParams(eps=eps, c_range=1.0, xi=xi)
     return release_rows(
         collision_rows(chunks, m), params, seed, budgets, label="collision density"
@@ -202,11 +202,11 @@ def boosted_uniformity_test(
         raise ValueError("delta must be in (0, 1)")
     if data.n < 2:
         raise InsufficientData("uniformity testing needs at least two samples")
-    report = boosted(
-        lambda chunks, rng, branches: private_collision_densities(
-            chunks, m, eps, collision_xi(m, chunks.shape[1]), rng, branches
+    (report,) = boosted(
+        lambda chunks, rngs, branches: private_collision_densities(
+            chunks, m, eps, collision_xi(m, chunks.shape[1]), rngs, branches
         ),
-        data, 2, alpha, seed, budget,
+        [data], 2, alpha, seed, [budget],
     )
     threshold = (1.0 + 0.75 * delta**2) / m
     return UniformityDecision(
@@ -464,18 +464,18 @@ def private_triangle_densities(
     chunk's triangles from its neighbour bitsets (``triangle_rows``), and
     all proxies go through one release.  The chunks whose proxy is >= 0 are
     then released through one ``release_rows``, each with the radius its own
-    proxy sizes; the others are bottoms that spent eps.  Both releases draw
-    from the one generator of ``seed``: the q proxies first, then the live
-    chunks' releases.  With no live chunk there is no second release.
+    proxy sizes; the others are bottoms that spent eps.  Chunk i draws from
+    its generator of ``seed``: its proxy first, then, if live, its release.
+    With no live chunk there is no second release.
     """
     q = len(budgets)
     chunk_rows = triangle_rows(chunks, q)
     size = chunk_rows.n
-    rng = as_generator(seed)
+    rngs = row_generators(seed, q)
     # every edge of chunk i is an entry of its rows, inside its diagonal block
     u_edges = (np.diff(chunks.indptr[::size]) / (size * (size - 1))).tolist()
     nu = releases(
-        LAPLACE, u_edges, [EDGE_DENSITY_SENSITIVITY_FACTOR / size] * q, eps, budgets, rng,
+        LAPLACE, u_edges, [EDGE_DENSITY_SENSITIVITY_FACTOR / size] * q, eps, budgets, rngs,
         "edge density proxy",
     )[0].tolist()
     reports = [
@@ -492,7 +492,7 @@ def private_triangle_densities(
     xi = [triangle_xi(nu[i], size) for i in live]
     released = release_rows(
         chunk_rows.take(live), HajekParams(eps=eps, c_range=1.0, xi=np.array(xi)),
-        rng, [budgets[i] for i in live], label="triangle density",
+        [rngs[i] for i in live], [budgets[i] for i in live], label="triangle density",
     )
     for i, x, report in zip(live, xi, released):
         report.diagnostics.update({"nu": nu[i], "xi": x, "edge_density": u_edges[i]})
@@ -512,10 +512,11 @@ def boosted_triangle_density(
 
     With ``alpha`` None this is one ``private_triangle_density`` run.
     """
-    return boosted(
-        lambda chunks, rng, branches: private_triangle_densities(chunks, eps, rng, branches),
-        graph, 3, alpha, seed, budget,
+    (report,) = boosted(
+        lambda chunks, rngs, branches: private_triangle_densities(chunks, eps, rngs, branches),
+        [graph], 3, alpha, seed, [budget],
     )
+    return report
 
 
 # ---------------------------------------------------------------------------

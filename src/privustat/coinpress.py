@@ -10,14 +10,14 @@ plug in.  Every uniform deviation bound is ``subgaussian_xi``; the complete
 family's bounds are those of n chunk values with variance proxy k tau.
 
 The engine runs many datasets of one size at once, as the rows of a (q, M)
-array of kernel values: the q chunks of a boosted estimate make one pass,
-with (q,) interval endpoints and one stacked release per step, every step
-drawing from one generator.  An equality kernel on the complete family
+array of kernel values: the chunks of boosted estimates make one pass,
+with (q,) interval endpoints and one stacked release per step, each row
+drawing from its own generator.  An equality kernel on the complete family
 (``ustat.runs_on_counts``) gives a (q, 2) array instead: its two values 0
 and 1, each weighted by the number of subsets taking it, from the value
 counts.  The ``*_estimates`` functions take the chunks
-as a (q, n) array and one seed; the estimators of one dataset are their
-q = 1 case.
+as a (q, n) array and one seed or one generator per row; the estimators
+of one dataset are their q = 1 case.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .dp import LAPLACE, PrivacyBudget, check_epsilon, releases
 from .errors import warn_precondition
 from .report import EstimateReport
-from .rng import as_generator
+from .rng import row_generators
 from .ustat import (
     Dataset,
     Kernel,
@@ -135,13 +135,13 @@ def _clip_and_release(
     eps: float,
     gamma: float,
     tb: TailBounds,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     budgets: list[PrivacyBudget],
     label: str,
 ) -> list[EstimateReport]:
     """The t halving steps and the release step of ``ustat_means`` on every
     row of the (q, V) ``values`` at once; row i has dependence fraction
-    deps[i] and debits budgets[i], and every step's noise comes from ``rng``.
+    deps[i], debits budgets[i] and draws every step's noise from rngs[i].
     With ``counts`` None each column is one subset's value (V = M);
     otherwise column j of row i is the value of counts[i, j] of the M
     subsets, and the mean weighs it so.
@@ -181,7 +181,7 @@ def _clip_and_release(
         # one subset per value sums as it is: a product with ones would cost a pass
         means = np.add.reduce(values if counts is None else values * counts, axis=1) / size
         release, scale = releases(
-            LAPLACE, means, deps * ((hi - lo) + 2.0 * q), eps_step, budgets, rng,
+            LAPLACE, means, deps * ((hi - lo) + 2.0 * q), eps_step, budgets, rngs,
             f"{label}: {'halving' if halving else 'release'} step",
         )
         half = tb.qavg(beta) + scale * math.log(1.0 / beta)
@@ -232,8 +232,8 @@ def ustat_means(
     label: str,
 ) -> list[EstimateReport]:
     """Private mean of the kernel values over the family on each row of the
-    (q, n) ``chunks``, assuming |theta| <= R; row i debits budgets[i], and
-    every release draws from the one generator of ``seed``.
+    (q, n) ``chunks``, assuming |theta| <= R; row i debits budgets[i] and
+    draws from its generator of ``seed`` (``rng.row_generators``).
 
     Runs t = max(1, ceil(log2(R/Q(gamma)))) halving steps at eps/(2t) each,
     then one release step at eps/2; total budget is exactly eps.  Interval
@@ -257,7 +257,8 @@ def ustat_means(
         with np.errstate(over="ignore"):  # the first step clips an overflowing value
             values, counts = chunk_kernel_values(h, chunks, family), None
     deps = np.full(len(chunks), family.dependence_fraction())
-    return _clip_and_release(values, counts, deps, r, eps, gamma, tb, as_generator(seed), budgets, label)
+    rngs = row_generators(seed, len(chunks))
+    return _clip_and_release(values, counts, deps, r, eps, gamma, tb, rngs, budgets, label)
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +348,14 @@ def subsampled_estimates(
 ) -> list[EstimateReport]:
     """``subsampled_estimator`` on each row of a (q, n) array of chunks.
 
-    The generator of ``seed`` draws the q families, in chunk order, and
-    then the noise, so the dependence fraction is per chunk.  The q
+    Each row's generator of ``seed`` draws its family, in row order, and
+    then its noise, so the dependence fraction is per chunk.  The q
     families are evaluated as one family over the concatenated chunks.
     """
     check_data(chunks)
     (q, n), k = chunks.shape, h.degree
-    rng = as_generator(seed)
-    families = [subsample_family(n, k, size, rng) for _ in range(q)]
+    rngs = row_generators(seed, q)
+    families = [subsample_family(n, k, size, rng) for rng in rngs]
     if size < (n / k) * math.log(n):
         warn_precondition("subsample size below (n/k) log n; dependence fraction may be large")
     rows = np.concatenate([f.subsets + i * n for i, f in enumerate(families)])
@@ -364,7 +365,7 @@ def subsampled_estimates(
     deps = np.array([f.dependence_fraction() for f in families])
     tb = subsampled_tail_bounds(tau, k, n, size)
     return _clip_and_release(
-        values, None, deps, r, eps, DEFAULT_CONFIDENCE, tb, rng, budgets, "subsampled"
+        values, None, deps, r, eps, DEFAULT_CONFIDENCE, tb, rngs, budgets, "subsampled"
     )
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExhausted
-from .rng import as_generator
+from .rng import as_generator, row_generators
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -348,10 +348,11 @@ def releases(
     release is the q = 1 case).  Returns the (q,) released values and the
     (q,) scales they were drawn at, so no caller restates the calibration.
 
-    The rows with a nonzero scale, in increasing order, add
-    ``law.draws(len(live), seed)`` times their scales: one call of the
-    law's audited sampler.  Those draws are i.i.d. draws of the law and
-    independent of the data, so each row gets the noise of a release on
+    Each distinct generator g of ``seed`` (``rng.row_generators``) adds one
+    call of the law's audited sampler, ``law.draws(len(rows), g)`` times
+    their scales, to its rows with a nonzero scale, in row order; a single
+    seed is the one-group case.  Those draws are i.i.d. draws of the law
+    and independent of the data, so each row gets the noise of a release on
     its own data alone, and q releases over disjoint data compose in
     parallel.  A value whose scale is zero is released exactly and draws
     nothing.
@@ -359,10 +360,11 @@ def releases(
     ``sensitivities[i]`` bounds the sensitivity at dataset i: globally for
     Laplace noise; for quartic noise, as an eps-smooth upper bound on the
     local sensitivity (Nissim, Raskhodnikova & Smith, STOC 2007).  Every
-    input that would release a non-finite value is refused before any ledger
-    is debited, and every ledger is debited before any draw.  The checks and
-    scales run on Python floats: a release holds one value per chunk, and
-    for so few, list scans cost less than array operations.
+    input that would release a non-finite value, or lacks one ledger or
+    generator per row, is refused before any ledger is debited, and every
+    ledger is debited before any draw.  The checks and scales run on Python
+    floats: a release holds one value per chunk, and for so few, list scans
+    cost less than array operations.
     """
     check_epsilon(eps)
     out = np.array(values, dtype=float)
@@ -377,9 +379,15 @@ def releases(
     for sensitivity, scale in zip(listed, scales.tolist()):
         if not scale < math.inf:  # an overflowing ratio
             raise ValueError(f"non-finite noise scale {law.factor} * {sensitivity} / {eps}")
+    if len(budgets) != out.size:
+        raise ValueError(f"need one ledger per release, got {len(budgets)} for {out.size}")
+    generators = row_generators(seed, out.size)
     for budget in budgets:
         budget.spend(label, eps)
-    live = np.flatnonzero(scales)
-    if live.size:
-        out[live] += law.draws(live.size, seed) * scales[live]
+    groups: dict[np.random.Generator, list[int]] = {}  # live rows by generator, in row order
+    for row in np.flatnonzero(scales).tolist():
+        groups.setdefault(generators[row], []).append(row)
+    for rng, rows in groups.items():
+        rows = np.array(rows)
+        out[rows] += law.draws(rows.size, rng) * scales[rows]
     return out, scales

@@ -21,8 +21,8 @@ complete family skips the pass: its rows come from value counts
 (``count_rows``, which the collision summaries share), with exact integer
 binomials up to the last division.  A column stands for its multiplicity of
 indices: one, or the count of a value or category.
-A stack's release draws every row's noise in one call, from one generator.
-There is no one-row path: a single dataset is the one-row stack.
+A stack's release draws each row's noise from its own generator
+(``dp.releases``).  There is no one-row path: a single dataset is the one-row stack.
 """
 
 from __future__ import annotations
@@ -428,10 +428,10 @@ def release_rows(
     budgets: list[PrivacyBudget],
     label: str = "hajek",
 ) -> list[EstimateReport]:
-    """The release of every row of the stack: row i debits budgets[i], and
-    the rows' noise is one draw from ``seed``.  Each report carries the
-    noise scale its value was drawn at and the row's L, number of bad
-    indices and smooth bound."""
+    """The release of every row of the stack: row i debits budgets[i] and
+    draws from its generator of ``seed``.  Each report carries the noise
+    scale its value was drawn at and the row's L, number of bad indices and
+    smooth bound."""
     states = hajek_rows(rows, params)
     values, scales = releases(
         QUARTIC, states.reweighted, states.smooth_bound, params.eps, budgets, seed,
@@ -460,7 +460,7 @@ def private_means_local_hajek(
     budgets: list[PrivacyBudget],
 ) -> list[EstimateReport]:
     """The reweighting estimator on each row of a (q, n) array of chunks:
-    row i debits budgets[i], and the release draws from ``seed``.
+    row i debits budgets[i] and draws from its generator of ``seed``.
 
     Every row returns bottom (estimate None) when the family fails the
     incidence regularity conditions; that check depends only on the family,

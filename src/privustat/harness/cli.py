@@ -47,8 +47,8 @@ from .experiments import (
     ExperimentSpec,
     build_kernel,
     rows_to_csv,
+    run_cell,
     run_experiment,
-    run_single,
 )
 
 EXIT_OK = 0
@@ -252,7 +252,7 @@ def cmd_estimate(args) -> int:
         n = int(kv.get("n", 100))
         dist = DistributionSpec(kv.get("kind", "gaussian"),
                                 {k: v for k, v in kv.items() if k not in ("kind", "n")})
-        data = dist.sample(rng, n)
+        data = dist.sampler()(rng, n)
     else:
         data = apps.read_reals(args.data)
 
@@ -271,7 +271,7 @@ def cmd_estimate(args) -> int:
     )
     cell = (data.n, args.eps, args.alpha, args.m_subsets)
     budget = scratch_budget()
-    report = run_single(spec, build_kernel(spec.kernel), data, cell, rng, budget)
+    (report,) = run_cell(spec, build_kernel(spec.kernel), cell, [data], rng, [budget])
     lines = [f"estimate {report.estimate!r}"]
     if report.radius is not None:
         lines.append(f"radius {report.radius!r}")
@@ -323,7 +323,7 @@ def cmd_uniformity(args) -> int:
         dist = DistributionSpec(
             SIMULATED_UNIFORMITY[kind], {"m": args.m, "amplitude": float(kv.get("a", args.delta))}
         )
-        data = dist.sample(rng, int(kv.get("n", 1000)))
+        data = dist.sampler()(rng, int(kv.get("n", 1000)))
     else:
         data = apps.read_categories(args.data)
     budget = scratch_budget()

@@ -4,7 +4,7 @@ A spec names an estimation method, a kernel, a synthetic distribution with a
 known target value, and a grid of (n, eps, alpha, M) cells.  Every cell runs
 a fixed number of independent trials; each trial derives its own generator
 from the master seed and the (cell, trial) pair, so reruns are byte-identical
-regardless of execution order.
+regardless of execution order, and however a cell's trials are stacked.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import io
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from ..boosting import boosted
+from ..boosting import BoostPlan, boosted
 from ..coinpress import (
     DEFAULT_CONFIDENCE, all_tuples_estimates, naive_estimates, subgaussian_xi, subsampled_estimates,
 )
@@ -33,6 +33,11 @@ from ..ustat import Dataset, Kernel, all_tuples, check_range, collision_kernel, 
 METHODS = ("naive", "all", "subsampled", "hajek")
 
 LEDGER_TOLERANCE = 1e-9  # relative; a ledger sums eps in steps and may round
+
+# values one stack of a cell's trials may hold in all, 8 MB of float64: a
+# clip-and-release stack of (8, C(1000, 2)) kernel values ran 27% slower than
+# one trial at a time, a stack of 2 4% faster (2-core host)
+STACK_VALUES = 1 << 20
 
 CSV_COLUMNS = [
     "method", "kernel", "dist", "n", "eps", "alpha", "M", "trial",
@@ -55,15 +60,18 @@ class DistributionSpec:
             return PerturbedUniform.half_split(m, float(self.params.get("amplitude", 0.5)))
         raise ValueError(f"{self.name} is not categorical")
 
-    def sample(self, rng: np.random.Generator, n: int) -> Dataset:
+    def sampler(self) -> Callable[[np.random.Generator, int], Dataset]:
+        """``sample(rng, n)``: n points from this source, whose law is built
+        and checked once, here."""
         if self.name in ("uniform", "half_split"):
-            return sample_multinomial(self.perturbed(), n, rng)
+            law = self.perturbed()
+            return lambda rng, n: sample_multinomial(law, n, rng)
         if self.name == "gaussian":
             mu = float(self.params.get("mu", 0.0))
             sigma = float(self.params.get("sigma", 1.0))
             if not sigma >= 0:  # also rejects NaN
                 raise ValueError(f"sigma must be >= 0, got {sigma}")
-            return Dataset(rng.normal(mu, sigma, size=n))
+            return lambda rng, n: Dataset(rng.normal(mu, sigma, size=n))
         raise ValueError(f"unknown distribution {self.name!r}")
 
     def theta(self, kernel_name: str) -> float:
@@ -168,39 +176,63 @@ def resolve_xi(spec: ExperimentSpec, kernel: Kernel, n: int) -> float:
     return float(spec.xi)
 
 
-def run_single(
+def family_size(method: str, n: int, k: int, subsample_size: Optional[int]) -> int:
+    """The subsets of ``method``'s family on n points: n // k disjoint ones,
+    all C(n, k), or M subsampled; without M, ⌈(n/k) log n⌉, the fewest that
+    meet ``subsampled_estimator``'s recommended size."""
+    if method != "subsampled":
+        return n // k if method == "naive" else math.comb(n, k)
+    return max(1, math.ceil((n / k) * math.log(max(n, 2)))) if subsample_size is None else subsample_size
+
+
+def run_cell(
     spec: ExperimentSpec,
     kernel: Kernel,
-    data: Dataset,
     cell: tuple,
-    rng: np.random.Generator,
-    budget: PrivacyBudget,
-) -> EstimateReport:
-    """One ``spec.method`` estimate on ``data`` at an (n, eps, alpha, M) cell.
-
-    With alpha set, the method runs on disjoint chunks under median-of-means
-    boosting.  Without M, the subsampled method draws ⌈(n/k) log n⌉ subsets, the
-    fewest that meet ``subsampled_estimator``'s recommended size.
+    datasets: list[Dataset],
+    seed,
+    budgets: list[PrivacyBudget],
+) -> list[EstimateReport]:
+    """``spec.method`` estimates on datasets of one size at an (n, eps,
+    alpha, M) cell in one stacked call, dataset t debiting budgets[t] and
+    drawing from its generator of ``seed``: the CLI's ``estimate`` passes one
+    dataset, ``run_experiment`` a stack of a cell's trials.  With alpha set,
+    the method runs on disjoint chunks under median-of-means boosting.
     """
     _, eps, alpha, subsample_size = cell
     r, tau, k = spec.r_bound, spec.tau, kernel.degree
 
-    def run(chunks: np.ndarray, rng, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
+    def run(chunks: np.ndarray, rngs, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
         n = chunks.shape[1]
         if spec.method == "naive":
-            return naive_estimates(kernel, chunks, r, tau, eps, rng, budgets)
+            return naive_estimates(kernel, chunks, r, tau, eps, rngs, budgets)
         if spec.method == "all":
-            return all_tuples_estimates(kernel, chunks, r, tau, eps, rng, budgets)
+            return all_tuples_estimates(kernel, chunks, r, tau, eps, rngs, budgets)
         if spec.method == "subsampled":
-            size = subsample_size
-            if size is None:
-                size = max(1, math.ceil((n / k) * math.log(max(n, 2))))
-            return subsampled_estimates(kernel, chunks, r, tau, eps, size, rng, budgets)
+            size = family_size("subsampled", n, k, subsample_size)
+            return subsampled_estimates(kernel, chunks, r, tau, eps, size, rngs, budgets)
         # reweighting estimator, on value counts for an equality kernel
         params = HajekParams(eps=eps, c_range=spec.c_range, xi=resolve_xi(spec, kernel, n))
-        return private_means_local_hajek(kernel, chunks, all_tuples(n, k), params, rng, budgets)
+        return private_means_local_hajek(kernel, chunks, all_tuples(n, k), params, rngs, budgets)
 
-    return boosted(run, data, k, alpha, rng, budget)
+    return boosted(run, datasets, k, alpha, seed, budgets)
+
+
+def stack_trials(spec: ExperimentSpec, kernel: Kernel, cell: tuple) -> int:
+    """How many of a cell's trials one ``run_cell`` call takes: the most
+    whose chunks hold at most ``STACK_VALUES`` values in all, and at least
+    one.  A chunk holds a value per subset of its family, or, where an
+    equality kernel runs on value counts (``ustat.runs_on_counts``), its
+    points.  It reads the cell, the method and the kernel, never the data."""
+    n, _, alpha, subsample_size = cell
+    k = kernel.degree
+    q = 1 if alpha is None else BoostPlan.chunk_count(float(alpha))
+    size = max(n // q, k)  # a plan whose chunks fall short of k raises in the stack
+    if kernel.equality and spec.method in ("all", "hajek"):  # the complete family's count route
+        held = size
+    else:
+        held = max(1, family_size(spec.method, size, k, subsample_size))  # M = 0 raises in the stack
+    return max(1, STACK_VALUES // (q * held))
 
 
 def check_trial_ledger(report: EstimateReport, budget: PrivacyBudget, eps: float) -> None:
@@ -212,53 +244,55 @@ def check_trial_ledger(report: EstimateReport, budget: PrivacyBudget, eps: float
         raise LedgerMismatch(f"{outcome} spent {spent!r} in a cell at eps {eps!r}")
 
 
-def run_trial(
-    spec: ExperimentSpec, cell_index: int, trial: int, kernel: Kernel, cell: tuple
-) -> ResultRow:
-    n, eps, alpha, subsample_size = cell
-    rng = stream(spec.seed, cell_index, trial)
-    theta = spec.dist.theta(spec.kernel)
-    data = spec.dist.sample(rng, n)
-    budget = scratch_budget()
-    started = time.perf_counter()
-    error = ""
-    report = EstimateReport(None)  # a run that raised released nothing
+def _trial_error(report: EstimateReport, budget: PrivacyBudget, eps: float) -> str:
+    """A trial's error column: its ledger check's error, else its bottom reason."""
     try:
-        report = run_single(spec, kernel, data, cell, rng, budget)
         check_trial_ledger(report, budget, eps)
-        if report.is_bottom:
-            error = f"bottom: {report.bottom_reason}"
     except PrivustatError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    elapsed = time.perf_counter() - started
-    estimate = report.estimate
-    return ResultRow(
-        method=spec.method,
-        kernel=spec.kernel,
-        dist=spec.dist.name,
-        n=n,
-        eps=eps,
-        alpha=alpha,
-        subsample_size=subsample_size,
-        trial=trial,
-        theta=theta,
-        estimate=estimate,
-        abs_error=abs(estimate - theta) if estimate is not None else None,
-        radius=report.radius,
-        noise_scale=report.noise_scale,
-        spread_level=report.diagnostics.get("L"),
-        n_bad=report.diagnostics.get("n_bad"),
-        error=error,
-        wall_time=elapsed,
-    )
+        return f"{type(exc).__name__}: {exc}"
+    return f"bottom: {report.bottom_reason}" if report.is_bottom else ""
 
 
 def run_experiment(spec: ExperimentSpec) -> Iterator[ResultRow]:
-    """Rows in deterministic (cell, trial) order."""
+    """Rows in deterministic (cell, trial) order.
+
+    The target and the sampler are built once per spec.  A cell's trials
+    run in stacks of ``stack_trials``, one ``run_cell`` call each: trial t
+    samples its data from ``stream(seed, cell, t)`` and draws its noise from
+    that generator alone.  An estimator-side error depends only on (n, k,
+    q), so a stack that raises one gives it to every trial, with nothing
+    released.  A trial's ``wall_time`` is its share of the stack's run.
+    """
     kernel = build_kernel(spec.kernel)
+    theta = spec.dist.theta(spec.kernel)
+    sample = spec.dist.sampler()
     for cell_index, cell in enumerate(spec.cells()):
-        for trial in range(spec.trials):
-            yield run_trial(spec, cell_index, trial, kernel, cell)
+        n, eps, alpha, subsample_size = cell
+        per_stack = stack_trials(spec, kernel, cell)
+        for first in range(0, spec.trials, per_stack):
+            trials = range(first, min(first + per_stack, spec.trials))
+            rngs = [stream(spec.seed, cell_index, trial) for trial in trials]
+            datasets = [sample(rng, n) for rng in rngs]
+            budgets = [scratch_budget() for _ in trials]
+            started = time.perf_counter()
+            try:
+                reports = run_cell(spec, kernel, cell, datasets, rngs, budgets)
+                errors = [_trial_error(r, b, eps) for r, b in zip(reports, budgets)]
+            except PrivustatError as exc:
+                reports = [EstimateReport(None)] * len(trials)  # a run that raised released nothing
+                errors = [f"{type(exc).__name__}: {exc}"] * len(trials)
+            share = (time.perf_counter() - started) / len(trials)
+            for trial, report, error in zip(trials, reports, errors):
+                estimate = report.estimate
+                yield ResultRow(
+                    method=spec.method, kernel=spec.kernel, dist=spec.dist.name, n=n, eps=eps,
+                    alpha=alpha, subsample_size=subsample_size, trial=trial, theta=theta,
+                    estimate=estimate,
+                    abs_error=None if estimate is None else abs(estimate - theta),
+                    radius=report.radius, noise_scale=report.noise_scale,
+                    spread_level=report.diagnostics.get("L"), n_bad=report.diagnostics.get("n_bad"),
+                    error=error, wall_time=share,
+                )
 
 
 def rows_to_csv(rows, include_timing: bool = False) -> str:

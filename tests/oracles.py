@@ -2,8 +2,9 @@
 a Monte Carlo θ, closed forms, explicit families, the one-chunk adapter,
 the record and replay of a stack's noise by chunk, the kernel pass
 that the equality kernels' count route is checked against (and the value
-column of each entry), and the per-chunk loop
-form of ``median_of_means``, the majority-vote form
+column of each entry), the per-chunk loop
+form of ``median_of_means``, the per-trial loop form of the experiment
+runner, the majority-vote form
 of the boosted uniformity test, the two-release form of the triangle
 density, the full-scan forms of the spread level and the Hájek state, the
 expansion of a letter-level collision stack and its state to one column
@@ -62,7 +63,8 @@ from privustat.hajek import (
     summary_rows,
 )
 from privustat.harness.audits import SmoothnessReport
-from privustat.rng import as_generator
+from privustat.harness.experiments import ResultRow, build_kernel, check_trial_ledger, run_cell
+from privustat.rng import as_generator, row_generators, stream
 from privustat.ustat import (
     Bounded,
     Dataset,
@@ -404,15 +406,28 @@ def copy_clipping_ustat_mean(h, data, family, r, eps, gamma, tb, seed) -> list:
 
 def each_chunk(estimator):
     """The chunk estimator that runs ``estimator(chunk, rng, budget)`` on
-    each chunk in turn, all on the one generator it is given; a row of a
-    dataset's chunk array is passed as a ``Dataset``."""
+    each chunk in turn, each on its row's generator; a row of a dataset's
+    chunk array is passed as a ``Dataset``."""
 
-    def run(chunks, rng, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
+    def run(chunks, seed, budgets: list[PrivacyBudget]) -> list[EstimateReport]:
         if isinstance(chunks, np.ndarray):
             chunks = [Dataset(row) for row in chunks]
-        return [estimator(c, rng, b) for c, b in zip(chunks, budgets)]
+        rngs = row_generators(seed, len(budgets))
+        return [estimator(c, rng, b) for c, rng, b in zip(chunks, rngs, budgets)]
 
     return run
+
+
+def live_groups(seed, live: list[bool]) -> list[list[int]]:
+    """The live rows of a release as ``dp.releases`` draws them: one group
+    per distinct generator of ``seed``, in the order of its first live row,
+    each group in row order."""
+    rngs = row_generators(seed, len(live))
+    groups: dict[int, list[int]] = {}
+    for row, alive in enumerate(live):
+        if alive:
+            groups.setdefault(id(rngs[row]), []).append(row)
+    return list(groups.values())
 
 
 class StackNoise:
@@ -422,10 +437,10 @@ class StackNoise:
     While ``recording``, every ``dp.releases`` call of the package (and of
     these oracles) draws as usual, from the law's own sampler, and files
     each live row's draw under that row's chunk; a row of scale zero files
-    None.  ``generators`` keeps the seed of every recorded release.  While
-    ``replaying``, the j-th release of chunk c adds the j-th draw filed
-    under c in place of a draw of its own, and the block must use up every
-    filed draw.  A chunk is known by its branch ledger, numbered in the
+    None.  ``generators`` keeps, for every recorded release, the Generator
+    that each live row drew from, in row order.  While ``replaying``, the
+    j-th release of chunk c adds the j-th draw filed under c in place of a
+    draw of its own, and the block must use up every filed draw.  A chunk is known by its branch ledger, numbered in the
     order ``PrivacyBudget.parallel`` hands them out: chunk order, both in
     ``median_of_means`` and in the loops below.
     """
@@ -457,17 +472,20 @@ class StackNoise:
             drawn = []
 
             def draws(size, rng):
-                drawn.append(law.draws(size, rng))
-                return drawn[0]
+                drawn.append((rng, law.draws(size, rng)))
+                return drawn[-1][1]
 
             out, scales = dp.releases(
                 dp.NoiseLaw(draws, law.cdf, law.factor), values, sensitivities, eps, budgets, seed,
                 label,
             )
-            noise = iter(drawn[0].tolist() if drawn else [])
-            for budget, scale in zip(budgets, scales.tolist()):
-                self.filed.setdefault(chunk_of(budget), []).append(next(noise) if scale else None)
-            self.generators.append(seed)
+            noise, rngs = [None] * len(budgets), [None] * len(budgets)
+            for rows, (rng, z) in zip(live_groups(seed, scales.tolist()), drawn, strict=True):
+                for row, value in zip(rows, z.tolist(), strict=True):
+                    noise[row], rngs[row] = value, rng
+            for budget, value in zip(budgets, noise):
+                self.filed.setdefault(chunk_of(budget), []).append(value)
+            self.generators.append([rng for rng in rngs if rng is not None])
             return out, scales
 
         return self._routed(release)
@@ -476,9 +494,10 @@ class StackNoise:
     def replaying(self):
         def release(chunk_of, law, values, sensitivities, eps, budgets, seed, label):
             wants = [self.filed[chunk_of(budget)].pop(0) for budget in budgets]
-            live = [want for want in wants if want is not None]
+            groups = iter(live_groups(seed, [want is not None for want in wants]))
 
             def draws(size, rng):
+                live = [wants[row] for row in next(groups)]
                 assert size == len(live)
                 return np.array(live)
 
@@ -573,6 +592,42 @@ def loop_median_of_means(estimator, data, plan: BoostPlan, seed, budget: Privacy
             "bottoms": q - len(good),
         },
     )
+
+
+def loop_run_experiment(spec) -> list:
+    """``run_experiment`` as the per-trial loop: each trial derives
+    ``stream(seed, cell, trial)``, computes the target and builds the
+    law, samples its data, and makes its own one-dataset ``run_cell`` call
+    (one ``boosted`` call) and ledger check; an error raised by either
+    becomes its row's error, and a run that raised released nothing."""
+    kernel = build_kernel(spec.kernel)
+    rows = []
+    for cell_index, cell in enumerate(spec.cells()):
+        n, eps, alpha, subsample_size = cell
+        for trial in range(spec.trials):
+            rng = stream(spec.seed, cell_index, trial)
+            theta = spec.dist.theta(spec.kernel)
+            data = spec.dist.sampler()(rng, n)
+            budget = scratch_budget()
+            error, report = "", EstimateReport(None)
+            try:
+                (report,) = run_cell(spec, kernel, cell, [data], rng, [budget])
+                check_trial_ledger(report, budget, eps)
+                if report.is_bottom:
+                    error = f"bottom: {report.bottom_reason}"
+            except PrivustatError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            estimate = report.estimate
+            rows.append(ResultRow(
+                method=spec.method, kernel=spec.kernel, dist=spec.dist.name, n=n, eps=eps,
+                alpha=alpha, subsample_size=subsample_size, trial=trial, theta=theta,
+                estimate=estimate,
+                abs_error=abs(estimate - theta) if estimate is not None else None,
+                radius=report.radius, noise_scale=report.noise_scale,
+                spread_level=report.diagnostics.get("L"), n_bad=report.diagnostics.get("n_bad"),
+                error=error,
+            ))
+    return rows
 
 
 def two_release_triangle_density(graph: GeometricGraph, eps, seed, budget: PrivacyBudget) -> EstimateReport:

@@ -177,14 +177,14 @@ def test_criterion_05_boosted_coverage():
     for trial in range(trials):
         rng = np.random.default_rng((50, trial))
         data = Dataset(rng.normal(theta, 1.0, n))
-        rep = boosting.median_of_means(
-            lambda chunks, rng, branches: coinpress.all_tuples_estimates(
-                kernel, chunks, r=5.0, tau=0.5, eps=eps, seed=rng, budgets=branches
+        (rep,) = boosting.median_of_means(
+            lambda chunks, rngs, branches: coinpress.all_tuples_estimates(
+                kernel, chunks, r=5.0, tau=0.5, eps=eps, seed=rngs, budgets=branches
             ),
-            data,
+            [data],
             plan,
             rng,
-            scratch_budget(),
+            [scratch_budget()],
         )
         hits += int(abs(rep.estimate - theta) <= rep.radius)
     coverage = hits / trials

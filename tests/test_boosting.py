@@ -54,14 +54,14 @@ def test_median_of_three():
     outs = iter([1.0, 2.0, 3.0])
     est = make_estimator(lambda chunk, rng: EstimateReport(next(outs)))
     plan = BoostPlan(alpha=0.5, chunks=3, chunk_size=4)
-    rep = median_of_means(est, Dataset(np.arange(12.0)), plan, seed=0, budget=scratch_budget())
+    rep = median_of_means(est, [Dataset(np.arange(12.0))], plan, 0, [scratch_budget()])[0]
     assert rep.estimate == 2.0
 
 
 def test_constant_estimator_passes_through():
     est = make_estimator(lambda chunk, rng: EstimateReport(0.125))
     plan = BoostPlan.for_dataset(500, 1, 0.05)
-    rep = median_of_means(est, Dataset(np.arange(500.0)), plan, seed=1, budget=scratch_budget())
+    rep = median_of_means(est, [Dataset(np.arange(500.0))], plan, 1, [scratch_budget()])[0]
     assert rep.estimate == 0.125
 
 
@@ -71,7 +71,7 @@ def test_partition_is_disjoint_and_consecutive():
         lambda chunk, rng: EstimateReport(float(seen.append(chunk.points.tolist()) or 0))
     )
     plan = BoostPlan(alpha=0.5, chunks=3, chunk_size=3)
-    median_of_means(est, Dataset(np.arange(11.0)), plan, seed=2, budget=scratch_budget())
+    median_of_means(est, [Dataset(np.arange(11.0))], plan, 2, [scratch_budget()])
     assert seen == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # remainder 9, 10 dropped
 
 
@@ -81,9 +81,9 @@ def test_deterministic_given_seed():
     )
     plan = BoostPlan(alpha=0.1, chunks=5, chunk_size=20)
     d = Dataset(np.arange(100.0))
-    a = median_of_means(est, d, plan, seed=7, budget=scratch_budget())
-    b = median_of_means(est, d, plan, seed=7, budget=scratch_budget())
-    c = median_of_means(est, d, plan, seed=8, budget=scratch_budget())
+    a = median_of_means(est, [d], plan, 7, [scratch_budget()])[0]
+    b = median_of_means(est, [d], plan, 7, [scratch_budget()])[0]
+    c = median_of_means(est, [d], plan, 8, [scratch_budget()])[0]
     assert a.estimate == b.estimate
     assert a.estimate != c.estimate
 
@@ -92,7 +92,7 @@ def test_budget_parallel_composition():
     budget = pv.PrivacyBudget(2.0)
     est = make_estimator(lambda chunk, rng: EstimateReport(0.0))
     plan = BoostPlan(alpha=0.1, chunks=5, chunk_size=10)
-    median_of_means(est, Dataset(np.arange(50.0)), plan, seed=3, budget=budget)
+    median_of_means(est, [Dataset(np.arange(50.0))], plan, 3, [budget])
     assert budget.spent == pytest.approx(1.0)  # max over branches, not 5x
 
 
@@ -102,11 +102,11 @@ def test_coverage_boost():
     alpha, radius = 0.05, 1.0
     plan = BoostPlan.for_dataset(2500, 1, alpha)
 
-    def est(chunks, rng, budgets):
+    def est(chunks, rngs, budgets):
         # per chunk: with probability 0.75 uniform on [-radius, radius]
         # (``uniform``'s one double), else -50 or 50 (``choice``'s integer)
         reports = []
-        for budget in budgets:
+        for rng, budget in zip(rngs, budgets):
             budget.spend("inner", 1.0)
             if rng.random() < 0.75:
                 value = -radius + 2.0 * radius * rng.random()
@@ -120,7 +120,7 @@ def test_coverage_boost():
     trials = 10**4
     master = np.random.SeedSequence(99).spawn(trials)
     for ss in master:
-        rep = median_of_means(est, d, plan, seed=ss, budget=scratch_budget())
+        rep = median_of_means(est, [d], plan, ss, [scratch_budget()])[0]
         hits += int(abs(rep.estimate) <= radius)
     assert hits / trials >= 1 - alpha
 
@@ -128,7 +128,7 @@ def test_coverage_boost():
 def test_bottom_majority_propagates():
     est = make_estimator(lambda chunk, rng: EstimateReport(None, bottom_reason="x"))
     plan = BoostPlan(alpha=0.5, chunks=3, chunk_size=2)
-    rep = median_of_means(est, Dataset(np.arange(6.0)), plan, seed=4, budget=scratch_budget())
+    rep = median_of_means(est, [Dataset(np.arange(6.0))], plan, 4, [scratch_budget()])[0]
     assert rep.is_bottom
 
 
@@ -136,7 +136,7 @@ def test_insufficient_data_raises():
     est = make_estimator(lambda chunk, rng: EstimateReport(0.0))
     plan = BoostPlan(alpha=0.5, chunks=3, chunk_size=10)
     with pytest.raises(InsufficientData):
-        median_of_means(est, Dataset(np.arange(10.0)), plan, seed=5, budget=scratch_budget())
+        median_of_means(est, [Dataset(np.arange(10.0))], plan, 5, [scratch_budget()])
 
 
 def test_majority_vote():
@@ -150,7 +150,7 @@ def test_boosted_without_alpha_runs_the_estimator_once_on_all_data():
         lambda chunk, rng: EstimateReport(float(seen.append(chunk.n) or 0.5))
     )
     budget = pv.PrivacyBudget(2.0)
-    rep = boosted(est, Dataset(np.arange(40.0)), 2, None, seed=0, budget=budget)
+    rep = boosted(est, [Dataset(np.arange(40.0))], 2, None, 0, [budget])[0]
     assert rep.estimate == 0.5 and seen == [40]
     assert [label for label, _ in budget.entries] == ["inner"]
 
@@ -162,8 +162,8 @@ def test_boosted_with_alpha_is_median_of_means_at_the_plan():
     d = Dataset(np.arange(500.0))
     plan = BoostPlan.for_dataset(500, 2, 0.1)
     budget = pv.PrivacyBudget(2.0)
-    rep = boosted(est, d, 2, 0.1, seed=9, budget=budget)
-    assert rep.estimate == median_of_means(est, d, plan, seed=9, budget=scratch_budget()).estimate
+    rep = boosted(est, [d], 2, 0.1, 9, [budget])[0]
+    assert rep.estimate == median_of_means(est, [d], plan, 9, [scratch_budget()])[0].estimate
     assert [label for label, _ in budget.entries] == [f"median_of_means(q={plan.chunks})"]
 
 
@@ -191,9 +191,11 @@ def _recording_chunk(estimator, branches, reports):
 
 
 def assert_one_generator(noise: StackNoise):
-    """Every release of the stacked run drew from one and the same Generator."""
-    assert all(g is noise.generators[0] for g in noise.generators)
-    assert all(isinstance(g, np.random.Generator) for g in noise.generators)
+    """Every live row of every release of the stacked run, one dataset's
+    chunks, drew from one and the same Generator."""
+    rows = [g for release in noise.generators for g in release]
+    assert all(g is rows[0] for g in rows)
+    assert all(isinstance(g, np.random.Generator) for g in rows)
 
 
 def assert_stacked_equals_loop(stacked, per_chunk, data, plan, seed):
@@ -206,9 +208,9 @@ def assert_stacked_equals_loop(stacked, per_chunk, data, plan, seed):
     noise = StackNoise()
     # a Generator seed is advanced by the run, so each run gets a copy
     with noise.recording():
-        got = median_of_means(
-            _recording_stacked(stacked, got_branches, got_reports), data, plan,
-            copy.deepcopy(seed), got_budget,
+        (got,) = median_of_means(
+            _recording_stacked(stacked, got_branches, got_reports), [data], plan,
+            copy.deepcopy(seed), [got_budget],
         )
     assert_one_generator(noise)
     with noise.replaying():
@@ -369,7 +371,9 @@ def test_stacked_majority_bottom_block_equals_the_loop():
     plan = BoostPlan.for_dataset(500, 2, 0.1)
     for data in (Dataset(np.arange(500.0)), Dataset(np.arange(500.0)[::-1].copy())):
         assert_stacked_equals_loop(each_chunk(refuse_small), refuse_small, data, plan, 11)
-    rep = median_of_means(each_chunk(refuse_small), Dataset(np.arange(500.0)), plan, 11, scratch_budget())
+    (rep,) = median_of_means(
+        each_chunk(refuse_small), [Dataset(np.arange(500.0))], plan, 11, [scratch_budget()]
+    )
     assert rep.is_bottom
 
 
@@ -399,7 +403,7 @@ def test_a_bad_chunk_raises_before_any_branch_is_debited(name):
     budget = pv.PrivacyBudget(10.0)
     with pytest.raises(ValueError):
         median_of_means(
-            _recording_stacked(BAD_CHUNK_CASES[name], branches, []), Dataset(x), plan, 1, budget
+            _recording_stacked(BAD_CHUNK_CASES[name], branches, []), [Dataset(x)], plan, 1, [budget]
         )
     assert len(branches) == plan.chunks
     assert all(b.entries == [] for b in branches)
@@ -415,22 +419,72 @@ SEEDS = {
 
 @pytest.mark.parametrize("kind", sorted(SEEDS))
 def test_the_estimator_gets_the_seeds_one_generator(kind):
-    # median_of_means hands the estimator as_generator(seed) and makes no
+    # median_of_means hands every chunk row as_generator(seed) and makes no
     # stream of its own: a Generator seed is passed through, so a second
     # median_of_means on it continues the same stream
     ours, reference = SEEDS[kind](), np.random.default_rng(SEEDS[kind]())
     for _ in range(2):
         got = []
 
-        def estimator(chunks, rng, budgets):
-            got.append(rng)
-            return [EstimateReport(float(rng.random())) for _ in budgets]
+        def estimator(chunks, rngs, budgets):
+            got.append(rngs)
+            return [EstimateReport(float(rng.random())) for rng in rngs]
 
-        rep = median_of_means(estimator, Dataset(np.zeros(5)), BoostPlan(0.5, 5, 1), ours, scratch_budget())
+        (rep,) = median_of_means(
+            estimator, [Dataset(np.zeros(5))], BoostPlan(0.5, 5, 1), ours, [scratch_budget()]
+        )
         if kind != "Generator":  # a new generator from the same seed
             reference = np.random.default_rng(SEEDS[kind]())
         assert rep.diagnostics["chunk_estimates"] == reference.random(5).tolist()
-        assert len(got) == 1 and (got[0] is ours) == (kind == "Generator")
+        (rngs,) = got
+        assert len(rngs) == 5 and all(g is rngs[0] for g in rngs)
+        assert (rngs[0] is ours) == (kind == "Generator")
+
+
+def test_each_dataset_chunks_share_its_own_generator():
+    # one generator per dataset: the rows of dataset t all hold generator t
+    gens = [np.random.default_rng(s) for s in (1, 2, 3)]
+    got = []
+
+    def estimator(chunks, rngs, budgets):
+        got.append((chunks.shape, rngs))
+        return [EstimateReport(0.0) for _ in budgets]
+
+    datasets = [Dataset(np.arange(12.0) + 100 * t) for t in range(3)]
+    reports = median_of_means(estimator, datasets, BoostPlan(0.5, 3, 4), gens, [scratch_budget()] * 3)
+    ((shape, rngs),) = got
+    assert shape == (9, 4) and len(reports) == 3
+    assert [[rngs[3 * t + c] is gens[t] for c in range(3)] for t in range(3)] == [[True] * 3] * 3
+    with pytest.raises(ValueError, match="one generator per row"):
+        median_of_means(estimator, datasets, BoostPlan(0.5, 3, 4), gens[:2], [scratch_budget()] * 3)
+
+
+@pytest.mark.filterwarnings("ignore::privustat.errors.PreconditionWarning")
+@pytest.mark.parametrize("name", sorted(STACKED_CASES))
+@pytest.mark.parametrize("alpha", [None, 0.1])
+def test_stacked_datasets_equal_one_call_per_dataset(name, alpha):
+    # T datasets in one boosted call, each on its own generator and ledger,
+    # give each dataset the reports, ledger entries and generator state of
+    # its own call, bit for bit
+    stacked, _, make = STACKED_CASES[name]
+    datasets = [make(500, seed) for seed in (3, 4, 5)]
+    got_rngs = [np.random.default_rng(seed) for seed in (7, 8, 9)]
+    want_rngs = [np.random.default_rng(seed) for seed in (7, 8, 9)]
+    got_budgets = [pv.PrivacyBudget(10.0) for _ in datasets]
+    want_budgets = [pv.PrivacyBudget(10.0) for _ in datasets]
+    got = boosted(stacked, datasets, 2, alpha, got_rngs, got_budgets)
+    want = [
+        boosted(stacked, [data], 2, alpha, rng, [budget])[0]
+        for data, rng, budget in zip(datasets, want_rngs, want_budgets)
+    ]
+    assert [(r.estimate, r.radius, r.noise_scale, r.bottom_reason) for r in got] == [
+        (r.estimate, r.radius, r.noise_scale, r.bottom_reason) for r in want
+    ]
+    assert [r.diagnostics.get("chunk_estimates") for r in got] == [
+        r.diagnostics.get("chunk_estimates") for r in want
+    ]
+    assert [b.entries for b in got_budgets] == [b.entries for b in want_budgets]
+    assert [g.random() for g in got_rngs] == [g.random() for g in want_rngs]
 
 
 def test_stacked_warnings_appear_once_at_the_calling_line():
@@ -440,7 +494,7 @@ def test_stacked_warnings_appear_once_at_the_calling_line():
         warnings.simplefilter("always")
         median_of_means(
             lambda c, r, b: coinpress.naive_estimates(pv.mean_kernel(2, 0.5), c, 100.0, 0.5, 0.05, r, b),
-            _gauss(500, 1), plan, 3, scratch_budget(),
+            [_gauss(500, 1)], plan, 3, [scratch_budget()],
         )
     messages = [str(w.message) for w in caught if issubclass(w.category, PreconditionWarning)]
     assert len(messages) == 1 and messages[0].startswith("halving guarantees not in force")

@@ -398,8 +398,8 @@ def boosted_chunks(estimates):
     under median-of-means at alpha = 0.5."""
     data = Dataset(np.random.default_rng(2).normal(0, 1, 84))
     return lambda h, d: boosted(
-        lambda chunks, rng, budgets: estimates(h, chunks, rng, budgets),
-        data, h.degree, 0.5, 12, scratch_budget(),
+        lambda chunks, rngs, budgets: estimates(h, chunks, rngs, budgets),
+        [data], h.degree, 0.5, 12, [scratch_budget()],
     )
 
 

@@ -272,6 +272,95 @@ def test_releases_add_exactly_the_audited_samplers_draw(law):
         assert all(b.entries == [(law, eps)] for b in budgets)
 
 
+def generator_state(rng):
+    return rng.bit_generator.state
+
+
+@pytest.mark.parametrize("law", dp.LAWS)
+def test_a_single_generator_draws_as_one_call_of_the_sampler(law):
+    # one Generator, passed once or as every row's entry, gives the live
+    # rows one law.draws(len(live), g) call in row order
+    noise = dp.LAWS[law]
+    values, sens = np.arange(6.0), np.array([0.5, 0.0, 1.0, 2.0, 0.0, 0.25])
+    live = np.flatnonzero(sens)
+    scales = noise.factor * sens / 0.5
+    want = values.copy()
+    want[live] += noise.draws(live.size, np.random.default_rng(3)) * scales[live]
+    for seed in (lambda g: g, lambda g: [g] * 6):
+        rng = np.random.default_rng(3)
+        got, _ = dp.releases(noise, values, sens, 0.5, [scratch_budget() for _ in range(6)],
+                             seed(rng), law)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        reference = np.random.default_rng(3)
+        noise.draws(live.size, reference)
+        assert generator_state(rng) == generator_state(reference)
+
+
+@pytest.mark.parametrize("law", dp.LAWS)
+def test_rows_that_share_a_generator_draw_together_in_row_order(law):
+    # interleaved groups: each distinct generator makes one sampler call
+    # for its live rows in row order; a quartic call of three draws is not
+    # three calls of one, so a split group would show
+    noise = dp.LAWS[law]
+    owners = [0, 1, 0, 2, 1, 0, 2]
+    sens = np.array([1.0, 0.5, 2.0, 0.0, 0.25, 1.5, 3.0])
+    values = np.linspace(-1.0, 1.0, 7)
+    gens = [np.random.default_rng(10 + g) for g in range(3)]
+    refs = [np.random.default_rng(10 + g) for g in range(3)]
+    got, scales = dp.releases(
+        noise, values, sens, 2.0, [scratch_budget() for _ in owners], [gens[o] for o in owners], law
+    )
+    want = values.copy()
+    for g, ref in enumerate(refs):
+        rows = [i for i, o in enumerate(owners) if o == g and sens[i]]
+        want[rows] += noise.draws(len(rows), ref) * scales[rows]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert [generator_state(g) for g in gens] == [generator_state(r) for r in refs]
+
+
+def test_a_zero_scale_row_draws_nothing_from_its_generator():
+    gens = [np.random.default_rng(1), np.random.default_rng(2)]
+    got, _ = dp.releases(dp.QUARTIC, [1.0, 2.0], [0.5, 0.0], 1.0, [scratch_budget()] * 2, gens, "q")
+    assert got[1] == 2.0
+    assert generator_state(gens[1]) == generator_state(np.random.default_rng(2))
+    assert generator_state(gens[0]) != generator_state(np.random.default_rng(1))
+
+
+def test_every_ledger_is_debited_before_the_first_draw():
+    budgets = [pv.PrivacyBudget(1.0) for _ in range(4)]
+    seen = []
+
+    class Recording(np.random.Generator):
+        def random(self, *args, **kwargs):
+            seen.append([b.spent for b in budgets])
+            return super().random(*args, **kwargs)
+
+    gens = [Recording(np.random.PCG64(seed)) for seed in range(2)]
+    dp.releases(dp.LAPLACE, np.zeros(4), np.ones(4), 0.5, budgets, [gens[0], gens[1]] * 2, "l")
+    assert len(seen) == 2 and all(spent == [0.5] * 4 for spent in seen)
+
+
+@pytest.mark.parametrize("seeds, error", [
+    ([np.random.default_rng(0)] * 2, ValueError),  # two generators for three rows
+    ([np.random.default_rng(0)] * 4, ValueError),
+    ([0, 1, 2], TypeError),  # equal integer seeds would give rows equal draws
+])
+def test_a_generator_list_of_the_wrong_form_raises_before_any_spend(seeds, error):
+    budgets = [pv.PrivacyBudget(1.0) for _ in range(3)]
+    with pytest.raises(error):
+        dp.releases(dp.LAPLACE, np.zeros(3), np.ones(3), 0.5, budgets, seeds, "l")
+    assert all(b.entries == [] for b in budgets)
+
+
+@pytest.mark.parametrize("ledgers", [2, 4])
+def test_a_ledger_list_of_the_wrong_length_raises_before_any_spend(ledgers):
+    # a row without a ledger would release unrecorded
+    budgets = [pv.PrivacyBudget(1.0) for _ in range(ledgers)]
+    with pytest.raises(ValueError, match="one ledger per release"):
+        dp.releases(dp.LAPLACE, np.zeros(3), np.ones(3), 0.5, budgets, 0, "l")
+    assert all(b.entries == [] for b in budgets)
+
+
 BAD_RELEASE_INPUTS = [  # (value, sensitivity, eps)
     (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (-math.inf, 1.0, 1.0),
     (0.0, math.nan, 1.0), (0.0, math.inf, 1.0), (0.0, -1.0, 1.0),

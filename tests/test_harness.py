@@ -134,35 +134,122 @@ def test_wrapped_run_uses_median_of_means():
     ],
 )
 def test_trial_ledger_is_checked_against_the_cell_eps(monkeypatch, spends, bottom, error):
-    def dispatch(spec, kernel, data, cell, rng, budget):
+    def dispatch(spec, kernel, cell, datasets, seed, budgets):
         eps = cell[1]
+        (budget,) = budgets
         for fraction in spends:
             budget.spend("stub release", fraction * eps)
         if bottom:
-            return pv.EstimateReport(None, bottom_reason="refused")
-        return pv.EstimateReport(0.1)
+            return [pv.EstimateReport(None, bottom_reason="refused")]
+        return [pv.EstimateReport(0.1)]
 
-    monkeypatch.setattr(experiments, "run_single", dispatch)
+    monkeypatch.setattr(experiments, "run_cell", dispatch)
     (row,) = list(run_experiment(small_spec(n_grid=[40], trials=1, eps_grid=[0.8])))
     assert row.error.startswith(error) if error else row.error == ""
 
 
-@pytest.mark.parametrize("fails_in", ["run_single", "check_trial_ledger"])
+@pytest.mark.parametrize("fails_in", ["run_cell", "check_trial_ledger"])
 def test_a_raising_trial_keeps_what_it_released(monkeypatch, fails_in):
     # a run that raised released nothing; a release whose ledger fails the
     # check keeps its outputs beside the error
     def fail(*args):
         raise LedgerMismatch("stub")
 
-    def dispatch(spec, kernel, data, cell, rng, budget):
-        return pv.EstimateReport(0.1, radius=0.2, noise_scale=0.3, diagnostics={"L": 2, "n_bad": 1})
+    def dispatch(spec, kernel, cell, datasets, seed, budgets):
+        return [
+            pv.EstimateReport(0.1, radius=0.2, noise_scale=0.3, diagnostics={"L": 2, "n_bad": 1})
+            for _ in budgets
+        ]
 
-    monkeypatch.setattr(experiments, "run_single", dispatch)
+    monkeypatch.setattr(experiments, "run_cell", dispatch)
     monkeypatch.setattr(experiments, fails_in, fail)
     (row,) = list(run_experiment(small_spec(n_grid=[40], trials=1)))
     assert row.error == "LedgerMismatch: stub"
     released = (row.estimate, row.radius, row.noise_scale, row.spread_level, row.n_bad)
-    assert released == ((None,) * 5 if fails_in == "run_single" else (0.1, 0.2, 0.3, 2, 1))
+    assert released == ((None,) * 5 if fails_in == "run_cell" else (0.1, 0.2, 0.3, 2, 1))
+
+
+def runner_specs(alpha, trials) -> dict:
+    """One spec per method and kernel, with a cell of n = 30, under the 19
+    chunks of 2 points that alpha = 0.1 needs, so every trial of that cell
+    raises InsufficientData when boosted."""
+    gauss = DistributionSpec("gaussian", {"mu": 0.5, "sigma": 1.0})
+    labels = DistributionSpec("uniform", {"m": 20})
+    pair_mean = dict(kernel="pair_mean", dist=gauss, tau=0.5, r_bound=2.0)
+    methods = {
+        "naive": dict(method="naive", **pair_mean),
+        "subsampled": dict(method="subsampled", **pair_mean),
+        "all": dict(method="all", kernel="collision", dist=labels),
+        "hajek.collision": dict(method="hajek", kernel="collision", dist=labels),
+        "hajek.pair_mean": dict(method="hajek", xi="auto-subgaussian", c_range=4.0, **pair_mean),
+    }
+    return {
+        name: ExperimentSpec(
+            n_grid=[30, 120], eps_grid=[0.5, 1.0], alpha_grid=[alpha], trials=trials,
+            seed=5100 + j, **kw,
+        )
+        for j, (name, kw) in enumerate(methods.items())
+    }
+
+
+@pytest.mark.filterwarnings("ignore::privustat.errors.PreconditionWarning")
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("alpha", [None, 0.1])
+@pytest.mark.parametrize("name", sorted(runner_specs(None, 1)))
+def test_stacked_cells_equal_the_per_trial_loop(name, alpha, trials):
+    # one stacked call per cell writes the CSV of one boosted call per trial
+    spec = runner_specs(alpha, trials)[name]
+    got = rows_to_csv(run_experiment(spec))
+    assert got == rows_to_csv(oracles.loop_run_experiment(spec))
+    short = [line for line in got.splitlines()[1:] if line.split(",")[3] == "30"]
+    if alpha is not None:
+        assert len(short) == 2 * trials
+        assert all(line.endswith(",InsufficientData: n = 30 gives chunks of 1 < k = 2 at alpha = 0.1")
+                   for line in short)
+
+
+@pytest.mark.filterwarnings("ignore::privustat.errors.PreconditionWarning")
+@pytest.mark.parametrize("name, held", [("naive", 3), ("all", 6), ("hajek.pair_mean", 15)])
+def test_a_cell_split_into_several_stacks_equals_the_per_trial_loop(name, held, monkeypatch):
+    # at alpha = 0.1, n = 120 runs 19 chunks of 6 points, each holding 3
+    # disjoint pairs' values, its 6 labels (the collision kernel's count
+    # route) or C(6, 2) = 15 pairs' values; a cap of three trials' values
+    # splits the cell's 7 trials into stacks of 3, 3 and 1, one run_cell call each
+    spec = dataclasses.replace(runner_specs(0.1, 7)[name], n_grid=[120], eps_grid=[1.0])
+    monkeypatch.setattr(experiments, "STACK_VALUES", 3 * 19 * held)
+    kernel = experiments.build_kernel(spec.kernel)
+    assert experiments.stack_trials(spec, kernel, spec.cells()[0]) == 3
+    calls = []
+    run_cell = experiments.run_cell
+
+    def counted(spec, kernel, cell, datasets, seed, budgets):
+        calls.append(len(datasets))
+        return run_cell(spec, kernel, cell, datasets, seed, budgets)
+
+    monkeypatch.setattr(experiments, "run_cell", counted)
+    got = rows_to_csv(run_experiment(spec))
+    assert got == rows_to_csv(oracles.loop_run_experiment(spec))
+    assert calls == [3, 3, 1]
+
+
+@pytest.mark.parametrize("method, kernel, alpha, held, trials", [
+    ("all", "pair_mean", None, 499500, 2),  # C(1000, 2) pair values per trial
+    ("hajek", "pair_mean", 0.1, 19 * 1326, 41),  # 19 chunks of 52 points, C(52, 2) pairs each
+    ("naive", "pair_mean", None, 500, 2097),  # 500 disjoint pairs
+    ("subsampled", "pair_mean", None, 3454, 303),  # the default ceil((1000/2) log 1000) subsets
+    ("subsampled", "collision", None, 3454, 303),
+    ("all", "collision", None, 1000, 1048),  # value counts of the 1000 labels
+    ("hajek", "collision", 0.1, 19 * 52, 1061),
+])
+def test_stack_cap_reads_only_the_cell_the_method_and_the_kernel(method, kernel, alpha, held, trials):
+    dist = DistributionSpec("uniform" if kernel == "collision" else "gaussian", {})
+    spec = small_spec(method=method, kernel=kernel, dist=dist, n_grid=[1000], alpha_grid=[alpha],
+                      trials=100)
+    assert experiments.STACK_VALUES // held == trials
+    assert experiments.stack_trials(spec, experiments.build_kernel(kernel), spec.cells()[0]) == trials
+    # past the cap a stack still holds one trial
+    huge = dataclasses.replace(spec, n_grid=[10**8])
+    assert experiments.stack_trials(huge, experiments.build_kernel(kernel), huge.cells()[0]) == 1
 
 
 def test_timing_column_optional():
@@ -282,7 +369,7 @@ def test_spec_refuses_a_range_other_than_the_kernels_before_sampling(method, mon
     def no_sampling(*args):
         raise AssertionError("data sampled")
 
-    monkeypatch.setattr(experiments.DistributionSpec, "sample", no_sampling)
+    monkeypatch.setattr(experiments.DistributionSpec, "sampler", no_sampling)
     with pytest.raises(ValueError, match="^C must be 1, the collision kernel's finite range; got 0.5$"):
         small_spec(method=method, c_range=0.5)
     # a kernel with no declared range takes any
@@ -583,7 +670,7 @@ def test_cli_collision_kernel_refuses_a_range_other_than_one(argv, c, capsys, mo
     def no_sampling(*args):
         raise AssertionError("data sampled")
 
-    monkeypatch.setattr(experiments.DistributionSpec, "sample", no_sampling)
+    monkeypatch.setattr(experiments.DistributionSpec, "sampler", no_sampling)
     code = cli_main(argv + ["--C", c])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""

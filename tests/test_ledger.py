@@ -87,8 +87,8 @@ def test_median_of_means_majority_bottom_reports_the_block_debit():
 
     budget = PrivacyBudget(10.0)
     plan = BoostPlan(alpha=0.5, chunks=3, chunk_size=4)
-    report = median_of_means(
-        each_chunk(bottom_after_spending), Dataset(np.arange(12.0)), plan, 1, budget
+    (report,) = median_of_means(
+        each_chunk(bottom_after_spending), [Dataset(np.arange(12.0))], plan, 1, [budget]
     )
     assert report.is_bottom
     assert budget.spent == pytest.approx(EPS, rel=0, abs=1e-12)

@@ -7,9 +7,12 @@ release takes the caller's ledger, so no ``budget`` parameter has a default,
 and the release noise has one calibration, so no parameter rescales it.
 Only ``dp`` debits a ledger or draws release noise, so a release is drawn
 and debited one way; outside ``dp`` only ``noise_gof`` calls a law's
-sampler, because it audits it.  No module calls ``spawn``: a stack's
-chunks share one generator, and each release draws all of their noise
-from it in one sampler call.  Only
+sampler, because it audits it.  No module calls ``spawn``: a boosted
+dataset's chunks share one generator, and each release draws all of their
+noise from it in one sampler call.  No module but ``rng`` builds a
+generator, and no stacked entry point (one that takes a ``budgets`` list)
+or loop calls ``as_generator``: a stack's rows get their generators from
+``rng.row_generators`` alone.  Only
 ``hajek.release_rows`` and the smoothness audit call the Hájek engine, and
 only ``release_rows`` releases with the quartic law, so no second Hájek
 path grows beside the stacked one.  Outside ``hajek`` a summary comes from
@@ -385,6 +388,75 @@ def test_no_module_spawns_generators(path):
     # per chunk cost a SeedSequence per chunk and drew each chunk's noise
     # apart from the law's one sampler call
     assert calls_of(path.read_text(), {"spawn"}) == []
+
+
+# what builds a generator from a seed, outside ``rng.as_generator``
+GENERATOR_BUILDERS = {"default_rng", "SeedSequence"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def per_row_seedings(source: str) -> list[str]:
+    """Every way a module could turn a seed into per-row generators itself:
+    a call of ``default_rng`` or ``SeedSequence``, and a call of
+    ``as_generator`` inside a loop or comprehension or inside a stacked
+    entry point (a function, or one nested in a function, with a
+    ``budgets`` parameter: one ledger per row), with the enclosing
+    top-level definition, in line order."""
+    found = []
+
+    def visit(node, owner, stacked, looped):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            stacked = stacked or "budgets" in {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+        looped = looped or isinstance(node, LOOPS)
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if callee in GENERATOR_BUILDERS or (callee == "as_generator" and (stacked or looped)):
+                found.append((node.lineno, f"{callee} in {owner}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, stacked, looped)
+
+    for top in ast.parse(source).body:
+        visit(top, getattr(top, "name", "<module>"), False, False)
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_checker_finds_per_row_seedings():
+    source = (
+        "import numpy as np\n"
+        "def sample(n, seed):\n"
+        "    return as_generator(seed).random(n)\n"
+        "def estimates(chunks, seed, budgets):\n"
+        "    rng = as_generator(seed)\n"
+        "    def run(rows):\n"
+        "        return as_generator(seed)\n"
+        "    return [np.random.default_rng(s) for s in seed]\n"
+        "def trials(seeds):\n"
+        "    return [as_generator(s) for s in seeds]\n"
+        "class Stack:\n"
+        "    def rows(self, seed, q):\n"
+        "        for _ in range(q):\n"
+        "            self.rngs.append(as_generator(seed))\n"
+        "STREAM = np.random.SeedSequence(1, spawn_key=(0,))\n"
+    )
+    assert per_row_seedings(source) == [
+        "line 5: as_generator in estimates",
+        "line 7: as_generator in estimates",
+        "line 8: default_rng in estimates",
+        "line 10: as_generator in trials",
+        "line 14: as_generator in Stack",
+        "line 15: SeedSequence in <module>",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "rng.py"], ids=lambda p: str(p.relative_to(SRC))
+)
+def test_only_rng_turns_a_seed_into_per_row_generators(path):
+    # every stacked entry point resolves its one seed or its per-row
+    # generators through rng.row_generators, so no second seeding path
+    # can give two rows one stream or one trial two
+    assert per_row_seedings(path.read_text()) == []
 
 
 # the Hájek engine, with the only (module, top-level definition) pairs that
